@@ -364,9 +364,10 @@ def characterize(instance: Instance) -> RevenueReport:
     )
 
 
-def iid_scan(family: dict, seed: int, count: int) -> list[dict]:
+def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     """Characterize seeded i.i.d. instances and collect per-instance
-    findings records; families below three buyers are excluded."""
+    findings records; families below three buyers are excluded.  `cap`
+    bounds each instance's profile count as in gen_instance."""
     from .oracles import gen_instance
 
     n = int(family.get("n", 3))
@@ -383,7 +384,7 @@ def iid_scan(family: dict, seed: int, count: int) -> list[dict]:
         spec = dict(family)
         spec["n"] = n
         spec["iid"] = True
-        instance = gen_instance(spec, seed + index)
+        instance = gen_instance(spec, seed + index, cap=cap)
         report = characterize(instance)
         dual, excess = tight_downward_dual(instance, revenue=report.drev)
         regular = regularize_ds(instance, dual, revenue=report.drev)

@@ -79,7 +79,12 @@ def _parse_gen_spec(text: str) -> dict:
         if key in ("iid", "correlated"):
             spec[key] = raw.lower() in ("1", "true", "yes")
         else:
-            spec[key] = int(raw)
+            try:
+                spec[key] = int(raw)
+            except ValueError:
+                raise DimensionMismatch(
+                    f"generator spec value for {key!r} is not an integer: {raw!r}"
+                ) from None
     return spec
 
 
@@ -106,11 +111,13 @@ def cmd_solve(args) -> int:
     instance = _load(args)
     form = _FORMS[args.form]
     certificate = solve_form(instance, form)
-    extract_mechanism(instance, certificate, form)
-    extract_dual(instance, certificate, form)
     if args.certificate:
+        # certificate_document extracts the mechanism and dual itself.
         document = certificate_document(instance, form, certificate)
         write_certificate(args.certificate, document)
+    else:
+        extract_mechanism(instance, certificate, form)
+        extract_dual(instance, certificate, form)
     print(rat_str(certificate.objective))
     return 0
 
@@ -152,7 +159,7 @@ def cmd_characterize(args) -> int:
         _characterize_one(instance)
         return 0
     if spec.get("iid") and int(spec.get("n", 2)) >= 3:
-        records = iid_scan(spec, args.seed, args.count)
+        records = iid_scan(spec, args.seed, args.count, cap=args.caps)
     else:
         records = []
         for index in range(args.count):

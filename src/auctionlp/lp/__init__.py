@@ -1,6 +1,5 @@
 """Exact-rational linear programming with verified certificates."""
 
-from ._kernel import KERNEL
 from .program import (
     INFEASIBLE,
     MAX,
@@ -22,7 +21,6 @@ __all__ = [
     "BLAND",
     "DANTZIG",
     "INFEASIBLE",
-    "KERNEL",
     "MAX",
     "MIN",
     "OPTIMAL",

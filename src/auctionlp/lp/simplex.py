@@ -13,10 +13,8 @@ stdlib Fractions otherwise; certificates always carry Fractions.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-from . import _kernel
 from .program import (
     LinearProgram,
     MAX,
@@ -26,20 +24,15 @@ from .program import (
     certify_unbounded,
 )
 
-eliminate = _kernel.eliminate
-
 BLAND = "bland"
 DANTZIG = "dantzig"
 
-if os.environ.get("AUCTIONLP_FRACTION"):
-    _HAVE_GMPY = False
-else:
-    try:
-        from gmpy2 import mpq as _mpq
+try:
+    from gmpy2 import mpq as _mpq
 
-        _HAVE_GMPY = True
-    except ImportError:
-        _HAVE_GMPY = False
+    _HAVE_GMPY = True
+except ImportError:
+    _HAVE_GMPY = False
 
 BACKEND = "gmpy2" if _HAVE_GMPY else "fractions"
 
@@ -58,6 +51,32 @@ else:
 
     def _from_backend(q) -> Fraction:
         return Fraction(q)
+
+
+def eliminate(rows, r, c):
+    """Pivot on (rows[r], column c): scale the pivot row to a unit pivot,
+    then clear column c from every other row.  Mutates rows in place.
+    Zero entries are skipped; exact arithmetic guarantees the cleared
+    column is exactly zero afterwards."""
+    prow = rows[r]
+    piv = prow[c]
+    if piv != 1:
+        inv = 1 / piv
+        for k, val in enumerate(prow):
+            if val:
+                prow[k] = val * inv
+    nz = [k for k, val in enumerate(prow) if val]
+    for idx, row in enumerate(rows):
+        if idx == r:
+            continue
+        f = row[c]
+        if f:
+            if f == 1:
+                for k in nz:
+                    row[k] = row[k] - prow[k]
+            else:
+                for k in nz:
+                    row[k] = row[k] - f * prow[k]
 
 
 class PivotLimit(RuntimeError):
@@ -166,6 +185,8 @@ class _Simplex:
 
     def _pivot(self, r: int, c: int, extra_obj) -> None:
         combined = self.T + extra_obj
+        # Looked up as a module global on every call, so a wrapper bound
+        # to simplex.eliminate (a pivot counter, say) sees each pivot.
         eliminate(combined, r, c)
         self.basis[r] = c
         self.pivots += 1

@@ -185,8 +185,17 @@ def test_characterize_gen_iid_scan(capsys):
 
 
 def test_characterize_bad_gen_spec(capsys):
-    assert main(["characterize", "--gen", "n;3"]) == 2
-    assert "DimensionMismatch" in capsys.readouterr().err
+    for spec in ("n;3", "n=x", "n=3,m=1,support=1.5"):
+        assert main(["characterize", "--gen", spec]) == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+
+
+def test_characterize_gen_iid_scan_honors_caps(capsys):
+    argv = ["characterize", "--gen", "n=3,m=1,support=3,iid=1", "--caps", "8"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "ScaleLimit" in captured.err
+    assert captured.out == ""
 
 
 # -- virtuals ---------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Exact simplex: certificates, duals, pivot rules, and the kernel pair.
+"""Exact simplex: certificates, duals, pivot rules, and the pivot hook.
 
 Optimal objectives are cross-checked against brute-force vertex
 enumeration (helpers.brute_force_best), which shares no code with the
 solver."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from auctionlp.lp import (
     BLAND,
     DANTZIG,
     INFEASIBLE,
-    KERNEL,
     MAX,
     MIN,
     OPTIMAL,
@@ -250,34 +248,28 @@ def test_strong_duality_on_random_lps(lp):
     assert dual_cert.objective == cert.objective
 
 
-# -- pivot kernels ----------------------------------------------------------
+# -- pivot hook -------------------------------------------------------------
 
 
-def test_kernel_name_is_known():
-    assert KERNEL in ("compiled", "pure")
+def test_pivots_go_through_module_eliminate(monkeypatch):
+    # Pivot counters (the benchmark's lp.pivots) rebind
+    # auctionlp.lp.simplex.eliminate; every pivot must reach the rebinding.
+    from auctionlp.lp import simplex
 
+    lp = lp_of(MAX, [2, 3], [[1, 1], [1, 3]], [4, 6])
+    expected = solve(lp)
+    calls = []
+    original = simplex.eliminate
 
-def test_kernels_produce_identical_tableaus():
-    from auctionlp.lp import _pivot_py
+    def counting(rows, r, c):
+        calls.append((r, c))
+        original(rows, r, c)
 
-    cy = pytest.importorskip("auctionlp.lp._pivot_cy")
-    rng = random.Random(7)
-
-    def tableau():
-        return [
-            [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)]
-            for _ in range(6)
-        ]
-
-    a = tableau()
-    b = [row[:] for row in a]
-    steps = [(0, 2), (3, 5), (1, 0), (4, 7), (2, 4)]
-    for r, c in steps:
-        if a[r][c] == 0:
-            a[r][c] = b[r][c] = F(1, 3)
-        _pivot_py.eliminate(a, r, c)
-        cy.eliminate(b, r, c)
-        assert a == b
+    monkeypatch.setattr(simplex, "eliminate", counting)
+    cert = solve(lp)
+    assert len(calls) > 0
+    assert cert == expected
+    assert cert.objective == 9
 
 
 def test_export_lp_text_scales_to_integers():
