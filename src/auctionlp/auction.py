@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import InfeasibleInput, LabelMismatch, NotOptimal
+from .errors import InfeasibleInput, LabelMismatch, NotOptimal, NotRational
 from .lp import (
     DANTZIG,
     OPTIMAL,
@@ -673,25 +673,40 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     }
 
 
+def _document_section(document: dict, key: str) -> dict[str, Fraction]:
+    """A certificate section mapping labels to rationals."""
+    section = document.get(key)
+    if not isinstance(section, dict):
+        raise LabelMismatch(f"certificate {key} is not a map of labels to rationals")
+    try:
+        return {label: rat(value) for label, value in section.items()}
+    except NotRational as exc:
+        raise LabelMismatch(f"certificate {key}: {exc}") from None
+
+
 def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     """Re-verify a stored certificate against the instance: rebuild the
     program, reconstruct the full vectors, and recheck optimality and
-    the ledger.  Returns the verified objective."""
-    if document.get("kind") != "auctionlp.certificate":
+    the ledger.  Returns the verified objective.  A document of the
+    wrong shape raises LabelMismatch."""
+    if not isinstance(document, dict) or document.get("kind") != "auctionlp.certificate":
         raise LabelMismatch("not a certificate document")
     if document.get("digest") != instance.digest():
         raise LabelMismatch("certificate digest does not match the instance")
     form = document.get("form")
     lp = build_dslp(instance) if form == DS else build_blp(instance)
-    primal_map = {k: rat(v) for k, v in document["primal"].items()}
-    dual_map = {k: rat(v) for k, v in document["dual"].items()}
+    primal_map = _document_section(document, "primal")
+    dual_map = _document_section(document, "dual")
     unknown = set(primal_map) - set(lp.col_labels)
     unknown |= set(dual_map) - set(lp.row_labels)
     if unknown:
         raise LabelMismatch(f"unknown labels: {sorted(unknown)[:3]}")
     x = tuple(primal_map.get(label, Fraction(0)) for label in lp.col_labels)
     y = tuple(dual_map.get(label, Fraction(0)) for label in lp.row_labels)
-    objective = rat(document["objective"])
+    try:
+        objective = rat(document.get("objective"))
+    except NotRational as exc:
+        raise LabelMismatch(f"certificate objective: {exc}") from None
     recheck_certificate(
         lp,
         LpCertificate(
@@ -703,9 +718,8 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
             objective=objective,
         ),
     )
-    for value in document["ledger"].values():
-        if rat(value):
-            raise InfeasibleInput("stored ledger is not all zeros")
+    if any(_document_section(document, "ledger").values()):
+        raise InfeasibleInput("stored ledger is not all zeros")
     return objective
 
 

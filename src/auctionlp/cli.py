@@ -34,6 +34,7 @@ from .errors import (
     NonUnitMass,
     NotAgentIndependent,
     NotOptimal,
+    NotRational,
     NotRegular,
     ScaleLimit,
     ZeroMassNonzeroType,
@@ -59,10 +60,15 @@ _VALIDATION = (
     DimensionMismatch,
     LabelMismatch,
     InfeasibleInput,
+    NotRational,
 )
 _SOLVER = (NotOptimal, NotRegular, NotAgentIndependent)
 
 _FORMS = {"ds": DS, "bic": BAYES}
+
+
+_GEN_INTS = ("n", "m", "support", "value_range", "denominator")
+_GEN_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _parse_gen_spec(text: str) -> dict:
@@ -77,14 +83,20 @@ def _parse_gen_spec(text: str) -> dict:
         key = key.strip()
         raw = raw.strip()
         if key in ("iid", "correlated"):
-            spec[key] = raw.lower() in ("1", "true", "yes")
-        else:
+            if raw.lower() not in _GEN_FLAGS:
+                raise DimensionMismatch(
+                    f"generator spec value for {key!r} is not a boolean: {raw!r}"
+                )
+            spec[key] = _GEN_FLAGS[raw.lower()]
+        elif key in _GEN_INTS:
             try:
                 spec[key] = int(raw)
             except ValueError:
                 raise DimensionMismatch(
                     f"generator spec value for {key!r} is not an integer: {raw!r}"
                 ) from None
+        else:
+            raise DimensionMismatch(f"unknown generator spec key {key!r}")
     return spec
 
 

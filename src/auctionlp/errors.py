@@ -29,6 +29,13 @@ class MissingZeroType(AuctionLPError):
     """A buyer's support lacks the all-zeros vector and augmentation is off."""
 
 
+class NotRational(AuctionLPError, TypeError, ValueError):
+    """Input text or data that is not an exact rational: a float, a
+    bool, a malformed literal, or a zero denominator.  It is also a
+    TypeError and a ValueError, so callers that catch the built-in
+    parse errors still catch it."""
+
+
 class DimensionMismatch(AuctionLPError):
     """Array shapes inconsistent with the declared buyer/item counts."""
 

@@ -1,4 +1,4 @@
-"""Two-phase primal simplex over exact rationals.
+"""Two-phase primal simplex: a float pass proposes, exact rationals accept.
 
 No big-M constant: infeasible starting bases get artificial variables
 and a phase-one objective.  Bland's rule is the default pivot rule and
@@ -7,8 +7,16 @@ tie-breaking for speed and falls back to Bland permanently once a
 degenerate stall is detected, so termination is unconditional either
 way.
 
-Internally numbers are gmpy2 rationals when gmpy2 is importable,
-stdlib Fractions otherwise; certificates always carry Fractions.
+`solve` first runs the simplex over Python floats with the same pivot
+rule, so it walks the exact pivot path, and rounds the optimal vertex
+it ends on to nearby rationals.  Only the exact `certify_optimal`
+accepts that proposal.  Any other ending (the check fails, the float
+pass ends infeasible or unbounded, or it runs out of its pivot budget)
+runs the exact simplex from scratch, so infeasibility and unboundedness
+witnesses always come from exact arithmetic.
+
+Exact numbers are gmpy2 rationals when gmpy2 is importable, stdlib
+Fractions otherwise; certificates always carry Fractions.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from fractions import Fraction
 from .program import (
     LinearProgram,
     MAX,
+    CertificateError,
     LpCertificate,
     certify_infeasible,
     certify_optimal,
@@ -79,30 +88,103 @@ def eliminate(rows, r, c):
                     row[k] = row[k] - f * prow[k]
 
 
+def _eliminate_float(rows, r, c, tol):
+    """`eliminate` over floats.  Every entry it writes that lies within
+    tol of zero becomes 0.0, so the cleared column and the degenerate
+    right-hand sides read as exact zeros afterwards."""
+    prow = rows[r]
+    inv = 1.0 / prow[c]
+    nz = []
+    for k, val in enumerate(prow):
+        if val:
+            val *= inv
+            if val > tol or val < -tol:
+                prow[k] = val
+                nz.append((k, val))
+            else:
+                prow[k] = 0.0
+    prow[c] = 1.0
+    for idx, row in enumerate(rows):
+        if idx == r:
+            continue
+        f = row[c]
+        if f:
+            for k, val in nz:
+                val = row[k] - f * val
+                row[k] = val if val > tol or val < -tol else 0.0
+            row[c] = 0.0
+
+
 class PivotLimit(RuntimeError):
-    """Safety valve; indicates a solver bug, not a property of the LP."""
+    """Pivot cap exceeded.  In exact arithmetic this is a safety valve
+    that indicates a solver bug, not a property of the LP; in the float
+    pass it is the pivot budget running out."""
+
+
+class _NoProposal(Exception):
+    """The float pass ended without a certified optimal vertex."""
 
 
 _PIVOT_CAP = 1_000_000
 
+# Float pass: two numbers within _FLOAT_TOL of each other compare equal,
+# and a tableau entry within it of zero is zero.
+_FLOAT_TOL = 1e-9
+# Float pivots allowed per row and column of the program before the
+# exact simplex takes over.
+_FLOAT_PIVOTS_PER_DIM = 4
+# Denominator bounds tried in turn when rounding the float vertex.  Too
+# small a bound fails the check often (10**4 rejected 15 of 90 seeded
+# 27-profile two-item dominant-strategy programs) and can round an entry
+# to another point of the optimal face that still certifies, so the
+# first bound sits well above the certificate denominators seen in
+# practice (at most 17 bits on the benchmark corpora).
+_ROUND_BOUNDS = (10**6, 10**9)
+
+# Endings of the float pass that hand the program to the exact simplex.
+# OverflowError and ValueError come from numbers floats cannot hold:
+# float() refuses a rational beyond their range, and Fraction() refuses
+# the infinities and NaNs that overflowing arithmetic leaves behind.
+_NO_PROPOSAL = (_NoProposal, PivotLimit, OverflowError, ValueError)
+
+
+def _nearby_rational(value: float, bound: int) -> Fraction:
+    return Fraction(value).limit_denominator(bound)
+
 
 def solve(lp: LinearProgram, rule: str = BLAND) -> LpCertificate:
     """Solve to a verified certificate: optimal primal/dual pair with a
-    zero duality gap, or an infeasibility/unboundedness witness."""
+    zero duality gap, or an infeasibility/unboundedness witness.
+
+    A float pass proposes an optimal vertex and the exact certificate
+    check accepts it; otherwise the exact simplex answers."""
     if rule not in (BLAND, DANTZIG):
         raise ValueError(f"unknown pivot rule {rule!r}")
+    try:
+        return _Simplex(lp, rule, floating=True).run()
+    except _NO_PROPOSAL:
+        pass
     return _Simplex(lp, rule).run()
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram, rule: str):
+    """One simplex run over exact rationals, or over floats when
+    `floating` is set.  The float run compares numbers up to _FLOAT_TOL
+    where the exact run compares them exactly, and otherwise makes the
+    same decisions; it ends optimal with a certificate or raises one of
+    _NO_PROPOSAL."""
+
+    def __init__(self, lp: LinearProgram, rule: str, floating: bool = False):
         self.lp = lp
         self.rule = rule
         self.sign = 1 if lp.sense == MAX else -1
         self.S = lp.ncols  # structural columns
         self.R = lp.nrows
-        zero = _to_backend(Fraction(0))
-        one = _to_backend(Fraction(1))
+        num = float if floating else _to_backend
+        self.tol = _FLOAT_TOL if floating else 0
+        self.cap = _FLOAT_PIVOTS_PER_DIM * (self.R + self.S) if floating else _PIVOT_CAP
+        zero = num(Fraction(0))
+        one = num(Fraction(1))
         self.zero, self.one = zero, one
         # Column layout: structural | slack | artificial... | rhs.
         art_rows = [r for r in range(self.R) if lp.b[r] < 0]
@@ -115,9 +197,9 @@ class _Simplex:
             neg = lp.b[r] < 0
             row = [zero] * width
             for j, coef in lp.rows[r]:
-                row[j] = _to_backend(-coef if neg else coef)
+                row[j] = num(-coef if neg else coef)
             row[self.S + r] = -one if neg else one
-            row[self.rhs] = _to_backend(-lp.b[r] if neg else lp.b[r])
+            row[self.rhs] = num(-lp.b[r] if neg else lp.b[r])
             rows.append(row)
         for k, r in enumerate(art_rows):
             acol = self.S + self.R + k
@@ -131,7 +213,7 @@ class _Simplex:
         # -sign*c_j, value 0.
         obj = [zero] * width
         for j in range(self.S):
-            obj[j] = _to_backend(Fraction(-self.sign) * lp.c[j])
+            obj[j] = num(Fraction(-self.sign) * lp.c[j])
         self.obj = obj
         self.pivots = 0
         self.stalls = 0
@@ -141,57 +223,65 @@ class _Simplex:
 
     def _entering(self, obj_row, limit) -> int | None:
         """Column with negative reduced cost among the first `limit`
-        columns (structural + slack; artificials never enter)."""
-        if self.rule == BLAND or self.forced_bland:
-            for j in range(limit):
-                if obj_row[j] < 0:
-                    return j
-            return None
-        best, best_rc = None, self.zero
+        columns (structural + slack; artificials never enter): the
+        first one under Bland's rule, else the most negative, the first
+        of equals."""
+        bland = self.rule == BLAND or self.forced_bland
+        best, below = None, -self.tol
         for j in range(limit):
             rc = obj_row[j]
-            if rc < best_rc:
-                best, best_rc = j, rc
+            if rc < below:
+                if bland:
+                    return j
+                best, below = j, rc - self.tol
         return best
 
     def _leaving(self, col: int) -> int | None:
-        T, rhs = self.T, self.rhs
-        best = None
-        best_ratio = None
-        for r in range(len(T)):
-            piv = T[r][col]
-            if piv > 0:
-                ratio = T[r][rhs] / piv
-                if best is None or ratio < best_ratio:
-                    best, best_ratio = r, ratio
-                elif ratio == best_ratio:
-                    if self.rule == BLAND or self.forced_bland:
-                        if self.basis[r] < self.basis[best]:
-                            best = r
-                    else:
-                        if self._lex_less(r, best, col):
-                            best = r
+        tol, rhs = self.tol, self.rhs
+        best = low = high = None
+        for r, row in [(r, row) for r, row in enumerate(self.T) if row[col] > tol]:
+            ratio = row[rhs] / row[col]
+            if best is None or ratio < low:
+                best, low, high = r, ratio - tol, ratio + tol
+            elif ratio <= high:
+                if self.rule == BLAND or self.forced_bland:
+                    if self.basis[r] < self.basis[best]:
+                        best = r
+                else:
+                    if self._lex_less(r, best, col):
+                        best = r
         return best
 
     def _lex_less(self, r1: int, r2: int, col: int) -> bool:
+        """Is row r1 over its pivot lexicographically below row r2 over
+        its pivot?  Both pivots are positive, so the entries compare
+        cross-multiplied, without a division."""
         row1, row2 = self.T[r1], self.T[r2]
         p1, p2 = row1[col], row2[col]
-        for k in range(len(row1)):
-            v1 = row1[k] / p1
-            v2 = row2[k] / p2
-            if v1 != v2:
-                return v1 < v2
+        tol = self.tol
+        for v1, v2 in zip(row1, row2):
+            if v1 or v2:
+                a, b = v1 * p2, v2 * p1
+                if a != b and abs(a - b) > tol:
+                    return a < b
         return False
 
     def _pivot(self, r: int, c: int, extra_obj) -> None:
         combined = self.T + extra_obj
-        # Looked up as a module global on every call, so a wrapper bound
-        # to simplex.eliminate (a pivot counter, say) sees each pivot.
-        eliminate(combined, r, c)
+        if self.tol:
+            _eliminate_float(combined, r, c, self.tol)
+        else:
+            # Looked up as a module global on every call, so a wrapper
+            # bound to simplex.eliminate (a pivot counter, say) sees
+            # each exact pivot.
+            eliminate(combined, r, c)
         self.basis[r] = c
         self.pivots += 1
-        if self.pivots > _PIVOT_CAP:
+        if self.pivots > self.cap:
             raise PivotLimit(f"pivot cap exceeded on {self.R}x{self.S} program")
+
+    def _stalled(self, value, last_val) -> bool:
+        return value == last_val or abs(value - last_val) <= self.tol
 
     # -- phases -------------------------------------------------------------
 
@@ -218,8 +308,9 @@ class _Simplex:
         self.obj1 = obj1
         limit = self.S + self.R
         stall_limit = 3 * (self.R + self.S) + 10
+        below = -self.tol
         last_val = obj1[self.rhs]
-        while obj1[self.rhs] < 0:
+        while obj1[self.rhs] < below:
             c = self._entering(obj1, limit)
             if c is None:
                 break
@@ -229,15 +320,17 @@ class _Simplex:
                 # can appear unless the tableau is corrupt.
                 raise PivotLimit("phase one claims unbounded")
             self._pivot(r, c, [self.obj, obj1])
-            if obj1[self.rhs] == last_val:
+            if self._stalled(obj1[self.rhs], last_val):
                 self.stalls += 1
                 if self.stalls > stall_limit:
                     self.forced_bland = True
             else:
                 self.stalls = 0
                 last_val = obj1[self.rhs]
-        if obj1[self.rhs] < 0:
+        if obj1[self.rhs] < below:
             # max of -(sum of artificials) stopped below zero: infeasible.
+            if self.tol:
+                raise _NoProposal("float phase one ends infeasible")
             y = [_from_backend(obj1[self.S + r]) for r in range(self.R)]
             return certify_infeasible(self.lp, y)
         return None
@@ -281,7 +374,7 @@ class _Simplex:
             if r is None:
                 return self._unbounded(c)
             self._pivot(r, c, [obj])
-            if obj[self.rhs] == last_val:
+            if self._stalled(obj[self.rhs], last_val):
                 self.stalls += 1
                 if self.stalls > stall_limit:
                     self.forced_bland = True
@@ -291,22 +384,32 @@ class _Simplex:
 
     # -- extraction ---------------------------------------------------------
 
-    def _primal_point(self) -> list[Fraction]:
+    def _primal_point(self, rational) -> list[Fraction]:
         x = [Fraction(0)] * self.S
         for r, col in enumerate(self.basis):
             if col < self.S:
-                x[col] = _from_backend(self.T[r][self.rhs])
+                x[col] = rational(self.T[r][self.rhs])
         return x
 
-    def _optimal(self) -> LpCertificate:
-        x = self._primal_point()
-        y = [Fraction(0)] * self.R
-        for r in range(self.R):
-            y[r] = _from_backend(self.obj[self.S + r])
+    def _certify(self, rational) -> LpCertificate:
+        x = self._primal_point(rational)
+        y = [rational(self.obj[self.S + r]) for r in range(self.R)]
         return certify_optimal(self.lp, x, y)
 
+    def _optimal(self) -> LpCertificate:
+        if not self.tol:
+            return self._certify(_from_backend)
+        for bound in _ROUND_BOUNDS:
+            try:
+                return self._certify(lambda v: _nearby_rational(v, bound))
+            except CertificateError:
+                continue
+        raise _NoProposal("no rounding of the float vertex certifies")
+
     def _unbounded(self, col: int) -> LpCertificate:
-        x = self._primal_point()
+        if self.tol:
+            raise _NoProposal("float phase two ends unbounded")
+        x = self._primal_point(_from_backend)
         d = [Fraction(0)] * self.S
         if col < self.S:
             d[col] = Fraction(1)

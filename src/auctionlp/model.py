@@ -1,9 +1,10 @@
 """Exact-rational domain types for auction instances, mechanisms, dual
 solutions, and virtual-value tables.
 
-All numbers are `fractions.Fraction`; nothing in the package touches
-floating point.  Types are frozen dataclasses built from nested tuples,
-immutable after construction.
+All numbers are `fractions.Fraction`.  The one use of floating point in
+the package is the LP solver's proposal pass, whose answers only count
+once an exact check accepts them.  Types are frozen dataclasses built
+from nested tuples, immutable after construction.
 
 Conventions used throughout:
 
@@ -30,6 +31,7 @@ from .errors import (
     MissingZeroType,
     NegativeValue,
     NonUnitMass,
+    NotRational,
     ZeroMassNonzeroType,
 )
 
@@ -40,14 +42,21 @@ BAYES = "bayes"
 
 
 def rat(x) -> Fraction:
-    """Parse a rational from an int, Fraction, or 'p/q' / 'n' string."""
+    """Parse a rational from an int, Fraction, or 'p/q' / 'n' string.
+
+    This is the boundary parser for instance and certificate data:
+    anything else (a float, a bool, a malformed literal, a zero
+    denominator) raises NotRational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"not a rational: {x!r}")
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            raise NotRational(f"not a rational: {x!r}") from None
+    raise NotRational(f"not a rational: {x!r}")
 
 
 def rat_str(q: Fraction) -> str:

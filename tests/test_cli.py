@@ -122,6 +122,50 @@ def test_self_check_rejects_forged_value(pair_path, tmp_path, capsys):
     assert "CertificateError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(objective="one half"),
+        lambda doc: doc.update(objective=0.5),
+        lambda doc: doc.update(primal=list(doc["primal"].items())),
+        lambda doc: doc["dual"].update({next(iter(doc["dual"])): "1/0"}),
+        lambda doc: doc.pop("ledger"),
+    ],
+    ids=["objective-text", "objective-float", "primal-list", "dual-zero-den", "no-ledger"],
+)
+def test_self_check_rejects_malformed_document(pair_path, tmp_path, capsys, edit):
+    cert = str(tmp_path / "cert.json")
+    main(["solve", pair_path, "--certificate", cert])
+    capsys.readouterr()
+    doc = json.loads(open(cert).read())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["self-check", pair_path, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "LabelMismatch" in err
+    assert "Traceback" not in err
+
+
+def test_self_check_rejects_non_object_document(pair_path, tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert main(["self-check", pair_path, str(bad)]) == 2
+    assert "LabelMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "probs", [[[0, 0.5, 0.5]], [[0, "1/0", "1"]], [[0, "half", "1/2"]], [[0, True, 0]]]
+)
+def test_solve_rejects_non_rational_numbers(tmp_path, capsys, probs):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(U12, probs=probs)))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "NotRational" in err
+    assert "Traceback" not in err
+
+
 def test_profile_cap_is_enforced(pair_path, capsys):
     assert main(["solve", pair_path, "--caps", "8"]) == 4
     assert "ScaleLimit" in capsys.readouterr().err
@@ -185,7 +229,13 @@ def test_characterize_gen_iid_scan(capsys):
 
 
 def test_characterize_bad_gen_spec(capsys):
-    for spec in ("n;3", "n=x", "n=3,m=1,support=1.5"):
+    for spec in (
+        "n;3",
+        "n=x",
+        "n=3,m=1,support=1.5",
+        "n=2,m=1,bogus=1",
+        "n=2,m=1,iid=maybe",
+    ):
         assert main(["characterize", "--gen", spec]) == 2
         assert "DimensionMismatch" in capsys.readouterr().err
 

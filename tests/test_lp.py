@@ -1,8 +1,9 @@
-"""Exact simplex: certificates, duals, pivot rules, and the pivot hook.
+"""Simplex: certificates, duals, pivot rules, the float proposal pass
+and the pivot hook.
 
 Optimal objectives are cross-checked against brute-force vertex
 enumeration (helpers.brute_force_best), which shares no code with the
-solver."""
+solver, and the float pass against the exact simplex."""
 
 from fractions import Fraction
 
@@ -25,6 +26,11 @@ from auctionlp.lp import (
     recheck_certificate,
     solve,
 )
+from auctionlp.analysis import tight_downward_dual
+from auctionlp.auction import build_blp, build_dslp
+from auctionlp.lp import simplex
+from auctionlp.lp.simplex import _Simplex
+from auctionlp.oracles import gen_instance
 from helpers import brute_force_best
 
 F = Fraction
@@ -229,12 +235,13 @@ def tiny_lps(draw):
 def test_solver_matches_enumeration(lp):
     expected = brute_force_best(lp)
     for rule in (BLAND, DANTZIG):
-        cert = solve(lp, rule=rule)
-        if expected is None:
-            assert cert.status == INFEASIBLE
-        else:
-            assert cert.status == OPTIMAL
-            assert cert.objective == expected
+        # float-first solve, then the exact simplex alone
+        for cert in (solve(lp, rule=rule), _Simplex(lp, rule).run()):
+            if expected is None:
+                assert cert.status == INFEASIBLE
+            else:
+                assert cert.status == OPTIMAL
+                assert cert.objective == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,9 +260,8 @@ def test_strong_duality_on_random_lps(lp):
 
 def test_pivots_go_through_module_eliminate(monkeypatch):
     # Pivot counters (the benchmark's lp.pivots) rebind
-    # auctionlp.lp.simplex.eliminate; every pivot must reach the rebinding.
-    from auctionlp.lp import simplex
-
+    # auctionlp.lp.simplex.eliminate; every exact pivot must reach the
+    # rebinding.
     lp = lp_of(MAX, [2, 3], [[1, 1], [1, 3]], [4, 6])
     expected = solve(lp)
     calls = []
@@ -266,10 +272,94 @@ def test_pivots_go_through_module_eliminate(monkeypatch):
         original(rows, r, c)
 
     monkeypatch.setattr(simplex, "eliminate", counting)
-    cert = solve(lp)
+    cert = _Simplex(lp, BLAND).run()
     assert len(calls) > 0
     assert cert == expected
     assert cert.objective == 9
+
+
+# -- float proposal pass ----------------------------------------------------
+
+# Seeded auction programs: (generator spec, seeds), each built in the
+# dominant-strategy and the Bayesian form.
+CROSS_SHAPES = {
+    "9-profiles": ({"n": 2, "m": 1, "support": 2}, (3, 4, 5)),
+    "1-buyer-2-items": ({"n": 1, "m": 2, "support": 4}, (3, 4, 5)),
+    "16-profiles-product": ({"n": 2, "m": 2, "support": 1, "correlated": False}, (3, 4, 5)),
+    "27-profiles": ({"n": 3, "m": 1, "support": 2}, (3, 4)),
+    "25-profiles-integer": (
+        {"n": 2, "m": 1, "support": 4, "denominator": 1, "value_range": 10},
+        (3, 4),
+    ),
+}
+
+
+def assert_float_pass_follows_exact(lp):
+    """The float pass is accepted, and its certificate and pivot count
+    are those of the exact simplex."""
+    proposal = _Simplex(lp, DANTZIG, floating=True)
+    cert = proposal.run()  # raises when the float pass proposes nothing
+    exact = _Simplex(lp, DANTZIG)
+    assert cert == exact.run()
+    assert proposal.pivots == exact.pivots
+
+
+@pytest.mark.parametrize(
+    "spec,seeds", CROSS_SHAPES.values(), ids=list(CROSS_SHAPES)
+)
+def test_float_pass_matches_exact_on_auction_programs(spec, seeds):
+    for seed in seeds:
+        instance = gen_instance(spec, seed)
+        for build in (build_dslp, build_blp):
+            assert_float_pass_follows_exact(build(instance))
+
+
+def test_float_pass_matches_exact_on_face_program(monkeypatch):
+    # tight_downward_dual minimizes over the optimal dual face: a
+    # min-sense program with negative right-hand sides, so phase one runs.
+    from auctionlp import analysis
+
+    programs = []
+
+    def capture(lp, rule=BLAND):
+        programs.append(lp)
+        return solve(lp, rule)
+
+    monkeypatch.setattr(analysis, "solve", capture)
+    tight_downward_dual(gen_instance({"n": 2, "m": 1, "support": 2}, 3))
+    (lp,) = programs
+    assert lp.sense == MIN and any(q < 0 for q in lp.b)
+    assert_float_pass_follows_exact(lp)
+
+
+def test_rejected_proposal_falls_back_to_exact(monkeypatch):
+    lp = lp_of(MAX, [2, 3], [[1, 1], [1, 3]], [4, 6])
+    expected = _Simplex(lp, BLAND).run()
+    rounded = []
+    exact_pivots = []
+    original = simplex.eliminate
+
+    def perturbed(value, bound):
+        rounded.append(value)
+        return F(value).limit_denominator(bound) + F(1, 7)
+
+    def counting(rows, r, c):
+        exact_pivots.append((r, c))
+        original(rows, r, c)
+
+    monkeypatch.setattr(simplex, "_nearby_rational", perturbed)
+    monkeypatch.setattr(simplex, "eliminate", counting)
+    assert solve(lp) == expected
+    assert rounded and exact_pivots
+
+
+def test_coefficients_beyond_float_range_fall_back_to_exact():
+    huge = F(10**400)
+    with pytest.raises(OverflowError):
+        _Simplex(lp_of(MAX, [huge], [[1]], [3]), BLAND, floating=True)
+    cert = solve(lp_of(MAX, [huge], [[1]], [3]))
+    assert cert.status == OPTIMAL
+    assert cert.objective == 3 * huge
 
 
 def test_export_lp_text_scales_to_integers():
