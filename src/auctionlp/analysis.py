@@ -3,6 +3,7 @@ engine connecting Bayesian and dominant-strategy optima."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .auction import (
@@ -114,27 +115,26 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
     if revenue is None:
         revenue = drev(instance)
     base = build_dual_dslp(instance)
-    xi_cols = []
+    layout = base.layout
+    count = instance.profile_count
+    xi_cols = [layout.xi(j, r) for j in range(instance.m) for r in range(count)]
     c = [Fraction(0)] * base.ncols
-    for col, label in enumerate(base.col_labels):
-        parts = label.split(":")
-        if parts[0] == "xi":
-            xi_cols.append(col)
-        elif parts[0] == "eta":
-            c[col] = Fraction(1)
-        elif parts[0] == "zeta":
-            i, a, b = int(parts[1]), int(parts[2]), int(parts[3])
-            va = instance.value(i, a)
-            vb = instance.value(i, b)
-            if any(wb > wa for wa, wb in zip(va, vb)):
-                c[col] = Fraction(1)
+    for i in range(instance.n):
+        for r in range(count):
+            c[layout.eta(i, r)] = Fraction(1)
+        for t, t2 in itertools.permutations(range(instance.sizes[i]), 2):
+            raising = zip(instance.value(i, t), instance.value(i, t2))
+            if any(w2 > w for w, w2 in raising):
+                for s in range(instance.others_count(i)):
+                    c[layout.zeta(i, t, t2, s)] = Fraction(1)
     rows = list(base.rows) + [
         tuple((col, Fraction(1)) for col in xi_cols),
         tuple((col, Fraction(-1)) for col in xi_cols),
     ]
     b = list(base.b) + [revenue, -revenue]
     row_labels = list(base.row_labels) + ["face:obj:le", "face:obj:ge"]
-    lp = make_lp(MIN, c, rows, b, row_labels, base.col_labels)
+    # two rows more than the dual's layout, but extract_dual reads only columns
+    lp = make_lp(MIN, c, rows, b, row_labels, base.col_labels, layout=layout)
     certificate = solve(lp, rule=DANTZIG)
     if certificate.status != OPTIMAL:
         raise NotOptimal(f"optimal-face search ended {certificate.status}")

@@ -1,11 +1,15 @@
 """Builders for the four auction programs and certificate round-trips.
 
-Column and row labels carry the full index of every variable and
-constraint, so certificates map back to mechanisms and dual solutions
-by label instead of positional bookkeeping.
+A ProgramLayout holds the structure of a program: where each variable
+and constraint sits.  The builders place rows and columns at its
+indices, and extraction reads certificate values back at the same
+indices.  Every program and certificate carries the layout it was
+built with.
 
-Label grammar (profile keys are support indices joined by ".", or "_"
-for the empty opponent profile of a single buyer):
+Labels are only a rendering of the layout, used to name components in
+certificate files and in export_lp_text.  Their grammar (profile keys
+are support indices joined by ".", or "_" for the empty opponent
+profile of a single buyer):
 
     primal columns   x:<i>:<j>:<vkey>     p:<i>:<vkey>
     ds rows          ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
@@ -17,8 +21,13 @@ for the empty opponent profile of a single buyer):
 
 from __future__ import annotations
 
+import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
+from operator import add
 
 from .errors import InfeasibleInput, LabelMismatch, NotOptimal, NotRational
 from .lp import (
@@ -35,8 +44,6 @@ from .lp import (
 from .model import (
     BAYES,
     DS,
-    DualSolutionBayes,
-    DualSolutionDS,
     Instance,
     Mechanism,
     bayes_dual_from_multipliers,
@@ -76,281 +83,320 @@ def parse_profile_key(key: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Program layout
+
+PRIMAL = "primal"
+DUAL = "dual"
+
+
+@dataclass(frozen=True)
+class ProgramLayout:
+    """Index arithmetic of one auction program.
+
+    form is DS or BAYES; side is PRIMAL (build_dslp, build_blp) or DUAL
+    (build_dual_dslp, build_dual_blp); m and sizes are the instance's
+    item count and support sizes.  Profiles r and opponent slices s are
+    numbered by rank, as in Instance.
+
+    x and p index the primal variables x_i^j(v) and p_i(v): the primal's
+    columns and the explicit dual's rows.  zeta, eta and xi index the
+    multipliers: on the primal side the rows of their constraints (ic,
+    ir, sup), on the dual side the dual's columns.  Dominant-strategy
+    multipliers are keyed by profile rank and opponent slice, Bayesian
+    zeta and eta by own type.
+    """
+
+    form: str
+    side: str
+    m: int
+    sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.form not in (DS, BAYES) or self.side not in (PRIMAL, DUAL):
+            raise ValueError(f"unknown program {self.form!r}/{self.side!r}")
+
+    @cached_property
+    def count(self) -> int:
+        return prod(self.sizes)
+
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        return tuple(prod(self.sizes[i + 1:]) for i in range(len(self.sizes)))
+
+    @cached_property
+    def _blocks(self):
+        """Where each buyer's zeta and eta multipliers start, and where
+        xi starts.  All zeta blocks come first, then all eta blocks,
+        except that the Bayesian primal puts each buyer's ir rows right
+        after its ic rows."""
+        etas = [self.count if self.form == DS else k for k in self.sizes]
+        zetas = [e * (k - 1) for e, k in zip(etas, self.sizes)]
+        if self.form == BAYES and self.side == PRIMAL:
+            at = list(itertools.accumulate(map(add, zetas, etas), initial=0))
+            return at[:-1], [a + z for a, z in zip(at, zetas)], at[-1]
+        zeta = list(itertools.accumulate(zetas, initial=0))
+        eta = list(itertools.accumulate(etas, initial=zeta[-1]))
+        return zeta[:-1], eta[:-1], eta[-1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, columns) of the program."""
+        variables = len(self.sizes) * (self.m + 1) * self.count
+        multipliers = self._blocks[2] + self.m * self.count
+        if self.side == PRIMAL:
+            return multipliers, variables
+        return variables, multipliers
+
+    def rank(self, i: int, t: int, s: int) -> int:
+        """Rank of the profile where buyer i has type t and the others
+        the slice of rank s."""
+        stride = self._strides[i]
+        return ((s // stride) * self.sizes[i] + t) * stride + s % stride
+
+    def x(self, i: int, j: int, r: int) -> int:
+        return (i * self.m + j) * self.count + r
+
+    def p(self, i: int, r: int) -> int:
+        return (len(self.sizes) * self.m + i) * self.count + r
+
+    def zeta(self, i: int, t: int, t2: int, s: int = 0) -> int:
+        """Multiplier of "true t, report t2" (on slice s, DS only)."""
+        k = self.sizes[i]
+        lie = t2 - (t2 > t)  # t2 among the k - 1 reports other than t
+        base = self._blocks[0][i]
+        if self.form == BAYES:
+            return base + t * (k - 1) + lie
+        if self.side == DUAL:
+            return base + (t * (k - 1) + lie) * (self.count // k) + s
+        return base + self.rank(i, t, s) * (k - 1) + lie
+
+    def eta(self, i: int, key: int) -> int:
+        """Participation multiplier at profile rank (DS) or type (BAYES)."""
+        return self._blocks[1][i] + key
+
+    def xi(self, j: int, r: int) -> int:
+        return self._blocks[2] + j * self.count + r
+
+    def labels(self) -> tuple[list[str], list[str]]:
+        """(row labels, column labels), rendered in the module's grammar."""
+        m, count = self.m, self.count
+        keys = [profile_key(v) for v in itertools.product(*map(range, self.sizes))]
+        variables = [""] * (len(self.sizes) * (m + 1) * count)
+        multipliers = [""] * (self._blocks[2] + m * count)
+        primal = self.side == PRIMAL
+        ic, ir, sup = ("ic", "ir", "sup") if primal else ("zeta", "eta", "xi")
+        for j, (r, key) in itertools.product(range(m), enumerate(keys)):
+            multipliers[self.xi(j, r)] = f"{sup}:{j}:{key}"
+        for i, k in enumerate(self.sizes):
+            for r, key in enumerate(keys):
+                variables[self.p(i, r)] = f"p:{i}:{key}"
+                for j in range(m):
+                    variables[self.x(i, j, r)] = f"x:{i}:{j}:{key}"
+            for index, key in enumerate(range(k) if self.form == BAYES else keys):
+                multipliers[self.eta(i, index)] = f"{ir}:{i}:{key}"
+            for t, t2 in itertools.permutations(range(k), 2):
+                if self.form == BAYES:
+                    multipliers[self.zeta(i, t, t2)] = f"{ic}:{i}:{t}:{t2}"
+                    continue
+                others = (range(kb) for b, kb in enumerate(self.sizes) if b != i)
+                for s, vm in enumerate(itertools.product(*others)):
+                    multipliers[self.zeta(i, t, t2, s)] = (
+                        f"ic:{i}:{keys[self.rank(i, t, s)]}:{t2}"
+                        if primal
+                        else f"zeta:{i}:{t}:{t2}:{profile_key(vm)}"
+                    )
+        if primal:
+            return multipliers, variables
+        return ["d" + label for label in variables], multipliers
+
+
+def _layout(instance: Instance, form: str, side: str) -> ProgramLayout:
+    return ProgramLayout(form, side, instance.m, instance.sizes)
+
+
+def _program(sense: str, layout: ProgramLayout, c, rows, b) -> LinearProgram:
+    row_labels, col_labels = layout.labels()
+    return make_lp(sense, c, rows, b, row_labels, col_labels, layout=layout)
+
+
+# ---------------------------------------------------------------------------
 # Primal builders
 
 
-def _primal_columns(instance: Instance):
-    """Column labels with x block first, then p block; payment columns
-    carry the objective weight mu(v)."""
-    labels = []
-    objective = []
-    ranked = list(instance.profiles())
-    for i in range(instance.n):
+def _primal_start(instance: Instance, form: str):
+    """Layout, objective, rows and right-hand sides of a primal program
+    with its supply rows in place; payment columns carry the objective
+    weight mu(v)."""
+    layout = _layout(instance, form, PRIMAL)
+    nrows, ncols = layout.shape
+    c = [Fraction(0)] * ncols
+    rows = [None] * nrows
+    b = [Fraction(0)] * nrows
+    for r, profile in enumerate(instance.profiles()):
+        w = instance.mu(profile)
+        for i in range(instance.n):
+            c[layout.p(i, r)] = w
         for j in range(instance.m):
-            for profile in ranked:
-                labels.append(f"x:{i}:{j}:{profile_key(profile)}")
-                objective.append(Fraction(0))
-    for i in range(instance.n):
-        for profile in ranked:
-            labels.append(f"p:{i}:{profile_key(profile)}")
-            objective.append(instance.mu(profile))
-    return labels, objective, ranked
-
-
-def _xcol(instance: Instance, i: int, j: int, r: int) -> int:
-    return (i * instance.m + j) * instance.profile_count + r
-
-
-def _pcol(instance: Instance, i: int, r: int) -> int:
-    return (instance.n * instance.m + i) * instance.profile_count + r
-
-
-def _supply_rows(instance: Instance, ranked, rows, b, labels) -> None:
-    for j in range(instance.m):
-        for r, profile in enumerate(ranked):
-            row = [(_xcol(instance, i, j, r), Fraction(1)) for i in range(instance.n)]
-            rows.append(row)
-            b.append(Fraction(1))
-            labels.append(f"sup:{j}:{profile_key(profile)}")
+            rows[layout.xi(j, r)] = [
+                (layout.x(i, j, r), Fraction(1)) for i in range(instance.n)
+            ]
+            b[layout.xi(j, r)] = Fraction(1)
+    return layout, c, rows, b
 
 
 def build_dslp(instance: Instance) -> LinearProgram:
     """max sum_v mu(v) sum_i p_i(v) subject to per-profile truthfulness
     (one row per buyer, profile, and deviation report), per-profile
     participation, and unit supply of each item at each profile."""
-    col_labels, objective, ranked = _primal_columns(instance)
-    rows, b, row_labels = [], [], []
+    layout, c, rows, b = _primal_start(instance, DS)
+    x, p = layout.x, layout.p
     for i in range(instance.n):
-        for r, profile in enumerate(ranked):
-            vec = instance.value(i, profile[i])
+        for r, profile in enumerate(instance.profiles()):
+            t = profile[i]
+            s = instance.others_rank(i, instance.drop(i, profile))
+            vec = instance.value(i, t)
             for t2 in range(instance.sizes[i]):
-                if t2 == profile[i]:
+                if t2 == t:
                     continue
-                lie = instance.insert(i, t2, instance.drop(i, profile))
-                lr = instance.rank(lie)
+                lr = layout.rank(i, t2, s)
                 # u_i at the lie minus u_i at the truth <= 0
                 row = []
                 for j in range(instance.m):
                     if vec[j]:
-                        row.append((_xcol(instance, i, j, lr), vec[j]))
-                        row.append((_xcol(instance, i, j, r), -vec[j]))
-                row.append((_pcol(instance, i, lr), Fraction(-1)))
-                row.append((_pcol(instance, i, r), Fraction(1)))
-                rows.append(row)
-                b.append(Fraction(0))
-                row_labels.append(f"ic:{i}:{profile_key(profile)}:{t2}")
-    for i in range(instance.n):
-        for r, profile in enumerate(ranked):
-            vec = instance.value(i, profile[i])
-            row = [
-                (_xcol(instance, i, j, r), -vec[j])
-                for j in range(instance.m)
-                if vec[j]
-            ]
-            row.append((_pcol(instance, i, r), Fraction(1)))
-            rows.append(row)
-            b.append(Fraction(0))
-            row_labels.append(f"ir:{i}:{profile_key(profile)}")
-    _supply_rows(instance, ranked, rows, b, row_labels)
-    return make_lp(MAX, objective, rows, b, row_labels, col_labels)
+                        row.append((x(i, j, lr), vec[j]))
+                        row.append((x(i, j, r), -vec[j]))
+                row.append((p(i, lr), Fraction(-1)))
+                row.append((p(i, r), Fraction(1)))
+                rows[layout.zeta(i, t, t2, s)] = row  # ic
+            row = [(x(i, j, r), -vec[j]) for j in range(instance.m) if vec[j]]
+            row.append((p(i, r), Fraction(1)))
+            rows[layout.eta(i, r)] = row  # ir
+    return _program(MAX, layout, c, rows, b)
 
 
 def build_blp(instance: Instance) -> LinearProgram:
     """Same variables as build_dslp; truthfulness and participation rows
     are weighted by mu_{-i} and indexed by own type only."""
-    col_labels, objective, ranked = _primal_columns(instance)
-    rows, b, row_labels = [], [], []
+    layout, c, rows, b = _primal_start(instance, BAYES)
+    x, p = layout.x, layout.p
     for i in range(instance.n):
         slices = [
-            (vm, instance.mu_minus(i, vm)) for vm in instance.others_profiles(i)
+            (s, instance.mu_minus(i, vm))
+            for s, vm in enumerate(instance.others_profiles(i))
         ]
+        slices = [(s, w) for s, w in slices if w]
         for t in range(instance.sizes[i]):
             vec = instance.value(i, t)
             for t2 in range(instance.sizes[i]):
                 if t2 == t:
                     continue
                 row = []
-                for vm, w in slices:
-                    if not w:
-                        continue
-                    r = instance.rank(instance.insert(i, t, vm))
-                    lr = instance.rank(instance.insert(i, t2, vm))
+                for s, w in slices:
+                    r, lr = layout.rank(i, t, s), layout.rank(i, t2, s)
                     for j in range(instance.m):
                         if vec[j]:
-                            row.append((_xcol(instance, i, j, lr), w * vec[j]))
-                            row.append((_xcol(instance, i, j, r), -w * vec[j]))
-                    row.append((_pcol(instance, i, lr), -w))
-                    row.append((_pcol(instance, i, r), w))
-                rows.append(row)
-                b.append(Fraction(0))
-                row_labels.append(f"ic:{i}:{t}:{t2}")
-        for t in range(instance.sizes[i]):
-            vec = instance.value(i, t)
+                            row.append((x(i, j, lr), w * vec[j]))
+                            row.append((x(i, j, r), -w * vec[j]))
+                    row.append((p(i, lr), -w))
+                    row.append((p(i, r), w))
+                rows[layout.zeta(i, t, t2)] = row  # ic
             row = []
-            for vm, w in slices:
-                if not w:
-                    continue
-                r = instance.rank(instance.insert(i, t, vm))
+            for s, w in slices:
+                r = layout.rank(i, t, s)
                 for j in range(instance.m):
                     if vec[j]:
-                        row.append((_xcol(instance, i, j, r), -w * vec[j]))
-                row.append((_pcol(instance, i, r), w))
-            rows.append(row)
-            b.append(Fraction(0))
-            row_labels.append(f"ir:{i}:{t}")
-    _supply_rows(instance, ranked, rows, b, row_labels)
-    return make_lp(MAX, objective, rows, b, row_labels, col_labels)
+                        row.append((x(i, j, r), -w * vec[j]))
+                row.append((p(i, r), w))
+            rows[layout.eta(i, t)] = row  # ir
+    return _program(MAX, layout, c, rows, b)
 
 
 # ---------------------------------------------------------------------------
 # Explicit dual builders
 
-Key = tuple
 
-
-def _ds_dual_columns(instance: Instance):
-    """zeta block (i, t, t', opponent slice), then eta (i, profile),
-    then xi (j, profile).  Returns labels plus index maps."""
-    labels = []
-    zcol: dict[Key, int] = {}
-    ecol: dict[Key, int] = {}
-    xcol: dict[Key, int] = {}
-    for i in range(instance.n):
-        slices = list(instance.others_profiles(i))
-        for t in range(instance.sizes[i]):
-            for t2 in range(instance.sizes[i]):
-                if t2 == t:
-                    continue
-                for s, vm in enumerate(slices):
-                    zcol[(i, t, t2, s)] = len(labels)
-                    labels.append(f"zeta:{i}:{t}:{t2}:{profile_key(vm)}")
-    for i in range(instance.n):
-        for profile in instance.profiles():
-            ecol[(i, instance.rank(profile))] = len(labels)
-            labels.append(f"eta:{i}:{profile_key(profile)}")
-    for j in range(instance.m):
-        for profile in instance.profiles():
-            xcol[(j, instance.rank(profile))] = len(labels)
-            labels.append(f"xi:{j}:{profile_key(profile)}")
-    return labels, zcol, ecol, xcol
+def _dual_start(instance: Instance, form: str):
+    """Layout, objective (min sum xi), rows and right-hand sides of an
+    explicit dual program with no row in place yet."""
+    layout = _layout(instance, form, DUAL)
+    nrows, ncols = layout.shape
+    c = [Fraction(0)] * ncols
+    for j, r in itertools.product(range(instance.m), range(instance.profile_count)):
+        c[layout.xi(j, r)] = Fraction(1)
+    return layout, c, [None] * nrows, [Fraction(0)] * nrows
 
 
 def build_dual_dslp(instance: Instance) -> LinearProgram:
     """min sum xi, one row per primal variable: the expected-virtual-value
     bound per x_i^j(v) and the payment-weight bound per p_i(v)."""
-    col_labels, zcol, ecol, xcol = _ds_dual_columns(instance)
-    objective = [Fraction(0)] * len(col_labels)
-    for idx in xcol.values():
-        objective[idx] = Fraction(1)
-    rows, b, row_labels = [], [], []
-    ranked = list(instance.profiles())
+    layout, c, rows, b = _dual_start(instance, DS)
+    zeta, eta = layout.zeta, layout.eta
     for i in range(instance.n):
-        for j in range(instance.m):
-            for r, profile in enumerate(ranked):
-                t = profile[i]
-                s = instance.others_rank(i, instance.drop(i, profile))
+        for r, profile in enumerate(instance.profiles()):
+            t = profile[i]
+            s = instance.others_rank(i, instance.drop(i, profile))
+            for j in range(instance.m):
                 vt = instance.value(i, t)[j]
                 # phi_i^j(v) - xi^j(v) <= 0
                 row = []
                 if vt:
-                    row.append((ecol[(i, r)], vt))
+                    row.append((eta(i, r), vt))
                 for t2 in range(instance.sizes[i]):
                     if t2 == t:
                         continue
                     if vt:
-                        row.append((zcol[(i, t, t2, s)], vt))
+                        row.append((zeta(i, t, t2, s), vt))
                     v2 = instance.value(i, t2)[j]
                     if v2:
-                        row.append((zcol[(i, t2, t, s)], -v2))
-                row.append((xcol[(j, r)], Fraction(-1)))
-                rows.append(row)
-                b.append(Fraction(0))
-                row_labels.append(f"dx:{i}:{j}:{profile_key(profile)}")
-    for i in range(instance.n):
-        for r, profile in enumerate(ranked):
-            t = profile[i]
-            s = instance.others_rank(i, instance.drop(i, profile))
+                        row.append((zeta(i, t2, t, s), -v2))
+                row.append((layout.xi(j, r), Fraction(-1)))
+                rows[layout.x(i, j, r)] = row
             # -psi_i(v) <= -mu(v)
-            row = [(ecol[(i, r)], Fraction(-1))]
+            row = [(eta(i, r), Fraction(-1))]
             for t2 in range(instance.sizes[i]):
                 if t2 == t:
                     continue
-                row.append((zcol[(i, t, t2, s)], Fraction(-1)))
-                row.append((zcol[(i, t2, t, s)], Fraction(1)))
-            rows.append(row)
-            b.append(-instance.mu(profile))
-            row_labels.append(f"dp:{i}:{profile_key(profile)}")
-    return make_lp(MIN, objective, rows, b, row_labels, col_labels)
-
-
-def _bayes_dual_columns(instance: Instance):
-    labels = []
-    zcol: dict[Key, int] = {}
-    ecol: dict[Key, int] = {}
-    xcol: dict[Key, int] = {}
-    for i in range(instance.n):
-        for t in range(instance.sizes[i]):
-            for t2 in range(instance.sizes[i]):
-                if t2 == t:
-                    continue
-                zcol[(i, t, t2)] = len(labels)
-                labels.append(f"zeta:{i}:{t}:{t2}")
-    for i in range(instance.n):
-        for t in range(instance.sizes[i]):
-            ecol[(i, t)] = len(labels)
-            labels.append(f"eta:{i}:{t}")
-    for j in range(instance.m):
-        for profile in instance.profiles():
-            xcol[(j, instance.rank(profile))] = len(labels)
-            labels.append(f"xi:{j}:{profile_key(profile)}")
-    return labels, zcol, ecol, xcol
+                row.append((zeta(i, t, t2, s), Fraction(-1)))
+                row.append((zeta(i, t2, t, s), Fraction(1)))
+            rows[layout.p(i, r)] = row
+            b[layout.p(i, r)] = -instance.mu(profile)
+    return _program(MIN, layout, c, rows, b)
 
 
 def build_dual_blp(instance: Instance) -> LinearProgram:
-    col_labels, zcol, ecol, xcol = _bayes_dual_columns(instance)
-    objective = [Fraction(0)] * len(col_labels)
-    for idx in xcol.values():
-        objective[idx] = Fraction(1)
-    rows, b, row_labels = [], [], []
-    ranked = list(instance.profiles())
+    layout, c, rows, b = _dual_start(instance, BAYES)
+    zeta, eta = layout.zeta, layout.eta
     for i in range(instance.n):
-        for j in range(instance.m):
-            for r, profile in enumerate(ranked):
-                t = profile[i]
-                w = instance.mu_minus(i, instance.drop(i, profile))
+        for r, profile in enumerate(instance.profiles()):
+            t = profile[i]
+            w = instance.mu_minus(i, instance.drop(i, profile))
+            for j in range(instance.m):
                 vt = instance.value(i, t)[j]
                 # mu_{-i}(v_{-i}) phibar_i^j(v_i) - xi^j(v) <= 0
                 row = []
                 if w and vt:
-                    row.append((ecol[(i, t)], w * vt))
+                    row.append((eta(i, t), w * vt))
                 for t2 in range(instance.sizes[i]):
                     if t2 == t:
                         continue
                     if w and vt:
-                        row.append((zcol[(i, t, t2)], w * vt))
+                        row.append((zeta(i, t, t2), w * vt))
                     v2 = instance.value(i, t2)[j]
                     if w and v2:
-                        row.append((zcol[(i, t2, t)], -w * v2))
-                row.append((xcol[(j, r)], Fraction(-1)))
-                rows.append(row)
-                b.append(Fraction(0))
-                row_labels.append(f"dx:{i}:{j}:{profile_key(profile)}")
-    for i in range(instance.n):
-        for r, profile in enumerate(ranked):
-            t = profile[i]
-            w = instance.mu_minus(i, instance.drop(i, profile))
+                        row.append((zeta(i, t2, t), -w * v2))
+                row.append((layout.xi(j, r), Fraction(-1)))
+                rows[layout.x(i, j, r)] = row
             row = []
             if w:
-                row.append((ecol[(i, t)], -w))
+                row.append((eta(i, t), -w))
                 for t2 in range(instance.sizes[i]):
                     if t2 == t:
                         continue
-                    row.append((zcol[(i, t, t2)], -w))
-                    row.append((zcol[(i, t2, t)], w))
-            rows.append(row)
-            b.append(-instance.mu(profile))
-            row_labels.append(f"dp:{i}:{profile_key(profile)}")
-    return make_lp(MIN, objective, rows, b, row_labels, col_labels)
+                    row.append((zeta(i, t, t2), -w))
+                    row.append((zeta(i, t2, t), w))
+            rows[layout.p(i, r)] = row
+            b[layout.p(i, r)] = -instance.mu(profile)
+    return _program(MIN, layout, c, rows, b)
 
 
 # ---------------------------------------------------------------------------
@@ -368,132 +414,61 @@ def extract_mechanism(
     """Read the allocation and payments out of a primal certificate
     produced from build_dslp or build_blp."""
     _require_optimal(certificate)
-    expected, _, _ = _primal_columns(instance)
-    if list(certificate.col_labels) != expected:
-        raise LabelMismatch("certificate columns do not match the primal builder")
-    x = certificate.primal
-    count = instance.profile_count
+    layout = _layout(instance, form, PRIMAL)
+    if certificate.layout != layout:
+        raise LabelMismatch(f"certificate is not from the {form} primal builder")
+    x, n, m, count = certificate.primal, instance.n, instance.m, instance.profile_count
     alloc = tuple(
-        tuple(
-            tuple(x[_xcol(instance, i, j, r)] for j in range(instance.m))
-            for i in range(instance.n)
-        )
+        tuple(tuple(x[layout.x(i, j, r)] for j in range(m)) for i in range(n))
         for r in range(count)
     )
-    pay = tuple(
-        tuple(x[_pcol(instance, i, r)] for i in range(instance.n))
-        for r in range(count)
-    )
+    pay = tuple(tuple(x[layout.p(i, r)] for i in range(n)) for r in range(count))
     mechanism = Mechanism(form=form, alloc=alloc, pay=pay)
     if not mechanism_feasible(instance, mechanism):
         raise InfeasibleInput("extracted mechanism violates feasibility")
     return mechanism
 
 
-def _group_values(labels, values, prefix):
-    out = {}
-    for label, value in zip(labels, values):
-        parts = label.split(":")
-        if parts[0] == prefix:
-            out[tuple(parts[1:])] = value
-    return out
-
-
 def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     """Assemble a dual solution from either side: the row multipliers of
     a primal certificate, or the primal point of an explicit-dual
-    certificate.  The source is detected from the label scheme."""
+    certificate.  The certificate's layout says which."""
     _require_optimal(certificate)
-    first = certificate.col_labels[0].split(":")[0] if certificate.col_labels else ""
-    if first in ("x", "p"):
-        labels = certificate.row_labels
-        values = certificate.dual
-        source = "rows"
-    elif first == "zeta":
-        labels = certificate.col_labels
-        values = certificate.primal
-        source = "cols"
-    else:
-        raise LabelMismatch("certificate labels match no known builder")
+    layout = certificate.layout
+    if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
+        raise LabelMismatch(f"certificate is not from the {form} builders")
+    values = certificate.dual if layout.side == PRIMAL else certificate.primal
+    count = instance.profile_count
 
-    if form == DS:
-        expected = (
-            build_dslp(instance).row_labels
-            if source == "rows"
-            else _ds_dual_columns(instance)[0]
-        )
-    elif form == BAYES:
-        expected = (
-            build_blp(instance).row_labels
-            if source == "rows"
-            else _bayes_dual_columns(instance)[0]
-        )
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    if list(labels) != list(expected):
-        raise LabelMismatch(f"certificate labels do not match the {form} builders")
-
-    ics = _group_values(labels, values, "ic" if source == "rows" else "zeta")
-    irs = _group_values(labels, values, "ir" if source == "rows" else "eta")
-    sups = _group_values(labels, values, "sup" if source == "rows" else "xi")
+    def deviation(i, t, t2, s=0):
+        return Fraction(0) if t2 == t else values[layout.zeta(i, t, t2, s)]
 
     xi = tuple(
-        tuple(
-            sups[(str(j), profile_key(profile))]
-            for profile in instance.profiles()
-        )
+        tuple(values[layout.xi(j, r)] for r in range(count))
         for j in range(instance.m)
     )
     if form == DS:
         zeta = tuple(
             tuple(
                 tuple(
-                    tuple(
-                        Fraction(0)
-                        if t2 == t
-                        else (
-                            ics[
-                                (
-                                    str(i),
-                                    profile_key(instance.insert(i, t, vm)),
-                                    str(t2),
-                                )
-                            ]
-                            if source == "rows"
-                            else ics[(str(i), str(t), str(t2), profile_key(vm))]
-                        )
-                        for vm in instance.others_profiles(i)
-                    )
-                    for t2 in range(instance.sizes[i])
+                    tuple(deviation(i, t, t2, s) for s in range(count // k))
+                    for t2 in range(k)
                 )
-                for t in range(instance.sizes[i])
+                for t in range(k)
             )
-            for i in range(instance.n)
+            for i, k in enumerate(instance.sizes)
         )
-        eta = tuple(
-            tuple(
-                irs[(str(i), profile_key(profile))]
-                for profile in instance.profiles()
-            )
-            for i in range(instance.n)
-        )
-        dual = ds_dual_from_multipliers(instance, zeta, eta, xi)
     else:
         zeta = tuple(
-            tuple(
-                tuple(
-                    Fraction(0) if t2 == t else ics[(str(i), str(t), str(t2))]
-                    for t2 in range(instance.sizes[i])
-                )
-                for t in range(instance.sizes[i])
-            )
-            for i in range(instance.n)
+            tuple(tuple(deviation(i, t, t2) for t2 in range(k)) for t in range(k))
+            for i, k in enumerate(instance.sizes)
         )
-        eta = tuple(
-            tuple(irs[(str(i), str(t))] for t in range(instance.sizes[i]))
-            for i in range(instance.n)
-        )
-        dual = bayes_dual_from_multipliers(instance, zeta, eta, xi)
+    eta = tuple(
+        tuple(values[layout.eta(i, key)] for key in range(count if form == DS else k))
+        for i, k in enumerate(instance.sizes)
+    )
+    assemble = ds_dual_from_multipliers if form == DS else bayes_dual_from_multipliers
+    dual = assemble(instance, zeta, eta, xi)
     if not dual.is_feasible():
         raise InfeasibleInput("extracted dual violates feasibility")
     return dual
@@ -694,6 +669,8 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     if document.get("digest") != instance.digest():
         raise LabelMismatch("certificate digest does not match the instance")
     form = document.get("form")
+    if form not in (DS, BAYES):
+        raise LabelMismatch(f"unknown certificate form {form!r}")
     lp = build_dslp(instance) if form == DS else build_blp(instance)
     primal_map = _document_section(document, "primal")
     dual_map = _document_section(document, "dual")

@@ -2,13 +2,14 @@
 
 Standard form: optimize c.x subject to A x <= b, x >= 0, with sense max
 or min.  Rows are stored sparse as (column, coefficient) pairs.  Row and
-column labels are opaque strings used by the auction layer to map LP
-components back onto mechanism-design objects.
+column labels name the components in certificate files and in
+export_lp_text.  A program may also carry its builder's `layout`, an
+opaque value that this package only copies onto certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -27,6 +28,7 @@ class LinearProgram:
     b: tuple[Fraction, ...]
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
+    layout: object = field(default=None, compare=False)
 
     @property
     def ncols(self) -> int:
@@ -57,6 +59,7 @@ def make_lp(
     b: Sequence[Fraction],
     row_labels: Sequence[str],
     col_labels: Sequence[str],
+    layout: object = None,
 ) -> LinearProgram:
     """Validate and freeze an LP.  Zero coefficients are dropped;
     malformed input raises ValueError."""
@@ -89,6 +92,7 @@ def make_lp(
         b=tuple(Fraction(q) for q in b),
         row_labels=tuple(row_labels),
         col_labels=tuple(col_labels),
+        layout=layout,
     )
 
 
@@ -116,6 +120,7 @@ class LpCertificate:
     dual: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
     witness: tuple[Fraction, ...] | None = None
+    layout: object = field(default=None, compare=False)
 
     def primal_map(self) -> dict[str, Fraction]:
         return dict(zip(self.col_labels, self.primal))
@@ -177,6 +182,7 @@ def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
         status=OPTIMAL,
         col_labels=lp.col_labels,
         row_labels=lp.row_labels,
+        layout=lp.layout,
         primal=tuple(x),
         dual=tuple(y),
         objective=objective,
@@ -189,6 +195,7 @@ def certify_infeasible(lp: LinearProgram, y) -> LpCertificate:
         status=INFEASIBLE,
         col_labels=lp.col_labels,
         row_labels=lp.row_labels,
+        layout=lp.layout,
         witness=tuple(y),
     )
 
@@ -199,6 +206,7 @@ def certify_unbounded(lp: LinearProgram, x, d) -> LpCertificate:
         status=UNBOUNDED,
         col_labels=lp.col_labels,
         row_labels=lp.row_labels,
+        layout=lp.layout,
         primal=tuple(x),
         witness=tuple(d),
     )

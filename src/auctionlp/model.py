@@ -222,8 +222,10 @@ def validate_instance(
 ) -> Instance:
     """Validate raw instance data and return an Instance.
 
-    data carries 'buyers', 'items', 'supports', 'probs', and optionally
-    'augment_zero'.  Rationals may be ints, Fractions, or 'p/q' strings.
+    data carries 'buyers', 'items', 'supports' (per buyer, a list of
+    value vectors), 'probs' (per buyer, a list of masses), and optionally
+    the boolean 'augment_zero'; any other shape raises DimensionMismatch.
+    Rationals may be ints, Fractions, or 'p/q' strings.
     The keyword overrides the file's augment flag when not None.  With
     strict=True the standing assumption mu_i(v) > 0 for v != 0 is
     enforced.
@@ -239,9 +241,18 @@ def validate_instance(
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed instance data: {exc}") from exc
     if augment_zero is None:
-        augment_zero = bool(data.get("augment_zero", False))
+        augment_zero = data.get("augment_zero", False)
+        if not isinstance(augment_zero, bool):
+            raise DimensionMismatch(f"augment_zero is not a boolean: {augment_zero!r}")
     if n < 1 or m < 1:
         raise DimensionMismatch("need at least one buyer and one item")
+    if not (
+        _is_list(raw_supports)
+        and all(_is_list(sup) and all(map(_is_list, sup)) for sup in raw_supports)
+        and _is_list(raw_probs)
+        and all(map(_is_list, raw_probs))
+    ):
+        raise DimensionMismatch("expected per-buyer lists of value vectors and masses")
     if len(raw_supports) != n or len(raw_probs) != n:
         raise DimensionMismatch(
             f"expected {n} supports and prob lists, "
@@ -295,6 +306,10 @@ def validate_instance(
         supports.append(tuple(sup))
         probs.append(tuple(ps))
     return Instance(n=n, m=m, supports=tuple(supports), probs=tuple(probs))
+
+
+def _is_list(data) -> bool:
+    return isinstance(data, (list, tuple))
 
 
 def load_instance(path, *, augment_zero: bool | None = None, strict: bool = False) -> Instance:

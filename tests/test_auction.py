@@ -1,6 +1,8 @@
 """Program builders, the explicit dual pair, extraction, extension to
 off-support profiles, and certificate documents."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -170,10 +172,12 @@ def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
     cert = solve_form(u12, DS)
     with pytest.raises(LabelMismatch):
         extract_dual(u123, cert, DS)
-    # a two-buyer ds certificate cannot pass as a bayes one (for a single
-    # buyer the two label schemes coincide, so that case is not an error)
+    # a ds certificate cannot pass as a bayes one, even for a single buyer,
+    # where the two label schemes coincide
     with pytest.raises(LabelMismatch):
         extract_dual(pair12, solve_form(pair12, DS), BAYES)
+    with pytest.raises(LabelMismatch):
+        extract_dual(u12, solve_form(u12, DS), BAYES)
     stray = LpCertificate(
         status=OPTIMAL,
         col_labels=("q:0",),
@@ -291,6 +295,21 @@ def test_certificate_rejects_unknown_label(u123):
     document = dict(document, primal=dict(document["primal"], **{"x:9:9:9": "1"}))
     with pytest.raises(LabelMismatch):
         verify_certificate_document(u123, document)
+
+
+# Stored certificates name their entries by label, so the document
+# format (labels included) must not drift.
+PAIR12_CERTIFICATE_SHA256 = {
+    DS: "2e0b90052b041ae31d759764b6b86af863380718d4ac84822ce2139e5649b20e",
+    BAYES: "83c65254f0d0b1225a6f2ef2544ae1a2de7229cf12ca950fb7cb87b410111f18",
+}
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_certificate_document_is_pinned(pair12, form):
+    document = certificate_document(pair12, form, solve_form(pair12, form))
+    text = json.dumps(document, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIR12_CERTIFICATE_SHA256[form]
 
 
 def test_certificate_rejects_nonzero_ledger(u123):

@@ -130,12 +130,23 @@ def test_self_check_rejects_forged_value(pair_path, tmp_path, capsys):
         lambda doc: doc.update(primal=list(doc["primal"].items())),
         lambda doc: doc["dual"].update({next(iter(doc["dual"])): "1/0"}),
         lambda doc: doc.pop("ledger"),
+        lambda doc: doc.update(form="garbage"),
+        lambda doc: doc.pop("form"),
     ],
-    ids=["objective-text", "objective-float", "primal-list", "dual-zero-den", "no-ledger"],
+    ids=[
+        "objective-text",
+        "objective-float",
+        "primal-list",
+        "dual-zero-den",
+        "no-ledger",
+        "form-unknown",
+        "no-form",
+    ],
 )
 def test_self_check_rejects_malformed_document(pair_path, tmp_path, capsys, edit):
+    # a Bayesian certificate: a form that is not "ds" must not read as Bayesian
     cert = str(tmp_path / "cert.json")
-    main(["solve", pair_path, "--certificate", cert])
+    main(["solve", pair_path, "--form", "bic", "--certificate", cert])
     capsys.readouterr()
     doc = json.loads(open(cert).read())
     edit(doc)
@@ -164,6 +175,45 @@ def test_solve_rejects_non_rational_numbers(tmp_path, capsys, probs):
     err = capsys.readouterr().err
     assert "NotRational" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        dict(PAIR12, supports=[5, 5]),
+        dict(PAIR12, probs=[5, 5]),
+        dict(PAIR12, supports=5),
+        dict(PAIR12, supports=[[0, 1, 2], [[0], [1], [2]]]),
+        dict(PAIR12, augment_zero="no"),
+    ],
+    ids=["supports-ints", "probs-ints", "supports-int", "vector-int", "augment-text"],
+)
+def test_solve_rejects_malformed_shapes(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "DimensionMismatch" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["ds", "bic"])
+def test_solve_builds_its_program_once(pair_path, tmp_path, capsys, monkeypatch, form):
+    import auctionlp.auction as auction
+
+    builds = []
+    for name in ("build_dslp", "build_blp"):
+        original = getattr(auction, name)
+
+        def counting(instance, original=original):
+            builds.append(original.__name__)
+            return original(instance)
+
+        monkeypatch.setattr(auction, name, counting)
+    cert = str(tmp_path / "cert.json")
+    assert main(["solve", pair_path, "--form", form, "--certificate", cert]) == 0
+    assert capsys.readouterr().out == "3/2\n"
+    assert len(builds) == 1
 
 
 def test_profile_cap_is_enforced(pair_path, capsys):
