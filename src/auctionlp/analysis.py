@@ -7,11 +7,11 @@ import itertools
 from fractions import Fraction
 
 from .auction import (
+    _checked_mechanism,
     brev,
     build_dual_dslp,
     drev,
     extract_dual,
-    extract_mechanism,
     solve_form,
 )
 from .errors import NotAgentIndependent, NotOptimal, NotRegular
@@ -125,7 +125,7 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
         for t, t2 in itertools.permutations(range(instance.sizes[i]), 2):
             raising = zip(instance.value(i, t), instance.value(i, t2))
             if any(w2 > w for w, w2 in raising):
-                for s in range(instance.others_count(i)):
+                for s in range(len(instance.ranks[i])):
                     c[layout.zeta(i, t, t2, s)] = Fraction(1)
     rows = list(base.rows) + [
         tuple((col, Fraction(1)) for col in xi_cols),
@@ -141,8 +141,10 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
     dual = extract_dual(instance, certificate, DS)
     # total participation mass alone already sums to at least one per buyer
     excess = certificate.objective - instance.n
-    assert excess >= 0
-    assert dual.objective() == revenue
+    if excess < 0:
+        raise NotOptimal(f"optimal-face search reached excess {excess} below 0")
+    if dual.objective() != revenue:
+        raise NotOptimal("optimal-face dual misses the revenue")
     return dual, excess
 
 
@@ -151,8 +153,8 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
 
 
 def _reference_slice(instance: Instance, i: int) -> int:
-    for s, vm in enumerate(instance.others_profiles(i)):
-        if instance.mu_minus(i, vm) > 0:
+    for s, w in enumerate(instance.mu_minus_by_slice[i]):
+        if w > 0:
             return s
     raise AssertionError("opponent masses cannot all vanish")
 
@@ -164,16 +166,15 @@ def check_agent_independence(instance: Instance, dual: DualSolutionDS):
     opponent masses.  Returns (ok, witness)."""
     table = virtual_values_ds(instance, dual)
     for i in range(instance.n):
-        slices = list(instance.others_profiles(i))
-        weights = [instance.mu_minus(i, vm) for vm in slices]
+        weights, slices = instance.mu_minus_by_slice[i], instance.ranks[i]
         ref = _reference_slice(instance, i)
         wref = weights[ref]
         for t in range(instance.sizes[i]):
-            base = instance.rank(instance.insert(i, t, slices[ref]))
-            for s, vm in enumerate(slices):
+            base = slices[ref][t]
+            for s, ranks in enumerate(slices):
                 if s == ref:
                     continue
-                r = instance.rank(instance.insert(i, t, vm))
+                r = ranks[t]
                 if weights[s] > 0:
                     for j in range(instance.m):
                         if table.values[i][j][r] != table.values[i][j][base]:
@@ -196,12 +197,7 @@ def check_item_independence(instance: Instance, table: VirtualValueTable):
     coordinate must have equal virtual values for it unless both are
     nonpositive.  Returns (ok, witness)."""
     for i in range(instance.n):
-        ref = _reference_slice(instance, i)
-        slices = list(instance.others_profiles(i))
-        ranks = [
-            instance.rank(instance.insert(i, t, slices[ref]))
-            for t in range(instance.sizes[i])
-        ]
+        ranks = instance.ranks[i][_reference_slice(instance, i)]
         for j in range(instance.m):
             for t in range(instance.sizes[i]):
                 for t2 in range(t + 1, instance.sizes[i]):
@@ -227,30 +223,27 @@ def bic_to_dsic_dual(
     """Spread a Bayesian dual across opponent slices by the opponent
     mass: the result is feasible for the dominant-strategy dual with
     the same objective, and is agent-independent by construction."""
+    weights = instance.mu_minus_by_slice
     zeta = tuple(
         tuple(
-            tuple(
-                tuple(
-                    dual.zeta[i][t][t2] * instance.mu_minus(i, vm)
-                    for vm in instance.others_profiles(i)
-                )
-                for t2 in range(instance.sizes[i])
-            )
-            for t in range(instance.sizes[i])
+            tuple(tuple(z * w for w in weights[i]) for z in row)
+            for row in dual.zeta[i]
         )
         for i in range(instance.n)
     )
     eta = tuple(
-        tuple(
-            dual.eta[i][profile[i]]
-            * instance.mu_minus(i, instance.drop(i, profile))
-            for profile in instance.profiles()
-        )
+        tuple(dual.eta[i][t] * weights[i][s] for t, s in instance.positions[i])
         for i in range(instance.n)
     )
-    result = ds_dual_from_multipliers(instance, zeta, eta, dual.xi)
-    assert result.is_feasible(), "mapped dual lost feasibility"
-    assert result.objective() == dual.objective()
+    return _mapped(ds_dual_from_multipliers(instance, zeta, eta, dual.xi), dual)
+
+
+def _mapped(result, dual):
+    """The mapped dual, once it is feasible with dual's objective."""
+    if not result.is_feasible():
+        raise NotOptimal("mapped dual lost feasibility")
+    if result.objective() != dual.objective():
+        raise NotOptimal("mapped dual changed the objective")
     return result
 
 
@@ -262,8 +255,7 @@ def dsic_to_bic_dual(
     zeta = []
     eta = []
     for i in range(instance.n):
-        slices = list(instance.others_profiles(i))
-        weights = [instance.mu_minus(i, vm) for vm in slices]
+        weights, slices = instance.mu_minus_by_slice[i], instance.ranks[i]
         ref = _reference_slice(instance, i)
         wref = weights[ref]
         zeta_i = tuple(
@@ -273,18 +265,13 @@ def dsic_to_bic_dual(
             )
             for t in range(instance.sizes[i])
         )
-        eta_i = tuple(
-            dual.eta[i][instance.rank(instance.insert(i, t, slices[ref]))] / wref
-            for t in range(instance.sizes[i])
-        )
+        base = [dual.eta[i][r] for r in slices[ref]]
+        eta_i = tuple(e / wref for e in base)
         for t in range(instance.sizes[i]):
-            for s, vm in enumerate(slices):
+            for s, ranks in enumerate(slices):
                 if s == ref:
                     continue
-                r = instance.rank(instance.insert(i, t, vm))
-                if dual.eta[i][r] * wref != dual.eta[i][
-                    instance.rank(instance.insert(i, t, slices[ref]))
-                ] * weights[s]:
+                if dual.eta[i][ranks[t]] * wref != base[t] * weights[s]:
                     raise NotAgentIndependent(f"eta varies across slices: {(i, t, s)}")
                 for t2 in range(instance.sizes[i]):
                     if t2 == t:
@@ -298,12 +285,9 @@ def dsic_to_bic_dual(
                         )
         zeta.append(zeta_i)
         eta.append(eta_i)
-    result = bayes_dual_from_multipliers(
-        instance, tuple(zeta), tuple(eta), dual.xi
+    return _mapped(
+        bayes_dual_from_multipliers(instance, tuple(zeta), tuple(eta), dual.xi), dual
     )
-    assert result.is_feasible(), "mapped dual lost feasibility"
-    assert result.objective() == dual.objective()
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +318,8 @@ def characterize(instance: Instance) -> RevenueReport:
         bayes_dual = extract_dual(instance, bayes_cert, BAYES)
         regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
         ai_witness = bic_to_dsic_dual(instance, regular)
-        mechanism = extract_mechanism(instance, ds_cert, DS)
-        ledger = check_cs_ds(instance, mechanism, ai_witness)
+        mechanism, slacks = _checked_mechanism(instance, ds_cert, DS)
+        ledger = check_cs_ds(instance, mechanism, ai_witness, slacks=slacks)
         if not ledger.optimal:
             findings.append("witness-not-dsic-optimal")
         ok, witness = check_agent_independence(instance, ai_witness)

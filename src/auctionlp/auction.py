@@ -46,9 +46,13 @@ from .model import (
     DS,
     Instance,
     Mechanism,
+    PrimalSlacks,
     bayes_dual_from_multipliers,
     ds_dual_from_multipliers,
     mechanism_feasible,
+    mechanism_slacks,
+    profile_rank,
+    rank_strides,
     rat,
     rat_str,
 )
@@ -68,18 +72,11 @@ __all__ = [
     "certificate_document",
     "verify_certificate_document",
     "profile_key",
-    "parse_profile_key",
 ]
 
 
 def profile_key(profile) -> str:
     return ".".join(str(t) for t in profile) if profile else "_"
-
-
-def parse_profile_key(key: str) -> tuple[int, ...]:
-    if key == "_":
-        return ()
-    return tuple(int(part) for part in key.split("."))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ class ProgramLayout:
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:
-        return tuple(prod(self.sizes[i + 1:]) for i in range(len(self.sizes)))
+        return rank_strides(self.sizes)
 
     @cached_property
     def _blocks(self):
@@ -150,8 +147,7 @@ class ProgramLayout:
     def rank(self, i: int, t: int, s: int) -> int:
         """Rank of the profile where buyer i has type t and the others
         the slice of rank s."""
-        stride = self._strides[i]
-        return ((s // stride) * self.sizes[i] + t) * stride + s % stride
+        return profile_rank(self.sizes, self._strides, i, t, s)
 
     def x(self, i: int, j: int, r: int) -> int:
         return (i * self.m + j) * self.count + r
@@ -232,8 +228,7 @@ def _primal_start(instance: Instance, form: str):
     c = [Fraction(0)] * ncols
     rows = [None] * nrows
     b = [Fraction(0)] * nrows
-    for r, profile in enumerate(instance.profiles()):
-        w = instance.mu(profile)
+    for r, w in enumerate(instance.mu_by_rank):
         for i in range(instance.n):
             c[layout.p(i, r)] = w
         for j in range(instance.m):
@@ -251,14 +246,12 @@ def build_dslp(instance: Instance) -> LinearProgram:
     layout, c, rows, b = _primal_start(instance, DS)
     x, p = layout.x, layout.p
     for i in range(instance.n):
-        for r, profile in enumerate(instance.profiles()):
-            t = profile[i]
-            s = instance.others_rank(i, instance.drop(i, profile))
+        for r, (t, s) in enumerate(instance.positions[i]):
             vec = instance.value(i, t)
             for t2 in range(instance.sizes[i]):
                 if t2 == t:
                     continue
-                lr = layout.rank(i, t2, s)
+                lr = instance.ranks[i][s][t2]
                 # u_i at the lie minus u_i at the truth <= 0
                 row = []
                 for j in range(instance.m):
@@ -280,11 +273,7 @@ def build_blp(instance: Instance) -> LinearProgram:
     layout, c, rows, b = _primal_start(instance, BAYES)
     x, p = layout.x, layout.p
     for i in range(instance.n):
-        slices = [
-            (s, instance.mu_minus(i, vm))
-            for s, vm in enumerate(instance.others_profiles(i))
-        ]
-        slices = [(s, w) for s, w in slices if w]
+        slices = [(s, w) for s, w in enumerate(instance.mu_minus_by_slice[i]) if w]
         for t in range(instance.sizes[i]):
             vec = instance.value(i, t)
             for t2 in range(instance.sizes[i]):
@@ -292,7 +281,7 @@ def build_blp(instance: Instance) -> LinearProgram:
                     continue
                 row = []
                 for s, w in slices:
-                    r, lr = layout.rank(i, t, s), layout.rank(i, t2, s)
+                    r, lr = instance.ranks[i][s][t], instance.ranks[i][s][t2]
                     for j in range(instance.m):
                         if vec[j]:
                             row.append((x(i, j, lr), w * vec[j]))
@@ -302,7 +291,7 @@ def build_blp(instance: Instance) -> LinearProgram:
                 rows[layout.zeta(i, t, t2)] = row  # ic
             row = []
             for s, w in slices:
-                r = layout.rank(i, t, s)
+                r = instance.ranks[i][s][t]
                 for j in range(instance.m):
                     if vec[j]:
                         row.append((x(i, j, r), -w * vec[j]))
@@ -332,9 +321,7 @@ def build_dual_dslp(instance: Instance) -> LinearProgram:
     layout, c, rows, b = _dual_start(instance, DS)
     zeta, eta = layout.zeta, layout.eta
     for i in range(instance.n):
-        for r, profile in enumerate(instance.profiles()):
-            t = profile[i]
-            s = instance.others_rank(i, instance.drop(i, profile))
+        for r, (t, s) in enumerate(instance.positions[i]):
             for j in range(instance.m):
                 vt = instance.value(i, t)[j]
                 # phi_i^j(v) - xi^j(v) <= 0
@@ -359,7 +346,7 @@ def build_dual_dslp(instance: Instance) -> LinearProgram:
                 row.append((zeta(i, t, t2, s), Fraction(-1)))
                 row.append((zeta(i, t2, t, s), Fraction(1)))
             rows[layout.p(i, r)] = row
-            b[layout.p(i, r)] = -instance.mu(profile)
+            b[layout.p(i, r)] = -instance.mu_by_rank[r]
     return _program(MIN, layout, c, rows, b)
 
 
@@ -367,9 +354,8 @@ def build_dual_blp(instance: Instance) -> LinearProgram:
     layout, c, rows, b = _dual_start(instance, BAYES)
     zeta, eta = layout.zeta, layout.eta
     for i in range(instance.n):
-        for r, profile in enumerate(instance.profiles()):
-            t = profile[i]
-            w = instance.mu_minus(i, instance.drop(i, profile))
+        for r, (t, s) in enumerate(instance.positions[i]):
+            w = instance.mu_minus_by_slice[i][s]
             for j in range(instance.m):
                 vt = instance.value(i, t)[j]
                 # mu_{-i}(v_{-i}) phibar_i^j(v_i) - xi^j(v) <= 0
@@ -395,7 +381,7 @@ def build_dual_blp(instance: Instance) -> LinearProgram:
                     row.append((zeta(i, t, t2), -w))
                     row.append((zeta(i, t2, t), w))
             rows[layout.p(i, r)] = row
-            b[layout.p(i, r)] = -instance.mu(profile)
+            b[layout.p(i, r)] = -instance.mu_by_rank[r]
     return _program(MIN, layout, c, rows, b)
 
 
@@ -413,6 +399,14 @@ def extract_mechanism(
 ) -> Mechanism:
     """Read the allocation and payments out of a primal certificate
     produced from build_dslp or build_blp."""
+    return _checked_mechanism(instance, certificate, form)[0]
+
+
+def _checked_mechanism(
+    instance: Instance, certificate: LpCertificate, form: str
+) -> tuple[Mechanism, PrimalSlacks]:
+    """extract_mechanism, also returning the slacks its feasibility
+    check evaluated."""
     _require_optimal(certificate)
     layout = _layout(instance, form, PRIMAL)
     if certificate.layout != layout:
@@ -424,9 +418,10 @@ def extract_mechanism(
     )
     pay = tuple(tuple(x[layout.p(i, r)] for i in range(n)) for r in range(count))
     mechanism = Mechanism(form=form, alloc=alloc, pay=pay)
-    if not mechanism_feasible(instance, mechanism):
+    slacks = mechanism_slacks(instance, mechanism)
+    if not mechanism_feasible(instance, mechanism, slacks):
         raise InfeasibleInput("extracted mechanism violates feasibility")
-    return mechanism
+    return mechanism, slacks
 
 
 def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
@@ -617,10 +612,10 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     from .virtual import check_cs_bayes, check_cs_ds
 
     _require_optimal(certificate)
-    mechanism = extract_mechanism(instance, certificate, form)
+    mechanism, slacks = _checked_mechanism(instance, certificate, form)
     dual = extract_dual(instance, certificate, form)
     check = check_cs_ds if form == DS else check_cs_bayes
-    ledger = check(instance, mechanism, dual)
+    ledger = check(instance, mechanism, dual, slacks=slacks)
     return {
         "kind": "auctionlp.certificate",
         "version": 1,

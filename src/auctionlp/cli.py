@@ -321,7 +321,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ScaleLimit as exc:
-        print(f"error: ScaleLimit: {exc}", file=sys.stderr)
+        # also the exact simplex's PivotLimit
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except _VALIDATION as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

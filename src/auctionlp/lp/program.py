@@ -139,17 +139,25 @@ def _require(ok: bool, msg: str) -> None:
 
 
 def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
+    """Exact optimality check.  Row products run over the nonzero
+    entries of x only; a zero entry adds nothing to any of them."""
     sign = 1 if lp.sense == MAX else -1
     _require(len(x) == lp.ncols and len(y) == lp.nrows, "certificate shape")
     _require(all(v >= 0 for v in x), "primal negativity")
     _require(all(v >= 0 for v in y), "dual negativity")
-    for r in range(lp.nrows):
-        _require(lp.row_dot(r, x) <= lp.b[r], f"primal row {lp.row_labels[r]} violated")
+    support = [v if v else None for v in x]
+    for r, row in enumerate(lp.rows):
+        total = Fraction(0)
+        for j, coef in row:
+            v = support[j]
+            if v is not None:
+                total += coef * v
+        _require(total <= lp.b[r], f"primal row {lp.row_labels[r]} violated")
     yA = lp.col_dot(y)
     for j in range(lp.ncols):
         _require(yA[j] >= sign * lp.c[j], f"dual column {lp.col_labels[j]} violated")
-    cx = sum((lp.c[j] * x[j] for j in range(lp.ncols)), Fraction(0))
-    by = sum((lp.b[r] * y[r] for r in range(lp.nrows)), Fraction(0))
+    cx = sum((lp.c[j] * v for j, v in enumerate(support) if v is not None), Fraction(0))
+    by = sum((lp.b[r] * y[r] for r in range(lp.nrows) if y[r]), Fraction(0))
     _require(sign * cx == by, "duality gap nonzero")
     _require(cx == objective, "objective mismatch")
 

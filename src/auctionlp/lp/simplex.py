@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import ScaleLimit
 from .program import (
     LinearProgram,
     MAX,
@@ -115,10 +116,11 @@ def _eliminate_float(rows, r, c, tol):
             row[c] = 0.0
 
 
-class PivotLimit(RuntimeError):
+class PivotLimit(ScaleLimit):
     """Pivot cap exceeded.  In exact arithmetic this is a safety valve
-    that indicates a solver bug, not a property of the LP; in the float
-    pass it is the pivot budget running out."""
+    that indicates a solver bug, not a property of the LP, and like any
+    exceeded cap the CLI exits 4 on it; in the float pass it is the
+    pivot budget running out, and the exact simplex takes over."""
 
 
 class _NoProposal(Exception):

@@ -12,7 +12,26 @@ Conventions used throughout:
   Profiles iterate row-major: buyer 0's index varies slowest.
 * Buyer utility is u_i(v) = v_i . x_i(v) - p_i(v).
 * An *opponent profile* for buyer i is the full profile with position i
-  removed, in buyer order.
+  removed, in buyer order; its rank among buyer i's opponent profiles
+  (row-major again) is the *slice* s.
+
+Rank tables.  `profile_rank` is the one formula that places buyer i's
+type t on slice s at a profile rank; the program layouts use it too.
+An Instance builds, on first use and then caches:
+
+* `sizes` and `profile_count`;
+* `ranks[i][s][t]`, the rank of the profile where buyer i has type t
+  against slice s, and its inverse `positions[i][r] = (t, s)`;
+* `mu_by_rank[r]`, the prior mass of the profile of rank r;
+* `mu_minus_by_slice[i][s]`, the mass of buyer i's opponent slice s.
+
+The mass tables are filled by the `mu` and `mu_minus` methods, one call
+per entry, so each mass is evaluated once per instance.  The builders
+and the post-solve work (slacks, dual assembly, regularization, virtual
+values and the checks on them) loop over these tables instead of
+rebuilding profile tuples.  The utility methods of Mechanism and the
+coefficient methods of the dual solutions stay as definitions, computed
+from profile tuples.
 """
 
 from __future__ import annotations
@@ -22,6 +41,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Iterator, Mapping, Sequence
 
@@ -103,6 +123,19 @@ class NegInfType:
 NEG_INF = NegInfType()
 
 
+def rank_strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """strides[i]: the rank distance between two profiles that differ
+    by one in buyer i's type only."""
+    return tuple(prod(sizes[i + 1:]) for i in range(len(sizes)))
+
+
+def profile_rank(sizes: Sequence[int], strides: Sequence[int], i: int, t: int, s: int) -> int:
+    """Rank of the profile where buyer i has type t and the others the
+    opponent slice of rank s."""
+    stride = strides[i]
+    return ((s // stride) * sizes[i] + t) * stride + s % stride
+
+
 # ---------------------------------------------------------------------------
 # Instance
 
@@ -124,11 +157,11 @@ class Instance:
 
     # -- sizes and iteration ------------------------------------------------
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.supports)
 
-    @property
+    @cached_property
     def profile_count(self) -> int:
         return prod(self.sizes)
 
@@ -193,6 +226,41 @@ class Instance:
         for b, t in zip(others, vm):
             p *= self.probs[b][t]
         return p
+
+    # -- rank tables (see the module docstring) ------------------------------
+
+    @cached_property
+    def ranks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        sizes, strides = self.sizes, rank_strides(self.sizes)
+        return tuple(
+            tuple(
+                tuple(profile_rank(sizes, strides, i, t, s) for t in range(k))
+                for s in range(self.profile_count // k)
+            )
+            for i, k in enumerate(sizes)
+        )
+
+    @cached_property
+    def positions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        out = []
+        for slices in self.ranks:
+            at = [None] * self.profile_count
+            for s, ranks in enumerate(slices):
+                for t, r in enumerate(ranks):
+                    at[r] = (t, s)
+            out.append(tuple(at))
+        return tuple(out)
+
+    @cached_property
+    def mu_by_rank(self) -> tuple[Fraction, ...]:
+        return tuple(self.mu(profile) for profile in self.profiles())
+
+    @cached_property
+    def mu_minus_by_slice(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(self.mu_minus(i, vm) for vm in self.others_profiles(i))
+            for i in range(self.n)
+        )
 
     # -- serialization ------------------------------------------------------
 
@@ -398,10 +466,9 @@ class Mechanism:
 
     def revenue(self, instance: Instance) -> Fraction:
         total = Fraction(0)
-        for profile in instance.profiles():
-            w = instance.mu(profile)
+        for w, prow in zip(instance.mu_by_rank, self.pay):
             if w:
-                total += w * sum(self.pay[instance.rank(profile)], start=Fraction(0))
+                total += w * sum(prow, start=Fraction(0))
         return total
 
 
@@ -466,73 +533,83 @@ def _check_dims(instance: Instance, mechanism: Mechanism) -> None:
                 raise DimensionMismatch("mechanism item dimension mismatch")
 
 
+def _utility(vec, cell, price) -> Fraction:
+    """vec . cell - price, skipping zero products."""
+    total = -price
+    for v, x in zip(vec, cell):
+        if v and x:
+            total += v * x
+    return total
+
+
 def mechanism_slacks(instance: Instance, mechanism: Mechanism) -> PrimalSlacks:
     """Evaluate every constraint gap of the mechanism.
 
     a entries are truth minus lie (the negated gain from deviating), b
     entries are (interim) utilities, c entries unsold supply.  Negative
     entries are reported as-is; feasibility is a separate question.
+
+    Per buyer, each utility of a true type under a report is evaluated
+    once: on every opponent slice in the DS form, and against the
+    report's interim allocation and payment in the Bayesian form.
     """
     _check_dims(instance, mechanism)
-    n, m = instance.n, instance.m
+    alloc, pay, count = mechanism.alloc, mechanism.pay, instance.profile_count
     c = tuple(
-        tuple(
-            Fraction(1) - mechanism.sold(instance, j, profile)
-            for profile in instance.profiles()
-        )
-        for j in range(m)
+        tuple(Fraction(1) - sum((cell[j] for cell in row), Fraction(0)) for row in alloc)
+        for j in range(instance.m)
     )
-    if mechanism.form == BAYES:
-        a = tuple(
-            tuple(
-                tuple(
-                    (
-                        mechanism.interim_utility(instance, i, t)
-                        - mechanism.interim_deviation_utility(instance, i, t, t2)
-                        if t2 != t
-                        else Fraction(0)
-                    )
-                    for t2 in range(instance.sizes[i])
-                )
-                for t in range(instance.sizes[i])
-            )
-            for i in range(n)
-        )
-        b = tuple(
-            tuple(
-                mechanism.interim_utility(instance, i, t)
-                for t in range(instance.sizes[i])
-            )
-            for i in range(n)
-        )
-    else:
-        a = tuple(
-            tuple(
-                tuple(
-                    (
-                        mechanism.utility(instance, i, profile)
-                        - mechanism.deviation_utility(instance, i, profile, t2)
-                        if t2 != profile[i]
-                        else Fraction(0)
-                    )
-                    for t2 in range(instance.sizes[i])
-                )
-                for profile in instance.profiles()
-            )
-            for i in range(n)
-        )
-        b = tuple(
-            tuple(
-                mechanism.utility(instance, i, profile)
-                for profile in instance.profiles()
-            )
-            for i in range(n)
-        )
-    return PrimalSlacks(form=mechanism.form, a=a, b=b, c=c)
+    a, b = [], []
+    for i, k in enumerate(instance.sizes):
+        vecs = instance.supports[i]
+        if mechanism.form == BAYES:
+            cells, prices = _interim_rows(instance, mechanism, i)
+            u = [[_utility(vec, cells[t2], prices[t2]) for t2 in range(k)] for vec in vecs]
+            a.append(tuple(_margins(u[t], t) for t in range(k)))
+            b.append(tuple(u[t][t] for t in range(k)))
+            continue
+        a_i, b_i = [None] * count, [None] * count
+        for ranks in instance.ranks[i]:
+            # u[t][t2]: utility of true type t reporting t2 on this slice
+            u = [[_utility(vec, alloc[lr][i], pay[lr][i]) for lr in ranks] for vec in vecs]
+            for t, r in enumerate(ranks):
+                a_i[r] = _margins(u[t], t)
+                b_i[r] = u[t][t]
+        a.append(tuple(a_i))
+        b.append(tuple(b_i))
+    return PrimalSlacks(form=mechanism.form, a=tuple(a), b=tuple(b), c=c)
 
 
-def mechanism_feasible(instance: Instance, mechanism: Mechanism) -> bool:
-    """Bounds plus nonnegative slacks in the mechanism's own form."""
+def _margins(utilities, t) -> tuple[Fraction, ...]:
+    truth = utilities[t]
+    return tuple(
+        truth - lie if t2 != t else Fraction(0) for t2, lie in enumerate(utilities)
+    )
+
+
+def _interim_rows(instance: Instance, mechanism: Mechanism, i: int):
+    """Buyer i's interim allocation and payment per report, averaged
+    over the opponent slices by their mass."""
+    k, m = instance.sizes[i], instance.m
+    cells = [[Fraction(0)] * m for _ in range(k)]
+    prices = [Fraction(0)] * k
+    for w, ranks in zip(instance.mu_minus_by_slice[i], instance.ranks[i]):
+        if not w:
+            continue
+        for t2, lr in enumerate(ranks):
+            cell, acc = mechanism.alloc[lr][i], cells[t2]
+            for j in range(m):
+                if cell[j]:
+                    acc[j] += w * cell[j]
+            prices[t2] += w * mechanism.pay[lr][i]
+    return cells, prices
+
+
+def mechanism_feasible(
+    instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks | None = None
+) -> bool:
+    """Bounds plus nonnegative slacks in the mechanism's own form.
+    slacks, when given, are this mechanism's mechanism_slacks."""
     for row in mechanism.alloc:
         for cell in row:
             for x in cell:
@@ -542,7 +619,9 @@ def mechanism_feasible(instance: Instance, mechanism: Mechanism) -> bool:
         for p in prow:
             if p < 0:
                 return False
-    return mechanism_slacks(instance, mechanism).feasible
+    if slacks is None:
+        slacks = mechanism_slacks(instance, mechanism)
+    return slacks.feasible
 
 
 # ---------------------------------------------------------------------------
@@ -646,59 +725,95 @@ def _any_negative(nested) -> bool:
     return nested < 0
 
 
+def dual_flows(held, out, into, t):
+    """Weights at own type t: held (its participation weight plus every
+    "true t, report t2" multiplier out[t2]) and the nonzero "true t2,
+    report t" multipliers into[t2] as (t2, weight) pairs.  Diagonal
+    entries are ignored."""
+    inflow = []
+    for t2, (o, w) in enumerate(zip(out, into)):
+        if t2 != t:
+            if o:
+                held += o
+            if w:
+                inflow.append((t2, w))
+    return held, inflow
+
+
+def flow_psi(held, inflow) -> Fraction:
+    """The payment coefficient psi (Bayesian: psibar) from dual_flows."""
+    for _, w in inflow:
+        held -= w
+    return held
+
+
+def flow_phi(held, inflow, vecs, t, j) -> Fraction:
+    """The expected virtual value phi_star (Bayesian: phibar_star) of
+    item j from dual_flows; vecs are the buyer's support vectors."""
+    total = held * vecs[t][j] if vecs[t][j] else Fraction(0)
+    for t2, w in inflow:
+        if vecs[t2][j]:
+            total -= w * vecs[t2][j]
+    return total
+
+
+def ds_flows(instance: Instance, zeta, eta, i: int, r: int):
+    """dual_flows of buyer i at the profile of rank r of a DS dual."""
+    t, s = instance.positions[i][r]
+    out = [row[s] for row in zeta[i][t]]
+    into = [row[t][s] for row in zeta[i]]
+    return dual_flows(eta[i][r], out, into, t)
+
+
 def ds_dual_from_multipliers(
     instance: Instance, zeta, eta, xi
 ) -> DualSolutionDS:
     """Assemble a DS dual solution, deriving the alpha/beta slacks."""
-    stub = DualSolutionDS(zeta=zeta, eta=eta, xi=xi, alpha=(), beta=())
-    alpha = tuple(
-        tuple(
-            tuple(
-                xi[j][instance.rank(profile)]
-                - stub.phi_star(instance, i, j, profile)
-                for profile in instance.profiles()
-            )
-            for j in range(instance.m)
-        )
-        for i in range(instance.n)
+    mu, vecs_of = instance.mu_by_rank, instance.supports
+    alpha, beta = [], []
+    for i in range(instance.n):
+        alpha_i = [[None] * instance.profile_count for _ in range(instance.m)]
+        beta_i = []
+        for r, (t, _) in enumerate(instance.positions[i]):
+            held, inflow = ds_flows(instance, zeta, eta, i, r)
+            for j, col in enumerate(alpha_i):
+                col[r] = xi[j][r] - flow_phi(held, inflow, vecs_of[i], t, j)
+            beta_i.append(flow_psi(held, inflow) - mu[r])
+        alpha.append(tuple(map(tuple, alpha_i)))
+        beta.append(tuple(beta_i))
+    return DualSolutionDS(
+        zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta)
     )
-    beta = tuple(
-        tuple(
-            stub.psi(instance, i, profile) - instance.mu(profile)
-            for profile in instance.profiles()
-        )
-        for i in range(instance.n)
-    )
-    return DualSolutionDS(zeta=zeta, eta=eta, xi=xi, alpha=alpha, beta=beta)
 
 
 def bayes_dual_from_multipliers(
     instance: Instance, zeta, eta, xi
 ) -> DualSolutionBayes:
-    """Assemble a Bayesian dual solution, deriving the alpha/beta slacks."""
-    stub = DualSolutionBayes(zeta=zeta, eta=eta, xi=xi, alpha=(), beta=())
-    alpha = tuple(
-        tuple(
-            tuple(
-                xi[j][instance.rank(profile)]
-                - instance.mu_minus(i, instance.drop(i, profile))
-                * stub.phibar_star(instance, i, j, profile[i])
-                for profile in instance.profiles()
-            )
-            for j in range(instance.m)
-        )
-        for i in range(instance.n)
+    """Assemble a Bayesian dual solution, deriving the alpha/beta slacks:
+    phibar_star and psibar are computed once per type and scaled by the
+    opponent slice's mass."""
+    mu, m = instance.mu_by_rank, instance.m
+    alpha, beta = [], []
+    for i, k in enumerate(instance.sizes):
+        vecs = instance.supports[i]
+        phis, psis = [], []
+        for t in range(k):
+            into = [row[t] for row in zeta[i]]
+            held, inflow = dual_flows(eta[i][t], zeta[i][t], into, t)
+            phis.append([flow_phi(held, inflow, vecs, t, j) for j in range(m)])
+            psis.append(flow_psi(held, inflow))
+        alpha_i = [[None] * instance.profile_count for _ in range(m)]
+        beta_i = [None] * instance.profile_count
+        for w, ranks in zip(instance.mu_minus_by_slice[i], instance.ranks[i]):
+            for t, r in enumerate(ranks):
+                for j, col in enumerate(alpha_i):
+                    col[r] = xi[j][r] - w * phis[t][j]
+                beta_i[r] = w * psis[t] - mu[r]
+        alpha.append(tuple(map(tuple, alpha_i)))
+        beta.append(tuple(beta_i))
+    return DualSolutionBayes(
+        zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta)
     )
-    beta = tuple(
-        tuple(
-            instance.mu_minus(i, instance.drop(i, profile))
-            * stub.psibar(instance, i, profile[i])
-            - instance.mu(profile)
-            for profile in instance.profiles()
-        )
-        for i in range(instance.n)
-    )
-    return DualSolutionBayes(zeta=zeta, eta=eta, xi=xi, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

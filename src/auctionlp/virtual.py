@@ -19,6 +19,9 @@ from .model import (
     VirtualValueTable,
     bayes_dual_from_multipliers,
     ds_dual_from_multipliers,
+    ds_flows,
+    flow_phi,
+    flow_psi,
     mechanism_slacks,
 )
 
@@ -82,24 +85,15 @@ def check_cs_ds(
         slacks = mechanism_slacks(instance, mechanism)
     _require_feasible_pair(slacks, dual)
     ic = Fraction(0)
-    for i in range(instance.n):
-        for profile in instance.profiles():
-            t = profile[i]
-            s = instance.others_rank(i, instance.drop(i, profile))
-            r = instance.rank(profile)
-            for t2 in range(instance.sizes[i]):
-                if t2 == t:
-                    continue
-                ic += slacks.a[i][r][t2] * dual.zeta[i][t][t2][s]
-    ir = Fraction(0)
-    for i in range(instance.n):
-        for r in range(instance.profile_count):
-            ir += slacks.b[i][r] * dual.eta[i][r]
-    supply, alloc, pay = _shared_families(instance, mechanism, dual, slacks)
-    ledger = GapLedger(ic=ic, ir=ir, supply=supply, alloc=alloc, pay=pay)
-    gap = dual.objective() - mechanism.revenue(instance)
-    assert ledger.gap == gap, "ledger does not reproduce the objective gap"
-    return ledger
+    for i, k in enumerate(instance.sizes):
+        zeta = dual.zeta[i]
+        for r, (t, s) in enumerate(instance.positions[i]):
+            margins = slacks.a[i][r]
+            for t2 in range(k):
+                if t2 != t and zeta[t][t2][s] and margins[t2]:
+                    ic += margins[t2] * zeta[t][t2][s]
+    ir = _products(zip(slacks.b, dual.eta))
+    return _ledger(instance, mechanism, dual, slacks, ic, ir)
 
 
 def check_cs_bayes(
@@ -112,36 +106,42 @@ def check_cs_bayes(
         slacks = mechanism_slacks(instance, mechanism)
     _require_feasible_pair(slacks, dual)
     ic = Fraction(0)
-    for i in range(instance.n):
-        for t in range(instance.sizes[i]):
-            for t2 in range(instance.sizes[i]):
-                if t2 == t:
-                    continue
-                ic += slacks.a[i][t][t2] * dual.zeta[i][t][t2]
-    ir = Fraction(0)
-    for i in range(instance.n):
-        for t in range(instance.sizes[i]):
-            ir += slacks.b[i][t] * dual.eta[i][t]
-    supply, alloc, pay = _shared_families(instance, mechanism, dual, slacks)
+    for margins_i, zeta_i in zip(slacks.a, dual.zeta):
+        for t, (margins, zeta) in enumerate(zip(margins_i, zeta_i)):
+            for t2, (a, z) in enumerate(zip(margins, zeta)):
+                if t2 != t and a and z:
+                    ic += a * z
+    ir = _products(zip(slacks.b, dual.eta))
+    return _ledger(instance, mechanism, dual, slacks, ic, ir)
+
+
+def _products(pairs) -> Fraction:
+    """Sum of a * b over the entries of every (a-row, b-row) pair."""
+    total = Fraction(0)
+    for row_a, row_b in pairs:
+        for a, b in zip(row_a, row_b):
+            if a and b:
+                total += a * b
+    return total
+
+
+def _ledger(instance, mechanism, dual, slacks, ic, ir) -> GapLedger:
+    """Complete the ledger with the three families both forms share, and
+    check that it reproduces the objective gap."""
+    supply = _products(zip(slacks.c, dual.xi))
+    alloc = _products(
+        (alpha, [row[i][j] for row in mechanism.alloc])
+        for i, alpha_i in enumerate(dual.alpha)
+        for j, alpha in enumerate(alpha_i)
+    )
+    pay = _products(zip(dual.beta, zip(*mechanism.pay)))
     ledger = GapLedger(ic=ic, ir=ir, supply=supply, alloc=alloc, pay=pay)
     gap = dual.objective() - mechanism.revenue(instance)
-    assert ledger.gap == gap, "ledger does not reproduce the objective gap"
+    if ledger.gap != gap:
+        raise NotOptimal(
+            f"ledger gap {ledger.gap} does not reproduce the objective gap {gap}"
+        )
     return ledger
-
-
-def _shared_families(instance, mechanism, dual, slacks):
-    supply = Fraction(0)
-    for j in range(instance.m):
-        for r in range(instance.profile_count):
-            supply += slacks.c[j][r] * dual.xi[j][r]
-    alloc = Fraction(0)
-    pay = Fraction(0)
-    for i in range(instance.n):
-        for r in range(instance.profile_count):
-            for j in range(instance.m):
-                alloc += dual.alpha[i][j][r] * mechanism.alloc[r][i][j]
-            pay += dual.beta[i][r] * mechanism.pay[r][i]
-    return supply, alloc, pay
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +162,22 @@ def ds_regularity_witness(instance: Instance, dual: DualSolutionDS):
     """None if the dual satisfies all three regularity conditions, else
     a (condition, indices) witness."""
     zeros = _zero_indices(instance)
+    mu = instance.mu_by_rank
     for i in range(instance.n):
-        for profile in instance.profiles():
-            r = instance.rank(profile)
-            vm = instance.drop(i, profile)
-            if instance.mu_minus(i, vm) == 0:
+        weights, vecs = instance.mu_minus_by_slice[i], instance.supports[i]
+        for r, profile in enumerate(instance.profiles()):
+            t, s = instance.positions[i][r]
+            held, inflow = ds_flows(instance, dual.zeta, dual.eta, i, r)
+            if weights[s] == 0:
                 for j in range(instance.m):
-                    if dual.phi_star(instance, i, j, profile) != 0:
+                    if flow_phi(held, inflow, vecs, t, j) != 0:
                         return ("virtual", (i, j, profile))
-            if profile[i] != zeros[i]:
+            if t != zeros[i]:
                 if dual.eta[i][r] != 0:
                     return ("source", (i, profile))
-            elif dual.eta[i][r] != instance.mu_minus(i, vm):
+            elif dual.eta[i][r] != weights[s]:
                 return ("source", (i, profile))
-            if dual.psi(instance, i, profile) != instance.mu(profile):
+            if flow_psi(held, inflow) != mu[r]:
                 return ("trans", (i, profile))
     return None
 
@@ -232,31 +234,29 @@ def regularize_ds(
     zeta = _as_lists_ds(dual.zeta)
     eta = [list(row) for row in dual.eta]
     for i in range(instance.n):
-        for s, vm in enumerate(instance.others_profiles(i)):
-            if instance.mu_minus(i, vm) != 0:
+        for s, ranks in enumerate(instance.ranks[i]):
+            if instance.mu_minus_by_slice[i][s] != 0:
                 continue
-            for t in range(instance.sizes[i]):
+            for t, r in enumerate(ranks):
                 for t2 in range(instance.sizes[i]):
                     if t2 != t:
                         zeta[i][t][t2][s] = Fraction(0)
-                eta[i][instance.rank(instance.insert(i, t, vm))] = Fraction(0)
+                eta[i][r] = Fraction(0)
 
     frozen = ds_dual_from_multipliers(
         instance, _freeze_ds(zeta), tuple(tuple(row) for row in eta), dual.xi
     )
     for i in range(instance.n):
         t0 = zeros[i]
-        for s, vm in enumerate(instance.others_profiles(i)):
-            for t in range(instance.sizes[i]):
+        weights = instance.mu_minus_by_slice[i]
+        for s, ranks in enumerate(instance.ranks[i]):
+            for t, r in enumerate(ranks):
                 if t == t0:
                     continue
-                profile = instance.insert(i, t, vm)
-                r = instance.rank(profile)
                 zeta[i][t][t0][s] = frozen.zeta[i][t][t0][s] + frozen.eta[i][r]
                 zeta[i][t0][t][s] = frozen.zeta[i][t0][t][s] + frozen.beta[i][r]
                 eta[i][r] = Fraction(0)
-            zero_rank = instance.rank(instance.insert(i, t0, vm))
-            eta[i][zero_rank] = instance.mu_minus(i, vm)
+            eta[i][ranks[t0]] = weights[s]
 
     result = ds_dual_from_multipliers(
         instance, _freeze_ds(zeta), tuple(tuple(row) for row in eta), dual.xi
@@ -334,35 +334,32 @@ def virtual_values_ds(instance: Instance, dual: DualSolutionDS) -> VirtualValueT
     if witness is not None:
         raise NotRegular(f"dual is not regular: {witness}")
     zeros = _zero_indices(instance)
+    mu = instance.mu_by_rank
     values = []
     for i in range(instance.n):
-        per_item = []
-        for j in range(instance.m):
-            col = []
-            for profile in instance.profiles():
-                t = profile[i]
-                s = instance.others_rank(i, instance.drop(i, profile))
-                w = instance.mu(profile)
-                if w:
-                    vt = instance.value(i, t)[j]
-                    total = Fraction(0)
-                    for t2 in range(instance.sizes[i]):
-                        if t2 == t:
-                            continue
-                        total += dual.zeta[i][t2][t][s] * (
-                            vt - instance.value(i, t2)[j]
-                        )
-                    phi = vt + total / w
-                    assert phi * w == dual.phi_star(instance, i, j, profile)
-                    col.append(phi)
-                elif instance.mu_minus(i, instance.drop(i, profile)) == 0:
-                    col.append(Fraction(0))
-                elif t == zeros[i]:
-                    col.append(NEG_INF)
-                else:
-                    col.append(Fraction(0))
-            per_item.append(tuple(col))
-        values.append(tuple(per_item))
+        weights, vecs = instance.mu_minus_by_slice[i], instance.supports[i]
+        per_item = [[None] * instance.profile_count for _ in range(instance.m)]
+        for r, (t, s) in enumerate(instance.positions[i]):
+            w = mu[r]
+            if not w:
+                entry = NEG_INF if weights[s] and t == zeros[i] else Fraction(0)
+                for col in per_item:
+                    col[r] = entry
+                continue
+            held, inflow = ds_flows(instance, dual.zeta, dual.eta, i, r)
+            for j, col in enumerate(per_item):
+                vt = vecs[t][j]
+                total = Fraction(0)
+                for t2, z in inflow:
+                    total += z * (vt - vecs[t2][j])
+                phi = vt + total / w
+                if phi * w != flow_phi(held, inflow, vecs, t, j):
+                    raise NotRegular(
+                        f"virtual value {phi} times mass {w} misses phi_star "
+                        f"at buyer {i}, item {j}, profile rank {r}"
+                    )
+                col[r] = phi
+        values.append(tuple(map(tuple, per_item)))
     return VirtualValueTable(form=DS, values=tuple(values))
 
 
@@ -392,20 +389,23 @@ def virtual_values_bayes(
                             vt - instance.value(i, t2)[j]
                         )
                     phi = vt + total / w
-                    assert phi * w == dual.phibar_star(instance, i, j, t)
+                    if phi * w != dual.phibar_star(instance, i, j, t):
+                        raise NotRegular(
+                            f"virtual value {phi} times mass {w} misses "
+                            f"phibar_star at buyer {i}, item {j}, type {t}"
+                        )
                     row.append(phi)
                 elif t == zeros[i]:
                     row.append(NEG_INF)
                 else:
                     row.append(Fraction(0))
             per_type.append(row)
-        per_item = []
-        for j in range(instance.m):
-            col = tuple(
-                per_type[profile[i]][j] for profile in instance.profiles()
+        values.append(
+            tuple(
+                tuple(per_type[t][j] for t, _ in instance.positions[i])
+                for j in range(instance.m)
             )
-            per_item.append(col)
-        values.append(tuple(per_item))
+        )
     return VirtualValueTable(form=BAYES, values=tuple(values))
 
 
@@ -439,10 +439,9 @@ def check_vwm(
     fully allocated whenever the maximum is positive."""
     violations = []
     checked = 0
-    for profile in instance.profiles():
-        if instance.mu(profile) == 0:
+    for r, w in enumerate(instance.mu_by_rank):
+        if w == 0:
             continue
-        r = instance.rank(profile)
         checked += 1
         for j in range(instance.m):
             entries = [table.values[i][j][r] for i in range(instance.n)]
@@ -457,7 +456,7 @@ def check_vwm(
                         violations.append(
                             VwmViolation("alloc-negative", j, r, i)
                         )
-            sold = mechanism.sold(instance, j, profile)
+            sold = sum((cell[j] for cell in mechanism.alloc[r]), Fraction(0))
             if sold < 1 and best is not NEG_INF and best > 0:
                 violations.append(VwmViolation("unsold-max-positive", j, r))
             if 0 < sold < 1 and best != 0:
@@ -481,12 +480,11 @@ def check_ubvv(table: VirtualValueTable, instance: Instance) -> UbvvReport:
     findings, not errors."""
     violations = []
     checked = 0
-    for profile in instance.profiles():
-        if instance.mu(profile) == 0:
+    for r, w in enumerate(instance.mu_by_rank):
+        if w == 0:
             continue
-        r = instance.rank(profile)
         for i in range(instance.n):
-            vec = instance.value(i, profile[i])
+            vec = instance.value(i, instance.positions[i][r][0])
             for j in range(instance.m):
                 entry = table.values[i][j][r]
                 if entry is NEG_INF:

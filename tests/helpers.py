@@ -1,13 +1,23 @@
 """Independent oracles shared by the test modules: a brute-force vertex
 enumerator for tiny LPs, the discrete single-item virtual-value formula,
-and an LP probe for the spread of one virtual value across the regular
-optimal duals."""
+an LP probe for the spread of one virtual value across the regular
+optimal duals, definition-level primal and dual slacks, and the profile
+key parser."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from auctionlp.auction import build_dual_dslp, profile_key
 from auctionlp.lp import DANTZIG, MAX, MIN, OPTIMAL, make_lp, solve
+from auctionlp.model import BAYES, PrimalSlacks
+
+
+def parse_profile_key(key):
+    """Invert auctionlp.auction.profile_key: "_" is the empty profile,
+    else support indices joined by "."."""
+    if key == "_":
+        return ()
+    return tuple(int(part) for part in key.split("."))
 
 
 def solve_square(rows, rhs):
@@ -172,3 +182,80 @@ def regular_phi_range(instance, i, profile, revenue):
         assert cert.status == OPTIMAL, cert.status
         out.append(cert.objective / instance.mu(profile))
     return tuple(out)
+
+
+def reference_slacks(instance, mechanism):
+    """mechanism_slacks by definition: every entry evaluated on its own
+    through Mechanism.utility and deviation_utility (DS form) or
+    interim_utility and interim_deviation_utility (Bayesian form)."""
+    profiles = list(instance.profiles())
+    c = tuple(
+        tuple(1 - mechanism.sold(instance, j, v) for v in profiles)
+        for j in range(instance.m)
+    )
+    if mechanism.form == BAYES:
+        truth = mechanism.interim_utility
+        lie = mechanism.interim_deviation_utility
+        keys = [range(k) for k in instance.sizes]
+    else:
+        truth = mechanism.utility
+        lie = mechanism.deviation_utility
+        keys = [profiles] * instance.n
+
+    def own(key, i):
+        return key if mechanism.form == BAYES else key[i]
+
+    a = tuple(
+        tuple(
+            tuple(
+                truth(instance, i, key) - lie(instance, i, key, t2)
+                if t2 != own(key, i)
+                else 0
+                for t2 in range(instance.sizes[i])
+            )
+            for key in keys[i]
+        )
+        for i in range(instance.n)
+    )
+    b = tuple(
+        tuple(truth(instance, i, key) for key in keys[i]) for i in range(instance.n)
+    )
+    return PrimalSlacks(form=mechanism.form, a=a, b=b, c=c)
+
+
+def reference_dual_slacks(instance, dual, form):
+    """(alpha, beta) of a dual by definition: xi minus phi_star and psi
+    minus mu (DS form), or with phibar_star and psibar weighted by the
+    opponent mass mu_{-i} (Bayesian form), evaluated per profile."""
+    profiles = list(instance.profiles())
+
+    def weight(i, v):
+        if form == BAYES:
+            return instance.mu_minus(i, instance.drop(i, v))
+        return 1
+
+    def phi(i, j, v):
+        if form == BAYES:
+            return dual.phibar_star(instance, i, j, v[i])
+        return dual.phi_star(instance, i, j, v)
+
+    def psi(i, v):
+        if form == BAYES:
+            return dual.psibar(instance, i, v[i])
+        return dual.psi(instance, i, v)
+
+    alpha = tuple(
+        tuple(
+            tuple(
+                dual.xi[j][instance.rank(v)] - weight(i, v) * phi(i, j, v)
+                for v in profiles
+            )
+            for j in range(instance.m)
+        )
+        for i in range(instance.n)
+    )
+    beta = tuple(
+        tuple(weight(i, v) * psi(i, v) - instance.mu(v) for v in profiles)
+        for i in range(instance.n)
+    )
+    return alpha, beta

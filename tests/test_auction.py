@@ -24,7 +24,6 @@ from auctionlp.auction import (
     extract_dual,
     extract_mechanism,
     load_certificate,
-    parse_profile_key,
     profile_key,
     solve_form,
     verify_certificate_document,
@@ -35,6 +34,7 @@ from auctionlp.lp import CertificateError, MIN, OPTIMAL, LpCertificate, dual_of,
 from auctionlp.model import mechanism_feasible
 from auctionlp.oracles import threshold_auction_revenue
 from conftest import build
+from helpers import parse_profile_key
 
 F = Fraction
 

@@ -222,6 +222,23 @@ def test_profile_cap_is_enforced(pair_path, capsys):
     assert main(["solve", pair_path, "--caps", "9"]) == 0
 
 
+def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch):
+    from fractions import Fraction
+
+    import auctionlp.lp.simplex as simplex
+
+    # every float proposal is rejected, and the exact simplex may not pivot
+    def rejected(value, bound):
+        return Fraction(value).limit_denominator(bound) + Fraction(1, 7)
+
+    monkeypatch.setattr(simplex, "_nearby_rational", rejected)
+    monkeypatch.setattr(simplex, "_PIVOT_CAP", 0)
+    assert main(["solve", u12_path]) == 4
+    err = capsys.readouterr().err
+    assert "PivotLimit: pivot cap exceeded" in err
+    assert "Traceback" not in err
+
+
 # -- characterize -----------------------------------------------------------
 
 PAIR_REPORT = """\

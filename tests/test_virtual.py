@@ -97,6 +97,25 @@ def test_ledger_tracks_supply_perturbation(u12):
     assert ledger.supply + ledger.alloc == F(3, 7)
 
 
+def test_ledger_rejects_tampered_alpha(pair12):
+    _, mech, dual = optimal_pair(pair12)
+    # raise alpha where the mechanism allocates, so the alloc family moves
+    # but the dual stays nonnegative
+    r = next(r for r, row in enumerate(mech.alloc) if row[0][0] > 0)
+    alpha = [[list(col) for col in buyer] for buyer in dual.alpha]
+    alpha[0][0][r] += F(1, 5)
+    tampered = type(dual)(
+        zeta=dual.zeta,
+        eta=dual.eta,
+        xi=dual.xi,
+        alpha=tuple(tuple(map(tuple, buyer)) for buyer in alpha),
+        beta=dual.beta,
+    )
+    assert tampered.is_feasible()
+    with pytest.raises(NotOptimal, match="objective gap"):
+        check_cs_ds(pair12, mech, tampered)
+
+
 def test_ledger_rejects_infeasible_sides(u12):
     cert, mech, dual = optimal_pair(u12)
     sell_at_loss = Mechanism(
