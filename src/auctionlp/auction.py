@@ -1,42 +1,45 @@
 """Builders for the four auction programs and certificate round-trips.
 
-A ProgramLayout holds the structure of a program: where each variable
-and constraint sits.  The builders place rows and columns at its
-indices, and extraction reads certificate values back at the same
+A ProgramLayout holds the structure of a primal program: where each
+variable and constraint sits.  The builders place rows and columns at
+its indices, and extraction reads certificate values back at the same
 indices.  Every program and certificate carries the layout it was
-built with.
+built with.  A dual program is the transpose of its primal (dual_of),
+so its columns and rows keep the primal's indices and labels.
 
 Labels are only a rendering of the layout, used to name components in
 certificate files and in export_lp_text.  Their grammar (profile keys
-are support indices joined by ".", or "_" for the empty opponent
-profile of a single buyer):
+are support indices joined by "."):
 
-    primal columns   x:<i>:<j>:<vkey>     p:<i>:<vkey>
-    ds rows          ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
-    bayes rows       ic:<i>:<t>:<t'>      ir:<i>:<t>      sup:<j>:<vkey>
-    dual ds columns  zeta:<i>:<t>:<t'>:<skey>  eta:<i>:<vkey>  xi:<j>:<vkey>
-    dual bayes cols  zeta:<i>:<t>:<t'>         eta:<i>:<t>     xi:<j>:<vkey>
-    dual rows        dx:<i>:<j>:<vkey>    dp:<i>:<vkey>
+    columns     x:<i>:<j>:<vkey>     p:<i>:<vkey>
+    ds rows     ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
+    bayes rows  ic:<i>:<t>:<t'>      ir:<i>:<t>      sup:<j>:<vkey>
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import add
 
-from .errors import InfeasibleInput, LabelMismatch, NotOptimal, NotRational
+from .errors import (
+    DimensionMismatch,
+    InfeasibleInput,
+    LabelMismatch,
+    NotOptimal,
+    NotRational,
+)
 from .lp import (
     DANTZIG,
     OPTIMAL,
     LinearProgram,
     LpCertificate,
     MAX,
-    MIN,
+    dual_of,
     make_lp,
     recheck_certificate,
     solve,
@@ -47,6 +50,8 @@ from .model import (
     Instance,
     Mechanism,
     PrimalSlacks,
+    _interim_rows,
+    _utility,
     bayes_dual_from_multipliers,
     ds_dual_from_multipliers,
     mechanism_feasible,
@@ -90,17 +95,18 @@ DUAL = "dual"
 class ProgramLayout:
     """Index arithmetic of one auction program.
 
-    form is DS or BAYES; side is PRIMAL (build_dslp, build_blp) or DUAL
-    (build_dual_dslp, build_dual_blp); m and sizes are the instance's
-    item count and support sizes.  Profiles r and opponent slices s are
-    numbered by rank, as in Instance.
+    form is DS or BAYES; m and sizes are the instance's item count and
+    support sizes.  Profiles r and opponent slices s are numbered by
+    rank, as in Instance.
 
-    x and p index the primal variables x_i^j(v) and p_i(v): the primal's
-    columns and the explicit dual's rows.  zeta, eta and xi index the
-    multipliers: on the primal side the rows of their constraints (ic,
-    ir, sup), on the dual side the dual's columns.  Dominant-strategy
-    multipliers are keyed by profile rank and opponent slice, Bayesian
-    zeta and eta by own type.
+    x and p index the variables x_i^j(v) and p_i(v), the primal's
+    columns.  zeta, eta and xi index the multipliers of its ic, ir and
+    sup rows.  Dominant-strategy multipliers are keyed by profile rank
+    and opponent slice, Bayesian zeta and eta by own type.
+
+    side only marks which certificate vector holds the multipliers: the
+    dual vector of a primal program (PRIMAL), or the primal point of its
+    transpose (DUAL), whose columns are the primal's rows.
     """
 
     form: str
@@ -124,11 +130,11 @@ class ProgramLayout:
     def _blocks(self):
         """Where each buyer's zeta and eta multipliers start, and where
         xi starts.  All zeta blocks come first, then all eta blocks,
-        except that the Bayesian primal puts each buyer's ir rows right
+        except that the Bayesian program puts each buyer's ir rows right
         after its ic rows."""
         etas = [self.count if self.form == DS else k for k in self.sizes]
         zetas = [e * (k - 1) for e, k in zip(etas, self.sizes)]
-        if self.form == BAYES and self.side == PRIMAL:
+        if self.form == BAYES:
             at = list(itertools.accumulate(map(add, zetas, etas), initial=0))
             return at[:-1], [a + z for a, z in zip(at, zetas)], at[-1]
         zeta = list(itertools.accumulate(zetas, initial=0))
@@ -137,12 +143,9 @@ class ProgramLayout:
 
     @property
     def shape(self) -> tuple[int, int]:
-        """(rows, columns) of the program."""
+        """(rows, columns) of the primal program."""
         variables = len(self.sizes) * (self.m + 1) * self.count
-        multipliers = self._blocks[2] + self.m * self.count
-        if self.side == PRIMAL:
-            return multipliers, variables
-        return variables, multipliers
+        return self._blocks[2] + self.m * self.count, variables
 
     def rank(self, i: int, t: int, s: int) -> int:
         """Rank of the profile where buyer i has type t and the others
@@ -162,8 +165,6 @@ class ProgramLayout:
         base = self._blocks[0][i]
         if self.form == BAYES:
             return base + t * (k - 1) + lie
-        if self.side == DUAL:
-            return base + (t * (k - 1) + lie) * (self.count // k) + s
         return base + self.rank(i, t, s) * (k - 1) + lie
 
     def eta(self, i: int, key: int) -> int:
@@ -174,36 +175,28 @@ class ProgramLayout:
         return self._blocks[2] + j * self.count + r
 
     def labels(self) -> tuple[list[str], list[str]]:
-        """(row labels, column labels), rendered in the module's grammar."""
+        """(row labels, column labels) of the primal program, rendered in
+        the module's grammar."""
         m, count = self.m, self.count
         keys = [profile_key(v) for v in itertools.product(*map(range, self.sizes))]
-        variables = [""] * (len(self.sizes) * (m + 1) * count)
-        multipliers = [""] * (self._blocks[2] + m * count)
-        primal = self.side == PRIMAL
-        ic, ir, sup = ("ic", "ir", "sup") if primal else ("zeta", "eta", "xi")
+        nrows, ncols = self.shape
+        rows, cols = [""] * nrows, [""] * ncols
         for j, (r, key) in itertools.product(range(m), enumerate(keys)):
-            multipliers[self.xi(j, r)] = f"{sup}:{j}:{key}"
+            rows[self.xi(j, r)] = f"sup:{j}:{key}"
         for i, k in enumerate(self.sizes):
             for r, key in enumerate(keys):
-                variables[self.p(i, r)] = f"p:{i}:{key}"
+                cols[self.p(i, r)] = f"p:{i}:{key}"
                 for j in range(m):
-                    variables[self.x(i, j, r)] = f"x:{i}:{j}:{key}"
+                    cols[self.x(i, j, r)] = f"x:{i}:{j}:{key}"
             for index, key in enumerate(range(k) if self.form == BAYES else keys):
-                multipliers[self.eta(i, index)] = f"{ir}:{i}:{key}"
+                rows[self.eta(i, index)] = f"ir:{i}:{key}"
             for t, t2 in itertools.permutations(range(k), 2):
                 if self.form == BAYES:
-                    multipliers[self.zeta(i, t, t2)] = f"{ic}:{i}:{t}:{t2}"
+                    rows[self.zeta(i, t, t2)] = f"ic:{i}:{t}:{t2}"
                     continue
-                others = (range(kb) for b, kb in enumerate(self.sizes) if b != i)
-                for s, vm in enumerate(itertools.product(*others)):
-                    multipliers[self.zeta(i, t, t2, s)] = (
-                        f"ic:{i}:{keys[self.rank(i, t, s)]}:{t2}"
-                        if primal
-                        else f"zeta:{i}:{t}:{t2}:{profile_key(vm)}"
-                    )
-        if primal:
-            return multipliers, variables
-        return ["d" + label for label in variables], multipliers
+                for s in range(count // k):
+                    rows[self.zeta(i, t, t2, s)] = f"ic:{i}:{keys[self.rank(i, t, s)]}:{t2}"
+        return rows, cols
 
 
 def _layout(instance: Instance, form: str, side: str) -> ProgramLayout:
@@ -301,88 +294,24 @@ def build_blp(instance: Instance) -> LinearProgram:
 
 
 # ---------------------------------------------------------------------------
-# Explicit dual builders
+# Dual programs
 
 
-def _dual_start(instance: Instance, form: str):
-    """Layout, objective (min sum xi), rows and right-hand sides of an
-    explicit dual program with no row in place yet."""
-    layout = _layout(instance, form, DUAL)
-    nrows, ncols = layout.shape
-    c = [Fraction(0)] * ncols
-    for j, r in itertools.product(range(instance.m), range(instance.profile_count)):
-        c[layout.xi(j, r)] = Fraction(1)
-    return layout, c, [None] * nrows, [Fraction(0)] * nrows
+def _transposed(primal: LinearProgram) -> LinearProgram:
+    """dual_of the primal, carrying the primal's layout marked DUAL."""
+    return replace(dual_of(primal), layout=replace(primal.layout, side=DUAL))
 
 
 def build_dual_dslp(instance: Instance) -> LinearProgram:
     """min sum xi, one row per primal variable: the expected-virtual-value
-    bound per x_i^j(v) and the payment-weight bound per p_i(v)."""
-    layout, c, rows, b = _dual_start(instance, DS)
-    zeta, eta = layout.zeta, layout.eta
-    for i in range(instance.n):
-        for r, (t, s) in enumerate(instance.positions[i]):
-            for j in range(instance.m):
-                vt = instance.value(i, t)[j]
-                # phi_i^j(v) - xi^j(v) <= 0
-                row = []
-                if vt:
-                    row.append((eta(i, r), vt))
-                for t2 in range(instance.sizes[i]):
-                    if t2 == t:
-                        continue
-                    if vt:
-                        row.append((zeta(i, t, t2, s), vt))
-                    v2 = instance.value(i, t2)[j]
-                    if v2:
-                        row.append((zeta(i, t2, t, s), -v2))
-                row.append((layout.xi(j, r), Fraction(-1)))
-                rows[layout.x(i, j, r)] = row
-            # -psi_i(v) <= -mu(v)
-            row = [(eta(i, r), Fraction(-1))]
-            for t2 in range(instance.sizes[i]):
-                if t2 == t:
-                    continue
-                row.append((zeta(i, t, t2, s), Fraction(-1)))
-                row.append((zeta(i, t2, t, s), Fraction(1)))
-            rows[layout.p(i, r)] = row
-            b[layout.p(i, r)] = -instance.mu_by_rank[r]
-    return _program(MIN, layout, c, rows, b)
+    bound per x_i^j(v) and the payment-weight bound per p_i(v).  The
+    transpose of build_dslp."""
+    return _transposed(build_dslp(instance))
 
 
 def build_dual_blp(instance: Instance) -> LinearProgram:
-    layout, c, rows, b = _dual_start(instance, BAYES)
-    zeta, eta = layout.zeta, layout.eta
-    for i in range(instance.n):
-        for r, (t, s) in enumerate(instance.positions[i]):
-            w = instance.mu_minus_by_slice[i][s]
-            for j in range(instance.m):
-                vt = instance.value(i, t)[j]
-                # mu_{-i}(v_{-i}) phibar_i^j(v_i) - xi^j(v) <= 0
-                row = []
-                if w and vt:
-                    row.append((eta(i, t), w * vt))
-                for t2 in range(instance.sizes[i]):
-                    if t2 == t:
-                        continue
-                    if w and vt:
-                        row.append((zeta(i, t, t2), w * vt))
-                    v2 = instance.value(i, t2)[j]
-                    if w and v2:
-                        row.append((zeta(i, t2, t), -w * v2))
-                row.append((layout.xi(j, r), Fraction(-1)))
-                rows[layout.x(i, j, r)] = row
-            row = []
-            if w:
-                row.append((eta(i, t), -w))
-                for t2 in range(instance.sizes[i]):
-                    if t2 == t:
-                        continue
-                    row.append((zeta(i, t, t2), -w))
-                    row.append((zeta(i, t2, t), w))
-            rows[layout.p(i, r)] = row
-            b[layout.p(i, r)] = -instance.mu_by_rank[r]
-    return _program(MIN, layout, c, rows, b)
+    """The transpose of build_blp."""
+    return _transposed(build_blp(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +355,7 @@ def _checked_mechanism(
 
 def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     """Assemble a dual solution from either side: the row multipliers of
-    a primal certificate, or the primal point of an explicit-dual
+    a primal certificate, or the primal point of a dual-program
     certificate.  The certificate's layout says which."""
     _require_optimal(certificate)
     layout = certificate.layout
@@ -502,20 +431,18 @@ def _member_index(instance: Instance, i: int, vec) -> int | None:
     return None
 
 
-def _best_response(instance, mechanism, i, vec, vm) -> int:
-    """Support report maximizing vec's utility against opponents vm;
-    ties go to the lowest support index."""
-    best, best_u = 0, None
-    for t in range(instance.sizes[i]):
-        profile = instance.insert(i, t, vm)
-        r = instance.rank(profile)
-        u = sum(
-            (vec[j] * mechanism.alloc[r][i][j] for j in range(instance.m)),
-            Fraction(0),
-        ) - mechanism.pay[r][i]
-        if best_u is None or u > best_u:
-            best, best_u = t, u
-    return best
+def _query(instance: Instance, query):
+    """The query profile as rationals: one value vector per buyer, one
+    coordinate per item."""
+    query = tuple(tuple(rat(c) for c in vec) for vec in query)
+    if len(query) != instance.n or any(len(vec) != instance.m for vec in query):
+        raise DimensionMismatch("query needs one value per buyer and item")
+    return query
+
+
+def _best_report(utilities) -> int:
+    """Report with the highest utility; ties go to the lowest index."""
+    return max(range(len(utilities)), key=utilities.__getitem__)
 
 
 def extend_ds(instance: Instance, mechanism: Mechanism, query):
@@ -528,7 +455,7 @@ def extend_ds(instance: Instance, mechanism: Mechanism, query):
     two or more buyers off support every buyer is held at the zero
     type.  The returned pair is (allocation rows, payment row).
     """
-    query = tuple(tuple(rat(c) for c in vec) for vec in query)
+    query = _query(instance, query)
     members = [_member_index(instance, i, vec) for i, vec in enumerate(query)]
     off = [i for i, t in enumerate(members) if t is None]
     zero_alloc = tuple(Fraction(0) for _ in range(instance.m))
@@ -539,8 +466,9 @@ def extend_ds(instance: Instance, mechanism: Mechanism, query):
     if len(off) == 1:
         d = off[0]
         vm = tuple(t for i, t in enumerate(members) if i != d)
-        t_star = _best_response(instance, mechanism, d, query[d], vm)
-        r = instance.rank(instance.insert(d, t_star, vm))
+        ranks = instance.ranks[d][instance.others_rank(d, vm)]
+        u = [_utility(query[d], mechanism.alloc[r][d], mechanism.pay[r][d]) for r in ranks]
+        r = ranks[_best_report(u)]
         alloc = tuple(
             mechanism.alloc[r][i] if i == d else zero_alloc
             for i in range(instance.n)
@@ -559,46 +487,16 @@ def extend_bayes(instance: Instance, mechanism: Mechanism, query):
     """Interim allocation and payment for each buyer at an arbitrary
     value profile: off-support values report the support type with the
     best interim utility (ties to the lowest index)."""
-    query = tuple(tuple(rat(c) for c in vec) for vec in query)
+    query = _query(instance, query)
     alloc_rows, pay_row = [], []
     for i, vec in enumerate(query):
+        cells, prices = _interim_rows(instance, mechanism, i)
         t = _member_index(instance, i, vec)
         if t is None:
-            t = _interim_best_response(instance, mechanism, i, vec)
-        alloc = [Fraction(0)] * instance.m
-        pay = Fraction(0)
-        for vm in instance.others_profiles(i):
-            w = instance.mu_minus(i, vm)
-            if not w:
-                continue
-            r = instance.rank(instance.insert(i, t, vm))
-            for j in range(instance.m):
-                alloc[j] += w * mechanism.alloc[r][i][j]
-            pay += w * mechanism.pay[r][i]
-        alloc_rows.append(tuple(alloc))
-        pay_row.append(pay)
+            t = _best_report([_utility(vec, *row) for row in zip(cells, prices)])
+        alloc_rows.append(tuple(cells[t]))
+        pay_row.append(prices[t])
     return tuple(alloc_rows), tuple(pay_row)
-
-
-def _interim_best_response(instance, mechanism, i, vec) -> int:
-    best, best_u = 0, None
-    for t in range(instance.sizes[i]):
-        u = Fraction(0)
-        for vm in instance.others_profiles(i):
-            w = instance.mu_minus(i, vm)
-            if not w:
-                continue
-            r = instance.rank(instance.insert(i, t, vm))
-            u += w * (
-                sum(
-                    (vec[j] * mechanism.alloc[r][i][j] for j in range(instance.m)),
-                    Fraction(0),
-                )
-                - mechanism.pay[r][i]
-            )
-        if best_u is None or u > best_u:
-            best, best_u = t, u
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from .program import (
     make_lp,
     recheck_certificate,
 )
-from .simplex import BACKEND, BLAND, DANTZIG, solve
+from .simplex import BLAND, DANTZIG, solve
 
 __all__ = [
-    "BACKEND",
     "BLAND",
     "DANTZIG",
     "INFEASIBLE",

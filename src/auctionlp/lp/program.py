@@ -52,6 +52,10 @@ class LinearProgram:
         return out
 
 
+def _exact(q) -> Fraction:
+    return q if isinstance(q, Fraction) else Fraction(q)
+
+
 def make_lp(
     sense: str,
     c: Sequence[Fraction],
@@ -62,7 +66,8 @@ def make_lp(
     layout: object = None,
 ) -> LinearProgram:
     """Validate and freeze an LP.  Zero coefficients are dropped;
-    malformed input raises ValueError."""
+    malformed input raises ValueError.  Fraction entries are stored as
+    given; other numbers are converted."""
     if sense not in (MAX, MIN):
         raise ValueError(f"bad sense {sense!r}")
     ncols = len(c)
@@ -83,13 +88,13 @@ def make_lp(
                 raise ValueError(f"duplicate column {j} within a row")
             seen.add(j)
             if coef:
-                clean.append((j, Fraction(coef)))
+                clean.append((j, _exact(coef)))
         clean_rows.append(tuple(clean))
     return LinearProgram(
         sense=sense,
-        c=tuple(Fraction(q) for q in c),
+        c=tuple(map(_exact, c)),
         rows=tuple(clean_rows),
-        b=tuple(Fraction(q) for q in b),
+        b=tuple(map(_exact, b)),
         row_labels=tuple(row_labels),
         col_labels=tuple(col_labels),
         layout=layout,

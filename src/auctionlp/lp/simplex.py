@@ -14,9 +14,6 @@ accepts that proposal.  Any other ending (the check fails, the float
 pass ends infeasible or unbounded, or it runs out of its pivot budget)
 runs the exact simplex from scratch, so infeasibility and unboundedness
 witnesses always come from exact arithmetic.
-
-Exact numbers are gmpy2 rationals when gmpy2 is importable, stdlib
-Fractions otherwise; certificates always carry Fractions.
 """
 
 from __future__ import annotations
@@ -36,32 +33,6 @@ from .program import (
 
 BLAND = "bland"
 DANTZIG = "dantzig"
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMPY = True
-except ImportError:
-    _HAVE_GMPY = False
-
-BACKEND = "gmpy2" if _HAVE_GMPY else "fractions"
-
-if _HAVE_GMPY:
-
-    def _to_backend(q: Fraction):
-        return _mpq(q.numerator, q.denominator)
-
-    def _from_backend(q) -> Fraction:
-        return Fraction(int(q.numerator), int(q.denominator))
-
-else:
-
-    def _to_backend(q: Fraction):
-        return q
-
-    def _from_backend(q) -> Fraction:
-        return Fraction(q)
-
 
 def eliminate(rows, r, c):
     """Pivot on (rows[r], column c): scale the pivot row to a unit pivot,
@@ -182,7 +153,7 @@ class _Simplex:
         self.sign = 1 if lp.sense == MAX else -1
         self.S = lp.ncols  # structural columns
         self.R = lp.nrows
-        num = float if floating else _to_backend
+        num = float if floating else Fraction
         self.tol = _FLOAT_TOL if floating else 0
         self.cap = _FLOAT_PIVOTS_PER_DIM * (self.R + self.S) if floating else _PIVOT_CAP
         zero = num(Fraction(0))
@@ -333,7 +304,7 @@ class _Simplex:
             # max of -(sum of artificials) stopped below zero: infeasible.
             if self.tol:
                 raise _NoProposal("float phase one ends infeasible")
-            y = [_from_backend(obj1[self.S + r]) for r in range(self.R)]
+            y = [Fraction(obj1[self.S + r]) for r in range(self.R)]
             return certify_infeasible(self.lp, y)
         return None
 
@@ -400,7 +371,7 @@ class _Simplex:
 
     def _optimal(self) -> LpCertificate:
         if not self.tol:
-            return self._certify(_from_backend)
+            return self._certify(Fraction)
         for bound in _ROUND_BOUNDS:
             try:
                 return self._certify(lambda v: _nearby_rational(v, bound))
@@ -411,7 +382,7 @@ class _Simplex:
     def _unbounded(self, col: int) -> LpCertificate:
         if self.tol:
             raise _NoProposal("float phase two ends unbounded")
-        x = self._primal_point(_from_backend)
+        x = self._primal_point(Fraction)
         d = [Fraction(0)] * self.S
         if col < self.S:
             d[col] = Fraction(1)
@@ -419,5 +390,5 @@ class _Simplex:
             if bcol < self.S:
                 step = self.T[r][col]
                 if step:
-                    d[bcol] = _from_backend(-step)
+                    d[bcol] = Fraction(-step)
         return certify_unbounded(self.lp, x, d)

@@ -47,10 +47,6 @@ def posted_price_revenue(values: Sequence, masses: Sequence) -> Fraction:
     return best
 
 
-def _certified(instance: Instance, mechanism: Mechanism) -> bool:
-    return mechanism_feasible(instance, mechanism)
-
-
 def threshold_auction_revenue(instance: Instance) -> Fraction:
     """Best reserve-price second-price auction for a single item.
 
@@ -88,7 +84,7 @@ def threshold_auction_revenue(instance: Instance) -> Fraction:
         mechanism = Mechanism(
             form=DS, alloc=tuple(alloc), pay=tuple(pay)
         )
-        if not _certified(instance, mechanism):
+        if not mechanism_feasible(instance, mechanism):
             continue
         revenue = mechanism.revenue(instance)
         if revenue > best:
@@ -223,7 +219,7 @@ def menu_grid_revenue(
             alloc=alloc,
             pay=tuple((pay[t],) for t in range(count)),
         )
-        if _certified(instance, mechanism):
+        if mechanism_feasible(instance, mechanism):
             best = revenue
             best_mechanism = mechanism
 

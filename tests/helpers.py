@@ -7,7 +7,7 @@ key parser."""
 from fractions import Fraction
 from itertools import combinations
 
-from auctionlp.auction import build_dual_dslp, profile_key
+from auctionlp.auction import build_dual_dslp
 from auctionlp.lp import DANTZIG, MAX, MIN, OPTIMAL, make_lp, solve
 from auctionlp.model import BAYES, PrimalSlacks
 
@@ -105,33 +105,32 @@ def regular_phi_range(instance, i, profile, revenue):
     assert instance.m == 1
     assert instance.mu(profile) > 0
     base = build_dual_dslp(instance)
-    index = {label: k for k, label in enumerate(base.col_labels)}
+    layout = base.layout
 
-    def phi_star_row(bi, prof):
-        t = prof[bi]
-        skey = profile_key(instance.drop(bi, prof))
+    def phi_star_row(bi, r):
+        t, s = instance.positions[bi][r]
         vt = instance.value(bi, t)[0]
         row = []
         if vt:
-            row.append((index[f"eta:{bi}:{profile_key(prof)}"], vt))
+            row.append((layout.eta(bi, r), vt))
         for t2 in range(instance.sizes[bi]):
             if t2 == t:
                 continue
             if vt:
-                row.append((index[f"zeta:{bi}:{t}:{t2}:{skey}"], vt))
+                row.append((layout.zeta(bi, t, t2, s), vt))
             v2 = instance.value(bi, t2)[0]
             if v2:
-                row.append((index[f"zeta:{bi}:{t2}:{t}:{skey}"], -v2))
+                row.append((layout.zeta(bi, t2, t, s), -v2))
         return row
 
     c = [Fraction(0)] * base.ncols
-    for col, coef in phi_star_row(i, profile):
+    for col, coef in phi_star_row(i, instance.rank(profile)):
         c[col] += coef
     rows = list(base.rows)
     b = list(base.b)
     labels = list(base.row_labels)
 
-    xi_cols = [k for k, lbl in enumerate(base.col_labels) if lbl.startswith("xi:")]
+    xi_cols = [layout.xi(0, r) for r in range(instance.profile_count)]
     rows.append(tuple((k, Fraction(1)) for k in xi_cols))
     b.append(revenue)
     labels.append("face:le")
@@ -141,11 +140,11 @@ def regular_phi_range(instance, i, profile, revenue):
 
     for bi in range(instance.n):
         t0 = instance.zero_index(bi)
-        for rr, prof in enumerate(instance.profiles()):
-            w = instance.mu_minus(bi, instance.drop(bi, prof))
+        for rr, (t, s) in enumerate(instance.positions[bi]):
+            w = instance.mu_minus_by_slice[bi][s]
             # source: eta sits only on the zero type, at the slice mass
-            e = w if prof[bi] == t0 else Fraction(0)
-            col = index[f"eta:{bi}:{profile_key(prof)}"]
+            e = w if t == t0 else Fraction(0)
+            col = layout.eta(bi, rr)
             rows.append(((col, Fraction(1)),))
             b.append(e)
             labels.append(f"src:le:{bi}:{rr}")
@@ -153,21 +152,19 @@ def regular_phi_range(instance, i, profile, revenue):
             b.append(-e)
             labels.append(f"src:ge:{bi}:{rr}")
             # trans: the payment coefficient meets mu exactly (the base
-            # dp row already forces it from below)
-            t = prof[bi]
-            skey = profile_key(instance.drop(bi, prof))
+            # p row already forces it from below)
             row = [(col, Fraction(1))]
             for t2 in range(instance.sizes[bi]):
                 if t2 == t:
                     continue
-                row.append((index[f"zeta:{bi}:{t}:{t2}:{skey}"], Fraction(1)))
-                row.append((index[f"zeta:{bi}:{t2}:{t}:{skey}"], Fraction(-1)))
+                row.append((layout.zeta(bi, t, t2, s), Fraction(1)))
+                row.append((layout.zeta(bi, t2, t, s), Fraction(-1)))
             rows.append(tuple(row))
-            b.append(instance.mu(prof))
+            b.append(instance.mu_by_rank[rr])
             labels.append(f"trans:le:{bi}:{rr}")
             # virtual: expected virtual values vanish on zero-mass slices
             if w == 0:
-                star = phi_star_row(bi, prof)
+                star = phi_star_row(bi, rr)
                 if star:
                     rows.append(tuple(star))
                     b.append(Fraction(0))

@@ -125,7 +125,7 @@ def dot(vec, alloc):
 
 def test_c1_strong_duality(corpus):
     """All four programs solve to optimality on every corpus instance,
-    with primal and explicit-dual objectives agreeing exactly, inside
+    with primal and dual-program objectives agreeing exactly, inside
     the time budget."""
     start = time.monotonic()
     assert len(corpus) >= 200

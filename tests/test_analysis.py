@@ -2,6 +2,7 @@
 Bayesian/dominant-strategy equivalence maps, and the characterization
 report."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,29 @@ def test_tight_dual_frozen_small_uniform(u12):
     }
     assert nonzero == {(1, 0): F(1), (2, 1): F(1, 2)}
     assert dual.eta[0] == (F(1), F(0), F(0))
+
+
+# The optimal face has many points; which one the search returns depends
+# on the simplex's pivot path through the dual program, so pin it.
+# Shapes are i.i.d. (n, m, support); the last two end with positive
+# excess.
+TIGHT_DUAL_PINS = [
+    ((3, 1, 2), 0, "0", "20d8670f9c72c49916850c7f67f9589dc20b8f8a702caa1f89f8fc2e66b9193c"),
+    ((4, 1, 2), 1, "0", "90d9c0904ce35f367c520c6677a2e3b5da2caf6a667ed7d77f1ecdfb1838b317"),
+    ((3, 2, 1), 2, "0", "44dac77ff69e33dac0d11e192676946c58568d8e546a07e96b4b8db0f189966c"),
+    ((3, 1, 3), 4, "0", "20e944cee051d1dd57ca0388856c13887a214f66a8030ab76d913ac82e6d4ab1"),
+    ((3, 2, 2), 0, "108/343", "fd81ed384a931f2f7678ebbc2df34b94005af47675c9c98efa38417235d3726b"),
+    ((3, 2, 2), 3, "3/56", "dbabcd6e141ab409737763e496c9cdb9928fa553286a12781625f9e09f0f1173"),
+]
+
+
+def test_tight_dual_is_pinned():
+    for (n, m, support), seed, excess, digest in TIGHT_DUAL_PINS:
+        instance = gen_instance({"n": n, "m": m, "support": support, "iid": True}, seed)
+        dual, got = tight_downward_dual(instance)
+        assert got == F(excess)
+        text = repr((dual.zeta, dual.eta, dual.xi))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_tight_dual_rejects_unreachable_revenue(u12):

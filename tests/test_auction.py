@@ -1,4 +1,4 @@
-"""Program builders, the explicit dual pair, extraction, extension to
+"""Program builders, the transposed duals, extraction, extension to
 off-support profiles, and certificate documents."""
 
 import hashlib
@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from auctionlp.auction import (
     BAYES,
     DS,
+    DUAL,
     brev,
     build_blp,
     build_dslp,
@@ -29,10 +30,10 @@ from auctionlp.auction import (
     verify_certificate_document,
     write_certificate,
 )
-from auctionlp.errors import InfeasibleInput, LabelMismatch
+from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch
 from auctionlp.lp import CertificateError, MIN, OPTIMAL, LpCertificate, dual_of, solve
 from auctionlp.model import mechanism_feasible
-from auctionlp.oracles import threshold_auction_revenue
+from auctionlp.oracles import gen_instance, threshold_auction_revenue
 from conftest import build
 from helpers import parse_profile_key
 
@@ -68,58 +69,36 @@ def test_label_counts_match_dimensions(pair12, items12):
 
 
 def test_dual_rows_mirror_primal_columns(pair12):
-    primal = build_dslp(pair12)
-    dual = build_dual_dslp(pair12)
-    mapped = tuple(
-        label.replace("x:", "dx:", 1) if label.startswith("x:") else label.replace("p:", "dp:", 1)
-        for label in primal.col_labels
-    )
-    assert dual.row_labels == mapped
-    assert build_dual_blp(pair12).row_labels == mapped
+    for build_primal, build_dual in ((build_dslp, build_dual_dslp), (build_blp, build_dual_blp)):
+        primal, dual = build_primal(pair12), build_dual(pair12)
+        assert dual.row_labels == primal.col_labels
+        assert dual.col_labels == primal.row_labels
 
 
-# -- explicit dual versus symbolic dual -------------------------------------
+# -- dual programs are transposes ------------------------------------------
+
+TRANSPOSE_SHAPES = [
+    ({"n": 1, "m": 2, "support": 3}, 2),
+    ({"n": 2, "m": 1, "support": 3}, 4),
+    ({"n": 3, "m": 1, "support": 2, "iid": True}, 6),
+    ({"n": 2, "m": 2, "support": 2}, 9),
+]
 
 
-def explicit_col_for(instance, row_label):
-    """Explicit-dual column label carrying the multiplier of a primal
-    ds row."""
-    parts = row_label.split(":")
-    if parts[0] == "ir":
-        return f"eta:{parts[1]}:{parts[2]}"
-    if parts[0] == "sup":
-        return f"xi:{parts[1]}:{parts[2]}"
-    i = int(parts[1])
-    profile = parse_profile_key(parts[2])
-    skey = profile_key(instance.drop(i, profile))
-    return f"zeta:{i}:{profile[i]}:{parts[3]}:{skey}"
-
-
-def test_explicit_dual_matches_symbolic_dual(pair12):
-    primal = build_dslp(pair12)
-    symbolic = dual_of(primal)
-    explicit = build_dual_dslp(pair12)
-    assert explicit.sense == MIN
-
-    col_map = {
-        row_label: explicit.col_labels.index(explicit_col_for(pair12, row_label))
-        for row_label in primal.row_labels
-    }
-    assert sorted(col_map.values()) == list(range(len(explicit.col_labels)))
-    for old, new in col_map.items():
-        assert symbolic.c[symbolic.col_labels.index(old)] == explicit.c[new]
-
-    row_map = {
-        label: ("dx:" + label[2:]) if label.startswith("x:") else ("dp:" + label[2:])
-        for label in symbolic.row_labels
-    }
-    for label, sym_row, sym_b in zip(symbolic.row_labels, symbolic.rows, symbolic.b):
-        k = explicit.row_labels.index(row_map[label])
-        assert explicit.b[k] == sym_b
-        translated = {
-            col_map[symbolic.col_labels[j]]: q for j, q in sym_row
-        }
-        assert dict(explicit.rows[k]) == translated
+def test_explicit_dual_matches_symbolic_dual():
+    for spec, seed in TRANSPOSE_SHAPES:
+        instance = gen_instance(spec, seed)
+        for form, build_primal, build_dual in (
+            (DS, build_dslp, build_dual_dslp),
+            (BAYES, build_blp, build_dual_blp),
+        ):
+            primal = build_primal(instance)
+            dual = build_dual(instance)
+            assert dual == dual_of(primal)
+            assert dual.sense == MIN
+            assert dual.layout.form == form
+            assert dual.layout.side == DUAL
+            assert dual.layout.shape == primal.layout.shape == (primal.nrows, primal.ncols)
 
 
 # -- four-way agreement -----------------------------------------------------
@@ -158,8 +137,8 @@ def test_extract_dual_from_both_routes(u123):
     target = drev(u123)
     from_rows = extract_dual(u123, solve_form(u123, DS), DS)
     assert from_rows.objective() == target
-    explicit = solve(build_dual_dslp(u123))
-    from_cols = extract_dual(u123, explicit, DS)
+    transposed = solve(build_dual_dslp(u123))
+    from_cols = extract_dual(u123, transposed, DS)
     assert from_cols.objective() == target
 
     b_rows = extract_dual(u123, solve_form(u123, BAYES), BAYES)
@@ -221,6 +200,15 @@ def test_extend_ds_two_deviators_get_nothing(pair12):
     alloc, pay = extend_ds(pair12, mech, ((F(5),), (F(7),)))
     assert all(row == (F(0),) for row in alloc)
     assert all(q == 0 for q in pay)
+
+
+def test_extend_rejects_misshapen_queries(pair12):
+    mech = extract_mechanism(pair12, solve_form(pair12, DS), DS)
+    for query in (((F(5),),), ((F(5),), ()), ((F(5), F(1)), (F(1),))):
+        with pytest.raises(DimensionMismatch):
+            extend_ds(pair12, mech, query)
+        with pytest.raises(DimensionMismatch):
+            extend_bayes(pair12, mech, query)
 
 
 def interim_row(instance, mech, i, t):
