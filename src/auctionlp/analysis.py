@@ -15,7 +15,7 @@ from .auction import (
     solve_form,
 )
 from .errors import NotAgentIndependent, NotOptimal, NotRegular
-from .lp import DANTZIG, MIN, OPTIMAL, make_lp, solve
+from .lp import MIN, OPTIMAL, make_lp, solve
 from .model import (
     BAYES,
     DS,
@@ -53,6 +53,7 @@ __all__ = [
     "dsic_to_bic_dual",
     "characterize",
     "is_iid",
+    "revenue_record",
     "iid_scan",
 ]
 
@@ -132,10 +133,8 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
         tuple((col, Fraction(-1)) for col in xi_cols),
     ]
     b = list(base.b) + [revenue, -revenue]
-    row_labels = list(base.row_labels) + ["face:obj:le", "face:obj:ge"]
     # two rows more than the dual's layout, but extract_dual reads only columns
-    lp = make_lp(MIN, c, rows, b, row_labels, base.col_labels, layout=layout)
-    certificate = solve(lp, rule=DANTZIG)
+    certificate = solve(make_lp(MIN, c, rows, b, layout))
     if certificate.status != OPTIMAL:
         raise NotOptimal(f"optimal-face search ended {certificate.status}")
     dual = extract_dual(instance, certificate, DS)
@@ -348,6 +347,26 @@ def characterize(instance: Instance) -> RevenueReport:
     )
 
 
+def revenue_record(
+    index: int, seed: int, instance: Instance, report: RevenueReport
+) -> dict:
+    """The JSON record of one generated instance: where it stands in the
+    run, its generator seed and digest, the three revenues, their
+    equality flags and the findings."""
+    return {
+        "index": index,
+        "seed": seed,
+        "digest": instance.digest(),
+        "brev": rat_str(report.brev),
+        "drev": rat_str(report.drev),
+        "srev": rat_str(report.srev),
+        "brev_eq_drev": report.brev_eq_drev,
+        "drev_eq_srev": report.drev_eq_srev,
+        "srev_eq_brev": report.srev_eq_brev,
+        "findings": list(report.findings),
+    }
+
+
 def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     """Characterize seeded i.i.d. instances and collect per-instance
     findings records; families below three buyers are excluded.  `cap`
@@ -374,24 +393,14 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
         regular = regularize_ds(instance, dual, revenue=report.drev)
         table = virtual_values_ds(instance, regular)
         ubvv = check_ubvv(table, instance)
-        records.append(
-            {
-                "index": index,
-                "seed": seed + index,
-                "digest": instance.digest(),
-                "brev": rat_str(report.brev),
-                "drev": rat_str(report.drev),
-                "srev": rat_str(report.srev),
-                "brev_eq_drev": report.brev_eq_drev,
-                "drev_eq_srev": report.drev_eq_srev,
-                "srev_eq_brev": report.srev_eq_brev,
-                "all_equal_consistent": not any(
-                    f.startswith("iid-equality-split") for f in report.findings
-                ),
-                "bayes_gap": rat_str(report.brev - report.drev),
-                "tight_excess": rat_str(excess),
-                "ubvv_ok": ubvv.ok,
-                "findings": list(report.findings),
-            }
+        record = revenue_record(index, seed + index, instance, report)
+        record.update(
+            all_equal_consistent=not any(
+                f.startswith("iid-equality-split") for f in report.findings
+            ),
+            bayes_gap=rat_str(report.brev - report.drev),
+            tight_excess=rat_str(excess),
+            ubvv_ok=ubvv.ok,
         )
+        records.append(record)
     return records

@@ -5,11 +5,11 @@ variable and constraint sits.  The builders place rows and columns at
 its indices, and extraction reads certificate values back at the same
 indices.  Every program and certificate carries the layout it was
 built with.  A dual program is the transpose of its primal (dual_of),
-so its columns and rows keep the primal's indices and labels.
+so its columns and rows keep the primal's indices.
 
 Labels are only a rendering of the layout, used to name components in
-certificate files and in export_lp_text.  Their grammar (profile keys
-are support indices joined by "."):
+certificate documents; programs and certificates hold none.  Their
+grammar (profile keys are support indices joined by "."):
 
     columns     x:<i>:<j>:<vkey>     p:<i>:<vkey>
     ds rows     ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
@@ -34,7 +34,6 @@ from .errors import (
     NotRational,
 )
 from .lp import (
-    DANTZIG,
     OPTIMAL,
     LinearProgram,
     LpCertificate,
@@ -176,7 +175,7 @@ class ProgramLayout:
 
     def labels(self) -> tuple[list[str], list[str]]:
         """(row labels, column labels) of the primal program, rendered in
-        the module's grammar."""
+        the module's grammar.  Only certificate documents name components."""
         m, count = self.m, self.count
         keys = [profile_key(v) for v in itertools.product(*map(range, self.sizes))]
         nrows, ncols = self.shape
@@ -201,11 +200,6 @@ class ProgramLayout:
 
 def _layout(instance: Instance, form: str, side: str) -> ProgramLayout:
     return ProgramLayout(form, side, instance.m, instance.sizes)
-
-
-def _program(sense: str, layout: ProgramLayout, c, rows, b) -> LinearProgram:
-    row_labels, col_labels = layout.labels()
-    return make_lp(sense, c, rows, b, row_labels, col_labels, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +251,7 @@ def build_dslp(instance: Instance) -> LinearProgram:
             row = [(x(i, j, r), -vec[j]) for j in range(instance.m) if vec[j]]
             row.append((p(i, r), Fraction(1)))
             rows[layout.eta(i, r)] = row  # ir
-    return _program(MAX, layout, c, rows, b)
+    return make_lp(MAX, c, rows, b, layout)
 
 
 def build_blp(instance: Instance) -> LinearProgram:
@@ -290,7 +284,7 @@ def build_blp(instance: Instance) -> LinearProgram:
                         row.append((x(i, j, r), -w * vec[j]))
                 row.append((p(i, r), w))
             rows[layout.eta(i, t)] = row  # ir
-    return _program(MAX, layout, c, rows, b)
+    return make_lp(MAX, c, rows, b, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +399,7 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
 def solve_form(instance: Instance, form: str) -> LpCertificate:
     """Solve the primal program of the given form to optimality."""
     lp = build_dslp(instance) if form == DS else build_blp(instance)
-    certificate = solve(lp, rule=DANTZIG)
+    certificate = solve(lp)
     _require_optimal(certificate)
     return certificate
 
@@ -514,6 +508,7 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     dual = extract_dual(instance, certificate, form)
     check = check_cs_ds if form == DS else check_cs_bayes
     ledger = check(instance, mechanism, dual, slacks=slacks)
+    row_names, col_names = certificate.layout.labels()
     return {
         "kind": "auctionlp.certificate",
         "version": 1,
@@ -522,12 +517,12 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
         "objective": rat_str(certificate.objective),
         "primal": {
             label: rat_str(value)
-            for label, value in zip(certificate.col_labels, certificate.primal)
+            for label, value in zip(col_names, certificate.primal)
             if value
         },
         "dual": {
             label: rat_str(value)
-            for label, value in zip(certificate.row_labels, certificate.dual)
+            for label, value in zip(row_names, certificate.dual)
             if value
         },
         "ledger": {
@@ -565,28 +560,20 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     if form not in (DS, BAYES):
         raise LabelMismatch(f"unknown certificate form {form!r}")
     lp = build_dslp(instance) if form == DS else build_blp(instance)
-    primal_map = _document_section(document, "primal")
-    dual_map = _document_section(document, "dual")
-    unknown = set(primal_map) - set(lp.col_labels)
-    unknown |= set(dual_map) - set(lp.row_labels)
+    row_names, col_names = lp.layout.labels()
+    primal = _document_section(document, "primal")
+    dual = _document_section(document, "dual")
+    unknown = (set(primal) - set(col_names)) | (set(dual) - set(row_names))
     if unknown:
         raise LabelMismatch(f"unknown labels: {sorted(unknown)[:3]}")
-    x = tuple(primal_map.get(label, Fraction(0)) for label in lp.col_labels)
-    y = tuple(dual_map.get(label, Fraction(0)) for label in lp.row_labels)
+    x = tuple(primal.get(label, Fraction(0)) for label in col_names)
+    y = tuple(dual.get(label, Fraction(0)) for label in row_names)
     try:
         objective = rat(document.get("objective"))
     except NotRational as exc:
         raise LabelMismatch(f"certificate objective: {exc}") from None
     recheck_certificate(
-        lp,
-        LpCertificate(
-            status=OPTIMAL,
-            col_labels=lp.col_labels,
-            row_labels=lp.row_labels,
-            primal=x,
-            dual=y,
-            objective=objective,
-        ),
+        lp, LpCertificate(status=OPTIMAL, primal=x, dual=y, objective=objective)
     )
     if any(_document_section(document, "ledger").values()):
         raise InfeasibleInput("stored ledger is not all zeros")

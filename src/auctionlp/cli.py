@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .analysis import characterize, iid_scan, srev_breakdown
+from .analysis import characterize, iid_scan, revenue_record
 from .auction import (
     certificate_document,
     extract_dual,
@@ -166,6 +166,8 @@ def cmd_characterize(args) -> int:
         _characterize_one(instance)
         return 0
     spec = _parse_gen_spec(args.gen)
+    if args.count < 1:
+        raise DimensionMismatch(f"--count must be at least 1, got {args.count}")
     if args.count == 1 and not spec.get("iid"):
         instance = gen_instance(spec, args.seed, cap=args.caps)
         _characterize_one(instance)
@@ -176,20 +178,8 @@ def cmd_characterize(args) -> int:
         records = []
         for index in range(args.count):
             instance = gen_instance(spec, args.seed + index, cap=args.caps)
-            report = characterize(instance)
             records.append(
-                {
-                    "index": index,
-                    "seed": args.seed + index,
-                    "digest": instance.digest(),
-                    "brev": rat_str(report.brev),
-                    "drev": rat_str(report.drev),
-                    "srev": rat_str(report.srev),
-                    "brev_eq_drev": report.brev_eq_drev,
-                    "drev_eq_srev": report.drev_eq_srev,
-                    "srev_eq_brev": report.srev_eq_brev,
-                    "findings": list(report.findings),
-                }
+                revenue_record(index, args.seed + index, instance, characterize(instance))
             )
     for record in records:
         print(json.dumps(record, sort_keys=True))

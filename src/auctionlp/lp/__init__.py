@@ -14,11 +14,9 @@ from .program import (
     make_lp,
     recheck_certificate,
 )
-from .simplex import BLAND, DANTZIG, solve
+from .simplex import solve
 
 __all__ = [
-    "BLAND",
-    "DANTZIG",
     "INFEASIBLE",
     "MAX",
     "MIN",

@@ -1,10 +1,11 @@
 """Linear program representation, certificates, and symbolic duals.
 
 Standard form: optimize c.x subject to A x <= b, x >= 0, with sense max
-or min.  Rows are stored sparse as (column, coefficient) pairs.  Row and
-column labels name the components in certificate files and in
-export_lp_text.  A program may also carry its builder's `layout`, an
-opaque value that this package only copies onto certificates.
+or min.  Rows are stored sparse as (column, coefficient) pairs.  Rows
+and columns are known by index only.  A program may also carry its
+builder's `layout`, an opaque value that this package only copies onto
+certificates; a builder that names components renders the names from
+it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
-
-from ..model import rat_str
 
 MAX = "max"
 MIN = "min"
@@ -26,8 +25,6 @@ class LinearProgram:
     c: tuple[Fraction, ...]
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     b: tuple[Fraction, ...]
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
     layout: object = field(default=None, compare=False)
 
     @property
@@ -61,8 +58,6 @@ def make_lp(
     c: Sequence[Fraction],
     rows: Sequence[Sequence[tuple[int, Fraction]]],
     b: Sequence[Fraction],
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
     layout: object = None,
 ) -> LinearProgram:
     """Validate and freeze an LP.  Zero coefficients are dropped;
@@ -71,12 +66,8 @@ def make_lp(
     if sense not in (MAX, MIN):
         raise ValueError(f"bad sense {sense!r}")
     ncols = len(c)
-    if len(col_labels) != ncols:
-        raise ValueError("column labels do not match objective length")
-    if not (len(rows) == len(b) == len(row_labels)):
+    if len(rows) != len(b):
         raise ValueError("row arrays have inconsistent lengths")
-    if len(set(col_labels)) != ncols or len(set(row_labels)) != len(rows):
-        raise ValueError("labels must be unique")
     clean_rows = []
     for row in rows:
         seen = set()
@@ -95,8 +86,6 @@ def make_lp(
         c=tuple(map(_exact, c)),
         rows=tuple(clean_rows),
         b=tuple(map(_exact, b)),
-        row_labels=tuple(row_labels),
-        col_labels=tuple(col_labels),
         layout=layout,
     )
 
@@ -119,19 +108,11 @@ class LpCertificate:
     """
 
     status: str
-    col_labels: tuple[str, ...]
-    row_labels: tuple[str, ...]
     primal: tuple[Fraction, ...] | None = None
     dual: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
     witness: tuple[Fraction, ...] | None = None
     layout: object = field(default=None, compare=False)
-
-    def primal_map(self) -> dict[str, Fraction]:
-        return dict(zip(self.col_labels, self.primal))
-
-    def dual_map(self) -> dict[str, Fraction]:
-        return dict(zip(self.row_labels, self.dual))
 
 
 class CertificateError(AssertionError):
@@ -157,10 +138,10 @@ def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
             v = support[j]
             if v is not None:
                 total += coef * v
-        _require(total <= lp.b[r], f"primal row {lp.row_labels[r]} violated")
+        _require(total <= lp.b[r], f"primal row {r} violated")
     yA = lp.col_dot(y)
     for j in range(lp.ncols):
-        _require(yA[j] >= sign * lp.c[j], f"dual column {lp.col_labels[j]} violated")
+        _require(yA[j] >= sign * lp.c[j], f"dual column {j} violated")
     cx = sum((lp.c[j] * v for j, v in enumerate(support) if v is not None), Fraction(0))
     by = sum((lp.b[r] * y[r] for r in range(lp.nrows) if y[r]), Fraction(0))
     _require(sign * cx == by, "duality gap nonzero")
@@ -193,8 +174,6 @@ def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
     verify_optimal(lp, x, y, objective)
     return LpCertificate(
         status=OPTIMAL,
-        col_labels=lp.col_labels,
-        row_labels=lp.row_labels,
         layout=lp.layout,
         primal=tuple(x),
         dual=tuple(y),
@@ -206,8 +185,6 @@ def certify_infeasible(lp: LinearProgram, y) -> LpCertificate:
     verify_infeasible(lp, y)
     return LpCertificate(
         status=INFEASIBLE,
-        col_labels=lp.col_labels,
-        row_labels=lp.row_labels,
         layout=lp.layout,
         witness=tuple(y),
     )
@@ -217,8 +194,6 @@ def certify_unbounded(lp: LinearProgram, x, d) -> LpCertificate:
     verify_unbounded(lp, x, d)
     return LpCertificate(
         status=UNBOUNDED,
-        col_labels=lp.col_labels,
-        row_labels=lp.row_labels,
         layout=lp.layout,
         primal=tuple(x),
         witness=tuple(d),
@@ -238,7 +213,8 @@ def recheck_certificate(lp: LinearProgram, cert: LpCertificate) -> None:
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:
-    """The symbolic dual, with labels transposed.
+    """The symbolic dual: column j of lp is row j of the dual, and row r
+    of lp is column r.
 
     max{c.x : Ax <= b, x >= 0}  ->  min{b.y : -A^T y <= -c, y >= 0}
     min{c.x : Ax <= b, x >= 0}  ->  max{-b.y : -A^T y <= c, y >= 0}
@@ -254,24 +230,7 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
         sense, c, b = MIN, lp.b, tuple(-q for q in lp.c)
     else:
         sense, c, b = MAX, tuple(-q for q in lp.b), tuple(lp.c)
-    return make_lp(
-        sense=sense,
-        c=c,
-        rows=[tuple(col) for col in cols],
-        b=b,
-        row_labels=lp.col_labels,
-        col_labels=lp.row_labels,
-    )
-
-
-def _lp_ident(label: str) -> str:
-    out = []
-    for ch in label:
-        out.append(ch if ch.isalnum() or ch in "_.()" else "_")
-    ident = "".join(out)
-    if not ident or ident[0].isdigit() or ident[0] == ".":
-        ident = "v_" + ident
-    return ident
+    return make_lp(sense, c, [tuple(col) for col in cols], b)
 
 
 def export_lp_text(lp: LinearProgram) -> str:
@@ -280,10 +239,9 @@ def export_lp_text(lp: LinearProgram) -> str:
     Every row is scaled by the lcm of its denominators so coefficients
     print as integers; the objective scale factor is recorded in a
     leading comment (true objective = printed objective / scale).
+    Column j is named x<j> and row r is named r<r>.
     """
-    names = [_lp_ident(lbl) for lbl in lp.col_labels]
-    if len(set(names)) != len(names):
-        names = [f"x{j}_{name}" for j, name in enumerate(names)]
+    names = [f"x{j}" for j in range(lp.ncols)]
     obj_scale = lcm(*(q.denominator for q in lp.c)) if lp.c else 1
     lines = [
         f"\\ objective scale: {obj_scale} (true objective = printed / {obj_scale})",
@@ -304,6 +262,6 @@ def export_lp_text(lp: LinearProgram) -> str:
             for j, coef in row
         ]
         body = " ".join(terms) if terms else f"0 {names[0]}"
-        lines.append(f" {_lp_ident(lp.row_labels[r])}: {body} <= {lp.b[r] * scale}")
+        lines.append(f" r{r}: {body} <= {lp.b[r] * scale}")
     lines.append("End")
     return "\n".join(lines) + "\n"

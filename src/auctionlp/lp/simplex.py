@@ -1,11 +1,10 @@
 """Two-phase primal simplex: a float pass proposes, exact rationals accept.
 
 No big-M constant: infeasible starting bases get artificial variables
-and a phase-one objective.  Bland's rule is the default pivot rule and
-guarantees termination; the optional Dantzig rule uses lexicographic
-tie-breaking for speed and falls back to Bland permanently once a
-degenerate stall is detected, so termination is unconditional either
-way.
+and a phase-one objective.  The pivot rule is Dantzig's (most negative
+reduced cost) with a lexicographic tie-break in the ratio test.  Once a
+degenerate stall is detected the run switches to Bland's rule for good,
+which guarantees termination.
 
 `solve` first runs the simplex over Python floats with the same pivot
 rule, so it walks the exact pivot path, and rounds the optimal vertex
@@ -31,8 +30,6 @@ from .program import (
     certify_unbounded,
 )
 
-BLAND = "bland"
-DANTZIG = "dantzig"
 
 def eliminate(rows, r, c):
     """Pivot on (rows[r], column c): scale the pivot row to a unit pivot,
@@ -125,19 +122,17 @@ def _nearby_rational(value: float, bound: int) -> Fraction:
     return Fraction(value).limit_denominator(bound)
 
 
-def solve(lp: LinearProgram, rule: str = BLAND) -> LpCertificate:
+def solve(lp: LinearProgram) -> LpCertificate:
     """Solve to a verified certificate: optimal primal/dual pair with a
     zero duality gap, or an infeasibility/unboundedness witness.
 
     A float pass proposes an optimal vertex and the exact certificate
     check accepts it; otherwise the exact simplex answers."""
-    if rule not in (BLAND, DANTZIG):
-        raise ValueError(f"unknown pivot rule {rule!r}")
     try:
-        return _Simplex(lp, rule, floating=True).run()
+        return _Simplex(lp, floating=True).run()
     except _NO_PROPOSAL:
         pass
-    return _Simplex(lp, rule).run()
+    return _Simplex(lp).run()
 
 
 class _Simplex:
@@ -147,9 +142,8 @@ class _Simplex:
     same decisions; it ends optimal with a certificate or raises one of
     _NO_PROPOSAL."""
 
-    def __init__(self, lp: LinearProgram, rule: str, floating: bool = False):
+    def __init__(self, lp: LinearProgram, floating: bool = False):
         self.lp = lp
-        self.rule = rule
         self.sign = 1 if lp.sense == MAX else -1
         self.S = lp.ncols  # structural columns
         self.R = lp.nrows
@@ -196,10 +190,10 @@ class _Simplex:
 
     def _entering(self, obj_row, limit) -> int | None:
         """Column with negative reduced cost among the first `limit`
-        columns (structural + slack; artificials never enter): the
-        first one under Bland's rule, else the most negative, the first
-        of equals."""
-        bland = self.rule == BLAND or self.forced_bland
+        columns (structural + slack; artificials never enter): the most
+        negative, the first of equals, or the first one once Bland's
+        rule is forced."""
+        bland = self.forced_bland
         best, below = None, -self.tol
         for j in range(limit):
             rc = obj_row[j]
@@ -217,12 +211,11 @@ class _Simplex:
             if best is None or ratio < low:
                 best, low, high = r, ratio - tol, ratio + tol
             elif ratio <= high:
-                if self.rule == BLAND or self.forced_bland:
+                if self.forced_bland:
                     if self.basis[r] < self.basis[best]:
                         best = r
-                else:
-                    if self._lex_less(r, best, col):
-                        best = r
+                elif self._lex_less(r, best, col):
+                    best = r
         return best
 
     def _lex_less(self, r1: int, r2: int, col: int) -> bool:

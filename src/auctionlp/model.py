@@ -290,9 +290,10 @@ def validate_instance(
 ) -> Instance:
     """Validate raw instance data and return an Instance.
 
-    data carries 'buyers', 'items', 'supports' (per buyer, a list of
-    value vectors), 'probs' (per buyer, a list of masses), and optionally
-    the boolean 'augment_zero'; any other shape raises DimensionMismatch.
+    data carries the integers 'buyers' and 'items', 'supports' (per
+    buyer, a list of value vectors), 'probs' (per buyer, a list of
+    masses), and optionally the boolean 'augment_zero'; any other shape
+    raises DimensionMismatch.
     Rationals may be ints, Fractions, or 'p/q' strings.
     The keyword overrides the file's augment flag when not None.  With
     strict=True the standing assumption mu_i(v) > 0 for v != 0 is
@@ -302,12 +303,15 @@ def validate_instance(
     on, it is prepended at mass 0 where absent.
     """
     try:
-        n = int(data["buyers"])
-        m = int(data["items"])
+        n = data["buyers"]
+        m = data["items"]
         raw_supports = data["supports"]
         raw_probs = data["probs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed instance data: {exc}") from exc
+    for key, count in (("buyers", n), ("items", m)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise DimensionMismatch(f"{key} is not an integer: {count!r}")
     if augment_zero is None:
         augment_zero = data.get("augment_zero", False)
         if not isinstance(augment_zero, bool):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from auctionlp.auction import build_dual_dslp
-from auctionlp.lp import DANTZIG, MAX, MIN, OPTIMAL, make_lp, solve
+from auctionlp.lp import MAX, MIN, OPTIMAL, make_lp, solve
 from auctionlp.model import BAYES, PrimalSlacks
 
 
@@ -128,15 +128,12 @@ def regular_phi_range(instance, i, profile, revenue):
         c[col] += coef
     rows = list(base.rows)
     b = list(base.b)
-    labels = list(base.row_labels)
 
     xi_cols = [layout.xi(0, r) for r in range(instance.profile_count)]
     rows.append(tuple((k, Fraction(1)) for k in xi_cols))
     b.append(revenue)
-    labels.append("face:le")
     rows.append(tuple((k, Fraction(-1)) for k in xi_cols))
     b.append(-revenue)
-    labels.append("face:ge")
 
     for bi in range(instance.n):
         t0 = instance.zero_index(bi)
@@ -147,10 +144,8 @@ def regular_phi_range(instance, i, profile, revenue):
             col = layout.eta(bi, rr)
             rows.append(((col, Fraction(1)),))
             b.append(e)
-            labels.append(f"src:le:{bi}:{rr}")
             rows.append(((col, Fraction(-1)),))
             b.append(-e)
-            labels.append(f"src:ge:{bi}:{rr}")
             # trans: the payment coefficient meets mu exactly (the base
             # p row already forces it from below)
             row = [(col, Fraction(1))]
@@ -161,21 +156,18 @@ def regular_phi_range(instance, i, profile, revenue):
                 row.append((layout.zeta(bi, t2, t, s), Fraction(-1)))
             rows.append(tuple(row))
             b.append(instance.mu_by_rank[rr])
-            labels.append(f"trans:le:{bi}:{rr}")
             # virtual: expected virtual values vanish on zero-mass slices
             if w == 0:
                 star = phi_star_row(bi, rr)
                 if star:
                     rows.append(tuple(star))
                     b.append(Fraction(0))
-                    labels.append(f"virt:le:{bi}:{rr}")
                     rows.append(tuple((cc, -qq) for cc, qq in star))
                     b.append(Fraction(0))
-                    labels.append(f"virt:ge:{bi}:{rr}")
 
     out = []
     for sense in (MIN, MAX):
-        cert = solve(make_lp(sense, c, rows, b, labels, base.col_labels), rule=DANTZIG)
+        cert = solve(make_lp(sense, c, rows, b))
         assert cert.status == OPTIMAL, cert.status
         out.append(cert.objective / instance.mu(profile))
     return tuple(out)

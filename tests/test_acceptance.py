@@ -29,7 +29,7 @@ from auctionlp.auction import (
     extract_mechanism,
     solve_form,
 )
-from auctionlp.lp import DANTZIG, OPTIMAL, solve
+from auctionlp.lp import OPTIMAL, solve
 from auctionlp.model import (
     bayes_dual_from_multipliers,
     ds_dual_from_multipliers,
@@ -81,8 +81,8 @@ def pipeline(instance):
     if "ds_cert" not in entry:
         entry["ds_cert"] = solve_form(instance, DS)
         entry["bayes_cert"] = solve_form(instance, BAYES)
-        entry["ds_dual_cert"] = solve(build_dual_dslp(instance), rule=DANTZIG)
-        entry["bayes_dual_cert"] = solve(build_dual_blp(instance), rule=DANTZIG)
+        entry["ds_dual_cert"] = solve(build_dual_dslp(instance))
+        entry["bayes_dual_cert"] = solve(build_dual_blp(instance))
     return entry
 
 

@@ -55,24 +55,30 @@ def test_label_counts_match_dimensions(pair12, items12):
     for instance in (pair12, items12):
         profiles = math.prod(instance.sizes)
         dslp = build_dslp(instance)
-        assert len(dslp.col_labels) == instance.n * instance.m * profiles + instance.n * profiles
+        rows, cols = dslp.layout.labels()
+        assert len(cols) == dslp.ncols
+        assert len(cols) == instance.n * instance.m * profiles + instance.n * profiles
         ic = sum(
             (size - 1) * profiles for size in instance.sizes
         )
-        assert len(dslp.row_labels) == ic + instance.n * profiles + instance.m * profiles
+        assert len(rows) == dslp.nrows
+        assert len(rows) == ic + instance.n * profiles + instance.m * profiles
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
 
         blp = build_blp(instance)
-        assert blp.col_labels == dslp.col_labels
+        b_rows, b_cols = blp.layout.labels()
+        assert b_cols == cols
         ic_b = sum(size * (size - 1) for size in instance.sizes)
         types = sum(instance.sizes)
-        assert len(blp.row_labels) == ic_b + types + instance.m * profiles
+        assert len(b_rows) == blp.nrows == ic_b + types + instance.m * profiles
+        assert len(set(b_rows)) == len(b_rows)
 
 
 def test_dual_rows_mirror_primal_columns(pair12):
     for build_primal, build_dual in ((build_dslp, build_dual_dslp), (build_blp, build_dual_blp)):
         primal, dual = build_primal(pair12), build_dual(pair12)
-        assert dual.row_labels == primal.col_labels
-        assert dual.col_labels == primal.row_labels
+        assert (dual.nrows, dual.ncols) == (primal.ncols, primal.nrows)
+        assert dual.layout.labels() == primal.layout.labels()
 
 
 # -- dual programs are transposes ------------------------------------------
@@ -159,8 +165,6 @@ def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
         extract_dual(u12, solve_form(u12, DS), BAYES)
     stray = LpCertificate(
         status=OPTIMAL,
-        col_labels=("q:0",),
-        row_labels=("r:0",),
         primal=(F(0),),
         dual=(F(0),),
         objective=F(0),
@@ -286,18 +290,37 @@ def test_certificate_rejects_unknown_label(u123):
 
 
 # Stored certificates name their entries by label, so the document
-# format (labels included) must not drift.
+# format (labels included) must not drift.  pair12 has one item; the
+# generated instance has three buyers and two items, so its documents
+# also pin the x:<i>:1:<key> labels and the Bayesian ic rows of several
+# buyers.
 PAIR12_CERTIFICATE_SHA256 = {
     DS: "2e0b90052b041ae31d759764b6b86af863380718d4ac84822ce2139e5649b20e",
     BAYES: "83c65254f0d0b1225a6f2ef2544ae1a2de7229cf12ca950fb7cb87b410111f18",
 }
+TWO_ITEM_SPEC = ({"n": 3, "m": 2, "support": 2}, 1)
+TWO_ITEM_CERTIFICATE_SHA256 = {
+    DS: "9d408ba28b37c920bab3be2021324b6f7d982981ff7e21b766702f86ee1fd96a",
+    BAYES: "02c7159c523b49ecc68bac68f5d819e68df64fe80086793efe44ebb967bb260b",
+}
+
+
+def document_sha256(instance, form):
+    document = certificate_document(instance, form, solve_form(instance, form))
+    text = json.dumps(document, sort_keys=True)
+    return document, hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])
 def test_certificate_document_is_pinned(pair12, form):
-    document = certificate_document(pair12, form, solve_form(pair12, form))
-    text = json.dumps(document, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == PAIR12_CERTIFICATE_SHA256[form]
+    _, digest = document_sha256(pair12, form)
+    assert digest == PAIR12_CERTIFICATE_SHA256[form]
+    instance = gen_instance(*TWO_ITEM_SPEC)
+    document, digest = document_sha256(instance, form)
+    assert digest == TWO_ITEM_CERTIFICATE_SHA256[form]
+    assert any(label.split(":")[2] == "1" for label in document["primal"] if label[0] == "x")
+    ic_buyers = {label.split(":")[1] for label in document["dual"] if label.startswith("ic:")}
+    assert len(ic_buyers) > 1
 
 
 def test_certificate_rejects_nonzero_ledger(u123):

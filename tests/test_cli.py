@@ -187,8 +187,22 @@ def test_solve_rejects_non_rational_numbers(tmp_path, capsys, probs):
         dict(PAIR12, supports=5),
         dict(PAIR12, supports=[[0, 1, 2], [[0], [1], [2]]]),
         dict(PAIR12, augment_zero="no"),
+        dict(PAIR12, buyers=2.7),
+        dict(U12, buyers=True),
+        dict(PAIR12, items=1.0),
+        dict(PAIR12, buyers="2"),
     ],
-    ids=["supports-ints", "probs-ints", "supports-int", "vector-int", "augment-text"],
+    ids=[
+        "supports-ints",
+        "probs-ints",
+        "supports-int",
+        "vector-int",
+        "augment-text",
+        "buyers-float",
+        "buyers-bool",
+        "items-float",
+        "buyers-text",
+    ],
 )
 def test_solve_rejects_malformed_shapes(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -307,6 +321,11 @@ def test_characterize_bad_gen_spec(capsys):
     ):
         assert main(["characterize", "--gen", spec]) == 2
         assert "DimensionMismatch" in capsys.readouterr().err
+    for spec, count in (("n=2,m=1,support=2", "0"), ("n=3,m=1,support=2,iid=1", "-2")):
+        assert main(["characterize", "--gen", spec, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert "DimensionMismatch" in captured.err
+        assert captured.out == ""
 
 
 def test_characterize_gen_iid_scan_honors_caps(capsys):

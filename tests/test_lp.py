@@ -1,5 +1,5 @@
-"""Simplex: certificates, duals, pivot rules, the float proposal pass
-and the pivot hook.
+"""Simplex: certificates, duals, the pivot rule and its Bland fallback,
+the float proposal pass and the pivot hook.
 
 Optimal objectives are cross-checked against brute-force vertex
 enumeration (helpers.brute_force_best), which shares no code with the
@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from auctionlp.lp import (
-    BLAND,
-    DANTZIG,
     INFEASIBLE,
     MAX,
     MIN,
@@ -40,14 +38,7 @@ def lp_of(sense, c, dense_rows, b):
     rows = [
         [(j, F(q)) for j, q in enumerate(row) if q] for row in dense_rows
     ]
-    return make_lp(
-        sense,
-        [F(q) for q in c],
-        rows,
-        [F(q) for q in b],
-        [f"r{k}" for k in range(len(rows))],
-        [f"x{j}" for j in range(len(c))],
-    )
+    return make_lp(sense, [F(q) for q in c], rows, [F(q) for q in b])
 
 
 # -- construction -----------------------------------------------------------
@@ -55,17 +46,13 @@ def lp_of(sense, c, dense_rows, b):
 
 def test_make_lp_rejects_malformed():
     with pytest.raises(ValueError):
-        make_lp("maximize", [F(1)], [], [], [], ["x"])
+        make_lp("maximize", [F(1)], [], [])
     with pytest.raises(ValueError):
-        make_lp(MAX, [F(1)], [], [], [], ["x", "y"])
+        make_lp(MAX, [F(1)], [[(0, F(1)), (0, F(2))]], [F(1)])
     with pytest.raises(ValueError):
-        make_lp(MAX, [F(1), F(1)], [], [], [], ["x", "x"])
+        make_lp(MAX, [F(1)], [[(3, F(1))]], [F(1)])
     with pytest.raises(ValueError):
-        make_lp(MAX, [F(1)], [[(0, F(1)), (0, F(2))]], [F(1)], ["r"], ["x"])
-    with pytest.raises(ValueError):
-        make_lp(MAX, [F(1)], [[(3, F(1))]], [F(1)], ["r"], ["x"])
-    with pytest.raises(ValueError):
-        make_lp(MAX, [F(1)], [[(0, F(1))]], [F(1), F(2)], ["r"], ["x"])
+        make_lp(MAX, [F(1)], [[(0, F(1))]], [F(1), F(2)])
 
 
 def test_make_lp_drops_zero_coefficients():
@@ -80,8 +67,8 @@ def test_single_bound():
     cert = solve(lp_of(MAX, [1], [[1]], [5]))
     assert cert.status == OPTIMAL
     assert cert.objective == 5
-    assert cert.primal_map()["x0"] == 5
-    assert cert.dual_map()["r0"] == 1
+    assert cert.primal == (5,)
+    assert cert.dual == (1,)
 
 
 def test_min_sense_with_negative_rhs():
@@ -115,11 +102,6 @@ def test_zero_objective():
     assert cert.objective == 0
 
 
-def test_unknown_rule_rejected():
-    with pytest.raises(ValueError):
-        solve(lp_of(MAX, [1], [[1]], [1]), rule="steepest")
-
-
 # -- certificates -----------------------------------------------------------
 
 
@@ -129,8 +111,6 @@ def test_recheck_accepts_and_tamper_detected():
     recheck_certificate(lp, cert)
     forged = LpCertificate(
         status=cert.status,
-        col_labels=cert.col_labels,
-        row_labels=cert.row_labels,
         primal=cert.primal,
         dual=cert.dual,
         objective=cert.objective + 1,
@@ -142,14 +122,7 @@ def test_recheck_accepts_and_tamper_detected():
 def test_recheck_rejects_unknown_status():
     lp = lp_of(MAX, [1], [[1]], [1])
     with pytest.raises(CertificateError):
-        recheck_certificate(
-            lp,
-            LpCertificate(
-                status="done",
-                col_labels=lp.col_labels,
-                row_labels=lp.row_labels,
-            ),
-        )
+        recheck_certificate(lp, LpCertificate(status="done"))
 
 
 # -- symbolic dual ----------------------------------------------------------
@@ -159,7 +132,7 @@ def test_dual_of_round_trip():
     lp = lp_of(MAX, [2, -3], [[1, 1], [-1, 2]], [4, -1])
     assert dual_of(dual_of(lp)) == lp
     assert dual_of(lp).sense == MIN
-    assert dual_of(lp).col_labels == lp.row_labels
+    assert (dual_of(lp).nrows, dual_of(lp).ncols) == (lp.ncols, lp.nrows)
 
 
 def test_dual_objective_matches_primal():
@@ -174,7 +147,17 @@ def test_dual_objective_matches_primal():
     assert a.objective == d.objective
 
 
-# -- pivot rules ------------------------------------------------------------
+# -- pivot rule and Bland fallback ------------------------------------------
+
+
+def exact_runs(lp):
+    """Certificates of the float-first solve, of the exact simplex, and
+    of the exact simplex under Bland's rule from its first pivot, as
+    after a degenerate stall."""
+    bland = _Simplex(lp)
+    bland.forced_bland = True
+    return solve(lp), _Simplex(lp).run(), bland.run()
+
 
 
 def beale_lp():
@@ -204,8 +187,7 @@ def test_beale_terminates_under_both_rules():
         [0, 0, 1, 100],
     ))
     assert expected == F(1, 20)
-    for rule in (BLAND, DANTZIG):
-        cert = solve(lp, rule=rule)
+    for cert in exact_runs(lp):
         assert cert.status == OPTIMAL
         assert cert.objective == F(1, 20)
 
@@ -234,14 +216,12 @@ def tiny_lps(draw):
 @given(tiny_lps())
 def test_solver_matches_enumeration(lp):
     expected = brute_force_best(lp)
-    for rule in (BLAND, DANTZIG):
-        # float-first solve, then the exact simplex alone
-        for cert in (solve(lp, rule=rule), _Simplex(lp, rule).run()):
-            if expected is None:
-                assert cert.status == INFEASIBLE
-            else:
-                assert cert.status == OPTIMAL
-                assert cert.objective == expected
+    for cert in exact_runs(lp):
+        if expected is None:
+            assert cert.status == INFEASIBLE
+        else:
+            assert cert.status == OPTIMAL
+            assert cert.objective == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,7 +252,7 @@ def test_pivots_go_through_module_eliminate(monkeypatch):
         original(rows, r, c)
 
     monkeypatch.setattr(simplex, "eliminate", counting)
-    cert = _Simplex(lp, BLAND).run()
+    cert = _Simplex(lp).run()
     assert len(calls) > 0
     assert cert == expected
     assert cert.objective == 9
@@ -297,9 +277,9 @@ CROSS_SHAPES = {
 def assert_float_pass_follows_exact(lp):
     """The float pass is accepted, and its certificate and pivot count
     are those of the exact simplex."""
-    proposal = _Simplex(lp, DANTZIG, floating=True)
+    proposal = _Simplex(lp, floating=True)
     cert = proposal.run()  # raises when the float pass proposes nothing
-    exact = _Simplex(lp, DANTZIG)
+    exact = _Simplex(lp)
     assert cert == exact.run()
     assert proposal.pivots == exact.pivots
 
@@ -321,9 +301,9 @@ def test_float_pass_matches_exact_on_face_program(monkeypatch):
 
     programs = []
 
-    def capture(lp, rule=BLAND):
+    def capture(lp):
         programs.append(lp)
-        return solve(lp, rule)
+        return solve(lp)
 
     monkeypatch.setattr(analysis, "solve", capture)
     tight_downward_dual(gen_instance({"n": 2, "m": 1, "support": 2}, 3))
@@ -334,7 +314,7 @@ def test_float_pass_matches_exact_on_face_program(monkeypatch):
 
 def test_rejected_proposal_falls_back_to_exact(monkeypatch):
     lp = lp_of(MAX, [2, 3], [[1, 1], [1, 3]], [4, 6])
-    expected = _Simplex(lp, BLAND).run()
+    expected = _Simplex(lp).run()
     rounded = []
     exact_pivots = []
     original = simplex.eliminate
@@ -356,7 +336,7 @@ def test_rejected_proposal_falls_back_to_exact(monkeypatch):
 def test_coefficients_beyond_float_range_fall_back_to_exact():
     huge = F(10**400)
     with pytest.raises(OverflowError):
-        _Simplex(lp_of(MAX, [huge], [[1]], [3]), BLAND, floating=True)
+        _Simplex(lp_of(MAX, [huge], [[1]], [3]), floating=True)
     cert = solve(lp_of(MAX, [huge], [[1]], [3]))
     assert cert.status == OPTIMAL
     assert cert.objective == 3 * huge
@@ -367,5 +347,5 @@ def test_export_lp_text_scales_to_integers():
     text = export_lp_text(lp)
     assert "Maximize" in text
     assert "objective scale: 6" in text
-    assert "+ 1 x0 + 4 x1 <= 6" in text
+    assert " r0: + 1 x0 + 4 x1 <= 6" in text
     assert text.endswith("End\n")
