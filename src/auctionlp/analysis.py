@@ -14,7 +14,7 @@ from .auction import (
     extract_dual,
     solve_form,
 )
-from .errors import NotAgentIndependent, NotOptimal, NotRegular
+from .errors import NotAgentIndependent, NotOptimal
 from .lp import MIN, OPTIMAL, make_lp, solve
 from .model import (
     BAYES,
@@ -31,14 +31,10 @@ from .model import (
     validate_instance,
 )
 from .virtual import (
-    check_cs_bayes,
     check_cs_ds,
     check_ubvv,
-    check_vwm,
-    ds_regularity_witness,
     regularize_bayes,
     regularize_ds,
-    virtual_values_bayes,
     virtual_values_ds,
 )
 
@@ -158,6 +154,33 @@ def _reference_slice(instance: Instance, i: int) -> int:
     raise AssertionError("opponent masses cannot all vanish")
 
 
+def _slice_mismatch(instance: Instance, dual: DualSolutionDS, i: int, table=None):
+    """The first place, in order of type and then slice, where buyer
+    i's eta or zeta on an opponent slice differ from the reference
+    slice's after weighting by the opponent masses, or where the
+    table's virtual values differ on a mass-bearing slice: a (kind,
+    indices) witness, or None."""
+    weights, slices = instance.mu_minus_by_slice[i], instance.ranks[i]
+    ref = _reference_slice(instance, i)
+    wref = weights[ref]
+    for t in range(instance.sizes[i]):
+        base = slices[ref][t]
+        for s, ranks in enumerate(slices):
+            if s == ref:
+                continue
+            r = ranks[t]
+            if table is not None and weights[s] > 0:
+                for j in range(instance.m):
+                    if table.values[i][j][r] != table.values[i][j][base]:
+                        return ("phi", (i, j, t, s))
+            if dual.eta[i][r] * wref != dual.eta[i][base] * weights[s]:
+                return ("eta", (i, t, s))
+            for t2, (z, zref) in enumerate(zip(dual.zeta[i][r], dual.zeta[i][base])):
+                if t2 != t and z * wref != zref * weights[s]:
+                    return ("zeta", (i, t, t2, s))
+    return None
+
+
 def check_agent_independence(instance: Instance, dual: DualSolutionDS):
     """Check that buyer-level dual data does not depend on the others'
     values: virtual values agree across mass-bearing opponent slices,
@@ -165,29 +188,9 @@ def check_agent_independence(instance: Instance, dual: DualSolutionDS):
     opponent masses.  Returns (ok, witness)."""
     table = virtual_values_ds(instance, dual)
     for i in range(instance.n):
-        weights, slices = instance.mu_minus_by_slice[i], instance.ranks[i]
-        ref = _reference_slice(instance, i)
-        wref = weights[ref]
-        for t in range(instance.sizes[i]):
-            base = slices[ref][t]
-            for s, ranks in enumerate(slices):
-                if s == ref:
-                    continue
-                r = ranks[t]
-                if weights[s] > 0:
-                    for j in range(instance.m):
-                        if table.values[i][j][r] != table.values[i][j][base]:
-                            return False, ("phi", (i, j, t, s))
-                if dual.eta[i][r] * wref != dual.eta[i][base] * weights[s]:
-                    return False, ("eta", (i, t, s))
-                for t2 in range(instance.sizes[i]):
-                    if t2 == t:
-                        continue
-                    if (
-                        dual.zeta[i][t][t2][s] * wref
-                        != dual.zeta[i][t][t2][ref] * weights[s]
-                    ):
-                        return False, ("zeta", (i, t, t2, s))
+        witness = _slice_mismatch(instance, dual, i, table)
+        if witness is not None:
+            return False, witness
     return True, None
 
 
@@ -224,15 +227,12 @@ def bic_to_dsic_dual(
     the same objective, and is agent-independent by construction."""
     weights = instance.mu_minus_by_slice
     zeta = tuple(
-        tuple(
-            tuple(tuple(z * w for w in weights[i]) for z in row)
-            for row in dual.zeta[i]
-        )
-        for i in range(instance.n)
+        tuple(tuple(z * weights[i][s] for z in dual.zeta[i][t]) for t, s in positions)
+        for i, positions in enumerate(instance.positions)
     )
     eta = tuple(
-        tuple(dual.eta[i][t] * weights[i][s] for t, s in instance.positions[i])
-        for i in range(instance.n)
+        tuple(dual.eta[i][t] * weights[i][s] for t, s in positions)
+        for i, positions in enumerate(instance.positions)
     )
     return _mapped(ds_dual_from_multipliers(instance, zeta, eta, dual.xi), dual)
 
@@ -254,36 +254,15 @@ def dsic_to_bic_dual(
     zeta = []
     eta = []
     for i in range(instance.n):
-        weights, slices = instance.mu_minus_by_slice[i], instance.ranks[i]
+        witness = _slice_mismatch(instance, dual, i)
+        if witness is not None:
+            kind, indices = witness
+            raise NotAgentIndependent(f"{kind} varies across slices: {indices}")
         ref = _reference_slice(instance, i)
-        wref = weights[ref]
-        zeta_i = tuple(
-            tuple(
-                Fraction(0) if t2 == t else dual.zeta[i][t][t2][ref] / wref
-                for t2 in range(instance.sizes[i])
-            )
-            for t in range(instance.sizes[i])
-        )
-        base = [dual.eta[i][r] for r in slices[ref]]
-        eta_i = tuple(e / wref for e in base)
-        for t in range(instance.sizes[i]):
-            for s, ranks in enumerate(slices):
-                if s == ref:
-                    continue
-                if dual.eta[i][ranks[t]] * wref != base[t] * weights[s]:
-                    raise NotAgentIndependent(f"eta varies across slices: {(i, t, s)}")
-                for t2 in range(instance.sizes[i]):
-                    if t2 == t:
-                        continue
-                    if (
-                        dual.zeta[i][t][t2][s] * wref
-                        != dual.zeta[i][t][t2][ref] * weights[s]
-                    ):
-                        raise NotAgentIndependent(
-                            f"zeta varies across slices: {(i, t, t2, s)}"
-                        )
-        zeta.append(zeta_i)
-        eta.append(eta_i)
+        wref = instance.mu_minus_by_slice[i][ref]
+        base = instance.ranks[i][ref]
+        zeta.append(tuple(tuple(z / wref for z in dual.zeta[i][r]) for r in base))
+        eta.append(tuple(dual.eta[i][r] / wref for r in base))
     return _mapped(
         bayes_dual_from_multipliers(instance, tuple(zeta), tuple(eta), dual.xi), dual
     )

@@ -51,15 +51,16 @@ from .model import (
     PrimalSlacks,
     _interim_rows,
     _utility,
-    bayes_dual_from_multipliers,
-    ds_dual_from_multipliers,
+    dual_from_multipliers,
     mechanism_feasible,
     mechanism_slacks,
+    multiplier_keys,
     profile_rank,
     rank_strides,
     rat,
     rat_str,
 )
+from .virtual import check_cs_bayes, check_cs_ds
 
 __all__ = [
     "build_dslp",
@@ -356,37 +357,24 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
         raise LabelMismatch(f"certificate is not from the {form} builders")
     values = certificate.dual if layout.side == PRIMAL else certificate.primal
-    count = instance.profile_count
-
-    def deviation(i, t, t2, s=0):
-        return Fraction(0) if t2 == t else values[layout.zeta(i, t, t2, s)]
-
     xi = tuple(
-        tuple(values[layout.xi(j, r)] for r in range(count))
+        tuple(values[layout.xi(j, r)] for r in range(instance.profile_count))
         for j in range(instance.m)
     )
-    if form == DS:
-        zeta = tuple(
+    zeta, eta = [], []
+    for i, k in enumerate(instance.sizes):
+        positions = multiplier_keys(instance, form, i)[0]
+        zeta.append(
             tuple(
                 tuple(
-                    tuple(deviation(i, t, t2, s) for s in range(count // k))
+                    Fraction(0) if t2 == t else values[layout.zeta(i, t, t2, s)]
                     for t2 in range(k)
                 )
-                for t in range(k)
+                for t, s in positions
             )
-            for i, k in enumerate(instance.sizes)
         )
-    else:
-        zeta = tuple(
-            tuple(tuple(deviation(i, t, t2) for t2 in range(k)) for t in range(k))
-            for i, k in enumerate(instance.sizes)
-        )
-    eta = tuple(
-        tuple(values[layout.eta(i, key)] for key in range(count if form == DS else k))
-        for i, k in enumerate(instance.sizes)
-    )
-    assemble = ds_dual_from_multipliers if form == DS else bayes_dual_from_multipliers
-    dual = assemble(instance, zeta, eta, xi)
+        eta.append(tuple(values[layout.eta(i, key)] for key in range(len(positions))))
+    dual = dual_from_multipliers(instance, form, tuple(zeta), tuple(eta), xi)
     if not dual.is_feasible():
         raise InfeasibleInput("extracted dual violates feasibility")
     return dual
@@ -501,8 +489,6 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     """Self-contained record of an optimal primal solve: objective,
     nonzero primal and dual entries by label, and the complementary
     slackness ledger (all zeros at an optimum)."""
-    from .virtual import check_cs_bayes, check_cs_ds
-
     _require_optimal(certificate)
     mechanism, slacks = _checked_mechanism(instance, certificate, form)
     dual = extract_dual(instance, certificate, form)

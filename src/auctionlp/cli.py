@@ -32,10 +32,7 @@ from .errors import (
     MissingZeroType,
     NegativeValue,
     NonUnitMass,
-    NotAgentIndependent,
-    NotOptimal,
     NotRational,
-    NotRegular,
     ScaleLimit,
     ZeroMassNonzeroType,
 )
@@ -62,7 +59,6 @@ _VALIDATION = (
     InfeasibleInput,
     NotRational,
 )
-_SOLVER = (NotOptimal, NotRegular, NotAgentIndependent)
 
 _FORMS = {"ds": DS, "bic": BAYES}
 
@@ -309,6 +305,8 @@ def main(argv=None) -> int:
     if args.command == "characterize" and args.path is None and args.gen is None:
         parser.error("characterize needs an instance path or --gen")
     try:
+        if args.caps < 1:
+            raise DimensionMismatch(f"--caps must be at least 1, got {args.caps}")
         return args.func(args)
     except ScaleLimit as exc:
         # also the exact simplex's PivotLimit
@@ -322,9 +320,6 @@ def main(argv=None) -> int:
         # solver failure
         print(f"error: CertificateError: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except AuctionLPError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -32,6 +32,13 @@ values and the checks on them) loop over these tables instead of
 rebuilding profile tuples.  The utility methods of Mechanism and the
 coefficient methods of the dual solutions stay as definitions, computed
 from profile tuples.
+
+Dual format.  Both forms hold their multipliers keyed like the primal's
+rows: zeta[i][key][t'] and eta[i][key], where key is the profile rank
+in the dominant-strategy form and the own type in the Bayesian form.
+`multiplier_keys` is the per-form view of those keys that lets each
+post-solve step (slackness ledger, regularity, regularization, virtual
+values) be written once for both forms.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .errors import (
     MissingZeroType,
     NegativeValue,
     NonUnitMass,
+    NotOptimal,
     NotRational,
     ZeroMassNonzeroType,
 )
@@ -417,12 +425,6 @@ class Mechanism:
     alloc: tuple[tuple[tuple[Fraction, ...], ...], ...]
     pay: tuple[tuple[Fraction, ...], ...]
 
-    def x(self, instance: Instance, i: int, j: int, profile: Profile) -> Fraction:
-        return self.alloc[instance.rank(profile)][i][j]
-
-    def p(self, instance: Instance, i: int, profile: Profile) -> Fraction:
-        return self.pay[instance.rank(profile)][i]
-
     def utility(self, instance: Instance, i: int, profile: Profile) -> Fraction:
         """u_i(v) = v_i . x_i(v) - p_i(v)."""
         r = instance.rank(profile)
@@ -500,7 +502,8 @@ class PrimalSlacks:
     DS form: a[i][r][t'] is the truth-telling margin of buyer i at the
     profile of rank r against reporting t' (0 on the diagonal); b[i][r]
     is ex-post utility; c[j][r] is unsold supply.  Bayesian form: a and b
-    are interim, indexed by own type instead of full profile.
+    are interim, indexed by own type instead of full profile.  In both
+    forms a and b are keyed like a dual solution's zeta and eta.
     """
 
     form: str
@@ -633,14 +636,15 @@ def mechanism_feasible(
 
 
 @dataclass(frozen=True)
-class DualSolutionDS:
-    """Multipliers of the dominant-strategy dual.
+class DualSolution:
+    """Multipliers of a dual program, keyed like the primal's rows.
 
-    zeta[i][t][t'][s]: weight on the constraint "true t, report t'" on
-    the opponent slice of rank s (diagonal t==t' held at 0).
-    eta[i][r]: participation weight at the profile of rank r.
-    xi[j][r]: the per-(item, profile) dual objective terms.
-    alpha[i][j][r] and beta[i][r] are the dual constraint slacks.
+    zeta[i][key][t']: weight on the constraint "true type of key, report
+    t'" (0 on the diagonal); eta[i][key]: participation weight.  A key
+    is a profile rank r in the dominant-strategy form and an own type t
+    in the Bayesian form (see multiplier_keys).  xi[j][r]: the
+    per-(item, profile) dual objective terms.  alpha[i][j][r] and
+    beta[i][r] are the dual constraint slacks.
     """
 
     zeta: tuple
@@ -648,32 +652,6 @@ class DualSolutionDS:
     xi: tuple
     alpha: tuple
     beta: tuple
-
-    def phi_star(self, instance: Instance, i: int, j: int, profile: Profile) -> Fraction:
-        """Expected virtual value: the dual coefficient facing x_i^j(v)."""
-        t = profile[i]
-        s = instance.others_rank(i, instance.drop(i, profile))
-        r = instance.rank(profile)
-        vt = instance.value(i, t)[j]
-        total = self.eta[i][r] * vt
-        for t2 in range(instance.sizes[i]):
-            if t2 == t:
-                continue
-            total += self.zeta[i][t][t2][s] * vt
-            total -= self.zeta[i][t2][t][s] * instance.value(i, t2)[j]
-        return total
-
-    def psi(self, instance: Instance, i: int, profile: Profile) -> Fraction:
-        """The dual coefficient facing p_i(v)."""
-        t = profile[i]
-        s = instance.others_rank(i, instance.drop(i, profile))
-        r = instance.rank(profile)
-        total = self.eta[i][r]
-        for t2 in range(instance.sizes[i]):
-            if t2 == t:
-                continue
-            total += self.zeta[i][t][t2][s] - self.zeta[i][t2][t][s]
-        return total
 
     def objective(self) -> Fraction:
         return sum((x for col in self.xi for x in col), Fraction(0))
@@ -685,15 +663,38 @@ class DualSolutionDS:
         return True
 
 
-@dataclass(frozen=True)
-class DualSolutionBayes:
-    """Multipliers of the Bayesian dual; zeta and eta are per-type."""
+class DualSolutionDS(DualSolution):
+    """A dominant-strategy dual: zeta and eta are keyed by profile rank."""
 
-    zeta: tuple
-    eta: tuple
-    xi: tuple
-    alpha: tuple
-    beta: tuple
+    def phi_star(self, instance: Instance, i: int, j: int, profile: Profile) -> Fraction:
+        """Expected virtual value: the dual coefficient facing x_i^j(v)."""
+        t, others = profile[i], instance.drop(i, profile)
+        r = instance.rank(profile)
+        vt = instance.value(i, t)[j]
+        total = self.eta[i][r] * vt
+        for t2 in range(instance.sizes[i]):
+            if t2 == t:
+                continue
+            lr = instance.rank(instance.insert(i, t2, others))
+            total += self.zeta[i][r][t2] * vt
+            total -= self.zeta[i][lr][t] * instance.value(i, t2)[j]
+        return total
+
+    def psi(self, instance: Instance, i: int, profile: Profile) -> Fraction:
+        """The dual coefficient facing p_i(v)."""
+        t, others = profile[i], instance.drop(i, profile)
+        r = instance.rank(profile)
+        total = self.eta[i][r]
+        for t2 in range(instance.sizes[i]):
+            if t2 == t:
+                continue
+            lr = instance.rank(instance.insert(i, t2, others))
+            total += self.zeta[i][r][t2] - self.zeta[i][lr][t]
+        return total
+
+
+class DualSolutionBayes(DualSolution):
+    """A Bayesian dual: zeta and eta are keyed by own type."""
 
     def phibar_star(self, instance: Instance, i: int, j: int, t: int) -> Fraction:
         vt = instance.value(i, t)[j]
@@ -713,15 +714,6 @@ class DualSolutionBayes:
             total += self.zeta[i][t][t2] - self.zeta[i][t2][t]
         return total
 
-    def objective(self) -> Fraction:
-        return sum((x for col in self.xi for x in col), Fraction(0))
-
-    def is_feasible(self) -> bool:
-        for fam in (self.zeta, self.eta, self.xi, self.alpha, self.beta):
-            if _any_negative(fam):
-                return False
-        return True
-
 
 def _any_negative(nested) -> bool:
     if isinstance(nested, tuple):
@@ -729,23 +721,59 @@ def _any_negative(nested) -> bool:
     return nested < 0
 
 
-def dual_flows(held, out, into, t):
-    """Weights at own type t: held (its participation weight plus every
-    "true t, report t2" multiplier out[t2]) and the nonzero "true t2,
-    report t" multipliers into[t2] as (t2, weight) pairs.  Diagonal
-    entries are ignored."""
-    inflow = []
-    for t2, (o, w) in enumerate(zip(out, into)):
+def multiplier_keys(instance: Instance, form: str, i: int):
+    """Buyer i's multiplier keys in the given form, as a tuple
+    (positions, families, weights, masses):
+
+    * positions[key] = (t, s): the own type of the key and a slice it
+      stands for;
+    * families[s][t]: the key of type t on slice s, so that families[s]
+      lists the keys whose ic rows bind each other;
+    * weights[s]: the participation weight the zero type's key carries
+      on slice s in a regular dual;
+    * masses[key]: the payment coefficient a regular dual meets there.
+
+    DS keys are profile ranks, with opponent masses as weights and
+    profile masses as masses.  BAYES keys are own types: every slice
+    shares the one family of all types at unit weight, and the masses
+    are the buyer's own."""
+    if form == DS:
+        return (
+            instance.positions[i],
+            instance.ranks[i],
+            instance.mu_minus_by_slice[i],
+            instance.mu_by_rank,
+        )
+    k = instance.sizes[i]
+    slices = instance.profile_count // k
+    return (
+        tuple((t, 0) for t in range(k)),
+        (range(k),) * slices,
+        (Fraction(1),) * slices,
+        instance.probs[i],
+    )
+
+
+def key_flows(zeta_i, eta_i, family, t):
+    """Weights of one buyer's multipliers at the key of type t in family
+    (see multiplier_keys): held (the key's participation weight plus
+    every "true t, report t2" multiplier) and the nonzero "true t2,
+    report t" multipliers as (t2, weight) pairs.  Diagonal entries are
+    ignored."""
+    key = family[t]
+    held, inflow = eta_i[key], []
+    for t2, (out, key2) in enumerate(zip(zeta_i[key], family)):
         if t2 != t:
-            if o:
-                held += o
+            if out:
+                held += out
+            w = zeta_i[key2][t]
             if w:
                 inflow.append((t2, w))
     return held, inflow
 
 
 def flow_psi(held, inflow) -> Fraction:
-    """The payment coefficient psi (Bayesian: psibar) from dual_flows."""
+    """The payment coefficient psi (Bayesian: psibar) from key_flows."""
     for _, w in inflow:
         held -= w
     return held
@@ -753,20 +781,12 @@ def flow_psi(held, inflow) -> Fraction:
 
 def flow_phi(held, inflow, vecs, t, j) -> Fraction:
     """The expected virtual value phi_star (Bayesian: phibar_star) of
-    item j from dual_flows; vecs are the buyer's support vectors."""
+    item j from key_flows; vecs are the buyer's support vectors."""
     total = held * vecs[t][j] if vecs[t][j] else Fraction(0)
     for t2, w in inflow:
         if vecs[t2][j]:
             total -= w * vecs[t2][j]
     return total
-
-
-def ds_flows(instance: Instance, zeta, eta, i: int, r: int):
-    """dual_flows of buyer i at the profile of rank r of a DS dual."""
-    t, s = instance.positions[i][r]
-    out = [row[s] for row in zeta[i][t]]
-    into = [row[t][s] for row in zeta[i]]
-    return dual_flows(eta[i][r], out, into, t)
 
 
 def ds_dual_from_multipliers(
@@ -778,8 +798,8 @@ def ds_dual_from_multipliers(
     for i in range(instance.n):
         alpha_i = [[None] * instance.profile_count for _ in range(instance.m)]
         beta_i = []
-        for r, (t, _) in enumerate(instance.positions[i]):
-            held, inflow = ds_flows(instance, zeta, eta, i, r)
+        for r, (t, s) in enumerate(instance.positions[i]):
+            held, inflow = key_flows(zeta[i], eta[i], instance.ranks[i][s], t)
             for j, col in enumerate(alpha_i):
                 col[r] = xi[j][r] - flow_phi(held, inflow, vecs_of[i], t, j)
             beta_i.append(flow_psi(held, inflow) - mu[r])
@@ -802,8 +822,7 @@ def bayes_dual_from_multipliers(
         vecs = instance.supports[i]
         phis, psis = [], []
         for t in range(k):
-            into = [row[t] for row in zeta[i]]
-            held, inflow = dual_flows(eta[i][t], zeta[i][t], into, t)
+            held, inflow = key_flows(zeta[i], eta[i], range(k), t)
             phis.append([flow_phi(held, inflow, vecs, t, j) for j in range(m)])
             psis.append(flow_psi(held, inflow))
         alpha_i = [[None] * instance.profile_count for _ in range(m)]
@@ -818,6 +837,12 @@ def bayes_dual_from_multipliers(
     return DualSolutionBayes(
         zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta)
     )
+
+
+def dual_from_multipliers(instance: Instance, form: str, zeta, eta, xi) -> DualSolution:
+    """The dual solution of the given form with these multipliers."""
+    assemble = ds_dual_from_multipliers if form == DS else bayes_dual_from_multipliers
+    return assemble(instance, zeta, eta, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +860,11 @@ class VirtualValueTable:
     form: str
     values: tuple
 
-    def entry(self, instance: Instance, i: int, j: int, profile: Profile):
-        return self.values[i][j][instance.rank(profile)]
-
 
 @dataclass(frozen=True)
 class RevenueReport:
-    """The three optimal revenues with exact equality flags."""
+    """The three optimal revenues with exact equality flags.  Any
+    ordering other than brev >= drev >= srev raises NotOptimal."""
 
     brev: Fraction
     drev: Fraction
@@ -854,7 +877,7 @@ class RevenueReport:
 
     def __post_init__(self):
         if not (self.brev >= self.drev >= self.srev):
-            raise AssertionError(
+            raise NotOptimal(
                 "revenue ordering violated: "
                 f"brev={rat_str(self.brev)} drev={rat_str(self.drev)} "
                 f"srev={rat_str(self.srev)}"

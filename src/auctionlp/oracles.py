@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, ScaleLimit
@@ -345,11 +346,17 @@ def gen_instance(spec: Mapping, seed: int, cap: int = 256) -> Instance:
         raise DimensionMismatch("support sizes must be positive")
     if iid and len(set(per_buyer)) != 1:
         raise DimensionMismatch("iid generation needs one shared support size")
+    joint = correlated or m == 1
+    # a joint buyer draws support + 1 vectors, a product buyer that many
+    # values per item
+    total_profiles = prod((s + 1) ** (1 if joint else m) for s in per_buyer)
+    if total_profiles > cap:
+        raise ScaleLimit(f"{total_profiles} profiles exceed the cap {cap}")
 
     rng = random.Random(seed)
 
     def one_buyer(support: int):
-        if correlated or m == 1:
+        if joint:
             return _joint_buyer(rng, m, support, value_range, denominator)
         return _product_buyer(rng, m, support, value_range, denominator)
 
@@ -359,12 +366,6 @@ def gen_instance(spec: Mapping, seed: int, cap: int = 256) -> Instance:
         buyers = [shared] * n
     else:
         buyers = [one_buyer(s) for s in per_buyer]
-
-    total_profiles = 1
-    for vectors, _ in buyers:
-        total_profiles *= len(vectors)
-    if total_profiles > cap:
-        raise ScaleLimit(f"{total_profiles} profiles exceed the cap {cap}")
 
     return validate_instance(
         {

@@ -1,5 +1,8 @@
 """Complementary slackness ledgers, dual regularization, and virtual
-values derived from regularized optimal duals."""
+values derived from regularized optimal duals.
+
+Both forms share one dual format (see model.multiplier_keys), so each
+step below has one body; the public functions of each form enter it."""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ from .errors import InfeasibleInput, MissingZeroType, NotOptimal, NotRegular
 from .model import (
     BAYES,
     DS,
+    DualSolution,
     DualSolutionBayes,
     DualSolutionDS,
     Instance,
@@ -17,12 +21,12 @@ from .model import (
     NEG_INF,
     PrimalSlacks,
     VirtualValueTable,
-    bayes_dual_from_multipliers,
-    ds_dual_from_multipliers,
-    ds_flows,
+    dual_from_multipliers,
     flow_phi,
     flow_psi,
+    key_flows,
     mechanism_slacks,
+    multiplier_keys,
 )
 
 __all__ = [
@@ -65,13 +69,6 @@ class GapLedger:
         return self.gap == 0
 
 
-def _require_feasible_pair(slacks: PrimalSlacks, dual) -> None:
-    if slacks.min_entry() < 0:
-        raise InfeasibleInput("primal slacks contain a negative entry")
-    if not dual.is_feasible():
-        raise InfeasibleInput("dual solution violates feasibility")
-
-
 def check_cs_ds(
     instance: Instance,
     mechanism: Mechanism,
@@ -81,19 +78,7 @@ def check_cs_ds(
     """Pair every slack with its multiplier; the five family sums add up
     to obj(dual) - obj(primal) exactly, and vanish iff both sides are
     optimal."""
-    if slacks is None:
-        slacks = mechanism_slacks(instance, mechanism)
-    _require_feasible_pair(slacks, dual)
-    ic = Fraction(0)
-    for i, k in enumerate(instance.sizes):
-        zeta = dual.zeta[i]
-        for r, (t, s) in enumerate(instance.positions[i]):
-            margins = slacks.a[i][r]
-            for t2 in range(k):
-                if t2 != t and zeta[t][t2][s] and margins[t2]:
-                    ic += margins[t2] * zeta[t][t2][s]
-    ir = _products(zip(slacks.b, dual.eta))
-    return _ledger(instance, mechanism, dual, slacks, ic, ir)
+    return _check_cs(instance, mechanism, dual, slacks)
 
 
 def check_cs_bayes(
@@ -102,17 +87,38 @@ def check_cs_bayes(
     dual: DualSolutionBayes,
     slacks: PrimalSlacks | None = None,
 ) -> GapLedger:
+    """check_cs_ds for the Bayesian form."""
+    return _check_cs(instance, mechanism, dual, slacks)
+
+
+def _check_cs(instance, mechanism, dual, slacks) -> GapLedger:
+    """The ledger of either form: the slacks' a and b are keyed like the
+    dual's zeta and eta."""
     if slacks is None:
         slacks = mechanism_slacks(instance, mechanism)
-    _require_feasible_pair(slacks, dual)
-    ic = Fraction(0)
-    for margins_i, zeta_i in zip(slacks.a, dual.zeta):
-        for t, (margins, zeta) in enumerate(zip(margins_i, zeta_i)):
-            for t2, (a, z) in enumerate(zip(margins, zeta)):
-                if t2 != t and a and z:
-                    ic += a * z
-    ir = _products(zip(slacks.b, dual.eta))
-    return _ledger(instance, mechanism, dual, slacks, ic, ir)
+    if slacks.min_entry() < 0:
+        raise InfeasibleInput("primal slacks contain a negative entry")
+    if not dual.is_feasible():
+        raise InfeasibleInput("dual solution violates feasibility")
+    ledger = GapLedger(
+        ic=_products(
+            pair for a_i, zeta_i in zip(slacks.a, dual.zeta) for pair in zip(a_i, zeta_i)
+        ),
+        ir=_products(zip(slacks.b, dual.eta)),
+        supply=_products(zip(slacks.c, dual.xi)),
+        alloc=_products(
+            (alpha, [row[i][j] for row in mechanism.alloc])
+            for i, alpha_i in enumerate(dual.alpha)
+            for j, alpha in enumerate(alpha_i)
+        ),
+        pay=_products(zip(dual.beta, zip(*mechanism.pay))),
+    )
+    gap = dual.objective() - mechanism.revenue(instance)
+    if ledger.gap != gap:
+        raise NotOptimal(
+            f"ledger gap {ledger.gap} does not reproduce the objective gap {gap}"
+        )
+    return ledger
 
 
 def _products(pairs) -> Fraction:
@@ -125,27 +131,8 @@ def _products(pairs) -> Fraction:
     return total
 
 
-def _ledger(instance, mechanism, dual, slacks, ic, ir) -> GapLedger:
-    """Complete the ledger with the three families both forms share, and
-    check that it reproduces the objective gap."""
-    supply = _products(zip(slacks.c, dual.xi))
-    alloc = _products(
-        (alpha, [row[i][j] for row in mechanism.alloc])
-        for i, alpha_i in enumerate(dual.alpha)
-        for j, alpha in enumerate(alpha_i)
-    )
-    pay = _products(zip(dual.beta, zip(*mechanism.pay)))
-    ledger = GapLedger(ic=ic, ir=ir, supply=supply, alloc=alloc, pay=pay)
-    gap = dual.objective() - mechanism.revenue(instance)
-    if ledger.gap != gap:
-        raise NotOptimal(
-            f"ledger gap {ledger.gap} does not reproduce the objective gap {gap}"
-        )
-    return ledger
-
-
 # ---------------------------------------------------------------------------
-# Regularization
+# Regularity
 
 
 def _zero_indices(instance: Instance) -> list[int]:
@@ -161,55 +148,46 @@ def _zero_indices(instance: Instance) -> list[int]:
 def ds_regularity_witness(instance: Instance, dual: DualSolutionDS):
     """None if the dual satisfies all three regularity conditions, else
     a (condition, indices) witness."""
-    zeros = _zero_indices(instance)
-    mu = instance.mu_by_rank
-    for i in range(instance.n):
-        weights, vecs = instance.mu_minus_by_slice[i], instance.supports[i]
-        for r, profile in enumerate(instance.profiles()):
-            t, s = instance.positions[i][r]
-            held, inflow = ds_flows(instance, dual.zeta, dual.eta, i, r)
-            if weights[s] == 0:
-                for j in range(instance.m):
-                    if flow_phi(held, inflow, vecs, t, j) != 0:
-                        return ("virtual", (i, j, profile))
-            if t != zeros[i]:
-                if dual.eta[i][r] != 0:
-                    return ("source", (i, profile))
-            elif dual.eta[i][r] != weights[s]:
-                return ("source", (i, profile))
-            if flow_psi(held, inflow) != mu[r]:
-                return ("trans", (i, profile))
-    return None
+    return _regularity_witness(instance, dual, DS)
 
 
 def bayes_regularity_witness(instance: Instance, dual: DualSolutionBayes):
+    """ds_regularity_witness for the Bayesian form."""
+    return _regularity_witness(instance, dual, BAYES)
+
+
+def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
+    """Per key: no virtual value on a zero-mass slice ("virtual"),
+    participation weight only on the zero type and there exactly the
+    slice's weight ("source"), and the payment coefficient equal to the
+    key's mass ("trans").  DS keys are named by profile, BAYES keys by
+    type."""
     zeros = _zero_indices(instance)
-    for i in range(instance.n):
-        for t in range(instance.sizes[i]):
-            if t != zeros[i]:
-                if dual.eta[i][t] != 0:
-                    return ("source", (i, t))
-            elif dual.eta[i][t] != 1:
-                return ("source", (i, t))
-            if dual.psibar(instance, i, t) != instance.mu_i(i, t):
-                return ("trans", (i, t))
+    profiles = list(instance.profiles())
+    for i, t0 in enumerate(zeros):
+        positions, families, weights, masses = multiplier_keys(instance, form, i)
+        names = profiles if form == DS else range(len(positions))
+        vecs = instance.supports[i]
+        zeta_i, eta_i = dual.zeta[i], dual.eta[i]
+        for key, (t, s) in enumerate(positions):
+            held, inflow = key_flows(zeta_i, eta_i, families[s], t)
+            if weights[s] == 0:
+                for j in range(instance.m):
+                    if flow_phi(held, inflow, vecs, t, j) != 0:
+                        return ("virtual", (i, j, names[key]))
+            if eta_i[key] != (weights[s] if t == t0 else 0):
+                return ("source", (i, names[key]))
+            if flow_psi(held, inflow) != masses[key]:
+                return ("trans", (i, names[key]))
     return None
 
 
-def _as_lists_ds(zeta):
-    return [
-        [[list(col) for col in row] for row in buyer] for buyer in zeta
-    ]
-
-
-def _freeze_ds(zeta):
-    return tuple(
-        tuple(tuple(tuple(col) for col in row) for row in buyer) for buyer in zeta
-    )
+# ---------------------------------------------------------------------------
+# Regularization
 
 
 def regularize_ds(
-    instance: Instance, dual: DualSolutionDS, revenue: Fraction | None = None
+    instance: Instance, dual: DualSolutionDS, revenue: Fraction
 ) -> DualSolutionDS:
     """Rewrite an optimal dual so that participation weight sits only on
     the zero type and the payment coefficient meets mu(v) exactly.
@@ -221,97 +199,57 @@ def regularize_ds(
     are preserved; all three regularity conditions are verified before
     returning.
     """
-    if not dual.is_feasible():
-        raise InfeasibleInput("dual solution violates feasibility")
-    if revenue is None:
-        from .auction import drev
-
-        revenue = drev(instance)
-    if dual.objective() != revenue:
-        raise NotOptimal("dual objective does not match the optimal revenue")
-    zeros = _zero_indices(instance)
-
-    zeta = _as_lists_ds(dual.zeta)
-    eta = [list(row) for row in dual.eta]
-    for i in range(instance.n):
-        for s, ranks in enumerate(instance.ranks[i]):
-            if instance.mu_minus_by_slice[i][s] != 0:
-                continue
-            for t, r in enumerate(ranks):
-                for t2 in range(instance.sizes[i]):
-                    if t2 != t:
-                        zeta[i][t][t2][s] = Fraction(0)
-                eta[i][r] = Fraction(0)
-
-    frozen = ds_dual_from_multipliers(
-        instance, _freeze_ds(zeta), tuple(tuple(row) for row in eta), dual.xi
-    )
-    for i in range(instance.n):
-        t0 = zeros[i]
-        weights = instance.mu_minus_by_slice[i]
-        for s, ranks in enumerate(instance.ranks[i]):
-            for t, r in enumerate(ranks):
-                if t == t0:
-                    continue
-                zeta[i][t][t0][s] = frozen.zeta[i][t][t0][s] + frozen.eta[i][r]
-                zeta[i][t0][t][s] = frozen.zeta[i][t0][t][s] + frozen.beta[i][r]
-                eta[i][r] = Fraction(0)
-            eta[i][ranks[t0]] = weights[s]
-
-    result = ds_dual_from_multipliers(
-        instance, _freeze_ds(zeta), tuple(tuple(row) for row in eta), dual.xi
-    )
-    if not result.is_feasible():
-        raise NotRegular("regularized dual lost feasibility")
-    if result.objective() != revenue:
-        raise NotRegular("regularized dual changed the objective")
-    witness = ds_regularity_witness(instance, result)
-    if witness is not None:
-        raise NotRegular(f"regularity condition failed: {witness}")
-    return result
+    return _regularize(instance, dual, revenue, DS)
 
 
 def regularize_bayes(
-    instance: Instance, dual: DualSolutionBayes, revenue: Fraction | None = None
+    instance: Instance, dual: DualSolutionBayes, revenue: Fraction
 ) -> DualSolutionBayes:
     """Bayesian mirror of regularize_ds: per buyer, eta at a nonzero
     type moves onto zeta(t, 0), the payment-coefficient surplus
     psibar(t) - mu_i(t) moves onto zeta(0, t), and eta becomes the unit
     mass at the zero type."""
+    return _regularize(instance, dual, revenue, BAYES)
+
+
+def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form: str):
     if not dual.is_feasible():
         raise InfeasibleInput("dual solution violates feasibility")
-    if revenue is None:
-        from .auction import brev
-
-        revenue = brev(instance)
     if dual.objective() != revenue:
         raise NotOptimal("dual objective does not match the optimal revenue")
     zeros = _zero_indices(instance)
-
-    zeta = [[list(row) for row in buyer] for buyer in dual.zeta]
-    eta = [list(row) for row in dual.eta]
-    for i in range(instance.n):
-        t0 = zeros[i]
-        for t in range(instance.sizes[i]):
-            if t == t0:
+    zeta, eta = [], []
+    for i, (k, t0) in enumerate(zip(instance.sizes, zeros)):
+        positions, families, weights, masses = multiplier_keys(instance, form, i)
+        zeta_i = [list(row) for row in dual.zeta[i]]
+        eta_i = list(dual.eta[i])
+        for key, (_, s) in enumerate(positions):
+            if not weights[s]:
+                zeta_i[key] = [Fraction(0)] * k
+                eta_i[key] = Fraction(0)
+        # Each family once, through its zero type's key.  Moving type t
+        # writes only zeta(t, 0) and zeta(0, t), which no later type's
+        # flows read, so the moves can run in place.
+        for key0, (own, s) in enumerate(positions):
+            if own != t0:
                 continue
-            surplus = dual.psibar(instance, i, t) - instance.mu_i(i, t)
-            zeta[i][t][t0] += dual.eta[i][t]
-            zeta[i][t0][t] += surplus
-            eta[i][t] = Fraction(0)
-        eta[i][t0] = Fraction(1)
-
-    result = bayes_dual_from_multipliers(
-        instance,
-        tuple(tuple(tuple(row) for row in buyer) for buyer in zeta),
-        tuple(tuple(row) for row in eta),
-        dual.xi,
-    )
+            family = families[s]
+            for t, key in enumerate(family):
+                if t == t0:
+                    continue
+                surplus = flow_psi(*key_flows(zeta_i, eta_i, family, t)) - masses[key]
+                zeta_i[key][t0] += eta_i[key]
+                zeta_i[key0][t] += surplus
+                eta_i[key] = Fraction(0)
+            eta_i[key0] = weights[s]
+        zeta.append(tuple(map(tuple, zeta_i)))
+        eta.append(tuple(eta_i))
+    result = dual_from_multipliers(instance, form, tuple(zeta), tuple(eta), dual.xi)
     if not result.is_feasible():
         raise NotRegular("regularized dual lost feasibility")
     if result.objective() != revenue:
         raise NotRegular("regularized dual changed the objective")
-    witness = bayes_regularity_witness(instance, result)
+    witness = _regularity_witness(instance, result, form)
     if witness is not None:
         raise NotRegular(f"regularity condition failed: {witness}")
     return result
@@ -330,37 +268,7 @@ def virtual_values_ds(instance: Instance, dual: DualSolutionDS) -> VirtualValueT
     convention, as do zero-mass nonzero own types; the zero type at
     zero mass against a mass-bearing slice is -inf.
     """
-    witness = ds_regularity_witness(instance, dual)
-    if witness is not None:
-        raise NotRegular(f"dual is not regular: {witness}")
-    zeros = _zero_indices(instance)
-    mu = instance.mu_by_rank
-    values = []
-    for i in range(instance.n):
-        weights, vecs = instance.mu_minus_by_slice[i], instance.supports[i]
-        per_item = [[None] * instance.profile_count for _ in range(instance.m)]
-        for r, (t, s) in enumerate(instance.positions[i]):
-            w = mu[r]
-            if not w:
-                entry = NEG_INF if weights[s] and t == zeros[i] else Fraction(0)
-                for col in per_item:
-                    col[r] = entry
-                continue
-            held, inflow = ds_flows(instance, dual.zeta, dual.eta, i, r)
-            for j, col in enumerate(per_item):
-                vt = vecs[t][j]
-                total = Fraction(0)
-                for t2, z in inflow:
-                    total += z * (vt - vecs[t2][j])
-                phi = vt + total / w
-                if phi * w != flow_phi(held, inflow, vecs, t, j):
-                    raise NotRegular(
-                        f"virtual value {phi} times mass {w} misses phi_star "
-                        f"at buyer {i}, item {j}, profile rank {r}"
-                    )
-                col[r] = phi
-        values.append(tuple(map(tuple, per_item)))
-    return VirtualValueTable(form=DS, values=tuple(values))
+    return _virtual_values(instance, dual, DS)
 
 
 def virtual_values_bayes(
@@ -368,45 +276,48 @@ def virtual_values_bayes(
 ) -> VirtualValueTable:
     """Per-type virtual values of a regular Bayesian dual, broadcast
     across opponent profiles so the table is constant in v_{-i}."""
-    witness = bayes_regularity_witness(instance, dual)
+    return _virtual_values(instance, dual, BAYES)
+
+
+def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> VirtualValueTable:
+    """One entry per key, read out at every profile of the key."""
+    witness = _regularity_witness(instance, dual, form)
     if witness is not None:
         raise NotRegular(f"dual is not regular: {witness}")
     zeros = _zero_indices(instance)
     values = []
-    for i in range(instance.n):
-        per_type = []
-        for t in range(instance.sizes[i]):
-            w = instance.mu_i(i, t)
+    for i, t0 in enumerate(zeros):
+        positions, families, weights, masses = multiplier_keys(instance, form, i)
+        vecs = instance.supports[i]
+        per_key = []
+        for key, (t, s) in enumerate(positions):
+            w = masses[key]
+            if not w:
+                entry = NEG_INF if weights[s] and t == t0 else Fraction(0)
+                per_key.append((entry,) * instance.m)
+                continue
+            held, inflow = key_flows(dual.zeta[i], dual.eta[i], families[s], t)
             row = []
             for j in range(instance.m):
-                if w:
-                    vt = instance.value(i, t)[j]
-                    total = Fraction(0)
-                    for t2 in range(instance.sizes[i]):
-                        if t2 == t:
-                            continue
-                        total += dual.zeta[i][t2][t] * (
-                            vt - instance.value(i, t2)[j]
-                        )
-                    phi = vt + total / w
-                    if phi * w != dual.phibar_star(instance, i, j, t):
-                        raise NotRegular(
-                            f"virtual value {phi} times mass {w} misses "
-                            f"phibar_star at buyer {i}, item {j}, type {t}"
-                        )
-                    row.append(phi)
-                elif t == zeros[i]:
-                    row.append(NEG_INF)
-                else:
-                    row.append(Fraction(0))
-            per_type.append(row)
+                vt = vecs[t][j]
+                total = Fraction(0)
+                for t2, z in inflow:
+                    total += z * (vt - vecs[t2][j])
+                phi = vt + total / w
+                if phi * w != flow_phi(held, inflow, vecs, t, j):
+                    raise NotRegular(
+                        f"virtual value {phi} times mass {w} misses the expected "
+                        f"virtual value at buyer {i}, item {j}, key {key}"
+                    )
+                row.append(phi)
+            per_key.append(row)
         values.append(
             tuple(
-                tuple(per_type[t][j] for t, _ in instance.positions[i])
+                tuple(per_key[families[s][t]][j] for t, s in instance.positions[i])
                 for j in range(instance.m)
             )
         )
-    return VirtualValueTable(form=BAYES, values=tuple(values))
+    return VirtualValueTable(form=form, values=tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from auctionlp.analysis import (
     srev_breakdown,
     tight_downward_dual,
 )
-from auctionlp.auction import BAYES, DS, extract_dual, solve_form
+from auctionlp.auction import BAYES, DS, drev, extract_dual, solve_form
 from auctionlp.errors import NotAgentIndependent, NotOptimal
 from auctionlp.model import (
     NEG_INF,
@@ -78,7 +78,7 @@ def test_tight_dual_reaches_zero_excess(u12, u123, pair12, items12):
         dual, excess = tight_downward_dual(instance)
         assert excess == 0
         assert dual.is_feasible()
-        reg = regularize_ds(instance, dual)
+        reg = regularize_ds(instance, dual, revenue=drev(instance))
         table = virtual_values_ds(instance, reg)
         assert check_ubvv(table, instance).ok
 
@@ -86,11 +86,12 @@ def test_tight_dual_reaches_zero_excess(u12, u123, pair12, items12):
 def test_tight_dual_frozen_small_uniform(u12):
     dual, excess = tight_downward_dual(u12, revenue=F(1))
     assert excess == 0
+    # one buyer: type t sits at the profile of rank t
     nonzero = {
-        (t, t2): dual.zeta[0][t][t2][0]
+        (t, t2): dual.zeta[0][t][t2]
         for t in range(3)
         for t2 in range(3)
-        if dual.zeta[0][t][t2][0]
+        if dual.zeta[0][t][t2]
     }
     assert nonzero == {(1, 0): F(1), (2, 1): F(1, 2)}
     assert dual.eta[0] == (F(1), F(0), F(0))
@@ -115,7 +116,15 @@ def test_tight_dual_is_pinned():
         instance = gen_instance({"n": n, "m": m, "support": support, "iid": True}, seed)
         dual, got = tight_downward_dual(instance)
         assert got == F(excess)
-        text = repr((dual.zeta, dual.eta, dual.xi))
+        # hashed in the nesting zeta[i][t][t2][s] of earlier releases
+        zeta = tuple(
+            tuple(
+                tuple(tuple(dual.zeta[i][r][t2] for r in ranks) for t2 in range(k))
+                for ranks in zip(*instance.ranks[i])
+            )
+            for i, k in enumerate(instance.sizes)
+        )
+        text = repr((zeta, dual.eta, dual.xi))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -137,16 +146,13 @@ def test_witness_dual_is_agent_independent(pair12):
 
 def doctored_slice_dual(pair12):
     witness = bic_to_dsic_dual(pair12, bayes_regular(pair12))
-    zeta = [
-        [[list(col) for col in row] for row in buyer] for buyer in witness.zeta
-    ]
+    zeta = [[list(row) for row in buyer] for buyer in witness.zeta]
     # a matched pair of bumps keeps every psi row intact, so the dual
     # stays regular while one opponent slice drifts away
-    zeta[0][1][0][2] += F(1, 8)
-    zeta[0][0][1][2] += F(1, 8)
-    frozen = tuple(
-        tuple(tuple(tuple(col) for col in row) for row in buyer) for buyer in zeta
-    )
+    ranks = pair12.ranks[0][2]
+    zeta[0][ranks[1]][0] += F(1, 8)
+    zeta[0][ranks[0]][1] += F(1, 8)
+    frozen = tuple(tuple(tuple(row) for row in buyer) for buyer in zeta)
     return ds_dual_from_multipliers(pair12, frozen, witness.eta, witness.xi)
 
 

@@ -173,6 +173,41 @@ def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
         extract_dual(u12, stray, DS)
 
 
+# Both forms share one dual format: zeta[i][key][t2] and eta[i][key] are
+# keyed like the primal's ic and ir rows, by profile rank (DS) or own type
+# (BAYES).
+FORMAT_CASES = [
+    ({"n": 2, "m": 1, "support": 2}, 3),
+    ({"n": 3, "m": 1, "support": 1}, 1),
+    ({"n": 2, "m": 2, "support": 1}, 2),
+    ({"n": 2, "m": 2, "support": 1, "correlated": False}, 4),
+    ({"n": 1, "m": 2, "support": 3}, 0),
+]
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_dual_is_keyed_like_the_primal_rows(form):
+    nonzero = 0
+    for spec, seed in FORMAT_CASES:
+        instance = gen_instance(spec, seed)
+        cert = solve_form(instance, form)
+        dual = extract_dual(instance, cert, form)
+        layout = cert.layout
+        for i, k in enumerate(instance.sizes):
+            keys = instance.profile_count if form == DS else k
+            assert len(dual.eta[i]) == len(dual.zeta[i]) == keys
+            for key in range(keys):
+                assert dual.eta[i][key] == cert.dual[layout.eta(i, key)]
+                t, s = instance.positions[i][key] if form == DS else (key, 0)
+                assert dual.zeta[i][key][t] == 0
+                for t2 in range(k):
+                    if t2 != t:
+                        value = cert.dual[layout.zeta(i, t, t2, s)]
+                        assert dual.zeta[i][key][t2] == value
+                        nonzero += value != 0
+    assert nonzero > 0
+
+
 # -- extension beyond the support -------------------------------------------
 
 

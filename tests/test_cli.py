@@ -238,6 +238,33 @@ def test_profile_cap_is_enforced(pair_path, capsys):
     assert main(["solve", pair_path, "--caps", "9"]) == 0
 
 
+def test_caps_below_one_is_invalid_input(u12_path, capsys):
+    for argv in (
+        ["solve", u12_path, "--caps", "-1"],
+        ["validate", u12_path, "--caps", "0"],
+        ["characterize", "--gen", "n=2,m=1,support=2", "--caps", "0"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "DimensionMismatch: --caps must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def test_gen_cap_is_checked_before_drawing(capsys, monkeypatch):
+    import auctionlp.oracles as oracles
+
+    # 2^40 product vectors: drawing even one such buyer would not finish
+    def refused(*args):
+        raise AssertionError("a buyer was drawn past the cap")
+
+    monkeypatch.setattr(oracles, "_product_buyer", refused)
+    assert main(["characterize", "--gen", "n=1,m=40,correlated=0,support=1"]) == 4
+    captured = capsys.readouterr()
+    assert "ScaleLimit: 1099511627776 profiles exceed the cap 256" in captured.err
+    assert captured.out == ""
+
+
 def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch):
     from fractions import Fraction
 

@@ -70,15 +70,17 @@ def _random_multipliers(instance, form, rng):
 
     count = instance.profile_count
     if form == DS:
-        zeta = tuple(
-            tuple(
-                tuple(
-                    tuple(F(0) if t2 == t else q() for _ in range(count // k))
-                    for t2 in range(k)
-                )
+        # drawn in the order (t, t2, s), then keyed by profile rank
+        draws = [
+            [
+                [[F(0) if t2 == t else q() for _ in range(count // k)] for t2 in range(k)]
                 for t in range(k)
-            )
+            ]
             for k in instance.sizes
+        ]
+        zeta = tuple(
+            tuple(tuple(row[s] for row in draws[i][t]) for t, s in positions)
+            for i, positions in enumerate(instance.positions)
         )
         eta = tuple(tuple(q() for _ in range(count)) for _ in instance.sizes)
     else:

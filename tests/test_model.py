@@ -12,6 +12,7 @@ from auctionlp.errors import (
     MissingZeroType,
     NegativeValue,
     NonUnitMass,
+    NotOptimal,
     ZeroMassNonzeroType,
 )
 from auctionlp.model import (
@@ -286,7 +287,7 @@ def test_make_revenue_report_flags():
 
 
 def test_revenue_report_rejects_bad_ordering():
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotOptimal, match="revenue ordering violated"):
         RevenueReport(
             brev=Fraction(1),
             drev=Fraction(2),

@@ -145,11 +145,12 @@ def test_regularize_ds_frozen_small_uniform(u12):
     assert reg.objective() == cert.objective == 1
     assert reg.is_feasible()
     assert ds_regularity_witness(u12, reg) is None
+    # one buyer: type t sits at the profile of rank t
     nonzero = {
-        (t, t2): reg.zeta[0][t][t2][0]
+        (t, t2): reg.zeta[0][t][t2]
         for t in range(3)
         for t2 in range(3)
-        if reg.zeta[0][t][t2][0]
+        if reg.zeta[0][t][t2]
     }
     assert nonzero == {(1, 0): F(1), (2, 1): F(1, 2)}
     assert reg.eta[0] == (F(1), F(0), F(0))
@@ -193,14 +194,8 @@ def test_regularize_bayes_round_trip(pair12):
 
 def zeros_like_zeta(instance):
     return [
-        [
-            [
-                [F(0) for _ in instance.others_profiles(i)]
-                for _ in range(instance.sizes[i])
-            ]
-            for _ in range(instance.sizes[i])
-        ]
-        for i in range(instance.n)
+        [[F(0) for _ in range(k)] for _ in range(instance.profile_count)]
+        for k in instance.sizes
     ]
 
 
@@ -213,7 +208,7 @@ def frozen(nested):
 def test_witness_detects_virtual_on_zero_mass_slice(pair12):
     zeta = zeros_like_zeta(pair12)
     s0 = pair12.others_rank(0, (0,))
-    zeta[0][1][0][s0] = F(1)
+    zeta[0][pair12.ranks[0][s0][1]][0] = F(1)
     eta = tuple(tuple(F(0) for _ in pair12.profiles()) for _ in range(2))
     xi = ((F(0),) * pair12.profile_count,)
     dual = ds_dual_from_multipliers(pair12, frozen(zeta), eta, xi)
@@ -227,7 +222,7 @@ def test_witness_detects_source(u12):
     # eta weight parked on a nonzero type; zeta keeps psi right at the
     # zero type so the source condition is the first to fail
     zeta = zeros_like_zeta(u12)
-    zeta[0][1][0][0] = F(1)
+    zeta[0][1][0] = F(1)
     eta = ((F(1), F(1), F(0)),)
     xi = ((F(0), F(0), F(0)),)
     dual = ds_dual_from_multipliers(u12, frozen(zeta), eta, xi)
