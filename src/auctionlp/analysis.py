@@ -24,8 +24,7 @@ from .model import (
     Instance,
     RevenueReport,
     VirtualValueTable,
-    bayes_dual_from_multipliers,
-    ds_dual_from_multipliers,
+    dual_from_multipliers,
     make_revenue_report,
     rat_str,
     validate_instance,
@@ -234,7 +233,7 @@ def bic_to_dsic_dual(
         tuple(dual.eta[i][t] * weights[i][s] for t, s in positions)
         for i, positions in enumerate(instance.positions)
     )
-    return _mapped(ds_dual_from_multipliers(instance, zeta, eta, dual.xi), dual)
+    return _mapped(dual_from_multipliers(instance, DS, zeta, eta, dual.xi), dual)
 
 
 def _mapped(result, dual):
@@ -264,7 +263,7 @@ def dsic_to_bic_dual(
         zeta.append(tuple(tuple(z / wref for z in dual.zeta[i][r]) for r in base))
         eta.append(tuple(dual.eta[i][r] / wref for r in base))
     return _mapped(
-        bayes_dual_from_multipliers(instance, tuple(zeta), tuple(eta), dual.xi), dual
+        dual_from_multipliers(instance, BAYES, tuple(zeta), tuple(eta), dual.xi), dual
     )
 
 

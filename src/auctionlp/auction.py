@@ -1,11 +1,13 @@
 """Builders for the four auction programs and certificate round-trips.
 
 A ProgramLayout holds the structure of a primal program: where each
-variable and constraint sits.  The builders place rows and columns at
-its indices, and extraction reads certificate values back at the same
-indices.  Every program and certificate carries the layout it was
-built with.  A dual program is the transpose of its primal (dual_of),
-so its columns and rows keep the primal's indices.
+variable and constraint sits.  One builder serves both forms: each
+opponent slice adds its scaled dominant-strategy rows into the rows of
+its keys (see model.multiplier_keys), at the layout's indices, and
+extraction reads certificate values back at the same indices.  Every
+program and certificate carries the layout it was built with.  A dual
+program is the transpose of its primal (dual_of), so its columns and
+rows keep the primal's indices.
 
 Labels are only a rendering of the layout, used to name components in
 certificate documents; programs and certificates hold none.  Their
@@ -49,7 +51,7 @@ from .model import (
     Instance,
     Mechanism,
     PrimalSlacks,
-    _interim_rows,
+    _key_rows,
     _utility,
     dual_from_multipliers,
     mechanism_feasible,
@@ -59,6 +61,7 @@ from .model import (
     rank_strides,
     rat,
     rat_str,
+    read_json,
 )
 from .virtual import check_cs_bayes, check_cs_ds
 
@@ -207,85 +210,63 @@ def _layout(instance: Instance, form: str, side: str) -> ProgramLayout:
 # Primal builders
 
 
-def _primal_start(instance: Instance, form: str):
-    """Layout, objective, rows and right-hand sides of a primal program
-    with its supply rows in place; payment columns carry the objective
-    weight mu(v)."""
+def _build_primal(instance: Instance, form: str) -> LinearProgram:
+    """max sum_v mu(v) sum_i p_i(v) subject to truthfulness (one row per
+    buyer, key and deviation report), participation (one row per buyer
+    and key), and unit supply of each item at each profile.
+
+    Keys are profile ranks (DS) or own types (BAYES); see
+    multiplier_keys.  Each opponent slice of nonzero scale appends its
+    scaled dominant-strategy rows to the rows of its keys."""
     layout = _layout(instance, form, PRIMAL)
+    x, p, m = layout.x, layout.p, instance.m
     nrows, ncols = layout.shape
     c = [Fraction(0)] * ncols
-    rows = [None] * nrows
+    rows = [[] for _ in range(nrows)]
     b = [Fraction(0)] * nrows
     for r, w in enumerate(instance.mu_by_rank):
         for i in range(instance.n):
-            c[layout.p(i, r)] = w
-        for j in range(instance.m):
-            rows[layout.xi(j, r)] = [
-                (layout.x(i, j, r), Fraction(1)) for i in range(instance.n)
-            ]
+            c[p(i, r)] = w
+        for j in range(m):
+            rows[layout.xi(j, r)] = [(x(i, j, r), Fraction(1)) for i in range(instance.n)]
             b[layout.xi(j, r)] = Fraction(1)
-    return layout, c, rows, b
+    for i, supports in enumerate(instance.supports):
+        _, families, _, _, scales = multiplier_keys(instance, form, i)
+        for s, (w, family, ranks) in enumerate(zip(scales, families, instance.ranks[i])):
+            if not w:
+                continue
+            vecs = supports if w == 1 else [[w * v for v in vec] for vec in supports]
+            neg = -w
+            for t, r in enumerate(ranks):
+                vec = vecs[t]
+                for t2, lr in enumerate(ranks):
+                    if t2 == t:
+                        continue
+                    # u_i at the lie minus u_i at the truth <= 0
+                    row = rows[layout.zeta(i, t, t2, s)]  # ic
+                    for j in range(m):
+                        if vec[j]:
+                            row.append((x(i, j, lr), vec[j]))
+                            row.append((x(i, j, r), -vec[j]))
+                    row.append((p(i, lr), neg))
+                    row.append((p(i, r), w))
+                row = rows[layout.eta(i, family[t])]  # ir
+                for j in range(m):
+                    if vec[j]:
+                        row.append((x(i, j, r), -vec[j]))
+                row.append((p(i, r), w))
+    return make_lp(MAX, c, rows, b, layout)
 
 
 def build_dslp(instance: Instance) -> LinearProgram:
-    """max sum_v mu(v) sum_i p_i(v) subject to per-profile truthfulness
-    (one row per buyer, profile, and deviation report), per-profile
-    participation, and unit supply of each item at each profile."""
-    layout, c, rows, b = _primal_start(instance, DS)
-    x, p = layout.x, layout.p
-    for i in range(instance.n):
-        for r, (t, s) in enumerate(instance.positions[i]):
-            vec = instance.value(i, t)
-            for t2 in range(instance.sizes[i]):
-                if t2 == t:
-                    continue
-                lr = instance.ranks[i][s][t2]
-                # u_i at the lie minus u_i at the truth <= 0
-                row = []
-                for j in range(instance.m):
-                    if vec[j]:
-                        row.append((x(i, j, lr), vec[j]))
-                        row.append((x(i, j, r), -vec[j]))
-                row.append((p(i, lr), Fraction(-1)))
-                row.append((p(i, r), Fraction(1)))
-                rows[layout.zeta(i, t, t2, s)] = row  # ic
-            row = [(x(i, j, r), -vec[j]) for j in range(instance.m) if vec[j]]
-            row.append((p(i, r), Fraction(1)))
-            rows[layout.eta(i, r)] = row  # ir
-    return make_lp(MAX, c, rows, b, layout)
+    """The dominant-strategy primal: one ic and ir row per profile."""
+    return _build_primal(instance, DS)
 
 
 def build_blp(instance: Instance) -> LinearProgram:
-    """Same variables as build_dslp; truthfulness and participation rows
-    are weighted by mu_{-i} and indexed by own type only."""
-    layout, c, rows, b = _primal_start(instance, BAYES)
-    x, p = layout.x, layout.p
-    for i in range(instance.n):
-        slices = [(s, w) for s, w in enumerate(instance.mu_minus_by_slice[i]) if w]
-        for t in range(instance.sizes[i]):
-            vec = instance.value(i, t)
-            for t2 in range(instance.sizes[i]):
-                if t2 == t:
-                    continue
-                row = []
-                for s, w in slices:
-                    r, lr = instance.ranks[i][s][t], instance.ranks[i][s][t2]
-                    for j in range(instance.m):
-                        if vec[j]:
-                            row.append((x(i, j, lr), w * vec[j]))
-                            row.append((x(i, j, r), -w * vec[j]))
-                    row.append((p(i, lr), -w))
-                    row.append((p(i, r), w))
-                rows[layout.zeta(i, t, t2)] = row  # ic
-            row = []
-            for s, w in slices:
-                r = instance.ranks[i][s][t]
-                for j in range(instance.m):
-                    if vec[j]:
-                        row.append((x(i, j, r), -w * vec[j]))
-                row.append((p(i, r), w))
-            rows[layout.eta(i, t)] = row  # ir
-    return make_lp(MAX, c, rows, b, layout)
+    """The Bayesian primal: one ic and ir row per own type, weighted by
+    the opponent mass mu_{-i}."""
+    return _build_primal(instance, BAYES)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +453,8 @@ def extend_bayes(instance: Instance, mechanism: Mechanism, query):
     query = _query(instance, query)
     alloc_rows, pay_row = [], []
     for i, vec in enumerate(query):
-        cells, prices = _interim_rows(instance, mechanism, i)
+        scales = multiplier_keys(instance, BAYES, i)[4]
+        cells, prices = _key_rows(instance, mechanism, i, scales, range(len(scales)))
         t = _member_index(instance, i, vec)
         if t is None:
             t = _best_report([_utility(vec, *row) for row in zip(cells, prices)])
@@ -573,5 +555,4 @@ def write_certificate(path, document: dict) -> None:
 
 
 def load_certificate(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    return read_json(path, LabelMismatch)

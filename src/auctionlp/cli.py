@@ -37,7 +37,7 @@ from .errors import (
     ZeroMassNonzeroType,
 )
 from .lp import CertificateError
-from .model import BAYES, DS, NEG_INF, load_instance, rat_str
+from .model import BAYES, DS, NEG_INF, load_instance, multiplier_keys, rat_str
 from .oracles import gen_instance
 from .virtual import (
     check_ubvv,
@@ -197,23 +197,18 @@ def cmd_virtuals(args) -> int:
     if form == DS:
         regular = regularize_ds(instance, dual, revenue=certificate.objective)
         table = virtual_values_ds(instance, regular)
-        for i in range(instance.n):
-            for j in range(instance.m):
-                for r, profile in enumerate(instance.profiles()):
-                    key = profile_key(profile)
-                    print(f"phi:{i}:{j}:{key} {_entry_str(table.values[i][j][r])}")
+        prefix, names = "phi", [profile_key(v) for v in instance.profiles()]
     else:
         regular = regularize_bayes(instance, dual, revenue=certificate.objective)
         table = virtual_values_bayes(instance, regular)
-        for i in range(instance.n):
-            for j in range(instance.m):
-                seen: set[int] = set()
-                for r, profile in enumerate(instance.profiles()):
-                    t = profile[i]
-                    if t in seen:
-                        continue
-                    seen.add(t)
-                    print(f"phibar:{i}:{j}:{t} {_entry_str(table.values[i][j][r])}")
+        prefix, names = "phibar", range(max(instance.sizes))
+    # one line per multiplier key: a profile (DS) or an own type (BAYES)
+    for i in range(instance.n):
+        positions = multiplier_keys(instance, form, i)[0]
+        for j in range(instance.m):
+            for key, (t, s) in enumerate(positions):
+                entry = table.values[i][j][instance.ranks[i][s][t]]
+                print(f"{prefix}:{i}:{j}:{names[key]} {_entry_str(entry)}")
     vwm = check_vwm(instance, mechanism, table)
     if vwm.ok:
         print(f"vwm ok checked={vwm.checked}")

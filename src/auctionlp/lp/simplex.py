@@ -97,6 +97,10 @@ class _NoProposal(Exception):
 
 _PIVOT_CAP = 1_000_000
 
+# Largest dense tableau (rows times width) a run may allocate: 1e8 list
+# slots take 0.8 GB; a 256-profile dominant-strategy program needs 2.8e7.
+_TABLEAU_CAP = 10**8
+
 # Float pass: two numbers within _FLOAT_TOL of each other compare equal,
 # and a tableau entry within it of zero is zero.
 _FLOAT_TOL = 1e-9
@@ -157,6 +161,11 @@ class _Simplex:
         art_rows = [r for r in range(self.R) if lp.b[r] < 0]
         self.K = len(art_rows)
         width = self.S + self.R + self.K + 1
+        if self.R * width > _TABLEAU_CAP:
+            # not a PivotLimit, which solve takes for a failed proposal
+            raise ScaleLimit(
+                f"a {self.R}x{width} tableau exceeds the cap of {_TABLEAU_CAP} entries"
+            )
         self.rhs = width - 1
         rows = []
         art_of_row = {}

@@ -37,8 +37,10 @@ Dual format.  Both forms hold their multipliers keyed like the primal's
 rows: zeta[i][key][t'] and eta[i][key], where key is the profile rank
 in the dominant-strategy form and the own type in the Bayesian form.
 `multiplier_keys` is the per-form view of those keys that lets each
-post-solve step (slackness ledger, regularity, regularization, virtual
-values) be written once for both forms.
+step (primal rows, slacks, dual assembly, slackness ledger, regularity,
+regularization, virtual values) be written once for both forms.  Its
+scales say that a Bayesian row is the opponent-mass-weighted sum of
+dominant-strategy rows.
 """
 
 from __future__ import annotations
@@ -392,9 +394,21 @@ def _is_list(data) -> bool:
     return isinstance(data, (list, tuple))
 
 
+def read_json(path, error: type[Exception]):
+    """The JSON document in the file at path.  Malformed JSON raises
+    json.JSONDecodeError; text that is not UTF-8, nesting too deep for
+    the decoder and integers too long to convert raise error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise error(f"undecodable JSON: {type(exc).__name__}: {exc}") from None
+
+
 def load_instance(path, *, augment_zero: bool | None = None, strict: bool = False) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path, DimensionMismatch)
     return validate_instance(data, augment_zero=augment_zero, strict=strict)
 
 
@@ -556,32 +570,33 @@ def mechanism_slacks(instance: Instance, mechanism: Mechanism) -> PrimalSlacks:
     entries are (interim) utilities, c entries unsold supply.  Negative
     entries are reported as-is; feasibility is a separate question.
 
-    Per buyer, each utility of a true type under a report is evaluated
-    once: on every opponent slice in the DS form, and against the
-    report's interim allocation and payment in the Bayesian form.
+    Per buyer and family of keys (see multiplier_keys), each report's
+    allocation and payment are summed over the family's slices at their
+    scales, and each utility of a true type under a report is evaluated
+    once against those sums.
     """
     _check_dims(instance, mechanism)
-    alloc, pay, count = mechanism.alloc, mechanism.pay, instance.profile_count
+    alloc = mechanism.alloc
     c = tuple(
         tuple(Fraction(1) - sum((cell[j] for cell in row), Fraction(0)) for row in alloc)
         for j in range(instance.m)
     )
     a, b = [], []
-    for i, k in enumerate(instance.sizes):
+    for i in range(instance.n):
+        positions, families, _, _, scales = multiplier_keys(instance, mechanism.form, i)
         vecs = instance.supports[i]
-        if mechanism.form == BAYES:
-            cells, prices = _interim_rows(instance, mechanism, i)
-            u = [[_utility(vec, cells[t2], prices[t2]) for t2 in range(k)] for vec in vecs]
-            a.append(tuple(_margins(u[t], t) for t in range(k)))
-            b.append(tuple(u[t][t] for t in range(k)))
-            continue
-        a_i, b_i = [None] * count, [None] * count
-        for ranks in instance.ranks[i]:
-            # u[t][t2]: utility of true type t reporting t2 on this slice
-            u = [[_utility(vec, alloc[lr][i], pay[lr][i]) for lr in ranks] for vec in vecs]
-            for t, r in enumerate(ranks):
-                a_i[r] = _margins(u[t], t)
-                b_i[r] = u[t][t]
+        a_i, b_i = [None] * len(positions), [None] * len(positions)
+        # the slices of each family, grouped by the family's first key
+        groups: dict = {}
+        for s, family in enumerate(families):
+            groups.setdefault(family[0], (family, []))[1].append(s)
+        for family, slices in groups.values():
+            rows = list(zip(*_key_rows(instance, mechanism, i, scales, slices)))
+            for t, key in enumerate(family):
+                # u[t2]: utility of true type t reporting t2
+                u = [_utility(vecs[t], cell, price) for cell, price in rows]
+                a_i[key] = _margins(u, t)
+                b_i[key] = u[t]
         a.append(tuple(a_i))
         b.append(tuple(b_i))
     return PrimalSlacks(form=mechanism.form, a=tuple(a), b=tuple(b), c=c)
@@ -594,21 +609,27 @@ def _margins(utilities, t) -> tuple[Fraction, ...]:
     )
 
 
-def _interim_rows(instance: Instance, mechanism: Mechanism, i: int):
-    """Buyer i's interim allocation and payment per report, averaged
-    over the opponent slices by their mass."""
+def _key_rows(instance: Instance, mechanism: Mechanism, i: int, scales, slices):
+    """Buyer i's allocation and payment per report, summed over the
+    given slices at their scales (see multiplier_keys).  One slice at
+    scale 1 is read in place; zero-scale slices add nothing."""
+    ranks_i, alloc, pay = instance.ranks[i], mechanism.alloc, mechanism.pay
+    if len(slices) == 1 and scales[slices[0]] == 1:
+        ranks = ranks_i[slices[0]]
+        return [alloc[lr][i] for lr in ranks], [pay[lr][i] for lr in ranks]
     k, m = instance.sizes[i], instance.m
     cells = [[Fraction(0)] * m for _ in range(k)]
     prices = [Fraction(0)] * k
-    for w, ranks in zip(instance.mu_minus_by_slice[i], instance.ranks[i]):
+    for s in slices:
+        w = scales[s]
         if not w:
             continue
-        for t2, lr in enumerate(ranks):
-            cell, acc = mechanism.alloc[lr][i], cells[t2]
+        for t2, lr in enumerate(ranks_i[s]):
+            cell, acc = alloc[lr][i], cells[t2]
             for j in range(m):
                 if cell[j]:
                     acc[j] += w * cell[j]
-            prices[t2] += w * mechanism.pay[lr][i]
+            prices[t2] += w * pay[lr][i]
     return cells, prices
 
 
@@ -723,7 +744,7 @@ def _any_negative(nested) -> bool:
 
 def multiplier_keys(instance: Instance, form: str, i: int):
     """Buyer i's multiplier keys in the given form, as a tuple
-    (positions, families, weights, masses):
+    (positions, families, weights, masses, scales):
 
     * positions[key] = (t, s): the own type of the key and a slice it
       stands for;
@@ -731,26 +752,33 @@ def multiplier_keys(instance: Instance, form: str, i: int):
       lists the keys whose ic rows bind each other;
     * weights[s]: the participation weight the zero type's key carries
       on slice s in a regular dual;
-    * masses[key]: the payment coefficient a regular dual meets there.
+    * masses[key]: the payment coefficient a regular dual meets there;
+    * scales[s]: the invariant that relates the forms.  The ic and ir
+      rows of a key are the sum, over the slices s with
+      families[s][t] == key, of scales[s] times the dominant-strategy
+      rows at ranks[i][s][t].
 
-    DS keys are profile ranks, with opponent masses as weights and
-    profile masses as masses.  BAYES keys are own types: every slice
-    shares the one family of all types at unit weight, and the masses
-    are the buyer's own."""
+    DS keys are profile ranks, each on one slice at scale 1, with
+    opponent masses as weights and profile masses as masses.  BAYES
+    keys are own types: every slice shares the one family of all types
+    at unit weight and at its opponent mass (possibly 0) as scale, and
+    the masses are the buyer's own."""
+    k = instance.sizes[i]
+    slices = instance.profile_count // k
     if form == DS:
         return (
             instance.positions[i],
             instance.ranks[i],
             instance.mu_minus_by_slice[i],
             instance.mu_by_rank,
+            (Fraction(1),) * slices,
         )
-    k = instance.sizes[i]
-    slices = instance.profile_count // k
     return (
         tuple((t, 0) for t in range(k)),
         (range(k),) * slices,
         (Fraction(1),) * slices,
         instance.probs[i],
+        instance.mu_minus_by_slice[i],
     )
 
 
@@ -789,60 +817,37 @@ def flow_phi(held, inflow, vecs, t, j) -> Fraction:
     return total
 
 
-def ds_dual_from_multipliers(
-    instance: Instance, zeta, eta, xi
-) -> DualSolutionDS:
-    """Assemble a DS dual solution, deriving the alpha/beta slacks."""
-    mu, vecs_of = instance.mu_by_rank, instance.supports
+def dual_from_multipliers(instance: Instance, form: str, zeta, eta, xi) -> DualSolution:
+    """The dual solution of the given form with these multipliers,
+    deriving the alpha/beta slacks.  Each key's phi_star and psi
+    (Bayesian: phibar_star and psibar) are computed once and written at
+    every rank of the key, scaled by the slice's scale; a zero-scale
+    slice gets alpha = xi and beta = 0."""
+    mu, m, count = instance.mu_by_rank, instance.m, instance.profile_count
     alpha, beta = [], []
     for i in range(instance.n):
-        alpha_i = [[None] * instance.profile_count for _ in range(instance.m)]
-        beta_i = []
-        for r, (t, s) in enumerate(instance.positions[i]):
-            held, inflow = key_flows(zeta[i], eta[i], instance.ranks[i][s], t)
-            for j, col in enumerate(alpha_i):
-                col[r] = xi[j][r] - flow_phi(held, inflow, vecs_of[i], t, j)
-            beta_i.append(flow_psi(held, inflow) - mu[r])
-        alpha.append(tuple(map(tuple, alpha_i)))
-        beta.append(tuple(beta_i))
-    return DualSolutionDS(
-        zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta)
-    )
-
-
-def bayes_dual_from_multipliers(
-    instance: Instance, zeta, eta, xi
-) -> DualSolutionBayes:
-    """Assemble a Bayesian dual solution, deriving the alpha/beta slacks:
-    phibar_star and psibar are computed once per type and scaled by the
-    opponent slice's mass."""
-    mu, m = instance.mu_by_rank, instance.m
-    alpha, beta = [], []
-    for i, k in enumerate(instance.sizes):
+        positions, families, _, _, scales = multiplier_keys(instance, form, i)
         vecs = instance.supports[i]
         phis, psis = [], []
-        for t in range(k):
-            held, inflow = key_flows(zeta[i], eta[i], range(k), t)
+        for t, s in positions:
+            held, inflow = key_flows(zeta[i], eta[i], families[s], t)
             phis.append([flow_phi(held, inflow, vecs, t, j) for j in range(m)])
             psis.append(flow_psi(held, inflow))
-        alpha_i = [[None] * instance.profile_count for _ in range(m)]
-        beta_i = [None] * instance.profile_count
-        for w, ranks in zip(instance.mu_minus_by_slice[i], instance.ranks[i]):
-            for t, r in enumerate(ranks):
-                for j, col in enumerate(alpha_i):
-                    col[r] = xi[j][r] - w * phis[t][j]
-                beta_i[r] = w * psis[t] - mu[r]
+        alpha_i = [[None] * count for _ in range(m)]
+        beta_i = [None] * count
+        for w, family, ranks in zip(scales, families, instance.ranks[i]):
+            unit = w == 1
+            for key, r in zip(family, ranks):
+                phi, psi = phis[key], psis[key]
+                if not unit:
+                    phi, psi = [w * x for x in phi], w * psi
+                for col, xi_j, phi_j in zip(alpha_i, xi, phi):
+                    col[r] = xi_j[r] - phi_j
+                beta_i[r] = psi - mu[r]
         alpha.append(tuple(map(tuple, alpha_i)))
         beta.append(tuple(beta_i))
-    return DualSolutionBayes(
-        zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta)
-    )
-
-
-def dual_from_multipliers(instance: Instance, form: str, zeta, eta, xi) -> DualSolution:
-    """The dual solution of the given form with these multipliers."""
-    assemble = ds_dual_from_multipliers if form == DS else bayes_dual_from_multipliers
-    return assemble(instance, zeta, eta, xi)
+    solution = DualSolutionDS if form == DS else DualSolutionBayes
+    return solution(zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta))
 
 
 # ---------------------------------------------------------------------------

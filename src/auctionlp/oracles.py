@@ -336,22 +336,29 @@ def gen_instance(spec: Mapping, seed: int, cap: int = 256) -> Instance:
     correlated = bool(spec.get("correlated", True))
     if n < 1 or m < 1 or value_range < 1 or denominator < 1:
         raise DimensionMismatch("spec sizes must be positive")
+    # (support size, number of buyers with it)
     if isinstance(raw_support, (list, tuple)):
-        per_buyer = [int(s) for s in raw_support]
-        if len(per_buyer) != n:
+        counts = [(int(s), 1) for s in raw_support]
+        if len(counts) != n:
             raise DimensionMismatch("per-buyer support list length != n")
     else:
-        per_buyer = [int(raw_support)] * n
-    if any(s < 1 for s in per_buyer):
+        counts = [(int(raw_support), n)]
+    if any(s < 1 for s, _ in counts):
         raise DimensionMismatch("support sizes must be positive")
-    if iid and len(set(per_buyer)) != 1:
+    if iid and len({s for s, _ in counts}) != 1:
         raise DimensionMismatch("iid generation needs one shared support size")
     joint = correlated or m == 1
     # a joint buyer draws support + 1 vectors, a product buyer that many
-    # values per item
-    total_profiles = prod((s + 1) ** (1 if joint else m) for s in per_buyer)
+    # values per item.  The count is at least 2**low, and is formed only
+    # while low is within 64 bits of the cap.
+    powers = [(s + 1, c if joint else c * m) for s, c in counts]
+    low = sum(e * (base.bit_length() - 1) for base, e in powers)
+    if low > cap.bit_length() + 64:
+        raise ScaleLimit(f"at least 2**{low} profiles exceed the cap {cap}")
+    total_profiles = prod(base**e for base, e in powers)
     if total_profiles > cap:
         raise ScaleLimit(f"{total_profiles} profiles exceed the cap {cap}")
+    per_buyer = [s for s, c in counts for _ in range(c)]
 
     rng = random.Random(seed)
 

@@ -165,7 +165,7 @@ def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
     zeros = _zero_indices(instance)
     profiles = list(instance.profiles())
     for i, t0 in enumerate(zeros):
-        positions, families, weights, masses = multiplier_keys(instance, form, i)
+        positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
         names = profiles if form == DS else range(len(positions))
         vecs = instance.supports[i]
         zeta_i, eta_i = dual.zeta[i], dual.eta[i]
@@ -220,7 +220,7 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
     zeros = _zero_indices(instance)
     zeta, eta = [], []
     for i, (k, t0) in enumerate(zip(instance.sizes, zeros)):
-        positions, families, weights, masses = multiplier_keys(instance, form, i)
+        positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
         zeta_i = [list(row) for row in dual.zeta[i]]
         eta_i = list(dual.eta[i])
         for key, (_, s) in enumerate(positions):
@@ -287,7 +287,7 @@ def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> Virtua
     zeros = _zero_indices(instance)
     values = []
     for i, t0 in enumerate(zeros):
-        positions, families, weights, masses = multiplier_keys(instance, form, i)
+        positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
         vecs = instance.supports[i]
         per_key = []
         for key, (t, s) in enumerate(positions):

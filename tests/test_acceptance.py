@@ -31,8 +31,7 @@ from auctionlp.auction import (
 )
 from auctionlp.lp import OPTIMAL, solve
 from auctionlp.model import (
-    bayes_dual_from_multipliers,
-    ds_dual_from_multipliers,
+    dual_from_multipliers,
     zero_mechanism,
 )
 from auctionlp.oracles import gen_instance, menu_grid_revenue, posted_price_revenue
@@ -161,8 +160,12 @@ def perturb_ds(instance, dual, rng, delta):
         vec = instance.value(i, profiles[r][i])
         for j in range(instance.m):
             xi[j][r] += delta * vec[j]
-    result = ds_dual_from_multipliers(
-        instance, dual.zeta, tuple(tuple(row) for row in eta), tuple(tuple(c) for c in xi)
+    result = dual_from_multipliers(
+        instance,
+        DS,
+        dual.zeta,
+        tuple(tuple(row) for row in eta),
+        tuple(tuple(c) for c in xi),
     )
     assert result.is_feasible()
     return result
@@ -185,8 +188,12 @@ def perturb_bayes(instance, dual, rng, delta):
             r = instance.rank(profile)
             for j in range(instance.m):
                 xi[j][r] += delta * w * vec[j]
-    result = bayes_dual_from_multipliers(
-        instance, dual.zeta, tuple(tuple(row) for row in eta), tuple(tuple(c) for c in xi)
+    result = dual_from_multipliers(
+        instance,
+        BAYES,
+        dual.zeta,
+        tuple(tuple(row) for row in eta),
+        tuple(tuple(c) for c in xi),
     )
     assert result.is_feasible()
     return result

@@ -25,7 +25,7 @@ from auctionlp.errors import NotAgentIndependent, NotOptimal
 from auctionlp.model import (
     NEG_INF,
     VirtualValueTable,
-    ds_dual_from_multipliers,
+    dual_from_multipliers,
 )
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import (
@@ -153,7 +153,7 @@ def doctored_slice_dual(pair12):
     zeta[0][ranks[1]][0] += F(1, 8)
     zeta[0][ranks[0]][1] += F(1, 8)
     frozen = tuple(tuple(tuple(row) for row in buyer) for buyer in zeta)
-    return ds_dual_from_multipliers(pair12, frozen, witness.eta, witness.xi)
+    return dual_from_multipliers(pair12, DS, frozen, witness.eta, witness.xi)
 
 
 def test_slice_dependence_is_detected(pair12):

@@ -1,7 +1,9 @@
 """Command-line surface: output text, exit codes, determinism."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import auctionlp
 from auctionlp.cli import main
+from auctionlp.errors import ScaleLimit
 from auctionlp.model import load_instance
+from auctionlp.oracles import gen_instance
 
 U12 = {
     "buyers": 1,
@@ -78,6 +83,23 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
     path.write_text("{broken")
     assert main(["validate", str(path)]) == 2
     assert "JSONDecodeError" in capsys.readouterr().err
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.binary(max_size=64))
+@example(b"\xff\xfe{}")
+@example(b"[" * 100_000)
+@example(b"1" * 5000)
+def test_arbitrary_file_bytes_exit_cleanly(tmp_path_factory, data):
+    """Any bytes as the instance file of validate or as the certificate
+    of self-check give a documented exit code, never an exception."""
+    folder = tmp_path_factory.getbasetemp()
+    garbage, instance = folder / "garbage.json", folder / "fuzz-u12.json"
+    garbage.write_bytes(data)
+    instance.write_text(json.dumps(U12))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate", str(garbage)]) in (0, 2, 3, 4)
+        assert main(["self-check", str(instance), str(garbage)]) in (0, 2, 3, 4)
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -263,6 +285,39 @@ def test_gen_cap_is_checked_before_drawing(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "ScaleLimit: 1099511627776 profiles exceed the cap 256" in captured.err
     assert captured.out == ""
+
+
+def test_gen_cap_is_safe_for_huge_item_counts(capsys):
+    # 3**10000 has more digits than int-to-text conversion allows
+    argv = ["characterize", "--gen", "n=1,m=10000,correlated=0,support=2"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "ScaleLimit: at least 2**10000 profiles exceed the cap 256" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    # the count is bounded without forming the power 3**(10**7)
+    with pytest.raises(ScaleLimit, match=r"at least 2\*\*10000000 profiles"):
+        gen_instance({"n": 1, "m": 10**7, "support": 2, "correlated": False}, 0)
+
+
+def test_tableau_cap_exits_4(u12_path, capsys, monkeypatch):
+    import auctionlp.lp.simplex as simplex
+
+    monkeypatch.setattr(simplex, "_TABLEAU_CAP", 10)
+    assert main(["solve", u12_path]) == 4
+    err = capsys.readouterr().err
+    assert "ScaleLimit: a 12x19 tableau exceeds the cap of 10 entries" in err
+    assert "Traceback" not in err
+
+
+def test_oversized_tableau_is_refused_before_allocating(capsys):
+    # 256 profiles pass the profile cap, but the dense tableau of the
+    # 65792 x 512 program would need 4.4e9 entries
+    argv = ["characterize", "--gen", "n=1,m=1,support=255,value_range=1000"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "ScaleLimit: a 65792x66305 tableau exceeds the cap" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch):

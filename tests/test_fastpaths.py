@@ -4,21 +4,32 @@ mechanism_slacks and the alpha/beta slacks of the dual assembly are
 computed per slice and per type; helpers.reference_slacks and
 helpers.reference_dual_slacks evaluate every entry on its own from the
 model's utilities and dual coefficients.  Both must agree exactly on
-optimal pairs and on perturbed, infeasible ones."""
+optimal pairs and on perturbed, infeasible ones.
 
+The one builder and the one slack pass rest on an identity checked here
+against the dominant-strategy program: a Bayesian row is the
+opponent-mass-weighted sum of dominant-strategy rows."""
+
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from auctionlp.auction import extract_dual, extract_mechanism, solve_form
+from auctionlp.auction import (
+    build_blp,
+    build_dslp,
+    extract_dual,
+    extract_mechanism,
+    solve_form,
+)
 from auctionlp.model import (
     BAYES,
     DS,
     Mechanism,
-    bayes_dual_from_multipliers,
-    ds_dual_from_multipliers,
+    dual_from_multipliers,
     mechanism_slacks,
+    multiplier_keys,
 )
 from auctionlp.oracles import gen_instance
 from helpers import reference_dual_slacks, reference_slacks
@@ -111,7 +122,64 @@ def test_dual_slacks_match_definition(spec, seed, form):
     instance = gen_instance(spec, seed)
     dual = extract_dual(instance, solve_form(instance, form), form)
     assert (dual.alpha, dual.beta) == reference_dual_slacks(instance, dual, form)
-    assemble = ds_dual_from_multipliers if form == DS else bayes_dual_from_multipliers
-    other = assemble(instance, *_random_multipliers(instance, form, random.Random(seed)))
+    multipliers = _random_multipliers(instance, form, random.Random(seed))
+    other = dual_from_multipliers(instance, form, *multipliers)
     assert not other.is_feasible()
     assert (other.alpha, other.beta) == reference_dual_slacks(instance, other, form)
+
+
+
+def _weighted_sum(rows, weights):
+    """sum_s weights[s] * rows[s] of sparse program rows, as a map from
+    column to nonzero coefficient."""
+    total = {}
+    for row, w in zip(rows, weights):
+        for j, coef in row:
+            total[j] = total.get(j, 0) + w * coef
+    return {j: coef for j, coef in total.items() if coef}
+
+
+@pytest.mark.parametrize("spec, seed", CASES)
+def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
+    """A Bayesian ic/ir row, and its slack, is the sum over opponent
+    slices s of mu_{-i}(s) times the dominant-strategy row at the same
+    own type and report; multiplier_keys' scales are those weights."""
+    instance = gen_instance(spec, seed)
+    ds, bayes = build_dslp(instance), build_blp(instance)
+    assert (bayes.sense, bayes.c) == (ds.sense, ds.c)
+    for j, r in itertools.product(range(instance.m), range(instance.profile_count)):
+        supply = ds.layout.xi(j, r), bayes.layout.xi(j, r)
+        assert ds.rows[supply[0]] == bayes.rows[supply[1]]
+        assert ds.b[supply[0]] == bayes.b[supply[1]] == 1
+    assert not any(bayes.b[: bayes.layout.xi(0, 0)])
+
+    # any allocation and payments, feasible or not
+    rng = random.Random(seed)
+    n, m, count = instance.n, instance.m, instance.profile_count
+    alloc = tuple(
+        tuple(tuple(F(rng.randint(0, 3), 3) for _ in range(m)) for _ in range(n))
+        for _ in range(count)
+    )
+    pay = tuple(tuple(F(rng.randint(-1, 3), 2) for _ in range(n)) for _ in range(count))
+    ds_slacks = mechanism_slacks(instance, Mechanism(form=DS, alloc=alloc, pay=pay))
+    bayes_slacks = mechanism_slacks(instance, Mechanism(form=BAYES, alloc=alloc, pay=pay))
+    assert bayes_slacks.c == ds_slacks.c
+    for i, k in enumerate(instance.sizes):
+        weights = [instance.mu_minus(i, vm) for vm in instance.others_profiles(i)]
+        assert multiplier_keys(instance, BAYES, i)[4] == tuple(weights)
+        assert set(multiplier_keys(instance, DS, i)[4]) == {1}
+        for t in range(k):
+            ranks = [slice_ranks[t] for slice_ranks in instance.ranks[i]]
+            ds_rows = [ds.rows[ds.layout.eta(i, r)] for r in ranks]
+            bayes_row = bayes.rows[bayes.layout.eta(i, t)]
+            assert _weighted_sum([bayes_row], [1]) == _weighted_sum(ds_rows, weights)
+            utility = sum(w * ds_slacks.b[i][r] for w, r in zip(weights, ranks))
+            assert bayes_slacks.b[i][t] == utility
+            for t2 in range(k):
+                if t2 == t:
+                    continue
+                ds_rows = [ds.rows[ds.layout.zeta(i, t, t2, s)] for s in range(len(ranks))]
+                bayes_row = bayes.rows[bayes.layout.zeta(i, t, t2)]
+                assert _weighted_sum([bayes_row], [1]) == _weighted_sum(ds_rows, weights)
+                margin = sum(w * ds_slacks.a[i][r][t2] for w, r in zip(weights, ranks))
+                assert bayes_slacks.a[i][t][t2] == margin

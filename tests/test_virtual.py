@@ -24,7 +24,7 @@ from auctionlp.model import (
     NEG_INF,
     Mechanism,
     VirtualValueTable,
-    ds_dual_from_multipliers,
+    dual_from_multipliers,
     zero_mechanism,
 )
 from auctionlp.virtual import (
@@ -80,7 +80,7 @@ def test_ledger_tracks_supply_perturbation(u12):
     bumped = tuple(
         tuple(x + F(1, 7) for x in col) for col in dual.xi
     )
-    dual2 = ds_dual_from_multipliers(u12, dual.zeta, dual.eta, bumped)
+    dual2 = dual_from_multipliers(u12, DS, dual.zeta, dual.eta, bumped)
     assert dual2.is_feasible()
     ledger = check_cs_ds(u12, mech, dual2)
     assert ledger.gap == dual2.objective() - mech.revenue(u12)
@@ -130,7 +130,7 @@ def test_ledger_rejects_infeasible_sides(u12):
     negative_eta = tuple(
         tuple(-x if x else x for x in row) for row in dual.eta
     )
-    broken = ds_dual_from_multipliers(u12, dual.zeta, negative_eta, dual.xi)
+    broken = dual_from_multipliers(u12, DS, dual.zeta, negative_eta, dual.xi)
     if not broken.is_feasible():
         with pytest.raises(InfeasibleInput):
             check_cs_ds(u12, mech, broken)
@@ -170,8 +170,9 @@ def test_regularize_rejects_suboptimal_objective(u12):
 
 def test_regularize_rejects_infeasible_dual(u12):
     _, _, dual = optimal_pair(u12)
-    negated = ds_dual_from_multipliers(
+    negated = dual_from_multipliers(
         u12,
+        DS,
         dual.zeta,
         tuple(tuple(x - 1 for x in row) for row in dual.eta),
         dual.xi,
@@ -211,7 +212,7 @@ def test_witness_detects_virtual_on_zero_mass_slice(pair12):
     zeta[0][pair12.ranks[0][s0][1]][0] = F(1)
     eta = tuple(tuple(F(0) for _ in pair12.profiles()) for _ in range(2))
     xi = ((F(0),) * pair12.profile_count,)
-    dual = ds_dual_from_multipliers(pair12, frozen(zeta), eta, xi)
+    dual = dual_from_multipliers(pair12, DS, frozen(zeta), eta, xi)
     witness = ds_regularity_witness(pair12, dual)
     assert witness is not None
     assert witness[0] == "virtual"
@@ -225,7 +226,7 @@ def test_witness_detects_source(u12):
     zeta[0][1][0] = F(1)
     eta = ((F(1), F(1), F(0)),)
     xi = ((F(0), F(0), F(0)),)
-    dual = ds_dual_from_multipliers(u12, frozen(zeta), eta, xi)
+    dual = dual_from_multipliers(u12, DS, frozen(zeta), eta, xi)
     assert ds_regularity_witness(u12, dual) == ("source", (0, (1,)))
 
 
@@ -233,7 +234,7 @@ def test_witness_detects_trans(u12):
     zeta = zeros_like_zeta(u12)
     eta = ((F(1), F(0), F(0)),)
     xi = ((F(0), F(0), F(0)),)
-    dual = ds_dual_from_multipliers(u12, frozen(zeta), eta, xi)
+    dual = dual_from_multipliers(u12, DS, frozen(zeta), eta, xi)
     assert ds_regularity_witness(u12, dual) == ("trans", (0, (0,)))
 
 
@@ -278,8 +279,9 @@ def test_virtual_values_nonunique_point_stays_in_face_range(u123):
 def test_virtual_values_require_regular_dual(u12):
     _, _, dual = optimal_pair(u12)
     if ds_regularity_witness(u12, dual) is None:
-        dual = ds_dual_from_multipliers(
+        dual = dual_from_multipliers(
             u12,
+            DS,
             dual.zeta,
             (tuple(F(1) for _ in u12.profiles()),),
             dual.xi,
