@@ -14,6 +14,8 @@ import sys
 
 from .analysis import characterize, iid_scan, revenue_record
 from .auction import (
+    PRIMAL,
+    ProgramLayout,
     certificate_document,
     extract_dual,
     extract_mechanism,
@@ -36,9 +38,9 @@ from .errors import (
     ScaleLimit,
     ZeroMassNonzeroType,
 )
-from .lp import CertificateError
+from .lp import CertificateError, check_tableau_size
 from .model import BAYES, DS, NEG_INF, load_instance, multiplier_keys, rat_str
-from .oracles import gen_instance
+from .oracles import gen_instance, gen_shape
 from .virtual import (
     check_ubvv,
     check_vwm,
@@ -164,6 +166,11 @@ def cmd_characterize(args) -> int:
     spec = _parse_gen_spec(args.gen)
     if args.count < 1:
         raise DimensionMismatch(f"--count must be at least 1, got {args.count}")
+    # Every instance gets a dominant-strategy solve, so refuse its
+    # tableau before drawing; the builders' right-hand sides are
+    # nonnegative, so it has no artificial columns.
+    rows, cols = ProgramLayout(DS, PRIMAL, *gen_shape(spec, args.caps)).shape
+    check_tableau_size(rows, rows + cols + 1)
     if args.count == 1 and not spec.get("iid"):
         instance = gen_instance(spec, args.seed, cap=args.caps)
         _characterize_one(instance)

@@ -14,7 +14,7 @@ from .program import (
     make_lp,
     recheck_certificate,
 )
-from .simplex import solve
+from .simplex import check_tableau_size, solve
 
 __all__ = [
     "INFEASIBLE",
@@ -25,6 +25,7 @@ __all__ = [
     "CertificateError",
     "LinearProgram",
     "LpCertificate",
+    "check_tableau_size",
     "dual_of",
     "export_lp_text",
     "make_lp",

@@ -140,8 +140,8 @@ def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
                 total += coef * v
         _require(total <= lp.b[r], f"primal row {r} violated")
     yA = lp.col_dot(y)
-    for j in range(lp.ncols):
-        _require(yA[j] >= sign * lp.c[j], f"dual column {j} violated")
+    for j, (a, cj) in enumerate(zip(yA, lp.c)):
+        _require(a >= cj if sign == 1 else a >= -cj, f"dual column {j} violated")
     cx = sum((lp.c[j] * v for j, v in enumerate(support) if v is not None), Fraction(0))
     by = sum((lp.b[r] * y[r] for r in range(lp.nrows) if y[r]), Fraction(0))
     _require(sign * cx == by, "duality gap nonzero")
@@ -170,7 +170,7 @@ def verify_unbounded(lp: LinearProgram, x, d) -> None:
 
 
 def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
-    objective = sum((lp.c[j] * x[j] for j in range(lp.ncols)), Fraction(0))
+    objective = sum((lp.c[j] * v for j, v in enumerate(x) if v), Fraction(0))
     verify_optimal(lp, x, y, objective)
     return LpCertificate(
         status=OPTIMAL,

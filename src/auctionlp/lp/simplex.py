@@ -1,5 +1,13 @@
 """Two-phase primal simplex: a float pass proposes, exact rationals accept.
 
+The tableau is sparse.  Each row is a dict from column to its nonzero
+entries, the right-hand side included, and a column index names the
+rows that hold each column.  A pivot then visits only the rows holding
+the pivot column, and in each only the pivot row's nonzeros; the ratio
+test visits only the pivot column's rows.  Both passes use this one
+representation.  The objective rows stay dense, since pricing reads
+every column of them anyway.
+
 No big-M constant: infeasible starting bases get artificial variables
 and a phase-one objective.  The pivot rule is Dantzig's (most negative
 reduced cost) with a lexicographic tie-break in the ratio test.  Once a
@@ -31,57 +39,93 @@ from .program import (
 )
 
 
-def eliminate(rows, r, c):
-    """Pivot on (rows[r], column c): scale the pivot row to a unit pivot,
-    then clear column c from every other row.  Mutates rows in place.
-    Zero entries are skipped; exact arithmetic guarantees the cleared
-    column is exactly zero afterwards."""
+def eliminate(tableau, r, c):
+    """Pivot on (row r, column c) of a `_Simplex` tableau: scale the
+    pivot row to a unit pivot, then clear column c from every other row
+    and from the dense objective rows in `tableau.objs`.  Mutates the
+    tableau in place.  Only the rows in `tableau.cols[c]` and the pivot
+    row's nonzeros are visited; an entry that becomes exactly zero is
+    deleted, and `tableau.cols` follows every deletion and fill-in."""
+    rows, cols = tableau.T, tableau.cols
     prow = rows[r]
     piv = prow[c]
     if piv != 1:
         inv = 1 / piv
-        for k, val in enumerate(prow):
-            if val:
-                prow[k] = val * inv
-    nz = [k for k, val in enumerate(prow) if val]
-    for idx, row in enumerate(rows):
-        if idx == r:
-            continue
-        f = row[c]
-        if f:
-            if f == 1:
-                for k in nz:
-                    row[k] = row[k] - prow[k]
+        for k, val in prow.items():
+            prow[k] = val * inv
+    nz = [(k, val) for k, val in prow.items() if k != c]
+    others = cols[c]
+    others.discard(r)
+    cols[c] = {r}
+    for idx in others:
+        row = rows[idx]
+        f = row.pop(c)
+        for k, val in nz:
+            old = row.get(k)
+            if old is None:
+                row[k] = -f * val
+                cols[k].add(idx)
             else:
-                for k in nz:
-                    row[k] = row[k] - f * prow[k]
+                new = old - f * val
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+                    cols[k].discard(idx)
+    for obj in tableau.objs:
+        f = obj[c]
+        if f:
+            for k, val in nz:
+                obj[k] = obj[k] - f * val
+            obj[c] = tableau.zero
 
 
-def _eliminate_float(rows, r, c, tol):
-    """`eliminate` over floats.  Every entry it writes that lies within
-    tol of zero becomes 0.0, so the cleared column and the degenerate
-    right-hand sides read as exact zeros afterwards."""
+def _eliminate_float(tableau, r, c):
+    """`eliminate` over floats.  An entry it writes that lies within
+    `tableau.tol` of zero is deleted (0.0 in an objective row), so the
+    cleared column and the degenerate right-hand sides read as exact
+    zeros afterwards."""
+    rows, cols, tol = tableau.T, tableau.cols, tableau.tol
     prow = rows[r]
     inv = 1.0 / prow[c]
     nz = []
-    for k, val in enumerate(prow):
-        if val:
-            val *= inv
-            if val > tol or val < -tol:
-                prow[k] = val
+    for k, val in list(prow.items()):
+        val *= inv
+        if val > tol or val < -tol:
+            prow[k] = val
+            if k != c:
                 nz.append((k, val))
-            else:
-                prow[k] = 0.0
+        else:
+            del prow[k]
+            cols[k].discard(r)
     prow[c] = 1.0
-    for idx, row in enumerate(rows):
-        if idx == r:
-            continue
-        f = row[c]
+    others = cols[c]
+    others.discard(r)
+    cols[c] = {r}
+    for idx in others:
+        row = rows[idx]
+        f = row.pop(c)
+        for k, val in nz:
+            old = row.get(k)
+            if old is None:
+                new = -f * val
+                if new > tol or new < -tol:
+                    row[k] = new
+                    cols[k].add(idx)
+            else:
+                new = old - f * val
+                if new > tol or new < -tol:
+                    row[k] = new
+                else:
+                    del row[k]
+                    cols[k].discard(idx)
+    for obj in tableau.objs:
+        f = obj[c]
         if f:
             for k, val in nz:
-                val = row[k] - f * val
-                row[k] = val if val > tol or val < -tol else 0.0
-            row[c] = 0.0
+                val = obj[k] - f * val
+                obj[k] = val if val > tol or val < -tol else 0.0
+            obj[c] = 0.0
 
 
 class PivotLimit(ScaleLimit):
@@ -97,8 +141,11 @@ class _NoProposal(Exception):
 
 _PIVOT_CAP = 1_000_000
 
-# Largest dense tableau (rows times width) a run may allocate: 1e8 list
-# slots take 0.8 GB; a 256-profile dominant-strategy program needs 2.8e7.
+# Largest tableau (rows times width) a run may start on.  Sparse rows
+# allocate per nonzero, not per slot, so this is a size guard that
+# stands in for a work budget: an exact run on a program over it could
+# take hours.  A 256-profile dominant-strategy program has 2.8e7; the
+# 1024-profile one (6.8e8) is refused.
 _TABLEAU_CAP = 10**8
 
 # Float pass: two numbers within _FLOAT_TOL of each other compare equal,
@@ -120,6 +167,15 @@ _ROUND_BOUNDS = (10**6, 10**9)
 # float() refuses a rational beyond their range, and Fraction() refuses
 # the infinities and NaNs that overflowing arithmetic leaves behind.
 _NO_PROPOSAL = (_NoProposal, PivotLimit, OverflowError, ValueError)
+
+
+def check_tableau_size(rows: int, width: int) -> None:
+    """Refuse a rows x width tableau over _TABLEAU_CAP with ScaleLimit
+    (not a PivotLimit, which solve takes for a failed proposal)."""
+    if rows * width > _TABLEAU_CAP:
+        raise ScaleLimit(
+            f"a {rows}x{width} tableau exceeds the cap of {_TABLEAU_CAP} entries"
+        )
 
 
 def _nearby_rational(value: float, bound: int) -> Fraction:
@@ -144,53 +200,59 @@ class _Simplex:
     `floating` is set.  The float run compares numbers up to _FLOAT_TOL
     where the exact run compares them exactly, and otherwise makes the
     same decisions; it ends optimal with a certificate or raises one of
-    _NO_PROPOSAL."""
+    _NO_PROPOSAL.
+
+    Column layout: structural | slack | artificial... | rhs.  T[r] maps
+    the columns of row r to its nonzero entries, the right-hand side at
+    key `rhs` included; cols[k] is the set of rows that hold column k.
+    The objective rows are dense lists over the same columns, and `objs`
+    lists the ones a pivot clears."""
 
     def __init__(self, lp: LinearProgram, floating: bool = False):
         self.lp = lp
         self.sign = 1 if lp.sense == MAX else -1
-        self.S = lp.ncols  # structural columns
-        self.R = lp.nrows
+        S = self.S = lp.ncols  # structural columns
+        R = self.R = lp.nrows
         num = float if floating else Fraction
         self.tol = _FLOAT_TOL if floating else 0
-        self.cap = _FLOAT_PIVOTS_PER_DIM * (self.R + self.S) if floating else _PIVOT_CAP
-        zero = num(Fraction(0))
-        one = num(Fraction(1))
+        self.cap = _FLOAT_PIVOTS_PER_DIM * (R + S) if floating else _PIVOT_CAP
+        zero = num(0)
+        one = num(1)
         self.zero, self.one = zero, one
-        # Column layout: structural | slack | artificial... | rhs.
-        art_rows = [r for r in range(self.R) if lp.b[r] < 0]
-        self.K = len(art_rows)
-        width = self.S + self.R + self.K + 1
-        if self.R * width > _TABLEAU_CAP:
-            # not a PivotLimit, which solve takes for a failed proposal
-            raise ScaleLimit(
-                f"a {self.R}x{width} tableau exceeds the cap of {_TABLEAU_CAP} entries"
-            )
-        self.rhs = width - 1
+        negative = [q < 0 for q in lp.b]
+        self.K = sum(negative)
+        width = S + R + self.K + 1
+        check_tableau_size(R, width)
+        rhs = self.rhs = width - 1
+        cols = [set() for _ in range(width)]
         rows = []
-        art_of_row = {}
-        for r in range(self.R):
-            neg = lp.b[r] < 0
-            row = [zero] * width
-            for j, coef in lp.rows[r]:
-                row[j] = num(-coef if neg else coef)
-            row[self.S + r] = -one if neg else one
-            row[self.rhs] = num(-lp.b[r] if neg else lp.b[r])
+        basis = []
+        acol = S + R
+        for r, (entries, b, neg) in enumerate(zip(lp.rows, lp.b, negative)):
+            row = {j: v for j, coef in entries if (v := num(-coef if neg else coef))}
+            if neg:
+                row[S + r] = -one
+                row[acol] = one
+                basis.append(acol)
+                acol += 1
+                b = -b
+            else:
+                row[S + r] = one
+                basis.append(S + r)
+            if b:
+                row[rhs] = num(b)
+            for k in row:
+                cols[k].add(r)
             rows.append(row)
-        for k, r in enumerate(art_rows):
-            acol = self.S + self.R + k
-            rows[r][acol] = one
-            art_of_row[r] = acol
         self.T = rows
-        self.basis = [
-            art_of_row.get(r, self.S + r) for r in range(self.R)
-        ]
+        self.cols = cols
+        self.basis = basis
         # Real objective row for max(sign * c): reduced costs start at
         # -sign*c_j, value 0.
-        obj = [zero] * width
-        for j in range(self.S):
-            obj[j] = num(Fraction(-self.sign) * lp.c[j])
+        obj = [num(-q) if self.sign == 1 else num(q) for q in lp.c]
+        obj += [zero] * (width - S)
         self.obj = obj
+        self.objs = [obj]
         self.pivots = 0
         self.stalls = 0
         self.forced_bland = False
@@ -213,10 +275,16 @@ class _Simplex:
         return best
 
     def _leaving(self, col: int) -> int | None:
-        tol, rhs = self.tol, self.rhs
+        """Ratio test over the rows holding col, in row order, so that
+        the first of equal ratios wins before the tie-break."""
+        T, tol, rhs, zero = self.T, self.tol, self.rhs, self.zero
         best = low = high = None
-        for r, row in [(r, row) for r, row in enumerate(self.T) if row[col] > tol]:
-            ratio = row[rhs] / row[col]
+        for r in sorted(self.cols[col]):
+            row = T[r]
+            a = row[col]
+            if a <= tol:
+                continue
+            ratio = row.get(rhs, zero) / a
             if best is None or ratio < low:
                 best, low, high = r, ratio - tol, ratio + tol
             elif ratio <= high:
@@ -230,26 +298,25 @@ class _Simplex:
     def _lex_less(self, r1: int, r2: int, col: int) -> bool:
         """Is row r1 over its pivot lexicographically below row r2 over
         its pivot?  Both pivots are positive, so the entries compare
-        cross-multiplied, without a division."""
+        cross-multiplied, without a division; columns zero in both rows
+        compare equal and are skipped."""
         row1, row2 = self.T[r1], self.T[r2]
         p1, p2 = row1[col], row2[col]
-        tol = self.tol
-        for v1, v2 in zip(row1, row2):
-            if v1 or v2:
-                a, b = v1 * p2, v2 * p1
-                if a != b and abs(a - b) > tol:
-                    return a < b
+        tol, zero = self.tol, self.zero
+        for k in sorted(row1.keys() | row2.keys()):
+            a, b = row1.get(k, zero) * p2, row2.get(k, zero) * p1
+            if a != b and abs(a - b) > tol:
+                return a < b
         return False
 
-    def _pivot(self, r: int, c: int, extra_obj) -> None:
-        combined = self.T + extra_obj
+    def _pivot(self, r: int, c: int) -> None:
         if self.tol:
-            _eliminate_float(combined, r, c, self.tol)
+            _eliminate_float(self, r, c)
         else:
             # Looked up as a module global on every call, so a wrapper
             # bound to simplex.eliminate (a pivot counter, say) sees
             # each exact pivot.
-            eliminate(combined, r, c)
+            eliminate(self, r, c)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > self.cap:
@@ -269,24 +336,20 @@ class _Simplex:
         return self._phase_two()
 
     def _phase_one(self) -> LpCertificate | None:
-        zero, one = self.zero, self.one
-        width = self.rhs + 1
-        obj1 = [zero] * width
-        for r in range(self.R):
-            if self.basis[r] >= self.S + self.R:  # artificial basis
-                row = self.T[r]
-                for k in range(width):
-                    if row[k]:
-                        obj1[k] = obj1[k] - row[k]
-        for k in range(self.K):
-            obj1[self.S + self.R + k] = obj1[self.S + self.R + k] + one
-        self.obj1 = obj1
-        limit = self.S + self.R
+        art_lo = self.S + self.R
+        obj1 = [self.zero] * (self.rhs + 1)
+        for row, col in zip(self.T, self.basis):
+            if col >= art_lo:  # artificial basis
+                for k, val in row.items():
+                    obj1[k] = obj1[k] - val
+        for k in range(art_lo, art_lo + self.K):
+            obj1[k] = obj1[k] + self.one
+        self.objs = [self.obj, obj1]
         stall_limit = 3 * (self.R + self.S) + 10
         below = -self.tol
         last_val = obj1[self.rhs]
         while obj1[self.rhs] < below:
-            c = self._entering(obj1, limit)
+            c = self._entering(obj1, art_lo)
             if c is None:
                 break
             r = self._leaving(c)
@@ -294,7 +357,7 @@ class _Simplex:
                 # Phase-one objective is bounded by 0; no unbounded ray
                 # can appear unless the tableau is corrupt.
                 raise PivotLimit("phase one claims unbounded")
-            self._pivot(r, c, [self.obj, obj1])
+            self._pivot(r, c)
             if self._stalled(obj1[self.rhs], last_val):
                 self.stalls += 1
                 if self.stalls > stall_limit:
@@ -312,28 +375,28 @@ class _Simplex:
 
     def _drop_artificials(self) -> None:
         """Pivot leftover artificials out of the basis (degenerate, rhs
-        is 0), delete redundant all-zero rows, then delete the artificial
-        columns."""
+        is 0), then delete the artificial columns.  The objective keeps
+        its length and the rhs its key; artificials are never read again.
+
+        Every row has a nonzero left of the artificials: each row owns a
+        +-1 slack column, so the tableau's slack block is B^-1 times a
+        nonsingular diagonal and is nonsingular itself.  Only the float
+        pass's zeroing of entries within tolerance can empty a row."""
         art_lo = self.S + self.R
-        for r in range(len(self.T) - 1, -1, -1):
+        self.objs = [self.obj]
+        for r in range(self.R - 1, -1, -1):
             if self.basis[r] < art_lo:
                 continue
-            row = self.T[r]
-            target = None
-            for j in range(art_lo):
-                if row[j]:
-                    target = j
-                    break
-            if target is not None:
-                self._pivot(r, target, [self.obj])
-            else:
-                # 0 = 0 under the artificial-free restriction.
-                del self.T[r]
-                del self.basis[r]
-        for row in self.T:
-            del row[art_lo : art_lo + self.K]
-        del self.obj[art_lo : art_lo + self.K]
-        self.rhs = art_lo
+            target = min((k for k in self.T[r] if k < art_lo), default=None)
+            if target is None:
+                if self.tol:
+                    raise _NoProposal(f"float row {r} lost every non-artificial entry")
+                raise PivotLimit(f"tableau row {r} has no entry left of the artificials")
+            self._pivot(r, target)
+        for k in range(art_lo, art_lo + self.K):
+            for r in self.cols[k]:
+                del self.T[r][k]
+            self.cols[k] = set()
         self.K = 0
 
     def _phase_two(self) -> LpCertificate:
@@ -348,7 +411,7 @@ class _Simplex:
             r = self._leaving(c)
             if r is None:
                 return self._unbounded(c)
-            self._pivot(r, c, [obj])
+            self._pivot(r, c)
             if self._stalled(obj[self.rhs], last_val):
                 self.stalls += 1
                 if self.stalls > stall_limit:
@@ -361,14 +424,16 @@ class _Simplex:
 
     def _primal_point(self, rational) -> list[Fraction]:
         x = [Fraction(0)] * self.S
-        for r, col in enumerate(self.basis):
+        for row, col in zip(self.T, self.basis):
             if col < self.S:
-                x[col] = rational(self.T[r][self.rhs])
+                value = row.get(self.rhs)
+                if value:
+                    x[col] = rational(value)
         return x
 
     def _certify(self, rational) -> LpCertificate:
         x = self._primal_point(rational)
-        y = [rational(self.obj[self.S + r]) for r in range(self.R)]
+        y = [rational(v) if v else Fraction(0) for v in self.obj[self.S : self.S + self.R]]
         return certify_optimal(self.lp, x, y)
 
     def _optimal(self) -> LpCertificate:
@@ -388,9 +453,8 @@ class _Simplex:
         d = [Fraction(0)] * self.S
         if col < self.S:
             d[col] = Fraction(1)
-        for r, bcol in enumerate(self.basis):
+        for r in self.cols[col]:
+            bcol = self.basis[r]
             if bcol < self.S:
-                step = self.T[r][col]
-                if step:
-                    d[bcol] = Fraction(-step)
+                d[bcol] = Fraction(-self.T[r][col])
         return certify_unbounded(self.lp, x, d)

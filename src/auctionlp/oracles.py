@@ -30,6 +30,7 @@ __all__ = [
     "threshold_auction_revenue",
     "menu_grid_revenue",
     "gen_instance",
+    "gen_shape",
 ]
 
 
@@ -314,19 +315,10 @@ def _product_buyer(
     return [vectors[idx] for idx in ranked], [masses[idx] for idx in ranked]
 
 
-def gen_instance(spec: Mapping, seed: int, cap: int = 256) -> Instance:
-    """Deterministic instance from a seed.
-
-    spec keys, all optional: n (buyers, default 2), m (items, default 1),
-    support (nonzero vectors per buyer, or per-item nonzero values when
-    correlated is false; int or per-buyer list; default 2), value_range
-    (max value, default 4), denominator (max value denominator, default
-    4, capped at 64), iid (all buyers share one distribution), correlated
-    (joint sampling across items; false gives a product distribution per
-    buyer).  Masses come from small integer weights normalized exactly,
-    so every denominator stays at or below 64, and the zero vector is
-    always present (mass zero three times out of four).
-    """
+def _read_spec(spec: Mapping, cap: int):
+    """Check a gen_instance spec, and its profile count against cap,
+    without drawing anything.  Returns (n, m, per-buyer support sizes,
+    value_range, denominator, iid, joint)."""
     n = int(spec.get("n", 2))
     m = int(spec.get("m", 1))
     raw_support = spec.get("support", 2)
@@ -359,7 +351,31 @@ def gen_instance(spec: Mapping, seed: int, cap: int = 256) -> Instance:
     if total_profiles > cap:
         raise ScaleLimit(f"{total_profiles} profiles exceed the cap {cap}")
     per_buyer = [s for s, c in counts for _ in range(c)]
+    return n, m, per_buyer, value_range, denominator, iid, joint
 
+
+def gen_shape(spec: Mapping, cap: int = 256) -> tuple[int, tuple[int, ...]]:
+    """(items, per-buyer type counts) of every instance that
+    gen_instance(spec, seed, cap) draws, whatever the seed.  Raises as
+    gen_instance does on a bad or over-cap spec, and draws nothing."""
+    _, m, per_buyer, _, _, _, joint = _read_spec(spec, cap)
+    return m, tuple(s + 1 if joint else (s + 1) ** m for s in per_buyer)
+
+
+def gen_instance(spec: Mapping, seed: int, cap: int = 256) -> Instance:
+    """Deterministic instance from a seed.
+
+    spec keys, all optional: n (buyers, default 2), m (items, default 1),
+    support (nonzero vectors per buyer, or per-item nonzero values when
+    correlated is false; int or per-buyer list; default 2), value_range
+    (max value, default 4), denominator (max value denominator, default
+    4, capped at 64), iid (all buyers share one distribution), correlated
+    (joint sampling across items; false gives a product distribution per
+    buyer).  Masses come from small integer weights normalized exactly,
+    so every denominator stays at or below 64, and the zero vector is
+    always present (mass zero three times out of four).
+    """
+    n, m, per_buyer, value_range, denominator, iid, joint = _read_spec(spec, cap)
     rng = random.Random(seed)
 
     def one_buyer(support: int):

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,19 @@ def test_oversized_tableau_is_refused_before_allocating(capsys):
     captured = capsys.readouterr()
     assert "ScaleLimit: a 65792x66305 tableau exceeds the cap" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_oversized_gen_program_is_refused_before_drawing(capsys):
+    # two profiles, but 100000 items make a 200004 x 200002 program;
+    # drawing the items' values alone takes seconds
+    argv = ["characterize", "--gen", "n=1,m=100000,support=1"]
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert "ScaleLimit: a 200004x400007 tableau exceeds the cap" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Simplex: certificates, duals, the pivot rule and its Bland fallback,
-the float proposal pass and the pivot hook.
+the float proposal pass, the pivot hook and the sparse tableau's
+invariants.
 
 Optimal objectives are cross-checked against brute-force vertex
 enumeration (helpers.brute_force_best), which shares no code with the
@@ -8,7 +9,7 @@ solver, and the float pass against the exact simplex."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from auctionlp.lp import (
     INFEASIBLE,
@@ -27,7 +28,7 @@ from auctionlp.lp import (
 from auctionlp.analysis import tight_downward_dual
 from auctionlp.auction import build_blp, build_dslp
 from auctionlp.lp import simplex
-from auctionlp.lp.simplex import _Simplex
+from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
 from auctionlp.oracles import gen_instance
 from helpers import brute_force_best
 
@@ -331,6 +332,76 @@ def test_rejected_proposal_falls_back_to_exact(monkeypatch):
     monkeypatch.setattr(simplex, "eliminate", counting)
     assert solve(lp) == expected
     assert rounded and exact_pivots
+
+
+# -- sparse tableau ---------------------------------------------------------
+
+
+def finished_runs(lp):
+    """The exact and the float simplex on lp, each run to its ending."""
+    runs = [_Simplex(lp), _Simplex(lp, floating=True)]
+    for run in runs:
+        try:
+            run.run()
+        except _NO_PROPOSAL:
+            assert run.tol
+    return runs
+
+
+def assert_tableau_consistent(run):
+    """No row was deleted, cols[k] is exactly the set of rows holding
+    column k, and no stored entry is zero, or within the tolerance of
+    zero in the float pass."""
+    assert len(run.T) == run.lp.nrows
+    assert all(k < len(run.cols) for row in run.T for k in row)
+    for k, rows in enumerate(run.cols):
+        assert rows == {r for r, row in enumerate(run.T) if k in row}
+    for row in run.T:
+        assert all(abs(v) > run.tol for v in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_lps())
+# duplicated >= rows: one artificial stays basic after phase one
+@example(lp_of(MAX, [1], [[-1], [-1], [1]], [-1, -1, 5]))
+@example(lp_of(MIN, [1, 1], [[-1, -1], [-1, -1], [1, 1]], [-2, -2, 8]))
+def test_tableau_stays_consistent_on_random_lps(lp):
+    for run in finished_runs(lp):
+        assert_tableau_consistent(run)
+
+
+@pytest.mark.parametrize(
+    "spec,seeds", CROSS_SHAPES.values(), ids=list(CROSS_SHAPES)
+)
+def test_tableau_stays_consistent_on_auction_programs(spec, seeds):
+    instance = gen_instance(spec, seeds[0])
+    for build in (build_dslp, build_blp):
+        for run in finished_runs(build(instance)):
+            assert_tableau_consistent(run)
+
+
+def test_float_pass_solves_256_profile_ds_program(monkeypatch):
+    # The scale path: a 4352 x 2048 program that the float pass must
+    # carry alone, with no silent fallback to the exact simplex.
+    lp = build_dslp(gen_instance({"n": 4, "m": 1, "support": 3}, 5))
+    runs = []
+
+    class Recorded(_Simplex):
+        def run(self):
+            runs.append(self)
+            return super().run()
+
+    def no_exact_pivot(tableau, r, c):
+        raise AssertionError("the exact simplex pivoted")
+
+    monkeypatch.setattr(simplex, "_Simplex", Recorded)
+    monkeypatch.setattr(simplex, "eliminate", no_exact_pivot)
+    cert = solve(lp)
+    (run,) = runs
+    assert run.tol
+    assert run.pivots == 903
+    assert cert.objective == F(67549, 17784)
+    recheck_certificate(lp, cert)
 
 
 def test_coefficients_beyond_float_range_fall_back_to_exact():

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from auctionlp.auction import brev, drev
+from auctionlp.auction import PRIMAL, ProgramLayout, brev, build_dslp, drev
 from auctionlp.errors import DimensionMismatch, ScaleLimit
+from auctionlp.model import DS
 from auctionlp.oracles import (
     gen_instance,
+    gen_shape,
     menu_grid_revenue,
     posted_price_revenue,
     threshold_auction_revenue,
@@ -115,6 +117,29 @@ def test_gen_instance_profile_cap():
     with pytest.raises(ScaleLimit):
         gen_instance({"n": 3, "m": 1, "support": 7}, 0)
     gen_instance({"n": 3, "m": 1, "support": 7}, 0, cap=512)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": 2, "m": 1, "support": 2},
+        {"n": 1, "m": 2, "support": 4},
+        {"n": 2, "m": 2, "support": 1, "correlated": False},
+        {"n": 3, "m": 1, "support": [1, 2, 3]},
+        {"n": 3, "m": 2, "support": 1, "iid": True},
+    ],
+)
+def test_gen_shape_gives_the_drawn_program(spec):
+    # The CLI bounds a --gen spec's dominant-strategy tableau by this
+    # shape, taking its right-hand sides as nonnegative (no artificial
+    # columns), before anything is drawn.
+    for seed in (0, 1):
+        instance = gen_instance(spec, seed)
+        m, sizes = gen_shape(spec)
+        assert (m, sizes) == (instance.m, tuple(instance.sizes))
+        lp = build_dslp(instance)
+        assert ProgramLayout(DS, PRIMAL, m, sizes).shape == (lp.nrows, lp.ncols)
+        assert all(q >= 0 for q in lp.b)
 
 
 def test_gen_instance_iid_shares_distribution():
