@@ -14,7 +14,7 @@ from .auction import (
     extract_dual,
     solve_form,
 )
-from .errors import NotAgentIndependent, NotOptimal
+from .errors import DimensionMismatch, NotAgentIndependent, NotOptimal
 from .lp import MIN, OPTIMAL, make_lp, solve
 from .model import (
     BAYES,
@@ -22,10 +22,12 @@ from .model import (
     DualSolutionBayes,
     DualSolutionDS,
     Instance,
+    Mechanism,
     RevenueReport,
     VirtualValueTable,
     dual_from_multipliers,
     make_revenue_report,
+    mechanism_feasible,
     rat_str,
     validate_instance,
 )
@@ -39,8 +41,11 @@ from .virtual import (
 
 __all__ = [
     "srev",
-    "srev_breakdown",
+    "item_revenue",
     "item_marginal",
+    "canonical_flow",
+    "myerson_mechanism",
+    "face_excess",
     "tight_downward_dual",
     "check_agent_independence",
     "check_item_independence",
@@ -83,18 +88,153 @@ def item_marginal(instance: Instance, j: int) -> Instance:
     )
 
 
-def srev_breakdown(instance: Instance) -> tuple[Fraction, ...]:
-    return tuple(drev(item_marginal(instance, j)) for j in range(instance.m))
+def item_revenue(instance: Instance, j: int) -> Fraction:
+    """Optimal revenue of selling item j alone, on its marginal.
+
+    Myerson's auction answers when two exact checks accept it: the
+    canonical flow is a feasible dual, whose objective bounds the
+    revenue from above, and the auction it prices is a feasible
+    mechanism with the same revenue.  Otherwise (ironing would change a
+    positive virtual value) the marginal's dominant-strategy program
+    does."""
+    marginal = item_marginal(instance, j)
+    dual = canonical_flow(marginal)
+    if dual.is_feasible():
+        mechanism = myerson_mechanism(marginal, dual)
+        revenue = dual.objective()
+        if mechanism_feasible(marginal, mechanism) and mechanism.revenue(marginal) == revenue:
+            return revenue
+    return drev(marginal)
 
 
 def srev(instance: Instance) -> Fraction:
     """Revenue of selling each item separately by its optimal
     single-item auction on the item's marginal distribution."""
-    return sum(srev_breakdown(instance), Fraction(0))
+    return sum((item_revenue(instance, j) for j in range(instance.m)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Single-item closed forms
+
+
+def _value_ladder(instance: Instance, i: int) -> tuple[list[int], list[Fraction]]:
+    """Buyer i's types in ascending order of their single value, and
+    their values."""
+    values = [vec[0] for vec in instance.supports[i]]
+    return sorted(range(len(values)), key=values.__getitem__), values
+
+
+def canonical_flow(instance: Instance) -> DualSolutionDS:
+    """The downward canonical flow of a single-item instance, unironed
+    (Cai, Devanur and Weinberg 2016; discrete virtual values as in
+    Elkind 2007).
+
+    On each of buyer i's opponent slices, of mass w, the types in
+    ascending value order send zeta(u, u - 1) = w * C_u, where C_u is
+    the buyer's mass at or above u, and the lowest type carries
+    eta = w.  The expected virtual value at u is then
+    w * (C_u v_u - C_{u+1} v_{u+1}) = w * (f_u v_u - C_{u+1} (v_{u+1} - v_u)),
+    mu(v) times the discrete Myerson virtual value, and xi at each
+    profile is the largest over the buyers, or 0.  The dual's alpha and
+    beta derive these coefficients again from the multipliers, so
+    is_feasible() checks the construction.  The objective is
+    E[max_i phi_i(v_i)^+]; it is the optimal revenue unless ironing
+    would change a positive virtual value."""
+    if instance.m != 1:
+        raise DimensionMismatch("the canonical flow is defined for one item")
+    zero = Fraction(0)
+    xi = [zero] * instance.profile_count
+    zeta, eta = [], []
+    for i, k in enumerate(instance.sizes):
+        order, values = _value_ladder(instance, i)
+        probs = instance.probs[i]
+        # above[u]: the mass of the types from the u-th lowest up
+        above = list(
+            itertools.accumulate((probs[t] for t in reversed(order)), initial=zero)
+        )[::-1]
+        # value_above[u]: C_u v_u, 0 past the top
+        value_above = [above[u] * values[t] for u, t in enumerate(order)] + [zero]
+        # drops[u]: f_u times the virtual value at u, so phi = w * drops[u]
+        drops = [value_above[u] - value_above[u + 1] for u in range(k)]
+        zeta_i = [None] * instance.profile_count
+        eta_i = [zero] * instance.profile_count
+        idle = (zero,) * k
+        for w, ranks in zip(instance.mu_minus_by_slice[i], instance.ranks[i]):
+            if not w:
+                for r in ranks:
+                    zeta_i[r] = idle
+                continue
+            eta_i[ranks[order[0]]] = w
+            zeta_i[ranks[order[0]]] = idle
+            for u in range(1, k):
+                row = [zero] * k
+                row[order[u - 1]] = w * above[u]
+                zeta_i[ranks[order[u]]] = tuple(row)
+            for t, drop in zip(order, drops):
+                if drop > 0:
+                    r = ranks[t]
+                    phi = w * drop
+                    if phi > xi[r]:
+                        xi[r] = phi
+        zeta.append(tuple(zeta_i))
+        eta.append(tuple(eta_i))
+    return dual_from_multipliers(instance, DS, tuple(zeta), tuple(eta), (tuple(xi),))
+
+
+def myerson_mechanism(instance: Instance, dual: DualSolutionDS) -> Mechanism:
+    """The single-item auction a canonical flow prices.  At each profile
+    where xi > 0 the item goes to the first buyer whose alpha is 0 there,
+    one of highest virtual value.  Along each opponent slice's value
+    ladder a buyer pays v_u x(u) minus the sum of (v_{u'+1} - v_{u'})
+    x(u') over the lower types u', the threshold when the allocation
+    rises along the ladder.  The caller checks feasibility."""
+    n, count = instance.n, instance.profile_count
+    winner = [None] * count
+    for r, x in enumerate(dual.xi[0]):
+        if x > 0:
+            winner[r] = next((i for i in range(n) if dual.alpha[i][0][r] == 0), None)
+    zero, one = Fraction(0), Fraction(1)
+    pay = [[zero] * n for _ in range(count)]
+    for i in range(n):
+        order, values = _value_ladder(instance, i)
+        for ranks in instance.ranks[i]:
+            paid, held = zero, zero
+            for t in order:
+                r = ranks[t]
+                x = one if winner[r] == i else zero
+                paid += values[t] * (x - held)
+                held = x
+                pay[r][i] = paid
+    alloc = tuple(
+        tuple((one,) if i == won else (zero,) for i in range(n)) for won in winner
+    )
+    return Mechanism(form=DS, alloc=alloc, pay=tuple(map(tuple, pay)))
 
 
 # ---------------------------------------------------------------------------
 # Dual selection
+
+
+def _raising_pairs(instance: Instance, i: int) -> list[tuple[int, int]]:
+    """Buyer i's (true t, report t2) pairs whose report is higher on
+    some item."""
+    return [
+        (t, t2)
+        for t, t2 in itertools.permutations(range(instance.sizes[i]), 2)
+        if any(w2 > w for w, w2 in zip(instance.value(i, t), instance.value(i, t2)))
+    ]
+
+
+def face_excess(instance: Instance, dual: DualSolutionDS) -> Fraction:
+    """What tight_downward_dual minimizes, less the buyer count: total
+    participation mass plus the mass on raising pairs, minus n."""
+    total = Fraction(-instance.n)
+    for i in range(instance.n):
+        total += sum(dual.eta[i], Fraction(0))
+        for t, t2 in _raising_pairs(instance, i):
+            for ranks in instance.ranks[i]:
+                total += dual.zeta[i][ranks[t]][t2]
+    return total
 
 
 def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
@@ -118,11 +258,9 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
     for i in range(instance.n):
         for r in range(count):
             c[layout.eta(i, r)] = Fraction(1)
-        for t, t2 in itertools.permutations(range(instance.sizes[i]), 2):
-            raising = zip(instance.value(i, t), instance.value(i, t2))
-            if any(w2 > w for w, w2 in raising):
-                for s in range(len(instance.ranks[i])):
-                    c[layout.zeta(i, t, t2, s)] = Fraction(1)
+        for t, t2 in _raising_pairs(instance, i):
+            for s in range(len(instance.ranks[i])):
+                c[layout.zeta(i, t, t2, s)] = Fraction(1)
     rows = list(base.rows) + [
         tuple((col, Fraction(1)) for col in xi_cols),
         tuple((col, Fraction(-1)) for col in xi_cols),
@@ -140,6 +278,20 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
     if dual.objective() != revenue:
         raise NotOptimal("optimal-face dual misses the revenue")
     return dual, excess
+
+
+def _tight_dual(instance: Instance, revenue: Fraction):
+    """tight_downward_dual's (dual, excess), from the canonical flow on
+    one item when exact checks accept it: feasible, with the certified
+    revenue as objective and excess 0.  The flow does no ironing, so on
+    an instance that needs it the face search answers."""
+    if instance.m == 1:
+        dual = canonical_flow(instance)
+        if dual.is_feasible() and dual.objective() == revenue:
+            excess = face_excess(instance, dual)
+            if excess == 0:
+                return dual, excess
+    return tight_downward_dual(instance, revenue=revenue)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +519,7 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
         spec["iid"] = True
         instance = gen_instance(spec, seed + index, cap=cap)
         report = characterize(instance)
-        dual, excess = tight_downward_dual(instance, revenue=report.drev)
+        dual, excess = _tight_dual(instance, report.drev)
         regular = regularize_ds(instance, dual, revenue=report.drev)
         table = virtual_values_ds(instance, regular)
         ubvv = check_ubvv(table, instance)

@@ -33,6 +33,7 @@ from .program import (
     MAX,
     CertificateError,
     LpCertificate,
+    _exact,
     certify_infeasible,
     certify_optimal,
     certify_unbounded,
@@ -178,6 +179,13 @@ def check_tableau_size(rows: int, width: int) -> None:
         )
 
 
+def _to_float(q) -> float:
+    """float(q), without numbers.Rational.__float__'s extra calls: the
+    same correctly rounded integer division, which raises OverflowError
+    beyond the float range."""
+    return q.numerator / q.denominator
+
+
 def _nearby_rational(value: float, bound: int) -> Fraction:
     return Fraction(value).limit_denominator(bound)
 
@@ -213,7 +221,7 @@ class _Simplex:
         self.sign = 1 if lp.sense == MAX else -1
         S = self.S = lp.ncols  # structural columns
         R = self.R = lp.nrows
-        num = float if floating else Fraction
+        num = _to_float if floating else _exact
         self.tol = _FLOAT_TOL if floating else 0
         self.cap = _FLOAT_PIVOTS_PER_DIM * (R + S) if floating else _PIVOT_CAP
         zero = num(0)

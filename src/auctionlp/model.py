@@ -737,9 +737,13 @@ class DualSolutionBayes(DualSolution):
 
 
 def _any_negative(nested) -> bool:
-    if isinstance(nested, tuple):
-        return any(_any_negative(x) for x in nested)
-    return nested < 0
+    """Whether a nested tuple of numbers, nested to the same depth
+    throughout, holds a negative entry."""
+    if not nested:
+        return False
+    if isinstance(nested[0], tuple):
+        return any(map(_any_negative, nested))
+    return min(nested) < 0
 
 
 def multiplier_keys(instance: Instance, form: str, i: int):

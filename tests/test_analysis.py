@@ -7,25 +7,30 @@ from fractions import Fraction
 
 import pytest
 
+from auctionlp import analysis, auction
 from auctionlp.analysis import (
     bic_to_dsic_dual,
+    canonical_flow,
     characterize,
     check_agent_independence,
     check_item_independence,
     dsic_to_bic_dual,
+    face_excess,
     iid_scan,
     is_iid,
     item_marginal,
+    item_revenue,
+    myerson_mechanism,
     srev,
-    srev_breakdown,
     tight_downward_dual,
 )
 from auctionlp.auction import BAYES, DS, drev, extract_dual, solve_form
-from auctionlp.errors import NotAgentIndependent, NotOptimal
+from auctionlp.errors import DimensionMismatch, NotAgentIndependent, NotOptimal
 from auctionlp.model import (
     NEG_INF,
     VirtualValueTable,
     dual_from_multipliers,
+    mechanism_feasible,
 )
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import (
@@ -60,8 +65,107 @@ def test_item_marginal_recovers_coordinates(items12, u12):
 
 
 def test_srev_breakdown(items12):
-    assert srev_breakdown(items12) == (F(1), F(1))
+    assert tuple(item_revenue(items12, j) for j in range(2)) == (F(1), F(1))
     assert srev(items12) == 2
+
+
+# -- single-item closed forms -----------------------------------------------
+
+
+def lp_path(monkeypatch):
+    """Route SRev and the scan's tight dual through their programs, as
+    before the closed forms."""
+    monkeypatch.setattr(
+        analysis, "item_revenue", lambda inst, j: drev(item_marginal(inst, j))
+    )
+    monkeypatch.setattr(
+        analysis,
+        "_tight_dual",
+        lambda inst, revenue: tight_downward_dual(inst, revenue=revenue),
+    )
+
+
+# (family, first seed, count): support 3 at seed 1 needs ironing
+SCAN_CORPUS = [
+    ({"n": 3, "m": 1, "support": 2}, 1, 2),
+    ({"n": 3, "m": 1, "support": 3}, 0, 2),
+    ({"n": 3, "m": 2, "support": 2}, 0, 1),
+]
+
+
+def test_closed_forms_match_the_programs(monkeypatch):
+    closed = [iid_scan(family, seed, count) for family, seed, count in SCAN_CORPUS]
+    verdicts = set()
+    for (family, seed, _), records in zip(SCAN_CORPUS, closed):
+        if family["m"] != 1:
+            continue
+        for index, record in enumerate(records):
+            instance = gen_instance(dict(family, iid=True), seed + index)
+            revenue = F(record["drev"])
+            dual = canonical_flow(instance)
+            accepted = dual.is_feasible() and dual.objective() == revenue
+            verdicts.add(accepted)
+            if accepted:
+                assert face_excess(instance, dual) == 0
+                regularize_ds(instance, dual, revenue=revenue)
+    assert verdicts == {True, False}
+    lp_path(monkeypatch)
+    programs = [iid_scan(family, seed, count) for family, seed, count in SCAN_CORPUS]
+    assert closed == programs
+
+
+@pytest.fixture(scope="module")
+def spied_solves():
+    """Count the LP solves under each call made through it."""
+    calls = []
+    original = auction.solve
+
+    def spy(lp):
+        calls.append(lp)
+        return original(lp)
+
+    def run(fn, *args):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(auction, "solve", spy)
+            mp.setattr(analysis, "solve", spy)
+            result = fn(*args)
+        return result, len(calls)
+
+    return run
+
+
+def irregular(n):
+    """Value 3 has a negative virtual value between two positive ones,
+    so the optimal auction irons it."""
+    return build(n, 1, [[[0], [2], [3], [10]]] * n, [[0, "1/2", "1/4", "1/4"]] * n)
+
+
+@pytest.mark.parametrize("n,revenue", [(1, F(5, 2)), (3, F(185, 32))])
+def test_ironing_falls_back_to_the_programs(spied_solves, n, revenue):
+    instance = irregular(n)
+    dual = canonical_flow(instance)
+    assert dual.is_feasible()
+    assert dual.objective() > revenue
+    if n == 1:
+        assert (dual.objective(), drev(instance)) == (F(3), revenue)
+    mechanism = myerson_mechanism(instance, dual)
+    assert not mechanism_feasible(instance, mechanism)
+    value, solves = spied_solves(srev, instance)
+    assert value == revenue and solves == 1
+    (_, excess), solves = spied_solves(analysis._tight_dual, instance, revenue)
+    assert excess == 0 and solves == 1
+
+
+def test_regular_single_item_needs_no_program(spied_solves, u123, pair12, items12):
+    with pytest.raises(DimensionMismatch):
+        canonical_flow(items12)
+    for instance, revenue in ((u123, F(4, 3)), (pair12, F(3, 2))):
+        assert spied_solves(srev, instance) == (revenue, 0)
+        (dual, excess), solves = spied_solves(analysis._tight_dual, instance, revenue)
+        assert (excess, solves) == (0, 0)
+        assert dual == canonical_flow(instance)
+        assert myerson_mechanism(instance, dual).revenue(instance) == revenue
 
 
 def test_is_iid(pair12, gap2x2, u12):
@@ -126,6 +230,14 @@ def test_tight_dual_is_pinned():
         )
         text = repr((zeta, dual.eta, dual.xi))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_face_excess_matches_the_face_search(u12):
+    # the last pin ends with excess 3/56, through mass on raising pairs
+    positive = gen_instance({"n": 3, "m": 2, "support": 2, "iid": True}, 3)
+    for instance, expected in ((u12, F(0)), (positive, F(3, 56))):
+        dual, excess = tight_downward_dual(instance)
+        assert face_excess(instance, dual) == excess == expected
 
 
 def test_tight_dual_rejects_unreachable_revenue(u12):

@@ -334,6 +334,38 @@ def test_rejected_proposal_falls_back_to_exact(monkeypatch):
     assert rounded and exact_pivots
 
 
+def assert_setup_converts_like_float(lp):
+    """The float tableau holds float(q) of every exact entry, the exact
+    one the program's own coefficients, and the certificate is the one
+    that converting through float() gives."""
+    exact, fast = _Simplex(lp), _Simplex(lp, floating=True)
+    for entries, b, row, frow in zip(lp.rows, lp.b, exact.T, fast.T):
+        assert frow == {k: float(v) for k, v in row.items()}
+        assert all(type(v) is float for v in frow.values())
+        if b >= 0:
+            assert all(row[j] is coef for j, coef in entries)
+    assert fast.obj == [float(q) for q in exact.obj]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_to_float", float)
+        expected = solve(lp)
+    assert solve(lp) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_lps())
+def test_setup_converts_like_float_on_random_lps(lp):
+    assert_setup_converts_like_float(lp)
+
+
+@pytest.mark.parametrize(
+    "spec,seeds", CROSS_SHAPES.values(), ids=list(CROSS_SHAPES)
+)
+def test_setup_converts_like_float_on_auction_programs(spec, seeds):
+    instance = gen_instance(spec, seeds[0])
+    for build in (build_dslp, build_blp):
+        assert_setup_converts_like_float(build(instance))
+
+
 # -- sparse tableau ---------------------------------------------------------
 
 
