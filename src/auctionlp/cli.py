@@ -9,6 +9,7 @@ produce byte-identical output.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -234,7 +235,10 @@ def cmd_virtuals(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use; parsing leaves it unchanged,
+    so every later call returns the same one."""
     parser = argparse.ArgumentParser(
         prog="auctionlp",
         description="Exact LP solver and verifier for optimal auctions "

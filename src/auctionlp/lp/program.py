@@ -38,16 +38,6 @@ class LinearProgram:
     def row_dot(self, r: int, x: Sequence[Fraction]) -> Fraction:
         return sum((coef * x[j] for j, coef in self.rows[r]), Fraction(0))
 
-    def col_dot(self, y: Sequence[Fraction]) -> list[Fraction]:
-        """y^T A as a dense vector over columns."""
-        out = [Fraction(0)] * self.ncols
-        for r, row in enumerate(self.rows):
-            yr = y[r]
-            if yr:
-                for j, coef in row:
-                    out[j] += yr * coef
-        return out
-
 
 def _exact(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
@@ -124,54 +114,121 @@ def _require(ok: bool, msg: str) -> None:
         raise CertificateError(msg)
 
 
-def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
-    """Exact optimality check.  Row products run over the nonzero
-    entries of x only; a zero entry adds nothing to any of them."""
-    sign = 1 if lp.sense == MAX else -1
-    _require(len(x) == lp.ncols and len(y) == lp.nrows, "certificate shape")
-    _require(all(v >= 0 for v in x), "primal negativity")
-    _require(all(v >= 0 for v in y), "dual negativity")
-    support = [v if v else None for v in x]
-    for r, row in enumerate(lp.rows):
-        total = Fraction(0)
+# The exact checks below run on integer numerators.  A sum of rational
+# terms p/q is held as (num, den), den > 0: a term whose denominator
+# divides den adds p * (den // q), and any other first grows den to
+# lcm(den, q).  Each row and column grows its own denominator, so the
+# work on one never depends on the denominators elsewhere in the vector.
+# A sign test reads the numerator, since denominators are positive.
+
+
+def _split(vec) -> list[tuple[int, int] | None]:
+    """Each entry as (numerator, denominator), None where it is 0."""
+    out = []
+    for v in vec:
+        p = v.numerator
+        out.append((p, v.denominator) if p else None)
+    return out
+
+
+def _negative(pairs) -> bool:
+    return any(v is not None and v[0] < 0 for v in pairs)
+
+
+def _dot(terms, pairs) -> tuple[int, int]:
+    """sum of coef * v over (j, coef) in terms, with v = pairs[j]."""
+    num, den = 0, 1
+    for j, coef in terms:
+        v = pairs[j]
+        if v is not None:
+            q = coef.denominator * v[1]
+            if den % q:
+                grown = lcm(den, q)
+                num *= grown // den
+                den = grown
+            num += coef.numerator * v[0] * (den // q)
+    return num, den
+
+
+def _col_sums(lp: LinearProgram, pairs) -> tuple[list[int], list[int]]:
+    """y^T A as per-column numerators and denominators, y = pairs: _dot
+    over the columns, filled row by row so that rows where y is 0 are
+    skipped."""
+    nums = [0] * lp.ncols
+    dens = [1] * lp.ncols
+    for row, v in zip(lp.rows, pairs):
+        if v is None:
+            continue
+        p, q0 = v
         for j, coef in row:
-            v = support[j]
-            if v is not None:
-                total += coef * v
-        _require(total <= lp.b[r], f"primal row {r} violated")
-    yA = lp.col_dot(y)
-    for j, (a, cj) in enumerate(zip(yA, lp.c)):
-        _require(a >= cj if sign == 1 else a >= -cj, f"dual column {j} violated")
-    cx = sum((lp.c[j] * v for j, v in enumerate(support) if v is not None), Fraction(0))
-    by = sum((lp.b[r] * y[r] for r in range(lp.nrows) if y[r]), Fraction(0))
-    _require(sign * cx == by, "duality gap nonzero")
-    _require(cx == objective, "objective mismatch")
+            q = coef.denominator * q0
+            den = dens[j]
+            if den % q:
+                grown = lcm(den, q)
+                nums[j] *= grown // den
+                dens[j] = den = grown
+            nums[j] += coef.numerator * p * (den // q)
+    return nums, dens
+
+
+def _at_most(sum_: tuple[int, int], bound) -> bool:
+    num, den = sum_
+    return num * bound.denominator <= bound.numerator * den
+
+
+def _check_optimal(lp: LinearProgram, x, y) -> Fraction:
+    """verify_optimal short of the stated objective: c.x on success."""
+    _require(len(x) == lp.ncols and len(y) == lp.nrows, "certificate shape")
+    xs = _split(x)
+    _require(not _negative(xs), "primal negativity")
+    ys = _split(y)
+    _require(not _negative(ys), "dual negativity")
+    for r, (row, b) in enumerate(zip(lp.rows, lp.b)):
+        _require(_at_most(_dot(row, xs), b), f"primal row {r} violated")
+    # y^T A >= c (max), or >= -c (min)
+    sign = 1 if lp.sense == MAX else -1
+    nums, dens = _col_sums(lp, ys)
+    for j, (num, den, cj) in enumerate(zip(nums, dens, lp.c)):
+        _require(
+            num * cj.denominator >= sign * cj.numerator * den, f"dual column {j} violated"
+        )
+    cx_num, cx_den = _dot(enumerate(lp.c), xs)
+    by_num, by_den = _dot(enumerate(lp.b), ys)
+    _require(sign * cx_num * by_den == by_num * cx_den, "duality gap nonzero")
+    return Fraction(cx_num, cx_den)
+
+
+def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
+    """Exact optimality check of rational (Fraction or int) vectors.
+    Row products run over the nonzero entries of x only; a zero entry
+    adds nothing to any of them."""
+    _require(_check_optimal(lp, x, y) == objective, "objective mismatch")
 
 
 def verify_infeasible(lp: LinearProgram, y) -> None:
     _require(len(y) == lp.nrows, "witness shape")
-    _require(all(v >= 0 for v in y), "witness negativity")
-    yA = lp.col_dot(y)
-    _require(all(v >= 0 for v in yA), "witness y^T A not nonnegative")
-    by = sum((lp.b[r] * y[r] for r in range(lp.nrows)), Fraction(0))
-    _require(by < 0, "witness y.b not negative")
+    ys = _split(y)
+    _require(not _negative(ys), "witness negativity")
+    nums, _ = _col_sums(lp, ys)
+    _require(all(num >= 0 for num in nums), "witness y^T A not nonnegative")
+    _require(_dot(enumerate(lp.b), ys)[0] < 0, "witness y.b not negative")
 
 
 def verify_unbounded(lp: LinearProgram, x, d) -> None:
-    sign = 1 if lp.sense == MAX else -1
     _require(len(x) == lp.ncols and len(d) == lp.ncols, "witness shape")
-    _require(all(v >= 0 for v in x), "point negativity")
-    _require(all(v >= 0 for v in d), "ray negativity")
-    for r in range(lp.nrows):
-        _require(lp.row_dot(r, x) <= lp.b[r], "point infeasible")
-        _require(lp.row_dot(r, d) <= 0, "ray leaves the feasible cone")
-    cd = sum((lp.c[j] * d[j] for j in range(lp.ncols)), Fraction(0))
-    _require(sign * cd > 0, "ray does not improve the objective")
+    xs = _split(x)
+    _require(not _negative(xs), "point negativity")
+    ds = _split(d)
+    _require(not _negative(ds), "ray negativity")
+    for row, b in zip(lp.rows, lp.b):
+        _require(_at_most(_dot(row, xs), b), "point infeasible")
+        _require(_dot(row, ds)[0] <= 0, "ray leaves the feasible cone")
+    sign = 1 if lp.sense == MAX else -1
+    _require(sign * _dot(enumerate(lp.c), ds)[0] > 0, "ray does not improve the objective")
 
 
 def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
-    objective = sum((lp.c[j] * v for j, v in enumerate(x) if v), Fraction(0))
-    verify_optimal(lp, x, y, objective)
+    objective = _check_optimal(lp, x, y)
     return LpCertificate(
         status=OPTIMAL,
         layout=lp.layout,

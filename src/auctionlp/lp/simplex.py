@@ -274,7 +274,14 @@ class _Simplex:
         rule is forced."""
         bland = self.forced_bland
         best, below = None, -self.tol
-        for j in range(limit):
+        if self.tol:
+            columns = range(limit)
+        else:
+            # Only a negative reduced cost can enter, and a Fraction's
+            # sign is its numerator's: the generic comparison below then
+            # runs on the negative ones only.
+            columns = [j for j in range(limit) if obj_row[j].numerator < 0]
+        for j in columns:
             rc = obj_row[j]
             if rc < below:
                 if bland:

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -539,7 +540,8 @@ class PrimalSlacks:
 
     @property
     def feasible(self) -> bool:
-        return self.min_entry() >= 0
+        """min_entry() >= 0, read off the numerators."""
+        return not any(map(_any_negative, (self.a, self.b, self.c)))
 
 
 def _check_dims(instance: Instance, mechanism: Mechanism) -> None:
@@ -641,12 +643,10 @@ def mechanism_feasible(
     for row in mechanism.alloc:
         for cell in row:
             for x in cell:
-                if x < 0 or x > 1:
+                if x.numerator < 0 or x.numerator > x.denominator:
                     return False
-    for prow in mechanism.pay:
-        for p in prow:
-            if p < 0:
-                return False
+    if _any_negative(mechanism.pay):
+        return False
     if slacks is None:
         slacks = mechanism_slacks(instance, mechanism)
     return slacks.feasible
@@ -736,14 +736,18 @@ class DualSolutionBayes(DualSolution):
         return total
 
 
+_NUMERATOR = attrgetter("numerator")
+
+
 def _any_negative(nested) -> bool:
-    """Whether a nested tuple of numbers, nested to the same depth
-    throughout, holds a negative entry."""
+    """Whether a nested tuple of rationals, nested to the same depth
+    throughout, holds a negative entry.  Denominators are positive, so
+    the numerators carry the signs."""
     if not nested:
         return False
     if isinstance(nested[0], tuple):
         return any(map(_any_negative, nested))
-    return min(nested) < 0
+    return min(map(_NUMERATOR, nested)) < 0
 
 
 def multiplier_keys(instance: Instance, form: str, i: int):

@@ -96,7 +96,7 @@ def _check_cs(instance, mechanism, dual, slacks) -> GapLedger:
     dual's zeta and eta."""
     if slacks is None:
         slacks = mechanism_slacks(instance, mechanism)
-    if slacks.min_entry() < 0:
+    if not slacks.feasible:
         raise InfeasibleInput("primal slacks contain a negative entry")
     if not dual.is_feasible():
         raise InfeasibleInput("dual solution violates feasibility")

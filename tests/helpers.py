@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules: a brute-force vertex
-enumerator for tiny LPs, the discrete single-item virtual-value formula,
-an LP probe for the spread of one virtual value across the regular
-optimal duals, definition-level primal and dual slacks, and the profile
-key parser."""
+enumerator for tiny LPs, plain-Fraction certificate checks, the
+discrete single-item virtual-value formula, an LP probe for the spread
+of one virtual value across the regular optimal duals, definition-level
+primal and dual slacks, and the profile key parser."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -70,6 +70,86 @@ def brute_force_best(lp):
         if best is None or sign * obj > sign * best:
             best = obj
     return best
+
+
+def _row_sums(lp, x):
+    """A x, one plain Fraction sum per row."""
+    return [sum((coef * Fraction(x[j]) for j, coef in row), Fraction(0)) for row in lp.rows]
+
+
+def _column_sums(lp, y):
+    """y^T A, one plain Fraction sum per column."""
+    out = [Fraction(0)] * lp.ncols
+    for row, weight in zip(lp.rows, y):
+        for j, coef in row:
+            out[j] += coef * Fraction(weight)
+    return out
+
+
+def _dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def reference_optimal_check(lp, x, y, objective):
+    """The first failure of an optimality certificate, as the message
+    auctionlp.lp reports for it, or None when every condition holds:
+    x >= 0, y >= 0, Ax <= b, y^T A >= c (max) or >= -c (min), a zero
+    duality gap and c.x equal to the stated objective.  Plain Fraction
+    sums over the program's rows."""
+    sign = 1 if lp.sense == MAX else -1
+    if len(x) != lp.ncols or len(y) != lp.nrows:
+        return "certificate shape"
+    if any(v < 0 for v in x):
+        return "primal negativity"
+    if any(v < 0 for v in y):
+        return "dual negativity"
+    for r, (total, b) in enumerate(zip(_row_sums(lp, x), lp.b)):
+        if total > b:
+            return f"primal row {r} violated"
+    for j, (total, c) in enumerate(zip(_column_sums(lp, y), lp.c)):
+        if total < sign * c:
+            return f"dual column {j} violated"
+    cx, by = _dot(lp.c, x), _dot(lp.b, y)
+    if sign * cx != by:
+        return "duality gap nonzero"
+    if cx != objective:
+        return "objective mismatch"
+    return None
+
+
+def reference_infeasible_check(lp, y):
+    """reference_optimal_check for an infeasibility witness: y >= 0,
+    y^T A >= 0 and y.b < 0."""
+    if len(y) != lp.nrows:
+        return "witness shape"
+    if any(v < 0 for v in y):
+        return "witness negativity"
+    if any(total < 0 for total in _column_sums(lp, y)):
+        return "witness y^T A not nonnegative"
+    if _dot(lp.b, y) >= 0:
+        return "witness y.b not negative"
+    return None
+
+
+def reference_unbounded_check(lp, x, d):
+    """reference_optimal_check for an unboundedness witness: a feasible
+    point x >= 0 and a ray d >= 0 with A d <= 0 that improves the
+    objective; each row checks the point before the ray."""
+    sign = 1 if lp.sense == MAX else -1
+    if len(x) != lp.ncols or len(d) != lp.ncols:
+        return "witness shape"
+    if any(v < 0 for v in x):
+        return "point negativity"
+    if any(v < 0 for v in d):
+        return "ray negativity"
+    for point, ray, b in zip(_row_sums(lp, x), _row_sums(lp, d), lp.b):
+        if point > b:
+            return "point infeasible"
+        if ray > 0:
+            return "ray leaves the feasible cone"
+    if sign * _dot(lp.c, d) <= 0:
+        return "ray does not improve the objective"
+    return None
 
 
 def myerson_formula(values, masses):

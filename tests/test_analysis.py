@@ -114,6 +114,30 @@ def test_closed_forms_match_the_programs(monkeypatch):
     assert closed == programs
 
 
+def test_scan_builds_each_canonical_flow_once(monkeypatch):
+    # A single-item instance is its own item marginal, so its SRev is the
+    # certified DRev and only the tight dual builds its flow.  A two-item
+    # instance builds one flow per item marginal and no tight-dual flow.
+    built = []
+    original = analysis.canonical_flow
+
+    def spy(instance):
+        built.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(analysis, "canonical_flow", spy)
+    for family, seed in (({"n": 3, "m": 1, "support": 2}, 1), ({"n": 3, "m": 2, "support": 2}, 0)):
+        built.clear()
+        (record,) = iid_scan(family, seed, 1)
+        instance = gen_instance(dict(family, iid=True), seed)
+        if instance.m == 1:
+            assert item_marginal(instance, 0) == instance
+            assert built == [instance]
+            assert record["srev"] == record["drev"]
+        else:
+            assert built == [item_marginal(instance, j) for j in range(instance.m)]
+
+
 @pytest.fixture(scope="module")
 def spied_solves():
     """Count the LP solves under each call made through it."""

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import auctionlp
-from auctionlp.cli import main
+from auctionlp.auction import build_dslp
+from auctionlp.cli import build_parser, main
 from auctionlp.errors import ScaleLimit
 from auctionlp.model import load_instance
 from auctionlp.oracles import gen_instance
@@ -144,6 +146,40 @@ def test_self_check_rejects_forged_value(pair_path, tmp_path, capsys):
     forged = tmp_path / "forged.json"
     forged.write_text(json.dumps(doc))
     assert main(["self-check", pair_path, str(forged)]) == 2
+    assert "CertificateError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forge_primal", [False, True], ids=["dual-only", "every-entry"])
+def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_primal):
+    # Every entry of the document carries its own 384-bit denominator.
+    # The checks grow one denominator per row and per column, so the
+    # rejection stays local.  Taking one lcm over a whole vector first
+    # (a 1.7-million-bit integer over the 4352 dual entries) made the
+    # dual-only document take 12.5 s.
+    instance = gen_instance({"n": 4, "m": 1, "support": 3}, 3)
+    path = tmp_path / "instance.json"
+    path.write_text(instance.to_json())
+    row_names, col_names = build_dslp(instance).layout.labels()
+    rng = random.Random(5)
+    dens = set()
+    while len(dens) < len(row_names) + len(col_names):
+        dens.add(2**383 + rng.getrandbits(383))
+    values = [f"1/{d}" for d in dens]
+    doc = {
+        "kind": "auctionlp.certificate",
+        "version": 1,
+        "digest": instance.digest(),
+        "form": "ds",
+        "objective": "0",
+        "primal": dict(zip(col_names, values[len(row_names):])) if forge_primal else {},
+        "dual": dict(zip(row_names, values)),
+        "ledger": dict.fromkeys(("ic", "ir", "supply", "alloc", "pay", "gap"), "0"),
+    }
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    start = time.process_time()
+    assert main(["self-check", str(path), str(forged)]) == 2
+    assert time.process_time() - start < 1
     assert "CertificateError" in capsys.readouterr().err
 
 
@@ -349,6 +385,36 @@ def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "PivotLimit: pivot cap exceeded" in err
     assert "Traceback" not in err
+
+
+def test_parser_is_reused_across_calls(u12_path, capsys):
+    # main reuses one parser; a call that argparse or main rejects must
+    # not change what the next call sees
+    argvs = [
+        ["solve", u12_path],
+        ["solve", u12_path, "--form", "nonsense"],
+        ["characterize"],
+        ["solve", u12_path, "--form", "bic"],
+        ["solve", u12_path],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [run(argv) for argv in argvs]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, "SystemExit(2)", "SystemExit(2)", 0, 0]
+    assert reused[0][1] == reused[4][1] == "1\n"
 
 
 # -- characterize -----------------------------------------------------------

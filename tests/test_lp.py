@@ -4,8 +4,10 @@ invariants.
 
 Optimal objectives are cross-checked against brute-force vertex
 enumeration (helpers.brute_force_best), which shares no code with the
-solver, and the float pass against the exact simplex."""
+solver, the float pass against the exact simplex, and the integer
+certificate checks against plain-Fraction ones (helpers.reference_*)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,9 +30,15 @@ from auctionlp.lp import (
 from auctionlp.analysis import tight_downward_dual
 from auctionlp.auction import build_blp, build_dslp
 from auctionlp.lp import simplex
+from auctionlp.lp.program import verify_infeasible, verify_optimal, verify_unbounded
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
 from auctionlp.oracles import gen_instance
-from helpers import brute_force_best
+from helpers import (
+    brute_force_best,
+    reference_infeasible_check,
+    reference_optimal_check,
+    reference_unbounded_check,
+)
 
 F = Fraction
 
@@ -452,3 +460,94 @@ def test_export_lp_text_scales_to_integers():
     assert "objective scale: 6" in text
     assert " r0: + 1 x0 + 4 x1 <= 6" in text
     assert text.endswith("End\n")
+
+
+# -- integer certificate checks ---------------------------------------------
+
+
+def check_message(check, *args):
+    """The CertificateError message of a library check, None if it accepts."""
+    try:
+        check(*args)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+def assert_checks_match_reference(lp, x, y, d, objective):
+    """verify_optimal, verify_infeasible and verify_unbounded reach the
+    plain-Fraction reference's decision, with its message."""
+    assert check_message(verify_optimal, lp, x, y, objective) == reference_optimal_check(
+        lp, x, y, objective
+    )
+    assert check_message(verify_infeasible, lp, y) == reference_infeasible_check(lp, y)
+    assert check_message(verify_unbounded, lp, x, d) == reference_unbounded_check(lp, x, d)
+
+
+def solved_vectors(lp):
+    """(x, y, d, objective) from the program's certificate, zeros where
+    its status has none: y is the dual or the infeasibility witness, d
+    the unbounded ray."""
+    cert = solve(lp)
+    zeros_x, zeros_y = [F(0)] * lp.ncols, [F(0)] * lp.nrows
+    x = list(cert.primal) if cert.primal is not None else zeros_x
+    if cert.status == OPTIMAL:
+        y = list(cert.dual)
+    elif cert.status == INFEASIBLE:
+        y = list(cert.witness)
+    else:
+        y = zeros_y
+    d = list(cert.witness) if cert.status == UNBOUNDED else list(zeros_x)
+    return x, y, d, cert.objective if cert.objective is not None else F(0)
+
+
+# entries with large, unrelated denominators, and plain ints
+edit_values = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2**80),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def certificate_cases(draw):
+    lp = draw(tiny_lps())
+    if draw(st.booleans()):
+        # without the box row, so unbounded programs occur too
+        lp = make_lp(lp.sense, lp.c, lp.rows[:-1], lp.b[:-1])
+    x, y, d, objective = solved_vectors(lp)
+    for _ in range(draw(st.integers(0, 3))):
+        vec = draw(st.sampled_from([v for v in (x, y, d) if v]))
+        vec[draw(st.integers(0, len(vec) - 1))] = draw(edit_values)
+    if draw(st.booleans()):
+        objective += draw(edit_values)
+    return lp, x, y, d, objective
+
+
+@settings(max_examples=40, deadline=None)
+@given(certificate_cases())
+def test_certificate_checks_match_reference_on_random_lps(case):
+    assert_checks_match_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "spec,seeds", CROSS_SHAPES.values(), ids=list(CROSS_SHAPES)
+)
+def test_certificate_checks_match_reference_on_auction_programs(spec, seeds):
+    instance = gen_instance(spec, seeds[0])
+    rng = random.Random(seeds[0])
+    for build in (build_dslp, build_blp):
+        lp = build(instance)
+        x, y, d, objective = solved_vectors(lp)
+        assert check_message(verify_optimal, lp, x, y, objective) is None
+        cases = [(x, y, objective + 1), (x, [q * F(3, 2) for q in y], objective)]
+        for _ in range(2):
+            x2, y2 = list(x), list(y)
+            vec = rng.choice((x2, y2))
+            k = rng.randrange(len(vec))
+            vec[k] = rng.choice(
+                (-vec[k] - 1, vec[k] + F(1, 2**70 + k), vec[k] - F(1, 3**40), F(0))
+            )
+            cases.append((x2, y2, objective))
+        for x2, y2, objective2 in cases:
+            assert_checks_match_reference(lp, x2, y2, x2, objective2)

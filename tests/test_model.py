@@ -1,11 +1,13 @@
 """Domain types: validation, serialization, profile algebra, mechanism
 slacks, and the revenue report."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from auctionlp.auction import extract_dual, extract_mechanism, solve_form
 from auctionlp.errors import (
     DimensionMismatch,
     DuplicateSupportVector,
@@ -16,6 +18,8 @@ from auctionlp.errors import (
     ZeroMassNonzeroType,
 )
 from auctionlp.model import (
+    BAYES,
+    DS,
     NEG_INF,
     Instance,
     Mechanism,
@@ -274,6 +278,79 @@ def test_bounds_checked_separately(u12):
     pay = ((Fraction(0),), (Fraction(0),), (Fraction(0),))
     mech = Mechanism(form="ds", alloc=alloc, pay=pay)
     assert not mechanism_feasible(u12, mech)
+
+
+def _entries(nested):
+    """Every number in a nested tuple."""
+    if isinstance(nested, tuple):
+        return [q for part in nested for q in _entries(part)]
+    return [nested]
+
+
+def _depth(nested):
+    """How deep the first entry of a nested tuple sits."""
+    depth = 0
+    while isinstance(nested, tuple):
+        nested, depth = nested[0], depth + 1
+    return depth
+
+
+def _with_entry(nested, path, value):
+    """nested with the entry at the index path replaced."""
+    if not path:
+        return value
+    k = path[0]
+    return nested[:k] + (_with_entry(nested[k], path[1:], value),) + nested[k + 1 :]
+
+
+def _variants(mechanism):
+    """The mechanism, the mechanism scaled by 2/3 (feasible whenever the
+    mechanism is, with fractional allocations), and copies with one
+    allocation or payment entry moved onto or past its bound."""
+    last = len(mechanism.pay) - 1
+    yield mechanism
+    scale = Fraction(2, 3)
+    yield Mechanism(
+        mechanism.form,
+        tuple(tuple(tuple(x * scale for x in cell) for cell in row) for row in mechanism.alloc),
+        tuple(tuple(p * scale for p in prow) for prow in mechanism.pay),
+    )
+    for value in (Fraction(-1, 5), Fraction(1), Fraction(3, 2)):
+        yield Mechanism(
+            mechanism.form, _with_entry(mechanism.alloc, (last, 0, 0), value), mechanism.pay
+        )
+    for value in (Fraction(-1, 3), Fraction(0), Fraction(5, 2)):
+        yield Mechanism(mechanism.form, mechanism.alloc, _with_entry(mechanism.pay, (last, 0), value))
+
+
+def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
+    # feasible, mechanism_feasible and is_feasible read numerators; they
+    # must decide as min_entry() >= 0 and the bounds 0 <= x <= 1, p >= 0
+    decisions = set()
+    for instance in (u12, pair12, items12):
+        bases = [zero_mechanism(instance)]
+        for form in (DS, BAYES):
+            cert = solve_form(instance, form)
+            bases.append(extract_mechanism(instance, cert, form))
+            dual = extract_dual(instance, cert, form)
+            for fam in ("zeta", "eta", "xi", "alpha", "beta"):
+                family = getattr(dual, fam)
+                for value in (Fraction(-1, 7), Fraction(0), Fraction(2, 7)):
+                    first = _with_entry(family, (0,) * _depth(family), value)
+                    changed = replace(dual, **{fam: first})
+                    entries = [q for f in vars(changed).values() for q in _entries(f)]
+                    assert changed.is_feasible() == (min(entries) >= 0)
+        for base in bases:
+            for mechanism in _variants(base):
+                slacks = mechanism_slacks(instance, mechanism)
+                assert slacks.feasible == (slacks.min_entry() >= 0)
+                bounds = all(0 <= x <= 1 for x in _entries(mechanism.alloc)) and all(
+                    p >= 0 for p in _entries(mechanism.pay)
+                )
+                feasible = mechanism_feasible(instance, mechanism)
+                assert feasible == (bounds and slacks.min_entry() >= 0)
+                decisions.add((bounds, slacks.feasible))
+    assert decisions == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- revenue report ---------------------------------------------------------
