@@ -19,8 +19,7 @@ from .lp import MIN, OPTIMAL, make_lp, solve
 from .model import (
     BAYES,
     DS,
-    DualSolutionBayes,
-    DualSolutionDS,
+    DualSolution,
     Instance,
     Mechanism,
     RevenueReport,
@@ -76,8 +75,8 @@ def item_marginal(instance: Instance, j: int) -> Instance:
         if Fraction(0) not in masses:
             masses[Fraction(0)] = Fraction(0)
         values = sorted(masses)
-        supports.append([[rat_str(w)] for w in values])
-        probs.append([rat_str(masses[w]) for w in values])
+        supports.append([(w,) for w in values])
+        probs.append([masses[w] for w in values])
     return validate_instance(
         {
             "buyers": instance.n,
@@ -124,7 +123,7 @@ def _value_ladder(instance: Instance, i: int) -> tuple[list[int], list[Fraction]
     return sorted(range(len(values)), key=values.__getitem__), values
 
 
-def canonical_flow(instance: Instance) -> DualSolutionDS:
+def canonical_flow(instance: Instance) -> DualSolution:
     """The downward canonical flow of a single-item instance, unironed
     (Cai, Devanur and Weinberg 2016; discrete virtual values as in
     Elkind 2007).
@@ -181,7 +180,7 @@ def canonical_flow(instance: Instance) -> DualSolutionDS:
     return dual_from_multipliers(instance, DS, tuple(zeta), tuple(eta), (tuple(xi),))
 
 
-def myerson_mechanism(instance: Instance, dual: DualSolutionDS) -> Mechanism:
+def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     """The single-item auction a canonical flow prices.  At each profile
     where xi > 0 the item goes to the first buyer whose alpha is 0 there,
     one of highest virtual value.  Along each opponent slice's value
@@ -225,7 +224,7 @@ def _raising_pairs(instance: Instance, i: int) -> list[tuple[int, int]]:
     ]
 
 
-def face_excess(instance: Instance, dual: DualSolutionDS) -> Fraction:
+def face_excess(instance: Instance, dual: DualSolution) -> Fraction:
     """What tight_downward_dual minimizes, less the buyer count: total
     participation mass plus the mass on raising pairs, minus n."""
     total = Fraction(-instance.n)
@@ -305,7 +304,7 @@ def _reference_slice(instance: Instance, i: int) -> int:
     raise AssertionError("opponent masses cannot all vanish")
 
 
-def _slice_mismatch(instance: Instance, dual: DualSolutionDS, i: int, table=None):
+def _slice_mismatch(instance: Instance, dual: DualSolution, i: int, table=None):
     """The first place, in order of type and then slice, where buyer
     i's eta or zeta on an opponent slice differ from the reference
     slice's after weighting by the opponent masses, or where the
@@ -332,7 +331,7 @@ def _slice_mismatch(instance: Instance, dual: DualSolutionDS, i: int, table=None
     return None
 
 
-def check_agent_independence(instance: Instance, dual: DualSolutionDS):
+def check_agent_independence(instance: Instance, dual: DualSolution):
     """Check that buyer-level dual data does not depend on the others'
     values: virtual values agree across mass-bearing opponent slices,
     and eta and zeta agree across all slices after weighting by the
@@ -371,8 +370,8 @@ def check_item_independence(instance: Instance, table: VirtualValueTable):
 
 
 def bic_to_dsic_dual(
-    instance: Instance, dual: DualSolutionBayes
-) -> DualSolutionDS:
+    instance: Instance, dual: DualSolution
+) -> DualSolution:
     """Spread a Bayesian dual across opponent slices by the opponent
     mass: the result is feasible for the dominant-strategy dual with
     the same objective, and is agent-independent by construction."""
@@ -398,8 +397,8 @@ def _mapped(result, dual):
 
 
 def dsic_to_bic_dual(
-    instance: Instance, dual: DualSolutionDS
-) -> DualSolutionBayes:
+    instance: Instance, dual: DualSolution
+) -> DualSolution:
     """Invert bic_to_dsic_dual on an agent-independent dual by reading
     each buyer's multipliers off a mass-bearing opponent slice."""
     zeta = []

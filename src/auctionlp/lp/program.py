@@ -35,9 +35,6 @@ class LinearProgram:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row_dot(self, r: int, x: Sequence[Fraction]) -> Fraction:
-        return sum((coef * x[j] for j, coef in self.rows[r]), Fraction(0))
-
 
 def _exact(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
@@ -87,7 +84,9 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LpCertificate:
-    """Solver output, verified exactly at construction.
+    """Solver output.  Constructing one checks nothing: certify_* verify
+    exactly before they construct, and recheck_certificate verifies a
+    certificate that came from elsewhere, such as a certificate file.
 
     optimal: primal x, dual y (one multiplier per row), objective c.x in
     the LP's own sense.  infeasible: witness y >= 0 with y^T A >= 0 and

@@ -257,7 +257,7 @@ class _Simplex:
         self.basis = basis
         # Real objective row for max(sign * c): reduced costs start at
         # -sign*c_j, value 0.
-        obj = [num(-q) if self.sign == 1 else num(q) for q in lp.c]
+        obj = [-num(q) if self.sign == 1 else num(q) for q in lp.c]
         obj += [zero] * (width - S)
         self.obj = obj
         self.objs = [obj]

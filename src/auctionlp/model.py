@@ -29,9 +29,9 @@ The mass tables are filled by the `mu` and `mu_minus` methods, one call
 per entry, so each mass is evaluated once per instance.  The builders
 and the post-solve work (slacks, dual assembly, regularization, virtual
 values and the checks on them) loop over these tables instead of
-rebuilding profile tuples.  The utility methods of Mechanism and the
-coefficient methods of the dual solutions stay as definitions, computed
-from profile tuples.
+rebuilding profile tuples.  The by-definition references they are
+checked against (utilities over profile tuples, and the dual
+coefficients phi_star, psi, phibar_star, psibar) are in tests/helpers.py.
 
 Dual format.  Both forms hold their multipliers keyed like the primal's
 rows: zeta[i][key][t'] and eta[i][key], where key is the profile rank
@@ -440,70 +440,12 @@ class Mechanism:
     alloc: tuple[tuple[tuple[Fraction, ...], ...], ...]
     pay: tuple[tuple[Fraction, ...], ...]
 
-    def utility(self, instance: Instance, i: int, profile: Profile) -> Fraction:
-        """u_i(v) = v_i . x_i(v) - p_i(v)."""
-        r = instance.rank(profile)
-        vec = instance.value(i, profile[i])
-        return sum(
-            (vec[j] * self.alloc[r][i][j] for j in range(instance.m)), Fraction(0)
-        ) - self.pay[r][i]
-
-    def deviation_utility(
-        self, instance: Instance, i: int, profile: Profile, t_report: int
-    ) -> Fraction:
-        """Utility of buyer i whose true type is profile[i] reporting t_report."""
-        lie = instance.insert(i, t_report, instance.drop(i, profile))
-        r = instance.rank(lie)
-        vec = instance.value(i, profile[i])
-        return sum(
-            (vec[j] * self.alloc[r][i][j] for j in range(instance.m)), Fraction(0)
-        ) - self.pay[r][i]
-
-    def sold(self, instance: Instance, j: int, profile: Profile) -> Fraction:
-        """s^j(v) = sum_i x_i^j(v)."""
-        r = instance.rank(profile)
-        return sum((self.alloc[r][i][j] for i in range(instance.n)), Fraction(0))
-
-    def interim_utility(self, instance: Instance, i: int, t: int) -> Fraction:
-        """Expected utility over opponents' prior at true type t, truthful."""
-        total = Fraction(0)
-        for vm in instance.others_profiles(i):
-            w = instance.mu_minus(i, vm)
-            if w:
-                total += w * self.utility(instance, i, instance.insert(i, t, vm))
-        return total
-
-    def interim_deviation_utility(
-        self, instance: Instance, i: int, t: int, t_report: int
-    ) -> Fraction:
-        total = Fraction(0)
-        for vm in instance.others_profiles(i):
-            w = instance.mu_minus(i, vm)
-            if w:
-                total += w * self.deviation_utility(
-                    instance, i, instance.insert(i, t, vm), t_report
-                )
-        return total
-
     def revenue(self, instance: Instance) -> Fraction:
         total = Fraction(0)
         for w, prow in zip(instance.mu_by_rank, self.pay):
             if w:
                 total += w * sum(prow, start=Fraction(0))
         return total
-
-
-def zero_mechanism(instance: Instance, form: str = DS) -> Mechanism:
-    zero_row = tuple(
-        tuple(Fraction(0) for _ in range(instance.m)) for _ in range(instance.n)
-    )
-    zero_pay = tuple(Fraction(0) for _ in range(instance.n))
-    count = instance.profile_count
-    return Mechanism(
-        form=form,
-        alloc=tuple(zero_row for _ in range(count)),
-        pay=tuple(zero_pay for _ in range(count)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,21 +468,9 @@ class PrimalSlacks:
     b: tuple
     c: tuple
 
-    def min_entry(self) -> Fraction:
-        worst = Fraction(0)
-        for fam in (self.a, self.b, self.c):
-            for level in fam:
-                for entry in level:
-                    if isinstance(entry, tuple):
-                        for e in entry:
-                            worst = min(worst, e)
-                    else:
-                        worst = min(worst, entry)
-        return worst
-
     @property
     def feasible(self) -> bool:
-        """min_entry() >= 0, read off the numerators."""
+        """No entry is negative, read off the numerators."""
         return not any(map(_any_negative, (self.a, self.b, self.c)))
 
 
@@ -665,7 +595,8 @@ class DualSolution:
     is a profile rank r in the dominant-strategy form and an own type t
     in the Bayesian form (see multiplier_keys).  xi[j][r]: the
     per-(item, profile) dual objective terms.  alpha[i][j][r] and
-    beta[i][r] are the dual constraint slacks.
+    beta[i][r] are the dual constraint slacks.  One type serves both
+    forms: the functions that take a dual say which form they read.
     """
 
     zeta: tuple
@@ -682,58 +613,6 @@ class DualSolution:
             if _any_negative(fam):
                 return False
         return True
-
-
-class DualSolutionDS(DualSolution):
-    """A dominant-strategy dual: zeta and eta are keyed by profile rank."""
-
-    def phi_star(self, instance: Instance, i: int, j: int, profile: Profile) -> Fraction:
-        """Expected virtual value: the dual coefficient facing x_i^j(v)."""
-        t, others = profile[i], instance.drop(i, profile)
-        r = instance.rank(profile)
-        vt = instance.value(i, t)[j]
-        total = self.eta[i][r] * vt
-        for t2 in range(instance.sizes[i]):
-            if t2 == t:
-                continue
-            lr = instance.rank(instance.insert(i, t2, others))
-            total += self.zeta[i][r][t2] * vt
-            total -= self.zeta[i][lr][t] * instance.value(i, t2)[j]
-        return total
-
-    def psi(self, instance: Instance, i: int, profile: Profile) -> Fraction:
-        """The dual coefficient facing p_i(v)."""
-        t, others = profile[i], instance.drop(i, profile)
-        r = instance.rank(profile)
-        total = self.eta[i][r]
-        for t2 in range(instance.sizes[i]):
-            if t2 == t:
-                continue
-            lr = instance.rank(instance.insert(i, t2, others))
-            total += self.zeta[i][r][t2] - self.zeta[i][lr][t]
-        return total
-
-
-class DualSolutionBayes(DualSolution):
-    """A Bayesian dual: zeta and eta are keyed by own type."""
-
-    def phibar_star(self, instance: Instance, i: int, j: int, t: int) -> Fraction:
-        vt = instance.value(i, t)[j]
-        total = self.eta[i][t] * vt
-        for t2 in range(instance.sizes[i]):
-            if t2 == t:
-                continue
-            total += self.zeta[i][t][t2] * vt
-            total -= self.zeta[i][t2][t] * instance.value(i, t2)[j]
-        return total
-
-    def psibar(self, instance: Instance, i: int, t: int) -> Fraction:
-        total = self.eta[i][t]
-        for t2 in range(instance.sizes[i]):
-            if t2 == t:
-                continue
-            total += self.zeta[i][t][t2] - self.zeta[i][t2][t]
-        return total
 
 
 _NUMERATOR = attrgetter("numerator")
@@ -854,8 +733,7 @@ def dual_from_multipliers(instance: Instance, form: str, zeta, eta, xi) -> DualS
                 beta_i[r] = psi - mu[r]
         alpha.append(tuple(map(tuple, alpha_i)))
         beta.append(tuple(beta_i))
-    solution = DualSolutionDS if form == DS else DualSolutionBayes
-    return solution(zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta))
+    return DualSolution(zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +763,7 @@ class RevenueReport:
     brev_eq_drev: bool
     drev_eq_srev: bool
     srev_eq_brev: bool
-    ai_witness: DualSolutionDS | None = None
+    ai_witness: DualSolution | None = None
     findings: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -901,7 +779,7 @@ def make_revenue_report(
     brev: Fraction,
     drev: Fraction,
     srev: Fraction,
-    ai_witness: DualSolutionDS | None = None,
+    ai_witness: DualSolution | None = None,
     findings: Sequence[str] = (),
 ) -> RevenueReport:
     return RevenueReport(

@@ -14,8 +14,6 @@ from .model import (
     BAYES,
     DS,
     DualSolution,
-    DualSolutionBayes,
-    DualSolutionDS,
     Instance,
     Mechanism,
     NEG_INF,
@@ -72,7 +70,7 @@ class GapLedger:
 def check_cs_ds(
     instance: Instance,
     mechanism: Mechanism,
-    dual: DualSolutionDS,
+    dual: DualSolution,
     slacks: PrimalSlacks | None = None,
 ) -> GapLedger:
     """Pair every slack with its multiplier; the five family sums add up
@@ -84,7 +82,7 @@ def check_cs_ds(
 def check_cs_bayes(
     instance: Instance,
     mechanism: Mechanism,
-    dual: DualSolutionBayes,
+    dual: DualSolution,
     slacks: PrimalSlacks | None = None,
 ) -> GapLedger:
     """check_cs_ds for the Bayesian form."""
@@ -145,13 +143,13 @@ def _zero_indices(instance: Instance) -> list[int]:
     return zeros
 
 
-def ds_regularity_witness(instance: Instance, dual: DualSolutionDS):
+def ds_regularity_witness(instance: Instance, dual: DualSolution):
     """None if the dual satisfies all three regularity conditions, else
     a (condition, indices) witness."""
     return _regularity_witness(instance, dual, DS)
 
 
-def bayes_regularity_witness(instance: Instance, dual: DualSolutionBayes):
+def bayes_regularity_witness(instance: Instance, dual: DualSolution):
     """ds_regularity_witness for the Bayesian form."""
     return _regularity_witness(instance, dual, BAYES)
 
@@ -187,8 +185,8 @@ def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
 
 
 def regularize_ds(
-    instance: Instance, dual: DualSolutionDS, revenue: Fraction
-) -> DualSolutionDS:
+    instance: Instance, dual: DualSolution, revenue: Fraction
+) -> DualSolution:
     """Rewrite an optimal dual so that participation weight sits only on
     the zero type and the payment coefficient meets mu(v) exactly.
 
@@ -203,8 +201,8 @@ def regularize_ds(
 
 
 def regularize_bayes(
-    instance: Instance, dual: DualSolutionBayes, revenue: Fraction
-) -> DualSolutionBayes:
+    instance: Instance, dual: DualSolution, revenue: Fraction
+) -> DualSolution:
     """Bayesian mirror of regularize_ds: per buyer, eta at a nonzero
     type moves onto zeta(t, 0), the payment-coefficient surplus
     psibar(t) - mu_i(t) moves onto zeta(0, t), and eta becomes the unit
@@ -259,7 +257,7 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
 # Virtual values
 
 
-def virtual_values_ds(instance: Instance, dual: DualSolutionDS) -> VirtualValueTable:
+def virtual_values_ds(instance: Instance, dual: DualSolution) -> VirtualValueTable:
     """Per-profile virtual values of a regular dual.
 
     On mass-bearing profiles the entry is the value corrected by the
@@ -272,7 +270,7 @@ def virtual_values_ds(instance: Instance, dual: DualSolutionDS) -> VirtualValueT
 
 
 def virtual_values_bayes(
-    instance: Instance, dual: DualSolutionBayes
+    instance: Instance, dual: DualSolution
 ) -> VirtualValueTable:
     """Per-type virtual values of a regular Bayesian dual, broadcast
     across opponent profiles so the table is constant in v_{-i}."""

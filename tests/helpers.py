@@ -2,14 +2,20 @@
 enumerator for tiny LPs, plain-Fraction certificate checks, the
 discrete single-item virtual-value formula, an LP probe for the spread
 of one virtual value across the regular optimal duals, definition-level
-primal and dual slacks, and the profile key parser."""
+primal and dual slacks, and the profile key parser.
+
+The definitions are free functions over profile tuples: utility,
+deviation_utility, sold and their interim forms of a mechanism;
+phi_star and psi (phibar_star and psibar in the Bayesian form) of a
+dual; zero_mechanism, min_entry of slacks and row_dot of a program.
+They never call the rank-table paths they check (test_surface)."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from auctionlp.auction import build_dual_dslp
 from auctionlp.lp import MAX, MIN, OPTIMAL, make_lp, solve
-from auctionlp.model import BAYES, PrimalSlacks
+from auctionlp.model import BAYES, DS, Mechanism, PrimalSlacks
 
 
 def parse_profile_key(key):
@@ -38,6 +44,11 @@ def solve_square(rows, rhs):
     return [a[r][n] for r in range(n)]
 
 
+def row_dot(lp, r, x):
+    """Row r of the program dotted with x."""
+    return sum((coef * x[j] for j, coef in lp.rows[r]), Fraction(0))
+
+
 def brute_force_best(lp):
     """Best basic feasible point of {Ax <= b, x >= 0} by enumerating all
     choices of ncols tight constraints.  Returns the objective in the
@@ -64,7 +75,7 @@ def brute_force_best(lp):
             continue
         if any(x < 0 for x in point):
             continue
-        if any(lp.row_dot(r, point) > lp.b[r] for r in range(lp.nrows)):
+        if any(row_dot(lp, r, point) > lp.b[r] for r in range(lp.nrows)):
             continue
         obj = sum((lp.c[j] * point[j] for j in range(n)), Fraction(0))
         if best is None or sign * obj > sign * best:
@@ -253,32 +264,126 @@ def regular_phi_range(instance, i, profile, revenue):
     return tuple(out)
 
 
+# -- definition-level formulas over profile tuples -------------------------
+
+
+def deviation_utility(mechanism, instance, i, profile, t_report):
+    """Utility of buyer i whose true type is profile[i] reporting t_report."""
+    r = instance.rank(instance.insert(i, t_report, instance.drop(i, profile)))
+    vec = instance.value(i, profile[i])
+    return sum(
+        (vec[j] * mechanism.alloc[r][i][j] for j in range(instance.m)), Fraction(0)
+    ) - mechanism.pay[r][i]
+
+
+def utility(mechanism, instance, i, profile):
+    """u_i(v) = v_i . x_i(v) - p_i(v): the truthful report."""
+    return deviation_utility(mechanism, instance, i, profile, profile[i])
+
+
+def interim_deviation_utility(mechanism, instance, i, t, t_report):
+    """Expected deviation_utility over the opponents' prior at true type t."""
+    total = Fraction(0)
+    for vm in instance.others_profiles(i):
+        w = instance.mu_minus(i, vm)
+        if w:
+            total += w * deviation_utility(
+                mechanism, instance, i, instance.insert(i, t, vm), t_report
+            )
+    return total
+
+
+def interim_utility(mechanism, instance, i, t):
+    return interim_deviation_utility(mechanism, instance, i, t, t)
+
+
+def sold(mechanism, instance, j, profile):
+    """s^j(v) = sum_i x_i^j(v)."""
+    r = instance.rank(profile)
+    return sum((mechanism.alloc[r][i][j] for i in range(instance.n)), Fraction(0))
+
+
+def zero_mechanism(instance, form=DS):
+    alloc = (((Fraction(0),) * instance.m,) * instance.n,) * instance.profile_count
+    pay = ((Fraction(0),) * instance.n,) * instance.profile_count
+    return Mechanism(form=form, alloc=alloc, pay=pay)
+
+
+def min_entry(slacks):
+    """The least entry of a PrimalSlacks, or 0 when none is negative."""
+
+    def entries(nested):
+        if isinstance(nested, tuple):
+            return [q for part in nested for q in entries(part)]
+        return [nested]
+
+    return min([Fraction(0), *entries((slacks.a, slacks.b, slacks.c))])
+
+
+def _phi(dual, instance, i, j, t, key, lie_keys):
+    """The dual coefficient facing x_i^j at the multiplier key of own
+    type t; lie_keys[t2] is the key where type t2 reports t instead."""
+    vt = instance.value(i, t)[j]
+    total = dual.eta[i][key] * vt
+    for t2, lie in enumerate(lie_keys):
+        if t2 != t:
+            total += dual.zeta[i][key][t2] * vt
+            total -= dual.zeta[i][lie][t] * instance.value(i, t2)[j]
+    return total
+
+
+def _psi(dual, i, t, key, lie_keys):
+    """The dual coefficient facing p_i, keyed as in _phi."""
+    total = dual.eta[i][key]
+    for t2, lie in enumerate(lie_keys):
+        if t2 != t:
+            total += dual.zeta[i][key][t2] - dual.zeta[i][lie][t]
+    return total
+
+
+def _ds_keys(instance, i, profile):
+    """A dominant-strategy dual's key at the profile and its lie keys."""
+    others = instance.drop(i, profile)
+    lies = [instance.rank(instance.insert(i, t2, others)) for t2 in range(instance.sizes[i])]
+    return instance.rank(profile), lies
+
+
+def phi_star(dual, instance, i, j, profile):
+    """Expected virtual value of a dominant-strategy dual."""
+    return _phi(dual, instance, i, j, profile[i], *_ds_keys(instance, i, profile))
+
+
+def psi(dual, instance, i, profile):
+    return _psi(dual, i, profile[i], *_ds_keys(instance, i, profile))
+
+
+def phibar_star(dual, instance, i, j, t):
+    """phi_star of a Bayesian dual, whose keys are own types."""
+    return _phi(dual, instance, i, j, t, t, range(instance.sizes[i]))
+
+
+def psibar(dual, instance, i, t):
+    return _psi(dual, i, t, t, range(instance.sizes[i]))
+
+
 def reference_slacks(instance, mechanism):
     """mechanism_slacks by definition: every entry evaluated on its own
-    through Mechanism.utility and deviation_utility (DS form) or
-    interim_utility and interim_deviation_utility (Bayesian form)."""
+    through utility and deviation_utility (DS form) or interim_utility
+    and interim_deviation_utility (Bayesian form)."""
     profiles = list(instance.profiles())
     c = tuple(
-        tuple(1 - mechanism.sold(instance, j, v) for v in profiles)
+        tuple(1 - sold(mechanism, instance, j, v) for v in profiles)
         for j in range(instance.m)
     )
-    if mechanism.form == BAYES:
-        truth = mechanism.interim_utility
-        lie = mechanism.interim_deviation_utility
-        keys = [range(k) for k in instance.sizes]
-    else:
-        truth = mechanism.utility
-        lie = mechanism.deviation_utility
-        keys = [profiles] * instance.n
-
-    def own(key, i):
-        return key if mechanism.form == BAYES else key[i]
-
+    bayes = mechanism.form == BAYES
+    truth = interim_utility if bayes else utility
+    lie = interim_deviation_utility if bayes else deviation_utility
+    keys = [range(k) for k in instance.sizes] if bayes else [profiles] * instance.n
     a = tuple(
         tuple(
             tuple(
-                truth(instance, i, key) - lie(instance, i, key, t2)
-                if t2 != own(key, i)
+                truth(mechanism, instance, i, key) - lie(mechanism, instance, i, key, t2)
+                if t2 != (key if bayes else key[i])
                 else 0
                 for t2 in range(instance.sizes[i])
             )
@@ -287,7 +392,8 @@ def reference_slacks(instance, mechanism):
         for i in range(instance.n)
     )
     b = tuple(
-        tuple(truth(instance, i, key) for key in keys[i]) for i in range(instance.n)
+        tuple(truth(mechanism, instance, i, key) for key in keys[i])
+        for i in range(instance.n)
     )
     return PrimalSlacks(form=mechanism.form, a=a, b=b, c=c)
 
@@ -297,34 +403,28 @@ def reference_dual_slacks(instance, dual, form):
     minus mu (DS form), or with phibar_star and psibar weighted by the
     opponent mass mu_{-i} (Bayesian form), evaluated per profile."""
     profiles = list(instance.profiles())
+    bayes = form == BAYES
 
     def weight(i, v):
-        if form == BAYES:
-            return instance.mu_minus(i, instance.drop(i, v))
-        return 1
+        return instance.mu_minus(i, instance.drop(i, v)) if bayes else 1
 
     def phi(i, j, v):
-        if form == BAYES:
-            return dual.phibar_star(instance, i, j, v[i])
-        return dual.phi_star(instance, i, j, v)
+        if bayes:
+            return phibar_star(dual, instance, i, j, v[i])
+        return phi_star(dual, instance, i, j, v)
 
-    def psi(i, v):
-        if form == BAYES:
-            return dual.psibar(instance, i, v[i])
-        return dual.psi(instance, i, v)
+    def pay(i, v):
+        return psibar(dual, instance, i, v[i]) if bayes else psi(dual, instance, i, v)
 
     alpha = tuple(
         tuple(
-            tuple(
-                dual.xi[j][instance.rank(v)] - weight(i, v) * phi(i, j, v)
-                for v in profiles
-            )
+            tuple(dual.xi[j][instance.rank(v)] - weight(i, v) * phi(i, j, v) for v in profiles)
             for j in range(instance.m)
         )
         for i in range(instance.n)
     )
     beta = tuple(
-        tuple(weight(i, v) * psi(i, v) - instance.mu(v) for v in profiles)
+        tuple(weight(i, v) * pay(i, v) - instance.mu(v) for v in profiles)
         for i in range(instance.n)
     )
     return alpha, beta

@@ -30,11 +30,8 @@ from auctionlp.auction import (
     solve_form,
 )
 from auctionlp.lp import OPTIMAL, solve
-from auctionlp.model import (
-    dual_from_multipliers,
-    zero_mechanism,
-)
-from auctionlp.oracles import gen_instance, menu_grid_revenue, posted_price_revenue
+from auctionlp.model import dual_from_multipliers
+from auctionlp.oracles import gen_instance
 from auctionlp.virtual import (
     bayes_regularity_witness,
     check_cs_bayes,
@@ -47,7 +44,8 @@ from auctionlp.virtual import (
     virtual_values_bayes,
     virtual_values_ds,
 )
-from helpers import myerson_formula, regular_phi_range
+from baselines import menu_grid_revenue, posted_price_revenue
+from helpers import myerson_formula, psi, psibar, regular_phi_range, zero_mechanism
 
 F = Fraction
 
@@ -274,7 +272,7 @@ def test_c4_regularization(corpus):
         assert ds_regularity_witness(instance, reg) is None
         for i in range(instance.n):
             for profile in instance.profiles():
-                assert reg.psi(instance, i, profile) == instance.mu(profile)
+                assert psi(reg, instance, i, profile) == instance.mu(profile)
 
         breg = stage(instance, "reg_bayes")
         assert breg.objective() == entry["bayes_cert"].objective
@@ -283,7 +281,7 @@ def test_c4_regularization(corpus):
         for i in range(instance.n):
             assert breg.eta[i][instance.zero_index(i)] == 1
             for t in range(instance.sizes[i]):
-                assert breg.psibar(instance, i, t) == instance.mu_i(i, t)
+                assert psibar(breg, instance, i, t) == instance.mu_i(i, t)
 
 
 # -- criterion 5 ------------------------------------------------------------

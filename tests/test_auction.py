@@ -33,7 +33,8 @@ from auctionlp.auction import (
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch
 from auctionlp.lp import CertificateError, MIN, OPTIMAL, LpCertificate, dual_of, solve
 from auctionlp.model import mechanism_feasible
-from auctionlp.oracles import gen_instance, threshold_auction_revenue
+from auctionlp.oracles import gen_instance
+from baselines import threshold_auction_revenue
 from conftest import build
 from helpers import parse_profile_key
 

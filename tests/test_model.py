@@ -32,8 +32,8 @@ from auctionlp.model import (
     rat,
     rat_str,
     validate_instance,
-    zero_mechanism,
 )
+from helpers import deviation_utility, min_entry, utility, zero_mechanism
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -237,7 +237,7 @@ def test_zero_mechanism_is_feasible(pair12):
     assert mech.revenue(pair12) == 0
     slacks = mechanism_slacks(pair12, mech)
     assert slacks.feasible
-    assert slacks.min_entry() == 0
+    assert min_entry(slacks) == 0
 
 
 def test_posted_price_mechanism_slacks(u12):
@@ -247,10 +247,10 @@ def test_posted_price_mechanism_slacks(u12):
     mech = Mechanism(form="ds", alloc=alloc, pay=pay)
     assert mechanism_feasible(u12, mech)
     assert mech.revenue(u12) == 1
-    assert mech.utility(u12, 0, (2,)) == 0
+    assert utility(mech, u12, 0, (2,)) == 0
     # type 2 reporting 1 gets the empty row; type 1 reporting 2 overpays
-    assert mech.deviation_utility(u12, 0, (2,), 1) == 0
-    assert mech.deviation_utility(u12, 0, (1,), 2) == -1
+    assert deviation_utility(mech, u12, 0, (2,), 1) == 0
+    assert deviation_utility(mech, u12, 0, (1,), 2) == -1
     slacks = mechanism_slacks(u12, mech)
     assert slacks.a[0][2][1] == 0
     assert slacks.a[0][1][2] == 1
@@ -264,7 +264,7 @@ def test_infeasible_mechanism_detected(u12):
     pay = ((Fraction(0),), (Fraction(2),), (Fraction(2),))
     mech = Mechanism(form="ds", alloc=alloc, pay=pay)
     assert not mechanism_feasible(u12, mech)
-    assert mechanism_slacks(u12, mech).min_entry() < 0
+    assert min_entry(mechanism_slacks(u12, mech)) < 0
 
 
 def test_mechanism_dimension_checks(u12, pair12):
@@ -325,7 +325,7 @@ def _variants(mechanism):
 
 def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
     # feasible, mechanism_feasible and is_feasible read numerators; they
-    # must decide as min_entry() >= 0 and the bounds 0 <= x <= 1, p >= 0
+    # must decide as min_entry >= 0 and the bounds 0 <= x <= 1, p >= 0
     decisions = set()
     for instance in (u12, pair12, items12):
         bases = [zero_mechanism(instance)]
@@ -343,12 +343,12 @@ def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
         for base in bases:
             for mechanism in _variants(base):
                 slacks = mechanism_slacks(instance, mechanism)
-                assert slacks.feasible == (slacks.min_entry() >= 0)
+                assert slacks.feasible == (min_entry(slacks) >= 0)
                 bounds = all(0 <= x <= 1 for x in _entries(mechanism.alloc)) and all(
                     p >= 0 for p in _entries(mechanism.pay)
                 )
                 feasible = mechanism_feasible(instance, mechanism)
-                assert feasible == (bounds and slacks.min_entry() >= 0)
+                assert feasible == (bounds and min_entry(slacks) >= 0)
                 decisions.add((bounds, slacks.feasible))
     assert decisions == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -10,13 +10,8 @@ import pytest
 from auctionlp.auction import PRIMAL, ProgramLayout, brev, build_dslp, drev
 from auctionlp.errors import DimensionMismatch, ScaleLimit
 from auctionlp.model import DS
-from auctionlp.oracles import (
-    gen_instance,
-    gen_shape,
-    menu_grid_revenue,
-    posted_price_revenue,
-    threshold_auction_revenue,
-)
+from auctionlp.oracles import gen_instance, gen_shape
+from baselines import menu_grid_revenue, posted_price_revenue, threshold_auction_revenue
 from conftest import build
 
 F = Fraction

@@ -25,7 +25,6 @@ from auctionlp.model import (
     Mechanism,
     VirtualValueTable,
     dual_from_multipliers,
-    zero_mechanism,
 )
 from auctionlp.virtual import (
     bayes_regularity_witness,
@@ -39,7 +38,7 @@ from auctionlp.virtual import (
     virtual_values_ds,
     virtual_values_bayes,
 )
-from helpers import myerson_formula, regular_phi_range
+from helpers import myerson_formula, regular_phi_range, sold, zero_mechanism
 
 F = Fraction
 
@@ -85,7 +84,7 @@ def test_ledger_tracks_supply_perturbation(u12):
     ledger = check_cs_ds(u12, mech, dual2)
     assert ledger.gap == dual2.objective() - mech.revenue(u12)
     expected_supply = sum(
-        F(1, 7) * (1 - mech.sold(u12, 0, profile))
+        F(1, 7) * (1 - sold(mech, u12, 0, profile))
         for profile in u12.profiles()
     )
     extra_alloc = sum(
