@@ -217,44 +217,53 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
 
     Keys are profile ranks (DS) or own types (BAYES); see
     multiplier_keys.  Each opponent slice of nonzero scale appends its
-    scaled dominant-strategy rows to the rows of its keys."""
+    scaled dominant-strategy rows to the rows of its keys.
+
+    The layout's x and p are linear in the rank (x(i, j, r) is
+    x(i, j, 0) + r), and the k - 1 ic rows of one key are contiguous, in
+    report order; so each buyer's columns are offsets from its rank-0
+    columns, and each (slice, type) scales and negates its values once
+    for all of its reports."""
     layout = _layout(instance, form, PRIMAL)
-    x, p, m = layout.x, layout.p, instance.m
+    n, m, count = instance.n, instance.m, instance.profile_count
     nrows, ncols = layout.shape
-    c = [Fraction(0)] * ncols
+    zero, one = Fraction(0), Fraction(1)
+    c = [zero] * ncols
     rows = [[] for _ in range(nrows)]
-    b = [Fraction(0)] * nrows
-    for r, w in enumerate(instance.mu_by_rank):
-        for i in range(instance.n):
-            c[p(i, r)] = w
-        for j in range(m):
-            rows[layout.xi(j, r)] = [(x(i, j, r), Fraction(1)) for i in range(instance.n)]
-            b[layout.xi(j, r)] = Fraction(1)
-    for i, supports in enumerate(instance.supports):
+    b = [zero] * nrows
+    for i in range(n):
+        p_i = layout.p(i, 0)
+        c[p_i:p_i + count] = instance.mu_by_rank
+    for j in range(m):
+        xs = [layout.x(i, j, 0) for i in range(n)]
+        xi_j = layout.xi(j, 0)
+        for r in range(count):
+            rows[xi_j + r] = [(x + r, one) for x in xs]
+        b[xi_j:xi_j + count] = [one] * count
+    for i, (k, supports) in enumerate(zip(instance.sizes, instance.supports)):
         _, families, _, _, scales = multiplier_keys(instance, form, i)
+        xs = [layout.x(i, j, 0) for j in range(m)]
+        p_i = layout.p(i, 0)
         for s, (w, family, ranks) in enumerate(zip(scales, families, instance.ranks[i])):
             if not w:
                 continue
-            vecs = supports if w == 1 else [[w * v for v in vec] for vec in supports]
             neg = -w
             for t, r in enumerate(ranks):
-                vec = vecs[t]
-                for t2, lr in enumerate(ranks):
-                    if t2 == t:
-                        continue
-                    # u_i at the lie minus u_i at the truth <= 0
-                    row = rows[layout.zeta(i, t, t2, s)]  # ic
-                    for j in range(m):
-                        if vec[j]:
-                            row.append((x(i, j, lr), vec[j]))
-                            row.append((x(i, j, r), -vec[j]))
-                    row.append((p(i, lr), neg))
-                    row.append((p(i, r), w))
+                vec = supports[t] if w == 1 else [w * v for v in supports[t]]
+                terms = [(x, v) for x, v in zip(xs, vec) if v]
+                truth = [(x + r, -v) for x, v in terms]
+                pay = (p_i + r, w)
+                # u_i at the lie minus u_i at the truth <= 0, one ic row
+                # per report t2 != t, starting at the key's first lie
+                first = layout.zeta(i, t, int(t == 0), s)
+                lies = ranks[:t] + ranks[t + 1:]
+                for row, lr in zip(rows[first:first + k - 1], lies):
+                    for (x, v), at_truth in zip(terms, truth):
+                        row += ((x + lr, v), at_truth)
+                    row += ((p_i + lr, neg), pay)
                 row = rows[layout.eta(i, family[t])]  # ir
-                for j in range(m):
-                    if vec[j]:
-                        row.append((x(i, j, r), -vec[j]))
-                row.append((p(i, r), w))
+                row += truth
+                row.append(pay)
     return make_lp(MAX, c, rows, b, layout)
 
 
@@ -531,17 +540,22 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     row_names, col_names = lp.layout.labels()
     primal = _document_section(document, "primal")
     dual = _document_section(document, "dual")
-    unknown = (set(primal) - set(col_names)) | (set(dual) - set(row_names))
+    cols = {label: j for j, label in enumerate(col_names)}
+    rows = {label: r for r, label in enumerate(row_names)}
+    unknown = (primal.keys() - cols.keys()) | (dual.keys() - rows.keys())
     if unknown:
         raise LabelMismatch(f"unknown labels: {sorted(unknown)[:3]}")
-    x = tuple(primal.get(label, Fraction(0)) for label in col_names)
-    y = tuple(dual.get(label, Fraction(0)) for label in row_names)
+    zero = Fraction(0)
+    x, y = [zero] * lp.ncols, [zero] * lp.nrows
+    for vector, index, section in ((x, cols, primal), (y, rows, dual)):
+        for label, value in section.items():
+            vector[index[label]] = value
     try:
         objective = rat(document.get("objective"))
     except NotRational as exc:
         raise LabelMismatch(f"certificate objective: {exc}") from None
     recheck_certificate(
-        lp, LpCertificate(status=OPTIMAL, primal=x, dual=y, objective=objective)
+        lp, LpCertificate(status=OPTIMAL, primal=tuple(x), dual=tuple(y), objective=objective)
     )
     if any(_document_section(document, "ledger").values()):
         raise InfeasibleInput("stored ledger is not all zeros")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 MAX = "max"
@@ -40,6 +42,57 @@ def _exact(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
+# A Fraction keeps its numerator in a slot; reading the slot runs in C,
+# where the public `numerator` property is a Python call per entry.
+_NUMERATOR = attrgetter("_numerator" if "_numerator" in Fraction.__slots__ else "numerator")
+_COLUMN, _COEFFICIENT = itemgetter(0), itemgetter(1)
+
+
+def _all_fractions(values) -> bool:
+    return all(map(isinstance, values, repeat(Fraction)))
+
+
+def _exact_all(values) -> tuple[Fraction, ...]:
+    values = tuple(values)
+    return values if _all_fractions(values) else tuple(map(_exact, values))
+
+
+def _all_clean(rows, ncols: int) -> bool:
+    """Whether every row is a sequence of (column, coefficient) tuples
+    with in-range columns, distinct within the row, and nonzero Fraction
+    coefficients.  Each test runs in C over all the entries at once."""
+    entries = list(chain.from_iterable(rows))
+    if not entries:
+        return True
+    if set(map(type, entries)) != {tuple} or set(map(len, entries)) != {2}:
+        return False
+    cols = list(map(_COLUMN, entries))
+    coefs = list(map(_COEFFICIENT, entries))
+    return (
+        min(cols) >= 0
+        and max(cols) < ncols
+        and sum(map(len, map(dict, rows))) == len(entries)
+        and _all_fractions(coefs)
+        and all(map(_NUMERATOR, coefs))
+    )
+
+
+def _checked_row(row, ncols: int) -> tuple[tuple[int, Fraction], ...]:
+    """The row's nonzero entries as (column, Fraction) pairs, checked
+    entry by entry, so that an error names the first bad column."""
+    seen = set()
+    clean = []
+    for j, coef in row:
+        if not 0 <= j < ncols:
+            raise ValueError(f"column index {j} out of range")
+        if j in seen:
+            raise ValueError(f"duplicate column {j} within a row")
+        seen.add(j)
+        if coef:
+            clean.append((j, _exact(coef)))
+    return tuple(clean)
+
+
 def make_lp(
     sense: str,
     c: Sequence[Fraction],
@@ -48,31 +101,28 @@ def make_lp(
     layout: object = None,
 ) -> LinearProgram:
     """Validate and freeze an LP.  Zero coefficients are dropped;
-    malformed input raises ValueError.  Fraction entries are stored as
-    given; other numbers are converted."""
+    malformed input (a bad sense, rows and b of different lengths, a
+    column out of range or repeated within a row) raises ValueError.
+    Fraction entries are stored as given; other numbers are converted.
+
+    Every entry is checked, at the cost of the nonzeros: in bulk, by
+    the least and greatest column, the count of distinct columns in each
+    row, and C-level tests that every coefficient is a nonzero Fraction.
+    Only when a bulk test fails are the rows walked entry by entry, to
+    convert numbers, drop zeros, or name the first bad column."""
     if sense not in (MAX, MIN):
         raise ValueError(f"bad sense {sense!r}")
     ncols = len(c)
     if len(rows) != len(b):
         raise ValueError("row arrays have inconsistent lengths")
-    clean_rows = []
-    for row in rows:
-        seen = set()
-        clean = []
-        for j, coef in row:
-            if not 0 <= j < ncols:
-                raise ValueError(f"column index {j} out of range")
-            if j in seen:
-                raise ValueError(f"duplicate column {j} within a row")
-            seen.add(j)
-            if coef:
-                clean.append((j, _exact(coef)))
-        clean_rows.append(tuple(clean))
+    rows = tuple(map(tuple, rows))
+    if not _all_clean(rows, ncols):
+        rows = tuple(_checked_row(row, ncols) for row in rows)
     return LinearProgram(
         sense=sense,
-        c=tuple(map(_exact, c)),
-        rows=tuple(clean_rows),
-        b=tuple(map(_exact, b)),
+        c=_exact_all(c),
+        rows=rows,
+        b=_exact_all(b),
         layout=layout,
     )
 

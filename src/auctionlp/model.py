@@ -25,13 +25,17 @@ An Instance builds, on first use and then caches:
 * `mu_by_rank[r]`, the prior mass of the profile of rank r;
 * `mu_minus_by_slice[i][s]`, the mass of buyer i's opponent slice s.
 
-The mass tables are filled by the `mu` and `mu_minus` methods, one call
-per entry, so each mass is evaluated once per instance.  The builders
-and the post-solve work (slacks, dual assembly, regularization, virtual
-values and the checks on them) loop over these tables instead of
-rebuilding profile tuples.  The by-definition references they are
-checked against (utilities over profile tuples, and the dual
-coefficients phi_star, psi, phibar_star, psibar) are in tests/helpers.py.
+The mass tables are running products over the buyers: each buyer's
+masses multiply the table of the buyers before it, row-major, so that a
+table costs about one product per entry and lists its masses in rank
+order.  `mu` and `mu_minus` remain the by-definition entry points, one
+profile tuple at a time; the tests check the tables against them.  The
+builders and the post-solve work (slacks, dual assembly,
+regularization, virtual values and the checks on them) loop over these
+tables instead of rebuilding profile tuples.  The by-definition
+references they are checked against (the primal programs, utilities
+over profile tuples, and the dual coefficients phi_star, psi,
+phibar_star, psibar) are in tests/helpers.py.
 
 Dual format.  Both forms hold their multipliers keyed like the primal's
 rows: zeta[i][key][t'] and eta[i][key], where key is the profile rank
@@ -48,6 +52,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -77,17 +83,46 @@ def rat(x) -> Fraction:
 
     This is the boundary parser for instance and certificate data:
     anything else (a float, a bool, a malformed literal, a zero
-    denominator) raises NotRational."""
+    denominator, a literal too long to print back) raises NotRational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.strip()
         try:
-            return Fraction(x.strip())
+            if not _too_long(text):
+                return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise NotRational(f"not a rational: {x!r}") from None
+        raise NotRational(f"not a rational: {x!r} has too many digits")
     raise NotRational(f"not a rational: {x!r}")
+
+
+# A decimal literal with an exponent, in the grammar Fraction accepts:
+# integer digits, fraction digits, exponent.
+_EXPONENT_LITERAL = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)")
+
+
+def _too_long(text: str) -> bool:
+    """Whether the numerator or the denominator of a literal with an
+    exponent, before reduction, would have more digits than Python
+    converts between int and str (sys.get_int_max_str_digits; no bound
+    where that is 0 or absent).  Fraction would form the power of ten in
+    full first, so a short literal such as "1e10000000" could take
+    seconds, and one it accepts could fail later in rat_str.  Counting
+    digits forms no power."""
+    match = ("e" in text or "E" in text) and _EXPONENT_LITERAL.fullmatch(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if match else 0
+    if not limit:
+        return False
+    whole, decimals, exponent = (part.replace("_", "") for part in match.groups(""))
+    exponent = int(exponent)  # ValueError past the limit, like Fraction
+    mantissa = len((whole + decimals).lstrip("0")) or 1
+    return (
+        mantissa + max(exponent, 0) > limit
+        or len(decimals) + max(-exponent, 0) + 1 > limit
+    )
 
 
 def rat_str(q: Fraction) -> str:
@@ -262,15 +297,21 @@ class Instance:
             out.append(tuple(at))
         return tuple(out)
 
+    def _mass_products(self, buyers) -> tuple[Fraction, ...]:
+        """The product masses of the buyers' joint profiles, row-major."""
+        out = [Fraction(1)]
+        for b in buyers:
+            out = [a * q for a in out for q in self.probs[b]]
+        return tuple(out)
+
     @cached_property
     def mu_by_rank(self) -> tuple[Fraction, ...]:
-        return tuple(self.mu(profile) for profile in self.profiles())
+        return self._mass_products(range(self.n))
 
     @cached_property
     def mu_minus_by_slice(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(
-            tuple(self.mu_minus(i, vm) for vm in self.others_profiles(i))
-            for i in range(self.n)
+            self._mass_products(b for b in range(self.n) if b != i) for i in range(self.n)
         )
 
     # -- serialization ------------------------------------------------------

@@ -2,7 +2,8 @@
 enumerator for tiny LPs, plain-Fraction certificate checks, the
 discrete single-item virtual-value formula, an LP probe for the spread
 of one virtual value across the regular optimal duals, definition-level
-primal and dual slacks, and the profile key parser.
+primal and dual slacks, the primal programs by definition, and the
+profile key parser.
 
 The definitions are free functions over profile tuples: utility,
 deviation_utility, sold and their interim forms of a mechanism;
@@ -13,7 +14,7 @@ They never call the rank-table paths they check (test_surface)."""
 from fractions import Fraction
 from itertools import combinations
 
-from auctionlp.auction import build_dual_dslp
+from auctionlp.auction import PRIMAL, ProgramLayout, build_dual_dslp
 from auctionlp.lp import MAX, MIN, OPTIMAL, make_lp, solve
 from auctionlp.model import BAYES, DS, Mechanism, PrimalSlacks
 
@@ -265,6 +266,51 @@ def regular_phi_range(instance, i, profile, revenue):
 
 
 # -- definition-level formulas over profile tuples -------------------------
+
+
+def reference_primal(instance, form):
+    """build_dslp (form DS) or build_blp (BAYES) by definition: each row
+    from profile tuples, each mass from Instance.mu and mu_minus, each
+    index from the ProgramLayout methods, and the entries in the
+    builders' order.  The Bayesian rows of type t sum, over the opponent
+    profiles of positive mass, mu_minus times the dominant-strategy rows
+    there."""
+    layout = ProgramLayout(form, PRIMAL, instance.m, instance.sizes)
+    nrows, ncols = layout.shape
+    c = [Fraction(0)] * ncols
+    rows = [[] for _ in range(nrows)]
+    b = [Fraction(0)] * nrows
+    for v in instance.profiles():
+        r = instance.rank(v)
+        for i in range(instance.n):
+            c[layout.p(i, r)] = instance.mu(v)
+        for j in range(instance.m):
+            rows[layout.xi(j, r)] = [(layout.x(i, j, r), 1) for i in range(instance.n)]
+            b[layout.xi(j, r)] = 1
+    for i, k in enumerate(instance.sizes):
+        for s, vm in enumerate(instance.others_profiles(i)):
+            w = instance.mu_minus(i, vm) if form == BAYES else 1
+            if not w:
+                continue
+            for t in range(k):
+                r = instance.rank(instance.insert(i, t, vm))
+                value = [w * q for q in instance.value(i, t)]
+                for t2 in range(k):
+                    if t2 == t:
+                        continue
+                    # u_i reporting t2 minus u_i reporting t <= 0
+                    lie = instance.rank(instance.insert(i, t2, vm))
+                    row = rows[layout.zeta(i, t, t2, s)]
+                    for j, q in enumerate(value):
+                        if q:
+                            row += [(layout.x(i, j, lie), q), (layout.x(i, j, r), -q)]
+                    row += [(layout.p(i, lie), -w), (layout.p(i, r), w)]
+                # -u_i <= 0
+                row = rows[layout.eta(i, t if form == BAYES else r)]
+                row += [(layout.x(i, j, r), -q) for j, q in enumerate(value) if q]
+                row.append((layout.p(i, r), w))
+    return make_lp(MAX, c, rows, b, layout)
+
 
 
 def deviation_utility(mechanism, instance, i, profile, t_report):

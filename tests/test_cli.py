@@ -238,6 +238,37 @@ def test_solve_rejects_non_rational_numbers(tmp_path, capsys, probs):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000", "1e10000000"])
+def test_exponent_literals_past_the_digit_limit_exit_2(tmp_path, capsys, command, value):
+    # A few bytes, but 10**5000 has more digits than an int may print,
+    # and Fraction would form 10**10000000 in full before any check.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(U12, supports=[[[0], [1], [value]]])))
+    start = time.process_time()
+    assert main([command, str(path)]) == 2
+    assert time.process_time() - start < 0.25
+    err = capsys.readouterr().err
+    assert "NotRational" in err
+    assert "Traceback" not in err
+
+
+def test_self_check_rejects_exponent_literals_quickly(pair_path, tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    main(["solve", pair_path, "--certificate", cert])
+    capsys.readouterr()
+    doc = json.loads(open(cert).read())
+    doc["primal"][next(iter(doc["primal"]))] = "1e10000000"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    start = time.process_time()
+    assert main(["self-check", pair_path, str(bad)]) == 2
+    assert time.process_time() - start < 0.25
+    err = capsys.readouterr().err
+    assert "LabelMismatch" in err and "too many digits" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "data",
     [

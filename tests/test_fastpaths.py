@@ -4,7 +4,9 @@ mechanism_slacks and the alpha/beta slacks of the dual assembly are
 computed per slice and per type; helpers.reference_slacks and
 helpers.reference_dual_slacks evaluate every entry on its own from the
 definitions of utilities and dual coefficients.  Both must agree exactly on
-optimal pairs and on perturbed, infeasible ones.
+optimal pairs and on perturbed, infeasible ones.  The primal builders and
+the mass tables they read are checked entry by entry against
+helpers.reference_primal and Instance.mu / mu_minus.
 
 The one builder and the one slack pass rest on an identity checked here
 against the dominant-strategy program: a Bayesian row is the
@@ -32,7 +34,7 @@ from auctionlp.model import (
     multiplier_keys,
 )
 from auctionlp.oracles import gen_instance
-from helpers import min_entry, reference_dual_slacks, reference_slacks
+from helpers import min_entry, reference_dual_slacks, reference_primal, reference_slacks
 
 F = Fraction
 
@@ -183,3 +185,37 @@ def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
                 assert _weighted_sum([bayes_row], [1]) == _weighted_sum(ds_rows, weights)
                 margin = sum(w * ds_slacks.a[i][r][t2] for w, r in zip(weights, ranks))
                 assert bayes_slacks.a[i][t][t2] == margin
+
+
+# correlated and i.i.d. draws, one to four buyers, one to three items
+BUILD_SHAPES = [
+    ({"n": 1, "m": 1, "support": 4}, (3, 8)),
+    ({"n": 1, "m": 3, "support": 2}, (2,)),
+    ({"n": 2, "m": 2, "support": 3}, (7, 9)),
+    ({"n": 2, "m": 3, "support": 2}, (4,)),
+    ({"n": 3, "m": 1, "support": 2, "iid": True}, (1, 5)),
+    ({"n": 3, "m": 2, "support": 2, "iid": True}, (3,)),
+    ({"n": 2, "m": 2, "support": 1, "correlated": False}, (11,)),
+    ({"n": 4, "m": 1, "support": 2}, (6,)),
+]
+BUILD_CASES = [(spec, seed) for spec, seeds in BUILD_SHAPES for seed in seeds]
+
+
+def test_build_corpus_has_zero_mass_opponent_slices():
+    # a zero-mass slice adds nothing to the Bayesian rows of its buyer
+    instances = [gen_instance(spec, seed) for spec, seed in BUILD_CASES]
+    assert any(0 in slices for instance in instances for slices in instance.mu_minus_by_slice)
+
+
+@pytest.mark.parametrize("spec, seed", BUILD_CASES)
+def test_builders_and_mass_tables_match_definition(spec, seed):
+    instance = gen_instance(spec, seed)
+    assert instance.mu_by_rank == tuple(map(instance.mu, instance.profiles()))
+    for i, slices in enumerate(instance.mu_minus_by_slice):
+        assert slices == tuple(instance.mu_minus(i, vm) for vm in instance.others_profiles(i))
+    for form, build in ((DS, build_dslp), (BAYES, build_blp)):
+        lp, reference = build(instance), reference_primal(instance, form)
+        assert lp.layout == reference.layout
+        assert (lp.sense, lp.c, lp.b) == (reference.sense, reference.c, reference.b)
+        # tuple equality: the same entries in the same order, row by row
+        assert lp.rows == reference.rows

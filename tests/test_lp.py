@@ -69,6 +69,42 @@ def test_make_lp_drops_zero_coefficients():
     assert lp.rows == ((),)
 
 
+def test_make_lp_names_the_first_bad_column():
+    c, b = [F(1), F(1)], [F(1), F(1)]
+    clean = [(0, F(1)), (1, F(2))]
+    with pytest.raises(ValueError, match=r"^column index -1 out of range$"):
+        make_lp(MAX, c, [clean, [(-1, F(1))]], b)
+    with pytest.raises(ValueError, match=r"^column index 5 out of range$"):
+        make_lp(MAX, c, [clean, [(0, F(1)), (5, F(1)), (7, F(1))]], b)
+    with pytest.raises(ValueError, match=r"^duplicate column 1 within a row$"):
+        make_lp(MAX, c, [clean, [(1, F(1)), (0, F(2)), (1, F(3))]], b)
+    # the same column in two rows is no duplicate
+    assert make_lp(MAX, c, [clean, clean], b).rows == (tuple(clean), tuple(clean))
+
+
+def test_make_lp_converts_numbers_and_drops_zeros():
+    c, b = [1, F(1, 2)], [F(1), 2, F(3), F(4), F(5)]
+    rows = [
+        [(0, 2), (1, 3)],  # int coefficients
+        [(0, F(1, 3)), (1, -4)],  # mixed int and Fraction
+        [(0, F(0)), (1, F(5, 2))],  # a zero among Fractions
+        [(0, F(0)), (1, 0)],  # nothing left
+        [[1, F(7)]],  # a pair given as a list
+    ]
+    lp = make_lp(MAX, c, rows, b)
+    assert lp.rows == (
+        ((0, F(2)), (1, F(3))),
+        ((0, F(1, 3)), (1, F(-4))),
+        ((1, F(5, 2)),),
+        (),
+        ((1, F(7)),),
+    )
+    assert all(type(entry) is tuple for row in lp.rows for entry in row)
+    assert all(type(q) is F for row in lp.rows for _, q in row)
+    assert all(type(q) is F for q in lp.c + lp.b)
+    assert lp.c == (F(1), F(1, 2)) and lp.b == (F(1), F(2), F(3), F(4), F(5))
+
+
 # -- basic solves -----------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Domain types: validation, serialization, profile algebra, mechanism
 slacks, and the revenue report."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from auctionlp.errors import (
     NegativeValue,
     NonUnitMass,
     NotOptimal,
+    NotRational,
     ZeroMassNonzeroType,
 )
 from auctionlp.model import (
@@ -59,6 +61,24 @@ def test_rat_parses_ints_strings_fractions():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+def test_rat_refuses_exponents_past_the_digit_limit(monkeypatch):
+    # before reduction: numerator mantissa * 10**e, denominator
+    # 10**(decimals + max(-e, 0)), each within the limit of printable digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 50)
+    assert rat("0.5") == Fraction(1, 2)
+    assert rat("1.5e-2") == Fraction(3, 200)
+    assert rat("1e49") == 10**49
+    assert rat("1e-49") == Fraction(1, 10**49)
+    assert rat("1.5e-48") == Fraction(15, 10**49)
+    for literal in ("1e50", "1e-50", "1.25e-48", "12e49", "0e99999999", "1e10000000"):
+        with pytest.raises(NotRational, match="too many digits"):
+            rat(literal)
+    with pytest.raises(NotRational):
+        rat("1e" + "9" * 60)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    assert rat("1e60") == 10**60
 
 
 def test_rat_str_plain_integers():
