@@ -531,6 +531,10 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     wrong shape raises LabelMismatch."""
     if not isinstance(document, dict) or document.get("kind") != "auctionlp.certificate":
         raise LabelMismatch("not a certificate document")
+    version = document.get("version")
+    # JSON true equals 1 in Python, so the type is tested too
+    if type(version) is not int or version != 1:
+        raise LabelMismatch(f"unknown certificate version {version!r}")
     if document.get("digest") != instance.digest():
         raise LabelMismatch("certificate digest does not match the instance")
     form = document.get("form")

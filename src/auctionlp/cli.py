@@ -81,6 +81,8 @@ def _parse_gen_spec(text: str) -> dict:
         key, raw = part.split("=", 1)
         key = key.strip()
         raw = raw.strip()
+        if key in spec:
+            raise DimensionMismatch(f"generator spec repeats the key {key!r}")
         if key in ("iid", "correlated"):
             if raw.lower() not in _GEN_FLAGS:
                 raise DimensionMismatch(

@@ -41,7 +41,10 @@ class DimensionMismatch(AuctionLPError):
 
 
 class LabelMismatch(AuctionLPError):
-    """An LP certificate's labels do not match the expected builder scheme."""
+    """A certificate document is malformed or does not match the
+    instance (kind, version, digest, form, labels or entries), or an LP
+    certificate was not produced by the builder and layout it is read
+    against."""
 
 
 class NotOptimal(AuctionLPError):

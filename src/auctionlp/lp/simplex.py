@@ -4,9 +4,11 @@ The tableau is sparse.  Each row is a dict from column to its nonzero
 entries, the right-hand side included, and a column index names the
 rows that hold each column.  A pivot then visits only the rows holding
 the pivot column, and in each only the pivot row's nonzeros; the ratio
-test visits only the pivot column's rows.  Both passes use this one
-representation.  The objective rows stay dense, since pricing reads
-every column of them anyway.
+test visits only the pivot column's rows.  The objective rows stay
+dense, since pricing reads every column of them anyway.  Both passes
+use this one representation, one elimination routine (`eliminate`,
+which sees each pivot) and one pivot loop for both phases; they differ
+only in arithmetic and in the tolerance, which is 0 in the exact pass.
 
 No big-M constant: infeasible starting bases get artificial variables
 and a phase-one objective.  The pivot rule is Dantzig's (most negative
@@ -45,15 +47,27 @@ def eliminate(tableau, r, c):
     pivot row to a unit pivot, then clear column c from every other row
     and from the dense objective rows in `tableau.objs`.  Mutates the
     tableau in place.  Only the rows in `tableau.cols[c]` and the pivot
-    row's nonzeros are visited; an entry that becomes exactly zero is
-    deleted, and `tableau.cols` follows every deletion and fill-in."""
-    rows, cols = tableau.T, tableau.cols
+    row's nonzeros are visited; an entry that becomes zero is deleted
+    (`tableau.zero` in an objective row), and `tableau.cols` follows
+    every deletion and fill-in.  Zero means within `tableau.tol` of
+    zero, so in the float pass the cleared column and the degenerate
+    right-hand sides read as exact zeros afterwards; with `tol` 0 every
+    tolerance test is skipped."""
+    rows, cols, tol, zero = tableau.T, tableau.cols, tableau.tol, tableau.zero
     prow = rows[r]
     piv = prow[c]
-    if piv != 1:
-        inv = 1 / piv
-        for k, val in prow.items():
-            prow[k] = val * inv
+    # The float pass rescales a unit pivot row too: the program itself
+    # can hold entries within the tolerance of zero.
+    if tol or piv != 1:
+        inv = tableau.one / piv
+        for k, val in list(prow.items()):
+            val *= inv
+            if not tol or val > tol or val < -tol:
+                prow[k] = val
+            else:
+                del prow[k]
+                cols[k].discard(r)
+        prow[c] = tableau.one
     nz = [(k, val) for k, val in prow.items() if k != c]
     others = cols[c]
     others.discard(r)
@@ -64,58 +78,13 @@ def eliminate(tableau, r, c):
         for k, val in nz:
             old = row.get(k)
             if old is None:
-                row[k] = -f * val
-                cols[k].add(idx)
-            else:
-                new = old - f * val
-                if new:
-                    row[k] = new
-                else:
-                    del row[k]
-                    cols[k].discard(idx)
-    for obj in tableau.objs:
-        f = obj[c]
-        if f:
-            for k, val in nz:
-                obj[k] = obj[k] - f * val
-            obj[c] = tableau.zero
-
-
-def _eliminate_float(tableau, r, c):
-    """`eliminate` over floats.  An entry it writes that lies within
-    `tableau.tol` of zero is deleted (0.0 in an objective row), so the
-    cleared column and the degenerate right-hand sides read as exact
-    zeros afterwards."""
-    rows, cols, tol = tableau.T, tableau.cols, tableau.tol
-    prow = rows[r]
-    inv = 1.0 / prow[c]
-    nz = []
-    for k, val in list(prow.items()):
-        val *= inv
-        if val > tol or val < -tol:
-            prow[k] = val
-            if k != c:
-                nz.append((k, val))
-        else:
-            del prow[k]
-            cols[k].discard(r)
-    prow[c] = 1.0
-    others = cols[c]
-    others.discard(r)
-    cols[c] = {r}
-    for idx in others:
-        row = rows[idx]
-        f = row.pop(c)
-        for k, val in nz:
-            old = row.get(k)
-            if old is None:
                 new = -f * val
-                if new > tol or new < -tol:
+                if not tol or new > tol or new < -tol:
                     row[k] = new
                     cols[k].add(idx)
             else:
                 new = old - f * val
-                if new > tol or new < -tol:
+                if new and (not tol or new > tol or new < -tol):
                     row[k] = new
                 else:
                     del row[k]
@@ -124,9 +93,9 @@ def _eliminate_float(tableau, r, c):
         f = obj[c]
         if f:
             for k, val in nz:
-                val = obj[k] - f * val
-                obj[k] = val if val > tol or val < -tol else 0.0
-            obj[c] = 0.0
+                new = obj[k] - f * val
+                obj[k] = new if not tol or new > tol or new < -tol else zero
+            obj[c] = zero
 
 
 class PivotLimit(ScaleLimit):
@@ -325,13 +294,9 @@ class _Simplex:
         return False
 
     def _pivot(self, r: int, c: int) -> None:
-        if self.tol:
-            _eliminate_float(self, r, c)
-        else:
-            # Looked up as a module global on every call, so a wrapper
-            # bound to simplex.eliminate (a pivot counter, say) sees
-            # each exact pivot.
-            eliminate(self, r, c)
+        # Looked up as a module global on every call, so a wrapper bound
+        # to simplex.eliminate (a pivot counter, say) sees each pivot.
+        eliminate(self, r, c)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > self.cap:
@@ -348,7 +313,34 @@ class _Simplex:
             if cert is not None:
                 return cert
             self._drop_artificials()
-        return self._phase_two()
+        c = self._iterate(self.obj)
+        return self._optimal() if c is None else self._unbounded(c)
+
+    def _iterate(self, obj, phase_one: bool = False) -> int | None:
+        """Pivot on objective row `obj` until no column prices in (None)
+        or an entering column has no leaving row (that column, a ray).
+        Phase one also stops once its objective reaches zero.  A stall
+        count carries over from one call to the next."""
+        limit = self.S + self.R  # artificials never enter
+        stall_limit = 3 * (self.R + self.S) + 10
+        below = -self.tol
+        last_val = obj[self.rhs]
+        while not phase_one or obj[self.rhs] < below:
+            c = self._entering(obj, limit)
+            if c is None:
+                return None
+            r = self._leaving(c)
+            if r is None:
+                return c
+            self._pivot(r, c)
+            if self._stalled(obj[self.rhs], last_val):
+                self.stalls += 1
+                if self.stalls > stall_limit:
+                    self.forced_bland = True
+            else:
+                self.stalls = 0
+                last_val = obj[self.rhs]
+        return None
 
     def _phase_one(self) -> LpCertificate | None:
         art_lo = self.S + self.R
@@ -360,27 +352,11 @@ class _Simplex:
         for k in range(art_lo, art_lo + self.K):
             obj1[k] = obj1[k] + self.one
         self.objs = [self.obj, obj1]
-        stall_limit = 3 * (self.R + self.S) + 10
-        below = -self.tol
-        last_val = obj1[self.rhs]
-        while obj1[self.rhs] < below:
-            c = self._entering(obj1, art_lo)
-            if c is None:
-                break
-            r = self._leaving(c)
-            if r is None:
-                # Phase-one objective is bounded by 0; no unbounded ray
-                # can appear unless the tableau is corrupt.
-                raise PivotLimit("phase one claims unbounded")
-            self._pivot(r, c)
-            if self._stalled(obj1[self.rhs], last_val):
-                self.stalls += 1
-                if self.stalls > stall_limit:
-                    self.forced_bland = True
-            else:
-                self.stalls = 0
-                last_val = obj1[self.rhs]
-        if obj1[self.rhs] < below:
+        if self._iterate(obj1, phase_one=True) is not None:
+            # Phase-one objective is bounded by 0; no unbounded ray can
+            # appear unless the tableau is corrupt.
+            raise PivotLimit("phase one claims unbounded")
+        if obj1[self.rhs] < -self.tol:
             # max of -(sum of artificials) stopped below zero: infeasible.
             if self.tol:
                 raise _NoProposal("float phase one ends infeasible")
@@ -413,27 +389,6 @@ class _Simplex:
                 del self.T[r][k]
             self.cols[k] = set()
         self.K = 0
-
-    def _phase_two(self) -> LpCertificate:
-        obj = self.obj
-        limit = self.S + self.R
-        stall_limit = 3 * (self.R + self.S) + 10
-        last_val = obj[self.rhs]
-        while True:
-            c = self._entering(obj, limit)
-            if c is None:
-                return self._optimal()
-            r = self._leaving(c)
-            if r is None:
-                return self._unbounded(c)
-            self._pivot(r, c)
-            if self._stalled(obj[self.rhs], last_val):
-                self.stalls += 1
-                if self.stalls > stall_limit:
-                    self.forced_bland = True
-            else:
-                self.stalls = 0
-                last_val = obj[self.rhs]
 
     # -- extraction ---------------------------------------------------------
 

@@ -193,6 +193,12 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_
         lambda doc: doc.pop("ledger"),
         lambda doc: doc.update(form="garbage"),
         lambda doc: doc.pop("form"),
+        lambda doc: doc.update(version="x"),
+        lambda doc: doc.update(version=2),
+        lambda doc: doc.update(version=1.0),
+        # JSON true equals 1 in Python
+        lambda doc: doc.update(version=True),
+        lambda doc: doc.pop("version"),
     ],
     ids=[
         "objective-text",
@@ -202,6 +208,11 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_
         "no-ledger",
         "form-unknown",
         "no-form",
+        "version-text",
+        "version-2",
+        "version-float",
+        "version-true",
+        "no-version",
     ],
 )
 def test_self_check_rejects_malformed_document(pair_path, tmp_path, capsys, edit):
@@ -511,6 +522,8 @@ def test_characterize_bad_gen_spec(capsys):
         "n=3,m=1,support=1.5",
         "n=2,m=1,bogus=1",
         "n=2,m=1,iid=maybe",
+        "n=2,m=1,n=3",
+        "n=2,m=1,support=2,support=1",
     ):
         assert main(["characterize", "--gen", spec]) == 2
         assert "DimensionMismatch" in capsys.readouterr().err

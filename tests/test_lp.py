@@ -1,6 +1,6 @@
 """Simplex: certificates, duals, the pivot rule and its Bland fallback,
-the float proposal pass, the pivot hook and the sparse tableau's
-invariants.
+the float proposal pass, the pivot hook, pinned pivot paths and the
+sparse tableau's invariants.
 
 Optimal objectives are cross-checked against brute-force vertex
 enumeration (helpers.brute_force_best), which shares no code with the
@@ -28,7 +28,7 @@ from auctionlp.lp import (
     solve,
 )
 from auctionlp.analysis import tight_downward_dual
-from auctionlp.auction import build_blp, build_dslp
+from auctionlp.auction import build_blp, build_dslp, build_dual_blp, build_dual_dslp
 from auctionlp.lp import simplex
 from auctionlp.lp.program import verify_infeasible, verify_optimal, verify_unbounded
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
@@ -285,22 +285,29 @@ def test_strong_duality_on_random_lps(lp):
 
 def test_pivots_go_through_module_eliminate(monkeypatch):
     # Pivot counters (the benchmark's lp.pivots) rebind
-    # auctionlp.lp.simplex.eliminate; every exact pivot must reach the
-    # rebinding.
+    # auctionlp.lp.simplex.eliminate; every pivot of either pass must
+    # reach the rebinding.
     lp = lp_of(MAX, [2, 3], [[1, 1], [1, 3]], [4, 6])
     expected = solve(lp)
     calls = []
     original = simplex.eliminate
 
-    def counting(rows, r, c):
-        calls.append((r, c))
-        original(rows, r, c)
+    def counting(tableau, r, c):
+        calls.append(tableau)
+        original(tableau, r, c)
 
     monkeypatch.setattr(simplex, "eliminate", counting)
-    cert = _Simplex(lp).run()
-    assert len(calls) > 0
+    exact = _Simplex(lp)
+    cert = exact.run()
+    assert len(calls) == exact.pivots > 0
     assert cert == expected
     assert cert.objective == 9
+    # an accepted solve pivots in the float pass alone
+    calls.clear()
+    assert solve(lp) == expected
+    (proposal,) = set(calls)
+    assert proposal.tol
+    assert len(calls) == proposal.pivots > 0
 
 
 # -- float proposal pass ----------------------------------------------------
@@ -339,20 +346,22 @@ def test_float_pass_matches_exact_on_auction_programs(spec, seeds):
             assert_float_pass_follows_exact(build(instance))
 
 
-def test_float_pass_matches_exact_on_face_program(monkeypatch):
-    # tight_downward_dual minimizes over the optimal dual face: a
-    # min-sense program with negative right-hand sides, so phase one runs.
+def face_program(instance):
+    """The program tight_downward_dual solves: a min-sense search of
+    the optimal dual face with negative right-hand sides, so phase one
+    runs."""
     from auctionlp import analysis
 
     programs = []
-
-    def capture(lp):
-        programs.append(lp)
-        return solve(lp)
-
-    monkeypatch.setattr(analysis, "solve", capture)
-    tight_downward_dual(gen_instance({"n": 2, "m": 1, "support": 2}, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "solve", lambda lp: programs.append(lp) or solve(lp))
+        tight_downward_dual(instance)
     (lp,) = programs
+    return lp
+
+
+def test_float_pass_matches_exact_on_face_program():
+    lp = face_program(gen_instance({"n": 2, "m": 1, "support": 2}, 3))
     assert lp.sense == MIN and any(q < 0 for q in lp.b)
     assert_float_pass_follows_exact(lp)
 
@@ -368,9 +377,10 @@ def test_rejected_proposal_falls_back_to_exact(monkeypatch):
         rounded.append(value)
         return F(value).limit_denominator(bound) + F(1, 7)
 
-    def counting(rows, r, c):
-        exact_pivots.append((r, c))
-        original(rows, r, c)
+    def counting(tableau, r, c):
+        if not tableau.tol:
+            exact_pivots.append((r, c))
+        original(tableau, r, c)
 
     monkeypatch.setattr(simplex, "_nearby_rational", perturbed)
     monkeypatch.setattr(simplex, "eliminate", counting)
@@ -408,6 +418,56 @@ def test_setup_converts_like_float_on_auction_programs(spec, seeds):
     instance = gen_instance(spec, seeds[0])
     for build in (build_dslp, build_blp):
         assert_setup_converts_like_float(build(instance))
+
+
+# -- pinned pivot paths -----------------------------------------------------
+
+PINNED_BUILDS = (build_dslp, build_blp, build_dual_dslp, build_dual_blp, face_program)
+
+# (spec, seed, per program of PINNED_BUILDS: pivots and the stall count
+# at the end).  Both passes take exactly these paths, and no run
+# switches to Bland's rule.  The explicit duals and the face program
+# start with artificials, so phase one runs.
+PIVOT_PINS = [
+    ({"n": 2, "m": 1, "support": 2}, 0, ((17, 1), (13, 0), (20, 0), (21, 0), (30, 0))),
+    ({"n": 2, "m": 1, "support": 2}, 1, ((14, 0), (10, 0), (21, 0), (18, 0), (23, 0))),
+    ({"n": 2, "m": 1, "support": 2}, 2, ((15, 1), (9, 0), (20, 0), (22, 0), (29, 0))),
+    ({"n": 2, "m": 1, "support": 2}, 3, ((15, 0), (12, 0), (21, 0), (18, 0), (26, 0))),
+    ({"n": 1, "m": 2, "support": 3}, 0, ((14, 0), (14, 0), (15, 0), (15, 0), (18, 0))),
+    ({"n": 1, "m": 2, "support": 3}, 1, ((7, 4), (7, 4), (13, 0), (13, 0), (12, 0))),
+    ({"n": 1, "m": 2, "support": 3}, 2, ((8, 1), (8, 1), (9, 0), (9, 0), (12, 1))),
+    (
+        {"n": 2, "m": 2, "support": 1, "correlated": False},
+        0,
+        ((14, 1), (11, 1), (26, 0), (24, 1), (46, 3)),
+    ),
+    (
+        {"n": 2, "m": 2, "support": 1, "correlated": False},
+        1,
+        ((8, 0), (8, 0), (20, 0), (16, 0), (26, 7)),
+    ),
+    (
+        {"n": 2, "m": 2, "support": 1, "correlated": False},
+        2,
+        ((6, 1), (6, 1), (15, 0), (15, 0), (28, 6)),
+    ),
+    ({"n": 3, "m": 1, "support": 2}, 0, ((44, 1), (25, 0), (62, 0), (49, 0), (83, 0))),
+    ({"n": 3, "m": 1, "support": 2}, 1, ((36, 0), (18, 0), (66, 0), (59, 0), (68, 0))),
+    ({"n": 2, "m": 2, "support": 2}, 0, ((27, 0), (29, 0), (29, 0), (27, 0), (34, 0))),
+    ({"n": 2, "m": 2, "support": 2}, 1, ((59, 0), (33, 0), (51, 0), (47, 1), (56, 2))),
+]
+
+
+@pytest.mark.parametrize("spec,seed,pins", PIVOT_PINS)
+def test_pivot_paths_are_pinned(spec, seed, pins):
+    instance = gen_instance(spec, seed)
+    for index, (build, pin) in enumerate(zip(PINNED_BUILDS, pins)):
+        lp = build(instance)
+        proposal, exact = _Simplex(lp, floating=True), _Simplex(lp)
+        assert (exact.K > 0) == (index >= 2)
+        assert proposal.run() == exact.run()
+        for run in (proposal, exact):
+            assert (run.pivots, run.stalls, run.forced_bland) == (*pin, False)
 
 
 # -- sparse tableau ---------------------------------------------------------
@@ -456,6 +516,20 @@ def test_tableau_stays_consistent_on_auction_programs(spec, seeds):
             assert_tableau_consistent(run)
 
 
+def test_float_pivot_snaps_a_unit_pivot_row():
+    # The program itself can hold an entry within the tolerance of zero;
+    # the float pass drops it when its row is pivoted on, even on a
+    # pivot of 1, and the exact pass keeps it.
+    lp = lp_of(MAX, [1, 1], [[1, F(1, 10**12)], [1, 1]], [1, 2])
+    fast, exact = _Simplex(lp, floating=True), _Simplex(lp)
+    for run in (fast, exact):
+        simplex.eliminate(run, 0, 0)
+    assert fast.T[0] == {0: 1.0, 2: 1.0, fast.rhs: 1.0}
+    assert exact.T[0][1] == F(1, 10**12)
+    for run in (fast, exact):
+        assert_tableau_consistent(run)
+
+
 def test_float_pass_solves_256_profile_ds_program(monkeypatch):
     # The scale path: a 4352 x 2048 program that the float pass must
     # carry alone, with no silent fallback to the exact simplex.
@@ -467,8 +541,12 @@ def test_float_pass_solves_256_profile_ds_program(monkeypatch):
             runs.append(self)
             return super().run()
 
+    original = simplex.eliminate
+
     def no_exact_pivot(tableau, r, c):
-        raise AssertionError("the exact simplex pivoted")
+        if not tableau.tol:
+            raise AssertionError("the exact simplex pivoted")
+        original(tableau, r, c)
 
     monkeypatch.setattr(simplex, "_Simplex", Recorded)
     monkeypatch.setattr(simplex, "eliminate", no_exact_pivot)

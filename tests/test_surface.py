@@ -1,13 +1,16 @@
-"""The package's public surface: every exported name resolves, and the
-test-side references stay independent of the paths they check."""
+"""The package's public surface: every exported name resolves, the
+test-side references stay independent of the paths they check, and
+every name the benchmark's tracer rebinds exists."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
 import auctionlp
 import auctionlp.oracles
+from auctionlp.model import Instance
 
 # The rank-table and closed-form paths that tests/helpers.py and
 # tests/baselines.py are checked against; neither may call them.
@@ -54,3 +57,18 @@ def test_exports_resolve_and_references_stay_independent():
     ]
     used = _names(primal)
     assert not used & BUILDER_PATHS, f"reference_primal uses {sorted(used & BUILDER_PATHS)}"
+
+
+def test_benchmark_trace_targets_resolve():
+    # A traced benchmark run (perfbench/run.py --trace 1) rebinds these
+    # functions by name; a rename here must fail a test, not the trace.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [pair for pairs in spans.SPANS.values() for pair in pairs]
+    targets += spans.COUNTED.values()
+    for module, attr in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for attr in ("mu", "mu_minus"):
+        assert callable(getattr(Instance, attr, None)), attr
