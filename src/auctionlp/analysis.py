@@ -25,7 +25,6 @@ from .model import (
     RevenueReport,
     VirtualValueTable,
     dual_from_multipliers,
-    make_revenue_report,
     mechanism_feasible,
     rat_str,
     validate_instance,
@@ -258,8 +257,8 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
         for r in range(count):
             c[layout.eta(i, r)] = Fraction(1)
         for t, t2 in _raising_pairs(instance, i):
-            for s in range(len(instance.ranks[i])):
-                c[layout.zeta(i, t, t2, s)] = Fraction(1)
+            for ranks in instance.ranks[i]:
+                c[layout.zeta(i, ranks[t], t, t2)] = Fraction(1)
     rows = list(base.rows) + [
         tuple((col, Fraction(1)) for col in xi_cols),
         tuple((col, Fraction(-1)) for col in xi_cols),
@@ -471,7 +470,7 @@ def characterize(instance: Instance) -> RevenueReport:
                 f"srev={rat_str(srev_value)}"
             )
 
-    return make_revenue_report(
+    return RevenueReport(
         brev=brev_value,
         drev=drev_value,
         srev=srev_value,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -57,13 +57,11 @@ from .model import (
     mechanism_feasible,
     mechanism_slacks,
     multiplier_keys,
-    profile_rank,
-    rank_strides,
     rat,
     rat_str,
     read_json,
 )
-from .virtual import check_cs_bayes, check_cs_ds
+from .virtual import GapLedger, check_cs_bayes, check_cs_ds
 
 __all__ = [
     "build_dslp",
@@ -104,8 +102,9 @@ class ProgramLayout:
 
     x and p index the variables x_i^j(v) and p_i(v), the primal's
     columns.  zeta, eta and xi index the multipliers of its ic, ir and
-    sup rows.  Dominant-strategy multipliers are keyed by profile rank
-    and opponent slice, Bayesian zeta and eta by own type.
+    sup rows.  zeta and eta take the multiplier key, as in
+    DualSolution: the profile rank in the dominant-strategy form, the
+    own type in the Bayesian form (see model.multiplier_keys).
 
     side only marks which certificate vector holds the multipliers: the
     dual vector of a primal program (PRIMAL), or the primal point of its
@@ -124,10 +123,6 @@ class ProgramLayout:
     @cached_property
     def count(self) -> int:
         return prod(self.sizes)
-
-    @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        return rank_strides(self.sizes)
 
     @cached_property
     def _blocks(self):
@@ -150,28 +145,19 @@ class ProgramLayout:
         variables = len(self.sizes) * (self.m + 1) * self.count
         return self._blocks[2] + self.m * self.count, variables
 
-    def rank(self, i: int, t: int, s: int) -> int:
-        """Rank of the profile where buyer i has type t and the others
-        the slice of rank s."""
-        return profile_rank(self.sizes, self._strides, i, t, s)
-
     def x(self, i: int, j: int, r: int) -> int:
         return (i * self.m + j) * self.count + r
 
     def p(self, i: int, r: int) -> int:
         return (len(self.sizes) * self.m + i) * self.count + r
 
-    def zeta(self, i: int, t: int, t2: int, s: int = 0) -> int:
-        """Multiplier of "true t, report t2" (on slice s, DS only)."""
-        k = self.sizes[i]
+    def zeta(self, i: int, key: int, t: int, t2: int) -> int:
+        """Multiplier of "true t, report t2" at key, whose own type is t."""
         lie = t2 - (t2 > t)  # t2 among the k - 1 reports other than t
-        base = self._blocks[0][i]
-        if self.form == BAYES:
-            return base + t * (k - 1) + lie
-        return base + self.rank(i, t, s) * (k - 1) + lie
+        return self._blocks[0][i] + key * (self.sizes[i] - 1) + lie
 
     def eta(self, i: int, key: int) -> int:
-        """Participation multiplier at profile rank (DS) or type (BAYES)."""
+        """Participation multiplier at key."""
         return self._blocks[1][i] + key
 
     def xi(self, j: int, r: int) -> int:
@@ -180,25 +166,27 @@ class ProgramLayout:
     def labels(self) -> tuple[list[str], list[str]]:
         """(row labels, column labels) of the primal program, rendered in
         the module's grammar.  Only certificate documents name components."""
-        m, count = self.m, self.count
-        keys = [profile_key(v) for v in itertools.product(*map(range, self.sizes))]
+        m = self.m
+        profiles = list(itertools.product(*map(range, self.sizes)))
+        names = [profile_key(v) for v in profiles]
         nrows, ncols = self.shape
         rows, cols = [""] * nrows, [""] * ncols
-        for j, (r, key) in itertools.product(range(m), enumerate(keys)):
-            rows[self.xi(j, r)] = f"sup:{j}:{key}"
+        for j, (r, name) in itertools.product(range(m), enumerate(names)):
+            rows[self.xi(j, r)] = f"sup:{j}:{name}"
         for i, k in enumerate(self.sizes):
-            for r, key in enumerate(keys):
-                cols[self.p(i, r)] = f"p:{i}:{key}"
+            for r, name in enumerate(names):
+                cols[self.p(i, r)] = f"p:{i}:{name}"
                 for j in range(m):
-                    cols[self.x(i, j, r)] = f"x:{i}:{j}:{key}"
-            for index, key in enumerate(range(k) if self.form == BAYES else keys):
-                rows[self.eta(i, index)] = f"ir:{i}:{key}"
-            for t, t2 in itertools.permutations(range(k), 2):
-                if self.form == BAYES:
-                    rows[self.zeta(i, t, t2)] = f"ic:{i}:{t}:{t2}"
-                    continue
-                for s in range(count // k):
-                    rows[self.zeta(i, t, t2, s)] = f"ic:{i}:{keys[self.rank(i, t, s)]}:{t2}"
+                    cols[self.x(i, j, r)] = f"x:{i}:{j}:{name}"
+            if self.form == BAYES:
+                keys = [(str(t), t) for t in range(k)]
+            else:
+                keys = [(name, v[i]) for name, v in zip(names, profiles)]
+            for key, (name, t) in enumerate(keys):
+                rows[self.eta(i, key)] = f"ir:{i}:{name}"
+                for t2 in range(k):
+                    if t2 != t:
+                        rows[self.zeta(i, key, t, t2)] = f"ic:{i}:{name}:{t2}"
         return rows, cols
 
 
@@ -255,7 +243,7 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
                 pay = (p_i + r, w)
                 # u_i at the lie minus u_i at the truth <= 0, one ic row
                 # per report t2 != t, starting at the key's first lie
-                first = layout.zeta(i, t, int(t == 0), s)
+                first = layout.zeta(i, family[t], t, int(t == 0))
                 lies = ranks[:t] + ranks[t + 1:]
                 for row, lr in zip(rows[first:first + k - 1], lies):
                     for (x, v), at_truth in zip(terms, truth):
@@ -357,10 +345,10 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
         zeta.append(
             tuple(
                 tuple(
-                    Fraction(0) if t2 == t else values[layout.zeta(i, t, t2, s)]
+                    Fraction(0) if t2 == t else values[layout.zeta(i, key, t, t2)]
                     for t2 in range(k)
                 )
-                for t, s in positions
+                for key, (t, _) in enumerate(positions)
             )
         )
         eta.append(tuple(values[layout.eta(i, key)] for key in range(len(positions))))
@@ -475,6 +463,9 @@ def extend_bayes(instance: Instance, mechanism: Mechanism, query):
 # ---------------------------------------------------------------------------
 # Certificate documents
 
+# the entries of a document's ledger: GapLedger's families and their sum
+_LEDGER_KEYS = (*(f.name for f in fields(GapLedger)), "gap")
+
 
 def certificate_document(instance: Instance, form: str, certificate) -> dict:
     """Self-contained record of an optimal primal solve: objective,
@@ -502,14 +493,7 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
             for label, value in zip(row_names, certificate.dual)
             if value
         },
-        "ledger": {
-            "ic": rat_str(ledger.ic),
-            "ir": rat_str(ledger.ir),
-            "supply": rat_str(ledger.supply),
-            "alloc": rat_str(ledger.alloc),
-            "pay": rat_str(ledger.pay),
-            "gap": rat_str(ledger.gap),
-        },
+        "ledger": {key: rat_str(getattr(ledger, key)) for key in _LEDGER_KEYS},
     }
 
 
@@ -544,6 +528,9 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     row_names, col_names = lp.layout.labels()
     primal = _document_section(document, "primal")
     dual = _document_section(document, "dual")
+    ledger = _document_section(document, "ledger")
+    if ledger.keys() != set(_LEDGER_KEYS):
+        raise LabelMismatch(f"certificate ledger keys {sorted(ledger)} are not {_LEDGER_KEYS}")
     cols = {label: j for j, label in enumerate(col_names)}
     rows = {label: r for r, label in enumerate(row_names)}
     unknown = (primal.keys() - cols.keys()) | (dual.keys() - rows.keys())
@@ -561,7 +548,7 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     recheck_certificate(
         lp, LpCertificate(status=OPTIMAL, primal=tuple(x), dual=tuple(y), objective=objective)
     )
-    if any(_document_section(document, "ledger").values()):
+    if any(ledger.values()):
         raise InfeasibleInput("stored ledger is not all zeros")
     return objective
 

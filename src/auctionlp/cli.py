@@ -172,13 +172,14 @@ def cmd_characterize(args) -> int:
     # Every instance gets a dominant-strategy solve, so refuse its
     # tableau before drawing; the builders' right-hand sides are
     # nonnegative, so it has no artificial columns.
-    rows, cols = ProgramLayout(DS, PRIMAL, *gen_shape(spec, args.caps)).shape
+    m, sizes = gen_shape(spec, args.caps)
+    rows, cols = ProgramLayout(DS, PRIMAL, m, sizes).shape
     check_tableau_size(rows, rows + cols + 1)
     if args.count == 1 and not spec.get("iid"):
         instance = gen_instance(spec, args.seed, cap=args.caps)
         _characterize_one(instance)
         return 0
-    if spec.get("iid") and int(spec.get("n", 2)) >= 3:
+    if spec.get("iid") and len(sizes) >= 3:
         records = iid_scan(spec, args.seed, args.count, cap=args.caps)
     else:
         records = []

@@ -231,7 +231,6 @@ class _Simplex:
         self.obj = obj
         self.objs = [obj]
         self.pivots = 0
-        self.stalls = 0
         self.forced_bland = False
 
     # -- pivot selection ----------------------------------------------------
@@ -319,12 +318,12 @@ class _Simplex:
     def _iterate(self, obj, phase_one: bool = False) -> int | None:
         """Pivot on objective row `obj` until no column prices in (None)
         or an entering column has no leaving row (that column, a ray).
-        Phase one also stops once its objective reaches zero.  A stall
-        count carries over from one call to the next."""
+        Phase one also stops once its objective reaches zero."""
         limit = self.S + self.R  # artificials never enter
         stall_limit = 3 * (self.R + self.S) + 10
         below = -self.tol
         last_val = obj[self.rhs]
+        self.stalls = 0
         while not phase_one or obj[self.rhs] < below:
             c = self._entering(obj, limit)
             if c is None:

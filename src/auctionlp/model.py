@@ -15,9 +15,7 @@ Conventions used throughout:
   removed, in buyer order; its rank among buyer i's opponent profiles
   (row-major again) is the *slice* s.
 
-Rank tables.  `profile_rank` is the one formula that places buyer i's
-type t on slice s at a profile rank; the program layouts use it too.
-An Instance builds, on first use and then caches:
+Rank tables.  An Instance builds, on first use and then caches:
 
 * `sizes` and `profile_count`;
 * `ranks[i][s][t]`, the rank of the profile where buyer i has type t
@@ -59,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import (
     DimensionMismatch,
@@ -169,19 +167,6 @@ class NegInfType:
 NEG_INF = NegInfType()
 
 
-def rank_strides(sizes: Sequence[int]) -> tuple[int, ...]:
-    """strides[i]: the rank distance between two profiles that differ
-    by one in buyer i's type only."""
-    return tuple(prod(sizes[i + 1:]) for i in range(len(sizes)))
-
-
-def profile_rank(sizes: Sequence[int], strides: Sequence[int], i: int, t: int, s: int) -> int:
-    """Rank of the profile where buyer i has type t and the others the
-    opponent slice of rank s."""
-    stride = strides[i]
-    return ((s // stride) * sizes[i] + t) * stride + s % stride
-
-
 # ---------------------------------------------------------------------------
 # Instance
 
@@ -277,13 +262,15 @@ class Instance:
 
     @cached_property
     def ranks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        sizes, strides = self.sizes, rank_strides(self.sizes)
+        sizes = self.sizes
+        # the rank distance between profiles one apart in buyer i's type
+        strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
         return tuple(
             tuple(
-                tuple(profile_rank(sizes, strides, i, t, s) for t in range(k))
+                tuple(((s // d) * k + t) * d + s % d for t in range(k))
                 for s in range(self.profile_count // k)
             )
-            for i, k in enumerate(sizes)
+            for k, d in zip(sizes, strides)
         )
 
     @cached_property
@@ -795,15 +782,12 @@ class VirtualValueTable:
 
 @dataclass(frozen=True)
 class RevenueReport:
-    """The three optimal revenues with exact equality flags.  Any
-    ordering other than brev >= drev >= srev raises NotOptimal."""
+    """The three optimal revenues; the equality flags are read off them.
+    Any ordering other than brev >= drev >= srev raises NotOptimal."""
 
     brev: Fraction
     drev: Fraction
     srev: Fraction
-    brev_eq_drev: bool
-    drev_eq_srev: bool
-    srev_eq_brev: bool
     ai_witness: DualSolution | None = None
     findings: tuple[str, ...] = field(default_factory=tuple)
 
@@ -815,21 +799,14 @@ class RevenueReport:
                 f"srev={rat_str(self.srev)}"
             )
 
+    @property
+    def brev_eq_drev(self) -> bool:
+        return self.brev == self.drev
 
-def make_revenue_report(
-    brev: Fraction,
-    drev: Fraction,
-    srev: Fraction,
-    ai_witness: DualSolution | None = None,
-    findings: Sequence[str] = (),
-) -> RevenueReport:
-    return RevenueReport(
-        brev=brev,
-        drev=drev,
-        srev=srev,
-        brev_eq_drev=brev == drev,
-        drev_eq_srev=drev == srev,
-        srev_eq_brev=srev == brev,
-        ai_witness=ai_witness,
-        findings=tuple(findings),
-    )
+    @property
+    def drev_eq_srev(self) -> bool:
+        return self.drev == self.srev
+
+    @property
+    def srev_eq_brev(self) -> bool:
+        return self.srev == self.brev

@@ -8,11 +8,12 @@ profile key parser.
 The definitions are free functions over profile tuples: utility,
 deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
-dual; zero_mechanism, min_entry of slacks and row_dot of a program.
+dual; zero_mechanism, min_entry of slacks and row_dot of a program;
+reference_names of a program layout.
 They never call the rank-table paths they check (test_surface)."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from auctionlp.auction import PRIMAL, ProgramLayout, build_dual_dslp
 from auctionlp.lp import MAX, MIN, OPTIMAL, make_lp, solve
@@ -209,10 +210,10 @@ def regular_phi_range(instance, i, profile, revenue):
             if t2 == t:
                 continue
             if vt:
-                row.append((layout.zeta(bi, t, t2, s), vt))
+                row.append((layout.zeta(bi, r, t, t2), vt))
             v2 = instance.value(bi, t2)[0]
             if v2:
-                row.append((layout.zeta(bi, t2, t, s), -v2))
+                row.append((layout.zeta(bi, instance.ranks[bi][s][t2], t2, t), -v2))
         return row
 
     c = [Fraction(0)] * base.ncols
@@ -244,8 +245,8 @@ def regular_phi_range(instance, i, profile, revenue):
             for t2 in range(instance.sizes[bi]):
                 if t2 == t:
                     continue
-                row.append((layout.zeta(bi, t, t2, s), Fraction(1)))
-                row.append((layout.zeta(bi, t2, t, s), Fraction(-1)))
+                row.append((layout.zeta(bi, rr, t, t2), Fraction(1)))
+                row.append((layout.zeta(bi, instance.ranks[bi][s][t2], t2, t), Fraction(-1)))
             rows.append(tuple(row))
             b.append(instance.mu_by_rank[rr])
             # virtual: expected virtual values vanish on zero-mass slices
@@ -288,28 +289,60 @@ def reference_primal(instance, form):
             rows[layout.xi(j, r)] = [(layout.x(i, j, r), 1) for i in range(instance.n)]
             b[layout.xi(j, r)] = 1
     for i, k in enumerate(instance.sizes):
-        for s, vm in enumerate(instance.others_profiles(i)):
+        for vm in instance.others_profiles(i):
             w = instance.mu_minus(i, vm) if form == BAYES else 1
             if not w:
                 continue
             for t in range(k):
                 r = instance.rank(instance.insert(i, t, vm))
+                key = t if form == BAYES else r
                 value = [w * q for q in instance.value(i, t)]
                 for t2 in range(k):
                     if t2 == t:
                         continue
                     # u_i reporting t2 minus u_i reporting t <= 0
                     lie = instance.rank(instance.insert(i, t2, vm))
-                    row = rows[layout.zeta(i, t, t2, s)]
+                    row = rows[layout.zeta(i, key, t, t2)]
                     for j, q in enumerate(value):
                         if q:
                             row += [(layout.x(i, j, lie), q), (layout.x(i, j, r), -q)]
                     row += [(layout.p(i, lie), -w), (layout.p(i, r), w)]
                 # -u_i <= 0
-                row = rows[layout.eta(i, t if form == BAYES else r)]
+                row = rows[layout.eta(i, key)]
                 row += [(layout.x(i, j, r), -q) for j, q in enumerate(value) if q]
                 row.append((layout.p(i, r), w))
     return make_lp(MAX, c, rows, b, layout)
+
+
+def reference_names(layout):
+    """ProgramLayout.labels by definition: (row names, column names),
+    each rendered from a profile tuple in the auction module's grammar
+    (support indices joined by ".") and placed by the layout's index
+    methods.  Profiles are enumerated row-major, so their position is
+    their rank, the dominant-strategy multiplier key."""
+    nrows, ncols = layout.shape
+    rows, cols = [None] * nrows, [None] * ncols
+    for r, v in enumerate(product(*(range(k) for k in layout.sizes))):
+        name = ".".join(str(t) for t in v)
+        for j in range(layout.m):
+            rows[layout.xi(j, r)] = f"sup:{j}:{name}"
+        for i, t in enumerate(v):
+            cols[layout.p(i, r)] = f"p:{i}:{name}"
+            for j in range(layout.m):
+                cols[layout.x(i, j, r)] = f"x:{i}:{j}:{name}"
+            if layout.form == DS:
+                rows[layout.eta(i, r)] = f"ir:{i}:{name}"
+                for t2 in range(layout.sizes[i]):
+                    if t2 != t:
+                        rows[layout.zeta(i, r, t, t2)] = f"ic:{i}:{name}:{t2}"
+    if layout.form == BAYES:
+        for i, k in enumerate(layout.sizes):
+            for t in range(k):
+                rows[layout.eta(i, t)] = f"ir:{i}:{t}"
+                for t2 in range(k):
+                    if t2 != t:
+                        rows[layout.zeta(i, t, t, t2)] = f"ic:{i}:{t}:{t2}"
+    return rows, cols
 
 
 

@@ -13,6 +13,8 @@ from auctionlp.auction import (
     BAYES,
     DS,
     DUAL,
+    PRIMAL,
+    ProgramLayout,
     brev,
     build_blp,
     build_dslp,
@@ -36,7 +38,7 @@ from auctionlp.model import mechanism_feasible
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import build
-from helpers import parse_profile_key
+from helpers import parse_profile_key, reference_names
 
 F = Fraction
 
@@ -73,6 +75,15 @@ def test_label_counts_match_dimensions(pair12, items12):
         types = sum(instance.sizes)
         assert len(b_rows) == blp.nrows == ic_b + types + instance.m * profiles
         assert len(set(b_rows)) == len(b_rows)
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_labels_match_their_definition(form):
+    # unequal support sizes, so a mixed-up buyer or stride shows
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            layout = ProgramLayout(form, PRIMAL, m, (3, 2, 4)[:n])
+            assert layout.labels() == reference_names(layout)
 
 
 def test_dual_rows_mirror_primal_columns(pair12):
@@ -199,11 +210,11 @@ def test_dual_is_keyed_like_the_primal_rows(form):
             assert len(dual.eta[i]) == len(dual.zeta[i]) == keys
             for key in range(keys):
                 assert dual.eta[i][key] == cert.dual[layout.eta(i, key)]
-                t, s = instance.positions[i][key] if form == DS else (key, 0)
+                t = instance.positions[i][key][0] if form == DS else key
                 assert dual.zeta[i][key][t] == 0
                 for t2 in range(k):
                     if t2 != t:
-                        value = cert.dual[layout.zeta(i, t, t2, s)]
+                        value = cert.dual[layout.zeta(i, key, t, t2)]
                         assert dual.zeta[i][key][t2] == value
                         nonzero += value != 0
     assert nonzero > 0

@@ -191,6 +191,10 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_
         lambda doc: doc.update(primal=list(doc["primal"].items())),
         lambda doc: doc["dual"].update({next(iter(doc["dual"])): "1/0"}),
         lambda doc: doc.pop("ledger"),
+        lambda doc: doc.update(ledger={}),
+        lambda doc: doc.update(ledger={"bogus": "0"}),
+        lambda doc: doc["ledger"].pop("gap"),
+        lambda doc: doc["ledger"].update(bogus="0"),
         lambda doc: doc.update(form="garbage"),
         lambda doc: doc.pop("form"),
         lambda doc: doc.update(version="x"),
@@ -206,6 +210,10 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_
         "primal-list",
         "dual-zero-den",
         "no-ledger",
+        "ledger-empty",
+        "ledger-bogus",
+        "ledger-missing-key",
+        "ledger-extra-key",
         "form-unknown",
         "no-form",
         "version-text",

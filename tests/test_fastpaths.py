@@ -180,8 +180,8 @@ def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
             for t2 in range(k):
                 if t2 == t:
                     continue
-                ds_rows = [ds.rows[ds.layout.zeta(i, t, t2, s)] for s in range(len(ranks))]
-                bayes_row = bayes.rows[bayes.layout.zeta(i, t, t2)]
+                ds_rows = [ds.rows[ds.layout.zeta(i, r, t, t2)] for r in ranks]
+                bayes_row = bayes.rows[bayes.layout.zeta(i, t, t, t2)]
                 assert _weighted_sum([bayes_row], [1]) == _weighted_sum(ds_rows, weights)
                 margin = sum(w * ds_slacks.a[i][r][t2] for w, r in zip(weights, ranks))
                 assert bayes_slacks.a[i][t][t2] == margin

@@ -27,7 +27,6 @@ from auctionlp.model import (
     Mechanism,
     RevenueReport,
     load_instance,
-    make_revenue_report,
     mechanism_feasible,
     mechanism_slacks,
     profile_prob,
@@ -376,11 +375,14 @@ def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
 # -- revenue report ---------------------------------------------------------
 
 
-def test_make_revenue_report_flags():
-    report = make_revenue_report(Fraction(3), Fraction(3), Fraction(2))
+def test_revenue_report_flags():
+    report = RevenueReport(Fraction(3), Fraction(3), Fraction(2))
     assert report.brev_eq_drev and not report.drev_eq_srev
     assert not report.srev_eq_brev
     assert report.findings == ()
+    # the flags are read off the revenues, so none can disagree with them
+    same = RevenueReport(Fraction(1), Fraction(1), Fraction(1))
+    assert same.brev_eq_drev and same.drev_eq_srev and same.srev_eq_brev
 
 
 def test_revenue_report_rejects_bad_ordering():
@@ -389,7 +391,4 @@ def test_revenue_report_rejects_bad_ordering():
             brev=Fraction(1),
             drev=Fraction(2),
             srev=Fraction(0),
-            brev_eq_drev=False,
-            drev_eq_srev=False,
-            srev_eq_brev=False,
         )

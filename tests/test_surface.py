@@ -12,11 +12,12 @@ import auctionlp
 import auctionlp.oracles
 from auctionlp.model import Instance
 
-# The rank-table and closed-form paths that tests/helpers.py and
-# tests/baselines.py are checked against; neither may call them.
+# The rank-table and closed-form paths, and the label rendering, that
+# tests/helpers.py and tests/baselines.py are checked against; neither
+# may call them.
 FAST_PATHS = {
     "key_flows", "flow_phi", "flow_psi", "_key_rows", "mechanism_slacks",
-    "dual_from_multipliers", "canonical_flow", "myerson_mechanism",
+    "dual_from_multipliers", "canonical_flow", "myerson_mechanism", "labels",
 }
 # What the primal builder reads; helpers.reference_primal uses none of it.
 BUILDER_PATHS = {
