@@ -4,6 +4,7 @@ engine connecting Bayesian and dominant-strategy optima."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from .auction import (
@@ -443,9 +444,10 @@ def characterize(instance: Instance) -> RevenueReport:
     else:
         srev_value = srev(instance)
 
+    report = RevenueReport(brev=brev_value, drev=drev_value, srev=srev_value)
     ai_witness = None
     findings = []
-    if brev_value == drev_value:
+    if report.brev_eq_drev:
         bayes_dual = extract_dual(instance, bayes_cert, BAYES)
         regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
         ai_witness = bic_to_dsic_dual(instance, regular)
@@ -458,11 +460,7 @@ def characterize(instance: Instance) -> RevenueReport:
             findings.append(f"witness-not-agent-independent:{witness}")
 
     if is_iid(instance) and instance.n >= 3:
-        equalities = (
-            brev_value == drev_value,
-            drev_value == srev_value,
-            srev_value == brev_value,
-        )
+        equalities = (report.brev_eq_drev, report.drev_eq_srev, report.srev_eq_brev)
         if any(equalities) and not all(equalities):
             findings.append(
                 "iid-equality-split:"
@@ -470,13 +468,7 @@ def characterize(instance: Instance) -> RevenueReport:
                 f"srev={rat_str(srev_value)}"
             )
 
-    return RevenueReport(
-        brev=brev_value,
-        drev=drev_value,
-        srev=srev_value,
-        ai_witness=ai_witness,
-        findings=tuple(findings),
-    )
+    return replace(report, ai_witness=ai_witness, findings=tuple(findings))
 
 
 def revenue_record(
@@ -502,10 +494,13 @@ def revenue_record(
 def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     """Characterize seeded i.i.d. instances and collect per-instance
     findings records; families below three buyers are excluded.  `cap`
-    bounds each instance's profile count as in gen_instance."""
-    from .oracles import gen_instance
+    bounds each instance's profile count, and a bad family raises, as
+    in gen_instance."""
+    from .oracles import gen_instance, gen_shape
 
-    n = int(family.get("n", 3))
+    spec = {"n": 3, **family, "iid": True}
+    gen_shape(spec, cap)  # refuses a bad family before its n is read
+    n = spec["n"]
     if n < 3:
         return [
             {
@@ -516,9 +511,6 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
         ]
     records = []
     for index in range(count):
-        spec = dict(family)
-        spec["n"] = n
-        spec["iid"] = True
         instance = gen_instance(spec, seed + index, cap=cap)
         report = characterize(instance)
         dual, excess = _tight_dual(instance, report.drev)

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .lp import CertificateError, check_tableau_size
 from .model import BAYES, DS, NEG_INF, load_instance, multiplier_keys, rat_str
-from .oracles import gen_instance, gen_shape
+from .oracles import _SPEC_COUNTS, _SPEC_FLAGS, gen_instance, gen_shape
 from .virtual import (
     check_ubvv,
     check_vwm,
@@ -66,7 +66,6 @@ _VALIDATION = (
 _FORMS = {"ds": DS, "bic": BAYES}
 
 
-_GEN_INTS = ("n", "m", "support", "value_range", "denominator")
 _GEN_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -83,13 +82,13 @@ def _parse_gen_spec(text: str) -> dict:
         raw = raw.strip()
         if key in spec:
             raise DimensionMismatch(f"generator spec repeats the key {key!r}")
-        if key in ("iid", "correlated"):
+        if key in _SPEC_FLAGS:
             if raw.lower() not in _GEN_FLAGS:
                 raise DimensionMismatch(
                     f"generator spec value for {key!r} is not a boolean: {raw!r}"
                 )
             spec[key] = _GEN_FLAGS[raw.lower()]
-        elif key in _GEN_INTS:
+        elif key in _SPEC_COUNTS:
             try:
                 spec[key] = int(raw)
             except ValueError:

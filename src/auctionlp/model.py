@@ -42,7 +42,10 @@ in the dominant-strategy form and the own type in the Bayesian form.
 step (primal rows, slacks, dual assembly, slackness ledger, regularity,
 regularization, virtual values) be written once for both forms.  Its
 scales say that a Bayesian row is the opponent-mass-weighted sum of
-dominant-strategy rows.
+dominant-strategy rows.  `dual_from_multipliers` computes each key's
+phi_star and psi (Bayesian: phibar_star and psibar) once; the dual keeps
+them, and every later step (regularity, regularization, virtual values)
+reads them there.
 """
 
 from __future__ import annotations
@@ -623,8 +626,10 @@ class DualSolution:
     is a profile rank r in the dominant-strategy form and an own type t
     in the Bayesian form (see multiplier_keys).  xi[j][r]: the
     per-(item, profile) dual objective terms.  alpha[i][j][r] and
-    beta[i][r] are the dual constraint slacks.  One type serves both
-    forms: the functions that take a dual say which form they read.
+    beta[i][r] are the dual constraint slacks; phi[i][key] (per item) and
+    psi[i][key] are the key's coefficients, as dual_from_multipliers,
+    the one constructor, derives them.  One type serves both forms: the
+    functions that take a dual say which form they read.
     """
 
     zeta: tuple
@@ -632,6 +637,8 @@ class DualSolution:
     xi: tuple
     alpha: tuple
     beta: tuple
+    phi: tuple
+    psi: tuple
 
     def objective(self) -> Fraction:
         return sum((x for col in self.xi for x in col), Fraction(0))
@@ -697,12 +704,12 @@ def multiplier_keys(instance: Instance, form: str, i: int):
     )
 
 
-def key_flows(zeta_i, eta_i, family, t):
-    """Weights of one buyer's multipliers at the key of type t in family
-    (see multiplier_keys): held (the key's participation weight plus
-    every "true t, report t2" multiplier) and the nonzero "true t2,
-    report t" multipliers as (t2, weight) pairs.  Diagonal entries are
-    ignored."""
+def _key_coefficients(zeta_i, eta_i, family, t, vecs):
+    """phi_star per item and psi (Bayesian: phibar_star and psibar) at
+    the key of type t in family (see multiplier_keys): the key's
+    participation weight and "true t, report t2" multipliers, less the
+    "true t2, report t" ones; phi weighs each by its type's vector in
+    vecs.  Diagonal entries are ignored."""
     key = family[t]
     held, inflow = eta_i[key], []
     for t2, (out, key2) in enumerate(zip(zeta_i[key], family)):
@@ -711,57 +718,44 @@ def key_flows(zeta_i, eta_i, family, t):
                 held += out
             w = zeta_i[key2][t]
             if w:
-                inflow.append((t2, w))
-    return held, inflow
-
-
-def flow_psi(held, inflow) -> Fraction:
-    """The payment coefficient psi (Bayesian: psibar) from key_flows."""
-    for _, w in inflow:
-        held -= w
-    return held
-
-
-def flow_phi(held, inflow, vecs, t, j) -> Fraction:
-    """The expected virtual value phi_star (Bayesian: phibar_star) of
-    item j from key_flows; vecs are the buyer's support vectors."""
-    total = held * vecs[t][j] if vecs[t][j] else Fraction(0)
-    for t2, w in inflow:
-        if vecs[t2][j]:
-            total -= w * vecs[t2][j]
-    return total
+                inflow.append((w, vecs[t2]))
+    psi = held
+    phi = [held * v if v else Fraction(0) for v in vecs[t]]
+    for w, vec in inflow:
+        psi -= w
+        for j, v in enumerate(vec):
+            if v:
+                phi[j] -= w * v
+    return tuple(phi), psi
 
 
 def dual_from_multipliers(instance: Instance, form: str, zeta, eta, xi) -> DualSolution:
-    """The dual solution of the given form with these multipliers,
-    deriving the alpha/beta slacks.  Each key's phi_star and psi
-    (Bayesian: phibar_star and psibar) are computed once and written at
-    every rank of the key, scaled by the slice's scale; a zero-scale
-    slice gets alpha = xi and beta = 0."""
+    """The dual solution of the given form with these multipliers.  Each
+    key's phi_star and psi (Bayesian: phibar_star and psibar) are
+    computed once, kept as the dual's phi and psi, and written at every
+    rank of the key into the alpha/beta slacks, scaled by the slice's
+    scale; a zero-scale slice gets alpha = xi and beta = 0."""
     mu, m, count = instance.mu_by_rank, instance.m, instance.profile_count
-    alpha, beta = [], []
+    per_buyer = []
     for i in range(instance.n):
         positions, families, _, _, scales = multiplier_keys(instance, form, i)
         vecs = instance.supports[i]
-        phis, psis = [], []
-        for t, s in positions:
-            held, inflow = key_flows(zeta[i], eta[i], families[s], t)
-            phis.append([flow_phi(held, inflow, vecs, t, j) for j in range(m)])
-            psis.append(flow_psi(held, inflow))
+        per_key = (_key_coefficients(zeta[i], eta[i], families[s], t, vecs) for t, s in positions)
+        phis, psis = zip(*per_key)
         alpha_i = [[None] * count for _ in range(m)]
         beta_i = [None] * count
         for w, family, ranks in zip(scales, families, instance.ranks[i]):
             unit = w == 1
             for key, r in zip(family, ranks):
-                phi, psi = phis[key], psis[key]
+                key_phi, key_psi = phis[key], psis[key]
                 if not unit:
-                    phi, psi = [w * x for x in phi], w * psi
-                for col, xi_j, phi_j in zip(alpha_i, xi, phi):
+                    key_phi, key_psi = [w * x for x in key_phi], w * key_psi
+                for col, xi_j, phi_j in zip(alpha_i, xi, key_phi):
                     col[r] = xi_j[r] - phi_j
-                beta_i[r] = psi - mu[r]
-        alpha.append(tuple(map(tuple, alpha_i)))
-        beta.append(tuple(beta_i))
-    return DualSolution(zeta=zeta, eta=eta, xi=xi, alpha=tuple(alpha), beta=tuple(beta))
+                beta_i[r] = key_psi - mu[r]
+        per_buyer.append((tuple(map(tuple, alpha_i)), tuple(beta_i), phis, psis))
+    alpha, beta, phi, psi = zip(*per_buyer)
+    return DualSolution(zeta=zeta, eta=eta, xi=xi, alpha=alpha, beta=beta, phi=phi, psi=psi)
 
 
 # ---------------------------------------------------------------------------

@@ -88,26 +88,42 @@ def _product_buyer(
     return [vectors[idx] for idx in ranked], [masses[idx] for idx in ranked]
 
 
+# The keys of a gen_instance spec: counts (support may be a list) and flags.
+_SPEC_COUNTS = ("n", "m", "support", "value_range", "denominator")
+_SPEC_FLAGS = ("iid", "correlated")
+
+
 def _read_spec(spec: Mapping, cap: int):
     """Check a gen_instance spec, and its profile count against cap,
     without drawing anything.  Returns (n, m, per-buyer support sizes,
-    value_range, denominator, iid, joint)."""
-    n = int(spec.get("n", 2))
-    m = int(spec.get("m", 1))
+    value_range, denominator, iid, joint).  An unknown key, a count not
+    an int (or a bool) and a flag not a bool raise DimensionMismatch."""
+    for key, value in spec.items():
+        if key in _SPEC_FLAGS:
+            ok, kind = type(value) is bool, "a boolean"
+        elif key in _SPEC_COUNTS:
+            values = value if key == "support" and isinstance(value, (list, tuple)) else [value]
+            ok, kind = all(type(v) is int for v in values), "an integer"
+        else:
+            raise DimensionMismatch(f"unknown generator spec key {key!r}")
+        if not ok:
+            raise DimensionMismatch(f"generator spec value for {key!r} is not {kind}: {value!r}")
+    n = spec.get("n", 2)
+    m = spec.get("m", 1)
     raw_support = spec.get("support", 2)
-    value_range = int(spec.get("value_range", 4))
-    denominator = min(64, int(spec.get("denominator", 4)))
-    iid = bool(spec.get("iid", False))
-    correlated = bool(spec.get("correlated", True))
+    value_range = spec.get("value_range", 4)
+    denominator = min(64, spec.get("denominator", 4))
+    iid = spec.get("iid", False)
+    correlated = spec.get("correlated", True)
     if n < 1 or m < 1 or value_range < 1 or denominator < 1:
         raise DimensionMismatch("spec sizes must be positive")
     # (support size, number of buyers with it)
     if isinstance(raw_support, (list, tuple)):
-        counts = [(int(s), 1) for s in raw_support]
+        counts = [(s, 1) for s in raw_support]
         if len(counts) != n:
             raise DimensionMismatch("per-buyer support list length != n")
     else:
-        counts = [(int(raw_support), n)]
+        counts = [(raw_support, n)]
     if any(s < 1 for s, _ in counts):
         raise DimensionMismatch("support sizes must be positive")
     if iid and len({s for s, _ in counts}) != 1:

@@ -20,9 +20,6 @@ from .model import (
     PrimalSlacks,
     VirtualValueTable,
     dual_from_multipliers,
-    flow_phi,
-    flow_psi,
-    key_flows,
     mechanism_slacks,
     multiplier_keys,
 )
@@ -155,27 +152,25 @@ def bayes_regularity_witness(instance: Instance, dual: DualSolution):
 
 
 def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
-    """Per key: no virtual value on a zero-mass slice ("virtual"),
-    participation weight only on the zero type and there exactly the
-    slice's weight ("source"), and the payment coefficient equal to the
-    key's mass ("trans").  DS keys are named by profile, BAYES keys by
-    type."""
+    """Per key: no virtual value on a zero-mass slice ("virtual", naming
+    the first item whose phi is nonzero), participation weight only on
+    the zero type and there exactly the slice's weight ("source"), and
+    the payment coefficient psi equal to the key's mass ("trans").  DS
+    keys are named by profile, BAYES keys by type."""
     zeros = _zero_indices(instance)
     profiles = list(instance.profiles())
     for i, t0 in enumerate(zeros):
-        positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
+        positions, _, weights, masses, _ = multiplier_keys(instance, form, i)
         names = profiles if form == DS else range(len(positions))
-        vecs = instance.supports[i]
-        zeta_i, eta_i = dual.zeta[i], dual.eta[i]
+        eta_i, phi_i, psi_i = dual.eta[i], dual.phi[i], dual.psi[i]
         for key, (t, s) in enumerate(positions):
-            held, inflow = key_flows(zeta_i, eta_i, families[s], t)
             if weights[s] == 0:
-                for j in range(instance.m):
-                    if flow_phi(held, inflow, vecs, t, j) != 0:
+                for j, phi in enumerate(phi_i[key]):
+                    if phi != 0:
                         return ("virtual", (i, j, names[key]))
             if eta_i[key] != (weights[s] if t == t0 else 0):
                 return ("source", (i, names[key]))
-            if flow_psi(held, inflow) != masses[key]:
+            if psi_i[key] != masses[key]:
                 return ("trans", (i, names[key]))
     return None
 
@@ -190,8 +185,8 @@ def regularize_ds(
     """Rewrite an optimal dual so that participation weight sits only on
     the zero type and the payment coefficient meets mu(v) exactly.
 
-    First every multiplier on opponent slices of zero mass is dropped;
-    then, per buyer and slice, eta at a nonzero type moves onto
+    Per buyer and slice, every multiplier on a slice of zero opponent
+    mass is dropped; elsewhere eta at a nonzero type moves onto
     zeta(t, 0) and the payment slack at t moves onto zeta(0, t), with
     eta reset to mu_{-i} at the zero type.  Objective and feasibility
     are preserved; all three regularity conditions are verified before
@@ -219,27 +214,25 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
     zeta, eta = [], []
     for i, (k, t0) in enumerate(zip(instance.sizes, zeros)):
         positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
+        psi_i = dual.psi[i]
         zeta_i = [list(row) for row in dual.zeta[i]]
         eta_i = list(dual.eta[i])
-        for key, (_, s) in enumerate(positions):
-            if not weights[s]:
-                zeta_i[key] = [Fraction(0)] * k
-                eta_i[key] = Fraction(0)
-        # Each family once, through its zero type's key.  Moving type t
-        # writes only zeta(t, 0) and zeta(0, t), which no later type's
-        # flows read, so the moves can run in place.
+        # Each family once, through its zero type's key; one of zero
+        # weight ends all zeros.  Moving type t writes only zeta(t, 0)
+        # and zeta(0, t), which no later type's psi reads, so the moves
+        # run in place with every surplus read off the dual.
         for key0, (own, s) in enumerate(positions):
             if own != t0:
                 continue
-            family = families[s]
-            for t, key in enumerate(family):
-                if t == t0:
-                    continue
-                surplus = flow_psi(*key_flows(zeta_i, eta_i, family, t)) - masses[key]
-                zeta_i[key][t0] += eta_i[key]
-                zeta_i[key0][t] += surplus
-                eta_i[key] = Fraction(0)
-            eta_i[key0] = weights[s]
+            w = weights[s]
+            for t, key in enumerate(families[s]):
+                if not w:
+                    zeta_i[key], eta_i[key] = [Fraction(0)] * k, Fraction(0)
+                elif t != t0:
+                    zeta_i[key][t0] += eta_i[key]
+                    zeta_i[key0][t] += psi_i[key] - masses[key]
+                    eta_i[key] = Fraction(0)
+            eta_i[key0] = w
         zeta.append(tuple(map(tuple, zeta_i)))
         eta.append(tuple(eta_i))
     result = dual_from_multipliers(instance, form, tuple(zeta), tuple(eta), dual.xi)
@@ -260,9 +253,9 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
 def virtual_values_ds(instance: Instance, dual: DualSolution) -> VirtualValueTable:
     """Per-profile virtual values of a regular dual.
 
-    On mass-bearing profiles the entry is the value corrected by the
-    incoming zeta weights, and multiplying back by mu(v) reproduces the
-    dual's expected virtual value.  Zero-mass opponent slices get 0 by
+    On mass-bearing profiles the entry is the dual's expected virtual
+    value phi_star divided by mu(v); a regular dual's payment
+    coefficient psi is mu(v) there.  Zero-mass opponent slices get 0 by
     convention, as do zero-mass nonzero own types; the zero type at
     zero mass against a mass-bearing slice is -inf.
     """
@@ -278,7 +271,7 @@ def virtual_values_bayes(
 
 
 def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> VirtualValueTable:
-    """One entry per key, read out at every profile of the key."""
+    """One entry per key, phi / mass, read out at every profile of it."""
     witness = _regularity_witness(instance, dual, form)
     if witness is not None:
         raise NotRegular(f"dual is not regular: {witness}")
@@ -286,29 +279,14 @@ def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> Virtua
     values = []
     for i, t0 in enumerate(zeros):
         positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
-        vecs = instance.supports[i]
         per_key = []
         for key, (t, s) in enumerate(positions):
             w = masses[key]
-            if not w:
+            if w:
+                per_key.append(tuple(phi / w for phi in dual.phi[i][key]))
+            else:
                 entry = NEG_INF if weights[s] and t == t0 else Fraction(0)
                 per_key.append((entry,) * instance.m)
-                continue
-            held, inflow = key_flows(dual.zeta[i], dual.eta[i], families[s], t)
-            row = []
-            for j in range(instance.m):
-                vt = vecs[t][j]
-                total = Fraction(0)
-                for t2, z in inflow:
-                    total += z * (vt - vecs[t2][j])
-                phi = vt + total / w
-                if phi * w != flow_phi(held, inflow, vecs, t, j):
-                    raise NotRegular(
-                        f"virtual value {phi} times mass {w} misses the expected "
-                        f"virtual value at buyer {i}, item {j}, key {key}"
-                    )
-                row.append(phi)
-            per_key.append(row)
         values.append(
             tuple(
                 tuple(per_key[families[s][t]][j] for t, s in instance.positions[i])

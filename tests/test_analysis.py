@@ -401,6 +401,13 @@ def test_iid_scan_excludes_small_families():
     ]
 
 
+@pytest.mark.parametrize("family", [{"n": 3.5, "m": 1}, {"n": 2.9, "m": 1}, {"n": 3, "supprt": 2}])
+def test_iid_scan_refuses_a_bad_family(family):
+    # n is checked like every other key, before the exclusion reads it
+    with pytest.raises(DimensionMismatch):
+        iid_scan(family, 0, 1)
+
+
 def test_iid_scan_records(u12):
     records = iid_scan({"n": 3, "m": 1, "support": 2}, 1, 3)
     assert [r["brev"] for r in records] == ["11/24", "189/64", "10/3"]

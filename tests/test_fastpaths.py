@@ -34,7 +34,16 @@ from auctionlp.model import (
     multiplier_keys,
 )
 from auctionlp.oracles import gen_instance
-from helpers import min_entry, reference_dual_slacks, reference_primal, reference_slacks
+from helpers import (
+    min_entry,
+    phi_star,
+    phibar_star,
+    psi,
+    psibar,
+    reference_dual_slacks,
+    reference_primal,
+    reference_slacks,
+)
 
 F = Fraction
 
@@ -124,10 +133,37 @@ def test_dual_slacks_match_definition(spec, seed, form):
     instance = gen_instance(spec, seed)
     dual = extract_dual(instance, solve_form(instance, form), form)
     assert (dual.alpha, dual.beta) == reference_dual_slacks(instance, dual, form)
+    assert (dual.phi, dual.psi) == _reference_coefficients(instance, dual, form)
     multipliers = _random_multipliers(instance, form, random.Random(seed))
     other = dual_from_multipliers(instance, form, *multipliers)
     assert not other.is_feasible()
     assert (other.alpha, other.beta) == reference_dual_slacks(instance, other, form)
+    assert (other.phi, other.psi) == _reference_coefficients(instance, other, form)
+
+
+def _reference_coefficients(instance, dual, form):
+    """(phi, psi) of a dual by definition, at every key: phi_star and
+    psi per profile (DS form), phibar_star and psibar per own type
+    (Bayesian form)."""
+    items = range(instance.m)
+    if form == BAYES:
+        types = list(enumerate(instance.sizes))
+        return (
+            tuple(
+                tuple(tuple(phibar_star(dual, instance, i, j, t) for j in items) for t in range(k))
+                for i, k in types
+            ),
+            tuple(tuple(psibar(dual, instance, i, t) for t in range(k)) for i, k in types),
+        )
+    profiles = list(instance.profiles())
+    buyers = range(instance.n)
+    return (
+        tuple(
+            tuple(tuple(phi_star(dual, instance, i, j, v) for j in items) for v in profiles)
+            for i in buyers
+        ),
+        tuple(tuple(psi(dual, instance, i, v) for v in profiles) for i in buyers),
+    )
 
 
 

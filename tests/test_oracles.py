@@ -175,6 +175,40 @@ def test_gen_instance_rejects_bad_sizes():
         gen_instance({"n": 1, "support": 0}, 1)
 
 
+# The spec boundary: gen_instance, gen_shape (and so iid_scan) refuse
+# what the CLI's --gen parser refuses, instead of coercing it.
+SPEC_READERS = [lambda spec: gen_instance(spec, 0), gen_shape]
+
+
+@pytest.mark.parametrize("read", SPEC_READERS)
+def test_gen_spec_rejects_unknown_key(read):
+    with pytest.raises(DimensionMismatch, match="unknown generator spec key 'supprt'"):
+        read({"n": 2, "supprt": 9})
+
+
+@pytest.mark.parametrize("read", SPEC_READERS)
+@pytest.mark.parametrize(
+    "spec", [{"n": 2.9}, {"m": "2"}, {"n": 2, "support": [1, 2.0]}, {"value_range": None}]
+)
+def test_gen_spec_rejects_non_integer_count(read, spec):
+    with pytest.raises(DimensionMismatch, match="is not an integer"):
+        read(spec)
+
+
+@pytest.mark.parametrize("read", SPEC_READERS)
+@pytest.mark.parametrize("spec", [{"n": True}, {"n": 2, "support": [1, False]}])
+def test_gen_spec_rejects_boolean_count(read, spec):
+    with pytest.raises(DimensionMismatch, match="is not an integer"):
+        read(spec)
+
+
+@pytest.mark.parametrize("read", SPEC_READERS)
+@pytest.mark.parametrize("spec", [{"n": 3, "iid": "false"}, {"correlated": 0}])
+def test_gen_spec_rejects_non_boolean_flag(read, spec):
+    with pytest.raises(DimensionMismatch, match="is not a boolean"):
+        read(spec)
+
+
 # -- baselines never beat the optimum ---------------------------------------
 
 

@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import auctionlp
@@ -16,7 +17,7 @@ from auctionlp.model import Instance
 # tests/helpers.py and tests/baselines.py are checked against; neither
 # may call them.
 FAST_PATHS = {
-    "key_flows", "flow_phi", "flow_psi", "_key_rows", "mechanism_slacks",
+    "_key_coefficients", "_key_rows", "mechanism_slacks",
     "dual_from_multipliers", "canonical_flow", "myerson_mechanism", "labels",
 }
 # What the primal builder reads; helpers.reference_primal uses none of it.
@@ -73,3 +74,13 @@ def test_benchmark_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for attr in ("mu", "mu_minus"):
         assert callable(getattr(Instance, attr, None)), attr
+
+
+def test_readme_python_example_runs():
+    # README's Library section shows the package in use; its Python
+    # blocks must run against the code as it stands.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -6,6 +6,7 @@ ironed formula (helpers.myerson_formula); where the optimal regular
 dual is not unique, the disagreement must be witnessed by the face
 probe (helpers.regular_phi_range)."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -103,13 +104,7 @@ def test_ledger_rejects_tampered_alpha(pair12):
     r = next(r for r, row in enumerate(mech.alloc) if row[0][0] > 0)
     alpha = [[list(col) for col in buyer] for buyer in dual.alpha]
     alpha[0][0][r] += F(1, 5)
-    tampered = type(dual)(
-        zeta=dual.zeta,
-        eta=dual.eta,
-        xi=dual.xi,
-        alpha=tuple(tuple(map(tuple, buyer)) for buyer in alpha),
-        beta=dual.beta,
-    )
+    tampered = replace(dual, alpha=tuple(tuple(map(tuple, buyer)) for buyer in alpha))
     assert tampered.is_feasible()
     with pytest.raises(NotOptimal, match="objective gap"):
         check_cs_ds(pair12, mech, tampered)
@@ -241,6 +236,30 @@ def test_witness_accepts_regular(u12):
     _, _, dual = optimal_pair(u12)
     reg = regularize_ds(u12, dual, revenue=1)
     assert ds_regularity_witness(u12, reg) is None
+
+
+def bayes_dual_with_regular_buyer0(pair12, zeta1, eta1):
+    # buyer 0 carries the regular dual of one uniform {1, 2} buyer:
+    # psibar meets the masses (0, 1/2, 1/2) with eta only on the zero type
+    zeta0 = ((F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1, 2), F(0)))
+    eta0 = (F(1), F(0), F(0))
+    xi = ((F(0),) * pair12.profile_count,)
+    return dual_from_multipliers(pair12, BAYES, (zeta0, frozen(zeta1)), (eta0, eta1), xi)
+
+
+def test_bayes_witness_detects_source(pair12):
+    # buyer 1 parks eta weight on type 1; zeta keeps psibar right at the
+    # zero type so the source condition is the first to fail
+    zeta1 = [[F(0)] * 3 for _ in range(3)]
+    zeta1[1][0] = F(1)
+    dual = bayes_dual_with_regular_buyer0(pair12, zeta1, (F(1), F(1), F(0)))
+    assert bayes_regularity_witness(pair12, dual) == ("source", (1, 1))
+
+
+def test_bayes_witness_detects_trans(pair12):
+    zeta1 = [[F(0)] * 3 for _ in range(3)]
+    dual = bayes_dual_with_regular_buyer0(pair12, zeta1, (F(1), F(0), F(0)))
+    assert bayes_regularity_witness(pair12, dual) == ("trans", (1, 0))
 
 
 # -- virtual value tables ---------------------------------------------------
