@@ -188,10 +188,11 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     x(u') over the lower types u', the threshold when the allocation
     rises along the ladder.  The caller checks feasibility."""
     n, count = instance.n, instance.profile_count
+    alpha = [scaled.nums[0] for scaled in dual.scaled.alpha]
     winner = [None] * count
     for r, x in enumerate(dual.xi[0]):
         if x > 0:
-            winner[r] = next((i for i in range(n) if dual.alpha[i][0][r] == 0), None)
+            winner[r] = next((i for i in range(n) if alpha[i][r] == 0), None)
     zero, one = Fraction(0), Fraction(1)
     pay = [[zero] * n for _ in range(count)]
     for i in range(n):

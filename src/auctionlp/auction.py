@@ -51,9 +51,11 @@ from .model import (
     Instance,
     Mechanism,
     PrimalSlacks,
+    Scaled,
+    _dual_from_scaled,
     _key_rows,
+    _scale_numerators,
     _utility,
-    dual_from_multipliers,
     mechanism_feasible,
     mechanism_slacks,
     multiplier_keys,
@@ -313,17 +315,29 @@ def _checked_mechanism(
     layout = _layout(instance, form, PRIMAL)
     if certificate.layout != layout:
         raise LabelMismatch(f"certificate is not from the {form} primal builder")
-    x, n, m, count = certificate.primal, instance.n, instance.m, instance.profile_count
-    alloc = tuple(
-        tuple(tuple(x[layout.x(i, j, r)] for j in range(m)) for i in range(n))
-        for r in range(count)
+    mechanism = Mechanism(form, *_mechanism_entries(instance, layout, certificate.primal))
+    # the same entries as numerators, over the primal vector's denominator
+    nums, den = certificate.scaled[0]
+    object.__setattr__(
+        mechanism, "scaled", Scaled(_mechanism_entries(instance, layout, nums), den)
     )
-    pay = tuple(tuple(x[layout.p(i, r)] for i in range(n)) for r in range(count))
-    mechanism = Mechanism(form=form, alloc=alloc, pay=pay)
     slacks = mechanism_slacks(instance, mechanism)
     if not mechanism_feasible(instance, mechanism, slacks):
         raise InfeasibleInput("extracted mechanism violates feasibility")
     return mechanism, slacks
+
+
+def _mechanism_entries(instance: Instance, layout: ProgramLayout, vector):
+    """(alloc, pay) read off a primal vector.  The layout's x and p are
+    linear in the rank, so each (buyer, item) and each buyer's payments
+    are one slice of the vector."""
+    n, m, count = instance.n, instance.m, instance.profile_count
+    per_buyer = [
+        zip(*(vector[x : x + count] for x in (layout.x(i, j, 0) for j in range(m))))
+        for i in range(n)
+    ]
+    pay = zip(*(vector[p : p + count] for p in (layout.p(i, 0) for i in range(n))))
+    return tuple(zip(*per_buyer)), tuple(pay)
 
 
 def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
@@ -334,28 +348,39 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     layout = certificate.layout
     if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
         raise LabelMismatch(f"certificate is not from the {form} builders")
-    values = certificate.dual if layout.side == PRIMAL else certificate.primal
-    xi = tuple(
-        tuple(values[layout.xi(j, r)] for r in range(instance.profile_count))
-        for j in range(instance.m)
-    )
-    zeta, eta = [], []
-    for i, k in enumerate(instance.sizes):
-        positions = multiplier_keys(instance, form, i)[0]
-        zeta.append(
-            tuple(
-                tuple(
-                    Fraction(0) if t2 == t else values[layout.zeta(i, key, t, t2)]
-                    for t2 in range(k)
-                )
-                for key, (t, _) in enumerate(positions)
-            )
-        )
-        eta.append(tuple(values[layout.eta(i, key)] for key in range(len(positions))))
-    dual = dual_from_multipliers(instance, form, tuple(zeta), tuple(eta), xi)
+    # the multipliers: a primal certificate's dual vector, or a dual
+    # program certificate's primal point
+    side = 1 if layout.side == PRIMAL else 0
+    values, (nums, den) = (certificate.primal, certificate.dual)[side], certificate.scaled[side]
+    zeta, eta, xi = _multipliers(instance, form, layout, values, Fraction(0))
+    # the same multipliers as numerators, over the vector's denominator
+    zeta_nums, eta_nums, xi_nums = _multipliers(instance, form, layout, nums, 0)
+    multipliers = [Scaled(pair, den) for pair in zip(zeta_nums, eta_nums)]
+    dual = _dual_from_scaled(instance, form, zeta, eta, xi, multipliers, Scaled(xi_nums, den))
     if not dual.is_feasible():
         raise InfeasibleInput("extracted dual violates feasibility")
     return dual
+
+
+def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values, zero):
+    """(zeta, eta, xi) read off a multiplier vector, zero on zeta's
+    diagonal.  A key's k - 1 ic rows are contiguous, in report order
+    without its own type; its buyer's ir rows and each item's sup rows
+    are contiguous in key and rank order."""
+    count = instance.profile_count
+    xi = tuple(values[x : x + count] for x in (layout.xi(j, 0) for j in range(instance.m)))
+    zeta, eta = [], []
+    for i, k in enumerate(instance.sizes):
+        positions = multiplier_keys(instance, form, i)[0]
+        rows = []
+        for key, (t, _) in enumerate(positions):
+            first = layout.zeta(i, key, t, int(t == 0))
+            lies = values[first : first + k - 1]
+            rows.append(lies[:t] + (zero,) + lies[t:])
+        zeta.append(tuple(rows))
+        first = layout.eta(i, 0)
+        eta.append(values[first : first + len(positions)])
+    return tuple(zeta), tuple(eta), xi
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +474,13 @@ def extend_bayes(instance: Instance, mechanism: Mechanism, query):
     best interim utility (ties to the lowest index)."""
     query = _query(instance, query)
     alloc_rows, pay_row = [], []
+    (alloc, pay), den = mechanism.scaled
     for i, vec in enumerate(query):
-        scales = multiplier_keys(instance, BAYES, i)[4]
-        cells, prices = _key_rows(instance, mechanism, i, scales, range(len(scales)))
+        scales = _scale_numerators(instance, BAYES, i)
+        rows = _key_rows(instance, alloc, pay, i, scales.nums, range(len(scales.nums)))
+        unit = scales.den * den
+        cells = [tuple(Fraction(x, unit) for x in cell) for cell in rows[0]]
+        prices = [Fraction(q, unit) for q in rows[1]]
         t = _member_index(instance, i, vec)
         if t is None:
             t = _best_report([_utility(vec, *row) for row in zip(cells, prices)])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
 from operator import attrgetter, itemgetter
@@ -153,6 +154,14 @@ class LpCertificate:
     witness: tuple[Fraction, ...] | None = None
     layout: object = field(default=None, compare=False)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
+        """An optimal certificate's primal and dual, each as (integer
+        numerators, denominator) over one denominator, the lcm of its
+        entries' denominators.  certify_optimal keeps the ones it made
+        from the split its check ran on."""
+        return _over_lcm(_split(self.primal)), _over_lcm(_split(self.dual))
+
 
 class CertificateError(AssertionError):
     """An exact verification of a certificate failed (internal bug)."""
@@ -178,6 +187,16 @@ def _split(vec) -> list[tuple[int, int] | None]:
         p = v.numerator
         out.append((p, v.denominator) if p else None)
     return out
+
+
+def _over_lcm(pairs) -> tuple[tuple[int, ...], int]:
+    """Split entries as (numerators, den) over one denominator, the lcm
+    of theirs; a zero entry has numerator 0."""
+    factors = dict.fromkeys(v[1] for v in pairs if v is not None)
+    den = lcm(*factors)
+    for q in factors:
+        factors[q] = den // q
+    return tuple(0 if v is None else v[0] * factors[v[1]] for v in pairs), den
 
 
 def _negative(pairs) -> bool:
@@ -225,12 +244,11 @@ def _at_most(sum_: tuple[int, int], bound) -> bool:
     return num * bound.denominator <= bound.numerator * den
 
 
-def _check_optimal(lp: LinearProgram, x, y) -> Fraction:
-    """verify_optimal short of the stated objective: c.x on success."""
-    _require(len(x) == lp.ncols and len(y) == lp.nrows, "certificate shape")
-    xs = _split(x)
+def _check_optimal(lp: LinearProgram, xs, ys) -> Fraction:
+    """verify_optimal short of the stated objective, on the split x and
+    y: c.x on success."""
+    _require(len(xs) == lp.ncols and len(ys) == lp.nrows, "certificate shape")
     _require(not _negative(xs), "primal negativity")
-    ys = _split(y)
     _require(not _negative(ys), "dual negativity")
     for r, (row, b) in enumerate(zip(lp.rows, lp.b)):
         _require(_at_most(_dot(row, xs), b), f"primal row {r} violated")
@@ -251,7 +269,7 @@ def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
     """Exact optimality check of rational (Fraction or int) vectors.
     Row products run over the nonzero entries of x only; a zero entry
     adds nothing to any of them."""
-    _require(_check_optimal(lp, x, y) == objective, "objective mismatch")
+    _require(_check_optimal(lp, _split(x), _split(y)) == objective, "objective mismatch")
 
 
 def verify_infeasible(lp: LinearProgram, y) -> None:
@@ -277,14 +295,18 @@ def verify_unbounded(lp: LinearProgram, x, d) -> None:
 
 
 def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
-    objective = _check_optimal(lp, x, y)
-    return LpCertificate(
+    xs, ys = _split(x), _split(y)
+    objective = _check_optimal(lp, xs, ys)
+    certificate = LpCertificate(
         status=OPTIMAL,
         layout=lp.layout,
         primal=tuple(x),
         dual=tuple(y),
         objective=objective,
     )
+    # the post-solve reads the vectors over one denominator each
+    object.__setattr__(certificate, "scaled", (_over_lcm(xs), _over_lcm(ys)))
+    return certificate
 
 
 def certify_infeasible(lp: LinearProgram, y) -> LpCertificate:

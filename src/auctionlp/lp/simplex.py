@@ -28,6 +28,7 @@ witnesses always come from exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 
 from ..errors import ScaleLimit
 from .program import (
@@ -402,7 +403,8 @@ class _Simplex:
 
     def _certify(self, rational) -> LpCertificate:
         x = self._primal_point(rational)
-        y = [rational(v) if v else Fraction(0) for v in self.obj[self.S : self.S + self.R]]
+        zero = Fraction(0)
+        y = [rational(v) if v else zero for v in self.obj[self.S : self.S + self.R]]
         return certify_optimal(self.lp, x, y)
 
     def _optimal(self) -> LpCertificate:
@@ -410,7 +412,8 @@ class _Simplex:
             return self._certify(Fraction)
         for bound in _ROUND_BOUNDS:
             try:
-                return self._certify(lambda v: _nearby_rational(v, bound))
+                # a vertex repeats few values: round each distinct one once
+                return self._certify(cache(partial(_nearby_rational, bound=bound)))
             except CertificateError:
                 continue
         raise _NoProposal("no rounding of the float vertex certifies")

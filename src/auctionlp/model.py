@@ -1,10 +1,12 @@
 """Exact-rational domain types for auction instances, mechanisms, dual
 solutions, and virtual-value tables.
 
-All numbers are `fractions.Fraction`.  The one use of floating point in
-the package is the LP solver's proposal pass, whose answers only count
-once an exact check accepts them.  Types are frozen dataclasses built
-from nested tuples, immutable after construction.
+Every number these types show is a `fractions.Fraction`; the arithmetic
+behind the post-solve ones runs on integers (see Integer numerators
+below).  The one use of floating point in the package is the LP
+solver's proposal pass, whose answers only count once an exact check
+accepts them.  Types are frozen dataclasses built from nested tuples,
+immutable after construction.
 
 Conventions used throughout:
 
@@ -46,6 +48,34 @@ dominant-strategy rows.  `dual_from_multipliers` computes each key's
 phi_star and psi (Bayesian: phibar_star and psibar) once; the dual keeps
 them, and every later step (regularity, regularization, virtual values)
 reads them there.
+
+Integer numerators.  The post-solve arithmetic runs on integer
+numerators over one denominator per vector, or per buyer where the
+vector is per buyer (a `Scaled`):
+
+* an optimal LpCertificate's `scaled`: its primal and its dual vector,
+  each over the lcm of its entries' denominators, kept from the split
+  that certify_optimal checks;
+* `Mechanism.scaled`: alloc and pay over one denominator D (after
+  extraction, the primal vector's);
+* `Instance.supports_scaled[i]` over V_i, `mu_scaled` over M, and
+  `mu_minus_scaled[i]` over W_i, the Bayesian scales (the
+  dominant-strategy scales are 1, so W_i is 1 there);
+* `PrimalSlacks.scaled`: a[i] and b[i] over V_i * W_i * D, c over D;
+* `DualSolution.scaled`: zeta[i] and eta[i] over Z_i (after extraction,
+  the certificate vector's denominator), xi over X, alpha[i] over
+  lcm(X, W_i * Z_i * V_i), beta[i] over lcm(W_i * Z_i, M), and the
+  objective, the sum of xi; phi[i] is over Z_i * V_i and psi[i] over Z_i.
+
+`mechanism_slacks` and `dual_from_multipliers` compute the numerators,
+make the Fractions of their results once from them (every zero one
+shared Fraction(0)), and the results keep the numerators.  Any other
+value of these types (a test's reference, a `dataclasses.replace` copy)
+splits its Fractions the first time a check reads them.  The sign tests
+(`PrimalSlacks.feasible`, `mechanism_feasible`,
+`DualSolution.is_feasible`), the slackness ledger, `Mechanism.revenue`
+and `DualSolution.objective` read numerators, and make a Fraction only
+for the value they return.
 """
 
 from __future__ import annotations
@@ -58,9 +88,9 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
-from operator import attrgetter
-from typing import Iterator, Mapping
+from math import lcm, prod
+from operator import attrgetter, mul
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -168,6 +198,82 @@ class NegInfType:
 
 
 NEG_INF = NegInfType()
+
+
+# ---------------------------------------------------------------------------
+# Integer numerators
+
+
+class Scaled(NamedTuple):
+    """Rationals held as integer numerators over one positive denominator:
+    nums is a tuple of ints, or nested tuples of them, and each int n
+    stands for n / den."""
+
+    nums: tuple
+    den: int
+
+    def fractions(self) -> tuple:
+        """The Fractions these stand for, nested alike; every zero is
+        one shared Fraction(0)."""
+        den = self.den
+
+        def build(nested):
+            if nested and isinstance(nested[0], tuple):
+                return tuple(map(build, nested))
+            return tuple([Fraction(n, den) if n else _ZERO for n in nested])
+
+        return build(self.nums)
+
+
+_ZERO = Fraction(0)
+_DENOMINATOR = attrgetter("denominator")
+
+
+def _denominators(nested, out: dict) -> None:
+    if nested and isinstance(nested[0], tuple):
+        for part in nested:
+            _denominators(part, out)
+    else:
+        out.update(dict.fromkeys(map(_DENOMINATOR, nested)))
+
+
+def _numerators(nested, factors: dict) -> tuple:
+    if nested and isinstance(nested[0], tuple):
+        return tuple(_numerators(part, factors) for part in nested)
+    return tuple(q.numerator * factors[q.denominator] for q in nested)
+
+
+def _scale(nested) -> Scaled:
+    """Rationals (Fraction or int), in a tuple nested to the same depth
+    throughout, over one denominator: the lcm of theirs."""
+    factors: dict = {}
+    _denominators(nested, factors)
+    den = lcm(*factors)
+    for q in factors:
+        factors[q] = den // q
+    return Scaled(_numerators(nested, factors), den)
+
+
+def _any_negative(nested) -> bool:
+    """Whether a tuple of ints, nested to the same depth throughout,
+    holds a negative entry.  Denominators are positive, so the
+    numerators of a Scaled carry the signs."""
+    if not nested:
+        return False
+    if isinstance(nested[0], tuple):
+        return any(map(_any_negative, nested))
+    return min(nested) < 0
+
+
+def _negative(*families: Scaled) -> bool:
+    return any(_any_negative(family.nums) for family in families)
+
+
+def _dot(a, b) -> int:
+    """sum of a * b over the entries of two int tuples nested alike."""
+    if a and isinstance(a[0], tuple):
+        return sum(map(_dot, a, b))
+    return sum(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +409,21 @@ class Instance:
         return tuple(
             self._mass_products(b for b in range(self.n) if b != i) for i in range(self.n)
         )
+
+    # -- the same tables over one denominator each ---------------------------
+
+    @cached_property
+    def supports_scaled(self) -> tuple[Scaled, ...]:
+        """Per buyer, its value vectors over one denominator."""
+        return tuple(map(_scale, self.supports))
+
+    @cached_property
+    def mu_scaled(self) -> Scaled:
+        return _scale(self.mu_by_rank)
+
+    @cached_property
+    def mu_minus_scaled(self) -> tuple[Scaled, ...]:
+        return tuple(map(_scale, self.mu_minus_by_slice))
 
     # -- serialization ------------------------------------------------------
 
@@ -471,16 +592,35 @@ class Mechanism:
     alloc: tuple[tuple[tuple[Fraction, ...], ...], ...]
     pay: tuple[tuple[Fraction, ...], ...]
 
+    @cached_property
+    def scaled(self) -> Scaled:
+        """alloc and pay over one denominator: nums is the pair of their
+        numerators, nested alike.  Extraction keeps the ones it reads off
+        its certificate's primal vector."""
+        return _scale((self.alloc, self.pay))
+
     def revenue(self, instance: Instance) -> Fraction:
-        total = Fraction(0)
-        for w, prow in zip(instance.mu_by_rank, self.pay):
-            if w:
-                total += w * sum(prow, start=Fraction(0))
-        return total
+        (_, pay), den = self.scaled
+        mu = instance.mu_scaled
+        total = sum(w * sum(prow) for w, prow in zip(mu.nums, pay) if w)
+        return Fraction(total, mu.den * den)
 
 
 # ---------------------------------------------------------------------------
 # Primal slacks
+
+
+class SlackNumerators(NamedTuple):
+    """PrimalSlacks over integer numerators: a[i] and b[i] per buyer,
+    c for all items."""
+
+    a: tuple[Scaled, ...]
+    b: tuple[Scaled, ...]
+    c: Scaled
+
+    @property
+    def feasible(self) -> bool:
+        return not _negative(*self.a, *self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -499,10 +639,18 @@ class PrimalSlacks:
     b: tuple
     c: tuple
 
+    @cached_property
+    def scaled(self) -> SlackNumerators:
+        """The slacks over one denominator per buyer (c: one for all
+        items).  mechanism_slacks keeps the ones it computed."""
+        return SlackNumerators(
+            tuple(map(_scale, self.a)), tuple(map(_scale, self.b)), _scale(self.c)
+        )
+
     @property
     def feasible(self) -> bool:
         """No entry is negative, read off the numerators."""
-        return not any(map(_any_negative, (self.a, self.b, self.c)))
+        return self.scaled.feasible
 
 
 def _check_dims(instance: Instance, mechanism: Mechanism) -> None:
@@ -532,66 +680,87 @@ def mechanism_slacks(instance: Instance, mechanism: Mechanism) -> PrimalSlacks:
     a entries are truth minus lie (the negated gain from deviating), b
     entries are (interim) utilities, c entries unsold supply.  Negative
     entries are reported as-is; feasibility is a separate question.
-
-    Per buyer and family of keys (see multiplier_keys), each report's
-    allocation and payment are summed over the family's slices at their
-    scales, and each utility of a true type under a report is evaluated
-    once against those sums.
-    """
-    _check_dims(instance, mechanism)
-    alloc = mechanism.alloc
-    c = tuple(
-        tuple(Fraction(1) - sum((cell[j] for cell in row), Fraction(0)) for row in alloc)
-        for j in range(instance.m)
+    The entries are computed as integer numerators (_slack_numerators),
+    which the result keeps as its scaled; its Fractions are made from
+    them once."""
+    scaled = _slack_numerators(instance, mechanism)
+    slacks = PrimalSlacks(
+        form=mechanism.form,
+        a=tuple(s.fractions() for s in scaled.a),
+        b=tuple(s.fractions() for s in scaled.b),
+        c=scaled.c.fractions(),
     )
+    object.__setattr__(slacks, "scaled", scaled)
+    return slacks
+
+
+def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerators:
+    """mechanism_slacks over integer numerators.  With the mechanism over
+    D, buyer i's values over V and its scales (see multiplier_keys) over
+    W, buyer i's a and b are over V * W * D, and c is over D.
+
+    Per buyer and family of keys, each report's allocation and payment
+    are summed over the family's slices at their scales, and each
+    utility of a true type under a report is evaluated once against
+    those sums."""
+    _check_dims(instance, mechanism)
+    form = mechanism.form
+    (alloc, pay), den = mechanism.scaled
+    # c[j][r]: den less item j's allocations at the profile of rank r
+    sold = (map(sum, zip(*row)) for row in alloc)
+    c = Scaled(tuple(zip(*([den - q for q in items] for items in sold))), den)
     a, b = [], []
     for i in range(instance.n):
-        positions, families, _, _, scales = multiplier_keys(instance, mechanism.form, i)
-        vecs = instance.supports[i]
+        positions, families = multiplier_keys(instance, form, i)[:2]
+        scales = _scale_numerators(instance, form, i)
+        vecs, vden = instance.supports_scaled[i]
         a_i, b_i = [None] * len(positions), [None] * len(positions)
         # the slices of each family, grouped by the family's first key
         groups: dict = {}
         for s, family in enumerate(families):
             groups.setdefault(family[0], (family, []))[1].append(s)
         for family, slices in groups.values():
-            rows = list(zip(*_key_rows(instance, mechanism, i, scales, slices)))
+            rows = list(zip(*_key_rows(instance, alloc, pay, i, scales.nums, slices)))
             for t, key in enumerate(family):
                 # u[t2]: utility of true type t reporting t2
-                u = [_utility(vecs[t], cell, price) for cell, price in rows]
-                a_i[key] = _margins(u, t)
-                b_i[key] = u[t]
-        a.append(tuple(a_i))
-        b.append(tuple(b_i))
-    return PrimalSlacks(form=mechanism.form, a=tuple(a), b=tuple(b), c=c)
+                vec = vecs[t]
+                u = [sum(map(mul, vec, cell)) - vden * price for cell, price in rows]
+                truth = u[t]
+                a_i[key] = tuple([truth - lie for lie in u])
+                b_i[key] = truth
+        den_i = vden * scales.den * den
+        a.append(Scaled(tuple(a_i), den_i))
+        b.append(Scaled(tuple(b_i), den_i))
+    return SlackNumerators(tuple(a), tuple(b), c)
 
 
-def _margins(utilities, t) -> tuple[Fraction, ...]:
-    truth = utilities[t]
-    return tuple(
-        truth - lie if t2 != t else Fraction(0) for t2, lie in enumerate(utilities)
-    )
+def _scale_numerators(instance: Instance, form: str, i: int) -> Scaled:
+    """multiplier_keys' scales of buyer i over one denominator."""
+    if form == DS:
+        return Scaled((1,) * (instance.profile_count // instance.sizes[i]), 1)
+    return instance.mu_minus_scaled[i]
 
 
-def _key_rows(instance: Instance, mechanism: Mechanism, i: int, scales, slices):
-    """Buyer i's allocation and payment per report, summed over the
-    given slices at their scales (see multiplier_keys).  One slice at
-    scale 1 is read in place; zero-scale slices add nothing."""
-    ranks_i, alloc, pay = instance.ranks[i], mechanism.alloc, mechanism.pay
+def _key_rows(instance: Instance, alloc, pay, i: int, scales, slices):
+    """Buyer i's allocation and payment numerators per report (alloc
+    and pay as in Mechanism.scaled), summed over the given slices at
+    their scale numerators.  One slice at numerator 1 is read in place;
+    zero-scale slices add nothing."""
+    ranks_i = instance.ranks[i]
     if len(slices) == 1 and scales[slices[0]] == 1:
         ranks = ranks_i[slices[0]]
         return [alloc[lr][i] for lr in ranks], [pay[lr][i] for lr in ranks]
     k, m = instance.sizes[i], instance.m
-    cells = [[Fraction(0)] * m for _ in range(k)]
-    prices = [Fraction(0)] * k
+    cells = [[0] * m for _ in range(k)]
+    prices = [0] * k
     for s in slices:
         w = scales[s]
         if not w:
             continue
         for t2, lr in enumerate(ranks_i[s]):
-            cell, acc = alloc[lr][i], cells[t2]
-            for j in range(m):
-                if cell[j]:
-                    acc[j] += w * cell[j]
+            acc = cells[t2]
+            for j, x in enumerate(alloc[lr][i]):
+                acc[j] += w * x
             prices[t2] += w * pay[lr][i]
     return cells, prices
 
@@ -599,22 +768,31 @@ def _key_rows(instance: Instance, mechanism: Mechanism, i: int, scales, slices):
 def mechanism_feasible(
     instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks | None = None
 ) -> bool:
-    """Bounds plus nonnegative slacks in the mechanism's own form.
-    slacks, when given, are this mechanism's mechanism_slacks."""
-    for row in mechanism.alloc:
-        for cell in row:
-            for x in cell:
-                if x.numerator < 0 or x.numerator > x.denominator:
-                    return False
-    if _any_negative(mechanism.pay):
-        return False
-    if slacks is None:
-        slacks = mechanism_slacks(instance, mechanism)
-    return slacks.feasible
+    """Bounds plus nonnegative slacks in the mechanism's own form, read
+    off the numerators.  slacks, when given, are this mechanism's
+    mechanism_slacks."""
+    scaled = _slack_numerators(instance, mechanism) if slacks is None else slacks.scaled
+    (alloc, pay), den = mechanism.scaled
+    cells = list(itertools.chain.from_iterable(alloc))
+    in_bounds = not (_any_negative(cells) or max(map(max, cells)) > den or _any_negative(pay))
+    return in_bounds and scaled.feasible
 
 
 # ---------------------------------------------------------------------------
 # Dual solutions
+
+
+class DualNumerators(NamedTuple):
+    """A DualSolution's checked families over integer numerators: zeta,
+    eta, alpha and beta per buyer, xi for all items, and the objective,
+    the sum of xi."""
+
+    zeta: tuple[Scaled, ...]
+    eta: tuple[Scaled, ...]
+    xi: Scaled
+    alpha: tuple[Scaled, ...]
+    beta: tuple[Scaled, ...]
+    objective: Fraction
 
 
 @dataclass(frozen=True)
@@ -640,28 +818,32 @@ class DualSolution:
     phi: tuple
     psi: tuple
 
+    @cached_property
+    def scaled(self) -> DualNumerators:
+        """The families the checks read, over one denominator per buyer
+        (xi: one for all items).  dual_from_multipliers keeps the ones it
+        computed."""
+        xi = _scale(self.xi)
+        return DualNumerators(
+            zeta=tuple(map(_scale, self.zeta)),
+            eta=tuple(map(_scale, self.eta)),
+            xi=xi,
+            alpha=tuple(map(_scale, self.alpha)),
+            beta=tuple(map(_scale, self.beta)),
+            objective=_total(xi),
+        )
+
     def objective(self) -> Fraction:
-        return sum((x for col in self.xi for x in col), Fraction(0))
+        return self.scaled.objective
 
     def is_feasible(self) -> bool:
-        for fam in (self.zeta, self.eta, self.xi, self.alpha, self.beta):
-            if _any_negative(fam):
-                return False
-        return True
+        nums = self.scaled
+        return not _negative(*nums.zeta, *nums.eta, nums.xi, *nums.alpha, *nums.beta)
 
 
-_NUMERATOR = attrgetter("numerator")
-
-
-def _any_negative(nested) -> bool:
-    """Whether a nested tuple of rationals, nested to the same depth
-    throughout, holds a negative entry.  Denominators are positive, so
-    the numerators carry the signs."""
-    if not nested:
-        return False
-    if isinstance(nested[0], tuple):
-        return any(map(_any_negative, nested))
-    return min(map(_NUMERATOR, nested)) < 0
+def _total(scaled: Scaled) -> Fraction:
+    """The sum of a Scaled's entries, nested two deep."""
+    return Fraction(sum(map(sum, scaled.nums)), scaled.den)
 
 
 def multiplier_keys(instance: Instance, form: str, i: int):
@@ -704,12 +886,14 @@ def multiplier_keys(instance: Instance, form: str, i: int):
     )
 
 
+
 def _key_coefficients(zeta_i, eta_i, family, t, vecs):
     """phi_star per item and psi (Bayesian: phibar_star and psibar) at
     the key of type t in family (see multiplier_keys): the key's
     participation weight and "true t, report t2" multipliers, less the
     "true t2, report t" ones; phi weighs each by its type's vector in
-    vecs.  Diagonal entries are ignored."""
+    vecs.  Diagonal entries are ignored.  The arithmetic is generic:
+    dual_from_multipliers passes integer numerators."""
     key = family[t]
     held, inflow = eta_i[key], []
     for t2, (out, key2) in enumerate(zip(zeta_i[key], family)):
@@ -720,7 +904,7 @@ def _key_coefficients(zeta_i, eta_i, family, t, vecs):
             if w:
                 inflow.append((w, vecs[t2]))
     psi = held
-    phi = [held * v if v else Fraction(0) for v in vecs[t]]
+    phi = [held * v for v in vecs[t]]
     for w, vec in inflow:
         psi -= w
         for j, v in enumerate(vec):
@@ -734,28 +918,68 @@ def dual_from_multipliers(instance: Instance, form: str, zeta, eta, xi) -> DualS
     key's phi_star and psi (Bayesian: phibar_star and psibar) are
     computed once, kept as the dual's phi and psi, and written at every
     rank of the key into the alpha/beta slacks, scaled by the slice's
-    scale; a zero-scale slice gets alpha = xi and beta = 0."""
-    mu, m, count = instance.mu_by_rank, instance.m, instance.profile_count
-    per_buyer = []
+    scale; a zero-scale slice gets alpha = xi and beta = 0.  The
+    arithmetic runs on integer numerators (_dual_from_scaled), and the
+    dual's Fractions are made from them once."""
+    multipliers = [_scale((zeta_i, eta_i)) for zeta_i, eta_i in zip(zeta, eta)]
+    return _dual_from_scaled(instance, form, zeta, eta, xi, multipliers, _scale(xi))
+
+
+def _dual_from_scaled(
+    instance: Instance, form: str, zeta, eta, xi, multipliers, xi_scaled
+) -> DualSolution:
+    """dual_from_multipliers on the multipliers' numerators as well:
+    multipliers[i] holds buyer i's (zeta, eta) over a denominator Z, and
+    xi_scaled holds xi over X.  With buyer i's values over V, its scales
+    over W and the profile masses over M, phi is over Z * V, psi over Z,
+    alpha over lcm(X, W * Z * V) and beta over lcm(W * Z, M).  The dual
+    keeps these numerators as its scaled."""
+    mu = instance.mu_scaled
+    xi_nums, xi_den = xi_scaled
+    parts = []
     for i in range(instance.n):
-        positions, families, _, _, scales = multiplier_keys(instance, form, i)
-        vecs = instance.supports[i]
-        per_key = (_key_coefficients(zeta[i], eta[i], families[s], t, vecs) for t, s in positions)
+        positions, families = multiplier_keys(instance, form, i)[:2]
+        scales = _scale_numerators(instance, form, i)
+        (zeta_i, eta_i), zeta_den = multipliers[i]
+        vecs, value_den = instance.supports_scaled[i]
+        per_key = (_key_coefficients(zeta_i, eta_i, families[s], t, vecs) for t, s in positions)
         phis, psis = zip(*per_key)
-        alpha_i = [[None] * count for _ in range(m)]
-        beta_i = [None] * count
-        for w, family, ranks in zip(scales, families, instance.ranks[i]):
-            unit = w == 1
+        phi_den = zeta_den * value_den
+        alpha_den = lcm(xi_den, scales.den * phi_den)
+        beta_den = lcm(scales.den * zeta_den, mu.den)
+        to_alpha, to_beta = alpha_den // (scales.den * phi_den), beta_den // (scales.den * zeta_den)
+        to_xi, to_mu = alpha_den // xi_den, beta_den // mu.den
+        alpha_i = [[q * to_xi for q in col] for col in xi_nums]
+        beta_i = [-q * to_mu for q in mu.nums]
+        for w, family, ranks in zip(scales.nums, families, instance.ranks[i]):
+            if not w:
+                continue
+            w_alpha, w_beta = w * to_alpha, w * to_beta
             for key, r in zip(family, ranks):
-                key_phi, key_psi = phis[key], psis[key]
-                if not unit:
-                    key_phi, key_psi = [w * x for x in key_phi], w * key_psi
-                for col, xi_j, phi_j in zip(alpha_i, xi, key_phi):
-                    col[r] = xi_j[r] - phi_j
-                beta_i[r] = key_psi - mu[r]
-        per_buyer.append((tuple(map(tuple, alpha_i)), tuple(beta_i), phis, psis))
-    alpha, beta, phi, psi = zip(*per_buyer)
-    return DualSolution(zeta=zeta, eta=eta, xi=xi, alpha=alpha, beta=beta, phi=phi, psi=psi)
+                for col, phi_j in zip(alpha_i, phis[key]):
+                    col[r] -= w_alpha * phi_j
+                beta_i[r] += w_beta * psis[key]
+        parts.append((
+            Scaled(zeta_i, zeta_den),
+            Scaled(eta_i, zeta_den),
+            Scaled(tuple(map(tuple, alpha_i)), alpha_den),
+            Scaled(tuple(beta_i), beta_den),
+            Scaled(phis, phi_den),
+            Scaled(psis, zeta_den),
+        ))
+    zetas, etas, alphas, betas, phi_parts, psi_parts = zip(*parts)
+    dual = DualSolution(
+        zeta=zeta,
+        eta=eta,
+        xi=xi,
+        alpha=tuple(s.fractions() for s in alphas),
+        beta=tuple(s.fractions() for s in betas),
+        phi=tuple(s.fractions() for s in phi_parts),
+        psi=tuple(s.fractions() for s in psi_parts),
+    )
+    scaled = DualNumerators(zetas, etas, xi_scaled, alphas, betas, _total(xi_scaled))
+    object.__setattr__(dual, "scaled", scaled)
+    return dual
 
 
 # ---------------------------------------------------------------------------

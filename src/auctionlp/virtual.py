@@ -18,9 +18,11 @@ from .model import (
     Mechanism,
     NEG_INF,
     PrimalSlacks,
+    Scaled,
     VirtualValueTable,
+    _dot,
+    _slack_numerators,
     dual_from_multipliers,
-    mechanism_slacks,
     multiplier_keys,
 )
 
@@ -89,24 +91,25 @@ def check_cs_bayes(
 def _check_cs(instance, mechanism, dual, slacks) -> GapLedger:
     """The ledger of either form: the slacks' a and b are keyed like the
     dual's zeta and eta."""
-    if slacks is None:
-        slacks = mechanism_slacks(instance, mechanism)
+    slacks = _slack_numerators(instance, mechanism) if slacks is None else slacks.scaled
     if not slacks.feasible:
         raise InfeasibleInput("primal slacks contain a negative entry")
     if not dual.is_feasible():
         raise InfeasibleInput("dual solution violates feasibility")
+    multipliers = dual.scaled
+    (alloc, pay), den = mechanism.scaled
+    items = range(instance.m)
     ledger = GapLedger(
-        ic=_products(
-            pair for a_i, zeta_i in zip(slacks.a, dual.zeta) for pair in zip(a_i, zeta_i)
-        ),
-        ir=_products(zip(slacks.b, dual.eta)),
-        supply=_products(zip(slacks.c, dual.xi)),
+        ic=_products(zip(slacks.a, multipliers.zeta)),
+        ir=_products(zip(slacks.b, multipliers.eta)),
+        supply=_products([(slacks.c, multipliers.xi)]),
         alloc=_products(
-            (alpha, [row[i][j] for row in mechanism.alloc])
-            for i, alpha_i in enumerate(dual.alpha)
-            for j, alpha in enumerate(alpha_i)
+            (alpha, Scaled(tuple(tuple(row[i][j] for row in alloc) for j in items), den))
+            for i, alpha in enumerate(multipliers.alpha)
         ),
-        pay=_products(zip(dual.beta, zip(*mechanism.pay))),
+        pay=_products(
+            (beta, Scaled(column, den)) for beta, column in zip(multipliers.beta, zip(*pay))
+        ),
     )
     gap = dual.objective() - mechanism.revenue(instance)
     if ledger.gap != gap:
@@ -117,13 +120,9 @@ def _check_cs(instance, mechanism, dual, slacks) -> GapLedger:
 
 
 def _products(pairs) -> Fraction:
-    """Sum of a * b over the entries of every (a-row, b-row) pair."""
-    total = Fraction(0)
-    for row_a, row_b in pairs:
-        for a, b in zip(row_a, row_b):
-            if a and b:
-                total += a * b
-    return total
+    """Sum of a * b over the entries of every pair of families nested
+    alike, each over its own denominator: one Fraction per pair."""
+    return sum((Fraction(_dot(a.nums, b.nums), a.den * b.den) for a, b in pairs), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,15 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
     witness = _regularity_witness(instance, result, form)
     if witness is not None:
         raise NotRegular(f"regularity condition failed: {witness}")
+    # proved regular here, so _virtual_values need not prove it again
+    object.__setattr__(result, "_regular_for", (instance, form))
     return result
+
+
+def _proved_regular(instance: Instance, dual: DualSolution, form: str) -> bool:
+    """Whether _regularize returned this dual for this instance and form."""
+    proof = getattr(dual, "_regular_for", None)
+    return proof is not None and proof[0] is instance and proof[1] == form
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +278,12 @@ def virtual_values_bayes(
 
 
 def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> VirtualValueTable:
-    """One entry per key, phi / mass, read out at every profile of it."""
-    witness = _regularity_witness(instance, dual, form)
-    if witness is not None:
-        raise NotRegular(f"dual is not regular: {witness}")
+    """One entry per key, phi / mass, read out at every profile of it.
+    Regularity is checked first, unless _regularize proved it."""
+    if not _proved_regular(instance, dual, form):
+        witness = _regularity_witness(instance, dual, form)
+        if witness is not None:
+            raise NotRegular(f"dual is not regular: {witness}")
     zeros = _zero_indices(instance)
     values = []
     for i, t0 in enumerate(zeros):

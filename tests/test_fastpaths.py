@@ -14,6 +14,7 @@ opponent-mass-weighted sum of dominant-strategy rows."""
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,11 +30,14 @@ from auctionlp.model import (
     BAYES,
     DS,
     Mechanism,
+    Scaled,
     dual_from_multipliers,
     mechanism_slacks,
     multiplier_keys,
+    validate_instance,
 )
 from auctionlp.oracles import gen_instance
+from auctionlp.virtual import check_cs_bayes, check_cs_ds
 from helpers import (
     min_entry,
     phi_star,
@@ -255,3 +259,183 @@ def test_builders_and_mass_tables_match_definition(spec, seed):
         assert (lp.sense, lp.c, lp.b) == (reference.sense, reference.c, reference.b)
         # tuple equality: the same entries in the same order, row by row
         assert lp.rows == reference.rows
+
+
+# -- adversarial denominators ---------------------------------------------------
+#
+# The slacks, the dual assembly and the slackness ledger run on integer
+# numerators over one denominator per vector or per buyer.  These
+# instances give them masses and values over large coprime primes (all
+# above 2**31, so the float pass cannot round to them and the exact
+# simplex answers), buyers whose values have different denominators,
+# and zero-mass zero types, whose opponents then have zero-scale
+# Bayesian slices.
+
+P1, P2, P3, P4 = 2147483659, 2147483693, 2147483713, 2147483743
+
+
+def _adversarial_instances():
+    one_item = validate_instance(
+        {
+            "buyers": 2,
+            "items": 1,
+            "supports": [
+                [["0"], ["1/3"], ["5/7"]],
+                [["0"], [f"{P2 - 1}/{P2}"], ["2"]],
+            ],
+            "probs": [
+                ["0", f"700000001/{P1}", f"{P1 - 700000001}/{P1}"],
+                [F(1, 5), F(3, 5) - F(7, P3), F(1, 5) + F(7, P3)],
+            ],
+        }
+    )
+    two_items = validate_instance(
+        {
+            "buyers": 2,
+            "items": 2,
+            "supports": [
+                [["0", "0"], ["1/3", "2/3"], ["4/3", "1/9"]],
+                [["0", "0"], [f"3/{P4}", "1"], ["5/2", f"{P4 + 1}/{P4}"]],
+            ],
+            "probs": [
+                ["0", f"1/{P1}", f"{P1 - 1}/{P1}"],
+                [F(1, P3), F(1, 2), F(1, 2) - F(1, P3)],
+            ],
+        }
+    )
+    return one_item, two_items
+
+
+def _big(values):
+    """Whether some entry has a denominator above 2**31."""
+    return any(q.denominator > 2**31 for q in values)
+
+
+def _flat(nested):
+    if isinstance(nested, tuple):
+        return [q for part in nested for q in _flat(part)]
+    return [nested]
+
+
+def _reference_ledger(instance, mechanism, dual, form):
+    """The five ledger families and the objective gap, by definition
+    from the reference slacks: plain Fraction sums of products."""
+    slacks = reference_slacks(instance, mechanism)
+    alpha, beta = reference_dual_slacks(instance, dual, form)
+    count = instance.profile_count
+    items, buyers = range(instance.m), range(instance.n)
+
+    def products(pairs):
+        return sum((a * b for a, b in pairs), F(0))
+
+    families = (
+        products(zip(_flat(slacks.a), _flat(dual.zeta))),
+        products(zip(_flat(slacks.b), _flat(dual.eta))),
+        products(zip(_flat(slacks.c), _flat(dual.xi))),
+        products(
+            (alpha[i][j][r], mechanism.alloc[r][i][j])
+            for i in buyers for j in items for r in range(count)
+        ),
+        products((beta[i][r], mechanism.pay[r][i]) for i in buyers for r in range(count)),
+    )
+    revenue = sum(
+        (instance.mu(v) * sum(mechanism.pay[instance.rank(v)], F(0)) for v in instance.profiles()),
+        F(0),
+    )
+    return families, sum(_flat(dual.xi), F(0)) - revenue
+
+
+def test_adversarial_corpus_has_what_it_claims():
+    one_item, two_items = _adversarial_instances()
+    for instance in (one_item, two_items):
+        assert _big(_flat(instance.probs))
+        assert 0 in instance.mu_minus_by_slice[1]  # zero-scale slices
+        dens = [instance.supports_scaled[i].den for i in range(instance.n)]
+        assert len(set(dens)) == instance.n and max(dens) > 2**31
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+@pytest.mark.parametrize("which", [0, 1])
+def test_integer_paths_hold_on_large_coprime_denominators(which, form):
+    instance = _adversarial_instances()[which]
+    check = check_cs_ds if form == DS else check_cs_bayes
+    certificate = solve_form(instance, form)
+    assert _big(certificate.primal + certificate.dual)
+    mechanism = extract_mechanism(instance, certificate, form)
+    dual = extract_dual(instance, certificate, form)
+
+    # the optimal pair, against the references
+    assert mechanism_slacks(instance, mechanism) == reference_slacks(instance, mechanism)
+    assert (dual.alpha, dual.beta) == reference_dual_slacks(instance, dual, form)
+    assert (dual.phi, dual.psi) == _reference_coefficients(instance, dual, form)
+    assert dual.objective() == certificate.objective
+    assert mechanism.revenue(instance) == certificate.objective
+    ledger = check(instance, mechanism, dual)
+    assert ledger.gap == 0 and _reference_ledger(instance, mechanism, dual, form) == (
+        (0, 0, 0, 0, 0),
+        0,
+    )
+
+    # a feasible dual off the optimum: each family of the ledger as defined
+    bumped = tuple(tuple(x + F(1, P4) for x in col) for col in dual.xi)
+    loose = dual_from_multipliers(instance, form, dual.zeta, dual.eta, bumped)
+    assert loose.is_feasible()
+    ledger = check(instance, mechanism, loose)
+    families, gap = _reference_ledger(instance, mechanism, loose, form)
+    assert (ledger.ic, ledger.ir, ledger.supply, ledger.alloc, ledger.pay) == families
+    assert ledger.gap == gap == loose.objective() - mechanism.revenue(instance) != 0
+
+    # perturbed mechanisms and multipliers over more large primes
+    rng = random.Random(which)
+    bad = Mechanism(
+        form=form,
+        alloc=tuple(
+            tuple(tuple(x + F(rng.randint(0, 2), P1) for x in cell) for cell in row)
+            for row in mechanism.alloc
+        ),
+        pay=tuple(tuple(p + F(rng.randint(-2, 3), P2) for p in row) for row in mechanism.pay),
+    )
+    slacks = mechanism_slacks(instance, bad)
+    reference = reference_slacks(instance, bad)
+    assert slacks == reference
+    assert slacks.feasible == reference.feasible == (min_entry(reference) >= 0)
+    zeta, eta, xi = _random_multipliers(instance, form, rng)
+    zeta = tuple(
+        tuple(tuple(z * F(P3, P1) - (F(1, P2) if z else 0) for z in row) for row in zeta_i)
+        for zeta_i in zeta
+    )
+    other = dual_from_multipliers(instance, form, zeta, eta, xi)
+    assert (other.alpha, other.beta) == reference_dual_slacks(instance, other, form)
+    assert (other.phi, other.psi) == _reference_coefficients(instance, other, form)
+    entries = _flat((other.zeta, other.eta, other.xi, other.alpha, other.beta))
+    assert other.is_feasible() == (min(entries) >= 0)
+    assert other.objective() == sum(_flat(xi), F(0))
+
+
+def test_numerators_stand_for_the_fractions():
+    # what certify_optimal and the builders keep equals what the
+    # Fractions split into, entry by entry
+    instance = _adversarial_instances()[1]
+    certificate = solve_form(instance, BAYES)
+    for vector, (nums, den) in zip((certificate.primal, certificate.dual), certificate.scaled):
+        assert tuple(F(num, den) for num, den in zip(nums, [den] * len(nums))) == vector
+    assert replace(certificate).scaled == certificate.scaled
+    mechanism = extract_mechanism(instance, certificate, BAYES)
+    dual = extract_dual(instance, certificate, BAYES)
+    for kept, fresh in (
+        (mechanism.scaled, replace(mechanism).scaled),
+        (mechanism_slacks(instance, mechanism).scaled, reference_slacks(instance, mechanism).scaled),
+        (dual.scaled, replace(dual).scaled),
+    ):
+        kept_values = [F(n, s.den) for s in _scaled_parts(kept) for n in _flat(s.nums)]
+        fresh_values = [F(n, s.den) for s in _scaled_parts(fresh) for n in _flat(s.nums)]
+        assert kept_values == fresh_values
+
+
+def _scaled_parts(value):
+    """The Scaled families in a Scaled, a tuple of them, or a record of them."""
+    if isinstance(value, Scaled):
+        return [value]
+    if isinstance(value, tuple):
+        return [s for part in value for s in _scaled_parts(part)]
+    return []

@@ -13,12 +13,13 @@ import auctionlp
 import auctionlp.oracles
 from auctionlp.model import Instance
 
-# The rank-table and closed-form paths, and the label rendering, that
-# tests/helpers.py and tests/baselines.py are checked against; neither
-# may call them.
+# The rank-table, integer-numerator and closed-form paths, and the label
+# rendering, that tests/helpers.py and tests/baselines.py are checked
+# against; neither may call them.
 FAST_PATHS = {
-    "_key_coefficients", "_key_rows", "mechanism_slacks",
-    "dual_from_multipliers", "canonical_flow", "myerson_mechanism", "labels",
+    "_key_coefficients", "_key_rows", "mechanism_slacks", "_slack_numerators",
+    "dual_from_multipliers", "_dual_from_scaled", "canonical_flow", "myerson_mechanism",
+    "labels", "scaled", "supports_scaled", "mu_scaled", "mu_minus_scaled",
 }
 # What the primal builder reads; helpers.reference_primal uses none of it.
 BUILDER_PATHS = {
