@@ -27,6 +27,7 @@ from .model import (
     VirtualValueTable,
     dual_from_multipliers,
     mechanism_feasible,
+    mechanism_slacks,
     rat_str,
     validate_instance,
 )
@@ -98,11 +99,8 @@ def item_revenue(instance: Instance, j: int) -> Fraction:
     does."""
     marginal = item_marginal(instance, j)
     dual = canonical_flow(marginal)
-    if dual.is_feasible():
-        mechanism = myerson_mechanism(marginal, dual)
-        revenue = dual.objective()
-        if mechanism_feasible(marginal, mechanism) and mechanism.revenue(marginal) == revenue:
-            return revenue
+    if _myerson_auction(marginal, dual) is not None:
+        return dual.objective()
     return drev(marginal)
 
 
@@ -211,6 +209,22 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     return Mechanism(form=DS, alloc=alloc, pay=tuple(map(tuple, pay)))
 
 
+def _myerson_auction(instance: Instance, dual: DualSolution):
+    """(Myerson's auction, its slacks) when the dual is feasible and the
+    auction it prices is a feasible dominant-strategy mechanism whose
+    revenue is the dual's objective, both checked exactly; by weak
+    duality that revenue is then DRev.  Else None."""
+    if not dual.is_feasible():
+        return None
+    mechanism = myerson_mechanism(instance, dual)
+    slacks = mechanism_slacks(instance, mechanism)
+    if mechanism_feasible(instance, mechanism, slacks) and (
+        mechanism.revenue(instance) == dual.objective()
+    ):
+        return mechanism, slacks
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Dual selection
 
@@ -280,13 +294,14 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
     return dual, excess
 
 
-def _tight_dual(instance: Instance, revenue: Fraction):
+def _tight_dual(instance: Instance, revenue: Fraction, flow: DualSolution | None = None):
     """tight_downward_dual's (dual, excess), from the canonical flow on
     one item when exact checks accept it: feasible, with the certified
-    revenue as objective and excess 0.  The flow does no ironing, so on
-    an instance that needs it the face search answers."""
+    revenue as objective and excess 0.  flow is the instance's
+    canonical flow when the caller has built it.  The flow does no
+    ironing, so on an instance that needs it the face search answers."""
     if instance.m == 1:
-        dual = canonical_flow(instance)
+        dual = canonical_flow(instance) if flow is None else flow
         if dual.is_feasible() and dual.objective() == revenue:
             excess = face_excess(instance, dual)
             if excess == 0:
@@ -310,24 +325,29 @@ def _slice_mismatch(instance: Instance, dual: DualSolution, i: int, table=None):
     i's eta or zeta on an opponent slice differ from the reference
     slice's after weighting by the opponent masses, or where the
     table's virtual values differ on a mass-bearing slice: a (kind,
-    indices) witness, or None."""
-    weights, slices = instance.mu_minus_by_slice[i], instance.ranks[i]
+    indices) witness, or None.  The weighted comparisons cross-multiply
+    integer numerators: the dual's over its per-buyer denominators and
+    the opponent masses over theirs, which cancel on both sides."""
+    weights, slices = instance.mu_minus_scaled[i].nums, instance.ranks[i]
     ref = _reference_slice(instance, i)
     wref = weights[ref]
+    zeta, eta = dual.scaled.zeta[i].nums, dual.scaled.eta[i].nums
+    values = () if table is None else table.values[i]
     for t in range(instance.sizes[i]):
         base = slices[ref][t]
+        eta_ref, zeta_ref = eta[base], zeta[base]
         for s, ranks in enumerate(slices):
             if s == ref:
                 continue
-            r = ranks[t]
-            if table is not None and weights[s] > 0:
-                for j in range(instance.m):
-                    if table.values[i][j][r] != table.values[i][j][base]:
+            r, w = ranks[t], weights[s]
+            if w:
+                for j, column in enumerate(values):
+                    if column[r] != column[base]:
                         return ("phi", (i, j, t, s))
-            if dual.eta[i][r] * wref != dual.eta[i][base] * weights[s]:
+            if eta[r] * wref != eta_ref * w:
                 return ("eta", (i, t, s))
-            for t2, (z, zref) in enumerate(zip(dual.zeta[i][r], dual.zeta[i][base])):
-                if t2 != t and z * wref != zref * weights[s]:
+            for t2, (z, zr) in enumerate(zip(zeta[r], zeta_ref)):
+                if t2 != t and z * wref != zr * w:
                     return ("zeta", (i, t, t2, s))
     return None
 
@@ -431,16 +451,50 @@ def is_iid(instance: Instance) -> bool:
     )
 
 
-def characterize(instance: Instance) -> RevenueReport:
+def _myerson_proof(instance: Instance, flow: DualSolution):
+    """(the flow's Bayesian image, Myerson's auction, its slacks) when
+    _myerson_auction accepts the flow, at objective R, and two more
+    exact checks pass: the auction is feasible in the Bayesian form,
+    and the image is a feasible Bayesian dual of objective R.  Weak
+    duality on each side then makes R both DRev and BRev.  Else None."""
+    auction = _myerson_auction(instance, flow)
+    if auction is None:
+        return None
+    mechanism, slacks = auction
+    # the same auction, so the same revenue, held to the Bayesian rows
+    interim = replace(mechanism, form=BAYES)
+    object.__setattr__(interim, "scaled", mechanism.scaled)
+    if not mechanism_feasible(instance, interim):
+        return None
+    try:
+        # feasible with the flow's objective, or it raises
+        bayes_dual = dsic_to_bic_dual(instance, flow)
+    except (NotAgentIndependent, NotOptimal):
+        return None
+    return bayes_dual, mechanism, slacks
+
+
+def characterize(instance: Instance, flow: DualSolution | None = None) -> RevenueReport:
     """Compute the three revenues, and when the Bayesian and
     dominant-strategy optima agree, produce the agent-independent
-    dominant-strategy dual witnessing the equality."""
-    ds_cert = solve_form(instance, DS)
-    bayes_cert = solve_form(instance, BAYES)
-    drev_value = ds_cert.objective
-    brev_value = bayes_cert.objective
+    dominant-strategy dual witnessing the equality.
+
+    On one item the canonical flow (flow, when the caller has built it)
+    and Myerson's auction answer when _myerson_proof accepts them;
+    otherwise, and on more items, both primal programs are solved."""
+    proof = None
+    if instance.m == 1:
+        flow = canonical_flow(instance) if flow is None else flow
+        proof = _myerson_proof(instance, flow)
+    if proof is not None:
+        drev_value = brev_value = flow.objective()
+    else:
+        ds_cert = solve_form(instance, DS)
+        bayes_cert = solve_form(instance, BAYES)
+        drev_value = ds_cert.objective
+        brev_value = bayes_cert.objective
     if instance.m == 1 and item_marginal(instance, 0) == instance:
-        # the item's own auction is the program just solved
+        # the item's own auction is the one just certified
         srev_value = drev_value
     else:
         srev_value = srev(instance)
@@ -449,10 +503,13 @@ def characterize(instance: Instance) -> RevenueReport:
     ai_witness = None
     findings = []
     if report.brev_eq_drev:
-        bayes_dual = extract_dual(instance, bayes_cert, BAYES)
+        if proof is not None:
+            bayes_dual, mechanism, slacks = proof
+        else:
+            bayes_dual = extract_dual(instance, bayes_cert, BAYES)
+            mechanism, slacks = _checked_mechanism(instance, ds_cert, DS)
         regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
         ai_witness = bic_to_dsic_dual(instance, regular)
-        mechanism, slacks = _checked_mechanism(instance, ds_cert, DS)
         ledger = check_cs_ds(instance, mechanism, ai_witness, slacks=slacks)
         if not ledger.optimal:
             findings.append("witness-not-dsic-optimal")
@@ -513,8 +570,9 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     records = []
     for index in range(count):
         instance = gen_instance(spec, seed + index, cap=cap)
-        report = characterize(instance)
-        dual, excess = _tight_dual(instance, report.drev)
+        flow = canonical_flow(instance) if instance.m == 1 else None
+        report = characterize(instance, flow)
+        dual, excess = _tight_dual(instance, report.drev, flow)
         regular = regularize_ds(instance, dual, revenue=report.drev)
         table = virtual_values_ds(instance, regular)
         ubvv = check_ubvv(table, instance)

@@ -121,6 +121,14 @@ def rat(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         text = x.strip()
+        plain = _PLAIN_LITERAL.fullmatch(text)
+        if plain:
+            # what certificate documents hold: no exponent to measure
+            numerator, denominator = plain.groups()
+            try:
+                return Fraction(int(numerator), int(denominator or 1))
+            except (ValueError, ZeroDivisionError):
+                raise NotRational(f"not a rational: {x!r}") from None
         try:
             if not _too_long(text):
                 return Fraction(text)
@@ -129,6 +137,10 @@ def rat(x) -> Fraction:
         raise NotRational(f"not a rational: {x!r} has too many digits")
     raise NotRational(f"not a rational: {x!r}")
 
+
+# An integer or p/q literal in ASCII digits, which Fraction reads as
+# Fraction(int(p), int(q)).
+_PLAIN_LITERAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 # A decimal literal with an exponent, in the grammar Fraction accepts:
 # integer digits, fraction digits, exponent.

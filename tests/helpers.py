@@ -507,3 +507,32 @@ def reference_dual_slacks(instance, dual, form):
         for i in range(instance.n)
     )
     return alpha, beta
+
+
+def reference_slice_mismatch(instance, dual, i, table=None):
+    """analysis._slice_mismatch by definition, over opponent profiles in
+    rank order and their masses mu_{-i} as Fractions: the first (kind,
+    indices), by type and then slice, where buyer i's virtual values
+    (on a slice of positive mass), eta or zeta differ from the first
+    mass-bearing slice's once each side is weighted by the other's
+    mass; None when there is none."""
+    others = list(instance.others_profiles(i))
+    weights = [instance.mu_minus(i, vm) for vm in others]
+    ref = next(s for s, w in enumerate(weights) if w > 0)
+    for t in range(instance.sizes[i]):
+        base = instance.rank(instance.insert(i, t, others[ref]))
+        for s, vm in enumerate(others):
+            if s == ref:
+                continue
+            r = instance.rank(instance.insert(i, t, vm))
+            if table is not None and weights[s] > 0:
+                for j in range(instance.m):
+                    if table.values[i][j][r] != table.values[i][j][base]:
+                        return ("phi", (i, j, t, s))
+            if dual.eta[i][r] * weights[ref] != dual.eta[i][base] * weights[s]:
+                return ("eta", (i, t, s))
+            for t2 in range(instance.sizes[i]):
+                z, zref = dual.zeta[i][r][t2], dual.zeta[i][base][t2]
+                if t2 != t and z * weights[ref] != zref * weights[s]:
+                    return ("zeta", (i, t, t2, s))
+    return None

@@ -2,12 +2,15 @@
 Bayesian/dominant-strategy equivalence maps, and the characterization
 report."""
 
+import contextlib
 import hashlib
+import io
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from auctionlp import analysis, auction
+from auctionlp import analysis, auction, cli
 from auctionlp.analysis import (
     bic_to_dsic_dual,
     canonical_flow,
@@ -21,6 +24,7 @@ from auctionlp.analysis import (
     item_marginal,
     item_revenue,
     myerson_mechanism,
+    revenue_record,
     srev,
     tight_downward_dual,
 )
@@ -73,15 +77,16 @@ def test_srev_breakdown(items12):
 
 
 def lp_path(monkeypatch):
-    """Route SRev and the scan's tight dual through their programs, as
-    before the closed forms."""
+    """Route SRev, characterize's revenues and the scan's tight dual
+    through their programs, as before the closed forms."""
     monkeypatch.setattr(
         analysis, "item_revenue", lambda inst, j: drev(item_marginal(inst, j))
     )
+    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst, flow: None)
     monkeypatch.setattr(
         analysis,
         "_tight_dual",
-        lambda inst, revenue: tight_downward_dual(inst, revenue=revenue),
+        lambda inst, revenue, flow=None: tight_downward_dual(inst, revenue=revenue),
     )
 
 
@@ -190,6 +195,95 @@ def test_regular_single_item_needs_no_program(spied_solves, u123, pair12, items1
         assert (excess, solves) == (0, 0)
         assert dual == canonical_flow(instance)
         assert myerson_mechanism(instance, dual).revenue(instance) == revenue
+
+
+def _lp_revenues(instance):
+    return solve_form(instance, DS).objective, solve_form(instance, BAYES).objective
+
+
+def test_characterize_regular_single_item_solves_nothing(spied_solves, u123, pair12):
+    iid = gen_instance({"n": 3, "m": 1, "support": 2, "iid": True}, 1)
+    for instance in (u123, pair12, iid):
+        report, solves = spied_solves(characterize, instance)
+        assert solves == 0
+        assert (report.drev, report.brev) == _lp_revenues(instance)
+        assert report.srev == report.drev and report.ai_witness is not None
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_characterize_irons_through_both_programs(spied_solves, n):
+    instance = irregular(n)
+    report, solves = spied_solves(characterize, instance)
+    assert solves == 2
+    assert (report.drev, report.brev) == _lp_revenues(instance)
+
+
+def _bumped_payment(instance, dual):
+    mechanism = myerson_mechanism(instance, dual)
+    pay = [list(row) for row in mechanism.pay]
+    pay[-1][0] += F(1, 4)
+    return replace(mechanism, pay=tuple(map(tuple, pay)))
+
+
+def test_characterize_refuses_a_tampered_proposal(spied_solves, monkeypatch, pair12):
+    expected = _lp_revenues(pair12)
+    flow = canonical_flow(pair12)
+    doubled = tuple(tuple(2 * x for x in column) for column in flow.xi)
+    inflated = dual_from_multipliers(pair12, DS, flow.zeta, flow.eta, doubled)
+    assert inflated.is_feasible() and inflated.objective() == 2 * expected[0]
+    report, solves = spied_solves(characterize, pair12, inflated)
+    assert solves == 2 and (report.drev, report.brev) == expected
+    monkeypatch.setattr(analysis, "myerson_mechanism", _bumped_payment)
+    report, solves = spied_solves(characterize, pair12)
+    assert solves == 2 and (report.drev, report.brev) == expected
+
+
+# (shape, seeds): i.i.d. and not at each shape; eight of them need ironing
+DIFFERENTIAL = [
+    ({"n": 2, "m": 1, "support": 2}, (100, 101, 102)),
+    ({"n": 2, "m": 1, "support": 3}, (100, 101, 102)),
+    ({"n": 2, "m": 1, "support": 4}, (100, 101)),
+    ({"n": 3, "m": 1, "support": 2}, (100, 101, 102)),
+    ({"n": 3, "m": 1, "support": 3}, (100, 101)),
+    ({"n": 4, "m": 1, "support": 2}, (100, 101)),
+]
+
+
+def _characterize_outputs(instance, seed):
+    """The revenue record and the CLI's text block of one instance."""
+    reports = []
+
+    def recorded(inst):
+        reports.append(characterize(inst))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
+        mp.setattr(cli, "characterize", recorded)
+        cli._characterize_one(instance)
+    return revenue_record(0, seed, instance, reports[0]), out.getvalue()
+
+
+def test_closed_form_characterize_matches_the_programs(monkeypatch):
+    instances = [
+        (seed, gen_instance(dict(shape, iid=iid), seed))
+        for shape, seeds in DIFFERENTIAL
+        for seed in seeds
+        for iid in (True, False)
+    ]
+    proved = []
+    original = analysis._myerson_proof
+
+    def spy(instance, flow):
+        proof = original(instance, flow)
+        proved.append(proof is not None)
+        return proof
+
+    monkeypatch.setattr(analysis, "_myerson_proof", spy)
+    closed = [_characterize_outputs(instance, seed) for seed, instance in instances]
+    assert len(proved) == 30 and proved.count(False) == 8
+    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst, flow: None)
+    programs = [_characterize_outputs(instance, seed) for seed, instance in instances]
+    assert closed == programs
 
 
 def test_is_iid(pair12, gap2x2, u12):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from auctionlp.analysis import _slice_mismatch
 from auctionlp.auction import (
     build_blp,
     build_dslp,
@@ -31,6 +32,7 @@ from auctionlp.model import (
     DS,
     Mechanism,
     Scaled,
+    VirtualValueTable,
     dual_from_multipliers,
     mechanism_slacks,
     multiplier_keys,
@@ -47,6 +49,7 @@ from helpers import (
     reference_dual_slacks,
     reference_primal,
     reference_slacks,
+    reference_slice_mismatch,
 )
 
 F = Fraction
@@ -439,3 +442,54 @@ def _scaled_parts(value):
     if isinstance(value, tuple):
         return [s for part in value for s in _scaled_parts(part)]
     return []
+
+
+@pytest.mark.parametrize("index", range(len(CASES) + 2))
+def test_slice_mismatch_matches_definition(index):
+    # a dual spread across slices by the opponent masses, and a table
+    # constant across them, then one entry at a time moved off
+    instance = (_instances() + list(_adversarial_instances()))[index]
+    rng = random.Random(index)
+    zeta_b, eta_b, xi = _random_multipliers(instance, BAYES, rng)
+    weights = instance.mu_minus_by_slice
+    zeta = [
+        [[z * weights[i][s] for z in zeta_b[i][t]] for t, s in positions]
+        for i, positions in enumerate(instance.positions)
+    ]
+    eta = [
+        [eta_b[i][t] * weights[i][s] for t, s in positions]
+        for i, positions in enumerate(instance.positions)
+    ]
+    values = [
+        [[F(t + j, 3) for t, _ in positions] for j in range(instance.m)]
+        for positions in instance.positions
+    ]
+
+    def compare():
+        dual = dual_from_multipliers(
+            instance, DS, tuple(tuple(map(tuple, z)) for z in zeta), tuple(map(tuple, eta)), xi
+        )
+        table = VirtualValueTable(DS, tuple(tuple(map(tuple, v)) for v in values))
+        found = []
+        for i in range(instance.n):
+            for tab in (None, table):
+                found.append(_slice_mismatch(instance, dual, i, tab))
+                assert found[-1] == reference_slice_mismatch(instance, dual, i, tab)
+        return found
+
+    assert compare() == [None] * 2 * instance.n
+    witnessed = set()
+    for _ in range(12):
+        i = rng.randrange(instance.n)
+        r = rng.randrange(instance.profile_count)
+        t = instance.positions[i][r][0]
+        kind = rng.choice(["eta", "zeta", "phi"])
+        if kind == "eta":
+            eta[i][r] += F(1, 7)
+        elif kind == "zeta":
+            zeta[i][r][(t + 1) % instance.sizes[i]] += F(1, 7)
+        else:
+            values[i][rng.randrange(instance.m)][r] += 1
+        witnessed.update(w[0] for w in compare() if w is not None)
+    # one buyer has one slice, so nothing to compare
+    assert witnessed or instance.n == 1

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from auctionlp import model
 from auctionlp.auction import extract_dual, extract_mechanism, solve_form
 from auctionlp.errors import (
     DimensionMismatch,
@@ -78,6 +79,45 @@ def test_rat_refuses_exponents_past_the_digit_limit(monkeypatch):
         rat("1e" + "9" * 60)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
     assert rat("1e60") == 10**60
+
+
+# Integer and p/q text, the literals certificate documents hold; the
+# digit counts reach past the int-string limit of 4300 digits.
+plain_literals = st.from_regex(r"[ \t]*[-+]?[0-9]{1,12}(/[0-9]{1,12})?[ \t]*", fullmatch=True) | (
+    st.tuples(st.sampled_from(["", "-", "7/"]), st.integers(4290, 4310)).map(
+        lambda pair: pair[0] + "1" * pair[1]
+    )
+)
+# Text over Fraction's grammar without an exponent (an exponent literal
+# is the slow path's own concern), plus a non-ASCII digit.
+other_literals = st.text(alphabet="0123456789+-/._ \t\u0663", max_size=12)
+
+
+def _agrees_with_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(NotRational):
+            rat(text)
+    else:
+        assert rat(text) == expected
+
+
+def test_rat_plain_literals_skip_the_exponent_check(monkeypatch):
+    monkeypatch.setattr(model, "_too_long", None)  # a call would raise TypeError
+    for text in (" 17 ", "-3/4", "+6/8", "0/5", "1/0", "7/" + "1" * 4301):
+        _agrees_with_fraction(text)
+
+
+@given(plain_literals | other_literals)
+def test_rat_agrees_with_fraction_on_text(text):
+    _agrees_with_fraction(text)
+
+
+@pytest.mark.parametrize("value", ["1/0", "-0/0", 0.5, True, False, 2.0, "1e" + "9" * 60])
+def test_rat_refuses_what_fraction_text_is_not(value):
+    with pytest.raises(NotRational):
+        rat(value)
 
 
 def test_rat_str_plain_integers():
