@@ -257,10 +257,12 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
     value to a higher one on any item.
 
     Minimizes total participation mass plus the mass on raising pairs
-    over the optimal face.  Returns (dual, excess): excess 0 means both
-    goals were met exactly, and the regularized table then stays at or
-    below the values entrywise.  Single-item instances always admit
-    excess 0.
+    over the optimal face (the face program).  Returns (dual, excess):
+    excess 0 means both goals were met exactly, and the regularized
+    table then stays at or below the values entrywise.  Single-item
+    instances always admit excess 0.  The face has many minimizers;
+    this returns the one vertex the simplex's pivot path reaches, and
+    it is the only function here that does.
     """
     if revenue is None:
         revenue = drev(instance)
@@ -294,14 +296,15 @@ def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
     return dual, excess
 
 
-def _tight_dual(instance: Instance, revenue: Fraction, flow: DualSolution | None = None):
-    """tight_downward_dual's (dual, excess), from the canonical flow on
-    one item when exact checks accept it: feasible, with the certified
-    revenue as objective and excess 0.  flow is the instance's
-    canonical flow when the caller has built it.  The flow does no
-    ironing, so on an instance that needs it the face search answers."""
-    if instance.m == 1:
-        dual = canonical_flow(instance) if flow is None else flow
+def _tight_dual(instance: Instance, revenue: Fraction, candidates):
+    """A (dual, excess) pair minimizing the face program, from the first
+    candidate dual that three exact checks accept: it is feasible, its
+    objective is the certified revenue, and its face_excess is 0.  Weak
+    duality puts such a dual on the optimal face, where the excess is
+    never below 0, so it is a minimizer, though not necessarily the
+    vertex tight_downward_dual pins.  When every candidate is refused,
+    or there is none, the face program answers."""
+    for dual in candidates:
         if dual.is_feasible() and dual.objective() == revenue:
             excess = face_excess(instance, dual)
             if excess == 0:
@@ -553,7 +556,13 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     """Characterize seeded i.i.d. instances and collect per-instance
     findings records; families below three buyers are excluded.  `cap`
     bounds each instance's profile count, and a bad family raises, as
-    in gen_instance."""
+    in gen_instance.
+
+    The tight dual behind tight_excess and ubvv_ok is the first of two
+    candidates that _tight_dual's checks accept: the canonical flow on
+    one item, then the agent-independent witness characterize built
+    when BRev = DRev.  Any accepted candidate has excess 0; otherwise
+    the face program is solved."""
     from .oracles import gen_instance, gen_shape
 
     spec = {"n": 3, **family, "iid": True}
@@ -572,7 +581,8 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
         instance = gen_instance(spec, seed + index, cap=cap)
         flow = canonical_flow(instance) if instance.m == 1 else None
         report = characterize(instance, flow)
-        dual, excess = _tight_dual(instance, report.drev, flow)
+        candidates = [dual for dual in (flow, report.ai_witness) if dual is not None]
+        dual, excess = _tight_dual(instance, report.drev, candidates)
         regular = regularize_ds(instance, dual, revenue=report.drev)
         table = virtual_values_ds(instance, regular)
         ubvv = check_ubvv(table, instance)

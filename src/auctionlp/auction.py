@@ -16,12 +16,16 @@ grammar (profile keys are support indices joined by "."):
     columns     x:<i>:<j>:<vkey>     p:<i>:<vkey>
     ds rows     ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
     bayes rows  ic:<i>:<t>:<t'>      ir:<i>:<t>      sup:<j>:<vkey>
+
+row_label and col_label render one index; index_of reads a label back
+and accepts the index only if it renders to the same label.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -165,31 +169,96 @@ class ProgramLayout:
     def xi(self, j: int, r: int) -> int:
         return self._blocks[2] + j * self.count + r
 
+    @cached_property
+    def _names(self) -> tuple[list[tuple[int, ...]], list[str]]:
+        """Each profile, and its key in the label grammar, by rank."""
+        profiles = list(itertools.product(*map(range, self.sizes)))
+        return profiles, [profile_key(v) for v in profiles]
+
+    @cached_property
+    def _row_blocks(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """The first row of each buyer's ic and of its ir block, in row
+        order, and each block's (buyer, reports per key): k - 1 for ic,
+        0 for ir.  An empty ic block sorts before the block it shares
+        its first row with."""
+        zeta, eta, _ = self._blocks
+        blocks = sorted(
+            [(z, 0, i, k - 1) for i, (z, k) in enumerate(zip(zeta, self.sizes))]
+            + [(e, 1, i, 0) for i, e in enumerate(eta)]
+        )
+        return [b[0] for b in blocks], [b[2:] for b in blocks]
+
+    def row_label(self, r: int) -> str:
+        """The label of primal row r, the inverse of zeta, eta and xi."""
+        profiles, names = self._names
+        starts, blocks = self._row_blocks
+        xi = self._blocks[2]
+        if r >= xi:
+            j, rank = divmod(r - xi, self.count)
+            return f"sup:{j}:{names[rank]}"
+        b = bisect_right(starts, r) - 1
+        i, lies = blocks[b]
+        key, lie = divmod(r - starts[b], lies) if lies else (r - starts[b], None)
+        name, t = (names[key], profiles[key][i]) if self.form == DS else (key, key)
+        if lie is None:
+            return f"ir:{i}:{name}"
+        return f"ic:{i}:{name}:{lie + (lie >= t)}"
+
+    def col_label(self, c: int) -> str:
+        """The label of primal column c, the inverse of x and p."""
+        block, rank = divmod(c, self.count)
+        name = self._names[1][rank]
+        xs = len(self.sizes) * self.m
+        if block < xs:
+            i, j = divmod(block, self.m)
+            return f"x:{i}:{j}:{name}"
+        return f"p:{block - xs}:{name}"
+
     def labels(self) -> tuple[list[str], list[str]]:
         """(row labels, column labels) of the primal program, rendered in
-        the module's grammar.  Only certificate documents name components."""
-        m = self.m
-        profiles = list(itertools.product(*map(range, self.sizes)))
-        names = [profile_key(v) for v in profiles]
+        the module's grammar by row_label and col_label.  Only
+        certificate documents name components."""
         nrows, ncols = self.shape
-        rows, cols = [""] * nrows, [""] * ncols
-        for j, (r, name) in itertools.product(range(m), enumerate(names)):
-            rows[self.xi(j, r)] = f"sup:{j}:{name}"
-        for i, k in enumerate(self.sizes):
-            for r, name in enumerate(names):
-                cols[self.p(i, r)] = f"p:{i}:{name}"
-                for j in range(m):
-                    cols[self.x(i, j, r)] = f"x:{i}:{j}:{name}"
-            if self.form == BAYES:
-                keys = [(str(t), t) for t in range(k)]
+        return list(map(self.row_label, range(nrows))), list(map(self.col_label, range(ncols)))
+
+    def _rank(self, name: str) -> int:
+        """The rank of the profile a label names; loose, as _read is."""
+        r = 0
+        for k, t in zip(self.sizes, name.split(".")):
+            r = r * k + int(t)
+        return r
+
+    def _read(self, label: str, row: bool) -> int:
+        """The index a row (or column) label's fields point to, read
+        loosely: a malformed field raises ValueError or IndexError, and a
+        field out of range may point anywhere."""
+        kind, *fields = label.split(":")
+        shape = (kind, len(fields))
+        if row and shape == ("sup", 2):
+            return self.xi(int(fields[0]), self._rank(fields[1]))
+        if row and shape in (("ir", 2), ("ic", 3)):
+            i = int(fields[0])
+            if self.form == DS:
+                key, t = self._rank(fields[1]), int(fields[1].split(".")[i])
             else:
-                keys = [(name, v[i]) for name, v in zip(names, profiles)]
-            for key, (name, t) in enumerate(keys):
-                rows[self.eta(i, key)] = f"ir:{i}:{name}"
-                for t2 in range(k):
-                    if t2 != t:
-                        rows[self.zeta(i, key, t, t2)] = f"ic:{i}:{name}:{t2}"
-        return rows, cols
+                key = t = int(fields[1])
+            return self.eta(i, key) if kind == "ir" else self.zeta(i, key, t, int(fields[2]))
+        if not row and shape == ("x", 3):
+            return self.x(int(fields[0]), int(fields[1]), self._rank(fields[2]))
+        if not row and shape == ("p", 2):
+            return self.p(int(fields[0]), self._rank(fields[1]))
+        raise ValueError(label)
+
+    def index_of(self, label: str, row: bool) -> int | None:
+        """The row (row true) or column that row_label or col_label
+        renders as label, or None.  The label is read loosely and the
+        index accepted only if it renders back to the same label."""
+        try:
+            index = self._read(label, row)
+        except (ValueError, IndexError):
+            return None
+        bound, render = (self.shape[0], self.row_label) if row else (self.shape[1], self.col_label)
+        return index if 0 <= index < bound and render(index) == label else None
 
 
 def _layout(instance: Instance, form: str, side: str) -> ProgramLayout:
@@ -505,7 +574,7 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     dual = extract_dual(instance, certificate, form)
     check = check_cs_ds if form == DS else check_cs_bayes
     ledger = check(instance, mechanism, dual, slacks=slacks)
-    row_names, col_names = certificate.layout.labels()
+    layout = certificate.layout
     return {
         "kind": "auctionlp.certificate",
         "version": 1,
@@ -513,13 +582,13 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
         "form": form,
         "objective": rat_str(certificate.objective),
         "primal": {
-            label: rat_str(value)
-            for label, value in zip(col_names, certificate.primal)
+            layout.col_label(c): rat_str(value)
+            for c, value in enumerate(certificate.primal)
             if value
         },
         "dual": {
-            label: rat_str(value)
-            for label, value in zip(row_names, certificate.dual)
+            layout.row_label(r): rat_str(value)
+            for r, value in enumerate(certificate.dual)
             if value
         },
         "ledger": {key: rat_str(getattr(ledger, key)) for key in _LEDGER_KEYS},
@@ -554,22 +623,23 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     if form not in (DS, BAYES):
         raise LabelMismatch(f"unknown certificate form {form!r}")
     lp = build_dslp(instance) if form == DS else build_blp(instance)
-    row_names, col_names = lp.layout.labels()
     primal = _document_section(document, "primal")
     dual = _document_section(document, "dual")
     ledger = _document_section(document, "ledger")
     if ledger.keys() != set(_LEDGER_KEYS):
         raise LabelMismatch(f"certificate ledger keys {sorted(ledger)} are not {_LEDGER_KEYS}")
-    cols = {label: j for j, label in enumerate(col_names)}
-    rows = {label: r for r, label in enumerate(row_names)}
-    unknown = (primal.keys() - cols.keys()) | (dual.keys() - rows.keys())
-    if unknown:
-        raise LabelMismatch(f"unknown labels: {sorted(unknown)[:3]}")
     zero = Fraction(0)
     x, y = [zero] * lp.ncols, [zero] * lp.nrows
-    for vector, index, section in ((x, cols, primal), (y, rows, dual)):
+    unknown = []
+    for vector, section, row in ((x, primal, False), (y, dual, True)):
         for label, value in section.items():
-            vector[index[label]] = value
+            index = lp.layout.index_of(label, row)
+            if index is None:
+                unknown.append(label)
+            else:
+                vector[index] = value
+    if unknown:
+        raise LabelMismatch(f"unknown labels: {sorted(unknown)[:3]}")
     try:
         objective = rat(document.get("objective"))
     except NotRational as exc:

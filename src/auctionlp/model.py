@@ -346,23 +346,11 @@ class Instance:
     def others_sizes(self, i: int) -> tuple[int, ...]:
         return tuple(k for b, k in enumerate(self.sizes) if b != i)
 
-    def others_count(self, i: int) -> int:
-        return prod(self.others_sizes(i))
-
-    def others_profiles(self, i: int) -> Iterator[Profile]:
-        return itertools.product(*(range(k) for k in self.others_sizes(i)))
-
     def others_rank(self, i: int, vm: Profile) -> int:
         r = 0
         for k, t in zip(self.others_sizes(i), vm):
             r = r * k + t
         return r
-
-    def drop(self, i: int, profile: Profile) -> Profile:
-        return profile[:i] + profile[i + 1:]
-
-    def insert(self, i: int, t: int, vm: Profile) -> Profile:
-        return vm[:i] + (t,) + vm[i:]
 
     # -- measures -----------------------------------------------------------
 
@@ -575,16 +563,6 @@ def read_json(path, error: type[Exception]):
 def load_instance(path, *, augment_zero: bool | None = None, strict: bool = False) -> Instance:
     data = read_json(path, DimensionMismatch)
     return validate_instance(data, augment_zero=augment_zero, strict=strict)
-
-
-def profile_prob(instance: Instance, profile: Profile) -> Fraction:
-    """mu(v): product of per-buyer masses at the profile."""
-    if len(profile) != instance.n:
-        raise DimensionMismatch("profile length != buyer count")
-    for i, t in enumerate(profile):
-        if not 0 <= t < instance.sizes[i]:
-            raise DimensionMismatch(f"profile index {t} out of range for buyer {i}")
-    return instance.mu(profile)
 
 
 # ---------------------------------------------------------------------------

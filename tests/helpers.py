@@ -2,22 +2,54 @@
 enumerator for tiny LPs, plain-Fraction certificate checks, the
 discrete single-item virtual-value formula, an LP probe for the spread
 of one virtual value across the regular optimal duals, definition-level
-primal and dual slacks, the primal programs by definition, and the
-profile key parser.
+primal and dual slacks, the primal programs by definition, the
+profile key parser, and the opponent-profile helpers.
 
 The definitions are free functions over profile tuples: utility,
 deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
 dual; zero_mechanism, min_entry of slacks and row_dot of a program;
-reference_names of a program layout.
+reference_names of a program layout; drop, insert, others_count,
+others_profiles and profile_prob of an instance's profiles.
 They never call the rank-table paths they check (test_surface)."""
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from auctionlp.auction import PRIMAL, ProgramLayout, build_dual_dslp
+from auctionlp.errors import DimensionMismatch
 from auctionlp.lp import MAX, MIN, OPTIMAL, make_lp, solve
 from auctionlp.model import BAYES, DS, Mechanism, PrimalSlacks
+
+
+def drop(i, profile):
+    """The opponent profile: profile without buyer i's type."""
+    return profile[:i] + profile[i + 1:]
+
+
+def insert(i, t, vm):
+    """The profile where buyer i has type t against opponent profile vm."""
+    return vm[:i] + (t,) + vm[i:]
+
+
+def others_count(instance, i):
+    return prod(instance.others_sizes(i))
+
+
+def others_profiles(instance, i):
+    """Buyer i's opponent profiles, in Instance.others_rank order."""
+    return product(*(range(k) for k in instance.others_sizes(i)))
+
+
+def profile_prob(instance, profile):
+    """mu(v): product of per-buyer masses at the profile."""
+    if len(profile) != instance.n:
+        raise DimensionMismatch("profile length != buyer count")
+    for i, t in enumerate(profile):
+        if not 0 <= t < instance.sizes[i]:
+            raise DimensionMismatch(f"profile index {t} out of range for buyer {i}")
+    return instance.mu(profile)
 
 
 def parse_profile_key(key):
@@ -289,19 +321,19 @@ def reference_primal(instance, form):
             rows[layout.xi(j, r)] = [(layout.x(i, j, r), 1) for i in range(instance.n)]
             b[layout.xi(j, r)] = 1
     for i, k in enumerate(instance.sizes):
-        for vm in instance.others_profiles(i):
+        for vm in others_profiles(instance, i):
             w = instance.mu_minus(i, vm) if form == BAYES else 1
             if not w:
                 continue
             for t in range(k):
-                r = instance.rank(instance.insert(i, t, vm))
+                r = instance.rank(insert(i, t, vm))
                 key = t if form == BAYES else r
                 value = [w * q for q in instance.value(i, t)]
                 for t2 in range(k):
                     if t2 == t:
                         continue
                     # u_i reporting t2 minus u_i reporting t <= 0
-                    lie = instance.rank(instance.insert(i, t2, vm))
+                    lie = instance.rank(insert(i, t2, vm))
                     row = rows[layout.zeta(i, key, t, t2)]
                     for j, q in enumerate(value):
                         if q:
@@ -348,7 +380,7 @@ def reference_names(layout):
 
 def deviation_utility(mechanism, instance, i, profile, t_report):
     """Utility of buyer i whose true type is profile[i] reporting t_report."""
-    r = instance.rank(instance.insert(i, t_report, instance.drop(i, profile)))
+    r = instance.rank(insert(i, t_report, drop(i, profile)))
     vec = instance.value(i, profile[i])
     return sum(
         (vec[j] * mechanism.alloc[r][i][j] for j in range(instance.m)), Fraction(0)
@@ -363,11 +395,11 @@ def utility(mechanism, instance, i, profile):
 def interim_deviation_utility(mechanism, instance, i, t, t_report):
     """Expected deviation_utility over the opponents' prior at true type t."""
     total = Fraction(0)
-    for vm in instance.others_profiles(i):
+    for vm in others_profiles(instance, i):
         w = instance.mu_minus(i, vm)
         if w:
             total += w * deviation_utility(
-                mechanism, instance, i, instance.insert(i, t, vm), t_report
+                mechanism, instance, i, insert(i, t, vm), t_report
             )
     return total
 
@@ -422,8 +454,8 @@ def _psi(dual, i, t, key, lie_keys):
 
 def _ds_keys(instance, i, profile):
     """A dominant-strategy dual's key at the profile and its lie keys."""
-    others = instance.drop(i, profile)
-    lies = [instance.rank(instance.insert(i, t2, others)) for t2 in range(instance.sizes[i])]
+    others = drop(i, profile)
+    lies = [instance.rank(insert(i, t2, others)) for t2 in range(instance.sizes[i])]
     return instance.rank(profile), lies
 
 
@@ -485,7 +517,7 @@ def reference_dual_slacks(instance, dual, form):
     bayes = form == BAYES
 
     def weight(i, v):
-        return instance.mu_minus(i, instance.drop(i, v)) if bayes else 1
+        return instance.mu_minus(i, drop(i, v)) if bayes else 1
 
     def phi(i, j, v):
         if bayes:
@@ -516,15 +548,15 @@ def reference_slice_mismatch(instance, dual, i, table=None):
     (on a slice of positive mass), eta or zeta differ from the first
     mass-bearing slice's once each side is weighted by the other's
     mass; None when there is none."""
-    others = list(instance.others_profiles(i))
+    others = list(others_profiles(instance, i))
     weights = [instance.mu_minus(i, vm) for vm in others]
     ref = next(s for s, w in enumerate(weights) if w > 0)
     for t in range(instance.sizes[i]):
-        base = instance.rank(instance.insert(i, t, others[ref]))
+        base = instance.rank(insert(i, t, others[ref]))
         for s, vm in enumerate(others):
             if s == ref:
                 continue
-            r = instance.rank(instance.insert(i, t, vm))
+            r = instance.rank(insert(i, t, vm))
             if table is not None and weights[s] > 0:
                 for j in range(instance.m):
                     if table.values[i][j][r] != table.values[i][j][base]:

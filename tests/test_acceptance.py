@@ -45,7 +45,16 @@ from auctionlp.virtual import (
     virtual_values_ds,
 )
 from baselines import menu_grid_revenue, posted_price_revenue
-from helpers import myerson_formula, psi, psibar, regular_phi_range, zero_mechanism
+from helpers import (
+    drop,
+    insert,
+    myerson_formula,
+    others_profiles,
+    psi,
+    psibar,
+    regular_phi_range,
+    zero_mechanism,
+)
 
 F = Fraction
 
@@ -182,7 +191,7 @@ def perturb_bayes(instance, dual, rng, delta):
         for profile in instance.profiles():
             if profile[i] != t:
                 continue
-            w = instance.mu_minus(i, instance.drop(i, profile))
+            w = instance.mu_minus(i, drop(i, profile))
             r = instance.rank(profile)
             for j in range(instance.m):
                 xi[j][r] += delta * w * vec[j]
@@ -379,11 +388,11 @@ def test_c8_discrete_myerson_agreement(corpus, u12, u123, pair12):
             )
             ref = next(
                 vm
-                for vm in instance.others_profiles(i)
+                for vm in others_profiles(instance, i)
                 if instance.mu_minus(i, vm) > 0
             )
             for t, want in formula.items():
-                profile = instance.insert(i, t, ref)
+                profile = insert(i, t, ref)
                 entry = table.values[i][0][instance.rank(profile)]
                 if entry == want:
                     matched += 1
@@ -419,11 +428,11 @@ def interim_rows(instance, mech):
         for t in range(instance.sizes[i]):
             alloc = [F(0)] * instance.m
             pay = F(0)
-            for vm in instance.others_profiles(i):
+            for vm in others_profiles(instance, i):
                 w = instance.mu_minus(i, vm)
                 if not w:
                     continue
-                r = instance.rank(instance.insert(i, t, vm))
+                r = instance.rank(insert(i, t, vm))
                 for j in range(instance.m):
                     alloc[j] += w * mech.alloc[r][i][j]
                 pay += w * mech.pay[r][i]

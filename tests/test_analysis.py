@@ -86,20 +86,32 @@ def lp_path(monkeypatch):
     monkeypatch.setattr(
         analysis,
         "_tight_dual",
-        lambda inst, revenue, flow=None: tight_downward_dual(inst, revenue=revenue),
+        lambda inst, revenue, candidates: tight_downward_dual(inst, revenue=revenue),
     )
 
 
-# (family, first seed, count): support 3 at seed 1 needs ironing
+# (family, first seed, count): support 3 at seed 1 needs ironing; the
+# two-item seeds 1 and 2 have BRev = DRev, and 0 and 3 BRev > DRev
 SCAN_CORPUS = [
     ({"n": 3, "m": 1, "support": 2}, 1, 2),
     ({"n": 3, "m": 1, "support": 3}, 0, 2),
-    ({"n": 3, "m": 2, "support": 2}, 0, 1),
+    ({"n": 3, "m": 2, "support": 2}, 0, 4),
 ]
 
 
 def test_closed_forms_match_the_programs(monkeypatch):
+    faced = []
+    original = analysis.tight_downward_dual
+
+    def spy(instance, revenue=None):
+        faced.append(instance)
+        return original(instance, revenue=revenue)
+
+    monkeypatch.setattr(analysis, "tight_downward_dual", spy)
     closed = [iid_scan(family, seed, count) for family, seed, count in SCAN_CORPUS]
+    # every other instance takes its flow or its equality witness
+    two_items = {"n": 3, "m": 2, "support": 2, "iid": True}
+    assert faced == [gen_instance(two_items, 0), gen_instance(two_items, 3)]
     verdicts = set()
     for (family, seed, _), records in zip(SCAN_CORPUS, closed):
         if family["m"] != 1:
@@ -182,7 +194,7 @@ def test_ironing_falls_back_to_the_programs(spied_solves, n, revenue):
     assert not mechanism_feasible(instance, mechanism)
     value, solves = spied_solves(srev, instance)
     assert value == revenue and solves == 1
-    (_, excess), solves = spied_solves(analysis._tight_dual, instance, revenue)
+    (_, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, [dual])
     assert excess == 0 and solves == 1
 
 
@@ -191,9 +203,10 @@ def test_regular_single_item_needs_no_program(spied_solves, u123, pair12, items1
         canonical_flow(items12)
     for instance, revenue in ((u123, F(4, 3)), (pair12, F(3, 2))):
         assert spied_solves(srev, instance) == (revenue, 0)
-        (dual, excess), solves = spied_solves(analysis._tight_dual, instance, revenue)
+        flow = canonical_flow(instance)
+        (dual, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, [flow])
         assert (excess, solves) == (0, 0)
-        assert dual == canonical_flow(instance)
+        assert dual is flow
         assert myerson_mechanism(instance, dual).revenue(instance) == revenue
 
 
@@ -363,6 +376,63 @@ def test_tight_dual_rejects_unreachable_revenue(u12):
     # still feasible, so only the low side can fail
     with pytest.raises(NotOptimal):
         tight_downward_dual(u12, revenue=F(1, 2))
+
+
+# -- the scan's tight dual --------------------------------------------------
+
+IID_TWO_ITEMS = {"n": 3, "m": 2, "support": 2}
+# from the iid-scan corpus: BRev = DRev, and its equality witness has excess 0
+EQUAL_SEED = 1055119864
+
+
+def test_scan_takes_the_equality_witness(spied_solves):
+    # the DS and Bayesian programs, and no face program
+    (record,), solves = spied_solves(iid_scan, IID_TWO_ITEMS, EQUAL_SEED, 1)
+    assert record["brev_eq_drev"] and record["tight_excess"] == "0"
+    assert solves == 2
+
+
+def test_scan_without_a_witness_solves_the_face(spied_solves):
+    # (3, 2, 2) seed 3 is the last TIGHT_DUAL_PINS entry: BRev > DRev
+    (record,), solves = spied_solves(iid_scan, IID_TWO_ITEMS, 3, 1)
+    assert not record["brev_eq_drev"] and record["tight_excess"] == "3/56"
+    assert solves == 3
+
+
+def test_tight_dual_refuses_bad_witnesses(spied_solves):
+    instance = gen_instance(dict(IID_TWO_ITEMS, iid=True), EQUAL_SEED)
+    witness = characterize(instance).ai_witness
+    revenue = witness.objective()
+    pinned = tight_downward_dual(instance, revenue=revenue)
+    # move participation mass so that one eta goes negative and the
+    # excess and objective stay as they were
+    eta = [list(column) for column in witness.eta]
+    eta[0][1] += eta[0][0] + 1
+    eta[0][0] = F(-1)
+    negative = replace(witness, eta=tuple(map(tuple, eta)))
+    doubled = tuple(tuple(2 * x for x in column) for column in witness.xi)
+    inflated = dual_from_multipliers(instance, DS, witness.zeta, witness.eta, doubled)
+    certified = extract_dual(instance, solve_form(instance, DS), DS)
+    assert not negative.is_feasible()
+    assert negative.objective() == revenue and face_excess(instance, negative) == 0
+    assert inflated.is_feasible() and inflated.objective() == 2 * revenue
+    assert certified.is_feasible() and certified.objective() == revenue
+    assert face_excess(instance, certified) == F(95, 3456)
+    for bad in (negative, inflated, certified):
+        got, solves = spied_solves(analysis._tight_dual, instance, revenue, [bad])
+        assert (got, solves) == (pinned, 1)
+
+
+def test_tight_dual_takes_the_witness_after_a_declined_flow(spied_solves):
+    instance = irregular(3)
+    flow = canonical_flow(instance)
+    report = characterize(instance)
+    assert flow.objective() > report.drev
+    (dual, excess), solves = spied_solves(
+        analysis._tight_dual, instance, report.drev, [flow, report.ai_witness]
+    )
+    assert (excess, solves) == (0, 0)
+    assert dual is report.ai_witness
 
 
 # -- agent independence -----------------------------------------------------

@@ -38,7 +38,7 @@ from auctionlp.model import mechanism_feasible
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import build
-from helpers import parse_profile_key, reference_names
+from helpers import insert, others_profiles, parse_profile_key, reference_names
 
 F = Fraction
 
@@ -84,6 +84,35 @@ def test_labels_match_their_definition(form):
         for m in (1, 2):
             layout = ProgramLayout(form, PRIMAL, m, (3, 2, 4)[:n])
             assert layout.labels() == reference_names(layout)
+
+
+# each names no row or column of a two-item program for sizes (3, 2):
+# a field out of range, not in canonical form, or of the wrong kind
+NOT_LABELS = [
+    "", ":", "x", "x:0:0", "x:0:0:0.0:", "x:0:0:01", "x:0:0:0.0.0", "x:0:0:3.0",
+    "x:0:2:0.0", "x:00:0:0.0", "x:0:0:+1.0", "x: 0:0:0.0", "x:0:0:٣.0",
+    "p:2:0.0", "sup:-1:0.0", "sup:2:0.0", "ir:-1:0.0", "ir:0:3", "ic:0:0.0:0",
+    "ic:0:1.0:3", "ic:0:0.0", "ic:0:x:1",
+]
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_labels_read_back_to_their_index(form):
+    # a buyer with one type has no ic rows, so its empty block shares
+    # its first row with the next one
+    for sizes in ((3, 2), (1,), (1, 3), (3, 1), (2, 1, 2), (1, 1, 2)):
+        layout = ProgramLayout(form, PRIMAL, 2, sizes)
+        rows, cols = layout.labels()
+        assert (rows, cols) == reference_names(layout)
+        assert [layout.index_of(label, True) for label in rows] == list(range(len(rows)))
+        assert [layout.index_of(label, False) for label in cols] == list(range(len(cols)))
+        assert all(layout.index_of(label, False) is None for label in rows)
+        assert all(layout.index_of(label, True) is None for label in cols)
+    layout = ProgramLayout(form, PRIMAL, 2, (3, 2))
+    rows, cols = layout.labels()
+    for label in NOT_LABELS:
+        assert label not in rows and label not in cols
+        assert layout.index_of(label, True) is layout.index_of(label, False) is None
 
 
 def test_dual_rows_mirror_primal_columns(pair12):
@@ -265,11 +294,11 @@ def test_extend_rejects_misshapen_queries(pair12):
 def interim_row(instance, mech, i, t):
     alloc = [F(0)] * instance.m
     pay = F(0)
-    for vm in instance.others_profiles(i):
+    for vm in others_profiles(instance, i):
         w = instance.mu_minus(i, vm)
         if not w:
             continue
-        r = instance.rank(instance.insert(i, t, vm))
+        r = instance.rank(insert(i, t, vm))
         for j in range(instance.m):
             alloc[j] += w * mech.alloc[r][i][j]
         pay += w * mech.pay[r][i]

@@ -42,6 +42,7 @@ from auctionlp.oracles import gen_instance
 from auctionlp.virtual import check_cs_bayes, check_cs_ds
 from helpers import (
     min_entry,
+    others_profiles,
     phi_star,
     phibar_star,
     psi,
@@ -210,7 +211,7 @@ def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
     bayes_slacks = mechanism_slacks(instance, Mechanism(form=BAYES, alloc=alloc, pay=pay))
     assert bayes_slacks.c == ds_slacks.c
     for i, k in enumerate(instance.sizes):
-        weights = [instance.mu_minus(i, vm) for vm in instance.others_profiles(i)]
+        weights = [instance.mu_minus(i, vm) for vm in others_profiles(instance, i)]
         assert multiplier_keys(instance, BAYES, i)[4] == tuple(weights)
         assert set(multiplier_keys(instance, DS, i)[4]) == {1}
         for t in range(k):
@@ -255,7 +256,7 @@ def test_builders_and_mass_tables_match_definition(spec, seed):
     instance = gen_instance(spec, seed)
     assert instance.mu_by_rank == tuple(map(instance.mu, instance.profiles()))
     for i, slices in enumerate(instance.mu_minus_by_slice):
-        assert slices == tuple(instance.mu_minus(i, vm) for vm in instance.others_profiles(i))
+        assert slices == tuple(instance.mu_minus(i, vm) for vm in others_profiles(instance, i))
     for form, build in ((DS, build_dslp), (BAYES, build_blp)):
         lp, reference = build(instance), reference_primal(instance, form)
         assert lp.layout == reference.layout

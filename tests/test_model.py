@@ -30,12 +30,20 @@ from auctionlp.model import (
     load_instance,
     mechanism_feasible,
     mechanism_slacks,
-    profile_prob,
     rat,
     rat_str,
     validate_instance,
 )
-from helpers import deviation_utility, min_entry, utility, zero_mechanism
+from helpers import (
+    deviation_utility,
+    drop,
+    insert,
+    min_entry,
+    others_count,
+    profile_prob,
+    utility,
+    zero_mechanism,
+)
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -267,9 +275,9 @@ def test_drop_insert_inverse(a, b, c):
     )
     profile = (a, b, c)
     for i in range(3):
-        vm = inst.drop(i, profile)
-        assert inst.insert(i, profile[i], vm) == profile
-        assert inst.others_rank(i, vm) < inst.others_count(i)
+        vm = drop(i, profile)
+        assert insert(i, profile[i], vm) == profile
+        assert inst.others_rank(i, vm) < others_count(inst, i)
 
 
 def test_mu_products(pair12):
