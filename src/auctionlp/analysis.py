@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 from .auction import (
     _checked_mechanism,
@@ -24,8 +25,9 @@ from .model import (
     Instance,
     Mechanism,
     RevenueReport,
+    Scaled,
     VirtualValueTable,
-    dual_from_multipliers,
+    _dual_from_scaled,
     mechanism_feasible,
     mechanism_slacks,
     rat_str,
@@ -114,11 +116,12 @@ def srev(instance: Instance) -> Fraction:
 # Single-item closed forms
 
 
-def _value_ladder(instance: Instance, i: int) -> tuple[list[int], list[Fraction]]:
+def _value_ladder(instance: Instance, i: int) -> tuple[list[int], list[int], int]:
     """Buyer i's types in ascending order of their single value, and
-    their values."""
-    values = [vec[0] for vec in instance.supports[i]]
-    return sorted(range(len(values)), key=values.__getitem__), values
+    the numerators of their values over their denominator."""
+    vecs, den = instance.supports_scaled[i]
+    values = [vec[0] for vec in vecs]
+    return sorted(range(len(values)), key=values.__getitem__), values, den
 
 
 def canonical_flow(instance: Instance) -> DualSolution:
@@ -136,46 +139,56 @@ def canonical_flow(instance: Instance) -> DualSolution:
     beta derive these coefficients again from the multipliers, so
     is_feasible() checks the construction.  The objective is
     E[max_i phi_i(v_i)^+]; it is the optimal revenue unless ironing
-    would change a positive virtual value."""
+    would change a positive virtual value.
+
+    The flow is built on numerators: with buyer i's masses over P, its
+    opponent masses over W and its values over V, its multipliers are
+    over P * W and its virtual values over P * W * V, which xi holds
+    over their lcm X."""
     if instance.m != 1:
         raise DimensionMismatch("the canonical flow is defined for one item")
-    zero = Fraction(0)
-    xi = [zero] * instance.profile_count
-    zeta, eta = [], []
+    dens = [
+        p.den * w.den * v.den
+        for p, w, v in zip(
+            instance.probs_scaled, instance.mu_minus_scaled, instance.supports_scaled
+        )
+    ]
+    xi_den = lcm(*dens)
+    xi = [0] * instance.profile_count
+    multipliers = []
     for i, k in enumerate(instance.sizes):
-        order, values = _value_ladder(instance, i)
-        probs = instance.probs[i]
+        order, values, _ = _value_ladder(instance, i)
+        probs, p_den = instance.probs_scaled[i]
+        weights, w_den = instance.mu_minus_scaled[i]
+        to_xi = xi_den // dens[i]
         # above[u]: the mass of the types from the u-th lowest up
-        above = list(
-            itertools.accumulate((probs[t] for t in reversed(order)), initial=zero)
-        )[::-1]
+        above = list(itertools.accumulate((probs[t] for t in reversed(order)), initial=0))[::-1]
         # value_above[u]: C_u v_u, 0 past the top
-        value_above = [above[u] * values[t] for u, t in enumerate(order)] + [zero]
+        value_above = [above[u] * values[t] for u, t in enumerate(order)] + [0]
         # drops[u]: f_u times the virtual value at u, so phi = w * drops[u]
         drops = [value_above[u] - value_above[u + 1] for u in range(k)]
         zeta_i = [None] * instance.profile_count
-        eta_i = [zero] * instance.profile_count
-        idle = (zero,) * k
-        for w, ranks in zip(instance.mu_minus_by_slice[i], instance.ranks[i]):
+        eta_i = [0] * instance.profile_count
+        idle = (0,) * k
+        for w, ranks in zip(weights, instance.ranks[i]):
             if not w:
                 for r in ranks:
                     zeta_i[r] = idle
                 continue
-            eta_i[ranks[order[0]]] = w
+            eta_i[ranks[order[0]]] = w * p_den
             zeta_i[ranks[order[0]]] = idle
             for u in range(1, k):
-                row = [zero] * k
+                row = [0] * k
                 row[order[u - 1]] = w * above[u]
                 zeta_i[ranks[order[u]]] = tuple(row)
             for t, drop in zip(order, drops):
                 if drop > 0:
                     r = ranks[t]
-                    phi = w * drop
+                    phi = w * drop * to_xi
                     if phi > xi[r]:
                         xi[r] = phi
-        zeta.append(tuple(zeta_i))
-        eta.append(tuple(eta_i))
-    return dual_from_multipliers(instance, DS, tuple(zeta), tuple(eta), (tuple(xi),))
+        multipliers.append(Scaled((tuple(zeta_i), tuple(eta_i)), p_den * w_den))
+    return _dual_from_scaled(instance, DS, multipliers, Scaled((tuple(xi),), xi_den))
 
 
 def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
@@ -184,29 +197,31 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     one of highest virtual value.  Along each opponent slice's value
     ladder a buyer pays v_u x(u) minus the sum of (v_{u'+1} - v_{u'})
     x(u') over the lower types u', the threshold when the allocation
-    rises along the ladder.  The caller checks feasibility."""
+    rises along the ladder.  Allocations and payments are numerators
+    over the lcm of the buyers' value denominators.  The caller checks
+    feasibility."""
     n, count = instance.n, instance.profile_count
-    alpha = [scaled.nums[0] for scaled in dual.scaled.alpha]
+    nums = dual.scaled
+    alpha = [scaled.nums[0] for scaled in nums.alpha]
     winner = [None] * count
-    for r, x in enumerate(dual.xi[0]):
+    for r, x in enumerate(nums.xi.nums[0]):
         if x > 0:
             winner[r] = next((i for i in range(n) if alpha[i][r] == 0), None)
-    zero, one = Fraction(0), Fraction(1)
-    pay = [[zero] * n for _ in range(count)]
-    for i in range(n):
-        order, values = _value_ladder(instance, i)
+    ladders = [_value_ladder(instance, i) for i in range(n)]
+    den = lcm(*(value_den for _, _, value_den in ladders))
+    pay = [[0] * n for _ in range(count)]
+    for i, (order, values, value_den) in enumerate(ladders):
+        unit = den // value_den
         for ranks in instance.ranks[i]:
-            paid, held = zero, zero
+            paid = held = 0
             for t in order:
                 r = ranks[t]
-                x = one if winner[r] == i else zero
-                paid += values[t] * (x - held)
+                x = int(winner[r] == i)
+                paid += values[t] * unit * (x - held)
                 held = x
                 pay[r][i] = paid
-    alloc = tuple(
-        tuple((one,) if i == won else (zero,) for i in range(n)) for won in winner
-    )
-    return Mechanism(form=DS, alloc=alloc, pay=tuple(map(tuple, pay)))
+    alloc = tuple(tuple((den,) if i == won else (0,) for i in range(n)) for won in winner)
+    return Mechanism(DS, Scaled((alloc, tuple(map(tuple, pay))), den))
 
 
 def _myerson_auction(instance: Instance, dual: DualSolution):
@@ -242,12 +257,15 @@ def _raising_pairs(instance: Instance, i: int) -> list[tuple[int, int]]:
 def face_excess(instance: Instance, dual: DualSolution) -> Fraction:
     """What tight_downward_dual minimizes, less the buyer count: total
     participation mass plus the mass on raising pairs, minus n."""
+    nums = dual.scaled
     total = Fraction(-instance.n)
-    for i in range(instance.n):
-        total += sum(dual.eta[i], Fraction(0))
-        for t, t2 in _raising_pairs(instance, i):
-            for ranks in instance.ranks[i]:
-                total += dual.zeta[i][ranks[t]][t2]
+    for i, ((zeta, zeta_den), (eta, eta_den)) in enumerate(zip(nums.zeta, nums.eta)):
+        raising = sum(
+            zeta[ranks[t]][t2]
+            for t, t2 in _raising_pairs(instance, i)
+            for ranks in instance.ranks[i]
+        )
+        total += Fraction(sum(eta), eta_den) + Fraction(raising, zeta_den)
     return total
 
 
@@ -398,17 +416,18 @@ def bic_to_dsic_dual(
 ) -> DualSolution:
     """Spread a Bayesian dual across opponent slices by the opponent
     mass: the result is feasible for the dominant-strategy dual with
-    the same objective, and is agent-independent by construction."""
-    weights = instance.mu_minus_by_slice
-    zeta = tuple(
-        tuple(tuple(z * weights[i][s] for z in dual.zeta[i][t]) for t, s in positions)
-        for i, positions in enumerate(instance.positions)
-    )
-    eta = tuple(
-        tuple(dual.eta[i][t] * weights[i][s] for t, s in positions)
-        for i, positions in enumerate(instance.positions)
-    )
-    return _mapped(dual_from_multipliers(instance, DS, zeta, eta, dual.xi), dual)
+    the same objective, and is agent-independent by construction.
+    Buyer i's multipliers over Z and its opponent masses over W give
+    numerators over Z * W."""
+    nums = dual.scaled
+    multipliers = []
+    for i, positions in enumerate(instance.positions):
+        weights, w_den = instance.mu_minus_scaled[i]
+        (zeta_i, den), eta_i = nums.zeta[i], nums.eta[i].nums
+        zeta = tuple(tuple(z * weights[s] for z in zeta_i[t]) for t, s in positions)
+        eta = tuple(eta_i[t] * weights[s] for t, s in positions)
+        multipliers.append(Scaled((zeta, eta), den * w_den))
+    return _mapped(_dual_from_scaled(instance, DS, multipliers, nums.xi), dual)
 
 
 def _mapped(result, dual):
@@ -424,22 +443,24 @@ def dsic_to_bic_dual(
     instance: Instance, dual: DualSolution
 ) -> DualSolution:
     """Invert bic_to_dsic_dual on an agent-independent dual by reading
-    each buyer's multipliers off a mass-bearing opponent slice."""
-    zeta = []
-    eta = []
+    each buyer's multipliers off a mass-bearing opponent slice.  Dividing
+    by that slice's mass w / W scales the numerators by W and the
+    denominator by w."""
+    nums = dual.scaled
+    multipliers = []
     for i in range(instance.n):
         witness = _slice_mismatch(instance, dual, i)
         if witness is not None:
             kind, indices = witness
             raise NotAgentIndependent(f"{kind} varies across slices: {indices}")
         ref = _reference_slice(instance, i)
-        wref = instance.mu_minus_by_slice[i][ref]
+        weights, w_den = instance.mu_minus_scaled[i]
         base = instance.ranks[i][ref]
-        zeta.append(tuple(tuple(z / wref for z in dual.zeta[i][r]) for r in base))
-        eta.append(tuple(dual.eta[i][r] / wref for r in base))
-    return _mapped(
-        dual_from_multipliers(instance, BAYES, tuple(zeta), tuple(eta), dual.xi), dual
-    )
+        (zeta_i, den), eta_i = nums.zeta[i], nums.eta[i].nums
+        zeta = tuple(tuple(z * w_den for z in zeta_i[r]) for r in base)
+        eta = tuple(eta_i[r] * w_den for r in base)
+        multipliers.append(Scaled((zeta, eta), den * weights[ref]))
+    return _mapped(_dual_from_scaled(instance, BAYES, multipliers, nums.xi), dual)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +486,7 @@ def _myerson_proof(instance: Instance, flow: DualSolution):
         return None
     mechanism, slacks = auction
     # the same auction, so the same revenue, held to the Bayesian rows
-    interim = replace(mechanism, form=BAYES)
-    object.__setattr__(interim, "scaled", mechanism.scaled)
-    if not mechanism_feasible(instance, interim):
+    if not mechanism_feasible(instance, Mechanism(BAYES, mechanism.scaled)):
         return None
     try:
         # feasible with the flow's objective, or it raises

@@ -57,8 +57,8 @@ from .model import (
     PrimalSlacks,
     Scaled,
     _dual_from_scaled,
+    _key_numerators,
     _key_rows,
-    _scale_numerators,
     _utility,
     mechanism_feasible,
     mechanism_slacks,
@@ -214,13 +214,6 @@ class ProgramLayout:
             return f"x:{i}:{j}:{name}"
         return f"p:{block - xs}:{name}"
 
-    def labels(self) -> tuple[list[str], list[str]]:
-        """(row labels, column labels) of the primal program, rendered in
-        the module's grammar by row_label and col_label.  Only
-        certificate documents name components."""
-        nrows, ncols = self.shape
-        return list(map(self.row_label, range(nrows))), list(map(self.col_label, range(ncols)))
-
     def _rank(self, name: str) -> int:
         """The rank of the profile a label names; loose, as _read is."""
         r = 0
@@ -300,7 +293,7 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
             rows[xi_j + r] = [(x + r, one) for x in xs]
         b[xi_j:xi_j + count] = [one] * count
     for i, (k, supports) in enumerate(zip(instance.sizes, instance.supports)):
-        _, families, _, _, scales = multiplier_keys(instance, form, i)
+        _, families, scales = multiplier_keys(instance, form, i)
         xs = [layout.x(i, j, 0) for j in range(m)]
         p_i = layout.p(i, 0)
         for s, (w, family, ranks) in enumerate(zip(scales, families, instance.ranks[i])):
@@ -384,12 +377,8 @@ def _checked_mechanism(
     layout = _layout(instance, form, PRIMAL)
     if certificate.layout != layout:
         raise LabelMismatch(f"certificate is not from the {form} primal builder")
-    mechanism = Mechanism(form, *_mechanism_entries(instance, layout, certificate.primal))
-    # the same entries as numerators, over the primal vector's denominator
     nums, den = certificate.scaled[0]
-    object.__setattr__(
-        mechanism, "scaled", Scaled(_mechanism_entries(instance, layout, nums), den)
-    )
+    mechanism = Mechanism(form, Scaled(_mechanism_entries(instance, layout, nums), den))
     slacks = mechanism_slacks(instance, mechanism)
     if not mechanism_feasible(instance, mechanism, slacks):
         raise InfeasibleInput("extracted mechanism violates feasibility")
@@ -419,21 +408,18 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
         raise LabelMismatch(f"certificate is not from the {form} builders")
     # the multipliers: a primal certificate's dual vector, or a dual
     # program certificate's primal point
-    side = 1 if layout.side == PRIMAL else 0
-    values, (nums, den) = (certificate.primal, certificate.dual)[side], certificate.scaled[side]
-    zeta, eta, xi = _multipliers(instance, form, layout, values, Fraction(0))
-    # the same multipliers as numerators, over the vector's denominator
-    zeta_nums, eta_nums, xi_nums = _multipliers(instance, form, layout, nums, 0)
-    multipliers = [Scaled(pair, den) for pair in zip(zeta_nums, eta_nums)]
-    dual = _dual_from_scaled(instance, form, zeta, eta, xi, multipliers, Scaled(xi_nums, den))
+    nums, den = certificate.scaled[1 if layout.side == PRIMAL else 0]
+    zeta, eta, xi = _multipliers(instance, form, layout, nums)
+    multipliers = [Scaled(pair, den) for pair in zip(zeta, eta)]
+    dual = _dual_from_scaled(instance, form, multipliers, Scaled(xi, den))
     if not dual.is_feasible():
         raise InfeasibleInput("extracted dual violates feasibility")
     return dual
 
 
-def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values, zero):
-    """(zeta, eta, xi) read off a multiplier vector, zero on zeta's
-    diagonal.  A key's k - 1 ic rows are contiguous, in report order
+def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values):
+    """(zeta, eta, xi) read off a vector of multiplier numerators, 0 on
+    zeta's diagonal.  A key's k - 1 ic rows are contiguous, in report order
     without its own type; its buyer's ir rows and each item's sup rows
     are contiguous in key and rank order."""
     count = instance.profile_count
@@ -445,7 +431,7 @@ def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values, z
         for key, (t, _) in enumerate(positions):
             first = layout.zeta(i, key, t, int(t == 0))
             lies = values[first : first + k - 1]
-            rows.append(lies[:t] + (zero,) + lies[t:])
+            rows.append(lies[:t] + (0,) + lies[t:])
         zeta.append(tuple(rows))
         first = layout.eta(i, 0)
         eta.append(values[first : first + len(positions)])
@@ -545,7 +531,7 @@ def extend_bayes(instance: Instance, mechanism: Mechanism, query):
     alloc_rows, pay_row = [], []
     (alloc, pay), den = mechanism.scaled
     for i, vec in enumerate(query):
-        scales = _scale_numerators(instance, BAYES, i)
+        scales = _key_numerators(instance, BAYES, i)[2]
         rows = _key_rows(instance, alloc, pay, i, scales.nums, range(len(scales.nums)))
         unit = scales.den * den
         cells = [tuple(Fraction(x, unit) for x in cell) for cell in rows[0]]

@@ -44,7 +44,7 @@ in the dominant-strategy form and the own type in the Bayesian form.
 step (primal rows, slacks, dual assembly, slackness ledger, regularity,
 regularization, virtual values) be written once for both forms.  Its
 scales say that a Bayesian row is the opponent-mass-weighted sum of
-dominant-strategy rows.  `dual_from_multipliers` computes each key's
+dominant-strategy rows.  `_dual_from_scaled` computes each key's
 phi_star and psi (Bayesian: phibar_star and psibar) once; the dual keeps
 them, and every later step (regularity, regularization, virtual values)
 reads them there.
@@ -56,26 +56,34 @@ vector is per buyer (a `Scaled`):
 * an optimal LpCertificate's `scaled`: its primal and its dual vector,
   each over the lcm of its entries' denominators, kept from the split
   that certify_optimal checks;
+* `Instance.supports_scaled[i]` over V_i, `probs_scaled[i]` over P_i,
+  `mu_scaled` over M, and `mu_minus_scaled[i]` over W_i;
 * `Mechanism.scaled`: alloc and pay over one denominator D (after
   extraction, the primal vector's);
-* `Instance.supports_scaled[i]` over V_i, `mu_scaled` over M, and
-  `mu_minus_scaled[i]` over W_i, the Bayesian scales (the
-  dominant-strategy scales are 1, so W_i is 1 there);
-* `PrimalSlacks.scaled`: a[i] and b[i] over V_i * W_i * D, c over D;
-* `DualSolution.scaled`: zeta[i] and eta[i] over Z_i (after extraction,
-  the certificate vector's denominator), xi over X, alpha[i] over
-  lcm(X, W_i * Z_i * V_i), beta[i] over lcm(W_i * Z_i, M), and the
-  objective, the sum of xi; phi[i] is over Z_i * V_i and psi[i] over Z_i.
+* `PrimalSlacks.scaled`: a[i] and b[i] over V_i * S_i * D, c over D,
+  where S_i is the denominator of buyer i's scales (1 in the
+  dominant-strategy form, W_i in the Bayesian form);
+* `DualSolution.scaled`: zeta[i], eta[i] and psi[i] over Z_i, xi over
+  X, phi[i] over Z_i * V_i, alpha[i] over lcm(X, S_i * Z_i * V_i) and
+  beta[i] over lcm(S_i * Z_i, M).
 
-`mechanism_slacks` and `dual_from_multipliers` compute the numerators,
-make the Fractions of their results once from them (every zero one
-shared Fraction(0)), and the results keep the numerators.  Any other
-value of these types (a test's reference, a `dataclasses.replace` copy)
-splits its Fractions the first time a check reads them.  The sign tests
+Mechanisms, primal slacks and duals hold only these numerators.  Their
+`Fraction` fields are views, made on first read for IO, the CLI and
+tests (every zero in them one shared Fraction(0)), and two values
+compare equal when they stand for the same rationals, whichever
+denominators their producers chose.  Each producer builds its numerators directly: extraction reads the
+certificate's, the canonical flow works over P_i * W_i (xi over the lcm
+of the P_i * W_i * V_i), Myerson's auction over the lcm of the V_i, the
+equivalence maps multiply or divide by the numerators of the opponent
+masses, and regularization moves multipliers over the lcm of Z_i and
+the denominators of the keys' weights and masses (_key_numerators).
+`_dual_from_scaled` is the one dual constructor and takes no
+Fractions; `dual_from_multipliers`, the entry point for Fraction
+multipliers, splits them once and calls it.  The sign tests
 (`PrimalSlacks.feasible`, `mechanism_feasible`,
-`DualSolution.is_feasible`), the slackness ledger, `Mechanism.revenue`
-and `DualSolution.objective` read numerators, and make a Fraction only
-for the value they return.
+`DualSolution.is_feasible`), the slackness ledger, regularity,
+`Mechanism.revenue` and `DualSolution.objective` read numerators, and
+make a Fraction only for the value they return.
 """
 
 from __future__ import annotations
@@ -85,10 +93,10 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import attrgetter, mul
 from typing import Iterator, Mapping, NamedTuple
 
@@ -288,6 +296,61 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def _gcd(nested) -> int:
+    """The gcd of the entries of a tuple of ints, nested to the same
+    depth throughout (0 when there is none)."""
+    if nested and isinstance(nested[0], tuple):
+        return gcd(*map(_gcd, nested))
+    return gcd(*nested)
+
+
+def _divided(nested, g: int) -> tuple:
+    if nested and isinstance(nested[0], tuple):
+        return tuple(_divided(part, g) for part in nested)
+    return tuple([n // g for n in nested])
+
+
+def _canonical(value):
+    """value with every Scaled in it, also inside tuples, over the least
+    denominator that holds its entries; anything else as it is.  Two
+    Scaleds stand for the same rationals exactly when their canonical
+    forms are equal."""
+    if isinstance(value, Scaled):
+        g = gcd(value.den, _gcd(value.nums))
+        return value if g == 1 else Scaled(_divided(value.nums, g), value.den // g)
+    if isinstance(value, tuple):
+        return tuple(map(_canonical, value))
+    return value
+
+
+class _Numerators:
+    """Equality by value for the types below, whose state is integer
+    numerators (see the module docstring): their producers choose the
+    denominators, so one value can be held over several."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(_canonical(getattr(self, f.name)) for f in fields(self))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+def _view(family: str, per_buyer: bool = True) -> cached_property:
+    """The Fractions of self.scaled's family, made on first read: of
+    each buyer's Scaled, or of the family's one Scaled."""
+
+    def fractions(self) -> tuple:
+        scaled = getattr(self.scaled, family)
+        return tuple(s.fractions() for s in scaled) if per_buyer else scaled.fractions()
+
+    return cached_property(fractions)
+
+
 # ---------------------------------------------------------------------------
 # Instance
 
@@ -416,6 +479,11 @@ class Instance:
     def supports_scaled(self) -> tuple[Scaled, ...]:
         """Per buyer, its value vectors over one denominator."""
         return tuple(map(_scale, self.supports))
+
+    @cached_property
+    def probs_scaled(self) -> tuple[Scaled, ...]:
+        """Per buyer, its masses over one denominator."""
+        return tuple(map(_scale, self.probs))
 
     @cached_property
     def mu_scaled(self) -> Scaled:
@@ -569,25 +637,28 @@ def load_instance(path, *, augment_zero: bool | None = None, strict: bool = Fals
 # Mechanism
 
 
-@dataclass(frozen=True)
-class Mechanism:
+@dataclass(frozen=True, eq=False)
+class Mechanism(_Numerators):
     """Allocation and payments indexed by full profile.
 
     alloc[r][i][j]: probability buyer i gets item j at the profile of
-    rank r.  pay[r][i]: buyer i's payment there.  One structure serves
-    both forms; form records which constraint family it targets.
+    rank r.  pay[r][i]: buyer i's payment there.  scaled holds them over
+    one denominator: its nums is the pair of their numerators, nested
+    alike (extraction keeps the ones it reads off its certificate's
+    primal vector).  One structure serves both forms; form records which
+    constraint family it targets.
     """
 
     form: str
-    alloc: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    pay: tuple[tuple[Fraction, ...], ...]
+    scaled: Scaled
 
     @cached_property
-    def scaled(self) -> Scaled:
-        """alloc and pay over one denominator: nums is the pair of their
-        numerators, nested alike.  Extraction keeps the ones it reads off
-        its certificate's primal vector."""
-        return _scale((self.alloc, self.pay))
+    def alloc(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        return Scaled(self.scaled.nums[0], self.scaled.den).fractions()
+
+    @cached_property
+    def pay(self) -> tuple[tuple[Fraction, ...], ...]:
+        return Scaled(self.scaled.nums[1], self.scaled.den).fractions()
 
     def revenue(self, instance: Instance) -> Fraction:
         (_, pay), den = self.scaled
@@ -613,29 +684,24 @@ class SlackNumerators(NamedTuple):
         return not _negative(*self.a, *self.b, self.c)
 
 
-@dataclass(frozen=True)
-class PrimalSlacks:
+@dataclass(frozen=True, eq=False)
+class PrimalSlacks(_Numerators):
     """Constraint gaps of a mechanism, reported even when negative.
 
     DS form: a[i][r][t'] is the truth-telling margin of buyer i at the
     profile of rank r against reporting t' (0 on the diagonal); b[i][r]
     is ex-post utility; c[j][r] is unsold supply.  Bayesian form: a and b
     are interim, indexed by own type instead of full profile.  In both
-    forms a and b are keyed like a dual solution's zeta and eta.
+    forms a and b are keyed like a dual solution's zeta and eta.  scaled
+    holds them over one denominator per buyer (c: one for all items).
     """
 
     form: str
-    a: tuple
-    b: tuple
-    c: tuple
+    scaled: SlackNumerators
 
-    @cached_property
-    def scaled(self) -> SlackNumerators:
-        """The slacks over one denominator per buyer (c: one for all
-        items).  mechanism_slacks keeps the ones it computed."""
-        return SlackNumerators(
-            tuple(map(_scale, self.a)), tuple(map(_scale, self.b)), _scale(self.c)
-        )
+    a = _view("a")
+    b = _view("b")
+    c = _view("c", per_buyer=False)
 
     @property
     def feasible(self) -> bool:
@@ -645,9 +711,10 @@ class PrimalSlacks:
 
 def _check_dims(instance: Instance, mechanism: Mechanism) -> None:
     count = instance.profile_count
-    if len(mechanism.alloc) != count or len(mechanism.pay) != count:
+    alloc, pay = mechanism.scaled.nums
+    if len(alloc) != count or len(pay) != count:
         raise DimensionMismatch("mechanism profile count != instance profile count")
-    for row, prow in zip(mechanism.alloc, mechanism.pay):
+    for row, prow in zip(alloc, pay):
         if len(row) != instance.n or len(prow) != instance.n:
             raise DimensionMismatch("mechanism buyer dimension mismatch")
         for cell in row:
@@ -670,18 +737,8 @@ def mechanism_slacks(instance: Instance, mechanism: Mechanism) -> PrimalSlacks:
     a entries are truth minus lie (the negated gain from deviating), b
     entries are (interim) utilities, c entries unsold supply.  Negative
     entries are reported as-is; feasibility is a separate question.
-    The entries are computed as integer numerators (_slack_numerators),
-    which the result keeps as its scaled; its Fractions are made from
-    them once."""
-    scaled = _slack_numerators(instance, mechanism)
-    slacks = PrimalSlacks(
-        form=mechanism.form,
-        a=tuple(s.fractions() for s in scaled.a),
-        b=tuple(s.fractions() for s in scaled.b),
-        c=scaled.c.fractions(),
-    )
-    object.__setattr__(slacks, "scaled", scaled)
-    return slacks
+    The entries are integer numerators (_slack_numerators)."""
+    return PrimalSlacks(mechanism.form, _slack_numerators(instance, mechanism))
 
 
 def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerators:
@@ -702,7 +759,7 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
     a, b = [], []
     for i in range(instance.n):
         positions, families = multiplier_keys(instance, form, i)[:2]
-        scales = _scale_numerators(instance, form, i)
+        scales = _key_numerators(instance, form, i)[2]
         vecs, vden = instance.supports_scaled[i]
         a_i, b_i = [None] * len(positions), [None] * len(positions)
         # the slices of each family, grouped by the family's first key
@@ -724,11 +781,19 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
     return SlackNumerators(tuple(a), tuple(b), c)
 
 
-def _scale_numerators(instance: Instance, form: str, i: int) -> Scaled:
-    """multiplier_keys' scales of buyer i over one denominator."""
+def _key_numerators(instance: Instance, form: str, i: int) -> tuple[Scaled, Scaled, Scaled]:
+    """(weights, masses, scales) of buyer i's keys (see multiplier_keys),
+    each over one denominator:
+
+    * weights[s]: the participation weight the zero type's key carries
+      on slice s in a regular dual: the opponent mass (DS) or 1 (BAYES);
+    * masses[key]: the payment coefficient a regular dual meets there:
+      the profile mass (DS) or the buyer's own mass (BAYES);
+    * scales[s]: multiplier_keys' scales."""
+    ones = Scaled((1,) * (instance.profile_count // instance.sizes[i]), 1)
     if form == DS:
-        return Scaled((1,) * (instance.profile_count // instance.sizes[i]), 1)
-    return instance.mu_minus_scaled[i]
+        return instance.mu_minus_scaled[i], instance.mu_scaled, ones
+    return ones, instance.probs_scaled[i], instance.mu_minus_scaled[i]
 
 
 def _key_rows(instance: Instance, alloc, pay, i: int, scales, slices):
@@ -773,20 +838,21 @@ def mechanism_feasible(
 
 
 class DualNumerators(NamedTuple):
-    """A DualSolution's checked families over integer numerators: zeta,
-    eta, alpha and beta per buyer, xi for all items, and the objective,
-    the sum of xi."""
+    """A DualSolution's families over integer numerators: zeta, eta,
+    alpha, beta, phi and psi per buyer, xi for all items.  Buyer i's
+    zeta, eta and psi share one denominator."""
 
     zeta: tuple[Scaled, ...]
     eta: tuple[Scaled, ...]
     xi: Scaled
     alpha: tuple[Scaled, ...]
     beta: tuple[Scaled, ...]
-    objective: Fraction
+    phi: tuple[Scaled, ...]
+    psi: tuple[Scaled, ...]
 
 
-@dataclass(frozen=True)
-class DualSolution:
+@dataclass(frozen=True, eq=False)
+class DualSolution(_Numerators):
     """Multipliers of a dual program, keyed like the primal's rows.
 
     zeta[i][key][t']: weight on the constraint "true type of key, report
@@ -795,86 +861,58 @@ class DualSolution:
     in the Bayesian form (see multiplier_keys).  xi[j][r]: the
     per-(item, profile) dual objective terms.  alpha[i][j][r] and
     beta[i][r] are the dual constraint slacks; phi[i][key] (per item) and
-    psi[i][key] are the key's coefficients, as dual_from_multipliers,
-    the one constructor, derives them.  One type serves both forms: the
-    functions that take a dual say which form they read.
+    psi[i][key] are the key's coefficients, as _dual_from_scaled, the one
+    constructor, derives them.  The dual holds their numerators
+    (scaled); the Fraction families are views of them.  One type serves
+    both forms: the functions that take a dual say which form they read.
     """
 
-    zeta: tuple
-    eta: tuple
-    xi: tuple
-    alpha: tuple
-    beta: tuple
-    phi: tuple
-    psi: tuple
+    scaled: DualNumerators
 
-    @cached_property
-    def scaled(self) -> DualNumerators:
-        """The families the checks read, over one denominator per buyer
-        (xi: one for all items).  dual_from_multipliers keeps the ones it
-        computed."""
-        xi = _scale(self.xi)
-        return DualNumerators(
-            zeta=tuple(map(_scale, self.zeta)),
-            eta=tuple(map(_scale, self.eta)),
-            xi=xi,
-            alpha=tuple(map(_scale, self.alpha)),
-            beta=tuple(map(_scale, self.beta)),
-            objective=_total(xi),
-        )
+    zeta = _view("zeta")
+    eta = _view("eta")
+    xi = _view("xi", per_buyer=False)
+    alpha = _view("alpha")
+    beta = _view("beta")
+    phi = _view("phi")
+    psi = _view("psi")
 
     def objective(self) -> Fraction:
-        return self.scaled.objective
+        return self._objective
+
+    @cached_property
+    def _objective(self) -> Fraction:
+        """The sum of xi."""
+        xi = self.scaled.xi
+        return Fraction(sum(map(sum, xi.nums)), xi.den)
 
     def is_feasible(self) -> bool:
         nums = self.scaled
         return not _negative(*nums.zeta, *nums.eta, nums.xi, *nums.alpha, *nums.beta)
 
 
-def _total(scaled: Scaled) -> Fraction:
-    """The sum of a Scaled's entries, nested two deep."""
-    return Fraction(sum(map(sum, scaled.nums)), scaled.den)
-
-
 def multiplier_keys(instance: Instance, form: str, i: int):
     """Buyer i's multiplier keys in the given form, as a tuple
-    (positions, families, weights, masses, scales):
+    (positions, families, scales):
 
     * positions[key] = (t, s): the own type of the key and a slice it
       stands for;
     * families[s][t]: the key of type t on slice s, so that families[s]
       lists the keys whose ic rows bind each other;
-    * weights[s]: the participation weight the zero type's key carries
-      on slice s in a regular dual;
-    * masses[key]: the payment coefficient a regular dual meets there;
     * scales[s]: the invariant that relates the forms.  The ic and ir
       rows of a key are the sum, over the slices s with
       families[s][t] == key, of scales[s] times the dominant-strategy
       rows at ranks[i][s][t].
 
-    DS keys are profile ranks, each on one slice at scale 1, with
-    opponent masses as weights and profile masses as masses.  BAYES
-    keys are own types: every slice shares the one family of all types
-    at unit weight and at its opponent mass (possibly 0) as scale, and
-    the masses are the buyer's own."""
+    DS keys are profile ranks, each on one slice at scale 1.  BAYES
+    keys are own types: every slice shares the one family of all types,
+    at its opponent mass (possibly 0) as scale.  _key_numerators adds
+    what a regular dual meets at the keys."""
     k = instance.sizes[i]
     slices = instance.profile_count // k
     if form == DS:
-        return (
-            instance.positions[i],
-            instance.ranks[i],
-            instance.mu_minus_by_slice[i],
-            instance.mu_by_rank,
-            (Fraction(1),) * slices,
-        )
-    return (
-        tuple((t, 0) for t in range(k)),
-        (range(k),) * slices,
-        (Fraction(1),) * slices,
-        instance.probs[i],
-        instance.mu_minus_by_slice[i],
-    )
-
+        return instance.positions[i], instance.ranks[i], (Fraction(1),) * slices
+    return tuple((t, 0) for t in range(k)), (range(k),) * slices, instance.mu_minus_by_slice[i]
 
 
 def _key_coefficients(zeta_i, eta_i, family, t, vecs):
@@ -904,32 +942,30 @@ def _key_coefficients(zeta_i, eta_i, family, t, vecs):
 
 
 def dual_from_multipliers(instance: Instance, form: str, zeta, eta, xi) -> DualSolution:
-    """The dual solution of the given form with these multipliers.  Each
-    key's phi_star and psi (Bayesian: phibar_star and psibar) are
-    computed once, kept as the dual's phi and psi, and written at every
-    rank of the key into the alpha/beta slacks, scaled by the slice's
-    scale; a zero-scale slice gets alpha = xi and beta = 0.  The
-    arithmetic runs on integer numerators (_dual_from_scaled), and the
-    dual's Fractions are made from them once."""
+    """The dual solution of the given form with these Fraction
+    multipliers: each buyer's zeta and eta, and xi, split once into
+    numerators for _dual_from_scaled."""
     multipliers = [_scale((zeta_i, eta_i)) for zeta_i, eta_i in zip(zeta, eta)]
-    return _dual_from_scaled(instance, form, zeta, eta, xi, multipliers, _scale(xi))
+    return _dual_from_scaled(instance, form, multipliers, _scale(xi))
 
 
-def _dual_from_scaled(
-    instance: Instance, form: str, zeta, eta, xi, multipliers, xi_scaled
-) -> DualSolution:
-    """dual_from_multipliers on the multipliers' numerators as well:
-    multipliers[i] holds buyer i's (zeta, eta) over a denominator Z, and
-    xi_scaled holds xi over X.  With buyer i's values over V, its scales
-    over W and the profile masses over M, phi is over Z * V, psi over Z,
-    alpha over lcm(X, W * Z * V) and beta over lcm(W * Z, M).  The dual
-    keeps these numerators as its scaled."""
+def _dual_from_scaled(instance: Instance, form: str, multipliers, xi_scaled) -> DualSolution:
+    """The dual solution of the given form with these multipliers, the
+    one constructor: multipliers[i] holds buyer i's (zeta, eta) over a
+    denominator Z, and xi_scaled holds xi over X.  Each key's phi_star
+    and psi (Bayesian: phibar_star and psibar) are computed once, kept
+    as the dual's phi and psi, and written at every rank of the key into
+    the alpha/beta slacks, scaled by the slice's scale; a zero-scale
+    slice gets alpha = xi and beta = 0.  With buyer i's values over V,
+    its scales over W and the profile masses over M, phi is over Z * V,
+    psi over Z, alpha over lcm(X, W * Z * V) and beta over
+    lcm(W * Z, M)."""
     mu = instance.mu_scaled
     xi_nums, xi_den = xi_scaled
     parts = []
     for i in range(instance.n):
         positions, families = multiplier_keys(instance, form, i)[:2]
-        scales = _scale_numerators(instance, form, i)
+        scales = _key_numerators(instance, form, i)[2]
         (zeta_i, eta_i), zeta_den = multipliers[i]
         vecs, value_den = instance.supports_scaled[i]
         per_key = (_key_coefficients(zeta_i, eta_i, families[s], t, vecs) for t, s in positions)
@@ -957,19 +993,8 @@ def _dual_from_scaled(
             Scaled(phis, phi_den),
             Scaled(psis, zeta_den),
         ))
-    zetas, etas, alphas, betas, phi_parts, psi_parts = zip(*parts)
-    dual = DualSolution(
-        zeta=zeta,
-        eta=eta,
-        xi=xi,
-        alpha=tuple(s.fractions() for s in alphas),
-        beta=tuple(s.fractions() for s in betas),
-        phi=tuple(s.fractions() for s in phi_parts),
-        psi=tuple(s.fractions() for s in psi_parts),
-    )
-    scaled = DualNumerators(zetas, etas, xi_scaled, alphas, betas, _total(xi_scaled))
-    object.__setattr__(dual, "scaled", scaled)
-    return dual
+    zetas, etas, alphas, betas, phis, psis = zip(*parts)
+    return DualSolution(DualNumerators(zetas, etas, xi_scaled, alphas, betas, phis, psis))
 
 
 # ---------------------------------------------------------------------------

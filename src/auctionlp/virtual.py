@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InfeasibleInput, MissingZeroType, NotOptimal, NotRegular
 from .model import (
@@ -21,8 +22,9 @@ from .model import (
     Scaled,
     VirtualValueTable,
     _dot,
+    _dual_from_scaled,
+    _key_numerators,
     _slack_numerators,
-    dual_from_multipliers,
     multiplier_keys,
 )
 
@@ -155,21 +157,27 @@ def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
     the first item whose phi is nonzero), participation weight only on
     the zero type and there exactly the slice's weight ("source"), and
     the payment coefficient psi equal to the key's mass ("trans").  DS
-    keys are named by profile, BAYES keys by type."""
+    keys are named by profile, BAYES keys by type.  The comparisons
+    cross-multiply numerators: the dual's, and the weights' and masses'
+    over theirs."""
     zeros = _zero_indices(instance)
     profiles = list(instance.profiles())
+    nums = dual.scaled
     for i, t0 in enumerate(zeros):
-        positions, _, weights, masses, _ = multiplier_keys(instance, form, i)
+        positions = multiplier_keys(instance, form, i)[0]
+        (weights, w_den), (masses, m_den), _ = _key_numerators(instance, form, i)
         names = profiles if form == DS else range(len(positions))
-        eta_i, phi_i, psi_i = dual.eta[i], dual.phi[i], dual.psi[i]
+        (eta_i, eta_den), (psi_i, psi_den) = nums.eta[i], nums.psi[i]
+        phi_i = nums.phi[i].nums
         for key, (t, s) in enumerate(positions):
-            if weights[s] == 0:
+            w = weights[s]
+            if not w:
                 for j, phi in enumerate(phi_i[key]):
-                    if phi != 0:
+                    if phi:
                         return ("virtual", (i, j, names[key]))
-            if eta_i[key] != (weights[s] if t == t0 else 0):
+            if eta_i[key] * w_den != (w * eta_den if t == t0 else 0):
                 return ("source", (i, names[key]))
-            if psi_i[key] != masses[key]:
+            if psi_i[key] * m_den != masses[key] * psi_den:
                 return ("trans", (i, names[key]))
     return None
 
@@ -205,17 +213,26 @@ def regularize_bayes(
 
 
 def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form: str):
+    """The moves of regularize_ds and regularize_bayes, made on the
+    multipliers' numerators: buyer i's zeta, eta and psi over Z, its
+    weights over W and its masses over M, all brought over
+    lcm(Z, W, M)."""
     if not dual.is_feasible():
         raise InfeasibleInput("dual solution violates feasibility")
     if dual.objective() != revenue:
         raise NotOptimal("dual objective does not match the optimal revenue")
     zeros = _zero_indices(instance)
-    zeta, eta = [], []
+    nums = dual.scaled
+    multipliers = []
     for i, (k, t0) in enumerate(zip(instance.sizes, zeros)):
-        positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
-        psi_i = dual.psi[i]
-        zeta_i = [list(row) for row in dual.zeta[i]]
-        eta_i = list(dual.eta[i])
+        positions, families = multiplier_keys(instance, form, i)[:2]
+        (weights, w_den), (masses, m_den), _ = _key_numerators(instance, form, i)
+        zeta_den = nums.zeta[i].den
+        den = lcm(zeta_den, w_den, m_den)
+        up, to_w, to_m = den // zeta_den, den // w_den, den // m_den
+        psi_i = nums.psi[i].nums
+        zeta_i = [[z * up for z in row] for row in nums.zeta[i].nums]
+        eta_i = [e * up for e in nums.eta[i].nums]
         # Each family once, through its zero type's key; one of zero
         # weight ends all zeros.  Moving type t writes only zeta(t, 0)
         # and zeta(0, t), which no later type's psi reads, so the moves
@@ -226,15 +243,14 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
             w = weights[s]
             for t, key in enumerate(families[s]):
                 if not w:
-                    zeta_i[key], eta_i[key] = [Fraction(0)] * k, Fraction(0)
+                    zeta_i[key], eta_i[key] = [0] * k, 0
                 elif t != t0:
                     zeta_i[key][t0] += eta_i[key]
-                    zeta_i[key0][t] += psi_i[key] - masses[key]
-                    eta_i[key] = Fraction(0)
-            eta_i[key0] = w
-        zeta.append(tuple(map(tuple, zeta_i)))
-        eta.append(tuple(eta_i))
-    result = dual_from_multipliers(instance, form, tuple(zeta), tuple(eta), dual.xi)
+                    zeta_i[key0][t] += psi_i[key] * up - masses[key] * to_m
+                    eta_i[key] = 0
+            eta_i[key0] = w * to_w
+        multipliers.append(Scaled((tuple(map(tuple, zeta_i)), tuple(eta_i)), den))
+    result = _dual_from_scaled(instance, form, multipliers, nums.xi)
     if not result.is_feasible():
         raise NotRegular("regularized dual lost feasibility")
     if result.objective() != revenue:
@@ -242,15 +258,7 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
     witness = _regularity_witness(instance, result, form)
     if witness is not None:
         raise NotRegular(f"regularity condition failed: {witness}")
-    # proved regular here, so _virtual_values need not prove it again
-    object.__setattr__(result, "_regular_for", (instance, form))
     return result
-
-
-def _proved_regular(instance: Instance, dual: DualSolution, form: str) -> bool:
-    """Whether _regularize returned this dual for this instance and form."""
-    proof = getattr(dual, "_regular_for", None)
-    return proof is not None and proof[0] is instance and proof[1] == form
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +286,24 @@ def virtual_values_bayes(
 
 
 def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> VirtualValueTable:
-    """One entry per key, phi / mass, read out at every profile of it.
-    Regularity is checked first, unless _regularize proved it."""
-    if not _proved_regular(instance, dual, form):
-        witness = _regularity_witness(instance, dual, form)
-        if witness is not None:
-            raise NotRegular(f"dual is not regular: {witness}")
+    """One entry per key, phi / mass, read out at every profile of it,
+    made from the numerators of phi and the masses.  Regularity is
+    checked first."""
+    witness = _regularity_witness(instance, dual, form)
+    if witness is not None:
+        raise NotRegular(f"dual is not regular: {witness}")
     zeros = _zero_indices(instance)
     values = []
     for i, t0 in enumerate(zeros):
-        positions, families, weights, masses, _ = multiplier_keys(instance, form, i)
+        positions, families = multiplier_keys(instance, form, i)[:2]
+        (weights, _), (masses, m_den), _ = _key_numerators(instance, form, i)
+        phi_i, phi_den = dual.scaled.phi[i]
         per_key = []
         for key, (t, s) in enumerate(positions):
             w = masses[key]
             if w:
-                per_key.append(tuple(phi / w for phi in dual.phi[i][key]))
+                unit = phi_den * w
+                per_key.append(tuple(Fraction(phi * m_den, unit) for phi in phi_i[key]))
             else:
                 entry = NEG_INF if weights[s] and t == t0 else Fraction(0)
                 per_key.append((entry,) * instance.m)

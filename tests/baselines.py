@@ -11,7 +11,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from auctionlp.errors import DimensionMismatch, ScaleLimit
-from auctionlp.model import DS, Instance, Mechanism, mechanism_feasible, rat
+from auctionlp.model import DS, Instance, mechanism_feasible, rat
+from helpers import mechanism_of
 
 
 def posted_price_revenue(values: Sequence, masses: Sequence) -> Fraction:
@@ -63,9 +64,7 @@ def threshold_auction_revenue(instance: Instance) -> Fraction:
                     row_p[i] = share * max(r, rival)
             alloc.append(tuple(tuple(xs) for xs in row_x))
             pay.append(tuple(row_p))
-        mechanism = Mechanism(
-            form=DS, alloc=tuple(alloc), pay=tuple(pay)
-        )
+        mechanism = mechanism_of(DS, tuple(alloc), tuple(pay))
         if not mechanism_feasible(instance, mechanism):
             continue
         revenue = mechanism.revenue(instance)
@@ -196,11 +195,7 @@ def menu_grid_revenue(
             ((Fraction(0),) * instance.m if t == zero else grid[assign[order.index(t)]],)
             for t in range(count)
         )
-        mechanism = Mechanism(
-            form=DS,
-            alloc=alloc,
-            pay=tuple((pay[t],) for t in range(count)),
-        )
+        mechanism = mechanism_of(DS, alloc, tuple((pay[t],) for t in range(count)))
         if mechanism_feasible(instance, mechanism):
             best = revenue
             best_mechanism = mechanism

@@ -10,8 +10,13 @@ deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
 dual; zero_mechanism, min_entry of slacks and row_dot of a program;
 reference_names of a program layout; drop, insert, others_count,
-others_profiles and profile_prob of an instance's profiles.
-They never call the rank-table paths they check (test_surface)."""
+others_profiles and profile_prob of an instance's profiles; and the
+plain-Fraction references of the integer producers (the canonical
+flow, Myerson's auction, face_excess, the equivalence maps and the
+regularization moves).  mechanism_of and slacks_of build a Mechanism
+or PrimalSlacks from Fractions, and labels renders every label of a
+layout.  The references never call the rank-table paths they check
+(test_surface)."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,7 +25,7 @@ from math import prod
 from auctionlp.auction import PRIMAL, ProgramLayout, build_dual_dslp
 from auctionlp.errors import DimensionMismatch
 from auctionlp.lp import MAX, MIN, OPTIMAL, make_lp, solve
-from auctionlp.model import BAYES, DS, Mechanism, PrimalSlacks
+from auctionlp.model import BAYES, DS, Mechanism, PrimalSlacks, SlackNumerators, _scale
 
 
 def drop(i, profile):
@@ -346,6 +351,13 @@ def reference_primal(instance, form):
     return make_lp(MAX, c, rows, b, layout)
 
 
+def labels(layout):
+    """(row labels, column labels) of a layout's primal program, rendered
+    one index at a time by its row_label and col_label."""
+    nrows, ncols = layout.shape
+    return list(map(layout.row_label, range(nrows))), list(map(layout.col_label, range(ncols)))
+
+
 def reference_names(layout):
     """ProgramLayout.labels by definition: (row names, column names),
     each rendered from a profile tuple in the auction module's grammar
@@ -414,10 +426,21 @@ def sold(mechanism, instance, j, profile):
     return sum((mechanism.alloc[r][i][j] for i in range(instance.n)), Fraction(0))
 
 
+def mechanism_of(form, alloc, pay):
+    """The Mechanism with these Fraction allocations and payments."""
+    return Mechanism(form, _scale((alloc, pay)))
+
+
+def slacks_of(form, a, b, c):
+    """The PrimalSlacks with these Fraction families."""
+    numerators = SlackNumerators(tuple(map(_scale, a)), tuple(map(_scale, b)), _scale(c))
+    return PrimalSlacks(form, numerators)
+
+
 def zero_mechanism(instance, form=DS):
     alloc = (((Fraction(0),) * instance.m,) * instance.n,) * instance.profile_count
     pay = ((Fraction(0),) * instance.n,) * instance.profile_count
-    return Mechanism(form=form, alloc=alloc, pay=pay)
+    return mechanism_of(form, alloc, pay)
 
 
 def min_entry(slacks):
@@ -506,7 +529,7 @@ def reference_slacks(instance, mechanism):
         tuple(truth(mechanism, instance, i, key) for key in keys[i])
         for i in range(instance.n)
     )
-    return PrimalSlacks(form=mechanism.form, a=a, b=b, c=c)
+    return slacks_of(mechanism.form, a, b, c)
 
 
 def reference_dual_slacks(instance, dual, form):
@@ -568,3 +591,159 @@ def reference_slice_mismatch(instance, dual, i, table=None):
                 if t2 != t and z * weights[ref] != zref * weights[s]:
                     return ("zeta", (i, t, t2, s))
     return None
+
+
+# -- plain-Fraction references of the integer producers ----------------------
+
+
+def _ladder(instance, i):
+    """Buyer i's types in ascending order of their one value."""
+    return sorted(range(instance.sizes[i]), key=lambda t: instance.value(i, t)[0])
+
+
+def reference_canonical_flow(instance):
+    """canonical_flow's (zeta, eta, xi) by definition, per profile: on
+    an opponent profile of mass w, buyer i's type at ladder step u > 0
+    sends w * C_u to the step below, where C_u is the buyer's mass at or
+    above u; the lowest type carries eta = w; xi is the largest
+    w * (C_u v_u - C_{u+1} v_{u+1}) over the buyers, or 0."""
+    profiles = list(instance.profiles())
+    zeta = [[None] * len(profiles) for _ in range(instance.n)]
+    eta = [[Fraction(0)] * len(profiles) for _ in range(instance.n)]
+    xi = [Fraction(0)] * len(profiles)
+    for i, k in enumerate(instance.sizes):
+        order = _ladder(instance, i)
+
+        def above(u):
+            return sum((instance.mu_i(i, t) for t in order[u:]), Fraction(0))
+
+        def value(u):
+            return instance.value(i, order[u])[0] if u < k else Fraction(0)
+
+        for r, v in enumerate(profiles):
+            w = instance.mu_minus(i, drop(i, v))
+            u = order.index(v[i])
+            row = [Fraction(0)] * k
+            if w and u:
+                row[order[u - 1]] = w * above(u)
+            zeta[i][r] = tuple(row)
+            if w and not u:
+                eta[i][r] = w
+            xi[r] = max(xi[r], w * (above(u) * value(u) - above(u + 1) * value(u + 1)))
+    return tuple(map(tuple, zeta)), tuple(map(tuple, eta)), (tuple(xi),)
+
+
+def reference_myerson_mechanism(instance, dual):
+    """myerson_mechanism by definition: where xi > 0 the item goes to the
+    first buyer whose alpha is 0, and buyer i pays
+    v_u x(u) - sum over the lower steps u' of (v_{u'+1} - v_{u'}) x(u')
+    along its value ladder against the same opponents."""
+    profiles = list(instance.profiles())
+    winner = {}
+    for r, v in enumerate(profiles):
+        if dual.xi[0][r] > 0:
+            winner[v] = next((i for i in range(instance.n) if dual.alpha[i][0][r] == 0), None)
+
+    def x(i, v):
+        return Fraction(int(winner.get(v) == i))
+
+    def payment(i, v):
+        order = _ladder(instance, i)
+        values = [instance.value(i, t)[0] for t in order]
+        u = order.index(v[i])
+        lower = sum(
+            ((values[s + 1] - values[s]) * x(i, insert(i, order[s], drop(i, v))) for s in range(u)),
+            Fraction(0),
+        )
+        return values[u] * x(i, v) - lower
+
+    alloc = tuple(tuple((x(i, v),) for i in range(instance.n)) for v in profiles)
+    pay = tuple(tuple(payment(i, v) for i in range(instance.n)) for v in profiles)
+    return mechanism_of(DS, alloc, pay)
+
+
+def reference_face_excess(instance, dual):
+    """face_excess of a dominant-strategy dual by definition: every eta,
+    plus zeta(t, t2) wherever report t2 is higher than t on some item,
+    minus the buyer count."""
+    total = Fraction(-instance.n)
+    for r, v in enumerate(instance.profiles()):
+        for i in range(instance.n):
+            total += dual.eta[i][r]
+            truth = instance.value(i, v[i])
+            for t2 in range(instance.sizes[i]):
+                if any(b > a for a, b in zip(truth, instance.value(i, t2))):
+                    total += dual.zeta[i][r][t2]
+    return total
+
+
+def reference_bic_to_dsic(instance, dual):
+    """bic_to_dsic_dual's (zeta, eta): the Bayesian multipliers of the
+    own type times the opponent mass, at every profile."""
+    profiles = list(instance.profiles())
+    zeta = tuple(
+        tuple(
+            tuple(z * instance.mu_minus(i, drop(i, v)) for z in dual.zeta[i][v[i]])
+            for v in profiles
+        )
+        for i in range(instance.n)
+    )
+    eta = tuple(
+        tuple(dual.eta[i][v[i]] * instance.mu_minus(i, drop(i, v)) for v in profiles)
+        for i in range(instance.n)
+    )
+    return zeta, eta
+
+
+def reference_dsic_to_bic(instance, dual):
+    """dsic_to_bic_dual's (zeta, eta): per type, the dominant-strategy
+    multipliers on the first opponent profile of positive mass, divided
+    by that mass."""
+    zeta, eta = [], []
+    for i, k in enumerate(instance.sizes):
+        vm = next(vm for vm in others_profiles(instance, i) if instance.mu_minus(i, vm) > 0)
+        w = instance.mu_minus(i, vm)
+        keys = [instance.rank(insert(i, t, vm)) for t in range(k)]
+        zeta.append(tuple(tuple(z / w for z in dual.zeta[i][r]) for r in keys))
+        eta.append(tuple(dual.eta[i][r] / w for r in keys))
+    return tuple(zeta), tuple(eta)
+
+
+def reference_regularize(instance, dual, form):
+    """The (zeta, eta) that regularize_ds (form DS) or regularize_bayes
+    (BAYES) makes, by its moves in Fractions: on each opponent profile
+    (the Bayesian form has one family of unit weight), a zero weight
+    drops every multiplier; otherwise eta at a nonzero type t moves onto
+    zeta(t, 0), psi(t) less the mass of t moves onto zeta(0, t), and
+    eta at the zero type becomes the weight.  psi is read off the dual
+    as given."""
+    zeta = [[list(row) for row in zeta_i] for zeta_i in dual.zeta]
+    eta = [list(eta_i) for eta_i in dual.eta]
+    for i, k in enumerate(instance.sizes):
+        t0 = instance.zero_index(i)
+        if form == BAYES:
+            psis = [psibar(dual, instance, i, t) for t in range(k)]
+            families = [(Fraction(1), list(range(k)), psis, instance.probs[i])]
+        else:
+            families = []
+            for vm in others_profiles(instance, i):
+                profiles = [insert(i, t, vm) for t in range(k)]
+                families.append((
+                    instance.mu_minus(i, vm),
+                    [instance.rank(v) for v in profiles],
+                    [psi(dual, instance, i, v) for v in profiles],
+                    [instance.mu(v) for v in profiles],
+                ))
+        for w, keys, psis, masses in families:
+            for t, key in enumerate(keys):
+                if not w:
+                    zeta[i][key], eta[i][key] = [Fraction(0)] * k, Fraction(0)
+                elif t != t0:
+                    zeta[i][key][t0] += eta[i][key]
+                    zeta[i][keys[t0]][t] += psis[t] - masses[t]
+                    eta[i][key] = Fraction(0)
+            eta[i][keys[t0]] = w
+    return (
+        tuple(tuple(map(tuple, zeta_i)) for zeta_i in zeta),
+        tuple(map(tuple, eta)),
+    )

@@ -33,6 +33,7 @@ from auctionlp.errors import DimensionMismatch, NotAgentIndependent, NotOptimal
 from auctionlp.model import (
     NEG_INF,
     VirtualValueTable,
+    _scale,
     dual_from_multipliers,
     mechanism_feasible,
 )
@@ -44,6 +45,7 @@ from auctionlp.virtual import (
     virtual_values_ds,
 )
 from conftest import build
+from helpers import mechanism_of
 
 F = Fraction
 
@@ -235,7 +237,7 @@ def _bumped_payment(instance, dual):
     mechanism = myerson_mechanism(instance, dual)
     pay = [list(row) for row in mechanism.pay]
     pay[-1][0] += F(1, 4)
-    return replace(mechanism, pay=tuple(map(tuple, pay)))
+    return mechanism_of(mechanism.form, mechanism.alloc, tuple(map(tuple, pay)))
 
 
 def test_characterize_refuses_a_tampered_proposal(spied_solves, monkeypatch, pair12):
@@ -409,7 +411,8 @@ def test_tight_dual_refuses_bad_witnesses(spied_solves):
     eta = [list(column) for column in witness.eta]
     eta[0][1] += eta[0][0] + 1
     eta[0][0] = F(-1)
-    negative = replace(witness, eta=tuple(map(tuple, eta)))
+    eta = tuple(map(_scale, map(tuple, eta)))
+    negative = replace(witness, scaled=witness.scaled._replace(eta=eta))
     doubled = tuple(tuple(2 * x for x in column) for column in witness.xi)
     inflated = dual_from_multipliers(instance, DS, witness.zeta, witness.eta, doubled)
     certified = extract_dual(instance, solve_form(instance, DS), DS)

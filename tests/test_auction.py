@@ -38,7 +38,7 @@ from auctionlp.model import mechanism_feasible
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import build
-from helpers import insert, others_profiles, parse_profile_key, reference_names
+from helpers import insert, labels, others_profiles, parse_profile_key, reference_names
 
 F = Fraction
 
@@ -58,7 +58,7 @@ def test_label_counts_match_dimensions(pair12, items12):
     for instance in (pair12, items12):
         profiles = math.prod(instance.sizes)
         dslp = build_dslp(instance)
-        rows, cols = dslp.layout.labels()
+        rows, cols = labels(dslp.layout)
         assert len(cols) == dslp.ncols
         assert len(cols) == instance.n * instance.m * profiles + instance.n * profiles
         ic = sum(
@@ -69,7 +69,7 @@ def test_label_counts_match_dimensions(pair12, items12):
         assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
 
         blp = build_blp(instance)
-        b_rows, b_cols = blp.layout.labels()
+        b_rows, b_cols = labels(blp.layout)
         assert b_cols == cols
         ic_b = sum(size * (size - 1) for size in instance.sizes)
         types = sum(instance.sizes)
@@ -83,7 +83,7 @@ def test_labels_match_their_definition(form):
     for n in (1, 2, 3):
         for m in (1, 2):
             layout = ProgramLayout(form, PRIMAL, m, (3, 2, 4)[:n])
-            assert layout.labels() == reference_names(layout)
+            assert labels(layout) == reference_names(layout)
 
 
 # each names no row or column of a two-item program for sizes (3, 2):
@@ -102,14 +102,14 @@ def test_labels_read_back_to_their_index(form):
     # its first row with the next one
     for sizes in ((3, 2), (1,), (1, 3), (3, 1), (2, 1, 2), (1, 1, 2)):
         layout = ProgramLayout(form, PRIMAL, 2, sizes)
-        rows, cols = layout.labels()
+        rows, cols = labels(layout)
         assert (rows, cols) == reference_names(layout)
         assert [layout.index_of(label, True) for label in rows] == list(range(len(rows)))
         assert [layout.index_of(label, False) for label in cols] == list(range(len(cols)))
         assert all(layout.index_of(label, False) is None for label in rows)
         assert all(layout.index_of(label, True) is None for label in cols)
     layout = ProgramLayout(form, PRIMAL, 2, (3, 2))
-    rows, cols = layout.labels()
+    rows, cols = labels(layout)
     for label in NOT_LABELS:
         assert label not in rows and label not in cols
         assert layout.index_of(label, True) is layout.index_of(label, False) is None
@@ -119,7 +119,7 @@ def test_dual_rows_mirror_primal_columns(pair12):
     for build_primal, build_dual in ((build_dslp, build_dual_dslp), (build_blp, build_dual_blp)):
         primal, dual = build_primal(pair12), build_dual(pair12)
         assert (dual.nrows, dual.ncols) == (primal.ncols, primal.nrows)
-        assert dual.layout.labels() == primal.layout.labels()
+        assert labels(dual.layout) == labels(primal.layout)
 
 
 # -- dual programs are transposes ------------------------------------------

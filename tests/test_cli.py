@@ -21,6 +21,7 @@ from auctionlp.cli import build_parser, main
 from auctionlp.errors import ScaleLimit
 from auctionlp.model import load_instance
 from auctionlp.oracles import gen_instance
+from helpers import labels
 
 U12 = {
     "buyers": 1,
@@ -159,7 +160,7 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_
     instance = gen_instance({"n": 4, "m": 1, "support": 3}, 3)
     path = tmp_path / "instance.json"
     path.write_text(instance.to_json())
-    row_names, col_names = build_dslp(instance).layout.labels()
+    row_names, col_names = labels(build_dslp(instance).layout)
     rng = random.Random(5)
     dens = set()
     while len(dens) < len(row_names) + len(col_names):

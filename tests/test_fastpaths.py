@@ -30,7 +30,6 @@ from auctionlp.auction import (
 from auctionlp.model import (
     BAYES,
     DS,
-    Mechanism,
     Scaled,
     VirtualValueTable,
     dual_from_multipliers,
@@ -41,6 +40,7 @@ from auctionlp.model import (
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import check_cs_bayes, check_cs_ds
 from helpers import (
+    mechanism_of,
     min_entry,
     others_profiles,
     phi_star,
@@ -91,7 +91,7 @@ def _perturbed(mechanism, rng):
     pay = tuple(
         tuple(p + F(rng.randint(-1, 3), 2) for p in row) for row in mechanism.pay
     )
-    return Mechanism(form=mechanism.form, alloc=alloc, pay=pay)
+    return mechanism_of(mechanism.form, alloc, pay)
 
 
 def _random_multipliers(instance, form, rng):
@@ -207,13 +207,13 @@ def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
         for _ in range(count)
     )
     pay = tuple(tuple(F(rng.randint(-1, 3), 2) for _ in range(n)) for _ in range(count))
-    ds_slacks = mechanism_slacks(instance, Mechanism(form=DS, alloc=alloc, pay=pay))
-    bayes_slacks = mechanism_slacks(instance, Mechanism(form=BAYES, alloc=alloc, pay=pay))
+    ds_slacks = mechanism_slacks(instance, mechanism_of(DS, alloc, pay))
+    bayes_slacks = mechanism_slacks(instance, mechanism_of(BAYES, alloc, pay))
     assert bayes_slacks.c == ds_slacks.c
     for i, k in enumerate(instance.sizes):
         weights = [instance.mu_minus(i, vm) for vm in others_profiles(instance, i)]
-        assert multiplier_keys(instance, BAYES, i)[4] == tuple(weights)
-        assert set(multiplier_keys(instance, DS, i)[4]) == {1}
+        assert multiplier_keys(instance, BAYES, i)[2] == tuple(weights)
+        assert set(multiplier_keys(instance, DS, i)[2]) == {1}
         for t in range(k):
             ranks = [slice_ranks[t] for slice_ranks in instance.ranks[i]]
             ds_rows = [ds.rows[ds.layout.eta(i, r)] for r in ranks]
@@ -391,13 +391,13 @@ def test_integer_paths_hold_on_large_coprime_denominators(which, form):
 
     # perturbed mechanisms and multipliers over more large primes
     rng = random.Random(which)
-    bad = Mechanism(
-        form=form,
-        alloc=tuple(
+    bad = mechanism_of(
+        form,
+        tuple(
             tuple(tuple(x + F(rng.randint(0, 2), P1) for x in cell) for cell in row)
             for row in mechanism.alloc
         ),
-        pay=tuple(tuple(p + F(rng.randint(-2, 3), P2) for p in row) for row in mechanism.pay),
+        tuple(tuple(p + F(rng.randint(-2, 3), P2) for p in row) for row in mechanism.pay),
     )
     slacks = mechanism_slacks(instance, bad)
     reference = reference_slacks(instance, bad)
@@ -425,15 +425,20 @@ def test_numerators_stand_for_the_fractions():
         assert tuple(F(num, den) for num, den in zip(nums, [den] * len(nums))) == vector
     assert replace(certificate).scaled == certificate.scaled
     mechanism = extract_mechanism(instance, certificate, BAYES)
+    slacks = mechanism_slacks(instance, mechanism)
     dual = extract_dual(instance, certificate, BAYES)
-    for kept, fresh in (
-        (mechanism.scaled, replace(mechanism).scaled),
-        (mechanism_slacks(instance, mechanism).scaled, reference_slacks(instance, mechanism).scaled),
-        (dual.scaled, replace(dual).scaled),
+    families = ("zeta", "eta", "xi", "alpha", "beta", "phi", "psi")
+    for kept, views in (
+        (mechanism.scaled, (mechanism.alloc, mechanism.pay)),
+        (slacks.scaled, (slacks.a, slacks.b, slacks.c)),
+        (dual.scaled, tuple(getattr(dual, family) for family in families)),
     ):
         kept_values = [F(n, s.den) for s in _scaled_parts(kept) for n in _flat(s.nums)]
-        fresh_values = [F(n, s.den) for s in _scaled_parts(fresh) for n in _flat(s.nums)]
-        assert kept_values == fresh_values
+        assert kept_values == _flat(views)
+    # the views are the definitions' values, so these types compare by value
+    assert slacks == reference_slacks(instance, mechanism)
+    assert mechanism == mechanism_of(BAYES, mechanism.alloc, mechanism.pay)
+    assert dual == dual_from_multipliers(instance, BAYES, dual.zeta, dual.eta, dual.xi)
 
 
 def _scaled_parts(value):

@@ -25,7 +25,6 @@ from auctionlp.model import (
     DS,
     NEG_INF,
     Instance,
-    Mechanism,
     RevenueReport,
     load_instance,
     mechanism_feasible,
@@ -38,6 +37,7 @@ from helpers import (
     deviation_utility,
     drop,
     insert,
+    mechanism_of,
     min_entry,
     others_count,
     profile_prob,
@@ -311,7 +311,7 @@ def test_posted_price_mechanism_slacks(u12):
     # sell at price 2: types 0 and 1 get nothing, type 2 buys
     alloc = ((( Fraction(0),),), ((Fraction(0),),), ((Fraction(1),),))
     pay = ((Fraction(0),), (Fraction(0),), (Fraction(2),))
-    mech = Mechanism(form="ds", alloc=alloc, pay=pay)
+    mech = mechanism_of("ds", alloc, pay)
     assert mechanism_feasible(u12, mech)
     assert mech.revenue(u12) == 1
     assert utility(mech, u12, 0, (2,)) == 0
@@ -329,7 +329,7 @@ def test_infeasible_mechanism_detected(u12):
     # charging type 1 more than its value breaks participation
     alloc = (((Fraction(0),),), ((Fraction(1),),), ((Fraction(1),),))
     pay = ((Fraction(0),), (Fraction(2),), (Fraction(2),))
-    mech = Mechanism(form="ds", alloc=alloc, pay=pay)
+    mech = mechanism_of("ds", alloc, pay)
     assert not mechanism_feasible(u12, mech)
     assert min_entry(mechanism_slacks(u12, mech)) < 0
 
@@ -343,7 +343,7 @@ def test_bounds_checked_separately(u12):
     # slack enumeration alone does not catch an over-unit allocation
     alloc = (((Fraction(0),),), ((Fraction(0),),), ((Fraction(2),),))
     pay = ((Fraction(0),), (Fraction(0),), (Fraction(0),))
-    mech = Mechanism(form="ds", alloc=alloc, pay=pay)
+    mech = mechanism_of("ds", alloc, pay)
     assert not mechanism_feasible(u12, mech)
 
 
@@ -377,17 +377,19 @@ def _variants(mechanism):
     last = len(mechanism.pay) - 1
     yield mechanism
     scale = Fraction(2, 3)
-    yield Mechanism(
+    yield mechanism_of(
         mechanism.form,
         tuple(tuple(tuple(x * scale for x in cell) for cell in row) for row in mechanism.alloc),
         tuple(tuple(p * scale for p in prow) for prow in mechanism.pay),
     )
     for value in (Fraction(-1, 5), Fraction(1), Fraction(3, 2)):
-        yield Mechanism(
+        yield mechanism_of(
             mechanism.form, _with_entry(mechanism.alloc, (last, 0, 0), value), mechanism.pay
         )
     for value in (Fraction(-1, 3), Fraction(0), Fraction(5, 2)):
-        yield Mechanism(mechanism.form, mechanism.alloc, _with_entry(mechanism.pay, (last, 0), value))
+        yield mechanism_of(
+            mechanism.form, mechanism.alloc, _with_entry(mechanism.pay, (last, 0), value)
+        )
 
 
 def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
@@ -400,12 +402,14 @@ def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
             cert = solve_form(instance, form)
             bases.append(extract_mechanism(instance, cert, form))
             dual = extract_dual(instance, cert, form)
-            for fam in ("zeta", "eta", "xi", "alpha", "beta"):
+            checked = ("zeta", "eta", "xi", "alpha", "beta")
+            for fam in checked:
                 family = getattr(dual, fam)
                 for value in (Fraction(-1, 7), Fraction(0), Fraction(2, 7)):
                     first = _with_entry(family, (0,) * _depth(family), value)
-                    changed = replace(dual, **{fam: first})
-                    entries = [q for f in vars(changed).values() for q in _entries(f)]
+                    split = model._scale(first) if fam == "xi" else tuple(map(model._scale, first))
+                    changed = replace(dual, scaled=dual.scaled._replace(**{fam: split}))
+                    entries = [q for f in checked for q in _entries(getattr(changed, f))]
                     assert changed.is_feasible() == (min(entries) >= 0)
         for base in bases:
             for mechanism in _variants(base):

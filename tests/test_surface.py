@@ -13,19 +13,23 @@ import auctionlp
 import auctionlp.oracles
 from auctionlp.model import Instance
 
-# The rank-table, integer-numerator and closed-form paths, and the label
-# rendering, that tests/helpers.py and tests/baselines.py are checked
-# against; neither may call them.
+# The rank-table, integer-numerator and closed-form paths that
+# tests/helpers.py and tests/baselines.py are checked against; neither
+# may call them.
 FAST_PATHS = {
     "_key_coefficients", "_key_rows", "mechanism_slacks", "_slack_numerators",
     "dual_from_multipliers", "_dual_from_scaled", "canonical_flow", "myerson_mechanism",
-    "labels", "scaled", "supports_scaled", "mu_scaled", "mu_minus_scaled",
+    "face_excess", "bic_to_dsic_dual", "dsic_to_bic_dual", "regularize_ds",
+    "regularize_bayes", "_regularize", "scaled", "supports_scaled", "probs_scaled",
+    "mu_scaled", "mu_minus_scaled",
 }
 # What the primal builder reads; helpers.reference_primal uses none of it.
 BUILDER_PATHS = {
     "_build_primal", "build_dslp", "build_blp", "multiplier_keys", "ranks",
     "positions", "mu_by_rank", "mu_minus_by_slice",
 }
+# The label rendering; helpers.reference_names uses none of it.
+RENDER_PATHS = {"row_label", "col_label", "labels"}
 
 
 def _names(tree):
@@ -53,13 +57,14 @@ def test_exports_resolve_and_references_stay_independent():
     for reference, tree in trees.items():
         used = _names(tree)
         assert not used & FAST_PATHS, f"{reference} uses {sorted(used & FAST_PATHS)}"
-    (primal,) = [
-        node
-        for node in ast.walk(trees["helpers.py"])
-        if isinstance(node, ast.FunctionDef) and node.name == "reference_primal"
-    ]
-    used = _names(primal)
-    assert not used & BUILDER_PATHS, f"reference_primal uses {sorted(used & BUILDER_PATHS)}"
+    for name, paths in (("reference_primal", BUILDER_PATHS), ("reference_names", RENDER_PATHS)):
+        (function,) = [
+            node
+            for node in ast.walk(trees["helpers.py"])
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        used = _names(function)
+        assert not used & paths, f"{name} uses {sorted(used & paths)}"
 
 
 def test_benchmark_trace_targets_resolve():

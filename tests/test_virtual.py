@@ -23,8 +23,8 @@ from auctionlp.auction import (
 from auctionlp.errors import InfeasibleInput, NotOptimal, NotRegular
 from auctionlp.model import (
     NEG_INF,
-    Mechanism,
     VirtualValueTable,
+    _scale,
     dual_from_multipliers,
 )
 from auctionlp.virtual import (
@@ -39,7 +39,7 @@ from auctionlp.virtual import (
     virtual_values_ds,
     virtual_values_bayes,
 )
-from helpers import myerson_formula, regular_phi_range, sold, zero_mechanism
+from helpers import mechanism_of, myerson_formula, regular_phi_range, sold, zero_mechanism
 
 F = Fraction
 
@@ -104,7 +104,8 @@ def test_ledger_rejects_tampered_alpha(pair12):
     r = next(r for r, row in enumerate(mech.alloc) if row[0][0] > 0)
     alpha = [[list(col) for col in buyer] for buyer in dual.alpha]
     alpha[0][0][r] += F(1, 5)
-    tampered = replace(dual, alpha=tuple(tuple(map(tuple, buyer)) for buyer in alpha))
+    alpha = tuple(_scale(tuple(map(tuple, buyer))) for buyer in alpha)
+    tampered = replace(dual, scaled=dual.scaled._replace(alpha=alpha))
     assert tampered.is_feasible()
     with pytest.raises(NotOptimal, match="objective gap"):
         check_cs_ds(pair12, mech, tampered)
@@ -112,13 +113,8 @@ def test_ledger_rejects_tampered_alpha(pair12):
 
 def test_ledger_rejects_infeasible_sides(u12):
     cert, mech, dual = optimal_pair(u12)
-    sell_at_loss = Mechanism(
-        form=DS,
-        alloc=mech.alloc,
-        pay=tuple(
-            tuple(p + 1 for p in row) for row in mech.pay
-        ),
-    )
+    overcharged = tuple(tuple(p + 1 for p in row) for row in mech.pay)
+    sell_at_loss = mechanism_of(DS, mech.alloc, overcharged)
     with pytest.raises(InfeasibleInput):
         check_cs_ds(u12, sell_at_loss, dual)
     negative_eta = tuple(
@@ -341,7 +337,7 @@ def pair_table(pair12, per_type):
 def mech_rows(instance, rows):
     alloc = tuple(rows[r][0] for r in range(instance.profile_count))
     pay = tuple(rows[r][1] for r in range(instance.profile_count))
-    return Mechanism(form=DS, alloc=alloc, pay=pay)
+    return mechanism_of(DS, alloc, pay)
 
 
 def test_vwm_flags_wrong_winner(pair12):
