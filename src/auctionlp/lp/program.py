@@ -43,9 +43,12 @@ def _exact(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
-# A Fraction keeps its numerator in a slot; reading the slot runs in C,
-# where the public `numerator` property is a Python call per entry.
+# A Fraction keeps its numerator and denominator in slots; reading a
+# slot runs in C, where the public properties are a Python call per entry.
 _NUMERATOR = attrgetter("_numerator" if "_numerator" in Fraction.__slots__ else "numerator")
+_DENOMINATOR = attrgetter(
+    "_denominator" if "_denominator" in Fraction.__slots__ else "denominator"
+)
 _COLUMN, _COEFFICIENT = itemgetter(0), itemgetter(1)
 
 
@@ -153,14 +156,17 @@ class LpCertificate:
     objective: Fraction | None = None
     witness: tuple[Fraction, ...] | None = None
     layout: object = field(default=None, compare=False)
+    # primal and dual as split by _split, when the caller has them: the
+    # split certify_optimal's check ran on
+    split: tuple[list, list] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
         """An optimal certificate's primal and dual, each as (integer
         numerators, denominator) over one denominator, the lcm of its
-        entries' denominators.  certify_optimal keeps the ones it made
-        from the split its check ran on."""
-        return _over_lcm(_split(self.primal)), _over_lcm(_split(self.dual))
+        entries' denominators.  Made from `split` when it is given."""
+        xs, ys = self.split or (_split(self.primal), _split(self.dual))
+        return _over_lcm(xs), _over_lcm(ys)
 
 
 class CertificateError(AssertionError):
@@ -297,16 +303,14 @@ def verify_unbounded(lp: LinearProgram, x, d) -> None:
 def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
     xs, ys = _split(x), _split(y)
     objective = _check_optimal(lp, xs, ys)
-    certificate = LpCertificate(
+    return LpCertificate(
         status=OPTIMAL,
         layout=lp.layout,
         primal=tuple(x),
         dual=tuple(y),
         objective=objective,
+        split=(xs, ys),
     )
-    # the post-solve reads the vectors over one denominator each
-    object.__setattr__(certificate, "scaled", (_over_lcm(xs), _over_lcm(ys)))
-    return certificate
 
 
 def certify_infeasible(lp: LinearProgram, y) -> LpCertificate:

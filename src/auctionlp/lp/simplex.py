@@ -4,11 +4,15 @@ The tableau is sparse.  Each row is a dict from column to its nonzero
 entries, the right-hand side included, and a column index names the
 rows that hold each column.  A pivot then visits only the rows holding
 the pivot column, and in each only the pivot row's nonzeros; the ratio
-test visits only the pivot column's rows.  The objective rows stay
-dense, since pricing reads every column of them anyway.  Both passes
-use this one representation, one elimination routine (`eliminate`,
-which sees each pivot) and one pivot loop for both phases; they differ
-only in arithmetic and in the tolerance, which is 0 in the exact pass.
+test visits only the pivot column's rows.  The objective rows are dense
+lists, each paired with its pricing set: the columns whose reduced cost
+is negative, the only ones that can enter.  A pivot changes an
+objective row only at the pivot row's nonzeros, so `eliminate` keeps
+the set there, and pricing reads the set instead of every column.
+Both passes use this one representation, one elimination routine
+(`eliminate`, which sees each pivot), one pricing routine and one pivot
+loop for both phases; they differ only in arithmetic and in the
+tolerance, which is 0 in the exact pass.
 
 No big-M constant: infeasible starting bases get artificial variables
 and a phase-one objective.  The pivot rule is Dantzig's (most negative
@@ -36,6 +40,8 @@ from .program import (
     MAX,
     CertificateError,
     LpCertificate,
+    _DENOMINATOR,
+    _NUMERATOR,
     _exact,
     certify_infeasible,
     certify_optimal,
@@ -50,8 +56,10 @@ def eliminate(tableau, r, c):
     tableau in place.  Only the rows in `tableau.cols[c]` and the pivot
     row's nonzeros are visited; an entry that becomes zero is deleted
     (`tableau.zero` in an objective row), and `tableau.cols` follows
-    every deletion and fill-in.  Zero means within `tableau.tol` of
-    zero, so in the float pass the cleared column and the degenerate
+    every deletion and fill-in.  Each objective row's pricing set
+    follows the entries this changes, so that it stays the set of
+    columns whose entry is negative.  Zero means within `tableau.tol`
+    of zero, so in the float pass the cleared column and the degenerate
     right-hand sides read as exact zeros afterwards; with `tol` 0 every
     tolerance test is skipped."""
     rows, cols, tol, zero = tableau.T, tableau.cols, tableau.tol, tableau.zero
@@ -90,13 +98,20 @@ def eliminate(tableau, r, c):
                 else:
                     del row[k]
                     cols[k].discard(idx)
-    for obj in tableau.objs:
+    for obj, negative in tableau.objs:
         f = obj[c]
         if f:
             for k, val in nz:
                 new = obj[k] - f * val
-                obj[k] = new if not tol or new > tol or new < -tol else zero
+                if tol and not (new > tol or new < -tol):
+                    new = zero
+                obj[k] = new
+                if new < 0:
+                    negative.add(k)
+                else:
+                    negative.discard(k)
             obj[c] = zero
+            negative.discard(c)
 
 
 class PivotLimit(ScaleLimit):
@@ -149,15 +164,42 @@ def check_tableau_size(rows: int, width: int) -> None:
         )
 
 
-def _to_float(q) -> float:
+def _to_float(q: Fraction) -> float:
     """float(q), without numbers.Rational.__float__'s extra calls: the
-    same correctly rounded integer division, which raises OverflowError
-    beyond the float range."""
-    return q.numerator / q.denominator
+    same correctly rounded integer division of the slots, which raises
+    OverflowError beyond the float range."""
+    return _NUMERATOR(q) / _DENOMINATOR(q)
 
 
 def _nearby_rational(value: float, bound: int) -> Fraction:
-    return Fraction(value).limit_denominator(bound)
+    """Fraction(value).limit_denominator(bound), on integers only: the
+    closest fraction with denominator at most bound, the one of smaller
+    denominator on a tie.
+
+    The continued fraction of value's exact ratio n/d gives the last
+    convergent p1/q1 within the bound and the semiconvergent
+    (p0 + k*p1)/(q0 + k*q1) with the largest k the bound allows.  They
+    lie on either side of n/d, 1/(q1*(q0 + k*q1)) apart, and p1/q1 is
+    rem/(q1*d) from it, rem the remainder left when the expansion
+    stopped; so p1/q1 is the closer one (or as close) exactly when
+    2*rem*(q0 + k*q1) <= d.  OverflowError and ValueError on the
+    infinities and NaN, as from Fraction(value)."""
+    n, d = value.as_integer_ratio()
+    if d <= bound:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, rem = n, d
+    while True:
+        a = num // rem
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, rem = rem, num - a * rem
+    k = (bound - q0) // q1
+    if 2 * rem * (q0 + k * q1) <= d:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def solve(lp: LinearProgram) -> LpCertificate:
@@ -183,22 +225,24 @@ class _Simplex:
     Column layout: structural | slack | artificial... | rhs.  T[r] maps
     the columns of row r to its nonzero entries, the right-hand side at
     key `rhs` included; cols[k] is the set of rows that hold column k.
-    The objective rows are dense lists over the same columns, and `objs`
-    lists the ones a pivot clears."""
+    The objective rows are dense lists over the same columns, each with
+    its pricing set, the columns k where the row's entry is negative;
+    `objs` lists the (row, set) pairs a pivot updates."""
 
     def __init__(self, lp: LinearProgram, floating: bool = False):
         self.lp = lp
         self.sign = 1 if lp.sense == MAX else -1
         S = self.S = lp.ncols  # structural columns
         R = self.R = lp.nrows
-        num = _to_float if floating else _exact
+        if floating:
+            num, zero, one = _to_float, 0.0, 1.0
+        else:
+            num, zero, one = _exact, Fraction(0), Fraction(1)
         self.tol = _FLOAT_TOL if floating else 0
         self.cap = _FLOAT_PIVOTS_PER_DIM * (R + S) if floating else _PIVOT_CAP
-        zero = num(0)
-        one = num(1)
         self.zero, self.one = zero, one
-        negative = [q < 0 for q in lp.b]
-        self.K = sum(negative)
+        negative_rhs = [_NUMERATOR(q) < 0 for q in lp.b]
+        self.K = sum(negative_rhs)
         width = S + R + self.K + 1
         check_tableau_size(R, width)
         rhs = self.rhs = width - 1
@@ -206,19 +250,19 @@ class _Simplex:
         rows = []
         basis = []
         acol = S + R
-        for r, (entries, b, neg) in enumerate(zip(lp.rows, lp.b, negative)):
-            row = {j: v for j, coef in entries if (v := num(-coef if neg else coef))}
+        for r, (entries, b, neg) in enumerate(zip(lp.rows, lp.b, negative_rhs)):
             if neg:
+                row = {j: -v for j, coef in entries if (v := num(coef))}
                 row[S + r] = -one
                 row[acol] = one
                 basis.append(acol)
                 acol += 1
-                b = -b
             else:
+                row = {j: v for j, coef in entries if (v := num(coef))}
                 row[S + r] = one
                 basis.append(S + r)
-            if b:
-                row[rhs] = num(b)
+            if _NUMERATOR(b):
+                row[rhs] = -num(b) if neg else num(b)
             for k in row:
                 cols[k].add(r)
             rows.append(row)
@@ -228,29 +272,27 @@ class _Simplex:
         # Real objective row for max(sign * c): reduced costs start at
         # -sign*c_j, value 0.
         obj = [-num(q) if self.sign == 1 else num(q) for q in lp.c]
+        self.negative = {j for j, v in enumerate(obj) if v < 0}
         obj += [zero] * (width - S)
         self.obj = obj
-        self.objs = [obj]
+        self.objs = [(obj, self.negative)]
         self.pivots = 0
         self.forced_bland = False
 
     # -- pivot selection ----------------------------------------------------
 
-    def _entering(self, obj_row, limit) -> int | None:
+    def _entering(self, obj_row, negative, limit) -> int | None:
         """Column with negative reduced cost among the first `limit`
         columns (structural + slack; artificials never enter): the most
         negative, the first of equals, or the first one once Bland's
-        rule is forced."""
+        rule is forced.  Only the row's pricing set `negative` can
+        enter; it is read in column order, as a scan of the row would
+        be, since the first of equals depends on it."""
         bland = self.forced_bland
         best, below = None, -self.tol
-        if self.tol:
-            columns = range(limit)
-        else:
-            # Only a negative reduced cost can enter, and a Fraction's
-            # sign is its numerator's: the generic comparison below then
-            # runs on the negative ones only.
-            columns = [j for j in range(limit) if obj_row[j].numerator < 0]
-        for j in columns:
+        for j in sorted(negative):
+            if j >= limit:
+                break
             rc = obj_row[j]
             if rc < below:
                 if bland:
@@ -313,20 +355,21 @@ class _Simplex:
             if cert is not None:
                 return cert
             self._drop_artificials()
-        c = self._iterate(self.obj)
+        c = self._iterate(self.obj, self.negative)
         return self._optimal() if c is None else self._unbounded(c)
 
-    def _iterate(self, obj, phase_one: bool = False) -> int | None:
-        """Pivot on objective row `obj` until no column prices in (None)
-        or an entering column has no leaving row (that column, a ray).
-        Phase one also stops once its objective reaches zero."""
+    def _iterate(self, obj, negative, phase_one: bool = False) -> int | None:
+        """Pivot on objective row `obj`, with pricing set `negative`,
+        until no column prices in (None) or an entering column has no
+        leaving row (that column, a ray).  Phase one also stops once its
+        objective reaches zero."""
         limit = self.S + self.R  # artificials never enter
         stall_limit = 3 * (self.R + self.S) + 10
         below = -self.tol
         last_val = obj[self.rhs]
         self.stalls = 0
         while not phase_one or obj[self.rhs] < below:
-            c = self._entering(obj, limit)
+            c = self._entering(obj, negative, limit)
             if c is None:
                 return None
             r = self._leaving(c)
@@ -351,8 +394,9 @@ class _Simplex:
                     obj1[k] = obj1[k] - val
         for k in range(art_lo, art_lo + self.K):
             obj1[k] = obj1[k] + self.one
-        self.objs = [self.obj, obj1]
-        if self._iterate(obj1, phase_one=True) is not None:
+        negative1 = {k for k, v in enumerate(obj1) if v < 0}
+        self.objs = [(self.obj, self.negative), (obj1, negative1)]
+        if self._iterate(obj1, negative1, phase_one=True) is not None:
             # Phase-one objective is bounded by 0; no unbounded ray can
             # appear unless the tableau is corrupt.
             raise PivotLimit("phase one claims unbounded")
@@ -368,13 +412,14 @@ class _Simplex:
         """Pivot leftover artificials out of the basis (degenerate, rhs
         is 0), then delete the artificial columns.  The objective keeps
         its length and the rhs its key; artificials are never read again.
+        The phase-one row leaves `objs`, and its pricing set with it.
 
         Every row has a nonzero left of the artificials: each row owns a
         +-1 slack column, so the tableau's slack block is B^-1 times a
         nonsingular diagonal and is nonsingular itself.  Only the float
         pass's zeroing of entries within tolerance can empty a row."""
         art_lo = self.S + self.R
-        self.objs = [self.obj]
+        self.objs = [(self.obj, self.negative)]
         for r in range(self.R - 1, -1, -1):
             if self.basis[r] < art_lo:
                 continue

@@ -54,8 +54,8 @@ numerators over one denominator per vector, or per buyer where the
 vector is per buyer (a `Scaled`):
 
 * an optimal LpCertificate's `scaled`: its primal and its dual vector,
-  each over the lcm of its entries' denominators, kept from the split
-  that certify_optimal checks;
+  each over the lcm of its entries' denominators, made from the split
+  that certify_optimal checks, which the certificate carries;
 * `Instance.supports_scaled[i]` over V_i, `probs_scaled[i]` over P_i,
   `mu_scaled` over M, and `mu_minus_scaled[i]` over W_i;
 * `Mechanism.scaled`: alloc and pay over one denominator D (after
@@ -277,12 +277,11 @@ def _scale(nested) -> Scaled:
 def _any_negative(nested) -> bool:
     """Whether a tuple of ints, nested to the same depth throughout,
     holds a negative entry.  Denominators are positive, so the
-    numerators of a Scaled carry the signs."""
-    if not nested:
-        return False
-    if isinstance(nested[0], tuple):
-        return any(map(_any_negative, nested))
-    return min(nested) < 0
+    numerators of a Scaled carry the signs.  Flattened one level at a
+    time, so the calls made are per level, not per row."""
+    while nested and isinstance(nested[0], tuple):
+        nested = tuple(itertools.chain.from_iterable(nested))
+    return bool(nested) and min(nested) < 0
 
 
 def _negative(*families: Scaled) -> bool:

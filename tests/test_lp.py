@@ -420,6 +420,38 @@ def test_setup_converts_like_float_on_auction_programs(spec, seeds):
         assert_setup_converts_like_float(build(instance))
 
 
+ROUNDED = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-6, 1e-6),
+    st.floats(min_value=1e6, allow_infinity=False).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.integers(-(10**15), 10**15).map(float),
+    # exact denominators within either bound
+    st.builds(lambda n, e: n / 2**e, st.integers(-(10**9), 10**9), st.integers(0, 19)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ROUNDED, st.one_of(st.sampled_from(simplex._ROUND_BOUNDS), st.integers(1, 1000)))
+# ties go to the smaller denominator, on both sides of zero
+@example(0.5, 1)
+@example(-0.5, 1)
+@example(2.5, 1)
+@example(1 / 3, 10**6)
+@example(-(2.0**-40), 10**9)
+def test_nearby_rational_is_limit_denominator(value, bound):
+    rounded = simplex._nearby_rational(value, bound)
+    assert type(rounded) is F
+    assert rounded == F(value).limit_denominator(bound)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_nearby_rational_refuses_what_fraction_refuses(value):
+    with pytest.raises((OverflowError, ValueError)) as expected:
+        F(value)
+    with pytest.raises(expected.type):
+        simplex._nearby_rational(value, simplex._ROUND_BOUNDS[0])
+
+
 # -- pinned pivot paths -----------------------------------------------------
 
 PINNED_BUILDS = (build_dslp, build_blp, build_dual_dslp, build_dual_blp, face_program)
@@ -486,14 +518,18 @@ def finished_runs(lp):
 
 def assert_tableau_consistent(run):
     """No row was deleted, cols[k] is exactly the set of rows holding
-    column k, and no stored entry is zero, or within the tolerance of
-    zero in the float pass."""
+    column k, no stored entry is zero, or within the tolerance of zero
+    in the float pass, and each objective row's pricing set holds
+    exactly the columns where the row is negative."""
     assert len(run.T) == run.lp.nrows
     assert all(k < len(run.cols) for row in run.T for k in row)
     for k, rows in enumerate(run.cols):
         assert rows == {r for r, row in enumerate(run.T) if k in row}
     for row in run.T:
         assert all(abs(v) > run.tol for v in row.values())
+    assert run.objs[0] == (run.obj, run.negative)
+    for obj, negative in run.objs:
+        assert negative == {j for j, v in enumerate(obj) if v < 0}
 
 
 @settings(max_examples=60, deadline=None)
@@ -502,7 +538,17 @@ def assert_tableau_consistent(run):
 @example(lp_of(MAX, [1], [[-1], [-1], [1]], [-1, -1, 5]))
 @example(lp_of(MIN, [1, 1], [[-1, -1], [-1, -1], [1, 1]], [-2, -2, 8]))
 def test_tableau_stays_consistent_on_random_lps(lp):
-    for run in finished_runs(lp):
+    # after every pivot of either pass, as well as at the end
+    original = simplex.eliminate
+
+    def checked(tableau, r, c):
+        original(tableau, r, c)
+        assert_tableau_consistent(tableau)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "eliminate", checked)
+        runs = finished_runs(lp)
+    for run in runs:
         assert_tableau_consistent(run)
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from auctionlp import model
 from auctionlp.auction import extract_dual, extract_mechanism, solve_form
@@ -422,6 +422,22 @@ def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
                 assert feasible == (bounds and min_entry(slacks) >= 0)
                 decisions.add((bounds, slacks.feasible))
     assert decisions == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def nested_ints(depth):
+    """Tuples of ints nested depth levels below the outer one
+    throughout; any tuple may be empty."""
+    nested = st.lists(st.integers(-3, 3), max_size=4).map(tuple)
+    for _ in range(depth):
+        nested = st.lists(nested, max_size=3).map(tuple)
+    return nested
+
+
+@given(st.integers(0, 3).flatmap(nested_ints))
+@example(((), (-1,)))
+@example((((),), ((2, -1),)))
+def test_any_negative_matches_its_definition(nested):
+    assert model._any_negative(nested) == any(q < 0 for q in _entries(nested))
 
 
 # -- revenue report ---------------------------------------------------------
