@@ -515,8 +515,9 @@ def characterize(instance: Instance, flow: DualSolution | None = None) -> Revenu
         bayes_cert = solve_form(instance, BAYES)
         drev_value = ds_cert.objective
         brev_value = bayes_cert.objective
-    if instance.m == 1 and item_marginal(instance, 0) == instance:
-        # the item's own auction is the one just certified
+    if instance.m == 1:
+        # SRev is DRev: the item's marginal is the instance with its types
+        # sorted, and relabeling types does not move DRev
         srev_value = drev_value
     else:
         srev_value = srev(instance)

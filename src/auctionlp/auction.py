@@ -57,7 +57,6 @@ from .model import (
     PrimalSlacks,
     Scaled,
     _dual_from_scaled,
-    _key_numerators,
     _key_rows,
     _utility,
     mechanism_feasible,
@@ -293,12 +292,14 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
             rows[xi_j + r] = [(x + r, one) for x in xs]
         b[xi_j:xi_j + count] = [one] * count
     for i, (k, supports) in enumerate(zip(instance.sizes, instance.supports)):
-        _, families, scales = multiplier_keys(instance, form, i)
+        keys = multiplier_keys(instance, form, i)
+        scales, den = keys.scales
         xs = [layout.x(i, j, 0) for j in range(m)]
         p_i = layout.p(i, 0)
-        for s, (w, family, ranks) in enumerate(zip(scales, families, instance.ranks[i])):
+        for w, family, ranks in zip(scales, keys.families, instance.ranks[i]):
             if not w:
                 continue
+            w = one if w == den else Fraction(w, den)
             neg = -w
             for t, r in enumerate(ranks):
                 vec = supports[t] if w == 1 else [w * v for v in supports[t]]
@@ -426,7 +427,7 @@ def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values):
     xi = tuple(values[x : x + count] for x in (layout.xi(j, 0) for j in range(instance.m)))
     zeta, eta = [], []
     for i, k in enumerate(instance.sizes):
-        positions = multiplier_keys(instance, form, i)[0]
+        positions = multiplier_keys(instance, form, i).positions
         rows = []
         for key, (t, _) in enumerate(positions):
             first = layout.zeta(i, key, t, int(t == 0))
@@ -505,8 +506,9 @@ def extend_ds(instance: Instance, mechanism: Mechanism, query):
         return mechanism.alloc[r], mechanism.pay[r]
     if len(off) == 1:
         d = off[0]
-        vm = tuple(t for i, t in enumerate(members) if i != d)
-        ranks = instance.ranks[d][instance.others_rank(d, vm)]
+        # the opponents' slice, read off the profile where d has type 0
+        s = instance.positions[d][instance.rank(members[:d] + [0] + members[d + 1:])][1]
+        ranks = instance.ranks[d][s]
         u = [_utility(query[d], mechanism.alloc[r][d], mechanism.pay[r][d]) for r in ranks]
         r = ranks[_best_report(u)]
         alloc = tuple(
@@ -531,7 +533,7 @@ def extend_bayes(instance: Instance, mechanism: Mechanism, query):
     alloc_rows, pay_row = [], []
     (alloc, pay), den = mechanism.scaled
     for i, vec in enumerate(query):
-        scales = _key_numerators(instance, BAYES, i)[2]
+        scales = multiplier_keys(instance, BAYES, i).scales
         rows = _key_rows(instance, alloc, pay, i, scales.nums, range(len(scales.nums)))
         unit = scales.den * den
         cells = [tuple(Fraction(x, unit) for x in cell) for cell in rows[0]]
@@ -625,7 +627,9 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
             else:
                 vector[index] = value
     if unknown:
-        raise LabelMismatch(f"unknown labels: {sorted(unknown)[:3]}")
+        # a label may be any length; each one echoed is cut to 40 characters
+        shown = [label[:40] + "..." if len(label) > 40 else label for label in sorted(unknown)[:3]]
+        raise LabelMismatch(f"unknown labels: {shown}")
     try:
         objective = rat(document.get("objective"))
     except NotRational as exc:

@@ -193,7 +193,7 @@ def cmd_characterize(args) -> int:
 
 
 def _entry_str(entry) -> str:
-    return "-inf" if entry is NEG_INF else rat_str(entry)
+    return "-inf" if entry == NEG_INF else rat_str(entry)
 
 
 def cmd_virtuals(args) -> int:
@@ -214,7 +214,7 @@ def cmd_virtuals(args) -> int:
         prefix, names = "phibar", range(max(instance.sizes))
     # one line per multiplier key: a profile (DS) or an own type (BAYES)
     for i in range(instance.n):
-        positions = multiplier_keys(instance, form, i)[0]
+        positions = multiplier_keys(instance, form, i).positions
         for j in range(instance.m):
             for key, (t, s) in enumerate(positions):
                 entry = table.values[i][j][instance.ranks[i][s][t]]

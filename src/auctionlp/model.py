@@ -1,12 +1,13 @@
 """Exact-rational domain types for auction instances, mechanisms, dual
 solutions, and virtual-value tables.
 
-Every number these types show is a `fractions.Fraction`; the arithmetic
-behind the post-solve ones runs on integers (see Integer numerators
-below).  The one use of floating point in the package is the LP
-solver's proposal pass, whose answers only count once an exact check
-accepts them.  Types are frozen dataclasses built from nested tuples,
-immutable after construction.
+Every number these types show is a `fractions.Fraction`, save NEG_INF,
+the marker of an unbounded-below virtual value; the arithmetic behind
+the post-solve ones runs on integers (see Integer numerators below).
+NEG_INF is IEEE -inf, which Fraction compares with exactly: it is the
+one float outside the LP solver's proposal pass, whose answers only
+count once an exact check accepts them.  Types are frozen dataclasses
+built from nested tuples, immutable after construction.
 
 Conventions used throughout:
 
@@ -26,9 +27,10 @@ Rank tables.  An Instance builds, on first use and then caches:
 * `mu_minus_by_slice[i][s]`, the mass of buyer i's opponent slice s.
 
 The mass tables are running products over the buyers: each buyer's
-masses multiply the table of the buyers before it, row-major, so that a
-table costs about one product per entry and lists its masses in rank
-order.  `mu` and `mu_minus` remain the by-definition entry points, one
+mass numerators multiply the table of the buyers before it, row-major,
+so that a table costs about one integer product per entry and lists its
+masses in rank order; `mu_by_rank` and `mu_minus_by_slice` are the
+Fraction views of `mu_scaled` and `mu_minus_scaled` (below).  `mu` and `mu_minus` remain the by-definition entry points, one
 profile tuple at a time; the tests check the tables against them.  The
 builders and the post-solve work (slacks, dual assembly,
 regularization, virtual values and the checks on them) loop over these
@@ -40,11 +42,12 @@ phibar_star, psibar) are in tests/helpers.py.
 Dual format.  Both forms hold their multipliers keyed like the primal's
 rows: zeta[i][key][t'] and eta[i][key], where key is the profile rank
 in the dominant-strategy form and the own type in the Bayesian form.
-`multiplier_keys` is the per-form view of those keys that lets each
+`multiplier_keys` is the per-form table of those keys that lets each
 step (primal rows, slacks, dual assembly, slackness ledger, regularity,
 regularization, virtual values) be written once for both forms.  Its
 scales say that a Bayesian row is the opponent-mass-weighted sum of
-dominant-strategy rows.  `_dual_from_scaled` computes each key's
+dominant-strategy rows; its weights and masses are what a regular dual
+meets at the keys.  `_dual_from_scaled` computes each key's
 phi_star and psi (Bayesian: phibar_star and psibar) once; the dual keeps
 them, and every later step (regularity, regularization, virtual values)
 reads them there.
@@ -69,14 +72,15 @@ vector is per buyer (a `Scaled`):
 
 Mechanisms, primal slacks and duals hold only these numerators.  Their
 `Fraction` fields are views, made on first read for IO, the CLI and
-tests (every zero in them one shared Fraction(0)), and two values
-compare equal when they stand for the same rationals, whichever
-denominators their producers chose.  Each producer builds its numerators directly: extraction reads the
-certificate's, the canonical flow works over P_i * W_i (xi over the lcm
-of the P_i * W_i * V_i), Myerson's auction over the lcm of the V_i, the
+tests (every zero in them one shared Fraction(0)).  Two values compare
+and hash by their views, so they are equal when they stand for the same
+rationals, whichever denominators their producers chose.  Each producer
+builds its numerators directly: extraction reads the certificate's, the
+canonical flow works over P_i * W_i (xi over the lcm of the
+P_i * W_i * V_i), Myerson's auction over the lcm of the V_i, the
 equivalence maps multiply or divide by the numerators of the opponent
 masses, and regularization moves multipliers over the lcm of Z_i and
-the denominators of the keys' weights and masses (_key_numerators).
+the denominators of the keys' weights and masses.
 `_dual_from_scaled` is the one dual constructor and takes no
 Fractions; `dual_from_multipliers`, the entry point for Fraction
 multipliers, splits them once and calls it.  The sign tests
@@ -93,7 +97,7 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -184,40 +188,7 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class NegInfType:
-    """Sentinel ordered below every rational; marks unbounded-below
-    virtual values.  Compares equal only to itself."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "-inf"
-
-    def __lt__(self, other):
-        return not isinstance(other, NegInfType)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, NegInfType)
-
-    def __eq__(self, other):
-        return isinstance(other, NegInfType)
-
-    def __hash__(self):
-        return hash("NEG_INF")
-
-
-NEG_INF = NegInfType()
+NEG_INF = float("-inf")  # an unbounded-below virtual value (module docstring)
 
 
 # ---------------------------------------------------------------------------
@@ -295,42 +266,16 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _gcd(nested) -> int:
-    """The gcd of the entries of a tuple of ints, nested to the same
-    depth throughout (0 when there is none)."""
-    if nested and isinstance(nested[0], tuple):
-        return gcd(*map(_gcd, nested))
-    return gcd(*nested)
-
-
-def _divided(nested, g: int) -> tuple:
-    if nested and isinstance(nested[0], tuple):
-        return tuple(_divided(part, g) for part in nested)
-    return tuple([n // g for n in nested])
-
-
-def _canonical(value):
-    """value with every Scaled in it, also inside tuples, over the least
-    denominator that holds its entries; anything else as it is.  Two
-    Scaleds stand for the same rationals exactly when their canonical
-    forms are equal."""
-    if isinstance(value, Scaled):
-        g = gcd(value.den, _gcd(value.nums))
-        return value if g == 1 else Scaled(_divided(value.nums, g), value.den // g)
-    if isinstance(value, tuple):
-        return tuple(map(_canonical, value))
-    return value
-
-
 class _Numerators:
     """Equality by value for the types below, whose state is integer
     numerators (see the module docstring): their producers choose the
-    denominators, so one value can be held over several."""
+    denominators, so one value can be held over several.  Two values
+    compare and hash by the Fraction views each class names in _views."""
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(_canonical(getattr(self, f.name)) for f in fields(self))
+        return tuple(getattr(self, name) for name in self._views)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._values() == other._values()
@@ -403,17 +348,6 @@ class Instance:
                 return t
         return None
 
-    # -- opponent profiles --------------------------------------------------
-
-    def others_sizes(self, i: int) -> tuple[int, ...]:
-        return tuple(k for b, k in enumerate(self.sizes) if b != i)
-
-    def others_rank(self, i: int, vm: Profile) -> int:
-        r = 0
-        for k, t in zip(self.others_sizes(i), vm):
-            r = r * k + t
-        return r
-
     # -- measures -----------------------------------------------------------
 
     def mu(self, profile: Profile) -> Fraction:
@@ -455,22 +389,24 @@ class Instance:
             out.append(tuple(at))
         return tuple(out)
 
-    def _mass_products(self, buyers) -> tuple[Fraction, ...]:
-        """The product masses of the buyers' joint profiles, row-major."""
-        out = [Fraction(1)]
+    def _mass_products(self, buyers) -> Scaled:
+        """The product masses of the buyers' joint profiles, row-major,
+        reduced by a common gcd to the least denominator that holds them."""
+        nums, den = [1], 1
         for b in buyers:
-            out = [a * q for a in out for q in self.probs[b]]
-        return tuple(out)
+            masses, mass_den = self.probs_scaled[b]
+            nums = [a * q for a in nums for q in masses]
+            den *= mass_den
+        g = gcd(den, *nums)
+        return Scaled(tuple([a // g for a in nums]), den // g)
 
     @cached_property
     def mu_by_rank(self) -> tuple[Fraction, ...]:
-        return self._mass_products(range(self.n))
+        return self.mu_scaled.fractions()
 
     @cached_property
     def mu_minus_by_slice(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            self._mass_products(b for b in range(self.n) if b != i) for i in range(self.n)
-        )
+        return tuple(s.fractions() for s in self.mu_minus_scaled)
 
     # -- the same tables over one denominator each ---------------------------
 
@@ -486,11 +422,13 @@ class Instance:
 
     @cached_property
     def mu_scaled(self) -> Scaled:
-        return _scale(self.mu_by_rank)
+        return self._mass_products(range(self.n))
 
     @cached_property
     def mu_minus_scaled(self) -> tuple[Scaled, ...]:
-        return tuple(map(_scale, self.mu_minus_by_slice))
+        return tuple(
+            self._mass_products(b for b in range(self.n) if b != i) for i in range(self.n)
+        )
 
     # -- serialization ------------------------------------------------------
 
@@ -651,6 +589,8 @@ class Mechanism(_Numerators):
     form: str
     scaled: Scaled
 
+    _views = ("form", "alloc", "pay")
+
     @cached_property
     def alloc(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         return Scaled(self.scaled.nums[0], self.scaled.den).fractions()
@@ -698,6 +638,7 @@ class PrimalSlacks(_Numerators):
     form: str
     scaled: SlackNumerators
 
+    _views = ("form", "a", "b", "c")
     a = _view("a")
     b = _view("b")
     c = _view("c", per_buyer=False)
@@ -757,13 +698,13 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
     c = Scaled(tuple(zip(*([den - q for q in items] for items in sold))), den)
     a, b = [], []
     for i in range(instance.n):
-        positions, families = multiplier_keys(instance, form, i)[:2]
-        scales = _key_numerators(instance, form, i)[2]
+        keys = multiplier_keys(instance, form, i)
+        scales = keys.scales
         vecs, vden = instance.supports_scaled[i]
-        a_i, b_i = [None] * len(positions), [None] * len(positions)
+        a_i, b_i = [None] * len(keys.positions), [None] * len(keys.positions)
         # the slices of each family, grouped by the family's first key
         groups: dict = {}
-        for s, family in enumerate(families):
+        for s, family in enumerate(keys.families):
             groups.setdefault(family[0], (family, []))[1].append(s)
         for family, slices in groups.values():
             rows = list(zip(*_key_rows(instance, alloc, pay, i, scales.nums, slices)))
@@ -778,21 +719,6 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
         a.append(Scaled(tuple(a_i), den_i))
         b.append(Scaled(tuple(b_i), den_i))
     return SlackNumerators(tuple(a), tuple(b), c)
-
-
-def _key_numerators(instance: Instance, form: str, i: int) -> tuple[Scaled, Scaled, Scaled]:
-    """(weights, masses, scales) of buyer i's keys (see multiplier_keys),
-    each over one denominator:
-
-    * weights[s]: the participation weight the zero type's key carries
-      on slice s in a regular dual: the opponent mass (DS) or 1 (BAYES);
-    * masses[key]: the payment coefficient a regular dual meets there:
-      the profile mass (DS) or the buyer's own mass (BAYES);
-    * scales[s]: multiplier_keys' scales."""
-    ones = Scaled((1,) * (instance.profile_count // instance.sizes[i]), 1)
-    if form == DS:
-        return instance.mu_minus_scaled[i], instance.mu_scaled, ones
-    return ones, instance.probs_scaled[i], instance.mu_minus_scaled[i]
 
 
 def _key_rows(instance: Instance, alloc, pay, i: int, scales, slices):
@@ -868,6 +794,7 @@ class DualSolution(_Numerators):
 
     scaled: DualNumerators
 
+    _views = DualNumerators._fields
     zeta = _view("zeta")
     eta = _view("eta")
     xi = _view("xi", per_buyer=False)
@@ -890,9 +817,8 @@ class DualSolution(_Numerators):
         return not _negative(*nums.zeta, *nums.eta, nums.xi, *nums.alpha, *nums.beta)
 
 
-def multiplier_keys(instance: Instance, form: str, i: int):
-    """Buyer i's multiplier keys in the given form, as a tuple
-    (positions, families, scales):
+class MultiplierKeys(NamedTuple):
+    """Buyer i's multiplier keys in one form (multiplier_keys):
 
     * positions[key] = (t, s): the own type of the key and a slice it
       stands for;
@@ -901,17 +827,37 @@ def multiplier_keys(instance: Instance, form: str, i: int):
     * scales[s]: the invariant that relates the forms.  The ic and ir
       rows of a key are the sum, over the slices s with
       families[s][t] == key, of scales[s] times the dominant-strategy
-      rows at ranks[i][s][t].
+      rows at ranks[i][s][t];
+    * weights[s]: the participation weight the zero type's key carries
+      on slice s in a regular dual;
+    * masses[key]: the payment coefficient a regular dual meets there.
 
-    DS keys are profile ranks, each on one slice at scale 1.  BAYES
-    keys are own types: every slice shares the one family of all types,
-    at its opponent mass (possibly 0) as scale.  _key_numerators adds
-    what a regular dual meets at the keys."""
+    DS keys are profile ranks, each on one slice at scale 1, weighted by
+    the opponent mass, with the profile mass as mass.  BAYES keys are own
+    types: every slice shares the one family of all types, at its
+    opponent mass (possibly 0) as scale, with weight 1 and the buyer's
+    own mass as mass.  scales, weights and masses are Scaled."""
+
+    positions: tuple
+    families: tuple
+    scales: Scaled
+    weights: Scaled
+    masses: Scaled
+
+
+def multiplier_keys(instance: Instance, form: str, i: int) -> MultiplierKeys:
+    """Buyer i's multiplier keys in the given form."""
     k = instance.sizes[i]
-    slices = instance.profile_count // k
+    ones = Scaled((1,) * (instance.profile_count // k), 1)
     if form == DS:
-        return instance.positions[i], instance.ranks[i], (Fraction(1),) * slices
-    return tuple((t, 0) for t in range(k)), (range(k),) * slices, instance.mu_minus_by_slice[i]
+        return MultiplierKeys(
+            instance.positions[i], instance.ranks[i], ones,
+            instance.mu_minus_scaled[i], instance.mu_scaled,
+        )
+    return MultiplierKeys(
+        tuple((t, 0) for t in range(k)), (range(k),) * len(ones.nums),
+        instance.mu_minus_scaled[i], ones, instance.probs_scaled[i],
+    )
 
 
 def _key_coefficients(zeta_i, eta_i, family, t, vecs):
@@ -920,7 +866,7 @@ def _key_coefficients(zeta_i, eta_i, family, t, vecs):
     participation weight and "true t, report t2" multipliers, less the
     "true t2, report t" ones; phi weighs each by its type's vector in
     vecs.  Diagonal entries are ignored.  The arithmetic is generic:
-    dual_from_multipliers passes integer numerators."""
+    _dual_from_scaled passes integer numerators."""
     key = family[t]
     held, inflow = eta_i[key], []
     for t2, (out, key2) in enumerate(zip(zeta_i[key], family)):
@@ -963,11 +909,11 @@ def _dual_from_scaled(instance: Instance, form: str, multipliers, xi_scaled) -> 
     xi_nums, xi_den = xi_scaled
     parts = []
     for i in range(instance.n):
-        positions, families = multiplier_keys(instance, form, i)[:2]
-        scales = _key_numerators(instance, form, i)[2]
+        keys = multiplier_keys(instance, form, i)
+        families, scales = keys.families, keys.scales
         (zeta_i, eta_i), zeta_den = multipliers[i]
         vecs, value_den = instance.supports_scaled[i]
-        per_key = (_key_coefficients(zeta_i, eta_i, families[s], t, vecs) for t, s in positions)
+        per_key = (_key_coefficients(zeta_i, eta_i, families[s], t, vecs) for t, s in keys.positions)
         phis, psis = zip(*per_key)
         phi_den = zeta_den * value_den
         alpha_den = lcm(xi_den, scales.den * phi_den)

@@ -23,7 +23,6 @@ from .model import (
     VirtualValueTable,
     _dot,
     _dual_from_scaled,
-    _key_numerators,
     _slack_numerators,
     multiplier_keys,
 )
@@ -164,12 +163,12 @@ def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
     profiles = list(instance.profiles())
     nums = dual.scaled
     for i, t0 in enumerate(zeros):
-        positions = multiplier_keys(instance, form, i)[0]
-        (weights, w_den), (masses, m_den), _ = _key_numerators(instance, form, i)
-        names = profiles if form == DS else range(len(positions))
+        keys = multiplier_keys(instance, form, i)
+        (weights, w_den), (masses, m_den) = keys.weights, keys.masses
+        names = profiles if form == DS else range(len(keys.positions))
         (eta_i, eta_den), (psi_i, psi_den) = nums.eta[i], nums.psi[i]
         phi_i = nums.phi[i].nums
-        for key, (t, s) in enumerate(positions):
+        for key, (t, s) in enumerate(keys.positions):
             w = weights[s]
             if not w:
                 for j, phi in enumerate(phi_i[key]):
@@ -225,8 +224,8 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
     nums = dual.scaled
     multipliers = []
     for i, (k, t0) in enumerate(zip(instance.sizes, zeros)):
-        positions, families = multiplier_keys(instance, form, i)[:2]
-        (weights, w_den), (masses, m_den), _ = _key_numerators(instance, form, i)
+        keys = multiplier_keys(instance, form, i)
+        (weights, w_den), (masses, m_den) = keys.weights, keys.masses
         zeta_den = nums.zeta[i].den
         den = lcm(zeta_den, w_den, m_den)
         up, to_w, to_m = den // zeta_den, den // w_den, den // m_den
@@ -237,11 +236,11 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
         # weight ends all zeros.  Moving type t writes only zeta(t, 0)
         # and zeta(0, t), which no later type's psi reads, so the moves
         # run in place with every surplus read off the dual.
-        for key0, (own, s) in enumerate(positions):
+        for key0, (own, s) in enumerate(keys.positions):
             if own != t0:
                 continue
             w = weights[s]
-            for t, key in enumerate(families[s]):
+            for t, key in enumerate(keys.families[s]):
                 if not w:
                     zeta_i[key], eta_i[key] = [0] * k, 0
                 elif t != t0:
@@ -295,21 +294,21 @@ def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> Virtua
     zeros = _zero_indices(instance)
     values = []
     for i, t0 in enumerate(zeros):
-        positions, families = multiplier_keys(instance, form, i)[:2]
-        (weights, _), (masses, m_den), _ = _key_numerators(instance, form, i)
+        keys = multiplier_keys(instance, form, i)
+        masses, m_den = keys.masses
         phi_i, phi_den = dual.scaled.phi[i]
         per_key = []
-        for key, (t, s) in enumerate(positions):
+        for key, (t, s) in enumerate(keys.positions):
             w = masses[key]
             if w:
                 unit = phi_den * w
                 per_key.append(tuple(Fraction(phi * m_den, unit) for phi in phi_i[key]))
             else:
-                entry = NEG_INF if weights[s] and t == t0 else Fraction(0)
+                entry = NEG_INF if keys.weights.nums[s] and t == t0 else Fraction(0)
                 per_key.append((entry,) * instance.m)
         values.append(
             tuple(
-                tuple(per_key[families[s][t]][j] for t, s in instance.positions[i])
+                tuple(per_key[keys.families[s][t]][j] for t, s in instance.positions[i])
                 for j in range(instance.m)
             )
         )
@@ -359,12 +358,12 @@ def check_vwm(
                         violations.append(
                             VwmViolation("alloc-not-argmax", j, r, i)
                         )
-                    if entries[i] is NEG_INF or entries[i] < 0:
+                    if entries[i] < 0:
                         violations.append(
                             VwmViolation("alloc-negative", j, r, i)
                         )
             sold = sum((cell[j] for cell in mechanism.alloc[r]), Fraction(0))
-            if sold < 1 and best is not NEG_INF and best > 0:
+            if sold < 1 and best > 0:
                 violations.append(VwmViolation("unsold-max-positive", j, r))
             if 0 < sold < 1 and best != 0:
                 violations.append(VwmViolation("partial-max-nonzero", j, r))
@@ -394,7 +393,7 @@ def check_ubvv(table: VirtualValueTable, instance: Instance) -> UbvvReport:
             vec = instance.value(i, instance.positions[i][r][0])
             for j in range(instance.m):
                 entry = table.values[i][j][r]
-                if entry is NEG_INF:
+                if entry == NEG_INF:
                     continue
                 checked += 1
                 if entry > vec[j]:

@@ -9,14 +9,14 @@ The definitions are free functions over profile tuples: utility,
 deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
 dual; zero_mechanism, min_entry of slacks and row_dot of a program;
-reference_names of a program layout; drop, insert, others_count,
-others_profiles and profile_prob of an instance's profiles; and the
-plain-Fraction references of the integer producers (the canonical
-flow, Myerson's auction, face_excess, the equivalence maps and the
-regularization moves).  mechanism_of and slacks_of build a Mechanism
-or PrimalSlacks from Fractions, and labels renders every label of a
-layout.  The references never call the rank-table paths they check
-(test_surface)."""
+reference_names of a program layout; drop, insert, others_sizes,
+others_rank, others_count, others_profiles and profile_prob of an
+instance's profiles; and the plain-Fraction references of the integer
+producers (the canonical flow, Myerson's auction, face_excess, the
+equivalence maps and the regularization moves).  mechanism_of and
+slacks_of build a Mechanism or PrimalSlacks from Fractions, and labels
+renders every label of a layout.  The references never call the
+rank-table paths they check (test_surface)."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -38,13 +38,26 @@ def insert(i, t, vm):
     return vm[:i] + (t,) + vm[i:]
 
 
+def others_sizes(instance, i):
+    """The support sizes of buyer i's opponents, in buyer order."""
+    return drop(i, instance.sizes)
+
+
+def others_rank(instance, i, vm):
+    """The rank of opponent profile vm among buyer i's, row-major."""
+    r = 0
+    for k, t in zip(others_sizes(instance, i), vm):
+        r = r * k + t
+    return r
+
+
 def others_count(instance, i):
-    return prod(instance.others_sizes(i))
+    return prod(others_sizes(instance, i))
 
 
 def others_profiles(instance, i):
-    """Buyer i's opponent profiles, in Instance.others_rank order."""
-    return product(*(range(k) for k in instance.others_sizes(i)))
+    """Buyer i's opponent profiles, in others_rank order."""
+    return product(*(range(k) for k in others_sizes(instance, i)))
 
 
 def profile_prob(instance, profile):

@@ -134,8 +134,8 @@ def test_closed_forms_match_the_programs(monkeypatch):
 
 
 def test_scan_builds_each_canonical_flow_once(monkeypatch):
-    # A single-item instance is its own item marginal, so its SRev is the
-    # certified DRev and only the tight dual builds its flow.  A two-item
+    # A single-item instance's SRev is the certified DRev, so only the
+    # tight dual builds its flow.  A two-item
     # instance builds one flow per item marginal and no tight-dual flow.
     built = []
     original = analysis.canonical_flow
@@ -155,6 +155,27 @@ def test_scan_builds_each_canonical_flow_once(monkeypatch):
             assert record["srev"] == record["drev"]
         else:
             assert built == [item_marginal(instance, j) for j in range(instance.m)]
+
+
+def test_single_item_srev_is_drev_without_a_marginal(monkeypatch):
+    # types listed unsorted, so the item's marginal is another labeling
+    # of the instance; DRev does not depend on the labeling
+    instance = build(
+        2,
+        1,
+        [[[2], [0], [1]], [[3], [1], [0]]],
+        [["1/2", 0, "1/2"], ["1/3", "1/3", "1/3"]],
+    )
+    assert item_marginal(instance, 0) != instance
+    assert srev(instance) == F(5, 3)
+
+    def no_marginal(instance, j):
+        raise AssertionError("characterize built an item marginal")
+
+    monkeypatch.setattr(analysis, "item_marginal", no_marginal)
+    report = characterize(instance)
+    assert (report.brev, report.drev, report.srev) == (F(5, 3),) * 3
+    assert report.findings == () and report.ai_witness is not None
 
 
 @pytest.fixture(scope="module")

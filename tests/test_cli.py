@@ -239,6 +239,20 @@ def test_self_check_rejects_malformed_document(pair_path, tmp_path, capsys, edit
     assert "Traceback" not in err
 
 
+def test_self_check_cuts_long_unknown_labels(pair_path, tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    main(["solve", pair_path, "--certificate", cert])
+    capsys.readouterr()
+    doc = json.loads(open(cert).read())
+    doc["dual"]["ir:0:" + "1" * 5000] = "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["self-check", pair_path, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "LabelMismatch" in err and "ir:0:111" in err
+    assert len(err) < 200
+
+
 def test_self_check_rejects_non_object_document(pair_path, tmp_path, capsys):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")

@@ -30,8 +30,10 @@ from auctionlp.auction import (
 from auctionlp.model import (
     BAYES,
     DS,
+    Mechanism,
     Scaled,
     VirtualValueTable,
+    _scale,
     dual_from_multipliers,
     mechanism_slacks,
     multiplier_keys,
@@ -212,8 +214,8 @@ def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
     assert bayes_slacks.c == ds_slacks.c
     for i, k in enumerate(instance.sizes):
         weights = [instance.mu_minus(i, vm) for vm in others_profiles(instance, i)]
-        assert multiplier_keys(instance, BAYES, i)[2] == tuple(weights)
-        assert set(multiplier_keys(instance, DS, i)[2]) == {1}
+        assert multiplier_keys(instance, BAYES, i).scales.fractions() == tuple(weights)
+        assert set(multiplier_keys(instance, DS, i).scales.fractions()) == {1}
         for t in range(k):
             ranks = [slice_ranks[t] for slice_ranks in instance.ranks[i]]
             ds_rows = [ds.rows[ds.layout.eta(i, r)] for r in ranks]
@@ -257,6 +259,9 @@ def test_builders_and_mass_tables_match_definition(spec, seed):
     assert instance.mu_by_rank == tuple(map(instance.mu, instance.profiles()))
     for i, slices in enumerate(instance.mu_minus_by_slice):
         assert slices == tuple(instance.mu_minus(i, vm) for vm in others_profiles(instance, i))
+    # the integer products sit over the least denominators, as a split would
+    assert instance.mu_scaled == _scale(instance.mu_by_rank)
+    assert instance.mu_minus_scaled == tuple(map(_scale, instance.mu_minus_by_slice))
     for form, build in ((DS, build_dslp), (BAYES, build_blp)):
         lp, reference = build(instance), reference_primal(instance, form)
         assert lp.layout == reference.layout
@@ -439,6 +444,28 @@ def test_numerators_stand_for_the_fractions():
     assert slacks == reference_slacks(instance, mechanism)
     assert mechanism == mechanism_of(BAYES, mechanism.alloc, mechanism.pay)
     assert dual == dual_from_multipliers(instance, BAYES, dual.zeta, dual.eta, dual.xi)
+
+
+def _twice(nested):
+    return tuple(map(_twice, nested)) if isinstance(nested, tuple) else 2 * nested
+
+
+def test_values_hash_alike_across_denominators():
+    # one value held over two denominators: equal, and equal hashes
+    instance = _adversarial_instances()[1]
+    certificate = solve_form(instance, DS)
+    dual = extract_dual(instance, certificate, DS)
+    rebuilt = dual_from_multipliers(instance, DS, dual.zeta, dual.eta, dual.xi)
+    assert rebuilt.scaled != dual.scaled
+    assert rebuilt == dual and hash(rebuilt) == hash(dual)
+    mechanism = extract_mechanism(instance, certificate, DS)
+    nums, den = mechanism.scaled
+    doubled = Mechanism(DS, Scaled(_twice(nums), 2 * den))
+    assert doubled.scaled != mechanism.scaled
+    for other in (doubled, mechanism_of(DS, mechanism.alloc, mechanism.pay)):
+        assert other == mechanism and hash(other) == hash(mechanism)
+    # the form is part of the value
+    assert Mechanism(BAYES, mechanism.scaled) != mechanism
 
 
 def _scaled_parts(value):

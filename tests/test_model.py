@@ -40,6 +40,7 @@ from helpers import (
     mechanism_of,
     min_entry,
     others_count,
+    others_rank,
     profile_prob,
     utility,
     zero_mechanism,
@@ -146,6 +147,18 @@ def test_neg_inf_ordering():
     assert Fraction(0) > NEG_INF
     assert max(NEG_INF, Fraction(-1)) == Fraction(-1)
     assert sorted([Fraction(1), NEG_INF, Fraction(0)])[0] is NEG_INF
+
+
+def test_neg_inf_orders_rationals_past_float_range():
+    # Fraction compares with an infinity without converting itself to
+    # a float, which would overflow here
+    huge = Fraction(10**400, 3)
+    with pytest.raises(OverflowError):
+        float(huge)
+    assert NEG_INF < -huge < huge
+    assert -huge > NEG_INF and NEG_INF != -huge
+    assert max(NEG_INF, -huge) == -huge
+    assert sorted([huge, NEG_INF, -huge]) == [NEG_INF, -huge, huge]
 
 
 # -- validation -------------------------------------------------------------
@@ -277,7 +290,7 @@ def test_drop_insert_inverse(a, b, c):
     for i in range(3):
         vm = drop(i, profile)
         assert insert(i, profile[i], vm) == profile
-        assert inst.others_rank(i, vm) < others_count(inst, i)
+        assert others_rank(inst, i, vm) < others_count(inst, i)
 
 
 def test_mu_products(pair12):

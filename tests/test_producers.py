@@ -149,7 +149,7 @@ def test_flow_producers_match_their_references_over_large_primes(instance):
 
 # Both single-item paths of characterize: the flow's proof accepts the
 # support-2 instance and declines the support-3 one, which then solves
-# both programs.  Each is its own item marginal, so SRev builds no
+# both programs.  On one item SRev is DRev, so SRev builds no
 # instance.
 @pytest.mark.parametrize("support, seed", [(2, 0), (3, 1)])
 def test_producers_split_no_fractions(monkeypatch, support, seed):

@@ -39,7 +39,14 @@ from auctionlp.virtual import (
     virtual_values_ds,
     virtual_values_bayes,
 )
-from helpers import mechanism_of, myerson_formula, regular_phi_range, sold, zero_mechanism
+from helpers import (
+    mechanism_of,
+    myerson_formula,
+    others_rank,
+    regular_phi_range,
+    sold,
+    zero_mechanism,
+)
 
 F = Fraction
 
@@ -198,7 +205,7 @@ def frozen(nested):
 
 def test_witness_detects_virtual_on_zero_mass_slice(pair12):
     zeta = zeros_like_zeta(pair12)
-    s0 = pair12.others_rank(0, (0,))
+    s0 = others_rank(pair12, 0, (0,))
     zeta[0][pair12.ranks[0][s0][1]][0] = F(1)
     eta = tuple(tuple(F(0) for _ in pair12.profiles()) for _ in range(2))
     xi = ((F(0),) * pair12.profile_count,)
