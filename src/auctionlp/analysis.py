@@ -10,7 +10,6 @@ from math import lcm
 
 from .auction import (
     _checked_mechanism,
-    brev,
     build_dual_dslp,
     drev,
     extract_dual,
@@ -75,8 +74,6 @@ def item_marginal(instance: Instance, j: int) -> Instance:
         for t in range(instance.sizes[i]):
             w = instance.value(i, t)[j]
             masses[w] = masses.get(w, Fraction(0)) + instance.mu_i(i, t)
-        if Fraction(0) not in masses:
-            masses[Fraction(0)] = Fraction(0)
         values = sorted(masses)
         supports.append([(w,) for w in values])
         probs.append([masses[w] for w in values])
@@ -269,21 +266,20 @@ def face_excess(instance: Instance, dual: DualSolution) -> Fraction:
     return total
 
 
-def tight_downward_dual(instance: Instance, revenue: Fraction | None = None):
+def tight_downward_dual(instance: Instance, revenue: Fraction):
     """Search the optimal dual face for a solution whose payment rows
     are all tight and whose deviation mass never runs from a lower
     value to a higher one on any item.
 
     Minimizes total participation mass plus the mass on raising pairs
-    over the optimal face (the face program).  Returns (dual, excess):
+    over the optimal face, the duals whose objective is revenue (the
+    instance's DRev; the face program).  Returns (dual, excess):
     excess 0 means both goals were met exactly, and the regularized
     table then stays at or below the values entrywise.  Single-item
     instances always admit excess 0.  The face has many minimizers;
     this returns the one vertex the simplex's pivot path reaches, and
     it is the only function here that does.
     """
-    if revenue is None:
-        revenue = drev(instance)
     base = build_dual_dslp(instance)
     layout = base.layout
     count = instance.profile_count

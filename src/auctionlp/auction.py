@@ -38,6 +38,7 @@ from .errors import (
     LabelMismatch,
     NotOptimal,
     NotRational,
+    echo,
 )
 from .lp import (
     OPTIMAL,
@@ -557,7 +558,6 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     """Self-contained record of an optimal primal solve: objective,
     nonzero primal and dual entries by label, and the complementary
     slackness ledger (all zeros at an optimum)."""
-    _require_optimal(certificate)
     mechanism, slacks = _checked_mechanism(instance, certificate, form)
     dual = extract_dual(instance, certificate, form)
     check = check_cs_ds if form == DS else check_cs_bayes
@@ -604,18 +604,20 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     version = document.get("version")
     # JSON true equals 1 in Python, so the type is tested too
     if type(version) is not int or version != 1:
-        raise LabelMismatch(f"unknown certificate version {version!r}")
+        raise LabelMismatch(f"unknown certificate version {echo(version)}")
     if document.get("digest") != instance.digest():
         raise LabelMismatch("certificate digest does not match the instance")
     form = document.get("form")
     if form not in (DS, BAYES):
-        raise LabelMismatch(f"unknown certificate form {form!r}")
+        raise LabelMismatch(f"unknown certificate form {echo(form)}")
     lp = build_dslp(instance) if form == DS else build_blp(instance)
     primal = _document_section(document, "primal")
     dual = _document_section(document, "dual")
     ledger = _document_section(document, "ledger")
     if ledger.keys() != set(_LEDGER_KEYS):
-        raise LabelMismatch(f"certificate ledger keys {sorted(ledger)} are not {_LEDGER_KEYS}")
+        raise LabelMismatch(
+            f"certificate ledger keys {echo(sorted(ledger))} are not {_LEDGER_KEYS}"
+        )
     zero = Fraction(0)
     x, y = [zero] * lp.ncols, [zero] * lp.nrows
     unknown = []
@@ -627,9 +629,8 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
             else:
                 vector[index] = value
     if unknown:
-        # a label may be any length; each one echoed is cut to 40 characters
-        shown = [label[:40] + "..." if len(label) > 40 else label for label in sorted(unknown)[:3]]
-        raise LabelMismatch(f"unknown labels: {shown}")
+        shown = ", ".join(map(echo, sorted(unknown)[:3]))
+        raise LabelMismatch(f"unknown labels: [{shown}]")
     try:
         objective = rat(document.get("objective"))
     except NotRational as exc:

@@ -38,6 +38,7 @@ from .errors import (
     NotRational,
     ScaleLimit,
     ZeroMassNonzeroType,
+    echo,
 )
 from .lp import CertificateError, check_tableau_size
 from .model import BAYES, DS, NEG_INF, load_instance, multiplier_keys, rat_str
@@ -51,7 +52,8 @@ from .virtual import (
     virtual_values_ds,
 )
 
-_VALIDATION = (
+# Invalid input, exit 2: bad data (a forged certificate too) or files.
+_INVALID_INPUT = (
     NonUnitMass,
     NegativeValue,
     DuplicateSupportVector,
@@ -61,6 +63,9 @@ _VALIDATION = (
     LabelMismatch,
     InfeasibleInput,
     NotRational,
+    CertificateError,
+    OSError,
+    json.JSONDecodeError,
 )
 
 _FORMS = {"ds": DS, "bic": BAYES}
@@ -76,16 +81,16 @@ def _parse_gen_spec(text: str) -> dict:
         if not part:
             continue
         if "=" not in part:
-            raise DimensionMismatch(f"generator spec entry lacks '=': {part!r}")
+            raise DimensionMismatch(f"generator spec entry lacks '=': {echo(part)}")
         key, raw = part.split("=", 1)
         key = key.strip()
         raw = raw.strip()
         if key in spec:
-            raise DimensionMismatch(f"generator spec repeats the key {key!r}")
+            raise DimensionMismatch(f"generator spec repeats the key {echo(key)}")
         if key in _SPEC_FLAGS:
             if raw.lower() not in _GEN_FLAGS:
                 raise DimensionMismatch(
-                    f"generator spec value for {key!r} is not a boolean: {raw!r}"
+                    f"generator spec value for {echo(key)} is not a boolean: {echo(raw)}"
                 )
             spec[key] = _GEN_FLAGS[raw.lower()]
         elif key in _SPEC_COUNTS:
@@ -93,10 +98,10 @@ def _parse_gen_spec(text: str) -> dict:
                 spec[key] = int(raw)
             except ValueError:
                 raise DimensionMismatch(
-                    f"generator spec value for {key!r} is not an integer: {raw!r}"
+                    f"generator spec value for {echo(key)} is not an integer: {echo(raw)}"
                 ) from None
         else:
-            raise DimensionMismatch(f"unknown generator spec key {key!r}")
+            raise DimensionMismatch(f"unknown generator spec key {echo(key)}")
     return spec
 
 
@@ -167,7 +172,7 @@ def cmd_characterize(args) -> int:
         return 0
     spec = _parse_gen_spec(args.gen)
     if args.count < 1:
-        raise DimensionMismatch(f"--count must be at least 1, got {args.count}")
+        raise DimensionMismatch(f"--count must be at least 1, got {echo(args.count)}")
     # Every instance gets a dominant-strategy solve, so refuse its
     # tableau before drawing; the builders' right-hand sides are
     # nonnegative, so it has no artificial columns.
@@ -314,26 +319,18 @@ def main(argv=None) -> int:
         parser.error("characterize needs an instance path or --gen")
     try:
         if args.caps < 1:
-            raise DimensionMismatch(f"--caps must be at least 1, got {args.caps}")
+            raise DimensionMismatch(f"--caps must be at least 1, got {echo(args.caps)}")
         return args.func(args)
     except ScaleLimit as exc:
         # also the exact simplex's PivotLimit
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except _VALIDATION as exc:
+    except _INVALID_INPUT as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CertificateError as exc:
-        # forged or corrupted certificate data: invalid input, not a
-        # solver failure
-        print(f"error: CertificateError: {exc}", file=sys.stderr)
         return 2
     except AuctionLPError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,12 @@ class AuctionLPError(Exception):
     pass
 
 
+def echo(value) -> str:
+    """repr(value) for an error message, cut to 40 characters plus '...'."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 class NonUnitMass(AuctionLPError):
     """A buyer's probability masses do not sum to exactly 1."""
 

@@ -140,19 +140,20 @@ _FLOAT_TOL = 1e-9
 # Float pivots allowed per row and column of the program before the
 # exact simplex takes over.
 _FLOAT_PIVOTS_PER_DIM = 4
-# Denominator bounds tried in turn when rounding the float vertex.  Too
-# small a bound fails the check often (10**4 rejected 15 of 90 seeded
-# 27-profile two-item dominant-strategy programs) and can round an entry
-# to another point of the optimal face that still certifies, so the
-# first bound sits well above the certificate denominators seen in
-# practice (at most 17 bits on the benchmark corpora).
-_ROUND_BOUNDS = (10**6, 10**9)
+# Denominator bound when rounding the float vertex.  Too small a bound
+# fails the check often (10**4 rejected 15 of 90 seeded 27-profile
+# two-item dominant-strategy programs) and can round an entry to another
+# point of the optimal face that still certifies, so it sits well above
+# the certificate denominators seen in practice (at most 17 bits on the
+# benchmark corpora); a vertex needing more goes to the exact simplex.
+_ROUND_BOUND = 10**6
 
 # Endings of the float pass that hand the program to the exact simplex.
-# OverflowError and ValueError come from numbers floats cannot hold:
-# float() refuses a rational beyond their range, and Fraction() refuses
-# the infinities and NaNs that overflowing arithmetic leaves behind.
-_NO_PROPOSAL = (_NoProposal, PivotLimit, OverflowError, ValueError)
+# CertificateError rejects the rounded vertex.  OverflowError and
+# ValueError come from numbers floats cannot hold: float() refuses a
+# rational beyond their range, and Fraction() refuses the infinities and
+# NaNs that overflowing arithmetic leaves behind.
+_NO_PROPOSAL = (_NoProposal, CertificateError, PivotLimit, OverflowError, ValueError)
 
 
 def check_tableau_size(rows: int, width: int) -> None:
@@ -344,9 +345,6 @@ class _Simplex:
         if self.pivots > self.cap:
             raise PivotLimit(f"pivot cap exceeded on {self.R}x{self.S} program")
 
-    def _stalled(self, value, last_val) -> bool:
-        return value == last_val or abs(value - last_val) <= self.tol
-
     # -- phases -------------------------------------------------------------
 
     def run(self) -> LpCertificate:
@@ -376,13 +374,14 @@ class _Simplex:
             if r is None:
                 return c
             self._pivot(r, c)
-            if self._stalled(obj[self.rhs], last_val):
+            value = obj[self.rhs]
+            if value == last_val or abs(value - last_val) <= self.tol:
                 self.stalls += 1
                 if self.stalls > stall_limit:
                     self.forced_bland = True
             else:
                 self.stalls = 0
-                last_val = obj[self.rhs]
+                last_val = value
         return None
 
     def _phase_one(self) -> LpCertificate | None:
@@ -455,13 +454,8 @@ class _Simplex:
     def _optimal(self) -> LpCertificate:
         if not self.tol:
             return self._certify(Fraction)
-        for bound in _ROUND_BOUNDS:
-            try:
-                # a vertex repeats few values: round each distinct one once
-                return self._certify(cache(partial(_nearby_rational, bound=bound)))
-            except CertificateError:
-                continue
-        raise _NoProposal("no rounding of the float vertex certifies")
+        # a vertex repeats few values: round each distinct one once
+        return self._certify(cache(partial(_nearby_rational, bound=_ROUND_BOUND)))
 
     def _unbounded(self, col: int) -> LpCertificate:
         if self.tol:

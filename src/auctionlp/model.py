@@ -113,6 +113,7 @@ from .errors import (
     NotOptimal,
     NotRational,
     ZeroMassNonzeroType,
+    echo,
 )
 
 Profile = tuple[int, ...]
@@ -140,14 +141,14 @@ def rat(x) -> Fraction:
             try:
                 return Fraction(int(numerator), int(denominator or 1))
             except (ValueError, ZeroDivisionError):
-                raise NotRational(f"not a rational: {x!r}") from None
+                raise NotRational(f"not a rational: {echo(x)}") from None
         try:
             if not _too_long(text):
                 return Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise NotRational(f"not a rational: {x!r}") from None
-        raise NotRational(f"not a rational: {x!r} has too many digits")
-    raise NotRational(f"not a rational: {x!r}")
+            raise NotRational(f"not a rational: {echo(x)}") from None
+        raise NotRational(f"not a rational: {echo(x)} has too many digits")
+    raise NotRational(f"not a rational: {echo(x)}")
 
 
 # An integer or p/q literal in ASCII digits, which Fraction reads as
@@ -182,7 +183,6 @@ def _too_long(text: str) -> bool:
 
 def rat_str(q: Fraction) -> str:
     """Render a rational as 'p/q', or bare 'p' when the denominator is 1."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -479,11 +479,11 @@ def validate_instance(
         raise DimensionMismatch(f"malformed instance data: {exc}") from exc
     for key, count in (("buyers", n), ("items", m)):
         if not isinstance(count, int) or isinstance(count, bool):
-            raise DimensionMismatch(f"{key} is not an integer: {count!r}")
+            raise DimensionMismatch(f"{key} is not an integer: {echo(count)}")
     if augment_zero is None:
         augment_zero = data.get("augment_zero", False)
         if not isinstance(augment_zero, bool):
-            raise DimensionMismatch(f"augment_zero is not a boolean: {augment_zero!r}")
+            raise DimensionMismatch(f"augment_zero is not a boolean: {echo(augment_zero)}")
     if n < 1 or m < 1:
         raise DimensionMismatch("need at least one buyer and one item")
     if not (

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping
 
-from .errors import DimensionMismatch, ScaleLimit
+from .errors import DimensionMismatch, ScaleLimit, echo
 from .model import Instance, validate_instance
 
 __all__ = ["gen_instance", "gen_shape"]
@@ -33,22 +33,22 @@ def _draw_weights(rng: random.Random, count: int, zero_index: int) -> list[int]:
     return weights
 
 
+def _distinct(rng: random.Random, m: int, support: int, value_range: int, denominator: int):
+    """The zero vector and support distinct nonzero draws of m values,
+    sorted, so the zero vector comes first; ScaleLimit when 64 *
+    (support + 2) draws do not find them."""
+    seen = {(Fraction(0),) * m}
+    for _ in range(64 * (support + 2)):
+        seen.add(tuple(_draw_value(rng, value_range, denominator) for _ in range(m)))
+        if len(seen) > support:
+            return sorted(seen)
+    raise ScaleLimit(f"cannot draw {support} distinct nonzero vectors in range")
+
+
 def _joint_buyer(
     rng: random.Random, m: int, support: int, value_range: int, denominator: int
 ):
-    zero = (Fraction(0),) * m
-    seen = {zero}
-    tries = 0
-    while len(seen) < support + 1:
-        vec = tuple(_draw_value(rng, value_range, denominator) for _ in range(m))
-        tries += 1
-        if vec != zero:
-            seen.add(vec)
-        if tries > 64 * (support + 1) + 64:
-            raise ScaleLimit(
-                f"cannot draw {support} distinct nonzero vectors in range"
-            )
-    vectors = [zero] + sorted(v for v in seen if v != zero)
+    vectors = _distinct(rng, m, support, value_range, denominator)
     weights = _draw_weights(rng, len(vectors), 0)
     total = sum(weights)
     return vectors, [Fraction(w, total) for w in weights]
@@ -59,16 +59,7 @@ def _product_buyer(
 ):
     per_item = []
     for _ in range(m):
-        seen = {Fraction(0)}
-        tries = 0
-        while len(seen) < support + 1:
-            seen.add(_draw_value(rng, value_range, denominator))
-            tries += 1
-            if tries > 64 * (support + 1) + 64:
-                raise ScaleLimit(
-                    f"cannot draw {support} distinct nonzero values in range"
-                )
-        values = sorted(seen)
+        values = [v for (v,) in _distinct(rng, 1, support, value_range, denominator)]
         hi = max(1, 8 // len(values))
         weights = [rng.randint(1, hi) for _ in range(len(values))]
         if rng.random() >= 0.25:
@@ -105,9 +96,11 @@ def _read_spec(spec: Mapping, cap: int):
             values = value if key == "support" and isinstance(value, (list, tuple)) else [value]
             ok, kind = all(type(v) is int for v in values), "an integer"
         else:
-            raise DimensionMismatch(f"unknown generator spec key {key!r}")
+            raise DimensionMismatch(f"unknown generator spec key {echo(key)}")
         if not ok:
-            raise DimensionMismatch(f"generator spec value for {key!r} is not {kind}: {value!r}")
+            raise DimensionMismatch(
+                f"generator spec value for {echo(key)} is not {kind}: {echo(value)}"
+            )
     n = spec.get("n", 2)
     m = spec.get("m", 1)
     raw_support = spec.get("support", 2)
@@ -135,10 +128,10 @@ def _read_spec(spec: Mapping, cap: int):
     powers = [(s + 1, c if joint else c * m) for s, c in counts]
     low = sum(e * (base.bit_length() - 1) for base, e in powers)
     if low > cap.bit_length() + 64:
-        raise ScaleLimit(f"at least 2**{low} profiles exceed the cap {cap}")
+        raise ScaleLimit(f"at least 2**{echo(low)} profiles exceed the cap {echo(cap)}")
     total_profiles = prod(base**e for base, e in powers)
     if total_profiles > cap:
-        raise ScaleLimit(f"{total_profiles} profiles exceed the cap {cap}")
+        raise ScaleLimit(f"{echo(total_profiles)} profiles exceed the cap {echo(cap)}")
     per_buyer = [s for s, c in counts for _ in range(c)]
     return n, m, per_buyer, value_range, denominator, iid, joint
 
@@ -167,18 +160,11 @@ def gen_instance(spec: Mapping, seed: int, cap: int = 256) -> Instance:
     n, m, per_buyer, value_range, denominator, iid, joint = _read_spec(spec, cap)
     rng = random.Random(seed)
 
-    def one_buyer(support: int):
-        if joint:
-            return _joint_buyer(rng, m, support, value_range, denominator)
-        return _product_buyer(rng, m, support, value_range, denominator)
-
-    buyers = []
+    buyer = _joint_buyer if joint else _product_buyer
     if iid:
-        shared = one_buyer(per_buyer[0])
-        buyers = [shared] * n
+        buyers = [buyer(rng, m, per_buyer[0], value_range, denominator)] * n
     else:
-        buyers = [one_buyer(s) for s in per_buyer]
-
+        buyers = [buyer(rng, m, s, value_range, denominator) for s in per_buyer]
     return validate_instance(
         {
             "buyers": n,

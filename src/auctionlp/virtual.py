@@ -37,10 +37,9 @@ __all__ = [
     "bayes_regularity_witness",
     "virtual_values_ds",
     "virtual_values_bayes",
+    "CheckReport",
     "check_vwm",
-    "VwmReport",
     "check_ubvv",
-    "UbvvReport",
 ]
 
 
@@ -328,9 +327,12 @@ class VwmViolation:
 
 
 @dataclass(frozen=True)
-class VwmReport:
+class CheckReport:
+    """Entries checked and violations found: VwmViolations from
+    check_vwm, (i, j, r) triples from check_ubvv."""
+
     checked: int
-    violations: tuple[VwmViolation, ...]
+    violations: tuple
 
     @property
     def ok(self) -> bool:
@@ -339,7 +341,7 @@ class VwmReport:
 
 def check_vwm(
     instance: Instance, mechanism: Mechanism, table: VirtualValueTable
-) -> VwmReport:
+) -> CheckReport:
     """Verify that on every mass-bearing profile each item goes only to
     buyers of maximal nonnegative virtual value, and that the item is
     fully allocated whenever the maximum is positive."""
@@ -367,20 +369,10 @@ def check_vwm(
                 violations.append(VwmViolation("unsold-max-positive", j, r))
             if 0 < sold < 1 and best != 0:
                 violations.append(VwmViolation("partial-max-nonzero", j, r))
-    return VwmReport(checked=checked, violations=tuple(violations))
+    return CheckReport(checked=checked, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class UbvvReport:
-    checked: int
-    violations: tuple[tuple[int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_ubvv(table: VirtualValueTable, instance: Instance) -> UbvvReport:
+def check_ubvv(table: VirtualValueTable, instance: Instance) -> CheckReport:
     """Report whether every finite entry on a mass-bearing profile stays
     at or below the corresponding value coordinate.  Violations are
     findings, not errors."""
@@ -398,4 +390,4 @@ def check_ubvv(table: VirtualValueTable, instance: Instance) -> UbvvReport:
                 checked += 1
                 if entry > vec[j]:
                     violations.append((i, j, r))
-    return UbvvReport(checked=checked, violations=tuple(violations))
+    return CheckReport(checked=checked, violations=tuple(violations))

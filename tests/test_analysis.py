@@ -333,7 +333,7 @@ def test_is_iid(pair12, gap2x2, u12):
 
 def test_tight_dual_reaches_zero_excess(u12, u123, pair12, items12):
     for instance in (u12, u123, pair12, items12):
-        dual, excess = tight_downward_dual(instance)
+        dual, excess = tight_downward_dual(instance, drev(instance))
         assert excess == 0
         assert dual.is_feasible()
         reg = regularize_ds(instance, dual, revenue=drev(instance))
@@ -372,7 +372,7 @@ TIGHT_DUAL_PINS = [
 def test_tight_dual_is_pinned():
     for (n, m, support), seed, excess, digest in TIGHT_DUAL_PINS:
         instance = gen_instance({"n": n, "m": m, "support": support, "iid": True}, seed)
-        dual, got = tight_downward_dual(instance)
+        dual, got = tight_downward_dual(instance, drev(instance))
         assert got == F(excess)
         # hashed in the nesting zeta[i][t][t2][s] of earlier releases
         zeta = tuple(
@@ -390,7 +390,7 @@ def test_face_excess_matches_the_face_search(u12):
     # the last pin ends with excess 3/56, through mass on raising pairs
     positive = gen_instance({"n": 3, "m": 2, "support": 2, "iid": True}, 3)
     for instance, expected in ((u12, F(0)), (positive, F(3, 56))):
-        dual, excess = tight_downward_dual(instance)
+        dual, excess = tight_downward_dual(instance, drev(instance))
         assert face_excess(instance, dual) == excess == expected
 
 

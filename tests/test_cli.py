@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import auctionlp
+from auctionlp import cli
 from auctionlp.auction import build_dslp
 from auctionlp.cli import build_parser, main
-from auctionlp.errors import ScaleLimit
+from auctionlp.errors import NotOptimal, ScaleLimit
 from auctionlp.model import load_instance
 from auctionlp.oracles import gen_instance
 from helpers import labels
@@ -119,6 +120,17 @@ def test_solve_prints_revenue(u12_path, capsys):
     assert capsys.readouterr().out == "1\n"
     assert main(["solve", u12_path, "--form", "bic"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
+    def fail(instance, form):
+        raise NotOptimal("no optimum")
+
+    monkeypatch.setattr(cli, "solve_form", fail)
+    assert main(["solve", u12_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: NotOptimal: no optimum\n"
+    assert captured.out == ""
 
 
 def test_solve_certificate_round_trip(u12_path, tmp_path, capsys):
@@ -239,18 +251,55 @@ def test_self_check_rejects_malformed_document(pair_path, tmp_path, capsys, edit
     assert "Traceback" not in err
 
 
-def test_self_check_cuts_long_unknown_labels(pair_path, tmp_path, capsys):
-    cert = str(tmp_path / "cert.json")
-    main(["solve", pair_path, "--certificate", cert])
-    capsys.readouterr()
-    doc = json.loads(open(cert).read())
-    doc["dual"]["ir:0:" + "1" * 5000] = "1"
+LONG = "x" * 5000
+
+# Every echo of outside input is cut to 40 characters plus "...": an
+# instance field, a certificate field and a --gen part of 5,000
+# characters (or a 2,000-element list given as a mass) exits 2 with a
+# short message.
+ECHO_CASES = {
+    "probs-entry": ("instance", lambda data: data["probs"][0].__setitem__(1, LONG)),
+    "probs-list": ("instance", lambda data: data["probs"][0].__setitem__(1, [1] * 2000)),
+    "coordinate": ("instance", lambda data: data["supports"][0][1].__setitem__(0, LONG)),
+    "buyers": ("instance", lambda data: data.update(buyers=LONG)),
+    "items": ("instance", lambda data: data.update(items=LONG)),
+    "augment-zero": ("instance", lambda data: data.update(augment_zero=LONG)),
+    "version": ("certificate", lambda doc: doc.update(version=LONG)),
+    "form": ("certificate", lambda doc: doc.update(form=LONG)),
+    "ledger-key": ("certificate", lambda doc: doc["ledger"].update({LONG: "0"})),
+    "objective": ("certificate", lambda doc: doc.update(objective=LONG)),
+    "section-value": ("certificate", lambda doc: doc.update(dual=dict.fromkeys(doc["dual"], LONG))),
+    "unknown-label": ("certificate", lambda doc: doc["dual"].update({"ir:0:1" + LONG: "1"})),
+    "gen-part": ("gen", LONG),
+    "gen-key": ("gen", LONG + "=1"),
+    "gen-count": ("gen", "n=" + LONG),
+    "gen-flag": ("gen", "iid=" + LONG),
+}
+
+
+@pytest.mark.parametrize("kind,edit", ECHO_CASES.values(), ids=list(ECHO_CASES))
+def test_long_input_is_echoed_short(pair_path, tmp_path, capsys, kind, edit):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["self-check", pair_path, str(bad)]) == 2
+    if kind == "instance":
+        data = json.loads(json.dumps(PAIR12))
+        edit(data)
+        bad.write_text(json.dumps(data))
+        argv = ["validate", str(bad)]
+    elif kind == "certificate":
+        cert = str(tmp_path / "cert.json")
+        main(["solve", pair_path, "--certificate", cert])
+        capsys.readouterr()
+        doc = json.loads(open(cert).read())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        argv = ["self-check", pair_path, str(bad)]
+    else:
+        argv = ["characterize", "--gen", edit]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "LabelMismatch" in err and "ir:0:111" in err
-    assert len(err) < 200
+    assert err.startswith("error: ") and "..." in err
+    assert kind != "certificate" or "LabelMismatch" in err
+    assert len(err.encode()) < 200
 
 
 def test_self_check_rejects_non_object_document(pair_path, tmp_path, capsys):
@@ -501,6 +550,17 @@ def test_characterize_instance_block(pair_path, capsys):
     assert capsys.readouterr().out == PAIR_REPORT
 
 
+def test_characterize_one_gen_instance_prints_its_block(tmp_path, capsys):
+    path = tmp_path / "drawn.json"
+    path.write_text(gen_instance({"n": 2, "m": 1, "support": 2}, 5).to_json())
+    assert main(["characterize", str(path)]) == 0
+    block = capsys.readouterr().out
+    argv = ["characterize", "--gen", "n=2,m=1,support=2", "--seed", "5", "--count", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == block
+    assert block.startswith("brev ")
+
+
 def test_characterize_needs_path_or_gen(capsys):
     with pytest.raises(SystemExit) as err:
         main(["characterize"])
@@ -599,6 +659,15 @@ def test_virtuals_table_output(u12_path, capsys):
 def test_virtuals_interim_output(pair_path, capsys):
     assert main(["virtuals", pair_path, "--form", "bic"]) == 0
     assert capsys.readouterr().out == PAIR_VIRTUALS_BIC
+
+
+@pytest.mark.parametrize("form", ["ds", "bic"])
+def test_virtuals_reports_ubvv_violations(tmp_path, capsys, form):
+    path = tmp_path / "over.json"
+    path.write_text(gen_instance({"n": 1, "m": 2, "support": 3}, 0).to_json())
+    assert main(["virtuals", str(path), "--form", form]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["ubvv violations 1", "ubvv over-value i=0 j=0 r=3"]
 
 
 # -- console script ---------------------------------------------------------

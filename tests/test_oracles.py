@@ -108,6 +108,34 @@ def test_gen_instance_is_deterministic():
     assert gen_instance(spec, 12).digest() != a.digest()
 
 
+# Instance.digest() of drawn instances, covering joint, product and
+# i.i.d. buyers: the draws themselves are pinned, not only their
+# determinism, so a rewrite of the draw loops must make the same rng calls.
+GEN_PINS = [
+    ({"n": 2, "m": 1, "support": 2}, 0, "c83abccdd2fa1b39"),
+    ({"n": 3, "m": 1, "support": 3, "iid": True}, 1, "0f8a21037f264e9e"),
+    ({"n": 2, "m": 2, "support": 2}, 2, "d9c4e3b337287102"),
+    ({"n": 2, "m": 2, "support": 2, "correlated": False}, 3, "7eda77b42dd3a865"),
+    ({"n": 2, "m": 2, "support": [1, 2], "correlated": False}, 4, "b5c4371379641b53"),
+    ({"n": 3, "m": 2, "support": 1, "iid": True, "correlated": False}, 5, "72cf6c228f72cc43"),
+    (
+        {"n": 2, "m": 3, "support": [2, 3], "value_range": 6, "denominator": 8},
+        6,
+        "85c4d4b634809dbb",
+    ),
+    (
+        {"n": 2, "m": 2, "support": 3, "iid": True, "value_range": 2, "denominator": 1},
+        7,
+        "89bdb87e88ededbc",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,seed,digest", GEN_PINS)
+def test_gen_instance_draws_are_pinned(spec, seed, digest):
+    assert gen_instance(spec, seed).digest() == digest
+
+
 def test_gen_instance_profile_cap():
     with pytest.raises(ScaleLimit):
         gen_instance({"n": 3, "m": 1, "support": 7}, 0)
@@ -207,6 +235,14 @@ def test_gen_spec_rejects_boolean_count(read, spec):
 def test_gen_spec_rejects_non_boolean_flag(read, spec):
     with pytest.raises(DimensionMismatch, match="is not a boolean"):
         read(spec)
+
+
+@pytest.mark.parametrize("read", SPEC_READERS)
+@pytest.mark.parametrize("spec", [{"x" * 5000: 1}, {"n": "x" * 5000}, {"iid": [0] * 2000}])
+def test_gen_spec_echoes_long_input_short(read, spec):
+    with pytest.raises(DimensionMismatch) as err:
+        read(spec)
+    assert "..." in str(err.value) and len(str(err.value)) < 200
 
 
 # -- baselines never beat the optimum ---------------------------------------
