@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from operator import add
 
 from .errors import (
@@ -42,6 +42,7 @@ from .errors import (
 )
 from .lp import (
     OPTIMAL,
+    CertificateError,
     LinearProgram,
     LpCertificate,
     MAX,
@@ -379,11 +380,19 @@ def _checked_mechanism(
     layout = _layout(instance, form, PRIMAL)
     if certificate.layout != layout:
         raise LabelMismatch(f"certificate is not from the {form} primal builder")
-    nums, den = certificate.scaled[0]
-    mechanism = Mechanism(form, Scaled(_mechanism_entries(instance, layout, nums), den))
+    return _feasible_mechanism(instance, layout, *certificate.scaled[0])
+
+
+def _feasible_mechanism(
+    instance: Instance, layout: ProgramLayout, nums, den: int
+) -> tuple[Mechanism, PrimalSlacks]:
+    """The mechanism that a primal vector of numerators over den stands
+    for, and its slacks.  Raises InfeasibleInput unless the mechanism is
+    feasible: x, p >= 0 and every ic, ir and sup row holds."""
+    mechanism = Mechanism(layout.form, Scaled(_mechanism_entries(instance, layout, nums), den))
     slacks = mechanism_slacks(instance, mechanism)
     if not mechanism_feasible(instance, mechanism, slacks):
-        raise InfeasibleInput("extracted mechanism violates feasibility")
+        raise InfeasibleInput("mechanism violates feasibility")
     return mechanism, slacks
 
 
@@ -408,14 +417,18 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     layout = certificate.layout
     if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
         raise LabelMismatch(f"certificate is not from the {form} builders")
-    # the multipliers: a primal certificate's dual vector, or a dual
-    # program certificate's primal point
-    nums, den = certificate.scaled[1 if layout.side == PRIMAL else 0]
-    zeta, eta, xi = _multipliers(instance, form, layout, nums)
+    return _feasible_dual(instance, layout, *certificate.scaled[1 if layout.side == PRIMAL else 0])
+
+
+def _feasible_dual(instance: Instance, layout: ProgramLayout, nums, den: int):
+    """The dual solution that a vector of multiplier numerators over den
+    stands for.  Raises InfeasibleInput unless it is feasible: zeta, eta,
+    xi >= 0 and every dual column (alpha, beta) holds."""
+    zeta, eta, xi = _multipliers(instance, layout.form, layout, nums)
     multipliers = [Scaled(pair, den) for pair in zip(zeta, eta)]
-    dual = _dual_from_scaled(instance, form, multipliers, Scaled(xi, den))
+    dual = _dual_from_scaled(instance, layout.form, multipliers, Scaled(xi, den))
     if not dual.is_feasible():
-        raise InfeasibleInput("extracted dual violates feasibility")
+        raise InfeasibleInput("dual violates feasibility")
     return dual
 
 
@@ -595,10 +608,19 @@ def _document_section(document: dict, key: str) -> dict[str, Fraction]:
 
 
 def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
-    """Re-verify a stored certificate against the instance: rebuild the
-    program, reconstruct the full vectors, and recheck optimality and
-    the ledger.  Returns the verified objective.  A document of the
-    wrong shape raises LabelMismatch."""
+    """Re-prove a stored certificate against the instance, without
+    trusting the solve that wrote it.  Returns the verified objective.
+    A document of the wrong shape raises LabelMismatch, a nonzero stored
+    ledger InfeasibleInput, and a certificate that is not optimal
+    CertificateError.
+
+    The labels are read to layout indices, and the proof runs on the
+    model, with no program built (_reprove): the mechanism and the dual
+    solution the entries stand for must be feasible, and the revenue,
+    the stated objective and the dual objective equal.  A vector whose
+    common denominator passes _COMMON_DENOMINATOR_BITS is rechecked on
+    the program's rows and columns instead (recheck_certificate), where
+    each grows its own denominator."""
     if not isinstance(document, dict) or document.get("kind") != "auctionlp.certificate":
         raise LabelMismatch("not a certificate document")
     version = document.get("version")
@@ -610,7 +632,7 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     form = document.get("form")
     if form not in (DS, BAYES):
         raise LabelMismatch(f"unknown certificate form {echo(form)}")
-    lp = build_dslp(instance) if form == DS else build_blp(instance)
+    layout = _layout(instance, form, PRIMAL)
     primal = _document_section(document, "primal")
     dual = _document_section(document, "dual")
     ledger = _document_section(document, "ledger")
@@ -618,16 +640,16 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
         raise LabelMismatch(
             f"certificate ledger keys {echo(sorted(ledger))} are not {_LEDGER_KEYS}"
         )
-    zero = Fraction(0)
-    x, y = [zero] * lp.ncols, [zero] * lp.nrows
+    # (index, value) per entry: the primal's columns, the dual's rows
+    entries = ([], [])
     unknown = []
-    for vector, section, row in ((x, primal, False), (y, dual, True)):
+    for found, section, row in zip(entries, (primal, dual), (False, True)):
         for label, value in section.items():
-            index = lp.layout.index_of(label, row)
+            index = layout.index_of(label, row)
             if index is None:
                 unknown.append(label)
             else:
-                vector[index] = value
+                found.append((index, value))
     if unknown:
         shown = ", ".join(map(echo, sorted(unknown)[:3]))
         raise LabelMismatch(f"unknown labels: [{shown}]")
@@ -635,12 +657,72 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
         objective = rat(document.get("objective"))
     except NotRational as exc:
         raise LabelMismatch(f"certificate objective: {exc}") from None
-    recheck_certificate(
-        lp, LpCertificate(status=OPTIMAL, primal=tuple(x), dual=tuple(y), objective=objective)
-    )
+    sizes = layout.shape[::-1]  # columns, rows
+    vectors = [_over_common_denominator(*pair) for pair in zip(sizes, entries)]
+    if None in vectors:
+        lp = build_dslp(instance) if form == DS else build_blp(instance)
+        x, y = ([Fraction(0)] * size for size in sizes)
+        for vector, found in zip((x, y), entries):
+            for index, value in found:
+                vector[index] = value
+        recheck_certificate(
+            lp, LpCertificate(status=OPTIMAL, primal=tuple(x), dual=tuple(y), objective=objective)
+        )
+    else:
+        _reprove(instance, layout, *vectors, objective)
     if any(ledger.values()):
         raise InfeasibleInput("stored ledger is not all zeros")
     return objective
+
+
+# The most bits a certificate vector's common denominator may take for
+# the model re-proof.  Its lcm grows with every distinct denominator, so
+# over a forged vector of many large ones it costs time quadratic in
+# their number; past this cap the program's row-local checks take over.
+# The certificates solve writes stay far below it.
+_COMMON_DENOMINATOR_BITS = 4096
+
+
+def _over_common_denominator(size: int, entries) -> Scaled | None:
+    """A vector of size entries, zero but for the (index, value) pairs
+    given, as integer numerators over one denominator, the lcm of
+    theirs; None once that lcm passes _COMMON_DENOMINATOR_BITS bits."""
+    factors = dict.fromkeys(value.denominator for _, value in entries)
+    den = 1
+    for q in factors:
+        den = lcm(den, q)
+        if den.bit_length() > _COMMON_DENOMINATOR_BITS:
+            return None
+    for q in factors:
+        factors[q] = den // q
+    nums = [0] * size
+    for index, value in entries:
+        nums[index] = value.numerator * factors[value.denominator]
+    return Scaled(tuple(nums), den)
+
+
+def _reprove(
+    instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scaled, objective: Fraction
+) -> None:
+    """Prove that a primal point and its row multipliers, read through
+    the layout, are optimal with the stated objective, or raise
+    CertificateError: every entry is nonnegative, the mechanism the
+    point stands for is feasible (_feasible_mechanism), so are the
+    multipliers (_feasible_dual), and revenue = objective = dual
+    objective, so that by weak duality both are optimal.  Between them
+    the two model checks cover every primal row and every dual column
+    of the program."""
+    if min(primal.nums) < 0 or min(dual.nums) < 0:
+        raise CertificateError("certificate entry negative")
+    try:
+        mechanism, _ = _feasible_mechanism(instance, layout, *primal)
+        solution = _feasible_dual(instance, layout, *dual)
+    except InfeasibleInput as exc:
+        raise CertificateError(str(exc)) from None
+    if mechanism.revenue(instance) != objective:
+        raise CertificateError("objective mismatch")
+    if solution.objective() != objective:
+        raise CertificateError("duality gap nonzero")
 
 
 def write_certificate(path, document: dict) -> None:

@@ -173,9 +173,10 @@ def cmd_characterize(args) -> int:
     spec = _parse_gen_spec(args.gen)
     if args.count < 1:
         raise DimensionMismatch(f"--count must be at least 1, got {echo(args.count)}")
-    # Every instance gets a dominant-strategy solve, so refuse its
-    # tableau before drawing; the builders' right-hand sides are
-    # nonnegative, so it has no artificial columns.
+    # An instance may need a dominant-strategy solve (on more than one
+    # item, or where the closed form is refused), so refuse its tableau
+    # before drawing; the builders' right-hand sides are nonnegative, so
+    # it has no artificial columns.
     m, sizes = gen_shape(spec, args.caps)
     rows, cols = ProgramLayout(DS, PRIMAL, m, sizes).shape
     check_tableau_size(rows, rows + cols + 1)

@@ -9,10 +9,14 @@ class AuctionLPError(Exception):
     pass
 
 
-def echo(value) -> str:
-    """repr(value) for an error message, cut to 40 characters plus '...'."""
-    text = repr(value)
+def cut(text: str) -> str:
+    """text for an error message, cut to 40 characters plus '...'."""
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def echo(value) -> str:
+    """repr(value) for an error message, cut as cut does."""
+    return cut(repr(value))
 
 
 class NonUnitMass(AuctionLPError):

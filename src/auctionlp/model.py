@@ -113,6 +113,7 @@ from .errors import (
     NotOptimal,
     NotRational,
     ZeroMassNonzeroType,
+    cut,
     echo,
 )
 
@@ -518,15 +519,15 @@ def validate_instance(
                 )
             for c in vec:
                 if c < 0:
-                    raise NegativeValue(f"buyer {i}: negative coordinate {rat_str(c)}")
+                    raise NegativeValue(f"buyer {i}: negative coordinate {cut(rat_str(c))}")
         for q in ps:
             if q < 0:
-                raise NegativeValue(f"buyer {i}: negative mass {rat_str(q)}")
+                raise NegativeValue(f"buyer {i}: negative mass {cut(rat_str(q))}")
         if len(set(sup)) != len(sup):
             raise DuplicateSupportVector(f"buyer {i}: repeated support vector")
         if sum(ps) != 1:
             raise NonUnitMass(
-                f"buyer {i}: masses sum to {rat_str(sum(ps))}, expected 1"
+                f"buyer {i}: masses sum to {cut(rat_str(sum(ps)))}, expected 1"
             )
         if zero not in sup:
             if augment_zero:

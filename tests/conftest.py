@@ -2,6 +2,7 @@
 
 import pytest
 
+from auctionlp import auction
 from auctionlp.model import validate_instance
 
 
@@ -54,6 +55,32 @@ def gap2x2():
         ],
         [["2/7", "1/7", "4/7"], ["3/4", "1/8", "1/8"]],
     )
+
+
+REPROOF_PATHS = ("model", "row-local")
+
+
+def reprove_on(monkeypatch, path):
+    """Make verify_certificate_document re-prove a stored certificate on
+    one path only: "model", or "row-local", the program's recheck, forced
+    by a common-denominator cap of 0.  The other path raises a bare
+    AssertionError, which no refusal (CertificateError) catches."""
+
+    def other_path(*args):
+        raise AssertionError(f"a {path} re-proof left its path")
+
+    if path == "model":
+        monkeypatch.setattr(auction, "recheck_certificate", other_path)
+    else:
+        monkeypatch.setattr(auction, "_COMMON_DENOMINATOR_BITS", 0)
+        monkeypatch.setattr(auction, "_reprove", other_path)
+
+
+@pytest.fixture(params=REPROOF_PATHS)
+def reproof(request, monkeypatch):
+    """Run the test once per re-proof path (reprove_on)."""
+    reprove_on(monkeypatch, request.param)
+    return request.param
 
 
 _ACCEPTANCE: dict[str, str] = {}

@@ -34,10 +34,10 @@ from auctionlp.auction import (
 )
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch
 from auctionlp.lp import CertificateError, MIN, OPTIMAL, LpCertificate, dual_of, solve
-from auctionlp.model import mechanism_feasible
+from auctionlp.model import mechanism_feasible, rat_str
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
-from conftest import build
+from conftest import REPROOF_PATHS, build, reprove_on
 from helpers import insert, labels, others_profiles, parse_profile_key, reference_names
 
 F = Fraction
@@ -326,7 +326,7 @@ def test_extend_bayes_off_support_best_responds(pair12):
 # -- certificate documents --------------------------------------------------
 
 
-def test_certificate_round_trip(tmp_path, u123):
+def test_certificate_round_trip(tmp_path, u123, reproof):
     cert = solve_form(u123, DS)
     document = certificate_document(u123, DS, cert)
     assert all(value == "0" for value in document["ledger"].values())
@@ -350,7 +350,7 @@ def test_certificate_rejects_wrong_kind(u123):
         verify_certificate_document(u123, document)
 
 
-def test_certificate_rejects_tampered_primal(u123):
+def test_certificate_rejects_tampered_primal(u123, reproof):
     document = certificate_document(u123, DS, solve_form(u123, DS))
     label, value = next(iter(document["primal"].items()))
     document = dict(document, primal=dict(document["primal"], **{label: "7/3"}))
@@ -397,6 +397,62 @@ def test_certificate_document_is_pinned(pair12, form):
     assert any(label.split(":")[2] == "1" for label in document["primal"] if label[0] == "x")
     ic_buyers = {label.split(":")[1] for label in document["dual"] if label.startswith("ic:")}
     assert len(ic_buyers) > 1
+
+
+# The model re-proof of a stored certificate and the program's row-local
+# recheck must be one check: the shared instances, the two-item one whose
+# documents are pinned, and seeded ones of 27, 36 and 81 profiles.
+REPROOF_SPECS = {
+    "two-item": TWO_ITEM_SPEC,
+    "27": ({"n": 3, "m": 1, "support": 2}, 2),
+    "36": ({"n": 2, "m": 1, "support": 5, "denominator": 1, "value_range": 10}, 3),
+    "81": ({"n": 4, "m": 1, "support": 2}, 4),
+}
+
+
+def perturbed_documents(document, layout):
+    """Copies of a certificate document with one entry raised, lowered or
+    negated: in each of the x, p, ic, ir and sup families, its first
+    nonzero entry and its first zero one."""
+    rows, cols = labels(layout)
+    out = []
+    for key, names in (("primal", cols), ("dual", rows)):
+        section = document[key]
+        for family in dict.fromkeys(name.split(":")[0] for name in names):
+            members = [name for name in names if name.split(":")[0] == family]
+            chosen = [name for name in members if name in section][:1]
+            chosen += [name for name in members if name not in section][:1]
+            for name in chosen:
+                value = Fraction(section.get(name, "0"))
+                for changed in (value + F(1, 7), value - F(1, 7), -value):
+                    entries = dict(section, **{name: rat_str(changed)})
+                    out.append(dict(document, **{key: entries}))
+    return out
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+@pytest.mark.parametrize("source", ["pair12", "u123", *REPROOF_SPECS])
+def test_reproof_paths_agree(request, monkeypatch, source, form):
+    if source in REPROOF_SPECS:
+        instance = gen_instance(*REPROOF_SPECS[source])
+    else:
+        instance = request.getfixturevalue(source)
+    certificate = solve_form(instance, form)
+    document = certificate_document(instance, form, certificate)
+    documents = [document, *perturbed_documents(document, certificate.layout)]
+    outcomes = {}
+    for path in REPROOF_PATHS:
+        with monkeypatch.context() as patch:
+            reprove_on(patch, path)
+            outcomes[path] = []
+            for candidate in documents:
+                try:
+                    outcomes[path].append(verify_certificate_document(instance, candidate))
+                except CertificateError:
+                    outcomes[path].append(CertificateError)
+    assert outcomes["model"] == outcomes["row-local"]
+    assert outcomes["model"][0] == certificate.objective
+    assert outcomes["model"].count(CertificateError) > len(documents) // 2
 
 
 def test_certificate_rejects_nonzero_ledger(u123):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import auctionlp
 from auctionlp import cli
-from auctionlp.auction import build_dslp
+from auctionlp.auction import build_blp, build_dslp
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
 from auctionlp.model import load_instance
@@ -149,7 +149,7 @@ def test_self_check_rejects_foreign_certificate(u12_path, pair_path, tmp_path, c
     assert "LabelMismatch" in capsys.readouterr().err
 
 
-def test_self_check_rejects_forged_value(pair_path, tmp_path, capsys):
+def test_self_check_rejects_forged_value(pair_path, tmp_path, capsys, reproof):
     cert = str(tmp_path / "cert.json")
     main(["solve", pair_path, "--certificate", cert])
     capsys.readouterr()
@@ -162,8 +162,12 @@ def test_self_check_rejects_forged_value(pair_path, tmp_path, capsys):
     assert "CertificateError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("forge_primal", [False, True], ids=["dual-only", "every-entry"])
-def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_primal):
+@pytest.mark.parametrize(
+    "form, forge_primal",
+    [("ds", False), ("ds", True), ("bayes", True)],
+    ids=["dual-only", "every-entry", "bayes"],
+)
+def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, form, forge_primal):
     # Every entry of the document carries its own 384-bit denominator.
     # The checks grow one denominator per row and per column, so the
     # rejection stays local.  Taking one lcm over a whole vector first
@@ -172,7 +176,8 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_
     instance = gen_instance({"n": 4, "m": 1, "support": 3}, 3)
     path = tmp_path / "instance.json"
     path.write_text(instance.to_json())
-    row_names, col_names = labels(build_dslp(instance).layout)
+    build = build_dslp if form == "ds" else build_blp
+    row_names, col_names = labels(build(instance).layout)
     rng = random.Random(5)
     dens = set()
     while len(dens) < len(row_names) + len(col_names):
@@ -182,7 +187,7 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, forge_
         "kind": "auctionlp.certificate",
         "version": 1,
         "digest": instance.digest(),
-        "form": "ds",
+        "form": form,
         "objective": "0",
         "primal": dict(zip(col_names, values[len(row_names):])) if forge_primal else {},
         "dual": dict(zip(row_names, values)),
@@ -252,15 +257,22 @@ def test_self_check_rejects_malformed_document(pair_path, tmp_path, capsys, edit
 
 
 LONG = "x" * 5000
+# a valid rational of 4,002 characters
+LONG_NEGATIVE = "-" + "1" * 3999 + "/3"
 
 # Every echo of outside input is cut to 40 characters plus "...": an
 # instance field, a certificate field and a --gen part of 5,000
-# characters (or a 2,000-element list given as a mass) exits 2 with a
-# short message.
+# characters (or a 2,000-element list given as a mass), and a rational of
+# 4,002 characters that validation refuses, exits 2 with a short message.
 ECHO_CASES = {
     "probs-entry": ("instance", lambda data: data["probs"][0].__setitem__(1, LONG)),
     "probs-list": ("instance", lambda data: data["probs"][0].__setitem__(1, [1] * 2000)),
     "coordinate": ("instance", lambda data: data["supports"][0][1].__setitem__(0, LONG)),
+    "negative-coordinate": (
+        "instance", lambda data: data["supports"][0][1].__setitem__(0, LONG_NEGATIVE)
+    ),
+    "negative-mass": ("instance", lambda data: data["probs"][0].__setitem__(1, LONG_NEGATIVE)),
+    "mass-sum": ("instance", lambda data: data["probs"][0].__setitem__(1, LONG_NEGATIVE[1:])),
     "buyers": ("instance", lambda data: data.update(buyers=LONG)),
     "items": ("instance", lambda data: data.update(items=LONG)),
     "augment-zero": ("instance", lambda data: data.update(augment_zero=LONG)),

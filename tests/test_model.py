@@ -175,18 +175,18 @@ def test_validate_accepts_and_freezes():
 def test_validate_rejects_bad_mass_sum():
     bad = data12()
     bad["probs"] = [[0, "1/2", "1/3"]]
-    with pytest.raises(NonUnitMass):
+    with pytest.raises(NonUnitMass, match="^buyer 0: masses sum to 5/6, expected 1$"):
         validate_instance(bad)
 
 
 def test_validate_rejects_negative_value_and_mass():
     bad = data12()
     bad["supports"] = [[[0], [-1], [2]]]
-    with pytest.raises(NegativeValue):
+    with pytest.raises(NegativeValue, match="^buyer 0: negative coordinate -1$"):
         validate_instance(bad)
     bad = data12()
     bad["probs"] = [[0, "3/2", "-1/2"]]
-    with pytest.raises(NegativeValue):
+    with pytest.raises(NegativeValue, match="^buyer 0: negative mass -1/2$"):
         validate_instance(bad)
 
 
