@@ -36,12 +36,10 @@ from .errors import (
     DimensionMismatch,
     InfeasibleInput,
     LabelMismatch,
-    NotOptimal,
     NotRational,
     echo,
 )
 from .lp import (
-    OPTIMAL,
     CertificateError,
     LinearProgram,
     LpCertificate,
@@ -358,11 +356,6 @@ def build_dual_blp(instance: Instance) -> LinearProgram:
 # Certificate extraction
 
 
-def _require_optimal(certificate: LpCertificate) -> None:
-    if certificate.status != OPTIMAL:
-        raise NotOptimal(f"certificate status is {certificate.status}")
-
-
 def extract_mechanism(
     instance: Instance, certificate: LpCertificate, form: str
 ) -> Mechanism:
@@ -376,7 +369,6 @@ def _checked_mechanism(
 ) -> tuple[Mechanism, PrimalSlacks]:
     """extract_mechanism, also returning the slacks its feasibility
     check evaluated."""
-    _require_optimal(certificate)
     layout = _layout(instance, form, PRIMAL)
     if certificate.layout != layout:
         raise LabelMismatch(f"certificate is not from the {form} primal builder")
@@ -413,7 +405,6 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     """Assemble a dual solution from either side: the row multipliers of
     a primal certificate, or the primal point of a dual-program
     certificate.  The certificate's layout says which."""
-    _require_optimal(certificate)
     layout = certificate.layout
     if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
         raise LabelMismatch(f"certificate is not from the {form} builders")
@@ -459,10 +450,7 @@ def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values):
 
 def solve_form(instance: Instance, form: str) -> LpCertificate:
     """Solve the primal program of the given form to optimality."""
-    lp = build_dslp(instance) if form == DS else build_blp(instance)
-    certificate = solve(lp)
-    _require_optimal(certificate)
-    return certificate
+    return solve(build_dslp(instance) if form == DS else build_blp(instance))
 
 
 def drev(instance: Instance) -> Fraction:
@@ -665,9 +653,7 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
         for vector, found in zip((x, y), entries):
             for index, value in found:
                 vector[index] = value
-        recheck_certificate(
-            lp, LpCertificate(status=OPTIMAL, primal=tuple(x), dual=tuple(y), objective=objective)
-        )
+        recheck_certificate(lp, LpCertificate(tuple(x), tuple(y), objective))
     else:
         _reprove(instance, layout, *vectors, objective)
     if any(ledger.values()):

@@ -323,7 +323,8 @@ def main(argv=None) -> int:
             raise DimensionMismatch(f"--caps must be at least 1, got {echo(args.caps)}")
         return args.func(args)
     except ScaleLimit as exc:
-        # also the exact simplex's PivotLimit
+        # also the exact simplex's PivotLimit; a program with no optimum
+        # is a NotOptimal, exit 3
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except _INVALID_INPUT as exc:

@@ -58,7 +58,9 @@ class LabelMismatch(AuctionLPError):
 
 
 class NotOptimal(AuctionLPError):
-    """A dual solution claimed optimal fails the strong-duality check."""
+    """A dual solution claimed optimal fails the strong-duality check, or
+    a program the package built has no optimum (the exact simplex ends
+    infeasible or unbounded), which means it was built wrong."""
 
 
 class NotRegular(AuctionLPError):

@@ -131,40 +131,31 @@ def make_lp(
     )
 
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-
 @dataclass(frozen=True)
 class LpCertificate:
-    """Solver output.  Constructing one checks nothing: certify_* verify
-    exactly before they construct, and recheck_certificate verifies a
+    """An optimal solution: primal x, dual y (one multiplier per row) and
+    the objective c.x in the LP's own sense.  For min-sense programs the
+    dual vector certifies the negated max form: y^T A >= -c and -c.x =
+    b.y.  Constructing one checks nothing: certify_optimal verifies
+    exactly before it constructs, and recheck_certificate verifies a
     certificate that came from elsewhere, such as a certificate file.
-
-    optimal: primal x, dual y (one multiplier per row), objective c.x in
-    the LP's own sense.  infeasible: witness y >= 0 with y^T A >= 0 and
-    y.b < 0.  unbounded: primal is a feasible point and witness a ray d
-    >= 0 with A d <= 0 improving the objective.  For min-sense programs
-    the dual vector certifies the negated max form: y^T A >= -c and
-    -c.x = b.y.
     """
 
-    status: str
-    primal: tuple[Fraction, ...] | None = None
-    dual: tuple[Fraction, ...] | None = None
-    objective: Fraction | None = None
-    witness: tuple[Fraction, ...] | None = None
+    primal: tuple[Fraction, ...]
+    dual: tuple[Fraction, ...]
+    objective: Fraction
     layout: object = field(default=None, compare=False)
     # primal and dual as split by _split, when the caller has them: the
     # split certify_optimal's check ran on
     split: tuple[list, list] | None = field(default=None, compare=False, repr=False)
+    # no certificate carries a witness; perfbench/spans.py still reads one
+    witness = None
 
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
-        """An optimal certificate's primal and dual, each as (integer
-        numerators, denominator) over one denominator, the lcm of its
-        entries' denominators.  Made from `split` when it is given."""
+        """The primal and dual, each as (integer numerators, denominator)
+        over one denominator, the lcm of its entries' denominators.  Made
+        from `split` when it is given."""
         xs, ys = self.split or (_split(self.primal), _split(self.dual))
         return _over_lcm(xs), _over_lcm(ys)
 
@@ -278,33 +269,10 @@ def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
     _require(_check_optimal(lp, _split(x), _split(y)) == objective, "objective mismatch")
 
 
-def verify_infeasible(lp: LinearProgram, y) -> None:
-    _require(len(y) == lp.nrows, "witness shape")
-    ys = _split(y)
-    _require(not _negative(ys), "witness negativity")
-    nums, _ = _col_sums(lp, ys)
-    _require(all(num >= 0 for num in nums), "witness y^T A not nonnegative")
-    _require(_dot(enumerate(lp.b), ys)[0] < 0, "witness y.b not negative")
-
-
-def verify_unbounded(lp: LinearProgram, x, d) -> None:
-    _require(len(x) == lp.ncols and len(d) == lp.ncols, "witness shape")
-    xs = _split(x)
-    _require(not _negative(xs), "point negativity")
-    ds = _split(d)
-    _require(not _negative(ds), "ray negativity")
-    for row, b in zip(lp.rows, lp.b):
-        _require(_at_most(_dot(row, xs), b), "point infeasible")
-        _require(_dot(row, ds)[0] <= 0, "ray leaves the feasible cone")
-    sign = 1 if lp.sense == MAX else -1
-    _require(sign * _dot(enumerate(lp.c), ds)[0] > 0, "ray does not improve the objective")
-
-
 def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
     xs, ys = _split(x), _split(y)
     objective = _check_optimal(lp, xs, ys)
     return LpCertificate(
-        status=OPTIMAL,
         layout=lp.layout,
         primal=tuple(x),
         dual=tuple(y),
@@ -313,35 +281,9 @@ def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
     )
 
 
-def certify_infeasible(lp: LinearProgram, y) -> LpCertificate:
-    verify_infeasible(lp, y)
-    return LpCertificate(
-        status=INFEASIBLE,
-        layout=lp.layout,
-        witness=tuple(y),
-    )
-
-
-def certify_unbounded(lp: LinearProgram, x, d) -> LpCertificate:
-    verify_unbounded(lp, x, d)
-    return LpCertificate(
-        status=UNBOUNDED,
-        layout=lp.layout,
-        primal=tuple(x),
-        witness=tuple(d),
-    )
-
-
 def recheck_certificate(lp: LinearProgram, cert: LpCertificate) -> None:
     """Re-run the exact verification, e.g. after deserialization."""
-    if cert.status == OPTIMAL:
-        verify_optimal(lp, cert.primal, cert.dual, cert.objective)
-    elif cert.status == INFEASIBLE:
-        verify_infeasible(lp, cert.witness)
-    elif cert.status == UNBOUNDED:
-        verify_unbounded(lp, cert.primal, cert.witness)
-    else:
-        raise CertificateError(f"unknown status {cert.status!r}")
+    verify_optimal(lp, cert.primal, cert.dual, cert.objective)
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:
@@ -363,37 +305,3 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     else:
         sense, c, b = MAX, tuple(-q for q in lp.b), tuple(lp.c)
     return make_lp(sense, c, [tuple(col) for col in cols], b)
-
-
-def export_lp_text(lp: LinearProgram) -> str:
-    """Render in the common textual LP-exchange format.
-
-    Every row is scaled by the lcm of its denominators so coefficients
-    print as integers; the objective scale factor is recorded in a
-    leading comment (true objective = printed objective / scale).
-    Column j is named x<j> and row r is named r<r>.
-    """
-    names = [f"x{j}" for j in range(lp.ncols)]
-    obj_scale = lcm(*(q.denominator for q in lp.c)) if lp.c else 1
-    lines = [
-        f"\\ objective scale: {obj_scale} (true objective = printed / {obj_scale})",
-        "Maximize" if lp.sense == MAX else "Minimize",
-    ]
-    terms = [
-        f"{'+' if q >= 0 else '-'} {abs(q * obj_scale)} {names[j]}"
-        for j, q in enumerate(lp.c)
-        if q
-    ]
-    lines.append(" obj: " + (" ".join(terms) if terms else "0 " + names[0] if names else ""))
-    lines.append("Subject To")
-    for r, row in enumerate(lp.rows):
-        dens = [coef.denominator for _, coef in row] + [lp.b[r].denominator]
-        scale = lcm(*dens)
-        terms = [
-            f"{'+' if coef >= 0 else '-'} {abs(coef * scale)} {names[j]}"
-            for j, coef in row
-        ]
-        body = " ".join(terms) if terms else f"0 {names[0]}"
-        lines.append(f" r{r}: {body} <= {lp.b[r] * scale}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

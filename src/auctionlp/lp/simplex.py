@@ -24,17 +24,20 @@ which guarantees termination.
 rule, so it walks the exact pivot path, and rounds the optimal vertex
 it ends on to nearby rationals.  Only the exact `certify_optimal`
 accepts that proposal.  Any other ending (the check fails, the float
-pass ends infeasible or unbounded, or it runs out of its pivot budget)
-runs the exact simplex from scratch, so infeasibility and unboundedness
-witnesses always come from exact arithmetic.
+pass ends without an optimum, or it runs out of its pivot budget) runs
+the exact simplex from scratch.  Every program the package builds has
+an optimum, so the exact simplex ending without one (infeasible,
+unbounded, or a corrupt tableau) means a program built wrong, and it
+raises NotOptimal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
+from typing import NoReturn
 
-from ..errors import ScaleLimit
+from ..errors import NotOptimal, ScaleLimit
 from .program import (
     LinearProgram,
     MAX,
@@ -43,9 +46,7 @@ from .program import (
     _DENOMINATOR,
     _NUMERATOR,
     _exact,
-    certify_infeasible,
     certify_optimal,
-    certify_unbounded,
 )
 
 
@@ -204,8 +205,8 @@ def _nearby_rational(value: float, bound: int) -> Fraction:
 
 
 def solve(lp: LinearProgram) -> LpCertificate:
-    """Solve to a verified certificate: optimal primal/dual pair with a
-    zero duality gap, or an infeasibility/unboundedness witness.
+    """Solve to a verified optimal certificate: a primal/dual pair with a
+    zero duality gap.  A program without an optimum raises NotOptimal.
 
     A float pass proposes an optimal vertex and the exact certificate
     check accepts it; otherwise the exact simplex answers."""
@@ -220,8 +221,9 @@ class _Simplex:
     """One simplex run over exact rationals, or over floats when
     `floating` is set.  The float run compares numbers up to _FLOAT_TOL
     where the exact run compares them exactly, and otherwise makes the
-    same decisions; it ends optimal with a certificate or raises one of
-    _NO_PROPOSAL.
+    same decisions.  It ends optimal with a certificate; otherwise the
+    float run raises one of _NO_PROPOSAL and the exact run NotOptimal
+    or PivotLimit.
 
     Column layout: structural | slack | artificial... | rhs.  T[r] maps
     the columns of row r to its nonzero entries, the right-hand side at
@@ -347,14 +349,20 @@ class _Simplex:
 
     # -- phases -------------------------------------------------------------
 
+    def _no_optimum(self, ending: str) -> NoReturn:
+        """End a run that found no optimum: the float run hands the
+        program to the exact one, which refuses it."""
+        if self.tol:
+            raise _NoProposal(f"float pass: {ending}")
+        raise NotOptimal(f"exact simplex: {ending}")
+
     def run(self) -> LpCertificate:
         if self.K:
-            cert = self._phase_one()
-            if cert is not None:
-                return cert
+            self._phase_one()
             self._drop_artificials()
-        c = self._iterate(self.obj, self.negative)
-        return self._optimal() if c is None else self._unbounded(c)
+        if self._iterate(self.obj, self.negative) is not None:
+            self._no_optimum("phase two ends unbounded")
+        return self._optimal()
 
     def _iterate(self, obj, negative, phase_one: bool = False) -> int | None:
         """Pivot on objective row `obj`, with pricing set `negative`,
@@ -384,7 +392,7 @@ class _Simplex:
                 last_val = value
         return None
 
-    def _phase_one(self) -> LpCertificate | None:
+    def _phase_one(self) -> None:
         art_lo = self.S + self.R
         obj1 = [self.zero] * (self.rhs + 1)
         for row, col in zip(self.T, self.basis):
@@ -398,14 +406,10 @@ class _Simplex:
         if self._iterate(obj1, negative1, phase_one=True) is not None:
             # Phase-one objective is bounded by 0; no unbounded ray can
             # appear unless the tableau is corrupt.
-            raise PivotLimit("phase one claims unbounded")
+            self._no_optimum("phase one claims unbounded")
         if obj1[self.rhs] < -self.tol:
             # max of -(sum of artificials) stopped below zero: infeasible.
-            if self.tol:
-                raise _NoProposal("float phase one ends infeasible")
-            y = [Fraction(obj1[self.S + r]) for r in range(self.R)]
-            return certify_infeasible(self.lp, y)
-        return None
+            self._no_optimum("phase one ends infeasible")
 
     def _drop_artificials(self) -> None:
         """Pivot leftover artificials out of the basis (degenerate, rhs
@@ -424,9 +428,7 @@ class _Simplex:
                 continue
             target = min((k for k in self.T[r] if k < art_lo), default=None)
             if target is None:
-                if self.tol:
-                    raise _NoProposal(f"float row {r} lost every non-artificial entry")
-                raise PivotLimit(f"tableau row {r} has no entry left of the artificials")
+                self._no_optimum(f"tableau row {r} has no entry left of the artificials")
             self._pivot(r, target)
         for k in range(art_lo, art_lo + self.K):
             for r in self.cols[k]:
@@ -436,36 +438,18 @@ class _Simplex:
 
     # -- extraction ---------------------------------------------------------
 
-    def _primal_point(self, rational) -> list[Fraction]:
-        x = [Fraction(0)] * self.S
+    def _optimal(self) -> LpCertificate:
+        """The certificate of the final basis: its primal point, and the
+        duals read off the objective row's slack columns.  The float pass
+        rounds each value to a nearby rational; a vertex repeats few
+        values, so each distinct one is rounded once."""
+        rational = cache(partial(_nearby_rational, bound=_ROUND_BOUND)) if self.tol else Fraction
+        zero = Fraction(0)
+        x = [zero] * self.S
         for row, col in zip(self.T, self.basis):
             if col < self.S:
                 value = row.get(self.rhs)
                 if value:
                     x[col] = rational(value)
-        return x
-
-    def _certify(self, rational) -> LpCertificate:
-        x = self._primal_point(rational)
-        zero = Fraction(0)
         y = [rational(v) if v else zero for v in self.obj[self.S : self.S + self.R]]
         return certify_optimal(self.lp, x, y)
-
-    def _optimal(self) -> LpCertificate:
-        if not self.tol:
-            return self._certify(Fraction)
-        # a vertex repeats few values: round each distinct one once
-        return self._certify(cache(partial(_nearby_rational, bound=_ROUND_BOUND)))
-
-    def _unbounded(self, col: int) -> LpCertificate:
-        if self.tol:
-            raise _NoProposal("float phase two ends unbounded")
-        x = self._primal_point(Fraction)
-        d = [Fraction(0)] * self.S
-        if col < self.S:
-            d[col] = Fraction(1)
-        for r in self.cols[col]:
-            bcol = self.basis[r]
-            if bcol < self.S:
-                d[bcol] = Fraction(-self.T[r][col])
-        return certify_unbounded(self.lp, x, d)

@@ -33,7 +33,7 @@ from auctionlp.auction import (
     write_certificate,
 )
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch
-from auctionlp.lp import CertificateError, MIN, OPTIMAL, LpCertificate, dual_of, solve
+from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, solve
 from auctionlp.model import mechanism_feasible, rat_str
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
@@ -204,12 +204,7 @@ def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
         extract_dual(pair12, solve_form(pair12, DS), BAYES)
     with pytest.raises(LabelMismatch):
         extract_dual(u12, solve_form(u12, DS), BAYES)
-    stray = LpCertificate(
-        status=OPTIMAL,
-        primal=(F(0),),
-        dual=(F(0),),
-        objective=F(0),
-    )
+    stray = LpCertificate(primal=(F(0),), dual=(F(0),), objective=F(0))
     with pytest.raises(LabelMismatch):
         extract_dual(u12, stray, DS)
 

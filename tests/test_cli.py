@@ -16,10 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import auctionlp
-from auctionlp import cli
+from auctionlp import auction, cli
 from auctionlp.auction import build_blp, build_dslp
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
+from auctionlp.lp import MAX, make_lp
 from auctionlp.model import load_instance
 from auctionlp.oracles import gen_instance
 from helpers import labels
@@ -126,11 +127,22 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
     def fail(instance, form):
         raise NotOptimal("no optimum")
 
-    monkeypatch.setattr(cli, "solve_form", fail)
-    assert main(["solve", u12_path]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "error: NotOptimal: no optimum\n"
-    assert captured.out == ""
+    # max x subject to x <= -1, and max x + y subject to x - y <= 1
+    infeasible = make_lp(MAX, [1], [[(0, 1)]], [-1])
+    unbounded = make_lp(MAX, [1, 1], [[(0, 1), (1, -1)]], [1])
+    # solve_form refusing, then the real simplex on a program built wrong
+    cases = [
+        (cli, "solve_form", fail, "no optimum"),
+        (auction, "build_dslp", lambda _: infeasible, "exact simplex: phase one ends infeasible"),
+        (auction, "build_dslp", lambda _: unbounded, "exact simplex: phase two ends unbounded"),
+    ]
+    for owner, name, replacement, message in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, name, replacement)
+            assert main(["solve", u12_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: NotOptimal: {message}\n"
+        assert captured.out == ""
 
 
 def test_solve_certificate_round_trip(u12_path, tmp_path, capsys):

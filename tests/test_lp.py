@@ -9,36 +9,29 @@ certificate checks against plain-Fraction ones (helpers.reference_*)."""
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from auctionlp.lp import (
-    INFEASIBLE,
     MAX,
     MIN,
-    OPTIMAL,
-    UNBOUNDED,
     CertificateError,
     LpCertificate,
     dual_of,
-    export_lp_text,
     make_lp,
     recheck_certificate,
     solve,
 )
 from auctionlp.analysis import tight_downward_dual
 from auctionlp.auction import build_blp, build_dslp, build_dual_blp, build_dual_dslp, drev
+from auctionlp.errors import NotOptimal
 from auctionlp.lp import simplex
-from auctionlp.lp.program import verify_infeasible, verify_optimal, verify_unbounded
+from auctionlp.lp.program import verify_optimal
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
 from auctionlp.oracles import gen_instance
-from helpers import (
-    brute_force_best,
-    reference_infeasible_check,
-    reference_optimal_check,
-    reference_unbounded_check,
-)
+from helpers import brute_force_best, reference_optimal_check
 
 F = Fraction
 
@@ -110,7 +103,6 @@ def test_make_lp_converts_numbers_and_drops_zeros():
 
 def test_single_bound():
     cert = solve(lp_of(MAX, [1], [[1]], [5]))
-    assert cert.status == OPTIMAL
     assert cert.objective == 5
     assert cert.primal == (5,)
     assert cert.dual == (1,)
@@ -119,32 +111,81 @@ def test_single_bound():
 def test_min_sense_with_negative_rhs():
     # min x0 + x1 subject to x0 + x1 >= 2, written as -x0 - x1 <= -2
     cert = solve(lp_of(MIN, [1, 1], [[-1, -1]], [-2]))
-    assert cert.status == OPTIMAL
     assert cert.objective == 2
 
 
 def test_degenerate_rows():
     cert = solve(lp_of(MAX, [1, 0], [[1, 0], [1, 0], [1, 1]], [1, 1, 1]))
-    assert cert.status == OPTIMAL
     assert cert.objective == 1
 
 
 def test_unbounded():
-    cert = solve(lp_of(MAX, [1, 1], [[1, -1]], [1]))
-    assert cert.status == UNBOUNDED
-    assert cert.witness is not None
+    with pytest.raises(NotOptimal, match="^exact simplex: phase two ends unbounded$"):
+        solve(lp_of(MAX, [1, 1], [[1, -1]], [1]))
 
 
 def test_infeasible():
-    cert = solve(lp_of(MAX, [1], [[1], [-1]], [-3, 2]))
-    assert cert.status == INFEASIBLE
-    assert cert.witness is not None
+    with pytest.raises(NotOptimal, match="^exact simplex: phase one ends infeasible$"):
+        solve(lp_of(MAX, [1], [[1], [-1]], [-3, 2]))
 
 
 def test_zero_objective():
     cert = solve(lp_of(MAX, [0, 0], [[1, 1]], [4]))
-    assert cert.status == OPTIMAL
     assert cert.objective == 0
+
+
+# -- endings without an optimum ---------------------------------------------
+
+_ITERATE = _Simplex._iterate
+
+
+def ray_in_phase_one(run, obj, negative, phase_one=False):
+    """_Simplex._iterate, except that phase one ends on a ray."""
+    return 0 if phase_one else _ITERATE(run, obj, negative)
+
+
+def strip_artificial_rows(run):
+    """In place of phase one: leave every artificial basic and delete
+    the rest of its row, so that nothing is left to pivot it out on."""
+    art_lo = run.S + run.R
+    for r, col in enumerate(run.basis):
+        if col >= art_lo:
+            for k in [k for k in run.T[r] if k < art_lo]:
+                del run.T[r][k]
+                run.cols[k].discard(r)
+
+
+# min x0 + x1 subject to x0 + x1 >= 2: one artificial, so phase one runs
+PHASE_ONE_LP = lp_of(MIN, [1, 1], [[-1, -1]], [-2])
+
+# (program, _Simplex methods to replace, the ending's message)
+NO_OPTIMUM = {
+    "infeasible": (lp_of(MAX, [1], [[1], [-1]], [-3, 2]), {}, "phase one ends infeasible"),
+    "unbounded": (lp_of(MAX, [1, 1], [[1, -1]], [1]), {}, "phase two ends unbounded"),
+    "phase-one-ray": (
+        PHASE_ONE_LP,
+        {"_iterate": ray_in_phase_one},
+        "phase one claims unbounded",
+    ),
+    "artificial-row": (
+        PHASE_ONE_LP,
+        {"_phase_one": strip_artificial_rows},
+        "tableau row 0 has no entry left of the artificials",
+    ),
+}
+
+
+@pytest.mark.parametrize("lp,methods,ending", NO_OPTIMUM.values(), ids=list(NO_OPTIMUM))
+def test_every_ending_without_an_optimum_is_not_optimal(monkeypatch, lp, methods, ending):
+    # the float pass hands the program on; the exact pass, and so solve,
+    # refuses it with NotOptimal, never with a ScaleLimit
+    for name, method in methods.items():
+        monkeypatch.setattr(_Simplex, name, method)
+    with pytest.raises(_NO_PROPOSAL, match=f"^float pass: {ending}$"):
+        _Simplex(lp, floating=True).run()
+    for run in (_Simplex(lp).run, partial(solve, lp)):
+        with pytest.raises(NotOptimal, match=f"^exact simplex: {ending}$"):
+            run()
 
 
 # -- certificates -----------------------------------------------------------
@@ -154,20 +195,9 @@ def test_recheck_accepts_and_tamper_detected():
     lp = lp_of(MAX, [2, 3], [[1, 1], [1, 3]], [4, 6])
     cert = solve(lp)
     recheck_certificate(lp, cert)
-    forged = LpCertificate(
-        status=cert.status,
-        primal=cert.primal,
-        dual=cert.dual,
-        objective=cert.objective + 1,
-    )
+    forged = LpCertificate(cert.primal, cert.dual, cert.objective + 1)
     with pytest.raises(CertificateError):
         recheck_certificate(lp, forged)
-
-
-def test_recheck_rejects_unknown_status():
-    lp = lp_of(MAX, [1], [[1]], [1])
-    with pytest.raises(CertificateError):
-        recheck_certificate(lp, LpCertificate(status="done"))
 
 
 # -- symbolic dual ----------------------------------------------------------
@@ -184,7 +214,6 @@ def test_dual_objective_matches_primal():
     lp = lp_of(MAX, [2, 3], [[1, 1], [1, 3], [2, 1]], [4, 6, 5])
     a = solve(lp)
     d = solve(dual_of(lp))
-    assert a.status == OPTIMAL and d.status == OPTIMAL
     assert a.objective == d.objective
     mn = lp_of(MIN, [3, 2], [[-1, -1], [-2, -1]], [-3, -4])
     a = solve(mn)
@@ -196,13 +225,12 @@ def test_dual_objective_matches_primal():
 
 
 def exact_runs(lp):
-    """Certificates of the float-first solve, of the exact simplex, and
-    of the exact simplex under Bland's rule from its first pivot, as
-    after a degenerate stall."""
+    """The float-first solve, the exact simplex, and the exact simplex
+    under Bland's rule from its first pivot, as after a degenerate
+    stall: each a call that returns its certificate."""
     bland = _Simplex(lp)
     bland.forced_bland = True
-    return solve(lp), _Simplex(lp).run(), bland.run()
-
+    return partial(solve, lp), _Simplex(lp).run, bland.run
 
 
 def beale_lp():
@@ -232,9 +260,8 @@ def test_beale_terminates_under_both_rules():
         [0, 0, 1, 100],
     ))
     assert expected == F(1, 20)
-    for cert in exact_runs(lp):
-        assert cert.status == OPTIMAL
-        assert cert.objective == F(1, 20)
+    for run in exact_runs(lp):
+        assert run().objective == F(1, 20)
 
 
 # -- brute-force cross-check ------------------------------------------------
@@ -261,23 +288,26 @@ def tiny_lps(draw):
 @given(tiny_lps())
 def test_solver_matches_enumeration(lp):
     expected = brute_force_best(lp)
-    for cert in exact_runs(lp):
+    for run in exact_runs(lp):
         if expected is None:
-            assert cert.status == INFEASIBLE
+            # the box row keeps every program bounded
+            with pytest.raises(NotOptimal, match="infeasible"):
+                run()
         else:
-            assert cert.status == OPTIMAL
-            assert cert.objective == expected
+            assert run().objective == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(tiny_lps())
 def test_strong_duality_on_random_lps(lp):
-    cert = solve(lp)
-    if cert.status != OPTIMAL:
+    try:
+        cert = solve(lp)
+    except NotOptimal:
+        # an infeasible program's dual is infeasible or unbounded
+        with pytest.raises(NotOptimal):
+            solve(dual_of(lp))
         return
-    dual_cert = solve(dual_of(lp))
-    assert dual_cert.status == OPTIMAL
-    assert dual_cert.objective == cert.objective
+    assert solve(dual_of(lp)).objective == cert.objective
 
 
 # -- pivot hook -------------------------------------------------------------
@@ -388,10 +418,18 @@ def test_rejected_proposal_falls_back_to_exact(monkeypatch):
     assert rounded and exact_pivots
 
 
+def solved_or_refused(lp):
+    """solve(lp)'s certificate, or the message of its NotOptimal."""
+    try:
+        return solve(lp)
+    except NotOptimal as exc:
+        return str(exc)
+
+
 def assert_setup_converts_like_float(lp):
     """The float tableau holds float(q) of every exact entry, the exact
-    one the program's own coefficients, and the certificate is the one
-    that converting through float() gives."""
+    one the program's own coefficients, and the certificate (or the
+    refusal) is the one that converting through float() gives."""
     exact, fast = _Simplex(lp), _Simplex(lp, floating=True)
     for entries, b, row, frow in zip(lp.rows, lp.b, exact.T, fast.T):
         assert frow == {k: float(v) for k, v in row.items()}
@@ -401,8 +439,8 @@ def assert_setup_converts_like_float(lp):
     assert fast.obj == [float(q) for q in exact.obj]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_to_float", float)
-        expected = solve(lp)
-    assert solve(lp) == expected
+        expected = solved_or_refused(lp)
+    assert solved_or_refused(lp) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -511,6 +549,8 @@ def finished_runs(lp):
     for run in runs:
         try:
             run.run()
+        except NotOptimal:
+            assert not run.tol
         except _NO_PROPOSAL:
             assert run.tol
     return runs
@@ -609,17 +649,7 @@ def test_coefficients_beyond_float_range_fall_back_to_exact():
     with pytest.raises(OverflowError):
         _Simplex(lp_of(MAX, [huge], [[1]], [3]), floating=True)
     cert = solve(lp_of(MAX, [huge], [[1]], [3]))
-    assert cert.status == OPTIMAL
     assert cert.objective == 3 * huge
-
-
-def test_export_lp_text_scales_to_integers():
-    lp = lp_of(MAX, [F(1, 2), F(1, 3)], [[F(1, 4), 1]], [F(3, 2)])
-    text = export_lp_text(lp)
-    assert "Maximize" in text
-    assert "objective scale: 6" in text
-    assert " r0: + 1 x0 + 4 x1 <= 6" in text
-    assert text.endswith("End\n")
 
 
 # -- integer certificate checks ---------------------------------------------
@@ -634,31 +664,22 @@ def check_message(check, *args):
     return None
 
 
-def assert_checks_match_reference(lp, x, y, d, objective):
-    """verify_optimal, verify_infeasible and verify_unbounded reach the
-    plain-Fraction reference's decision, with its message."""
+def assert_checks_match_reference(lp, x, y, objective):
+    """verify_optimal reaches the plain-Fraction reference's decision,
+    with its message."""
     assert check_message(verify_optimal, lp, x, y, objective) == reference_optimal_check(
         lp, x, y, objective
     )
-    assert check_message(verify_infeasible, lp, y) == reference_infeasible_check(lp, y)
-    assert check_message(verify_unbounded, lp, x, d) == reference_unbounded_check(lp, x, d)
 
 
 def solved_vectors(lp):
-    """(x, y, d, objective) from the program's certificate, zeros where
-    its status has none: y is the dual or the infeasibility witness, d
-    the unbounded ray."""
-    cert = solve(lp)
-    zeros_x, zeros_y = [F(0)] * lp.ncols, [F(0)] * lp.nrows
-    x = list(cert.primal) if cert.primal is not None else zeros_x
-    if cert.status == OPTIMAL:
-        y = list(cert.dual)
-    elif cert.status == INFEASIBLE:
-        y = list(cert.witness)
-    else:
-        y = zeros_y
-    d = list(cert.witness) if cert.status == UNBOUNDED else list(zeros_x)
-    return x, y, d, cert.objective if cert.objective is not None else F(0)
+    """(x, y, objective) from the program's certificate, zeros where the
+    program has no optimum."""
+    try:
+        cert = solve(lp)
+    except NotOptimal:
+        return [F(0)] * lp.ncols, [F(0)] * lp.nrows, F(0)
+    return list(cert.primal), list(cert.dual), cert.objective
 
 
 # entries with large, unrelated denominators, and plain ints
@@ -675,13 +696,13 @@ def certificate_cases(draw):
     if draw(st.booleans()):
         # without the box row, so unbounded programs occur too
         lp = make_lp(lp.sense, lp.c, lp.rows[:-1], lp.b[:-1])
-    x, y, d, objective = solved_vectors(lp)
+    x, y, objective = solved_vectors(lp)
     for _ in range(draw(st.integers(0, 3))):
-        vec = draw(st.sampled_from([v for v in (x, y, d) if v]))
+        vec = draw(st.sampled_from([v for v in (x, y) if v]))
         vec[draw(st.integers(0, len(vec) - 1))] = draw(edit_values)
     if draw(st.booleans()):
         objective += draw(edit_values)
-    return lp, x, y, d, objective
+    return lp, x, y, objective
 
 
 @settings(max_examples=40, deadline=None)
@@ -698,7 +719,7 @@ def test_certificate_checks_match_reference_on_auction_programs(spec, seeds):
     rng = random.Random(seeds[0])
     for build in (build_dslp, build_blp):
         lp = build(instance)
-        x, y, d, objective = solved_vectors(lp)
+        x, y, objective = solved_vectors(lp)
         assert check_message(verify_optimal, lp, x, y, objective) is None
         cases = [(x, y, objective + 1), (x, [q * F(3, 2) for q in y], objective)]
         for _ in range(2):
@@ -710,4 +731,4 @@ def test_certificate_checks_match_reference_on_auction_programs(spec, seeds):
             )
             cases.append((x2, y2, objective))
         for x2, y2, objective2 in cases:
-            assert_checks_match_reference(lp, x2, y2, x2, objective2)
+            assert_checks_match_reference(lp, x2, y2, objective2)
