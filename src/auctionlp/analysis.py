@@ -329,7 +329,7 @@ def _tight_dual(instance: Instance, revenue: Fraction, candidates):
 
 
 def _reference_slice(instance: Instance, i: int) -> int:
-    for s, w in enumerate(instance.mu_minus_by_slice[i]):
+    for s, w in enumerate(instance.mu_minus_scaled[i].nums):
         if w > 0:
             return s
     raise AssertionError("opponent masses cannot all vanish")

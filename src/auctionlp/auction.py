@@ -58,6 +58,7 @@ from .model import (
     Scaled,
     _dual_from_scaled,
     _key_rows,
+    _scale,
     _utility,
     mechanism_feasible,
     mechanism_slacks,
@@ -279,12 +280,13 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
     n, m, count = instance.n, instance.m, instance.profile_count
     nrows, ncols = layout.shape
     zero, one = Fraction(0), Fraction(1)
+    mu = instance.mu_scaled.fractions()
     c = [zero] * ncols
     rows = [[] for _ in range(nrows)]
     b = [zero] * nrows
     for i in range(n):
         p_i = layout.p(i, 0)
-        c[p_i:p_i + count] = instance.mu_by_rank
+        c[p_i:p_i + count] = mu
     for j in range(m):
         xs = [layout.x(i, j, 0) for i in range(n)]
         xi_j = layout.xi(j, 0)
@@ -372,7 +374,7 @@ def _checked_mechanism(
     layout = _layout(instance, form, PRIMAL)
     if certificate.layout != layout:
         raise LabelMismatch(f"certificate is not from the {form} primal builder")
-    return _feasible_mechanism(instance, layout, *certificate.scaled[0])
+    return _feasible_mechanism(instance, layout, *_scale(certificate.primal))
 
 
 def _feasible_mechanism(
@@ -404,11 +406,13 @@ def _mechanism_entries(instance: Instance, layout: ProgramLayout, vector):
 def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     """Assemble a dual solution from either side: the row multipliers of
     a primal certificate, or the primal point of a dual-program
-    certificate.  The certificate's layout says which."""
+    certificate.  The certificate's layout says which, and only that
+    vector is put over a common denominator."""
     layout = certificate.layout
     if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
         raise LabelMismatch(f"certificate is not from the {form} builders")
-    return _feasible_dual(instance, layout, *certificate.scaled[1 if layout.side == PRIMAL else 0])
+    vector = certificate.dual if layout.side == PRIMAL else certificate.primal
+    return _feasible_dual(instance, layout, *_scale(vector))
 
 
 def _feasible_dual(instance: Instance, layout: ProgramLayout, nums, den: int):
@@ -665,7 +669,8 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
 # the model re-proof.  Its lcm grows with every distinct denominator, so
 # over a forged vector of many large ones it costs time quadratic in
 # their number; past this cap the program's row-local checks take over.
-# The certificates solve writes stay far below it.
+# A valid certificate can pass it too: values over a few coprime
+# 1000-bit denominators give optimal duals with a lcm of 6998 bits.
 _COMMON_DENOMINATOR_BITS = 4096
 
 

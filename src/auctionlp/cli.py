@@ -178,8 +178,7 @@ def cmd_characterize(args) -> int:
     # before drawing; the builders' right-hand sides are nonnegative, so
     # it has no artificial columns.
     m, sizes = gen_shape(spec, args.caps)
-    rows, cols = ProgramLayout(DS, PRIMAL, m, sizes).shape
-    check_tableau_size(rows, rows + cols + 1)
+    check_tableau_size(*ProgramLayout(DS, PRIMAL, m, sizes).shape)
     if args.count == 1 and not spec.get("iid"):
         instance = gen_instance(spec, args.seed, cap=args.caps)
         _characterize_one(instance)

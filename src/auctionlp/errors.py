@@ -60,7 +60,8 @@ class LabelMismatch(AuctionLPError):
 class NotOptimal(AuctionLPError):
     """A dual solution claimed optimal fails the strong-duality check, or
     a program the package built has no optimum (the exact simplex ends
-    infeasible or unbounded), which means it was built wrong."""
+    infeasible, unbounded, or on a vertex that fails the exact check),
+    which means it was built wrong."""
 
 
 class NotRegular(AuctionLPError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
 from operator import attrgetter, itemgetter
@@ -133,35 +132,27 @@ def make_lp(
 
 @dataclass(frozen=True)
 class LpCertificate:
-    """An optimal solution: primal x, dual y (one multiplier per row) and
-    the objective c.x in the LP's own sense.  For min-sense programs the
-    dual vector certifies the negated max form: y^T A >= -c and -c.x =
-    b.y.  Constructing one checks nothing: certify_optimal verifies
-    exactly before it constructs, and recheck_certificate verifies a
-    certificate that came from elsewhere, such as a certificate file.
+    """An optimal solution, held once, as rationals: primal x, dual y
+    (one multiplier per row) and the objective c.x in the LP's own sense.
+    For min-sense programs the dual vector certifies the negated max
+    form: y^T A >= -c and -c.x = b.y.  Constructing one checks nothing:
+    certify_optimal verifies exactly before it constructs, and
+    recheck_certificate verifies a certificate that came from elsewhere.
     """
 
     primal: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
     objective: Fraction
     layout: object = field(default=None, compare=False)
-    # primal and dual as split by _split, when the caller has them: the
-    # split certify_optimal's check ran on
-    split: tuple[list, list] | None = field(default=None, compare=False, repr=False)
     # no certificate carries a witness; perfbench/spans.py still reads one
     witness = None
 
-    @cached_property
-    def scaled(self) -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
-        """The primal and dual, each as (integer numerators, denominator)
-        over one denominator, the lcm of its entries' denominators.  Made
-        from `split` when it is given."""
-        xs, ys = self.split or (_split(self.primal), _split(self.dual))
-        return _over_lcm(xs), _over_lcm(ys)
-
 
 class CertificateError(AssertionError):
-    """An exact verification of a certificate failed (internal bug)."""
+    """An exact verification of a certificate failed.  It is how a stored
+    certificate that is not optimal (a tampered document, say) is
+    refused; the solver turns it into another ending: a rejected
+    rounding in the float pass, NotOptimal in the exact one."""
 
 
 def _require(ok: bool, msg: str) -> None:
@@ -184,16 +175,6 @@ def _split(vec) -> list[tuple[int, int] | None]:
         p = v.numerator
         out.append((p, v.denominator) if p else None)
     return out
-
-
-def _over_lcm(pairs) -> tuple[tuple[int, ...], int]:
-    """Split entries as (numerators, den) over one denominator, the lcm
-    of theirs; a zero entry has numerator 0."""
-    factors = dict.fromkeys(v[1] for v in pairs if v is not None)
-    den = lcm(*factors)
-    for q in factors:
-        factors[q] = den // q
-    return tuple(0 if v is None else v[0] * factors[v[1]] for v in pairs), den
 
 
 def _negative(pairs) -> bool:
@@ -242,8 +223,8 @@ def _at_most(sum_: tuple[int, int], bound) -> bool:
 
 
 def _check_optimal(lp: LinearProgram, xs, ys) -> Fraction:
-    """verify_optimal short of the stated objective, on the split x and
-    y: c.x on success."""
+    """verify_optimal short of the stated objective, on x and y as
+    _split gives them: c.x on success."""
     _require(len(xs) == lp.ncols and len(ys) == lp.nrows, "certificate shape")
     _require(not _negative(xs), "primal negativity")
     _require(not _negative(ys), "dual negativity")
@@ -270,15 +251,9 @@ def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
 
 
 def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
-    xs, ys = _split(x), _split(y)
-    objective = _check_optimal(lp, xs, ys)
-    return LpCertificate(
-        layout=lp.layout,
-        primal=tuple(x),
-        dual=tuple(y),
-        objective=objective,
-        split=(xs, ys),
-    )
+    """(x, y) as a certificate, once the exact check accepts them."""
+    objective = _check_optimal(lp, _split(x), _split(y))
+    return LpCertificate(tuple(x), tuple(y), objective, lp.layout)
 
 
 def recheck_certificate(lp: LinearProgram, cert: LpCertificate) -> None:

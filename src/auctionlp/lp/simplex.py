@@ -27,8 +27,8 @@ accepts that proposal.  Any other ending (the check fails, the float
 pass ends without an optimum, or it runs out of its pivot budget) runs
 the exact simplex from scratch.  Every program the package builds has
 an optimum, so the exact simplex ending without one (infeasible,
-unbounded, or a corrupt tableau) means a program built wrong, and it
-raises NotOptimal.
+unbounded, a corrupt tableau, or a vertex that fails its exact check)
+means a program built wrong, and it raises NotOptimal.
 """
 
 from __future__ import annotations
@@ -149,17 +149,19 @@ _FLOAT_PIVOTS_PER_DIM = 4
 # benchmark corpora); a vertex needing more goes to the exact simplex.
 _ROUND_BOUND = 10**6
 
-# Endings of the float pass that hand the program to the exact simplex.
-# CertificateError rejects the rounded vertex.  OverflowError and
+# Endings of the float pass that hand the program to the exact simplex,
+# a rejected rounding among them (_NoProposal).  OverflowError and
 # ValueError come from numbers floats cannot hold: float() refuses a
-# rational beyond their range, and Fraction() refuses the infinities and
-# NaNs that overflowing arithmetic leaves behind.
-_NO_PROPOSAL = (_NoProposal, CertificateError, PivotLimit, OverflowError, ValueError)
+# rational beyond their range, and Fraction() the infinities and NaNs
+# that overflowing arithmetic leaves behind.
+_NO_PROPOSAL = (_NoProposal, PivotLimit, OverflowError, ValueError)
 
 
-def check_tableau_size(rows: int, width: int) -> None:
-    """Refuse a rows x width tableau over _TABLEAU_CAP with ScaleLimit
-    (not a PivotLimit, which solve takes for a failed proposal)."""
+def check_tableau_size(rows: int, cols: int) -> None:
+    """Refuse a rows x cols program's tableau, a slack per row and the
+    right-hand side wider, over _TABLEAU_CAP with ScaleLimit (not a
+    PivotLimit, which solve takes for a failed proposal)."""
+    width = rows + cols + 1
     if rows * width > _TABLEAU_CAP:
         raise ScaleLimit(
             f"a {rows}x{width} tableau exceeds the cap of {_TABLEAU_CAP} entries"
@@ -246,8 +248,8 @@ class _Simplex:
         self.zero, self.one = zero, one
         negative_rhs = [_NUMERATOR(q) < 0 for q in lp.b]
         self.K = sum(negative_rhs)
+        check_tableau_size(R, S + self.K)
         width = S + R + self.K + 1
-        check_tableau_size(R, width)
         rhs = self.rhs = width - 1
         cols = [set() for _ in range(width)]
         rows = []
@@ -442,7 +444,8 @@ class _Simplex:
         """The certificate of the final basis: its primal point, and the
         duals read off the objective row's slack columns.  The float pass
         rounds each value to a nearby rational; a vertex repeats few
-        values, so each distinct one is rounded once."""
+        values, so each distinct one is rounded once.  A vertex that
+        fails the exact check is an ending without an optimum."""
         rational = cache(partial(_nearby_rational, bound=_ROUND_BOUND)) if self.tol else Fraction
         zero = Fraction(0)
         x = [zero] * self.S
@@ -452,4 +455,7 @@ class _Simplex:
                 if value:
                     x[col] = rational(value)
         y = [rational(v) if v else zero for v in self.obj[self.S : self.S + self.R]]
-        return certify_optimal(self.lp, x, y)
+        try:
+            return certify_optimal(self.lp, x, y)
+        except CertificateError as exc:
+            self._no_optimum(f"its vertex fails the exact check: {exc}")

@@ -23,21 +23,21 @@ Rank tables.  An Instance builds, on first use and then caches:
 * `sizes` and `profile_count`;
 * `ranks[i][s][t]`, the rank of the profile where buyer i has type t
   against slice s, and its inverse `positions[i][r] = (t, s)`;
-* `mu_by_rank[r]`, the prior mass of the profile of rank r;
-* `mu_minus_by_slice[i][s]`, the mass of buyer i's opponent slice s.
+* `mu_scaled`, the prior masses of the profiles by rank, and
+  `mu_minus_scaled[i]`, the masses of buyer i's opponent slices by
+  slice, as integer numerators (see Integer numerators below).
 
 The mass tables are running products over the buyers: each buyer's
 mass numerators multiply the table of the buyers before it, row-major,
 so that a table costs about one integer product per entry and lists its
-masses in rank order; `mu_by_rank` and `mu_minus_by_slice` are the
-Fraction views of `mu_scaled` and `mu_minus_scaled` (below).  `mu` and `mu_minus` remain the by-definition entry points, one
-profile tuple at a time; the tests check the tables against them.  The
-builders and the post-solve work (slacks, dual assembly,
-regularization, virtual values and the checks on them) loop over these
-tables instead of rebuilding profile tuples.  The by-definition
-references they are checked against (the primal programs, utilities
-over profile tuples, and the dual coefficients phi_star, psi,
-phibar_star, psibar) are in tests/helpers.py.
+masses in rank order.  `mu` and `mu_minus` remain the by-definition
+entry points, one profile tuple at a time; the tests check the tables
+against them.  The builders and the post-solve work (slacks, dual
+assembly, regularization, virtual values and the checks on them) loop
+over these tables instead of rebuilding profile tuples.  The
+by-definition references they are checked against (the primal
+programs, utilities over profile tuples, and the dual coefficients
+phi_star, psi, phibar_star, psibar) are in tests/helpers.py.
 
 Dual format.  Both forms hold their multipliers keyed like the primal's
 rows: zeta[i][key][t'] and eta[i][key], where key is the profile rank
@@ -56,9 +56,6 @@ Integer numerators.  The post-solve arithmetic runs on integer
 numerators over one denominator per vector, or per buyer where the
 vector is per buyer (a `Scaled`):
 
-* an optimal LpCertificate's `scaled`: its primal and its dual vector,
-  each over the lcm of its entries' denominators, made from the split
-  that certify_optimal checks, which the certificate carries;
 * `Instance.supports_scaled[i]` over V_i, `probs_scaled[i]` over P_i,
   `mu_scaled` over M, and `mu_minus_scaled[i]` over W_i;
 * `Mechanism.scaled`: alloc and pay over one denominator D (after
@@ -75,12 +72,13 @@ Mechanisms, primal slacks and duals hold only these numerators.  Their
 tests (every zero in them one shared Fraction(0)).  Two values compare
 and hash by their views, so they are equal when they stand for the same
 rationals, whichever denominators their producers chose.  Each producer
-builds its numerators directly: extraction reads the certificate's, the
-canonical flow works over P_i * W_i (xi over the lcm of the
-P_i * W_i * V_i), Myerson's auction over the lcm of the V_i, the
-equivalence maps multiply or divide by the numerators of the opponent
-masses, and regularization moves multipliers over the lcm of Z_i and
-the denominators of the keys' weights and masses.
+builds its numerators directly: extraction puts the one certificate
+vector it reads over the lcm of its denominators, the canonical flow
+works over P_i * W_i (xi over the lcm of the P_i * W_i * V_i),
+Myerson's auction over the lcm of the V_i, the equivalence maps
+multiply or divide by the numerators of the opponent masses, and
+regularization moves multipliers over the lcm of Z_i and the
+denominators of the keys' weights and masses.
 `_dual_from_scaled` is the one dual constructor and takes no
 Fractions; `dual_from_multipliers`, the entry point for Fraction
 multipliers, splits them once and calls it.  The sign tests
@@ -401,15 +399,7 @@ class Instance:
         g = gcd(den, *nums)
         return Scaled(tuple([a // g for a in nums]), den // g)
 
-    @cached_property
-    def mu_by_rank(self) -> tuple[Fraction, ...]:
-        return self.mu_scaled.fractions()
-
-    @cached_property
-    def mu_minus_by_slice(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(s.fractions() for s in self.mu_minus_scaled)
-
-    # -- the same tables over one denominator each ---------------------------
+    # -- tables over one denominator each -------------------------------------
 
     @cached_property
     def supports_scaled(self) -> tuple[Scaled, ...]:

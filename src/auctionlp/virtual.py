@@ -347,7 +347,7 @@ def check_vwm(
     fully allocated whenever the maximum is positive."""
     violations = []
     checked = 0
-    for r, w in enumerate(instance.mu_by_rank):
+    for r, w in enumerate(instance.mu_scaled.nums):
         if w == 0:
             continue
         checked += 1
@@ -378,7 +378,7 @@ def check_ubvv(table: VirtualValueTable, instance: Instance) -> CheckReport:
     findings, not errors."""
     violations = []
     checked = 0
-    for r, w in enumerate(instance.mu_by_rank):
+    for r, w in enumerate(instance.mu_scaled.nums):
         if w == 0:
             continue
         for i in range(instance.n):

@@ -243,10 +243,11 @@ def regular_phi_range(instance, i, profile, revenue):
     rows.append(tuple((k, Fraction(-1)) for k in xi_cols))
     b.append(-revenue)
 
+    profiles = list(instance.profiles())
     for bi in range(instance.n):
         t0 = instance.zero_index(bi)
         for rr, (t, s) in enumerate(instance.positions[bi]):
-            w = instance.mu_minus_by_slice[bi][s]
+            w = instance.mu_minus(bi, drop(bi, profiles[rr]))
             # source: eta sits only on the zero type, at the slice mass
             e = w if t == t0 else Fraction(0)
             col = layout.eta(bi, rr)
@@ -263,7 +264,7 @@ def regular_phi_range(instance, i, profile, revenue):
                 row.append((layout.zeta(bi, rr, t, t2), Fraction(1)))
                 row.append((layout.zeta(bi, instance.ranks[bi][s][t2], t2, t), Fraction(-1)))
             rows.append(tuple(row))
-            b.append(instance.mu_by_rank[rr])
+            b.append(instance.mu(profiles[rr]))
             # virtual: expected virtual values vanish on zero-mass slices
             if w == 0:
                 star = phi_star_row(bi, rr)

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ from auctionlp import auction, cli
 from auctionlp.auction import build_blp, build_dslp
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
-from auctionlp.lp import MAX, make_lp
-from auctionlp.model import load_instance
+from auctionlp.lp import MAX, CertificateError, make_lp, simplex
+from auctionlp.model import load_instance, rat
 from auctionlp.oracles import gen_instance
 from helpers import labels
 
@@ -127,6 +128,9 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
     def fail(instance, form):
         raise NotOptimal("no optimum")
 
+    def refuse(lp, x, y):
+        raise CertificateError("primal row 0 violated")
+
     # max x subject to x <= -1, and max x + y subject to x - y <= 1
     infeasible = make_lp(MAX, [1], [[(0, 1)]], [-1])
     unbounded = make_lp(MAX, [1, 1], [[(0, 1), (1, -1)]], [1])
@@ -135,6 +139,13 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
         (cli, "solve_form", fail, "no optimum"),
         (auction, "build_dslp", lambda _: infeasible, "exact simplex: phase one ends infeasible"),
         (auction, "build_dslp", lambda _: unbounded, "exact simplex: phase two ends unbounded"),
+        # an exact identity failing inside the solver, not a bad input
+        (
+            simplex,
+            "certify_optimal",
+            refuse,
+            "exact simplex: its vertex fails the exact check: primal row 0 violated",
+        ),
     ]
     for owner, name, replacement, message in cases:
         with monkeypatch.context() as patched:
@@ -151,6 +162,42 @@ def test_solve_certificate_round_trip(u12_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(["self-check", u12_path, cert]) == 0
     assert capsys.readouterr().out == "ok 1\n"
+
+
+def test_certificates_past_the_common_denominator_cap_self_check(tmp_path, capsys, monkeypatch):
+    # Values over coprime denominators near 2**1000 make optimal duals
+    # whose lcm passes the 4096-bit cap (6998 bits DS, 5998 bits BIC):
+    # extraction reads them, and self-check accepts them on the
+    # program's rows and columns, never through the model re-proof.
+    def values(a, b):
+        return [[0]] + [[f"{3 * i + a}/{2**1000 + 2 * i + b}"] for i in range(3)]
+
+    supports = [values(1, 1), values(2, 7)]
+    probs = [[0, "1/3", "1/3", "1/3"]] * 2
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"buyers": 2, "items": 1, "supports": supports, "probs": probs}))
+    recheck = auction.recheck_certificate
+    rechecked = []
+
+    def counted(lp, certificate):
+        rechecked.append(lp.layout.form)
+        recheck(lp, certificate)
+
+    def refuse(*args):
+        raise AssertionError("a certificate past the cap reached the model re-proof")
+
+    monkeypatch.setattr(auction, "recheck_certificate", counted)
+    monkeypatch.setattr(auction, "_reprove", refuse)
+    for form in ("ds", "bic"):
+        cert = tmp_path / f"{form}.json"
+        assert main(["solve", str(path), "--form", form, "--certificate", str(cert)]) == 0
+        capsys.readouterr()
+        document = json.loads(cert.read_text())
+        dens = [rat(value).denominator for value in document["dual"].values()]
+        assert lcm(*dens).bit_length() > auction._COMMON_DENOMINATOR_BITS
+        assert main(["self-check", str(path), str(cert)]) == 0
+        assert capsys.readouterr().out == f"ok {document['objective']}\n"
+    assert rechecked == ["ds", "bayes"]
 
 
 def test_self_check_rejects_foreign_certificate(u12_path, pair_path, tmp_path, capsys):

@@ -14,7 +14,6 @@ opponent-mass-weighted sum of dominant-strategy rows."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -247,21 +246,30 @@ BUILD_SHAPES = [
 BUILD_CASES = [(spec, seed) for spec, seeds in BUILD_SHAPES for seed in seeds]
 
 
+def _slice_masses(instance):
+    """Per buyer, the mass of each opponent slice, by definition."""
+    return tuple(
+        tuple(instance.mu_minus(i, vm) for vm in others_profiles(instance, i))
+        for i in range(instance.n)
+    )
+
+
 def test_build_corpus_has_zero_mass_opponent_slices():
     # a zero-mass slice adds nothing to the Bayesian rows of its buyer
     instances = [gen_instance(spec, seed) for spec, seed in BUILD_CASES]
-    assert any(0 in slices for instance in instances for slices in instance.mu_minus_by_slice)
+    assert any(0 in slices for instance in instances for slices in _slice_masses(instance))
 
 
 @pytest.mark.parametrize("spec, seed", BUILD_CASES)
 def test_builders_and_mass_tables_match_definition(spec, seed):
     instance = gen_instance(spec, seed)
-    assert instance.mu_by_rank == tuple(map(instance.mu, instance.profiles()))
-    for i, slices in enumerate(instance.mu_minus_by_slice):
-        assert slices == tuple(instance.mu_minus(i, vm) for vm in others_profiles(instance, i))
+    masses, slice_masses = tuple(map(instance.mu, instance.profiles())), _slice_masses(instance)
+    assert instance.mu_scaled.fractions() == masses
+    for scaled, slices in zip(instance.mu_minus_scaled, slice_masses):
+        assert scaled.fractions() == slices
     # the integer products sit over the least denominators, as a split would
-    assert instance.mu_scaled == _scale(instance.mu_by_rank)
-    assert instance.mu_minus_scaled == tuple(map(_scale, instance.mu_minus_by_slice))
+    assert instance.mu_scaled == _scale(masses)
+    assert instance.mu_minus_scaled == tuple(map(_scale, slice_masses))
     for form, build in ((DS, build_dslp), (BAYES, build_blp)):
         lp, reference = build(instance), reference_primal(instance, form)
         assert lp.layout == reference.layout
@@ -358,7 +366,7 @@ def test_adversarial_corpus_has_what_it_claims():
     one_item, two_items = _adversarial_instances()
     for instance in (one_item, two_items):
         assert _big(_flat(instance.probs))
-        assert 0 in instance.mu_minus_by_slice[1]  # zero-scale slices
+        assert 0 in _slice_masses(instance)[1]  # zero-scale slices
         dens = [instance.supports_scaled[i].den for i in range(instance.n)]
         assert len(set(dens)) == instance.n and max(dens) > 2**31
 
@@ -422,13 +430,10 @@ def test_integer_paths_hold_on_large_coprime_denominators(which, form):
 
 
 def test_numerators_stand_for_the_fractions():
-    # what certify_optimal and the builders keep equals what the
+    # what extraction and the producers after it keep equals what the
     # Fractions split into, entry by entry
     instance = _adversarial_instances()[1]
     certificate = solve_form(instance, BAYES)
-    for vector, (nums, den) in zip((certificate.primal, certificate.dual), certificate.scaled):
-        assert tuple(F(num, den) for num, den in zip(nums, [den] * len(nums))) == vector
-    assert replace(certificate).scaled == certificate.scaled
     mechanism = extract_mechanism(instance, certificate, BAYES)
     slacks = mechanism_slacks(instance, mechanism)
     dual = extract_dual(instance, certificate, BAYES)
@@ -484,7 +489,7 @@ def test_slice_mismatch_matches_definition(index):
     instance = (_instances() + list(_adversarial_instances()))[index]
     rng = random.Random(index)
     zeta_b, eta_b, xi = _random_multipliers(instance, BAYES, rng)
-    weights = instance.mu_minus_by_slice
+    weights = _slice_masses(instance)
     zeta = [
         [[z * weights[i][s] for z in zeta_b[i][t]] for t, s in positions]
         for i, positions in enumerate(instance.positions)

@@ -155,32 +155,43 @@ def strip_artificial_rows(run):
                 run.cols[k].discard(r)
 
 
+def refuse_vertex(lp, x, y):
+    """In place of certify_optimal: the exact check rejects every vertex."""
+    raise CertificateError("primal row 0 violated")
+
+
 # min x0 + x1 subject to x0 + x1 >= 2: one artificial, so phase one runs
 PHASE_ONE_LP = lp_of(MIN, [1, 1], [[-1, -1]], [-2])
 
-# (program, _Simplex methods to replace, the ending's message)
+# (program, (owner, name, replacement) patches, the ending's message)
 NO_OPTIMUM = {
-    "infeasible": (lp_of(MAX, [1], [[1], [-1]], [-3, 2]), {}, "phase one ends infeasible"),
-    "unbounded": (lp_of(MAX, [1, 1], [[1, -1]], [1]), {}, "phase two ends unbounded"),
+    "infeasible": (lp_of(MAX, [1], [[1], [-1]], [-3, 2]), (), "phase one ends infeasible"),
+    "unbounded": (lp_of(MAX, [1, 1], [[1, -1]], [1]), (), "phase two ends unbounded"),
     "phase-one-ray": (
         PHASE_ONE_LP,
-        {"_iterate": ray_in_phase_one},
+        ((_Simplex, "_iterate", ray_in_phase_one),),
         "phase one claims unbounded",
     ),
     "artificial-row": (
         PHASE_ONE_LP,
-        {"_phase_one": strip_artificial_rows},
+        ((_Simplex, "_phase_one", strip_artificial_rows),),
         "tableau row 0 has no entry left of the artificials",
+    ),
+    "vertex-refused": (
+        PHASE_ONE_LP,
+        ((simplex, "certify_optimal", refuse_vertex),),
+        "its vertex fails the exact check: primal row 0 violated",
     ),
 }
 
 
-@pytest.mark.parametrize("lp,methods,ending", NO_OPTIMUM.values(), ids=list(NO_OPTIMUM))
-def test_every_ending_without_an_optimum_is_not_optimal(monkeypatch, lp, methods, ending):
+@pytest.mark.parametrize("lp,patches,ending", NO_OPTIMUM.values(), ids=list(NO_OPTIMUM))
+def test_every_ending_without_an_optimum_is_not_optimal(monkeypatch, lp, patches, ending):
     # the float pass hands the program on; the exact pass, and so solve,
-    # refuses it with NotOptimal, never with a ScaleLimit
-    for name, method in methods.items():
-        monkeypatch.setattr(_Simplex, name, method)
+    # refuses it with NotOptimal, never with a ScaleLimit or a
+    # CertificateError (an invalid input)
+    for owner, name, replacement in patches:
+        monkeypatch.setattr(owner, name, replacement)
     with pytest.raises(_NO_PROPOSAL, match=f"^float pass: {ending}$"):
         _Simplex(lp, floating=True).run()
     for run in (_Simplex(lp).run, partial(solve, lp)):

@@ -25,8 +25,7 @@ FAST_PATHS = {
 }
 # What the primal builder reads; helpers.reference_primal uses none of it.
 BUILDER_PATHS = {
-    "_build_primal", "build_dslp", "build_blp", "multiplier_keys", "ranks",
-    "positions", "mu_by_rank", "mu_minus_by_slice",
+    "_build_primal", "build_dslp", "build_blp", "multiplier_keys", "ranks", "positions",
 }
 # The label rendering; helpers.reference_names uses none of it.
 RENDER_PATHS = {"row_label", "col_label", "labels"}
