@@ -30,7 +30,6 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import add
 
 from .errors import (
     DimensionMismatch,
@@ -108,7 +107,8 @@ class ProgramLayout:
 
     x and p index the variables x_i^j(v) and p_i(v), the primal's
     columns.  zeta, eta and xi index the multipliers of its ic, ir and
-    sup rows.  zeta and eta take the multiplier key, as in
+    sup rows, which every primal lists in that order, in both forms.
+    zeta and eta take the multiplier key, as in
     DualSolution: the profile rank in the dominant-strategy form, the
     own type in the Bayesian form (see model.multiplier_keys).
 
@@ -133,16 +133,13 @@ class ProgramLayout:
     @cached_property
     def _blocks(self):
         """Where each buyer's zeta and eta multipliers start, and where
-        xi starts.  All zeta blocks come first, then all eta blocks,
-        except that the Bayesian program puts each buyer's ir rows right
-        after its ic rows."""
-        etas = [self.count if self.form == DS else k for k in self.sizes]
-        zetas = [e * (k - 1) for e, k in zip(etas, self.sizes)]
-        if self.form == BAYES:
-            at = list(itertools.accumulate(map(add, zetas, etas), initial=0))
-            return at[:-1], [a + z for a, z in zip(at, zetas)], at[-1]
-        zeta = list(itertools.accumulate(zetas, initial=0))
-        eta = list(itertools.accumulate(etas, initial=zeta[-1]))
+        xi starts.  One row order serves both forms: all ic rows (buyer,
+        key, report), then all ir rows (buyer, key), then the sup rows;
+        the forms differ only in keys per buyer."""
+        keys = [self.count if self.form == DS else k for k in self.sizes]
+        ics = [n * (k - 1) for n, k in zip(keys, self.sizes)]
+        zeta = list(itertools.accumulate(ics, initial=0))
+        eta = list(itertools.accumulate(keys, initial=zeta[-1]))
         return zeta[:-1], eta[:-1], eta[-1]
 
     @property
@@ -175,30 +172,19 @@ class ProgramLayout:
         profiles = list(itertools.product(*map(range, self.sizes)))
         return profiles, [profile_key(v) for v in profiles]
 
-    @cached_property
-    def _row_blocks(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """The first row of each buyer's ic and of its ir block, in row
-        order, and each block's (buyer, reports per key): k - 1 for ic,
-        0 for ir.  An empty ic block sorts before the block it shares
-        its first row with."""
-        zeta, eta, _ = self._blocks
-        blocks = sorted(
-            [(z, 0, i, k - 1) for i, (z, k) in enumerate(zip(zeta, self.sizes))]
-            + [(e, 1, i, 0) for i, e in enumerate(eta)]
-        )
-        return [b[0] for b in blocks], [b[2:] for b in blocks]
-
     def row_label(self, r: int) -> str:
-        """The label of primal row r, the inverse of zeta, eta and xi."""
+        """The label of primal row r, the inverse of zeta, eta and xi.
+        A one-type buyer's ic block is empty and starts where the next
+        buyer's does, so bisect_right passes over it."""
         profiles, names = self._names
-        starts, blocks = self._row_blocks
-        xi = self._blocks[2]
+        zeta, eta, xi = self._blocks
         if r >= xi:
             j, rank = divmod(r - xi, self.count)
             return f"sup:{j}:{names[rank]}"
-        b = bisect_right(starts, r) - 1
-        i, lies = blocks[b]
-        key, lie = divmod(r - starts[b], lies) if lies else (r - starts[b], None)
+        ic = r < eta[0]
+        starts = zeta if ic else eta
+        i = bisect_right(starts, r) - 1
+        key, lie = divmod(r - starts[i], self.sizes[i] - 1) if ic else (r - starts[i], None)
         name, t = (names[key], profiles[key][i]) if self.form == DS else (key, key)
         if lie is None:
             return f"ir:{i}:{name}"

@@ -26,21 +26,8 @@ from .auction import (
     verify_certificate_document,
     write_certificate,
 )
-from .errors import (
-    AuctionLPError,
-    DimensionMismatch,
-    DuplicateSupportVector,
-    InfeasibleInput,
-    LabelMismatch,
-    MissingZeroType,
-    NegativeValue,
-    NonUnitMass,
-    NotRational,
-    ScaleLimit,
-    ZeroMassNonzeroType,
-    echo,
-)
-from .lp import CertificateError, check_tableau_size
+from .errors import AuctionLPError, DimensionMismatch, InvalidInput, ScaleLimit, echo
+from .lp import check_tableau_size
 from .model import BAYES, DS, NEG_INF, load_instance, multiplier_keys, rat_str
 from .oracles import _SPEC_COUNTS, _SPEC_FLAGS, gen_instance, gen_shape
 from .virtual import (
@@ -53,20 +40,7 @@ from .virtual import (
 )
 
 # Invalid input, exit 2: bad data (a forged certificate too) or files.
-_INVALID_INPUT = (
-    NonUnitMass,
-    NegativeValue,
-    DuplicateSupportVector,
-    ZeroMassNonzeroType,
-    MissingZeroType,
-    DimensionMismatch,
-    LabelMismatch,
-    InfeasibleInput,
-    NotRational,
-    CertificateError,
-    OSError,
-    json.JSONDecodeError,
-)
+_INVALID_INPUT = (InvalidInput, OSError, json.JSONDecodeError)
 
 _FORMS = {"ds": DS, "bic": BAYES}
 

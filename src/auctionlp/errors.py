@@ -1,12 +1,18 @@
 """Exception taxonomy.
 
 Every error raised by the package derives from AuctionLPError so callers
-can catch one base.  The CLI maps these onto exit codes.
+can catch one base.  The CLI maps these onto exit codes: an InvalidInput
+exits 2, a ScaleLimit 4, and any other AuctionLPError 3.
 """
 
 
 class AuctionLPError(Exception):
     pass
+
+
+class InvalidInput(AuctionLPError):
+    """Bad data: an instance, certificate document, generator spec or
+    flag that the package refuses."""
 
 
 def cut(text: str) -> str:
@@ -19,38 +25,38 @@ def echo(value) -> str:
     return cut(repr(value))
 
 
-class NonUnitMass(AuctionLPError):
+class NonUnitMass(InvalidInput):
     """A buyer's probability masses do not sum to exactly 1."""
 
 
-class NegativeValue(AuctionLPError):
+class NegativeValue(InvalidInput):
     """A value coordinate or probability mass is negative."""
 
 
-class DuplicateSupportVector(AuctionLPError):
+class DuplicateSupportVector(InvalidInput):
     """Two identical value vectors inside one buyer's support."""
 
 
-class ZeroMassNonzeroType(AuctionLPError):
+class ZeroMassNonzeroType(InvalidInput):
     """Strict validation: a nonzero value vector carries zero mass."""
 
 
-class MissingZeroType(AuctionLPError):
+class MissingZeroType(InvalidInput):
     """A buyer's support lacks the all-zeros vector and augmentation is off."""
 
 
-class NotRational(AuctionLPError, TypeError, ValueError):
+class NotRational(InvalidInput, TypeError, ValueError):
     """Input text or data that is not an exact rational: a float, a
     bool, a malformed literal, or a zero denominator.  It is also a
     TypeError and a ValueError, so callers that catch the built-in
     parse errors still catch it."""
 
 
-class DimensionMismatch(AuctionLPError):
+class DimensionMismatch(InvalidInput):
     """Array shapes inconsistent with the declared buyer/item counts."""
 
 
-class LabelMismatch(AuctionLPError):
+class LabelMismatch(InvalidInput):
     """A certificate document is malformed or does not match the
     instance (kind, version, digest, form, labels or entries), or an LP
     certificate was not produced by the builder and layout it is read
@@ -76,5 +82,5 @@ class ScaleLimit(AuctionLPError):
     """Requested computation exceeds the configured desk-scale caps."""
 
 
-class InfeasibleInput(AuctionLPError):
+class InfeasibleInput(InvalidInput):
     """A mechanism or dual solution violates a feasibility constraint."""

@@ -17,6 +17,8 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Sequence
 
+from ..errors import InvalidInput
+
 MAX = "max"
 MIN = "min"
 
@@ -148,11 +150,11 @@ class LpCertificate:
     witness = None
 
 
-class CertificateError(AssertionError):
+class CertificateError(InvalidInput):
     """An exact verification of a certificate failed.  It is how a stored
     certificate that is not optimal (a tampered document, say) is
-    refused; the solver turns it into another ending: a rejected
-    rounding in the float pass, NotOptimal in the exact one."""
+    refused, as invalid input; the solver turns it into another ending:
+    a rejected rounding in the float pass, NotOptimal in the exact one."""
 
 
 def _require(ok: bool, msg: str) -> None:

@@ -96,11 +96,14 @@ NOT_LABELS = [
 ]
 
 
+# support sizes of two-item layouts; a buyer with one type has no ic
+# rows, so its empty block shares its first row with the next one
+LAYOUT_SIZES = ((3, 2), (1,), (1, 3), (3, 1), (2, 1, 2), (1, 1, 2))
+
+
 @pytest.mark.parametrize("form", [DS, BAYES])
 def test_labels_read_back_to_their_index(form):
-    # a buyer with one type has no ic rows, so its empty block shares
-    # its first row with the next one
-    for sizes in ((3, 2), (1,), (1, 3), (3, 1), (2, 1, 2), (1, 1, 2)):
+    for sizes in LAYOUT_SIZES:
         layout = ProgramLayout(form, PRIMAL, 2, sizes)
         rows, cols = labels(layout)
         assert (rows, cols) == reference_names(layout)
@@ -113,6 +116,18 @@ def test_labels_read_back_to_their_index(form):
     for label in NOT_LABELS:
         assert label not in rows and label not in cols
         assert layout.index_of(label, True) is layout.index_of(label, False) is None
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_both_forms_share_one_row_order(form):
+    # all ic rows, then all ir rows, then all sup rows; inside each kind
+    # the buyer (the item, for sup) never decreases
+    kinds = ("ic", "ir", "sup")
+    for sizes in LAYOUT_SIZES:
+        rows, _ = labels(ProgramLayout(form, PRIMAL, 2, sizes))
+        fields = [row.split(":") for row in rows]
+        order = [(kinds.index(kind), int(owner)) for kind, owner, *_ in fields]
+        assert order == sorted(order)
 
 
 def test_dual_rows_mirror_primal_columns(pair12):

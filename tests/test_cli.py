@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import auctionlp
-from auctionlp import auction, cli
+from auctionlp import auction, cli, errors
 from auctionlp.auction import build_blp, build_dslp
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
@@ -153,6 +153,49 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
             assert main(["solve", u12_path]) == 3
         captured = capsys.readouterr()
         assert captured.err == f"error: NotOptimal: {message}\n"
+        assert captured.out == ""
+
+
+# The exit code each public error class carries: 2 for invalid input, 4
+# for an exceeded cap, 3 for any other failure.  It names every
+# AuctionLPError subclass that auctionlp.errors declares.
+EXIT_CODES = {
+    errors.AuctionLPError: 3,
+    errors.InvalidInput: 2,
+    errors.NonUnitMass: 2,
+    errors.NegativeValue: 2,
+    errors.DuplicateSupportVector: 2,
+    errors.ZeroMassNonzeroType: 2,
+    errors.MissingZeroType: 2,
+    errors.NotRational: 2,
+    errors.DimensionMismatch: 2,
+    errors.LabelMismatch: 2,
+    errors.InfeasibleInput: 2,
+    CertificateError: 2,
+    errors.ScaleLimit: 4,
+    simplex.PivotLimit: 4,
+    errors.NotOptimal: 3,
+    errors.NotRegular: 3,
+    errors.NotAgentIndependent: 3,
+}
+
+
+def test_error_classes_carry_their_exit_codes(u12_path, capsys, monkeypatch):
+    declared = {
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.AuctionLPError)
+    }
+    assert declared | {CertificateError, simplex.PivotLimit} == set(EXIT_CODES)
+    for error, code in EXIT_CODES.items():
+
+        def fail(args):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "_load", fail)
+        assert main(["validate", u12_path]) == code, error.__name__
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error.__name__}: refused\n"
         assert captured.out == ""
 
 

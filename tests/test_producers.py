@@ -13,7 +13,7 @@ over primes above 2**31."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from auctionlp import analysis, model
+from auctionlp import analysis, auction, model
 from auctionlp.analysis import (
     _myerson_auction,
     _tight_dual,
@@ -150,7 +150,10 @@ def test_flow_producers_match_their_references_over_large_primes(instance):
 # Both single-item paths of characterize: the flow's proof accepts the
 # support-2 instance and declines the support-3 one, which then solves
 # both programs.  On one item SRev is DRev, so SRev builds no
-# instance.
+# instance.  The one sanctioned split is of a certificate vector, which
+# holds Fractions because the exact simplex computes in them: the
+# support-3 path extracts the Bayesian dual vector (112 entries) and
+# the dominant-strategy primal point (384 entries).
 @pytest.mark.parametrize("support, seed", [(2, 0), (3, 1)])
 def test_producers_split_no_fractions(monkeypatch, support, seed):
     instance = gen_instance({"n": 3, "m": 1, "support": support, "iid": True}, seed)
@@ -164,7 +167,16 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
     def refuse(nested):
         raise AssertionError("a producer split Fractions into numerators")
 
+    split, expected = model._scale, {2: [], 3: [112, 384]}[support]
+
+    def certificate_vector(vector):
+        if not expected or len(vector) != expected.pop(0):
+            refuse(vector)
+        return split(vector)
+
     monkeypatch.setattr(model, "_scale", refuse)
+    # auction binds _scale at import, so its extraction is patched apart
+    monkeypatch.setattr(auction, "_scale", certificate_vector)
     flow = canonical_flow(instance)
     report = characterize(instance, flow)
     # the steps iid_scan takes after characterize
@@ -172,3 +184,4 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
     regular = regularize_ds(instance, dual, revenue=report.drev)
     assert check_ubvv(virtual_values_ds(instance, regular), instance).checked
     assert report.ai_witness is not None and excess == 0
+    assert expected == []
