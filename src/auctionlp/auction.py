@@ -17,8 +17,9 @@ grammar (profile keys are support indices joined by "."):
     ds rows     ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
     bayes rows  ic:<i>:<t>:<t'>      ir:<i>:<t>      sup:<j>:<vkey>
 
-row_label and col_label render one index; index_of reads a label back
-and accepts the index only if it renders to the same label.
+row_label and col_label render one index.  index_of reads a label
+strictly, field by field, and renders nothing back: a field must be
+spelled exactly as the renderer writes it, and be in range.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import (
     DimensionMismatch,
@@ -55,6 +56,7 @@ from .model import (
     Mechanism,
     PrimalSlacks,
     Scaled,
+    _PLAIN_LITERAL,
     _dual_from_scaled,
     _key_rows,
     _scale,
@@ -200,44 +202,56 @@ class ProgramLayout:
             return f"x:{i}:{j}:{name}"
         return f"p:{block - xs}:{name}"
 
-    def _rank(self, name: str) -> int:
-        """The rank of the profile a label names; loose, as _read is."""
-        r = 0
-        for k, t in zip(self.sizes, name.split(".")):
-            r = r * k + int(t)
-        return r
+    @cached_property
+    def _ranks(self) -> dict[str, int]:
+        """Each profile key to its rank: the only spellings a profile
+        field of a label takes."""
+        return {name: r for r, name in enumerate(self._names[1])}
 
-    def _read(self, label: str, row: bool) -> int:
-        """The index a row (or column) label's fields point to, read
-        loosely: a malformed field raises ValueError or IndexError, and a
-        field out of range may point anywhere."""
-        kind, *fields = label.split(":")
-        shape = (kind, len(fields))
-        if row and shape == ("sup", 2):
-            return self.xi(int(fields[0]), self._rank(fields[1]))
-        if row and shape in (("ir", 2), ("ic", 3)):
-            i = int(fields[0])
-            if self.form == DS:
-                key, t = self._rank(fields[1]), int(fields[1].split(".")[i])
-            else:
-                key = t = int(fields[1])
-            return self.eta(i, key) if kind == "ir" else self.zeta(i, key, t, int(fields[2]))
-        if not row and shape == ("x", 3):
-            return self.x(int(fields[0]), int(fields[1]), self._rank(fields[2]))
-        if not row and shape == ("p", 2):
-            return self.p(int(fields[0]), self._rank(fields[1]))
-        raise ValueError(label)
+    @cached_property
+    def _numbers(self) -> tuple[dict[str, int], dict[str, int], list[dict[str, int]]]:
+        """The canonical decimals a buyer, an item and each buyer's type
+        field of a label take, each to its value: (buyers, items, types
+        by buyer).  Only a number in range has a spelling."""
+        n, m = len(self.sizes), self.m
+        tables = {bound: {str(k): k for k in range(bound)} for bound in {n, m, *self.sizes}}
+        return tables[n], tables[m], [tables[k] for k in self.sizes]
 
     def index_of(self, label: str, row: bool) -> int | None:
         """The row (row true) or column that row_label or col_label
-        renders as label, or None.  The label is read loosely and the
-        index accepted only if it renders back to the same label."""
+        renders as label, or None.  The label is read strictly, field by
+        field, and never rendered back: each field must be one of the
+        spellings in _numbers or _ranks, and an ic row's report must
+        differ from the own type."""
+        kind, *parts = label.split(":")
+        buyers, items, types = self._numbers
+        ranks = self._ranks
         try:
-            index = self._read(label, row)
-        except (ValueError, IndexError):
-            return None
-        bound, render = (self.shape[0], self.row_label) if row else (self.shape[1], self.col_label)
-        return index if 0 <= index < bound and render(index) == label else None
+            if row and kind == "sup":
+                j, name = parts
+                return self.xi(items[j], ranks[name])
+            if row and kind in ("ic", "ir"):
+                i, key, *lie = parts
+                i = buyers[i]
+                if self.form == DS:
+                    key = ranks[key]
+                    t = self._names[0][key][i]
+                else:
+                    key = t = types[i][key]
+                if kind == "ir":
+                    return None if lie else self.eta(i, key)
+                (t2,) = lie
+                t2 = types[i][t2]
+                return None if t2 == t else self.zeta(i, key, t, t2)
+            if not row and kind == "x":
+                i, j, name = parts
+                return self.x(buyers[i], items[j], ranks[name])
+            if not row and kind == "p":
+                i, name = parts
+                return self.p(buyers[i], ranks[name])
+        except (KeyError, ValueError):  # a spelling not in a table, a field too many or few
+            pass
+        return None
 
 
 def _layout(instance: Instance, form: str, side: str) -> ProgramLayout:
@@ -576,13 +590,60 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
 
 def _document_section(document: dict, key: str) -> dict[str, Fraction]:
     """A certificate section mapping labels to rationals."""
+    section = _section_items(document, key)
+    try:
+        return {label: rat(value) for label, value in section}
+    except NotRational as exc:
+        raise LabelMismatch(f"certificate {key}: {exc}") from None
+
+
+def _section_items(document: dict, key: str):
     section = document.get(key)
     if not isinstance(section, dict):
         raise LabelMismatch(f"certificate {key} is not a map of labels to rationals")
+    return section.items()
+
+
+def _section_entries(
+    document: dict, key: str, layout: ProgramLayout, row: bool, unknown: list
+) -> list[tuple[int, int, int]]:
+    """The primal (row false) or dual section of a certificate, read in
+    one pass: an (index, numerator, denominator) triple per entry, the
+    fraction in lowest terms (_reduced); a label index_of does not know
+    goes to unknown instead.  Every value is read, known label or not."""
+    entries = []
     try:
-        return {label: rat(value) for label, value in section.items()}
+        for label, value in _section_items(document, key):
+            num, den = _reduced(value)
+            index = layout.index_of(label, row)
+            if index is None:
+                unknown.append(label)
+            else:
+                entries.append((index, num, den))
     except NotRational as exc:
         raise LabelMismatch(f"certificate {key}: {exc}") from None
+    return entries
+
+
+def _reduced(value) -> tuple[int, int]:
+    """value as (numerator, denominator) in lowest terms, the denominator
+    positive, as rat reads it.  A plain literal, which is what rat_str
+    writes, is read with int and reduced by gcd, with no Fraction built;
+    any other value, and a literal int does not read (more digits than
+    it converts, or a zero denominator), goes through rat, which accepts
+    or refuses it (NotRational) as it does everywhere."""
+    literal = _PLAIN_LITERAL.fullmatch(value) if type(value) is str else None
+    if literal:
+        num, den = literal.groups()
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than int converts: rat says so
+            den = 0
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+    q = rat(value)
+    return q.numerator, q.denominator
 
 
 def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
@@ -592,13 +653,15 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     ledger InfeasibleInput, and a certificate that is not optimal
     CertificateError.
 
-    The labels are read to layout indices, and the proof runs on the
-    model, with no program built (_reprove): the mechanism and the dual
-    solution the entries stand for must be feasible, and the revenue,
-    the stated objective and the dual objective equal.  A vector whose
-    common denominator passes _COMMON_DENOMINATOR_BITS is rechecked on
-    the program's rows and columns instead (recheck_certificate), where
-    each grows its own denominator."""
+    Each primal and dual entry is read once, straight to its layout
+    index and its integer numerator and denominator (_section_entries):
+    labels strictly, field by field, none rendered back.  The proof runs
+    on the model, with no program built (_reprove): the mechanism and
+    the dual solution the entries stand for must be feasible, and the
+    revenue, the stated objective and the dual objective equal.  A
+    vector whose common denominator passes _COMMON_DENOMINATOR_BITS is
+    rechecked on the program's rows and columns instead
+    (recheck_certificate), where each grows its own denominator."""
     if not isinstance(document, dict) or document.get("kind") != "auctionlp.certificate":
         raise LabelMismatch("not a certificate document")
     version = document.get("version")
@@ -611,23 +674,17 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     if form not in (DS, BAYES):
         raise LabelMismatch(f"unknown certificate form {echo(form)}")
     layout = _layout(instance, form, PRIMAL)
-    primal = _document_section(document, "primal")
-    dual = _document_section(document, "dual")
+    unknown = []
+    # (index, numerator, denominator) per entry: the primal's columns, the dual's rows
+    entries = [
+        _section_entries(document, key, layout, row, unknown)
+        for key, row in (("primal", False), ("dual", True))
+    ]
     ledger = _document_section(document, "ledger")
     if ledger.keys() != set(_LEDGER_KEYS):
         raise LabelMismatch(
             f"certificate ledger keys {echo(sorted(ledger))} are not {_LEDGER_KEYS}"
         )
-    # (index, value) per entry: the primal's columns, the dual's rows
-    entries = ([], [])
-    unknown = []
-    for found, section, row in zip(entries, (primal, dual), (False, True)):
-        for label, value in section.items():
-            index = layout.index_of(label, row)
-            if index is None:
-                unknown.append(label)
-            else:
-                found.append((index, value))
     if unknown:
         shown = ", ".join(map(echo, sorted(unknown)[:3]))
         raise LabelMismatch(f"unknown labels: [{shown}]")
@@ -641,8 +698,8 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
         lp = build_dslp(instance) if form == DS else build_blp(instance)
         x, y = ([Fraction(0)] * size for size in sizes)
         for vector, found in zip((x, y), entries):
-            for index, value in found:
-                vector[index] = value
+            for index, num, den in found:
+                vector[index] = Fraction(num, den)
         recheck_certificate(lp, LpCertificate(tuple(x), tuple(y), objective))
     else:
         _reprove(instance, layout, *vectors, objective)
@@ -661,10 +718,11 @@ _COMMON_DENOMINATOR_BITS = 4096
 
 
 def _over_common_denominator(size: int, entries) -> Scaled | None:
-    """A vector of size entries, zero but for the (index, value) pairs
-    given, as integer numerators over one denominator, the lcm of
-    theirs; None once that lcm passes _COMMON_DENOMINATOR_BITS bits."""
-    factors = dict.fromkeys(value.denominator for _, value in entries)
+    """A vector of size entries, zero but for the (index, numerator,
+    denominator) triples given, as integer numerators over one
+    denominator, the lcm of theirs; None once that lcm passes
+    _COMMON_DENOMINATOR_BITS bits."""
+    factors = dict.fromkeys(den for _, _, den in entries)
     den = 1
     for q in factors:
         den = lcm(den, q)
@@ -673,8 +731,8 @@ def _over_common_denominator(size: int, entries) -> Scaled | None:
     for q in factors:
         factors[q] = den // q
     nums = [0] * size
-    for index, value in entries:
-        nums[index] = value.numerator * factors[value.denominator]
+    for index, num, q in entries:
+        nums[index] = num * factors[q]
     return Scaled(tuple(nums), den)
 
 

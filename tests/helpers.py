@@ -9,9 +9,10 @@ The definitions are free functions over profile tuples: utility,
 deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
 dual; zero_mechanism, min_entry of slacks and row_dot of a program;
-reference_names of a program layout; drop, insert, others_sizes,
-others_rank, others_count, others_profiles and profile_prob of an
-instance's profiles; and the plain-Fraction references of the integer
+reference_names and reference_index_of (labels read by rendering
+back) of a program layout; drop, insert, others_sizes, others_rank,
+others_count, others_profiles and profile_prob of an instance's
+profiles; and the plain-Fraction references of the integer
 producers (the canonical flow, Myerson's auction, face_excess, the
 equivalence maps and the regularization moves).  mechanism_of and
 slacks_of build a Mechanism or PrimalSlacks from Fractions, and labels
@@ -365,6 +366,50 @@ def reference_names(layout):
                     if t2 != t:
                         rows[layout.zeta(i, t, t, t2)] = f"ic:{i}:{t}:{t2}"
     return rows, cols
+
+
+def _reference_rank(layout, name):
+    """The rank of the profile a label names, read loosely."""
+    r = 0
+    for k, t in zip(layout.sizes, name.split(".")):
+        r = r * k + int(t)
+    return r
+
+
+def _reference_read(layout, label, row):
+    """The index a row (or column) label's fields point to, read
+    loosely: a malformed field raises ValueError or IndexError, and a
+    field out of range may point anywhere."""
+    kind, *fields = label.split(":")
+    shape = (kind, len(fields))
+    if row and shape == ("sup", 2):
+        return layout.xi(int(fields[0]), _reference_rank(layout, fields[1]))
+    if row and shape in (("ir", 2), ("ic", 3)):
+        i = int(fields[0])
+        if layout.form == DS:
+            key, t = _reference_rank(layout, fields[1]), int(fields[1].split(".")[i])
+        else:
+            key = t = int(fields[1])
+        return layout.eta(i, key) if kind == "ir" else layout.zeta(i, key, t, int(fields[2]))
+    if not row and shape == ("x", 3):
+        return layout.x(int(fields[0]), int(fields[1]), _reference_rank(layout, fields[2]))
+    if not row and shape == ("p", 2):
+        return layout.p(int(fields[0]), _reference_rank(layout, fields[1]))
+    raise ValueError(label)
+
+
+def reference_index_of(layout, label, row):
+    """ProgramLayout.index_of by rendering back: the label is read
+    loosely, and the index accepted only if row_label (row true) or
+    col_label renders it as the same label."""
+    try:
+        index = _reference_read(layout, label, row)
+    except (ValueError, IndexError):
+        return None
+    bound, render = (
+        (layout.shape[0], layout.row_label) if row else (layout.shape[1], layout.col_label)
+    )
+    return index if 0 <= index < bound and render(index) == label else None
 
 
 

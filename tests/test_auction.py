@@ -2,6 +2,7 @@
 off-support profiles, and certificate documents."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ from auctionlp.auction import (
     DUAL,
     PRIMAL,
     ProgramLayout,
+    _reduced,
     brev,
     build_blp,
     build_dslp,
@@ -32,13 +34,20 @@ from auctionlp.auction import (
     verify_certificate_document,
     write_certificate,
 )
-from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch
+from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch, NotRational
 from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, solve
-from auctionlp.model import mechanism_feasible, rat_str
+from auctionlp.model import mechanism_feasible, rat, rat_str
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import REPROOF_PATHS, build, reprove_on
-from helpers import insert, labels, others_profiles, parse_profile_key, reference_names
+from helpers import (
+    insert,
+    labels,
+    others_profiles,
+    parse_profile_key,
+    reference_index_of,
+    reference_names,
+)
 
 F = Fraction
 
@@ -116,6 +125,69 @@ def test_labels_read_back_to_their_index(form):
     for label in NOT_LABELS:
         assert label not in rows and label not in cols
         assert layout.index_of(label, True) is layout.index_of(label, False) is None
+        assert reference_index_of(layout, label, True) is None
+        assert reference_index_of(layout, label, False) is None
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_labels_read_as_rendering_back_reads_them(form):
+    for sizes in LAYOUT_SIZES:
+        layout = ProgramLayout(form, PRIMAL, 2, sizes)
+        for label in itertools.chain(*labels(layout)):
+            for row in (True, False):
+                assert layout.index_of(label, row) == reference_index_of(layout, label, row)
+
+
+# Arabic-Indic and full-width digits, which int() reads as ASCII ones
+NON_ASCII_DIGITS = ["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９"]
+
+# Edits of one label field (or of one "."-separated part of a profile
+# key) that the renderer never writes, save by chance the out-of-range
+# number and the swapped kind.
+FIELD_EDITS = {
+    "leading zero": lambda part, draw: "0" + part,
+    "sign": lambda part, draw: draw(st.sampled_from("+-")) + part,
+    "whitespace": lambda part, draw: draw(st.sampled_from([" ", "\t", "\n"])) + part,
+    "non-ascii digit": lambda part, draw: part.translate(
+        str.maketrans("0123456789", draw(st.sampled_from(NON_ASCII_DIGITS)))
+    ),
+    "number": lambda part, draw: str(draw(st.integers(0, 12))),
+}
+
+
+@st.composite
+def edited_labels(draw):
+    """(layout, label): a label of a LAYOUT_SIZES layout, edited."""
+    form, sizes = draw(st.sampled_from([DS, BAYES])), draw(st.sampled_from(LAYOUT_SIZES))
+    layout = ProgramLayout(form, PRIMAL, 2, sizes)
+    rows, cols = labels(layout)
+    edit = draw(st.sampled_from(["field", "drop", "add", "kind", "own report"]))
+    if edit == "own report":  # an ic row whose report is its own type
+        owned = [row for row in rows if not row.startswith("sup")]
+        _, i, key = draw(st.sampled_from(owned)).split(":")[:3]
+        own = key.split(".")[int(i)] if form == DS else key
+        return layout, f"ic:{i}:{key}:{own}"
+    fields = draw(st.sampled_from(rows + cols)).split(":")
+    if edit == "field":
+        f = draw(st.integers(1, len(fields) - 1))
+        parts = fields[f].split(".")
+        a = draw(st.integers(0, len(parts) - 1))
+        parts[a] = draw(st.sampled_from(list(FIELD_EDITS.values())))(parts[a], draw)
+        fields[f] = ".".join(parts)
+    elif edit == "drop":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif edit == "add":
+        fields.insert(draw(st.integers(0, len(fields))), str(draw(st.integers(0, 3))))
+    else:
+        fields[0] = draw(st.sampled_from(["x", "p", "ic", "ir", "sup", "", "X", "ic "]))
+    return layout, ":".join(fields)
+
+
+@given(edited_labels())
+def test_edited_labels_read_as_rendering_back_reads_them(case):
+    layout, label = case
+    for row in (True, False):
+        assert layout.index_of(label, row) == reference_index_of(layout, label, row)
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])
@@ -336,6 +408,26 @@ def test_extend_bayes_off_support_best_responds(pair12):
 # -- certificate documents --------------------------------------------------
 
 
+@given(
+    st.one_of(
+        st.from_regex(r"[-+]?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+        st.text(alphabet="0123456789/+-_. e", max_size=12),
+        st.integers(-(10**30), 10**30),
+        st.sampled_from(["9" * 5000, "1/" + "9" * 5000, "1e100000000", None, True, 0.5, [1]]),
+    )
+)
+def test_values_read_to_the_numerators_rat_gives(value):
+    # the denominators, and so the common denominator of a vector and
+    # the route of its re-proof, are those of the Fraction rat builds
+    try:
+        q = rat(value)
+    except NotRational:
+        with pytest.raises(NotRational):
+            _reduced(value)
+    else:
+        assert _reduced(value) == (q.numerator, q.denominator)
+
+
 def test_certificate_round_trip(tmp_path, u123, reproof):
     cert = solve_form(u123, DS)
     document = certificate_document(u123, DS, cert)
@@ -463,6 +555,26 @@ def test_reproof_paths_agree(request, monkeypatch, source, form):
     assert outcomes["model"] == outcomes["row-local"]
     assert outcomes["model"][0] == certificate.objective
     assert outcomes["model"].count(CertificateError) > len(documents) // 2
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_reproof_renders_no_label(monkeypatch, form):
+    # a re-proof reads each label field by field; rendering one back per
+    # entry was the largest cost of self-check
+    documents = []
+    for source in ("27", "36", "81"):
+        instance = gen_instance(*REPROOF_SPECS[source])
+        certificate = solve_form(instance, form)
+        document = certificate_document(instance, form, certificate)
+        documents.append((instance, document, certificate.objective))
+
+    def rendered(layout, index):
+        raise AssertionError("a re-proof rendered a label")
+
+    monkeypatch.setattr(ProgramLayout, "row_label", rendered)
+    monkeypatch.setattr(ProgramLayout, "col_label", rendered)
+    for instance, document, objective in documents:
+        assert verify_certificate_document(instance, document) == objective
 
 
 def test_certificate_rejects_nonzero_ledger(u123):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import auctionlp
 from auctionlp import auction, cli, errors
-from auctionlp.auction import build_blp, build_dslp
+from auctionlp.auction import build_blp, build_dslp, certificate_document, solve_form
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
 from auctionlp.lp import MAX, CertificateError, make_lp, simplex
@@ -464,6 +464,127 @@ def test_self_check_rejects_exponent_literals_quickly(pair_path, tmp_path, capsy
     err = capsys.readouterr().err
     assert "LabelMismatch" in err and "too many digits" in err
     assert "Traceback" not in err
+
+
+# Values put in place of the stored 2 of p:0:2.2, a payment at a profile
+# of mass 1/4 in pair12's dominant-strategy certificate, with the outcome
+# of self-check: refused as not a rational, or read as a value, which
+# then changes the revenue and fails the proof.
+NOT_RATIONAL = {
+    "list": [1], "object": {}, "null": None, "float": 0.5, "true": True,
+    "zero-den": "1/0", "negative-den": "1/-2", "nan": "nan", "inf": "inf",
+    "nines": "9" * 5000, "huge-exponent": "1e100000000",
+}
+READ_AS_VALUE = {
+    "int": 1, "decimal": "0.5", "exponent": "1e5", "padded": " 1 ", "unreduced": "2/4",
+    "underscore": "1_0",
+}
+
+
+@pytest.mark.parametrize(
+    "value, refusal",
+    [*((v, "LabelMismatch") for v in NOT_RATIONAL.values()),
+     *((v, "CertificateError") for v in READ_AS_VALUE.values())],
+    ids=[*NOT_RATIONAL, *READ_AS_VALUE],
+)
+def test_self_check_reads_values_as_rat_does(pair_path, tmp_path, capsys, value, refusal):
+    cert = tmp_path / "cert.json"
+    main(["solve", pair_path, "--certificate", str(cert)])
+    capsys.readouterr()
+    doc = json.loads(cert.read_text())
+    assert doc["primal"]["p:0:2.2"] == "2"
+    doc["primal"]["p:0:2.2"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["self-check", pair_path, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert refusal in err and "Traceback" not in err
+    if refusal == "LabelMismatch":
+        assert "certificate primal: not a rational" in err
+        assert ("has too many digits" in err) == (value == "1e100000000")
+
+
+@pytest.fixture(scope="module")
+def pair12_certificates(tmp_path_factory):
+    """The pair12 instance file, and its certificate documents in both forms."""
+    folder = tmp_path_factory.mktemp("tampered")
+    path = folder / "pair12.json"
+    path.write_text(json.dumps(PAIR12))
+    instance = load_instance(path)
+    documents = [
+        certificate_document(instance, form, solve_form(instance, form)) for form in ("ds", "bayes")
+    ]
+    return path, documents
+
+
+TAMPERED_VALUES = st.one_of(
+    st.sampled_from([*NOT_RATIONAL.values(), *READ_AS_VALUE.values(), "0", "-1", "3/2", "7/3"]),
+    st.integers(-2, 2),
+    st.text(max_size=6),
+)
+TAMPERED_FIELDS = {
+    "kind": ["auctionlp.certificate", "certificate", None],
+    "version": [1, 2, "1", True, 1.0, None],
+    "digest": ["", "0" * 16, None],
+    "form": ["ds", "bayes", "bic", "", None, 1],
+    "objective": ["3/2", "6/4", "0", "1/2", 1, 0.5, None, "9" * 5000, "1e100000000"],
+}
+TAMPERED_SECTIONS = [{}, [], None, "x", {"x:0:0:1.1": "1"}, {"gap": "0"}]
+
+
+@st.composite
+def tampered_documents(draw, documents):
+    """A copy of one of documents with one to three edits: a label
+    renamed, a value replaced, a top-level field replaced or dropped, or
+    a whole section replaced."""
+    document = json.loads(json.dumps(draw(st.sampled_from(documents))))
+    labels_seen = sorted(
+        {label for doc in documents for key in ("primal", "dual") for label in doc[key]}
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["label", "value", "field", "section"]))
+        if edit in ("label", "value"):
+            section = document.get(draw(st.sampled_from(["primal", "dual", "ledger"])))
+            if not isinstance(section, dict) or not section:
+                continue
+            label = draw(st.sampled_from(sorted(section)))
+            if edit == "value":
+                section[label] = draw(TAMPERED_VALUES)
+                continue
+            renamed = draw(st.one_of(
+                st.sampled_from(labels_seen),
+                st.text(alphabet="0123456789:._ +-icrsupx٣", max_size=12),
+                st.sampled_from([label + " ", "0" + label, label.replace(".", ":"), label[:-1]]),
+            ))
+            section[renamed] = section.pop(label)
+        elif edit == "field":
+            name = draw(st.sampled_from(sorted(TAMPERED_FIELDS)))
+            if draw(st.booleans()):
+                document.pop(name, None)
+            else:
+                document[name] = draw(st.sampled_from(TAMPERED_FIELDS[name]))
+        else:
+            name = draw(st.sampled_from(["primal", "dual", "ledger"]))
+            other = document.get(draw(st.sampled_from(["primal", "dual", "ledger"])))
+            document[name] = draw(st.sampled_from([*TAMPERED_SECTIONS, other]))
+    return document
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tampered_certificates_exit_cleanly(pair12_certificates, data):
+    """A certificate document with tampered labels, values, fields or
+    sections exits 0 or 2, never raising; one accepted still proves
+    pair12's revenue."""
+    path, documents = pair12_certificates
+    document = data.draw(tampered_documents(documents))
+    cert = path.parent / "tampered.json"
+    cert.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["self-check", str(path), str(cert)])
+    assert code in (0, 2), err.getvalue()
+    assert code == 2 or out.getvalue() == "ok 3/2\n"
 
 
 @pytest.mark.parametrize(
