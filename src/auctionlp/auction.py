@@ -29,8 +29,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -52,6 +53,7 @@ from .lp import (
 from .model import (
     BAYES,
     DS,
+    DualSolution,
     Instance,
     Mechanism,
     PrimalSlacks,
@@ -358,6 +360,24 @@ def build_dual_blp(instance: Instance) -> LinearProgram:
 # Certificate extraction
 
 
+class _Proof(NamedTuple):
+    """What _prove built while it proved a primal point and its row
+    multipliers optimal for the instance's program: the mechanism the
+    point stands for, its slacks, and the dual solution."""
+
+    instance: Instance
+    mechanism: Mechanism
+    slacks: PrimalSlacks
+    dual: DualSolution
+
+
+def _carried_proof(instance: Instance, certificate: LpCertificate) -> _Proof | None:
+    """The proof a solve_form certificate carries, if it was proved for
+    this very instance; None for any other certificate."""
+    proof = certificate.proof
+    return proof if isinstance(proof, _Proof) and proof.instance is instance else None
+
+
 def extract_mechanism(
     instance: Instance, certificate: LpCertificate, form: str
 ) -> Mechanism:
@@ -370,10 +390,14 @@ def _checked_mechanism(
     instance: Instance, certificate: LpCertificate, form: str
 ) -> tuple[Mechanism, PrimalSlacks]:
     """extract_mechanism, also returning the slacks its feasibility
-    check evaluated."""
+    check evaluated.  A certificate that solve_form proved on the model
+    already holds both, and they are returned as they are."""
     layout = _layout(instance, form, PRIMAL)
     if certificate.layout != layout:
         raise LabelMismatch(f"certificate is not from the {form} primal builder")
+    proof = _carried_proof(instance, certificate)
+    if proof is not None:
+        return proof.mechanism, proof.slacks
     return _feasible_mechanism(instance, layout, *_scale(certificate.primal))
 
 
@@ -407,10 +431,14 @@ def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
     """Assemble a dual solution from either side: the row multipliers of
     a primal certificate, or the primal point of a dual-program
     certificate.  The certificate's layout says which, and only that
-    vector is put over a common denominator."""
+    vector is put over a common denominator; a certificate that
+    solve_form proved on the model already holds its dual solution."""
     layout = certificate.layout
     if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
         raise LabelMismatch(f"certificate is not from the {form} builders")
+    proof = _carried_proof(instance, certificate)
+    if proof is not None:
+        return proof.dual
     vector = certificate.dual if layout.side == PRIMAL else certificate.primal
     return _feasible_dual(instance, layout, *_scale(vector))
 
@@ -453,8 +481,21 @@ def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values):
 
 
 def solve_form(instance: Instance, form: str) -> LpCertificate:
-    """Solve the primal program of the given form to optimality."""
-    return solve(build_dslp(instance) if form == DS else build_blp(instance))
+    """Solve the primal program of the given form to optimality.  The
+    model proves each vertex the solver proposes (_accept), so the
+    certificate carries the mechanism, its slacks and the dual solution
+    that extraction returns."""
+    lp = build_dslp(instance) if form == DS else build_blp(instance)
+    return solve(lp, partial(_accept, instance))
+
+
+def _accept(instance: Instance, lp: LinearProgram, x, y) -> LpCertificate:
+    """The exact check a solve_form solve hands each vertex to: x and y,
+    each put over one denominator once, proved optimal on the model
+    (_prove), or refused with CertificateError."""
+    x, y = tuple(x), tuple(y)
+    proof = _prove(instance, lp.layout, _scale(x), _scale(y))
+    return LpCertificate(x, y, proof.dual.objective(), lp.layout, proof)
 
 
 def drev(instance: Instance) -> Fraction:
@@ -739,25 +780,37 @@ def _over_common_denominator(size: int, entries) -> Scaled | None:
 def _reprove(
     instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scaled, objective: Fraction
 ) -> None:
+    """Prove that a stored primal point and its row multipliers, read
+    through the layout, are optimal with the stated objective, or raise
+    CertificateError: the check every solve_form vertex passes (_prove),
+    and the stated objective equal to the revenue and dual objective it
+    proved equal."""
+    if _prove(instance, layout, primal, dual).dual.objective() != objective:
+        raise CertificateError("objective mismatch")
+
+
+def _prove(instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scaled) -> _Proof:
     """Prove that a primal point and its row multipliers, read through
-    the layout, are optimal with the stated objective, or raise
-    CertificateError: every entry is nonnegative, the mechanism the
-    point stands for is feasible (_feasible_mechanism), so are the
-    multipliers (_feasible_dual), and revenue = objective = dual
-    objective, so that by weak duality both are optimal.  Between them
-    the two model checks cover every primal row and every dual column
-    of the program."""
+    the layout, are optimal, or raise CertificateError: every entry is
+    nonnegative, the mechanism the point stands for is feasible
+    (_feasible_mechanism), so are the multipliers (_feasible_dual), and
+    revenue = dual objective, so that by weak duality both are optimal.
+    Between them the two model checks cover every primal row and every
+    dual column of the program.  Returns what it built.
+
+    This is the one proof of an auction primal's optimum: it accepts
+    each vertex a solve_form solve proposes (_accept), and re-proves a
+    stored certificate (_reprove)."""
     if min(primal.nums) < 0 or min(dual.nums) < 0:
         raise CertificateError("certificate entry negative")
     try:
-        mechanism, _ = _feasible_mechanism(instance, layout, *primal)
+        mechanism, slacks = _feasible_mechanism(instance, layout, *primal)
         solution = _feasible_dual(instance, layout, *dual)
     except InfeasibleInput as exc:
         raise CertificateError(str(exc)) from None
-    if mechanism.revenue(instance) != objective:
-        raise CertificateError("objective mismatch")
-    if solution.objective() != objective:
+    if solution.objective() != mechanism.revenue(instance):
         raise CertificateError("duality gap nonzero")
+    return _Proof(instance, mechanism, slacks, solution)
 
 
 def write_certificate(path, document: dict) -> None:

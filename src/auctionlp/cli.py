@@ -101,14 +101,11 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     instance = _load(args)
     form = _FORMS[args.form]
+    # the model proved the answer while solving (solve_form)
     certificate = solve_form(instance, form)
     if args.certificate:
-        # certificate_document extracts the mechanism and dual itself.
         document = certificate_document(instance, form, certificate)
         write_certificate(args.certificate, document)
-    else:
-        extract_mechanism(instance, certificate, form)
-        extract_dual(instance, certificate, form)
     print(rat_str(certificate.objective))
     return 0
 

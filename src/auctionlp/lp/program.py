@@ -138,14 +138,22 @@ class LpCertificate:
     (one multiplier per row) and the objective c.x in the LP's own sense.
     For min-sense programs the dual vector certifies the negated max
     form: y^T A >= -c and -c.x = b.y.  Constructing one checks nothing:
-    certify_optimal verifies exactly before it constructs, and
-    recheck_certificate verifies a certificate that came from elsewhere.
+    the acceptor solve hands a vertex to verifies exactly before it
+    constructs (certify_optimal on the program's rows and columns, or a
+    builder's own exact check), and recheck_certificate verifies a
+    certificate that came from elsewhere.
+
+    proof is what the accepting check built while it proved x and y, an
+    opaque value this package only carries (None from certify_optimal).
+    It belongs to these vectors: a certificate made with other values
+    must not carry it over.
     """
 
     primal: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
     objective: Fraction
     layout: object = field(default=None, compare=False)
+    proof: object = field(default=None, compare=False, repr=False)
     # no certificate carries a witness; perfbench/spans.py still reads one
     witness = None
 

@@ -22,10 +22,13 @@ which guarantees termination.
 
 `solve` first runs the simplex over Python floats with the same pivot
 rule, so it walks the exact pivot path, and rounds the optimal vertex
-it ends on to nearby rationals.  Only the exact `certify_optimal`
-accepts that proposal.  Any other ending (the check fails, the float
-pass ends without an optimum, or it runs out of its pivot budget) runs
-the exact simplex from scratch.  Every program the package builds has
+it ends on to nearby rationals.  Only an exact check accepts that
+proposal: the acceptor `solve` is given, `certify_optimal` on the
+program's rows and columns unless the caller passes its own (the
+auction builders prove their primals on the model instead).  Any other
+ending (the check fails, the float pass ends without an optimum, or it
+runs out of its pivot budget) runs the exact simplex from scratch, whose
+vertex faces the same acceptor.  Every program the package builds has
 an optimum, so the exact simplex ending without one (infeasible,
 unbounded, a corrupt tableau, or a vertex that fails its exact check)
 means a program built wrong, and it raises NotOptimal.
@@ -206,17 +209,19 @@ def _nearby_rational(value: float, bound: int) -> Fraction:
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
-def solve(lp: LinearProgram) -> LpCertificate:
+def solve(lp: LinearProgram, accept=certify_optimal) -> LpCertificate:
     """Solve to a verified optimal certificate: a primal/dual pair with a
     zero duality gap.  A program without an optimum raises NotOptimal.
 
-    A float pass proposes an optimal vertex and the exact certificate
-    check accepts it; otherwise the exact simplex answers."""
+    A float pass proposes an optimal vertex and accept(lp, x, y), an
+    exact check, accepts it; otherwise the exact simplex answers, its
+    vertex checked by accept too.  accept returns the certificate of
+    (x, y), or raises CertificateError to refuse them."""
     try:
-        return _Simplex(lp, floating=True).run()
+        return _Simplex(lp, accept, floating=True).run()
     except _NO_PROPOSAL:
         pass
-    return _Simplex(lp).run()
+    return _Simplex(lp, accept).run()
 
 
 class _Simplex:
@@ -234,8 +239,9 @@ class _Simplex:
     its pricing set, the columns k where the row's entry is negative;
     `objs` lists the (row, set) pairs a pivot updates."""
 
-    def __init__(self, lp: LinearProgram, floating: bool = False):
+    def __init__(self, lp: LinearProgram, accept=certify_optimal, floating: bool = False):
         self.lp = lp
+        self.accept = accept
         self.sign = 1 if lp.sense == MAX else -1
         S = self.S = lp.ncols  # structural columns
         R = self.R = lp.nrows
@@ -442,10 +448,11 @@ class _Simplex:
 
     def _optimal(self) -> LpCertificate:
         """The certificate of the final basis: its primal point, and the
-        duals read off the objective row's slack columns.  The float pass
-        rounds each value to a nearby rational; a vertex repeats few
-        values, so each distinct one is rounded once.  A vertex that
-        fails the exact check is an ending without an optimum."""
+        duals read off the objective row's slack columns, as the run's
+        acceptor certifies them.  The float pass rounds each value to a
+        nearby rational; a vertex repeats few values, so each distinct one
+        is rounded once.  A vertex that fails the exact check is an ending
+        without an optimum."""
         rational = cache(partial(_nearby_rational, bound=_ROUND_BOUND)) if self.tol else Fraction
         zero = Fraction(0)
         x = [zero] * self.S
@@ -456,6 +463,6 @@ class _Simplex:
                     x[col] = rational(value)
         y = [rational(v) if v else zero for v in self.obj[self.S : self.S + self.R]]
         try:
-            return certify_optimal(self.lp, x, y)
+            return self.accept(self.lp, x, y)
         except CertificateError as exc:
             self._no_optimum(f"its vertex fails the exact check: {exc}")

@@ -122,11 +122,19 @@ BAYES = "bayes"
 
 
 def rat(x) -> Fraction:
-    """Parse a rational from an int, Fraction, or 'p/q' / 'n' string.
+    """Parse a rational from an int, a Fraction, or a string.
+
+    A string is read in Fraction's string grammar once strip() has
+    removed surrounding whitespace: an optional sign, then an integer or
+    'p/q' literal, or a decimal ('0.5', '.5') or an integer or decimal
+    with an exponent ('1e5', '2.5E-3'); digits may be grouped with '_'
+    ('1_0' is 10) where Fraction reads that, from Python 3.11.
 
     This is the boundary parser for instance and certificate data:
     anything else (a float, a bool, a malformed literal, a zero
-    denominator, a literal too long to print back) raises NotRational."""
+    denominator, an exponent literal whose numerator or denominator
+    would have more digits than Python converts to a string) raises
+    NotRational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):

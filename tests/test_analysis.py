@@ -184,9 +184,9 @@ def spied_solves():
     calls = []
     original = auction.solve
 
-    def spy(lp):
+    def spy(lp, *accept):
         calls.append(lp)
-        return original(lp)
+        return original(lp, *accept)
 
     def run(fn, *args):
         calls.clear()

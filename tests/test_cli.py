@@ -21,7 +21,8 @@ from auctionlp import auction, cli, errors
 from auctionlp.auction import build_blp, build_dslp, certificate_document, solve_form
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
-from auctionlp.lp import MAX, CertificateError, make_lp, simplex
+from auctionlp.analysis import tight_downward_dual
+from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
 from auctionlp.model import load_instance, rat
 from auctionlp.oracles import gen_instance
 from helpers import labels
@@ -128,8 +129,8 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
     def fail(instance, form):
         raise NotOptimal("no optimum")
 
-    def refuse(lp, x, y):
-        raise CertificateError("primal row 0 violated")
+    def refuse(instance, layout, nums, den):
+        raise errors.InfeasibleInput("mechanism violates feasibility")
 
     # max x subject to x <= -1, and max x + y subject to x - y <= 1
     infeasible = make_lp(MAX, [1], [[(0, 1)]], [-1])
@@ -139,12 +140,13 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
         (cli, "solve_form", fail, "no optimum"),
         (auction, "build_dslp", lambda _: infeasible, "exact simplex: phase one ends infeasible"),
         (auction, "build_dslp", lambda _: unbounded, "exact simplex: phase two ends unbounded"),
-        # an exact identity failing inside the solver, not a bad input
+        # an exact identity of the model acceptor failing inside the
+        # solver, not a bad input
         (
-            simplex,
-            "certify_optimal",
+            auction,
+            "_feasible_mechanism",
             refuse,
-            "exact simplex: its vertex fails the exact check: primal row 0 violated",
+            "exact simplex: its vertex fails the exact check: mechanism violates feasibility",
         ),
     ]
     for owner, name, replacement, message in cases:
@@ -154,6 +156,50 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.err == f"error: NotOptimal: {message}\n"
         assert captured.out == ""
+
+
+def test_primal_answers_are_proved_on_the_model_alone(tmp_path, capsys, monkeypatch):
+    # The model's proof is the only acceptor of a dominant-strategy or
+    # Bayesian primal answer: with the program's check refusing to run,
+    # solve, virtuals and a two-item characterize (whose SRev solves the
+    # item marginals) print and write what they did with it.
+    path = tmp_path / "two-item.json"
+    path.write_text(gen_instance({"n": 2, "m": 2, "support": 2}, 1).to_json())
+
+    def outputs(tag):
+        out = []
+        for form in ("ds", "bic"):
+            cert = tmp_path / f"{tag}-{form}.json"
+            for argv in (
+                ["solve", str(path), "--form", form, "--certificate", str(cert)],
+                ["virtuals", str(path), "--form", form],
+            ):
+                assert main(argv) == 0
+                out.append(capsys.readouterr().out)
+            out.append(cert.read_bytes())
+        assert main(["characterize", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+        return out
+
+    expected = outputs("program")
+    original, checks = program._check_optimal, []
+
+    def refuse(*args):
+        raise AssertionError("a primal solve reached the program's check")
+
+    def counted(*args):
+        checks.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(program, "_check_optimal", refuse)
+    assert outputs("model") == expected
+    # the face program, a dual one, still answers to the program's check
+    instance = load_instance(path)
+    monkeypatch.setattr(program, "_check_optimal", counted)
+    revenue = solve_form(instance, "ds").objective
+    assert checks == []
+    tight_downward_dual(instance, revenue)
+    assert checks
 
 
 # The exit code each public error class carries: 2 for invalid input, 4

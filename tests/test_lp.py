@@ -25,10 +25,11 @@ from auctionlp.lp import (
     solve,
 )
 from auctionlp.analysis import tight_downward_dual
+from auctionlp import auction
 from auctionlp.auction import build_blp, build_dslp, build_dual_blp, build_dual_dslp, drev
-from auctionlp.errors import NotOptimal
+from auctionlp.errors import InfeasibleInput, NotOptimal
 from auctionlp.lp import simplex
-from auctionlp.lp.program import verify_optimal
+from auctionlp.lp.program import certify_optimal, verify_optimal
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
 from auctionlp.oracles import gen_instance
 from helpers import brute_force_best, reference_optimal_check
@@ -155,46 +156,60 @@ def strip_artificial_rows(run):
                 run.cols[k].discard(r)
 
 
-def refuse_vertex(lp, x, y):
-    """In place of certify_optimal: the exact check rejects every vertex."""
-    raise CertificateError("primal row 0 violated")
+def refuse_mechanism(instance, layout, nums, den):
+    """In place of the model acceptor's primal check: every mechanism is
+    infeasible, so the exact check rejects every vertex."""
+    raise InfeasibleInput("mechanism violates feasibility")
 
 
 # min x0 + x1 subject to x0 + x1 >= 2: one artificial, so phase one runs
 PHASE_ONE_LP = lp_of(MIN, [1, 1], [[-1, -1]], [-2])
+# an auction primal, and the model acceptor solve_form hands it to
+ACCEPTED_ON_MODEL = gen_instance({"n": 2, "m": 1, "support": 2}, 1)
 
-# (program, (owner, name, replacement) patches, the ending's message)
+# (program, acceptor, (owner, name, replacement) patches, the ending's message)
 NO_OPTIMUM = {
-    "infeasible": (lp_of(MAX, [1], [[1], [-1]], [-3, 2]), (), "phase one ends infeasible"),
-    "unbounded": (lp_of(MAX, [1, 1], [[1, -1]], [1]), (), "phase two ends unbounded"),
+    "infeasible": (
+        lp_of(MAX, [1], [[1], [-1]], [-3, 2]), certify_optimal, (), "phase one ends infeasible"
+    ),
+    "unbounded": (
+        lp_of(MAX, [1, 1], [[1, -1]], [1]), certify_optimal, (), "phase two ends unbounded"
+    ),
     "phase-one-ray": (
         PHASE_ONE_LP,
+        certify_optimal,
         ((_Simplex, "_iterate", ray_in_phase_one),),
         "phase one claims unbounded",
     ),
     "artificial-row": (
         PHASE_ONE_LP,
+        certify_optimal,
         ((_Simplex, "_phase_one", strip_artificial_rows),),
         "tableau row 0 has no entry left of the artificials",
     ),
     "vertex-refused": (
-        PHASE_ONE_LP,
-        ((simplex, "certify_optimal", refuse_vertex),),
-        "its vertex fails the exact check: primal row 0 violated",
+        build_dslp(ACCEPTED_ON_MODEL),
+        partial(auction._accept, ACCEPTED_ON_MODEL),
+        ((auction, "_feasible_mechanism", refuse_mechanism),),
+        "its vertex fails the exact check: mechanism violates feasibility",
     ),
 }
 
 
-@pytest.mark.parametrize("lp,patches,ending", NO_OPTIMUM.values(), ids=list(NO_OPTIMUM))
-def test_every_ending_without_an_optimum_is_not_optimal(monkeypatch, lp, patches, ending):
+@pytest.mark.parametrize(
+    "lp,accept,patches,ending", NO_OPTIMUM.values(), ids=list(NO_OPTIMUM)
+)
+def test_every_ending_without_an_optimum_is_not_optimal(
+    monkeypatch, lp, accept, patches, ending
+):
     # the float pass hands the program on; the exact pass, and so solve,
     # refuses it with NotOptimal, never with a ScaleLimit or a
     # CertificateError (an invalid input)
     for owner, name, replacement in patches:
         monkeypatch.setattr(owner, name, replacement)
     with pytest.raises(_NO_PROPOSAL, match=f"^float pass: {ending}$"):
-        _Simplex(lp, floating=True).run()
-    for run in (_Simplex(lp).run, partial(solve, lp)):
+        _Simplex(lp, accept, floating=True).run()
+    for run in (_Simplex(lp, accept).run, partial(solve, lp, accept)):
         with pytest.raises(NotOptimal, match=f"^exact simplex: {ending}$"):
             run()
 

@@ -151,9 +151,11 @@ def test_flow_producers_match_their_references_over_large_primes(instance):
 # support-2 instance and declines the support-3 one, which then solves
 # both programs.  On one item SRev is DRev, so SRev builds no
 # instance.  The one sanctioned split is of a certificate vector, which
-# holds Fractions because the exact simplex computes in them: the
-# support-3 path extracts the Bayesian dual vector (112 entries) and
-# the dominant-strategy primal point (384 entries).
+# holds Fractions because the exact simplex computes in them: the model
+# proof of each primal solve splits its primal point and its row
+# multipliers once, and extraction returns what the proof built, so the
+# support-3 path splits the dominant-strategy vectors (384 and 832
+# entries), then the Bayesian ones (384 and 112).
 @pytest.mark.parametrize("support, seed", [(2, 0), (3, 1)])
 def test_producers_split_no_fractions(monkeypatch, support, seed):
     instance = gen_instance({"n": 3, "m": 1, "support": support, "iid": True}, seed)
@@ -167,7 +169,7 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
     def refuse(nested):
         raise AssertionError("a producer split Fractions into numerators")
 
-    split, expected = model._scale, {2: [], 3: [112, 384]}[support]
+    split, expected = model._scale, {2: [], 3: [384, 832, 384, 112]}[support]
 
     def certificate_vector(vector):
         if not expected or len(vector) != expected.pop(0):
@@ -175,7 +177,7 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
         return split(vector)
 
     monkeypatch.setattr(model, "_scale", refuse)
-    # auction binds _scale at import, so its extraction is patched apart
+    # auction binds _scale at import, so its proof is patched apart
     monkeypatch.setattr(auction, "_scale", certificate_vector)
     flow = canonical_flow(instance)
     report = characterize(instance, flow)
