@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -58,7 +58,6 @@ from .model import (
     Mechanism,
     PrimalSlacks,
     Scaled,
-    _PLAIN_LITERAL,
     _dual_from_scaled,
     _key_rows,
     _scale,
@@ -68,6 +67,7 @@ from .model import (
     multiplier_keys,
     rat,
     rat_str,
+    ratio,
     read_json,
 )
 from .virtual import GapLedger, check_cs_bayes, check_cs_ds
@@ -629,62 +629,37 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     }
 
 
-def _document_section(document: dict, key: str) -> dict[str, Fraction]:
-    """A certificate section mapping labels to rationals."""
-    section = _section_items(document, key)
-    try:
-        return {label: rat(value) for label, value in section}
-    except NotRational as exc:
-        raise LabelMismatch(f"certificate {key}: {exc}") from None
-
-
-def _section_items(document: dict, key: str):
+def _section_values(document: dict, key: str):
+    """A certificate section, entry by entry: its label, and its value
+    read once (ratio) to a numerator and a denominator in lowest terms.
+    A section that is not a map, or a value that is not a rational,
+    raises LabelMismatch."""
     section = document.get(key)
     if not isinstance(section, dict):
         raise LabelMismatch(f"certificate {key} is not a map of labels to rationals")
-    return section.items()
+    for label, value in section.items():
+        try:
+            num, den = ratio(value)
+        except NotRational as exc:
+            raise LabelMismatch(f"certificate {key}: {exc}") from None
+        yield label, num, den
 
 
 def _section_entries(
     document: dict, key: str, layout: ProgramLayout, row: bool, unknown: list
 ) -> list[tuple[int, int, int]]:
     """The primal (row false) or dual section of a certificate, read in
-    one pass: an (index, numerator, denominator) triple per entry, the
-    fraction in lowest terms (_reduced); a label index_of does not know
-    goes to unknown instead.  Every value is read, known label or not."""
+    one pass: an (index, numerator, denominator) triple per entry
+    (_section_values); a label index_of does not know goes to unknown
+    instead.  Every value is read, known label or not."""
     entries = []
-    try:
-        for label, value in _section_items(document, key):
-            num, den = _reduced(value)
-            index = layout.index_of(label, row)
-            if index is None:
-                unknown.append(label)
-            else:
-                entries.append((index, num, den))
-    except NotRational as exc:
-        raise LabelMismatch(f"certificate {key}: {exc}") from None
+    for label, num, den in _section_values(document, key):
+        index = layout.index_of(label, row)
+        if index is None:
+            unknown.append(label)
+        else:
+            entries.append((index, num, den))
     return entries
-
-
-def _reduced(value) -> tuple[int, int]:
-    """value as (numerator, denominator) in lowest terms, the denominator
-    positive, as rat reads it.  A plain literal, which is what rat_str
-    writes, is read with int and reduced by gcd, with no Fraction built;
-    any other value, and a literal int does not read (more digits than
-    it converts, or a zero denominator), goes through rat, which accepts
-    or refuses it (NotRational) as it does everywhere."""
-    literal = _PLAIN_LITERAL.fullmatch(value) if type(value) is str else None
-    if literal:
-        num, den = literal.groups()
-        try:
-            num, den = int(num), int(den or 1)
-        except ValueError:  # more digits than int converts: rat says so
-            den = 0
-        if den:
-            g = gcd(num, den)
-            return num // g, den // g
-    q = rat(value)
-    return q.numerator, q.denominator
 
 
 def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
@@ -696,10 +671,12 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
 
     Each primal and dual entry is read once, straight to its layout
     index and its integer numerator and denominator (_section_entries):
-    labels strictly, field by field, none rendered back.  The proof runs
-    on the model, with no program built (_reprove): the mechanism and
-    the dual solution the entries stand for must be feasible, and the
-    revenue, the stated objective and the dual objective equal.  A
+    labels strictly, field by field, none rendered back, and values
+    through ratio, the one reader of number text, as the ledger and the
+    objective are.  The proof runs on the model, with no program built
+    (_prove): the mechanism and the dual solution the entries stand for
+    must be feasible, and the revenue, the dual objective and the stated
+    objective equal.  A
     vector whose common denominator passes _COMMON_DENOMINATOR_BITS is
     rechecked on the program's rows and columns instead
     (recheck_certificate), where each grows its own denominator."""
@@ -721,7 +698,7 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
         _section_entries(document, key, layout, row, unknown)
         for key, row in (("primal", False), ("dual", True))
     ]
-    ledger = _document_section(document, "ledger")
+    ledger = {label: num for label, num, _ in _section_values(document, "ledger")}
     if ledger.keys() != set(_LEDGER_KEYS):
         raise LabelMismatch(
             f"certificate ledger keys {echo(sorted(ledger))} are not {_LEDGER_KEYS}"
@@ -742,8 +719,8 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
             for index, num, den in found:
                 vector[index] = Fraction(num, den)
         recheck_certificate(lp, LpCertificate(tuple(x), tuple(y), objective))
-    else:
-        _reprove(instance, layout, *vectors, objective)
+    elif _prove(instance, layout, *vectors).dual.objective() != objective:
+        raise CertificateError("objective mismatch")
     if any(ledger.values()):
         raise InfeasibleInput("stored ledger is not all zeros")
     return objective
@@ -777,32 +754,18 @@ def _over_common_denominator(size: int, entries) -> Scaled | None:
     return Scaled(tuple(nums), den)
 
 
-def _reprove(
-    instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scaled, objective: Fraction
-) -> None:
-    """Prove that a stored primal point and its row multipliers, read
-    through the layout, are optimal with the stated objective, or raise
-    CertificateError: the check every solve_form vertex passes (_prove),
-    and the stated objective equal to the revenue and dual objective it
-    proved equal."""
-    if _prove(instance, layout, primal, dual).dual.objective() != objective:
-        raise CertificateError("objective mismatch")
-
-
 def _prove(instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scaled) -> _Proof:
     """Prove that a primal point and its row multipliers, read through
-    the layout, are optimal, or raise CertificateError: every entry is
-    nonnegative, the mechanism the point stands for is feasible
-    (_feasible_mechanism), so are the multipliers (_feasible_dual), and
-    revenue = dual objective, so that by weak duality both are optimal.
-    Between them the two model checks cover every primal row and every
-    dual column of the program.  Returns what it built.
+    the layout, are optimal, or raise CertificateError: the mechanism
+    the point stands for is feasible (_feasible_mechanism), so are the
+    multipliers (_feasible_dual), and revenue = dual objective, so that
+    by weak duality both are optimal.  Between them the two model checks
+    cover every entry's sign, every primal row and every dual column of
+    the program.  Returns what it built.
 
     This is the one proof of an auction primal's optimum: it accepts
     each vertex a solve_form solve proposes (_accept), and re-proves a
-    stored certificate (_reprove)."""
-    if min(primal.nums) < 0 or min(dual.nums) < 0:
-        raise CertificateError("certificate entry negative")
+    stored certificate (verify_certificate_document)."""
     try:
         mechanism, slacks = _feasible_mechanism(instance, layout, *primal)
         solution = _feasible_dual(instance, layout, *dual)

@@ -122,70 +122,85 @@ BAYES = "bayes"
 
 
 def rat(x) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a string.
-
-    A string is read in Fraction's string grammar once strip() has
-    removed surrounding whitespace: an optional sign, then an integer or
-    'p/q' literal, or a decimal ('0.5', '.5') or an integer or decimal
-    with an exponent ('1e5', '2.5E-3'); digits may be grouped with '_'
-    ('1_0' is 10) where Fraction reads that, from Python 3.11.
-
-    This is the boundary parser for instance and certificate data:
-    anything else (a float, a bool, a malformed literal, a zero
-    denominator, an exponent literal whose numerator or denominator
-    would have more digits than Python converts to a string) raises
-    NotRational."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        text = x.strip()
-        plain = _PLAIN_LITERAL.fullmatch(text)
-        if plain:
-            # what certificate documents hold: no exponent to measure
-            numerator, denominator = plain.groups()
-            try:
-                return Fraction(int(numerator), int(denominator or 1))
-            except (ValueError, ZeroDivisionError):
-                raise NotRational(f"not a rational: {echo(x)}") from None
-        try:
-            if not _too_long(text):
-                return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise NotRational(f"not a rational: {echo(x)}") from None
-        raise NotRational(f"not a rational: {echo(x)} has too many digits")
-    raise NotRational(f"not a rational: {echo(x)}")
+    """A rational from a Fraction (itself), or from an int or a string in
+    the number grammar, read by ratio, which raises NotRational for
+    anything else: the boundary parser for instance data."""
+    return x if isinstance(x, Fraction) else Fraction(*ratio(x))
 
 
-# An integer or p/q literal in ASCII digits, which Fraction reads as
-# Fraction(int(p), int(q)).
+def ratio(x) -> tuple[int, int]:
+    """An int, or a string in the number grammar, as (numerator,
+    denominator) in lowest terms with a positive denominator: the one
+    reader of number text, in instances and certificates alike.
+
+    The grammar is Python 3.11's Fraction string grammar, on every
+    supported Python: surrounding whitespace, an optional sign, then an
+    integer, a 'p/q' literal (no space around '/'), or a decimal ('0.5',
+    '.5', '1.') with an optional exponent ('1e5', '2.5E-3').  Digits are
+    Unicode decimal digits, grouped by single '_' if at all ('1_0' is
+    10).  Anything else raises NotRational: a float, a bool, a malformed
+    literal, a zero denominator, or more digits than int converts
+    (sys.get_int_max_str_digits) in a part of the literal, or in the
+    numerator or denominator an exponent makes before reduction, which
+    is measured before the power of ten is formed."""
+    plain = _PLAIN_LITERAL.fullmatch(x) if type(x) is str else None
+    try:
+        if plain:  # what rat_str writes
+            num, den = plain.groups()
+            num, den = int(num), int(den or 1)
+        elif isinstance(x, str):
+            num, den = _literal(x)
+        elif isinstance(x, int) and not isinstance(x, bool):
+            return x, 1
+        else:
+            raise ValueError(x)
+    except NotRational:  # an exponent past the digit limit
+        raise
+    except ValueError:  # no literal, or more digits than int converts
+        raise NotRational(f"not a rational: {echo(x)}") from None
+    if not den:
+        raise NotRational(f"not a rational: {echo(x)}")
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+# An integer or p/q literal in ASCII digits, with nothing around it.
 _PLAIN_LITERAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
-# A decimal literal with an exponent, in the grammar Fraction accepts:
-# integer digits, fraction digits, exponent.
-_EXPONENT_LITERAL = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)")
+# The number grammar, Python 3.11's fractions._RATIONAL_FORMAT.
+_LITERAL = re.compile(
+    r"""
+    \s*(?P<sign>[-+]?)(?=\.?\d)                # a sign, then a digit or .digit
+    (?P<whole>(?:\d+(?:_\d+)*)?)               # an integer part, maybe empty
+    (?:/(?P<den>\d+(?:_\d+)*)                  # then a denominator,
+    |(?:\.(?P<decimal>(?:\d+(?:_\d+)*)?))?     # or a fraction part
+    (?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*    # and an exponent
+    """,
+    re.VERBOSE,
+)
 
 
-def _too_long(text: str) -> bool:
-    """Whether the numerator or the denominator of a literal with an
-    exponent, before reduction, would have more digits than Python
-    converts between int and str (sys.get_int_max_str_digits; no bound
-    where that is 0 or absent).  Fraction would form the power of ten in
-    full first, so a short literal such as "1e10000000" could take
-    seconds, and one it accepts could fail later in rat_str.  Counting
-    digits forms no power."""
-    match = ("e" in text or "E" in text) and _EXPONENT_LITERAL.fullmatch(text)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if match else 0
-    if not limit:
-        return False
-    whole, decimals, exponent = (part.replace("_", "") for part in match.groups(""))
-    exponent = int(exponent)  # ValueError past the limit, like Fraction
-    mantissa = len((whole + decimals).lstrip("0")) or 1
-    return (
-        mantissa + max(exponent, 0) > limit
-        or len(decimals) + max(-exponent, 0) + 1 > limit
-    )
+def _literal(text: str) -> tuple[int, int]:
+    """A literal's numerator and denominator, not reduced (ratio);
+    ValueError for text outside the grammar."""
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        raise ValueError(text)
+    sign, whole, den, decimal, exp = match.groups()
+    if den:
+        num, den = int(whole), int(den)
+    else:
+        decimal = (decimal or "").replace("_", "")
+        places, shift = len(decimal), int(exp or 0)  # ValueError past the digit limit
+        if exp:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            digits = len((whole + decimal).replace("_", "").lstrip("0")) or 1
+            # the numerator's and the denominator's digits before reduction
+            if limit and max(digits + max(shift, 0), places + max(-shift, 0) + 1) > limit:
+                raise NotRational(f"not a rational: {echo(text)} has too many digits")
+        num = int(whole or "0") * 10**places + int(decimal or "0")
+        num, den = num * 10 ** max(shift - places, 0), 10 ** max(places - shift, 0)
+    return (-num if sign == "-" else num), den
 
 
 def rat_str(q: Fraction) -> str:

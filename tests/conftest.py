@@ -62,9 +62,12 @@ REPROOF_PATHS = ("model", "row-local")
 
 def reprove_on(monkeypatch, path):
     """Make verify_certificate_document re-prove a stored certificate on
-    one path only: "model", or "row-local", the program's recheck, forced
-    by a common-denominator cap of 0.  The other path raises a bare
-    AssertionError, which no refusal (CertificateError) catches."""
+    one path only: "model", with the program's recheck raising a bare
+    AssertionError, which no refusal (CertificateError) catches; or
+    "row-local", the program's recheck, forced by taking every vector's
+    common denominator to be past the cap.  The model path is _prove,
+    which also accepts each vertex a solve proposes, so it is not
+    patched."""
 
     def other_path(*args):
         raise AssertionError(f"a {path} re-proof left its path")
@@ -72,8 +75,7 @@ def reprove_on(monkeypatch, path):
     if path == "model":
         monkeypatch.setattr(auction, "recheck_certificate", other_path)
     else:
-        monkeypatch.setattr(auction, "_COMMON_DENOMINATOR_BITS", 0)
-        monkeypatch.setattr(auction, "_reprove", other_path)
+        monkeypatch.setattr(auction, "_over_common_denominator", lambda size, entries: None)
 
 
 @pytest.fixture(params=REPROOF_PATHS)

@@ -12,13 +12,16 @@ dual; zero_mechanism, min_entry of slacks and row_dot of a program;
 reference_names and reference_index_of (labels read by rendering
 back) of a program layout; drop, insert, others_sizes, others_rank,
 others_count, others_profiles and profile_prob of an instance's
-profiles; and the plain-Fraction references of the integer
+profiles; reference_fraction, CPython 3.11's reading of number text,
+with NUMBER_TABLE, literals at the edges of that grammar; and the
+plain-Fraction references of the integer
 producers (the canonical flow, Myerson's auction, face_excess, the
 equivalence maps and the regularization moves).  mechanism_of and
 slacks_of build a Mechanism or PrimalSlacks from Fractions, and labels
 renders every label of a layout.  The references never call the
 rank-table paths they check (test_surface)."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -77,6 +80,99 @@ def parse_profile_key(key):
     if key == "_":
         return ()
     return tuple(int(part) for part in key.split("."))
+
+
+# CPython 3.11's fractions._RATIONAL_FORMAT and the arithmetic its
+# Fraction constructor runs on a string, copied verbatim: the reference
+# for the number grammar that auctionlp.model.ratio reads on every
+# supported Python.  The fraction part's "d*" is CPython's own; the
+# string of "d"s it matches is then refused by int.
+_RATIONAL_FORMAT = re.compile(r"""
+    \A\s*                                 # optional whitespace at the start,
+    (?P<sign>[-+]?)                       # an optional sign, then
+    (?=\d|\.\d)                           # lookahead for digit or .digit
+    (?P<num>\d*|\d+(_\d+)*)               # numerator (possibly empty)
+    (?:                                   # followed by
+       (?:/(?P<denom>\d+(_\d+)*))?        # an optional denominator
+    |                                     # or
+       (?:\.(?P<decimal>d*|\d+(_\d+)*))?  # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+(_\d+)*))?     # and optional exponent
+    )
+    \s*\Z                                 # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def reference_fraction(numerator):
+    """Fraction(numerator) for a string, as CPython 3.11 reads it:
+    ValueError or ZeroDivisionError for a string outside the grammar.
+    An exponent's power of ten is formed in full, so keep exponents
+    short."""
+    m = _RATIONAL_FORMAT.match(numerator)
+    if m is None:
+        raise ValueError('Invalid literal for Fraction: %r' %
+                         numerator)
+    numerator = int(m.group('num') or '0')
+    denom = m.group('denom')
+    if denom:
+        denominator = int(denom)
+    else:
+        denominator = 1
+        decimal = m.group('decimal')
+        if decimal:
+            decimal = decimal.replace('_', '')
+            scale = 10**len(decimal)
+            numerator = numerator * scale + int(decimal)
+            denominator *= scale
+        exp = m.group('exp')
+        if exp:
+            exp = int(exp)
+            if exp >= 0:
+                numerator *= 10**exp
+            else:
+                denominator *= 10**-exp
+    if m.group('sign') == '-':
+        numerator = -numerator
+    return Fraction(numerator, denominator)
+
+
+# Literals at the edges of the number grammar, with the value every
+# supported Python reads (None: refused, NotRational).  Before the
+# grammar was read in one place, "1_0" was refused on Python 3.10, and
+# "1 / 2" read as 1/2 from Python 3.12.  Each value of 2 is the one a
+# certificate entry "2" stands for.
+NUMBER_TABLE = {
+    "2": 2,
+    " 2\t": 2,
+    "\u00a0+2\u2003": 2,
+    "4/2": 2,
+    "-3/4": Fraction(-3, 4),
+    "1_0": 10,
+    "2_0/1_0": 2,
+    "1/2_0": Fraction(1, 20),
+    "1.5_0": Fraction(3, 2),
+    "1_0e1": 100,
+    "0.2e1": 2,
+    "2.": 2,
+    ".5": Fraction(1, 2),
+    "2.5E-3": Fraction(1, 400),
+    "\u0661": 1,
+    "\u0662": 2,
+    "1 / 2": None,
+    "1/ 2": None,
+    "1 /2": None,
+    "1.d": None,
+    "1__0": None,
+    "1e_5": None,
+    "_1": None,
+    "1_": None,
+    "1._5": None,
+    "1/2.0": None,
+    "1/0": None,
+    "nan": None,
+    "0x10": None,
+    "1e5000": None,
+    "": None,
+}
 
 
 def solve_square(rows, rhs):

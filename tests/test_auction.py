@@ -16,7 +16,6 @@ from auctionlp.auction import (
     DUAL,
     PRIMAL,
     ProgramLayout,
-    _reduced,
     brev,
     build_blp,
     build_dslp,
@@ -36,7 +35,7 @@ from auctionlp.auction import (
 )
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch, NotRational
 from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, solve
-from auctionlp.model import mechanism_feasible, rat, rat_str
+from auctionlp.model import mechanism_feasible, rat, rat_str, ratio
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import REPROOF_PATHS, build, reprove_on
@@ -417,15 +416,19 @@ def test_extend_bayes_off_support_best_responds(pair12):
     )
 )
 def test_values_read_to_the_numerators_rat_gives(value):
-    # the denominators, and so the common denominator of a vector and
-    # the route of its re-proof, are those of the Fraction rat builds
+    # the certificate reader's terms are those of the Fraction rat
+    # builds, in lowest terms with a positive denominator, so that the
+    # common denominator of a vector, and the route of its re-proof,
+    # are too
     try:
         q = rat(value)
     except NotRational:
         with pytest.raises(NotRational):
-            _reduced(value)
+            ratio(value)
     else:
-        assert _reduced(value) == (q.numerator, q.denominator)
+        num, den = ratio(value)
+        assert (num, den) == (q.numerator, q.denominator)
+        assert den > 0 and math.gcd(num, den) == 1
 
 
 def test_certificate_round_trip(tmp_path, u123, reproof):

@@ -5,16 +5,18 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import auctionlp
 from auctionlp import auction, cli, errors
@@ -23,9 +25,9 @@ from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
 from auctionlp.analysis import tight_downward_dual
 from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
-from auctionlp.model import load_instance, rat
-from auctionlp.oracles import gen_instance
-from helpers import labels
+from auctionlp.model import load_instance, rat, rat_str
+from auctionlp.oracles import gen_instance, gen_shape
+from helpers import NUMBER_TABLE, labels
 
 U12 = {
     "buyers": 1,
@@ -276,7 +278,6 @@ def test_certificates_past_the_common_denominator_cap_self_check(tmp_path, capsy
         raise AssertionError("a certificate past the cap reached the model re-proof")
 
     monkeypatch.setattr(auction, "recheck_certificate", counted)
-    monkeypatch.setattr(auction, "_reprove", refuse)
     for form in ("ds", "bic"):
         cert = tmp_path / f"{form}.json"
         assert main(["solve", str(path), "--form", form, "--certificate", str(cert)]) == 0
@@ -284,7 +285,9 @@ def test_certificates_past_the_common_denominator_cap_self_check(tmp_path, capsy
         document = json.loads(cert.read_text())
         dens = [rat(value).denominator for value in document["dual"].values()]
         assert lcm(*dens).bit_length() > auction._COMMON_DENOMINATOR_BITS
-        assert main(["self-check", str(path), str(cert)]) == 0
+        with monkeypatch.context() as patch:  # the solve proved its vertex with _prove
+            patch.setattr(auction, "_prove", refuse)
+            assert main(["self-check", str(path), str(cert)]) == 0
         assert capsys.readouterr().out == f"ok {document['objective']}\n"
     assert rechecked == ["ds", "bayes"]
 
@@ -548,6 +551,33 @@ def test_self_check_reads_values_as_rat_does(pair_path, tmp_path, capsys, value,
     if refusal == "LabelMismatch":
         assert "certificate primal: not a rational" in err
         assert ("has too many digits" in err) == (value == "1e100000000")
+
+
+@pytest.mark.parametrize("literal, value", NUMBER_TABLE.items(), ids=map(ascii, NUMBER_TABLE))
+def test_number_table_reads_alike_through_rat_and_self_check(
+    pair12_certificates, tmp_path, capsys, literal, value
+):
+    # The table holds on every supported Python.  In place of the stored
+    # 2 of p:0:2.2, a literal self-check refuses as not a rational
+    # (LabelMismatch) is one rat refuses; one that reads as 2 leaves the
+    # certificate as it was, and any other value fails the proof.
+    if value is None:
+        with pytest.raises(errors.NotRational):
+            rat(literal)
+    else:
+        assert rat(literal) == value
+    path, (document, _) = pair12_certificates
+    assert document["primal"]["p:0:2.2"] == "2"
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(dict(document, primal={**document["primal"], "p:0:2.2": literal})))
+    code = main(["self-check", str(path), str(cert)])
+    out, err = capsys.readouterr()
+    if value == 2:
+        assert (code, out, err) == (0, f"ok {document['objective']}\n", "")
+    else:
+        assert code == 2 and "Traceback" not in err
+        refusal = "LabelMismatch: certificate primal: not a rational" if value is None else "CertificateError"
+        assert refusal in err
 
 
 @pytest.fixture(scope="module")
@@ -904,6 +934,130 @@ def test_characterize_gen_iid_scan_honors_caps(capsys):
     captured = capsys.readouterr()
     assert "ScaleLimit" in captured.err
     assert captured.out == ""
+
+
+# -- input fuzz -------------------------------------------------------------
+
+U123 = {
+    "buyers": 1,
+    "items": 1,
+    "supports": [[[0], [1], [2], [3]]],
+    "probs": [[0, "1/3", "1/3", "1/3"]],
+}
+# Numbers at the edges of the grammar, and JSON values that are no number.
+EDGE_NUMBERS = st.sampled_from(
+    [*NUMBER_TABLE, "9" * 5000, "1e-5000", "0", "-1", "1/3", 0, 1, -1, 2, 0.5, True, None, []]
+)
+
+
+def _exits_cleanly(argv):
+    """Run main on argv: the exit code is documented, and a refusal is
+    one error line, never a traceback.  Returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused a flag
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    assert code == 0 or sum("error:" in line for line in err.splitlines()) == 1, err
+    return code
+
+
+@st.composite
+def near_valid_instances(draw):
+    """pair12 or u123 with one or two edits: a value or a mass from the
+    grammar's edges, a mass off by one in its numerator, a level of
+    nesting added or taken away, a duplicated vector, the zero type
+    taken away, or a count field replaced or dropped."""
+    data = json.loads(json.dumps(draw(st.sampled_from([PAIR12, U123]))))
+    supports, probs = data["supports"], data["probs"]
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(supports) - 1))
+        support, masses = supports[i], probs[i]
+        if not (isinstance(support, list) and isinstance(masses, list) and support and masses):
+            continue  # an earlier edit broke this buyer's shape
+        t = draw(st.integers(0, min(len(support), len(masses)) - 1))
+        if not (isinstance(support[t], list) and support[t]):
+            continue
+        edit = draw(st.sampled_from(["value", "mass", "off-by-one", "nesting", "duplicate", "zero", "field"]))
+        if edit == "value":
+            supports[i][t][0] = draw(EDGE_NUMBERS)
+        elif edit == "mass":
+            probs[i][t] = draw(EDGE_NUMBERS)
+        elif edit == "off-by-one" and isinstance(probs[i][t], (int, str)):
+            try:
+                q = rat(probs[i][t])
+            except errors.NotRational:
+                continue
+            probs[i][t] = rat_str(q + draw(st.sampled_from([-1, 1])) * Fraction(1, q.denominator * 3))
+        elif edit == "nesting":
+            where = draw(st.sampled_from(["vector", "support", "probs"]))
+            if where == "vector":
+                supports[i][t] = draw(st.sampled_from([[supports[i][t]], supports[i][t][0]]))
+            elif where == "support":
+                supports[i] = supports[i][t]
+            else:
+                probs[i] = [probs[i]]
+        elif edit == "duplicate":
+            supports[i][draw(st.integers(0, len(supports[i]) - 1))] = list(supports[i][t])
+        elif edit == "zero":
+            del supports[i][0], probs[i][0]
+        else:
+            field = draw(st.sampled_from(["buyers", "items"]))
+            if draw(st.booleans()):
+                data.pop(field, None)
+            else:
+                data[field] = draw(st.sampled_from([0, 2, 3, -1, "1", 1.0, True, None]))
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_valid_instances(), st.sampled_from(["validate", "solve"]), st.booleans())
+def test_near_valid_instances_exit_cleanly(tmp_path_factory, data, command, augment):
+    path = tmp_path_factory.getbasetemp() / "near-valid.json"
+    path.write_text(json.dumps(data))
+    _exits_cleanly([command, str(path), *(["--augment-zero"] if augment else [])])
+
+
+# Spec entries, --caps and --count values: half of them read, half at an edge.
+GEN_VALUES = st.sampled_from(["1", "2", "3", "true", "no"]) | st.sampled_from(
+    ["0", "-1", " 2 ", "1_0", "\u0662", "2.0", "x", "", "9" * 30]
+)
+gen_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["n", "m", "support", "value_range", "denominator", "iid", "correlated", "k"]),
+        st.just("=") | st.sampled_from(["", "=="]),
+        GEN_VALUES,
+    ).map("".join),
+    max_size=4,
+).map(",".join)
+CAPS = st.sampled_from(["27", "256"]) | st.sampled_from(["1", "0", "-3", "x", "1e3", "\u0662\u0667", "9" * 30])
+COUNTS = st.sampled_from(["1", "2"]) | st.sampled_from(["0", "-1", "x"])
+
+
+def _would_solve_past(spec_text, caps, count, profiles):
+    """Whether characterize --gen would solve an instance of more than
+    profiles profiles: the spec, --caps and --count all read, and the
+    shape within the cap."""
+    try:
+        spec = cli._parse_gen_spec(spec_text)
+        caps, count = int(caps), int(count)
+        if caps < 1 or count < 1:
+            return False
+        m, sizes = gen_shape(spec, caps)
+    except (errors.InvalidInput, ScaleLimit, ValueError):
+        return False
+    return math.prod(sizes) > profiles
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen_specs, CAPS, COUNTS, st.integers(0, 3))
+def test_gen_specs_and_flags_exit_cleanly(spec, caps, count, seed):
+    assume(not _would_solve_past(spec, caps, count, 27))
+    _exits_cleanly(["characterize", "--gen", spec, "--caps", caps, "--count", count, "--seed", str(seed)])
 
 
 # -- virtuals ---------------------------------------------------------------

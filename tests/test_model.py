@@ -1,6 +1,7 @@
 """Domain types: validation, serialization, profile algebra, mechanism
 slacks, and the revenue report."""
 
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -42,6 +43,7 @@ from helpers import (
     others_count,
     others_rank,
     profile_prob,
+    reference_fraction,
     utility,
     zero_mechanism,
 )
@@ -97,30 +99,47 @@ plain_literals = st.from_regex(r"[ \t]*[-+]?[0-9]{1,12}(/[0-9]{1,12})?[ \t]*", f
         lambda pair: pair[0] + "1" * pair[1]
     )
 )
-# Text over Fraction's grammar without an exponent (an exponent literal
-# is the slow path's own concern), plus a non-ASCII digit.
-other_literals = st.text(alphabet="0123456789+-/._ \t\u0663", max_size=12)
+# Text over the grammar's characters, a non-ASCII digit and space, and
+# the "d" that CPython 3.11's fraction part matches; exponents stay
+# within three digits, since the reference forms the power of ten.
+other_literals = st.text(alphabet="0123456789+-/._eEd \t\u0663\u00a0", max_size=12).filter(
+    lambda text: not re.search(r"[eE][-+]?[\d_]{4}", text)
+)
+exponent_literals = st.from_regex(
+    r"\s?[-+]?[0-9_]{0,4}(\.[0-9_]{0,4})?[eE][-+]?[0-9_]{1,3}\s?", fullmatch=True
+)
 
 
-def _agrees_with_fraction(text):
+def _outcome(read, text, refusals):
     try:
-        expected = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        with pytest.raises(NotRational):
-            rat(text)
-    else:
-        assert rat(text) == expected
+        return read(text)
+    except refusals:
+        return "refused"
+
+
+def _agrees_with_reference(text):
+    # the same value, or a refusal (NotRational), as CPython 3.11 reads
+    # it, whichever Python runs; there the live Fraction agrees too
+    expected = _outcome(reference_fraction, text, (ValueError, ZeroDivisionError))
+    assert _outcome(rat, text, NotRational) == expected
+    if sys.version_info[:2] == (3, 11):
+        assert _outcome(Fraction, text, (ValueError, ZeroDivisionError)) == expected
 
 
 def test_rat_plain_literals_skip_the_exponent_check(monkeypatch):
-    monkeypatch.setattr(model, "_too_long", None)  # a call would raise TypeError
-    for text in (" 17 ", "-3/4", "+6/8", "0/5", "1/0", "7/" + "1" * 4301):
-        _agrees_with_fraction(text)
+    # only an exponent is measured against the digit limit: a literal
+    # without one never asks for it, and int alone refuses a part past it
+    monkeypatch.setattr(sys, "get_int_max_str_digits", None, raising=False)  # a call raises
+    for text in (" 17 ", "-3/4", "+6/8", "0/5", "1/0", "7/" + "1" * 4301, "1_0", "0.5", ".25"):
+        _agrees_with_reference(text)
 
 
-@given(plain_literals | other_literals)
+@given(plain_literals | other_literals | exponent_literals)
+@example("1.d")
+@example("1 / 2")
+@example("1_0")
 def test_rat_agrees_with_fraction_on_text(text):
-    _agrees_with_fraction(text)
+    _agrees_with_reference(text)
 
 
 @pytest.mark.parametrize("value", ["1/0", "-0/0", 0.5, True, False, 2.0, "1e" + "9" * 60])
