@@ -1,5 +1,5 @@
-"""Separate-selling revenue, independence checks, and the equivalence
-engine connecting Bayesian and dominant-strategy optima."""
+"""Separate-selling revenue, the agent-independence check, and the
+equivalence engine connecting Bayesian and dominant-strategy optima."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 from .auction import (
-    _checked_mechanism,
+    _proof,
     build_dual_dslp,
     drev,
     extract_dual,
@@ -25,7 +25,6 @@ from .model import (
     Mechanism,
     RevenueReport,
     Scaled,
-    VirtualValueTable,
     _dual_from_scaled,
     mechanism_feasible,
     mechanism_slacks,
@@ -49,7 +48,6 @@ __all__ = [
     "face_excess",
     "tight_downward_dual",
     "check_agent_independence",
-    "check_item_independence",
     "bic_to_dsic_dual",
     "dsic_to_bic_dual",
     "characterize",
@@ -325,7 +323,7 @@ def _tight_dual(instance: Instance, revenue: Fraction, candidates):
 
 
 # ---------------------------------------------------------------------------
-# Agent and item independence
+# Agent independence
 
 
 def _reference_slice(instance: Instance, i: int) -> int:
@@ -377,27 +375,6 @@ def check_agent_independence(instance: Instance, dual: DualSolution):
         witness = _slice_mismatch(instance, dual, i, table)
         if witness is not None:
             return False, witness
-    return True, None
-
-
-def check_item_independence(instance: Instance, table: VirtualValueTable):
-    """For each buyer and item, two types agreeing on that item's
-    coordinate must have equal virtual values for it unless both are
-    nonpositive.  Returns (ok, witness)."""
-    for i in range(instance.n):
-        ranks = instance.ranks[i][_reference_slice(instance, i)]
-        for j in range(instance.m):
-            for t in range(instance.sizes[i]):
-                for t2 in range(t + 1, instance.sizes[i]):
-                    if instance.value(i, t)[j] != instance.value(i, t2)[j]:
-                        continue
-                    a = table.values[i][j][ranks[t]]
-                    b = table.values[i][j][ranks[t2]]
-                    if a == b:
-                        continue
-                    if (a <= 0) and (b <= 0):
-                        continue
-                    return False, (i, j, t, t2)
     return True, None
 
 
@@ -524,7 +501,8 @@ def characterize(instance: Instance, flow: DualSolution | None = None) -> Revenu
             bayes_dual, mechanism, slacks = proof
         else:
             bayes_dual = extract_dual(instance, bayes_cert, BAYES)
-            mechanism, slacks = _checked_mechanism(instance, ds_cert, DS)
+            ds_proof = _proof(instance, ds_cert, DS)
+            mechanism, slacks = ds_proof.mechanism, ds_proof.slacks
         regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
         ai_witness = bic_to_dsic_dual(instance, regular)
         ledger = check_cs_ds(instance, mechanism, ai_witness, slacks=slacks)

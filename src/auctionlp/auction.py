@@ -371,34 +371,32 @@ class _Proof(NamedTuple):
     dual: DualSolution
 
 
-def _carried_proof(instance: Instance, certificate: LpCertificate) -> _Proof | None:
-    """The proof a solve_form certificate carries, if it was proved for
-    this very instance; None for any other certificate."""
+def _proof(instance: Instance, certificate: LpCertificate, form: str) -> _Proof:
+    """The proof that a primal certificate of the form's builder is
+    optimal for the instance: the one it carries when solve_form proved
+    it for this very instance, else _prove's.  That raises
+    CertificateError unless the pair is optimal, and so does an
+    objective other than the pair's."""
+    layout = _layout(instance, form, PRIMAL)
+    if certificate.layout != layout:
+        raise LabelMismatch(f"certificate is not from the {form} primal builder")
     proof = certificate.proof
-    return proof if isinstance(proof, _Proof) and proof.instance is instance else None
+    if isinstance(proof, _Proof) and proof.instance is instance:
+        return proof
+    proof = _prove(instance, layout, _scale(certificate.primal), _scale(certificate.dual))
+    if proof.dual.objective() != certificate.objective:
+        raise CertificateError("objective mismatch")
+    return proof
 
 
 def extract_mechanism(
     instance: Instance, certificate: LpCertificate, form: str
 ) -> Mechanism:
-    """Read the allocation and payments out of a primal certificate
-    produced from build_dslp or build_blp."""
-    return _checked_mechanism(instance, certificate, form)[0]
-
-
-def _checked_mechanism(
-    instance: Instance, certificate: LpCertificate, form: str
-) -> tuple[Mechanism, PrimalSlacks]:
-    """extract_mechanism, also returning the slacks its feasibility
-    check evaluated.  A certificate that solve_form proved on the model
-    already holds both, and they are returned as they are."""
-    layout = _layout(instance, form, PRIMAL)
-    if certificate.layout != layout:
-        raise LabelMismatch(f"certificate is not from the {form} primal builder")
-    proof = _carried_proof(instance, certificate)
-    if proof is not None:
-        return proof.mechanism, proof.slacks
-    return _feasible_mechanism(instance, layout, *_scale(certificate.primal))
+    """The allocation and payments of an optimal primal certificate
+    produced from build_dslp or build_blp: the mechanism its proof
+    (_proof) built.  A certificate whose pair is not optimal raises
+    CertificateError."""
+    return _proof(instance, certificate, form).mechanism
 
 
 def _feasible_mechanism(
@@ -428,19 +426,17 @@ def _mechanism_entries(instance: Instance, layout: ProgramLayout, vector):
 
 
 def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
-    """Assemble a dual solution from either side: the row multipliers of
-    a primal certificate, or the primal point of a dual-program
-    certificate.  The certificate's layout says which, and only that
-    vector is put over a common denominator; a certificate that
-    solve_form proved on the model already holds its dual solution."""
+    """A dual solution from either side.  From a primal certificate, the
+    one its proof built (_proof), so a pair that is not optimal raises
+    CertificateError.  From the point of a program with the dual layout
+    (build_dual_dslp, build_dual_blp, or the face program of
+    analysis.tight_downward_dual), that point checked feasible
+    (_feasible_dual) only: those programs are not the auction's primal,
+    so _prove does not apply to them."""
     layout = certificate.layout
-    if layout not in (_layout(instance, form, PRIMAL), _layout(instance, form, DUAL)):
-        raise LabelMismatch(f"certificate is not from the {form} builders")
-    proof = _carried_proof(instance, certificate)
-    if proof is not None:
-        return proof.dual
-    vector = certificate.dual if layout.side == PRIMAL else certificate.primal
-    return _feasible_dual(instance, layout, *_scale(vector))
+    if layout == _layout(instance, form, DUAL):
+        return _feasible_dual(instance, layout, *_scale(certificate.primal))
+    return _proof(instance, certificate, form).dual
 
 
 def _feasible_dual(instance: Instance, layout: ProgramLayout, nums, den: int):
@@ -603,11 +599,12 @@ _LEDGER_KEYS = (*(f.name for f in fields(GapLedger)), "gap")
 def certificate_document(instance: Instance, form: str, certificate) -> dict:
     """Self-contained record of an optimal primal solve: objective,
     nonzero primal and dual entries by label, and the complementary
-    slackness ledger (all zeros at an optimum)."""
-    mechanism, slacks = _checked_mechanism(instance, certificate, form)
-    dual = extract_dual(instance, certificate, form)
+    slackness ledger (all zeros at an optimum).  The mechanism, its
+    slacks and the dual solution are the certificate's proof (_proof),
+    so a certificate that is not optimal raises CertificateError."""
+    proof = _proof(instance, certificate, form)
     check = check_cs_ds if form == DS else check_cs_bayes
-    ledger = check(instance, mechanism, dual, slacks=slacks)
+    ledger = check(instance, proof.mechanism, proof.dual, slacks=proof.slacks)
     layout = certificate.layout
     return {
         "kind": "auctionlp.certificate",
@@ -764,8 +761,10 @@ def _prove(instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scal
     the program.  Returns what it built.
 
     This is the one proof of an auction primal's optimum: it accepts
-    each vertex a solve_form solve proposes (_accept), and re-proves a
-    stored certificate (verify_certificate_document)."""
+    each vertex a solve_form solve proposes (_accept), proves a primal
+    certificate that carries no proof for the instance before anything
+    is read from it (_proof), and re-proves a stored certificate
+    (verify_certificate_document)."""
     try:
         mechanism, slacks = _feasible_mechanism(instance, layout, *primal)
         solution = _feasible_dual(instance, layout, *dual)

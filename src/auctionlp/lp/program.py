@@ -146,7 +146,10 @@ class LpCertificate:
     proof is what the accepting check built while it proved x and y, an
     opaque value this package only carries (None from certify_optimal).
     It belongs to these vectors: a certificate made with other values
-    must not carry it over.
+    must not carry it over.  A reader that cannot use it (None, or a
+    proof made for another instance) proves x and y again before it
+    reads them, so a certificate without it gives the same answers, or
+    is refused when they are not optimal.
     """
 
     primal: tuple[Fraction, ...]

@@ -16,7 +16,6 @@ from auctionlp.analysis import (
     canonical_flow,
     characterize,
     check_agent_independence,
-    check_item_independence,
     dsic_to_bic_dual,
     face_excess,
     iid_scan,
@@ -32,7 +31,6 @@ from auctionlp.auction import BAYES, DS, drev, extract_dual, solve_form
 from auctionlp.errors import DimensionMismatch, NotAgentIndependent, NotOptimal
 from auctionlp.model import (
     NEG_INF,
-    VirtualValueTable,
     _scale,
     dual_from_multipliers,
     mechanism_feasible,
@@ -73,6 +71,11 @@ def test_item_marginal_recovers_coordinates(items12, u12):
 def test_srev_breakdown(items12):
     assert tuple(item_revenue(items12, j) for j in range(2)) == (F(1), F(1))
     assert srev(items12) == 2
+    # bundling earns DRev 9/4, and its virtual values are not per item:
+    # types (1, 1) and (1, 2) agree on item 0 but get 0 and 1 for it
+    table = virtual_values_ds(items12, ds_regular(items12))
+    assert table.values[0][0] == (NEG_INF, F(0), F(1), F(2), F(2))
+    assert table.values[0][1] == (NEG_INF, F(0), F(2), F(0), F(2))
 
 
 # -- single-item closed forms -----------------------------------------------
@@ -484,30 +487,6 @@ def test_slice_dependence_is_detected(pair12):
     ok, detail = check_agent_independence(pair12, doctored_slice_dual(pair12))
     assert not ok
     assert detail == ("zeta", (0, 0, 1, 2))
-
-
-# -- item independence ------------------------------------------------------
-
-
-def test_item_independence_vacuous_for_single_item(u12):
-    table = virtual_values_ds(u12, ds_regular(u12))
-    assert check_item_independence(u12, table) == (True, None)
-
-
-def test_item_independence_fails_on_bundling_table(items12):
-    table = virtual_values_ds(items12, ds_regular(items12))
-    assert table.values[0][0] == (NEG_INF, F(0), F(1), F(2), F(2))
-    assert table.values[0][1] == (NEG_INF, F(0), F(2), F(0), F(2))
-    assert check_item_independence(items12, table) == (False, (0, 0, 1, 2))
-
-
-def test_item_independence_accepts_additive_table(items12):
-    # the per-coordinate single-item tables broadcast over types:
-    # coordinate value 1 maps to 0 and coordinate value 2 maps to 2
-    item0 = (NEG_INF, F(0), F(0), F(2), F(2))
-    item1 = (NEG_INF, F(0), F(2), F(0), F(2))
-    table = VirtualValueTable(form=DS, values=((item0, item1),))
-    assert check_item_independence(items12, table) == (True, None)
 
 
 # -- equivalence maps -------------------------------------------------------

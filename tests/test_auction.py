@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,43 @@ def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
         extract_dual(u12, stray, DS)
 
 
+# A primal certificate means an optimal pair.  Without a proof it is
+# proved (auction._prove) before anything is read from it, so a pair that
+# is feasible on both sides but not optimal is refused, whatever it claims,
+# and so is an optimal pair that claims another objective.
+def _zeroed_primal(cert):
+    return LpCertificate((F(0),) * len(cert.primal), cert.dual, cert.objective, cert.layout)
+
+
+def _raised_xi(cert):
+    dual = list(cert.dual)
+    dual[cert.layout.xi(0, 0)] += F(1, 5)
+    return LpCertificate(cert.primal, tuple(dual), cert.objective, cert.layout)
+
+
+def _claimed_more(cert):
+    return LpCertificate(cert.primal, cert.dual, cert.objective + F(1, 5), cert.layout)
+
+
+_PRIMAL_READERS = {
+    "mechanism": extract_mechanism,
+    "dual": extract_dual,
+    "document": lambda instance, cert, form: certificate_document(instance, form, cert),
+}
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+@pytest.mark.parametrize("forge", [_zeroed_primal, _raised_xi, _claimed_more])
+@pytest.mark.parametrize("reader", list(_PRIMAL_READERS))
+def test_extraction_refuses_a_certificate_that_is_not_optimal(pair12, form, forge, reader):
+    cert = solve_form(pair12, form)
+    assert cert.objective == F(3, 2)
+    forged = forge(cert)  # the builder's layout, and no proof
+    assert forged.proof is None
+    with pytest.raises(CertificateError):
+        _PRIMAL_READERS[reader](pair12, forged, form)
+
+
 # Both forms share one dual format: zeta[i][key][t2] and eta[i][key] are
 # keyed like the primal's ic and ir rows, by profile rank (DS) or own type
 # (BAYES).
@@ -328,6 +366,16 @@ def test_dual_is_keyed_like_the_primal_rows(form):
                         assert dual.zeta[i][key][t2] == value
                         nonzero += value != 0
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_proofless_certificates_read_as_proved_ones(gap2x2, form):
+    instances = [gen_instance(spec, seed) for spec, seed in FORMAT_CASES] + [gap2x2]
+    for instance in instances:
+        cert = solve_form(instance, form)
+        bare = replace(cert, proof=None)
+        for read in _PRIMAL_READERS.values():
+            assert read(instance, bare, form) == read(instance, cert, form)
 
 
 # -- extension beyond the support -------------------------------------------

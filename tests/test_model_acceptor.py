@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from auctionlp import auction
 from auctionlp.auction import (
     _accept,
     build_blp,
@@ -129,13 +130,24 @@ def test_model_acceptor_agrees_with_the_program_check(name, form):
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])
-def test_extraction_returns_what_the_proof_built(form):
+def test_extraction_returns_what_the_proof_built(monkeypatch, form):
     instance = gen_instance({"n": 2, "m": 2, "support": 2}, 5)
     certificate = solve_form(instance, form)
     proof = certificate.proof
+    proved = []
+    original = auction._prove
+
+    def spy(*args):
+        proved.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(auction, "_prove", spy)
     assert extract_mechanism(instance, certificate, form) is proof.mechanism
     assert extract_dual(instance, certificate, form) is proof.dual
-    # an equal instance that is not the one proved gets its own proof,
+    document = certificate_document(instance, form, certificate)
+    assert proved == []
+    # an equal instance validated again is another object, so the proof
+    # is not trusted for it: each reader proves the certificate once,
     # which builds equal objects and the same document
     twin = validate_instance(instance.to_data())
     assert twin == instance and twin is not instance
@@ -143,6 +155,5 @@ def test_extraction_returns_what_the_proof_built(form):
     assert mechanism == proof.mechanism and mechanism is not proof.mechanism
     dual = extract_dual(twin, certificate, form)
     assert dual == proof.dual and dual is not proof.dual
-    assert certificate_document(twin, form, certificate) == certificate_document(
-        instance, form, certificate
-    )
+    assert certificate_document(twin, form, certificate) == document
+    assert len(proved) == 3 and all(seen is twin for seen in proved)
