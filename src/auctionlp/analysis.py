@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import lcm
 
 from .auction import (
+    _feasible_dual,
+    _layout,
     _proof,
     build_dual_dslp,
     drev,
@@ -26,6 +28,7 @@ from .model import (
     RevenueReport,
     Scaled,
     _dual_from_scaled,
+    _scale,
     mechanism_feasible,
     mechanism_slacks,
     rat_str,
@@ -279,7 +282,7 @@ def tight_downward_dual(instance: Instance, revenue: Fraction):
     it is the only function here that does.
     """
     base = build_dual_dslp(instance)
-    layout = base.layout
+    layout = _layout(instance, DS)  # the DS primal's rows are the face program's columns
     count = instance.profile_count
     xi_cols = [layout.xi(j, r) for j in range(instance.m) for r in range(count)]
     c = [Fraction(0)] * base.ncols
@@ -294,9 +297,9 @@ def tight_downward_dual(instance: Instance, revenue: Fraction):
         tuple((col, Fraction(-1)) for col in xi_cols),
     ]
     b = list(base.b) + [revenue, -revenue]
-    # two rows more than the dual's layout, but extract_dual reads only columns
-    certificate = solve(make_lp(MIN, c, rows, b, layout))
-    dual = extract_dual(instance, certificate, DS)
+    # the dual program's rows, then the objective held to revenue both ways
+    certificate = solve(make_lp(MIN, c, rows, b))
+    dual = _feasible_dual(instance, layout, *_scale(certificate.primal))
     # total participation mass alone already sums to at least one per buyer
     excess = certificate.objective - instance.n
     if excess < 0:

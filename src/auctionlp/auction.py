@@ -5,9 +5,10 @@ variable and constraint sits.  One builder serves both forms: each
 opponent slice adds its scaled dominant-strategy rows into the rows of
 its keys (see model.multiplier_keys), at the layout's indices, and
 extraction reads certificate values back at the same indices.  Every
-program and certificate carries the layout it was built with.  A dual
-program is the transpose of its primal (dual_of), so its columns and
-rows keep the primal's indices.
+primal program and its certificates carry the layout it was built with.
+A dual program is the plain transpose of its primal (dual_of) and
+carries no layout: its columns are the primal layout's rows, and its
+rows the primal's columns.
 
 Labels are only a rendering of the layout, used to name components in
 certificate documents; programs and certificates hold none.  Their
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm, prod
@@ -97,10 +98,6 @@ def profile_key(profile) -> str:
 # ---------------------------------------------------------------------------
 # Program layout
 
-PRIMAL = "primal"
-DUAL = "dual"
-
-
 @dataclass(frozen=True)
 class ProgramLayout:
     """Index arithmetic of one auction program.
@@ -114,21 +111,13 @@ class ProgramLayout:
     sup rows, which every primal lists in that order, in both forms.
     zeta and eta take the multiplier key, as in
     DualSolution: the profile rank in the dominant-strategy form, the
-    own type in the Bayesian form (see model.multiplier_keys).
-
-    side only marks which certificate vector holds the multipliers: the
-    dual vector of a primal program (PRIMAL), or the primal point of its
-    transpose (DUAL), whose columns are the primal's rows.
+    own type in the Bayesian form (see model.multiplier_keys).  A
+    primal certificate holds them in its dual vector.
     """
 
     form: str
-    side: str
     m: int
     sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.form not in (DS, BAYES) or self.side not in (PRIMAL, DUAL):
-            raise ValueError(f"unknown program {self.form!r}/{self.side!r}")
 
     @cached_property
     def count(self) -> int:
@@ -256,8 +245,8 @@ class ProgramLayout:
         return None
 
 
-def _layout(instance: Instance, form: str, side: str) -> ProgramLayout:
-    return ProgramLayout(form, side, instance.m, instance.sizes)
+def _layout(instance: Instance, form: str) -> ProgramLayout:
+    return ProgramLayout(form, instance.m, instance.sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +267,7 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
     report order; so each buyer's columns are offsets from its rank-0
     columns, and each (slice, type) scales and negates its values once
     for all of its reports."""
-    layout = _layout(instance, form, PRIMAL)
+    layout = _layout(instance, form)
     n, m, count = instance.n, instance.m, instance.profile_count
     nrows, ncols = layout.shape
     zero, one = Fraction(0), Fraction(1)
@@ -339,21 +328,18 @@ def build_blp(instance: Instance) -> LinearProgram:
 # Dual programs
 
 
-def _transposed(primal: LinearProgram) -> LinearProgram:
-    """dual_of the primal, carrying the primal's layout marked DUAL."""
-    return replace(dual_of(primal), layout=replace(primal.layout, side=DUAL))
-
-
 def build_dual_dslp(instance: Instance) -> LinearProgram:
     """min sum xi, one row per primal variable: the expected-virtual-value
     bound per x_i^j(v) and the payment-weight bound per p_i(v).  The
-    transpose of build_dslp."""
-    return _transposed(build_dslp(instance))
+    transpose of build_dslp (dual_of), with no layout: its columns are
+    the rows of the primal's layout, its rows the primal's columns."""
+    return dual_of(build_dslp(instance))
 
 
 def build_dual_blp(instance: Instance) -> LinearProgram:
-    """The transpose of build_blp."""
-    return _transposed(build_blp(instance))
+    """The transpose of build_blp, with no layout, indexed as
+    build_dual_dslp is."""
+    return dual_of(build_blp(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +363,7 @@ def _proof(instance: Instance, certificate: LpCertificate, form: str) -> _Proof:
     it for this very instance, else _prove's.  That raises
     CertificateError unless the pair is optimal, and so does an
     objective other than the pair's."""
-    layout = _layout(instance, form, PRIMAL)
+    layout = _layout(instance, form)
     if certificate.layout != layout:
         raise LabelMismatch(f"certificate is not from the {form} primal builder")
     proof = certificate.proof
@@ -425,17 +411,13 @@ def _mechanism_entries(instance: Instance, layout: ProgramLayout, vector):
     return tuple(zip(*per_buyer)), tuple(pay)
 
 
-def extract_dual(instance: Instance, certificate: LpCertificate, form: str):
-    """A dual solution from either side.  From a primal certificate, the
-    one its proof built (_proof), so a pair that is not optimal raises
-    CertificateError.  From the point of a program with the dual layout
-    (build_dual_dslp, build_dual_blp, or the face program of
-    analysis.tight_downward_dual), that point checked feasible
-    (_feasible_dual) only: those programs are not the auction's primal,
-    so _prove does not apply to them."""
-    layout = certificate.layout
-    if layout == _layout(instance, form, DUAL):
-        return _feasible_dual(instance, layout, *_scale(certificate.primal))
+def extract_dual(
+    instance: Instance, certificate: LpCertificate, form: str
+) -> DualSolution:
+    """The dual solution of an optimal primal certificate produced from
+    build_dslp or build_blp: the one its proof (_proof) built.  A
+    certificate whose pair is not optimal raises CertificateError, and
+    one of another program (a dual program's among them) LabelMismatch."""
     return _proof(instance, certificate, form).dual
 
 
@@ -443,7 +425,7 @@ def _feasible_dual(instance: Instance, layout: ProgramLayout, nums, den: int):
     """The dual solution that a vector of multiplier numerators over den
     stands for.  Raises InfeasibleInput unless it is feasible: zeta, eta,
     xi >= 0 and every dual column (alpha, beta) holds."""
-    zeta, eta, xi = _multipliers(instance, layout.form, layout, nums)
+    zeta, eta, xi = _multipliers(instance, layout, nums)
     multipliers = [Scaled(pair, den) for pair in zip(zeta, eta)]
     dual = _dual_from_scaled(instance, layout.form, multipliers, Scaled(xi, den))
     if not dual.is_feasible():
@@ -451,7 +433,7 @@ def _feasible_dual(instance: Instance, layout: ProgramLayout, nums, den: int):
     return dual
 
 
-def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values):
+def _multipliers(instance: Instance, layout: ProgramLayout, values):
     """(zeta, eta, xi) read off a vector of multiplier numerators, 0 on
     zeta's diagonal.  A key's k - 1 ic rows are contiguous, in report order
     without its own type; its buyer's ir rows and each item's sup rows
@@ -460,7 +442,7 @@ def _multipliers(instance: Instance, form: str, layout: ProgramLayout, values):
     xi = tuple(values[x : x + count] for x in (layout.xi(j, 0) for j in range(instance.m)))
     zeta, eta = [], []
     for i, k in enumerate(instance.sizes):
-        positions = multiplier_keys(instance, form, i).positions
+        positions = multiplier_keys(instance, layout.form, i).positions
         rows = []
         for key, (t, _) in enumerate(positions):
             first = layout.zeta(i, key, t, int(t == 0))
@@ -688,7 +670,7 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     form = document.get("form")
     if form not in (DS, BAYES):
         raise LabelMismatch(f"unknown certificate form {echo(form)}")
-    layout = _layout(instance, form, PRIMAL)
+    layout = _layout(instance, form)
     unknown = []
     # (index, numerator, denominator) per entry: the primal's columns, the dual's rows
     entries = [

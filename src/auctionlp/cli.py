@@ -15,7 +15,6 @@ import sys
 
 from .analysis import characterize, iid_scan, revenue_record
 from .auction import (
-    PRIMAL,
     ProgramLayout,
     certificate_document,
     extract_dual,
@@ -149,7 +148,7 @@ def cmd_characterize(args) -> int:
     # before drawing; the builders' right-hand sides are nonnegative, so
     # it has no artificial columns.
     m, sizes = gen_shape(spec, args.caps)
-    check_tableau_size(*ProgramLayout(DS, PRIMAL, m, sizes).shape)
+    check_tableau_size(*ProgramLayout(DS, m, sizes).shape)
     if args.count == 1 and not spec.get("iid"):
         instance = gen_instance(spec, args.seed, cap=args.caps)
         _characterize_one(instance)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from auctionlp.auction import PRIMAL, ProgramLayout, build_dual_dslp
+from auctionlp.auction import ProgramLayout, build_dual_dslp
 from auctionlp.errors import DimensionMismatch
 from auctionlp.lp import MAX, MIN, make_lp, solve
 from auctionlp.model import BAYES, DS, Mechanism, PrimalSlacks, SlackNumerators, _scale
@@ -310,7 +310,7 @@ def regular_phi_range(instance, i, profile, revenue):
     assert instance.m == 1
     assert instance.mu(profile) > 0
     base = build_dual_dslp(instance)
-    layout = base.layout
+    layout = ProgramLayout(DS, instance.m, instance.sizes)  # the primal's rows: base's columns
 
     def phi_star_row(bi, r):
         t, s = instance.positions[bi][r]
@@ -388,7 +388,7 @@ def reference_primal(instance, form):
     builders' order.  The Bayesian rows of type t sum, over the opponent
     profiles of positive mass, mu_minus times the dominant-strategy rows
     there."""
-    layout = ProgramLayout(form, PRIMAL, instance.m, instance.sizes)
+    layout = ProgramLayout(form, instance.m, instance.sizes)
     nrows, ncols = layout.shape
     c = [Fraction(0)] * ncols
     rows = [[] for _ in range(nrows)]

@@ -14,9 +14,8 @@ from hypothesis import given, strategies as st
 from auctionlp.auction import (
     BAYES,
     DS,
-    DUAL,
-    PRIMAL,
     ProgramLayout,
+    _feasible_dual,
     brev,
     build_blp,
     build_dslp,
@@ -36,7 +35,7 @@ from auctionlp.auction import (
 )
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch, NotRational
 from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, solve
-from auctionlp.model import mechanism_feasible, rat, rat_str, ratio
+from auctionlp.model import _scale, mechanism_feasible, rat, rat_str, ratio
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import REPROOF_PATHS, build, reprove_on
@@ -91,7 +90,7 @@ def test_labels_match_their_definition(form):
     # unequal support sizes, so a mixed-up buyer or stride shows
     for n in (1, 2, 3):
         for m in (1, 2):
-            layout = ProgramLayout(form, PRIMAL, m, (3, 2, 4)[:n])
+            layout = ProgramLayout(form, m, (3, 2, 4)[:n])
             assert labels(layout) == reference_names(layout)
 
 
@@ -113,14 +112,14 @@ LAYOUT_SIZES = ((3, 2), (1,), (1, 3), (3, 1), (2, 1, 2), (1, 1, 2))
 @pytest.mark.parametrize("form", [DS, BAYES])
 def test_labels_read_back_to_their_index(form):
     for sizes in LAYOUT_SIZES:
-        layout = ProgramLayout(form, PRIMAL, 2, sizes)
+        layout = ProgramLayout(form, 2, sizes)
         rows, cols = labels(layout)
         assert (rows, cols) == reference_names(layout)
         assert [layout.index_of(label, True) for label in rows] == list(range(len(rows)))
         assert [layout.index_of(label, False) for label in cols] == list(range(len(cols)))
         assert all(layout.index_of(label, False) is None for label in rows)
         assert all(layout.index_of(label, True) is None for label in cols)
-    layout = ProgramLayout(form, PRIMAL, 2, (3, 2))
+    layout = ProgramLayout(form, 2, (3, 2))
     rows, cols = labels(layout)
     for label in NOT_LABELS:
         assert label not in rows and label not in cols
@@ -132,7 +131,7 @@ def test_labels_read_back_to_their_index(form):
 @pytest.mark.parametrize("form", [DS, BAYES])
 def test_labels_read_as_rendering_back_reads_them(form):
     for sizes in LAYOUT_SIZES:
-        layout = ProgramLayout(form, PRIMAL, 2, sizes)
+        layout = ProgramLayout(form, 2, sizes)
         for label in itertools.chain(*labels(layout)):
             for row in (True, False):
                 assert layout.index_of(label, row) == reference_index_of(layout, label, row)
@@ -159,7 +158,7 @@ FIELD_EDITS = {
 def edited_labels(draw):
     """(layout, label): a label of a LAYOUT_SIZES layout, edited."""
     form, sizes = draw(st.sampled_from([DS, BAYES])), draw(st.sampled_from(LAYOUT_SIZES))
-    layout = ProgramLayout(form, PRIMAL, 2, sizes)
+    layout = ProgramLayout(form, 2, sizes)
     rows, cols = labels(layout)
     edit = draw(st.sampled_from(["field", "drop", "add", "kind", "own report"]))
     if edit == "own report":  # an ic row whose report is its own type
@@ -196,17 +195,10 @@ def test_both_forms_share_one_row_order(form):
     # the buyer (the item, for sup) never decreases
     kinds = ("ic", "ir", "sup")
     for sizes in LAYOUT_SIZES:
-        rows, _ = labels(ProgramLayout(form, PRIMAL, 2, sizes))
+        rows, _ = labels(ProgramLayout(form, 2, sizes))
         fields = [row.split(":") for row in rows]
         order = [(kinds.index(kind), int(owner)) for kind, owner, *_ in fields]
         assert order == sorted(order)
-
-
-def test_dual_rows_mirror_primal_columns(pair12):
-    for build_primal, build_dual in ((build_dslp, build_dual_dslp), (build_blp, build_dual_blp)):
-        primal, dual = build_primal(pair12), build_dual(pair12)
-        assert (dual.nrows, dual.ncols) == (primal.ncols, primal.nrows)
-        assert labels(dual.layout) == labels(primal.layout)
 
 
 # -- dual programs are transposes ------------------------------------------
@@ -220,19 +212,19 @@ TRANSPOSE_SHAPES = [
 
 
 def test_explicit_dual_matches_symbolic_dual():
+    # a layout describes the primal alone: a dual program's rows are the
+    # primal's columns and its columns the primal's rows, and it carries
+    # no layout of its own
     for spec, seed in TRANSPOSE_SHAPES:
         instance = gen_instance(spec, seed)
-        for form, build_primal, build_dual in (
-            (DS, build_dslp, build_dual_dslp),
-            (BAYES, build_blp, build_dual_blp),
-        ):
+        for build_primal, build_dual in ((build_dslp, build_dual_dslp), (build_blp, build_dual_blp)):
             primal = build_primal(instance)
             dual = build_dual(instance)
             assert dual == dual_of(primal)
             assert dual.sense == MIN
-            assert dual.layout.form == form
-            assert dual.layout.side == DUAL
-            assert dual.layout.shape == primal.layout.shape == (primal.nrows, primal.ncols)
+            assert dual.layout is None
+            assert (dual.nrows, dual.ncols) == (primal.ncols, primal.nrows)
+            assert primal.layout.shape == (primal.nrows, primal.ncols)
 
 
 # -- four-way agreement -----------------------------------------------------
@@ -268,17 +260,16 @@ def test_point_mass_extraction():
 
 
 def test_extract_dual_from_both_routes(u123):
-    target = drev(u123)
-    from_rows = extract_dual(u123, solve_form(u123, DS), DS)
-    assert from_rows.objective() == target
-    transposed = solve(build_dual_dslp(u123))
-    from_cols = extract_dual(u123, transposed, DS)
-    assert from_cols.objective() == target
-
-    b_rows = extract_dual(u123, solve_form(u123, BAYES), BAYES)
-    assert b_rows.objective() == brev(u123)
-    b_cols = extract_dual(u123, solve(build_dual_blp(u123)), BAYES)
-    assert b_cols.objective() == brev(u123)
+    # strong duality through the transpose: the optimal point of the dual
+    # program, read at the primal layout's rows, is a feasible dual with
+    # the primal's optimal objective
+    for form, build_dual, revenue in ((DS, build_dual_dslp, drev), (BAYES, build_dual_blp, brev)):
+        target = revenue(u123)
+        from_rows = extract_dual(u123, solve_form(u123, form), form)
+        assert from_rows.objective() == target
+        layout = ProgramLayout(form, u123.m, u123.sizes)
+        from_cols = _feasible_dual(u123, layout, *_scale(solve(build_dual(u123)).primal))
+        assert from_cols.objective() == target
 
 
 def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
@@ -319,6 +310,18 @@ _PRIMAL_READERS = {
     "dual": extract_dual,
     "document": lambda instance, cert, form: certificate_document(instance, form, cert),
 }
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+@pytest.mark.parametrize("reader", list(_PRIMAL_READERS))
+def test_primal_readers_refuse_a_dual_program_certificate(pair12, form, reader):
+    # a dual program carries no layout, so its certificate is no primal
+    # certificate of either form, optimal though its point is
+    for build_dual in (build_dual_dslp, build_dual_blp):
+        cert = solve(build_dual(pair12))
+        assert cert.objective == F(3, 2) and cert.layout is None
+        with pytest.raises(LabelMismatch):
+            _PRIMAL_READERS[reader](pair12, cert, form)
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])

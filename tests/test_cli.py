@@ -1,8 +1,6 @@
 """Command-line surface: output text, exit codes, determinism."""
 
 import contextlib
-import importlib
-import importlib.util
 import io
 import json
 import math
@@ -1138,19 +1136,3 @@ def test_console_script_smoke(u12_path):
     assert done.returncode == 0
     assert done.stdout == "1\n"
 
-
-# -- benchmark hooks --------------------------------------------------------
-
-
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def test_benchmark_span_targets_resolve():
-    # the traced benchmark looks every target up with getattr and no default
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    targets = [target for group in spans.SPANS.values() for target in group]
-    targets += spans.COUNTED.values()
-    for module, attr in targets:
-        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from auctionlp.auction import PRIMAL, ProgramLayout, brev, build_dslp, drev
+from auctionlp.auction import ProgramLayout, brev, build_dslp, drev
 from auctionlp.errors import DimensionMismatch, ScaleLimit
 from auctionlp.model import DS
 from auctionlp.oracles import gen_instance, gen_shape
@@ -161,7 +161,7 @@ def test_gen_shape_gives_the_drawn_program(spec):
         m, sizes = gen_shape(spec)
         assert (m, sizes) == (instance.m, tuple(instance.sizes))
         lp = build_dslp(instance)
-        assert ProgramLayout(DS, PRIMAL, m, sizes).shape == (lp.nrows, lp.ncols)
+        assert ProgramLayout(DS, m, sizes).shape == (lp.nrows, lp.ncols)
         assert all(q >= 0 for q in lp.b)
 
 

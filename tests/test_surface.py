@@ -1,6 +1,6 @@
 """The package's public surface: every exported name resolves, the
 test-side references stay independent of the paths they check, and
-every name the benchmark's tracer rebinds exists."""
+every name the benchmark's tracer rebinds or reads exists."""
 
 import ast
 import importlib
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import auctionlp
 import auctionlp.oracles
-from auctionlp.model import Instance
+from auctionlp.auction import solve_form
+from auctionlp.model import DS, Instance
 
 # The rank-table, integer-numerator and closed-form paths that
 # tests/helpers.py and tests/baselines.py are checked against; neither
@@ -66,9 +67,10 @@ def test_exports_resolve_and_references_stay_independent():
         assert not used & paths, f"{name} uses {sorted(used & paths)}"
 
 
-def test_benchmark_trace_targets_resolve():
+def test_benchmark_trace_targets_resolve(u12):
     # A traced benchmark run (perfbench/run.py --trace 1) rebinds these
-    # functions by name; a rename here must fail a test, not the trace.
+    # functions by name, and reads these fields of every certificate
+    # solve returns; a rename here must fail a test, not the trace.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -79,6 +81,9 @@ def test_benchmark_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for attr in ("mu", "mu_minus"):
         assert callable(getattr(Instance, attr, None)), attr
+    certificate = solve_form(u12, DS)
+    for attr in ("primal", "dual", "witness", "objective"):
+        assert hasattr(certificate, attr), attr
 
 
 def test_readme_python_example_runs():
