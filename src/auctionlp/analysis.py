@@ -14,7 +14,6 @@ from .auction import (
     _proof,
     build_dual_dslp,
     drev,
-    extract_dual,
     solve_form,
 )
 from .errors import DimensionMismatch, NotAgentIndependent, NotOptimal
@@ -309,19 +308,18 @@ def tight_downward_dual(instance: Instance, revenue: Fraction):
     return dual, excess
 
 
-def _tight_dual(instance: Instance, revenue: Fraction, candidates):
-    """A (dual, excess) pair minimizing the face program, from the first
-    candidate dual that three exact checks accept: it is feasible, its
-    objective is the certified revenue, and its face_excess is 0.  Weak
+def _tight_dual(instance: Instance, revenue: Fraction, dual: DualSolution | None):
+    """A (dual, excess) pair minimizing the face program: dual, when it
+    is not None and three exact checks accept it (it is feasible, its
+    objective is the certified revenue, and its face_excess is 0).  Weak
     duality puts such a dual on the optimal face, where the excess is
     never below 0, so it is a minimizer, though not necessarily the
-    vertex tight_downward_dual pins.  When every candidate is refused,
-    or there is none, the face program answers."""
-    for dual in candidates:
-        if dual.is_feasible() and dual.objective() == revenue:
-            excess = face_excess(instance, dual)
-            if excess == 0:
-                return dual, excess
+    vertex tight_downward_dual pins.  Otherwise the face program
+    answers."""
+    if dual is not None and dual.is_feasible() and dual.objective() == revenue:
+        excess = face_excess(instance, dual)
+        if excess == 0:
+            return dual, excess
     return tight_downward_dual(instance, revenue=revenue)
 
 
@@ -449,12 +447,14 @@ def is_iid(instance: Instance) -> bool:
     )
 
 
-def _myerson_proof(instance: Instance, flow: DualSolution):
-    """(the flow's Bayesian image, Myerson's auction, its slacks) when
-    _myerson_auction accepts the flow, at objective R, and two more
-    exact checks pass: the auction is feasible in the Bayesian form,
-    and the image is a feasible Bayesian dual of objective R.  Weak
-    duality on each side then makes R both DRev and BRev.  Else None."""
+def _myerson_proof(instance: Instance):
+    """(R, R, the Bayesian image, Myerson's auction, its slacks) when
+    _myerson_auction accepts the single-item instance's canonical flow,
+    at objective R, and two more exact checks pass: the auction is
+    feasible in the Bayesian form, and the flow's image is a feasible
+    Bayesian dual of objective R.  Weak duality on each side then makes
+    R both DRev and BRev.  Else None."""
+    flow = canonical_flow(instance)
     auction = _myerson_auction(instance, flow)
     if auction is None:
         return None
@@ -467,28 +467,26 @@ def _myerson_proof(instance: Instance, flow: DualSolution):
         bayes_dual = dsic_to_bic_dual(instance, flow)
     except (NotAgentIndependent, NotOptimal):
         return None
-    return bayes_dual, mechanism, slacks
+    revenue = flow.objective()
+    return revenue, revenue, bayes_dual, mechanism, slacks
 
 
-def characterize(instance: Instance, flow: DualSolution | None = None) -> RevenueReport:
+def characterize(instance: Instance) -> RevenueReport:
     """Compute the three revenues, and when the Bayesian and
     dominant-strategy optima agree, produce the agent-independent
     dominant-strategy dual witnessing the equality.
 
-    On one item the canonical flow (flow, when the caller has built it)
-    and Myerson's auction answer when _myerson_proof accepts them;
-    otherwise, and on more items, both primal programs are solved."""
-    proof = None
-    if instance.m == 1:
-        flow = canonical_flow(instance) if flow is None else flow
-        proof = _myerson_proof(instance, flow)
-    if proof is not None:
-        drev_value = brev_value = flow.objective()
-    else:
-        ds_cert = solve_form(instance, DS)
-        bayes_cert = solve_form(instance, BAYES)
-        drev_value = ds_cert.objective
-        brev_value = bayes_cert.objective
+    The witness is built from one evidence record, (DRev, BRev, a
+    Bayesian optimal dual, a dominant-strategy optimal mechanism, its
+    slacks).  On one item the canonical flow and Myerson's auction give
+    it when _myerson_proof accepts them; otherwise, and on more items,
+    the proofs of both primal solves do."""
+    evidence = _myerson_proof(instance) if instance.m == 1 else None
+    if evidence is None:
+        ds_cert, bayes_cert = solve_form(instance, DS), solve_form(instance, BAYES)
+        ds, bayes = _proof(instance, ds_cert, DS), _proof(instance, bayes_cert, BAYES)
+        evidence = ds_cert.objective, bayes_cert.objective, bayes.dual, ds.mechanism, ds.slacks
+    drev_value, brev_value, bayes_dual, mechanism, slacks = evidence
     if instance.m == 1:
         # SRev is DRev: the item's marginal is the instance with its types
         # sorted, and relabeling types does not move DRev
@@ -500,12 +498,6 @@ def characterize(instance: Instance, flow: DualSolution | None = None) -> Revenu
     ai_witness = None
     findings = []
     if report.brev_eq_drev:
-        if proof is not None:
-            bayes_dual, mechanism, slacks = proof
-        else:
-            bayes_dual = extract_dual(instance, bayes_cert, BAYES)
-            ds_proof = _proof(instance, ds_cert, DS)
-            mechanism, slacks = ds_proof.mechanism, ds_proof.slacks
         regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
         ai_witness = bic_to_dsic_dual(instance, regular)
         ledger = check_cs_ds(instance, mechanism, ai_witness, slacks=slacks)
@@ -515,14 +507,12 @@ def characterize(instance: Instance, flow: DualSolution | None = None) -> Revenu
         if not ok:
             findings.append(f"witness-not-agent-independent:{witness}")
 
-    if is_iid(instance) and instance.n >= 3:
-        equalities = (report.brev_eq_drev, report.drev_eq_srev, report.srev_eq_brev)
-        if any(equalities) and not all(equalities):
-            findings.append(
-                "iid-equality-split:"
-                f"brev={rat_str(brev_value)},drev={rat_str(drev_value)},"
-                f"srev={rat_str(srev_value)}"
-            )
+    if is_iid(instance) and instance.n >= 3 and report.equality_split:
+        findings.append(
+            "iid-equality-split:"
+            f"brev={rat_str(brev_value)},drev={rat_str(drev_value)},"
+            f"srev={rat_str(srev_value)}"
+        )
 
     return replace(report, ai_witness=ai_witness, findings=tuple(findings))
 
@@ -553,11 +543,11 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     bounds each instance's profile count, and a bad family raises, as
     in gen_instance.
 
-    The tight dual behind tight_excess and ubvv_ok is the first of two
-    candidates that _tight_dual's checks accept: the canonical flow on
-    one item, then the agent-independent witness characterize built
-    when BRev = DRev.  Any accepted candidate has excess 0; otherwise
-    the face program is solved."""
+    The tight dual behind tight_excess and ubvv_ok is the
+    agent-independent witness characterize built when BRev = DRev, once
+    _tight_dual's checks accept it, with excess 0; otherwise the face
+    program is solved.  all_equal_consistent is False exactly when one
+    revenue equality holds without the other two."""
     from .oracles import gen_instance, gen_shape
 
     spec = {"n": 3, **family, "iid": True}
@@ -574,18 +564,14 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     records = []
     for index in range(count):
         instance = gen_instance(spec, seed + index, cap=cap)
-        flow = canonical_flow(instance) if instance.m == 1 else None
-        report = characterize(instance, flow)
-        candidates = [dual for dual in (flow, report.ai_witness) if dual is not None]
-        dual, excess = _tight_dual(instance, report.drev, candidates)
+        report = characterize(instance)
+        dual, excess = _tight_dual(instance, report.drev, report.ai_witness)
         regular = regularize_ds(instance, dual, revenue=report.drev)
         table = virtual_values_ds(instance, regular)
         ubvv = check_ubvv(table, instance)
         record = revenue_record(index, seed + index, instance, report)
         record.update(
-            all_equal_consistent=not any(
-                f.startswith("iid-equality-split") for f in report.findings
-            ),
+            all_equal_consistent=not report.equality_split,
             bayes_gap=rat_str(report.brev - report.drev),
             tight_excess=rat_str(excess),
             ubvv_ok=ubvv.ok,

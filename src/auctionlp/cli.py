@@ -3,7 +3,9 @@
 Subcommands: validate, solve, self-check, characterize, virtuals.
 All numeric output is exact rational text; identical inputs and flags
 produce byte-identical output.  Exit codes: 0 success, 2 invalid input,
-3 solver or internal failure, 4 scale cap exceeded.
+3 solver or internal failure, 4 scale cap exceeded, 141 stdout closed by
+its reader (128 + SIGPIPE, as a shell reports for a program cut off by
+`head`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .analysis import characterize, iid_scan, revenue_record
@@ -290,7 +293,14 @@ def main(argv=None) -> int:
     try:
         if args.caps < 1:
             raise DimensionMismatch(f"--caps must be at least 1, got {echo(args.caps)}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: what is still buffered goes nowhere,
+        # so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ScaleLimit as exc:
         # also the exact simplex's PivotLimit; a program with no optimum
         # is a NotOptimal, exit 3

@@ -46,10 +46,7 @@ def _exact(q) -> Fraction:
 
 # A Fraction keeps its numerator and denominator in slots; reading a
 # slot runs in C, where the public properties are a Python call per entry.
-_NUMERATOR = attrgetter("_numerator" if "_numerator" in Fraction.__slots__ else "numerator")
-_DENOMINATOR = attrgetter(
-    "_denominator" if "_denominator" in Fraction.__slots__ else "denominator"
-)
+_NUMERATOR, _DENOMINATOR = attrgetter("_numerator"), attrgetter("_denominator")
 _COLUMN, _COEFFICIENT = itemgetter(0), itemgetter(1)
 
 
@@ -235,9 +232,12 @@ def _at_most(sum_: tuple[int, int], bound) -> bool:
     return num * bound.denominator <= bound.numerator * den
 
 
-def _check_optimal(lp: LinearProgram, xs, ys) -> Fraction:
-    """verify_optimal short of the stated objective, on x and y as
-    _split gives them: c.x on success."""
+def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
+    """(x, y) as a certificate with objective c.x, once the exact
+    optimality check accepts them, or CertificateError.  x and y hold
+    rationals (Fraction or int); row products run over the nonzero
+    entries of x only, since a zero entry adds nothing to any of them."""
+    xs, ys = _split(x), _split(y)
     _require(len(xs) == lp.ncols and len(ys) == lp.nrows, "certificate shape")
     _require(not _negative(xs), "primal negativity")
     _require(not _negative(ys), "dual negativity")
@@ -253,25 +253,15 @@ def _check_optimal(lp: LinearProgram, xs, ys) -> Fraction:
     cx_num, cx_den = _dot(enumerate(lp.c), xs)
     by_num, by_den = _dot(enumerate(lp.b), ys)
     _require(sign * cx_num * by_den == by_num * cx_den, "duality gap nonzero")
-    return Fraction(cx_num, cx_den)
-
-
-def verify_optimal(lp: LinearProgram, x, y, objective) -> None:
-    """Exact optimality check of rational (Fraction or int) vectors.
-    Row products run over the nonzero entries of x only; a zero entry
-    adds nothing to any of them."""
-    _require(_check_optimal(lp, _split(x), _split(y)) == objective, "objective mismatch")
-
-
-def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
-    """(x, y) as a certificate, once the exact check accepts them."""
-    objective = _check_optimal(lp, _split(x), _split(y))
-    return LpCertificate(tuple(x), tuple(y), objective, lp.layout)
+    return LpCertificate(tuple(x), tuple(y), Fraction(cx_num, cx_den), lp.layout)
 
 
 def recheck_certificate(lp: LinearProgram, cert: LpCertificate) -> None:
-    """Re-run the exact verification, e.g. after deserialization."""
-    verify_optimal(lp, cert.primal, cert.dual, cert.objective)
+    """Re-run the exact verification, e.g. after deserialization:
+    certify_optimal on its vectors, and their c.x is the stated
+    objective."""
+    objective = certify_optimal(lp, cert.primal, cert.dual).objective
+    _require(objective == cert.objective, "objective mismatch")
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

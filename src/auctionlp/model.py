@@ -1002,3 +1002,8 @@ class RevenueReport:
     @property
     def srev_eq_brev(self) -> bool:
         return self.srev == self.brev
+
+    @property
+    def equality_split(self) -> bool:
+        """Exactly one equality holds; any two of them imply the third."""
+        return (self.brev_eq_drev, self.drev_eq_srev, self.srev_eq_brev).count(True) == 1

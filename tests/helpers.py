@@ -17,10 +17,12 @@ with NUMBER_TABLE, literals at the edges of that grammar; and the
 plain-Fraction references of the integer
 producers (the canonical flow, Myerson's auction, face_excess, the
 equivalence maps and the regularization moves).  mechanism_of and
-slacks_of build a Mechanism or PrimalSlacks from Fractions, and labels
-renders every label of a layout.  The references never call the
-rank-table paths they check (test_surface)."""
+slacks_of build a Mechanism or PrimalSlacks from Fractions, labels
+renders every label of a layout, and iid_items_instance draws an
+instance whose values are i.i.d. across items as well as buyers.  The
+references never call the rank-table paths they check (test_surface)."""
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
@@ -29,7 +31,15 @@ from math import prod
 from auctionlp.auction import ProgramLayout, build_dual_dslp
 from auctionlp.errors import DimensionMismatch
 from auctionlp.lp import MAX, MIN, make_lp, solve
-from auctionlp.model import BAYES, DS, Mechanism, PrimalSlacks, SlackNumerators, _scale
+from auctionlp.model import (
+    BAYES,
+    DS,
+    Mechanism,
+    PrimalSlacks,
+    SlackNumerators,
+    _scale,
+    validate_instance,
+)
 
 
 def drop(i, profile):
@@ -865,4 +875,21 @@ def reference_regularize(instance, dual, form):
     return (
         tuple(tuple(map(tuple, zeta_i)) for zeta_i in zeta),
         tuple(map(tuple, eta)),
+    )
+
+
+def iid_items_instance(n, m, seed):
+    """n buyers drawn alike, each valuing each of m items at a or b
+    independently, b with one shared mass q: a product instance, seeded,
+    with 1 <= a < b <= 8 and q in sixths.  The zero vector is a type of
+    mass 0, so n = 3, m = 2 gives 125 profiles."""
+    rng = random.Random(seed)
+    a = rng.randint(1, 4)
+    b = a + rng.randint(1, 4)
+    q = Fraction(rng.randint(1, 5), 6)
+    vectors = list(product((a, b), repeat=m))
+    support = [[0] * m] + [list(v) for v in vectors]
+    probs = ["0"] + [str(prod(q if w == b else 1 - q for w in v)) for v in vectors]
+    return validate_instance(
+        {"buyers": n, "items": m, "supports": [support] * n, "probs": [probs] * n}
     )

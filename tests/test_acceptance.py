@@ -47,6 +47,7 @@ from auctionlp.virtual import (
 from baselines import menu_grid_revenue, posted_price_revenue
 from helpers import (
     drop,
+    iid_items_instance,
     insert,
     myerson_formula,
     others_profiles,
@@ -348,7 +349,8 @@ def test_c7_iid_equality_scan():
         report = characterize(instance)
         checked += 1
         flags = (report.brev_eq_drev, report.drev_eq_srev, report.srev_eq_brev)
-        if any(flags) and not all(flags):
+        assert report.equality_split == (any(flags) and not all(flags))
+        if report.equality_split:
             assert any(f.startswith("iid-equality-split") for f in report.findings)
             splits.append(
                 {
@@ -359,6 +361,19 @@ def test_c7_iid_equality_scan():
             )
     assert checked >= 100
     assert splits == [], f"equality split on i.i.d. instances: {splits}"
+
+
+def test_c7_iid_items_keep_the_equalities_together():
+    """Claim 2 under its own hypothesis, all valuations i.i.d.: over 10
+    seeded three-buyer two-item instances whose item values are
+    independent two-point draws of one law (125 profiles), no revenue
+    equality holds without the other two.  Both outcomes occur."""
+    all_equal = set()
+    for seed in range(10):
+        report = characterize(iid_items_instance(3, 2, seed))
+        assert not report.equality_split, f"equality split at seed {seed}"
+        all_equal.add(report.brev_eq_drev)
+    assert all_equal == {True, False}
 
 
 # -- criterion 8 ------------------------------------------------------------

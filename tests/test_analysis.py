@@ -5,6 +5,7 @@ report."""
 import contextlib
 import hashlib
 import io
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -87,11 +88,11 @@ def lp_path(monkeypatch):
     monkeypatch.setattr(
         analysis, "item_revenue", lambda inst, j: drev(item_marginal(inst, j))
     )
-    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst, flow: None)
+    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst: None)
     monkeypatch.setattr(
         analysis,
         "_tight_dual",
-        lambda inst, revenue, candidates: tight_downward_dual(inst, revenue=revenue),
+        lambda inst, revenue, dual: tight_downward_dual(inst, revenue=revenue),
     )
 
 
@@ -220,7 +221,7 @@ def test_ironing_falls_back_to_the_programs(spied_solves, n, revenue):
     assert not mechanism_feasible(instance, mechanism)
     value, solves = spied_solves(srev, instance)
     assert value == revenue and solves == 1
-    (_, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, [dual])
+    (_, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, dual)
     assert excess == 0 and solves == 1
 
 
@@ -230,7 +231,7 @@ def test_regular_single_item_needs_no_program(spied_solves, u123, pair12, items1
     for instance, revenue in ((u123, F(4, 3)), (pair12, F(3, 2))):
         assert spied_solves(srev, instance) == (revenue, 0)
         flow = canonical_flow(instance)
-        (dual, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, [flow])
+        (dual, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, flow)
         assert (excess, solves) == (0, 0)
         assert dual is flow
         assert myerson_mechanism(instance, dual).revenue(instance) == revenue
@@ -270,7 +271,9 @@ def test_characterize_refuses_a_tampered_proposal(spied_solves, monkeypatch, pai
     doubled = tuple(tuple(2 * x for x in column) for column in flow.xi)
     inflated = dual_from_multipliers(pair12, DS, flow.zeta, flow.eta, doubled)
     assert inflated.is_feasible() and inflated.objective() == 2 * expected[0]
-    report, solves = spied_solves(characterize, pair12, inflated)
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "canonical_flow", lambda instance: inflated)
+        report, solves = spied_solves(characterize, pair12)
     assert solves == 2 and (report.drev, report.brev) == expected
     monkeypatch.setattr(analysis, "myerson_mechanism", _bumped_payment)
     report, solves = spied_solves(characterize, pair12)
@@ -312,15 +315,15 @@ def test_closed_form_characterize_matches_the_programs(monkeypatch):
     proved = []
     original = analysis._myerson_proof
 
-    def spy(instance, flow):
-        proof = original(instance, flow)
+    def spy(instance):
+        proof = original(instance)
         proved.append(proof is not None)
         return proof
 
     monkeypatch.setattr(analysis, "_myerson_proof", spy)
     closed = [_characterize_outputs(instance, seed) for seed, instance in instances]
     assert len(proved) == 30 and proved.count(False) == 8
-    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst, flow: None)
+    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst: None)
     programs = [_characterize_outputs(instance, seed) for seed, instance in instances]
     assert closed == programs
 
@@ -446,20 +449,39 @@ def test_tight_dual_refuses_bad_witnesses(spied_solves):
     assert certified.is_feasible() and certified.objective() == revenue
     assert face_excess(instance, certified) == F(95, 3456)
     for bad in (negative, inflated, certified):
-        got, solves = spied_solves(analysis._tight_dual, instance, revenue, [bad])
+        got, solves = spied_solves(analysis._tight_dual, instance, revenue, bad)
         assert (got, solves) == (pinned, 1)
 
 
 def test_tight_dual_takes_the_witness_after_a_declined_flow(spied_solves):
+    # characterize declines the flow, which overshoots DRev, and the
+    # witness it builds from the programs has excess 0
     instance = irregular(3)
-    flow = canonical_flow(instance)
     report = characterize(instance)
-    assert flow.objective() > report.drev
+    assert canonical_flow(instance).objective() > report.drev
     (dual, excess), solves = spied_solves(
-        analysis._tight_dual, instance, report.drev, [flow, report.ai_witness]
+        analysis._tight_dual, instance, report.drev, report.ai_witness
     )
     assert (excess, solves) == (0, 0)
     assert dual is report.ai_witness
+
+
+def test_the_witness_is_the_flow_whenever_the_flow_qualifies():
+    # Why iid_scan offers _tight_dual the witness alone: when the
+    # canonical flow is feasible with objective DRev, the witness
+    # characterize builds equals it, since the flow is regular and
+    # agent-independent and the maps and regularization leave it as it
+    # is.  Then the flow never qualifies without a witness.
+    qualified = 0
+    shapes = [(3, 2), (3, 3), (3, 4), (4, 2)]
+    for (n, support), seed in itertools.product(shapes, range(10)):
+        instance = gen_instance({"n": n, "m": 1, "support": support, "iid": True}, seed)
+        report = characterize(instance)
+        flow = canonical_flow(instance)
+        if flow.is_feasible() and flow.objective() == report.drev:
+            qualified += 1
+            assert report.ai_witness == flow
+    assert qualified >= 30
 
 
 # -- agent independence -----------------------------------------------------
@@ -566,6 +588,32 @@ def test_iid_scan_excludes_small_families():
             "n": 2,
         }
     ]
+
+
+# Claim 2 splits when the buyers are drawn alike but each buyer's items
+# are drawn jointly: (seed, instance digest, BRev = DRev, SRev) of
+# n=3, m=2, support=2, iid=1, each with BRev = DRev > SRev
+CLAIM_2_SPLITS = [
+    (6, "f9ac799874020a4d", "1195/288", "3581/864"),
+    (9, "4e8b11643d8355f6", "3479/768", "3263/768"),
+    (12, "23eac53eecd93ed4", "298/81", "296/81"),
+    (20, "53b252576ecb79c9", "1213/250", "584/125"),
+    (27, "120d791d258aab85", "16804/3993", "16156/3993"),
+]
+
+
+def test_correlated_items_split_the_equalities():
+    for seed, digest, revenue, separate in CLAIM_2_SPLITS:
+        instance = gen_instance(dict(IID_TWO_ITEMS, iid=True), seed)
+        report = characterize(instance)
+        assert instance.digest() == digest
+        assert (report.brev, report.drev, report.srev) == (F(revenue), F(revenue), F(separate))
+        assert report.equality_split
+        finding = f"iid-equality-split:brev={revenue},drev={revenue},srev={separate}"
+        assert report.findings == (finding,)
+        (record,) = iid_scan(IID_TWO_ITEMS, seed, 1)
+        assert record["digest"] == digest and record["findings"] == [finding]
+        assert record["all_equal_consistent"] is False
 
 
 @pytest.mark.parametrize("family", [{"n": 3.5, "m": 1}, {"n": 2.9, "m": 1}, {"n": 3, "supprt": 2}])

@@ -182,7 +182,8 @@ def test_primal_answers_are_proved_on_the_model_alone(tmp_path, capsys, monkeypa
         return out
 
     expected = outputs("program")
-    original, checks = program._check_optimal, []
+    # certify_optimal, the program's check, splits its vectors first
+    original, checks = program._split, []
 
     def refuse(*args):
         raise AssertionError("a primal solve reached the program's check")
@@ -191,11 +192,11 @@ def test_primal_answers_are_proved_on_the_model_alone(tmp_path, capsys, monkeypa
         checks.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(program, "_check_optimal", refuse)
+    monkeypatch.setattr(program, "_split", refuse)
     assert outputs("model") == expected
     # the face program, a dual one, still answers to the program's check
     instance = load_instance(path)
-    monkeypatch.setattr(program, "_check_optimal", counted)
+    monkeypatch.setattr(program, "_split", counted)
     revenue = solve_form(instance, "ds").objective
     assert checks == []
     tight_downward_dual(instance, revenue)
@@ -1136,3 +1137,50 @@ def test_console_script_smoke(u12_path):
     assert done.returncode == 0
     assert done.stdout == "1\n"
 
+
+
+# -- a reader that stops early ---------------------------------------------
+
+
+def test_closed_stdout_exits_141_in_a_pipe():
+    # `auctionlp characterize --gen ... | head -1`: about 90 KB of records,
+    # more than a pipe holds plus what one read takes, so the program
+    # must write again after its reader has gone
+    env = dict(os.environ)
+    src = str(Path(auctionlp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["characterize", "--gen", "n=1,m=1,support=2", "--count", "500"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "auctionlp.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = json.loads(child.stdout.readline())
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert first["index"] == 0
+    assert (child.wait(), stderr) == (141, b"")
+
+
+def test_closed_stdout_exits_141_in_process(u12_path, capsys, monkeypatch):
+    # a closed stdout is no invalid input: no error line, and the
+    # descriptor is pointed at the null device for the flush at exit
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_end
+
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["validate", u12_path]) == 141
+        assert main(["solve", u12_path]) == 141
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert capsys.readouterr().err == ""

@@ -29,7 +29,7 @@ from auctionlp import auction
 from auctionlp.auction import build_blp, build_dslp, build_dual_blp, build_dual_dslp, drev
 from auctionlp.errors import InfeasibleInput, NotOptimal
 from auctionlp.lp import simplex
-from auctionlp.lp.program import certify_optimal, verify_optimal
+from auctionlp.lp.program import certify_optimal
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
 from auctionlp.oracles import gen_instance
 from helpers import brute_force_best, reference_optimal_check
@@ -690,10 +690,15 @@ def check_message(check, *args):
     return None
 
 
+def recheck(lp, x, y, objective):
+    """recheck_certificate on the vectors, stated with the objective."""
+    recheck_certificate(lp, LpCertificate(tuple(x), tuple(y), objective))
+
+
 def assert_checks_match_reference(lp, x, y, objective):
-    """verify_optimal reaches the plain-Fraction reference's decision,
-    with its message."""
-    assert check_message(verify_optimal, lp, x, y, objective) == reference_optimal_check(
+    """recheck_certificate reaches the plain-Fraction reference's
+    decision, with its message."""
+    assert check_message(recheck, lp, x, y, objective) == reference_optimal_check(
         lp, x, y, objective
     )
 
@@ -746,7 +751,7 @@ def test_certificate_checks_match_reference_on_auction_programs(spec, seeds):
     for build in (build_dslp, build_blp):
         lp = build(instance)
         x, y, objective = solved_vectors(lp)
-        assert check_message(verify_optimal, lp, x, y, objective) is None
+        assert check_message(recheck, lp, x, y, objective) is None
         cases = [(x, y, objective + 1), (x, [q * F(3, 2) for q in y], objective)]
         for _ in range(2):
             x2, y2 = list(x), list(y)

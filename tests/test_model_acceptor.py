@@ -3,7 +3,7 @@
 solve_form hands every vertex of a dominant-strategy or Bayesian primal
 to auction._accept, which proves it on the model: the mechanism and
 the dual solution that (x, y) stand for must be feasible, with revenue
-equal to the dual objective.  verify_optimal proves the same pair on
+equal to the dual objective.  certify_optimal proves the same pair on
 the program's rows and columns.  The two must accept and refuse the
 same (x, y), and an accepted pair's objective must be the program's c.x.
 The candidates are each optimal pair and its single-entry perturbations,
@@ -26,7 +26,7 @@ from auctionlp.auction import (
     solve_form,
 )
 from auctionlp.lp import CertificateError, recheck_certificate
-from auctionlp.lp.program import verify_optimal
+from auctionlp.lp.program import certify_optimal
 from auctionlp.model import BAYES, DS, validate_instance
 from auctionlp.oracles import gen_instance
 from conftest import build
@@ -92,13 +92,11 @@ def perturbations(layout, x, y):
 
 
 def program_verdict(lp, x, y):
-    """c.x if verify_optimal accepts (x, y) with it, else None."""
-    cx = sum((c * v for c, v in zip(lp.c, x)), F(0))
+    """c.x if certify_optimal accepts (x, y), else None."""
     try:
-        verify_optimal(lp, x, y, cx)
+        return certify_optimal(lp, x, y).objective
     except CertificateError:
         return None
-    return cx
 
 
 def model_verdict(instance, lp, x, y):

@@ -160,8 +160,7 @@ def test_flow_producers_match_their_references_over_large_primes(instance):
 def test_producers_split_no_fractions(monkeypatch, support, seed):
     instance = gen_instance({"n": 3, "m": 1, "support": support, "iid": True}, seed)
     assert item_marginal(instance, 0) == instance
-    flow = canonical_flow(instance)
-    assert (analysis._myerson_proof(instance, flow) is None) == (support == 3)
+    assert (analysis._myerson_proof(instance) is None) == (support == 3)
     # the instance's own tables are split once, where they are read in
     for table in ("supports_scaled", "probs_scaled", "mu_scaled", "mu_minus_scaled"):
         getattr(instance, table)
@@ -179,10 +178,9 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
     monkeypatch.setattr(model, "_scale", refuse)
     # auction binds _scale at import, so its proof is patched apart
     monkeypatch.setattr(auction, "_scale", certificate_vector)
-    flow = canonical_flow(instance)
-    report = characterize(instance, flow)
+    report = characterize(instance)
     # the steps iid_scan takes after characterize
-    dual, excess = _tight_dual(instance, report.drev, [flow, report.ai_witness])
+    dual, excess = _tight_dual(instance, report.drev, report.ai_witness)
     regular = regularize_ds(instance, dual, revenue=report.drev)
     assert check_ubvv(virtual_values_ds(instance, regular), instance).checked
     assert report.ai_witness is not None and excess == 0
