@@ -10,13 +10,12 @@ from math import lcm
 
 from .auction import (
     _feasible_dual,
-    _layout,
     _proof,
-    build_dual_dslp,
+    build_dslp,
     drev,
     solve_form,
 )
-from .errors import DimensionMismatch, NotAgentIndependent, NotOptimal
+from .errors import DimensionMismatch, InfeasibleInput, NotAgentIndependent, NotOptimal
 from .lp import MIN, make_lp, solve
 from .model import (
     BAYES,
@@ -24,6 +23,7 @@ from .model import (
     DualSolution,
     Instance,
     Mechanism,
+    PrimalSlacks,
     RevenueReport,
     Scaled,
     _dual_from_scaled,
@@ -266,61 +266,125 @@ def face_excess(instance: Instance, dual: DualSolution) -> Fraction:
     return total
 
 
-def tight_downward_dual(instance: Instance, revenue: Fraction):
+def tight_downward_dual(instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks):
     """Search the optimal dual face for a solution whose payment rows
     are all tight and whose deviation mass never runs from a lower
     value to a higher one on any item.
 
+    The face is read off a proved dominant-strategy optimum, a mechanism
+    and its slacks (a DS primal certificate's _proof, or characterize's
+    evidence), by complementary slackness (Schrijver, Theory of Linear
+    and Integer Programming, 1986, ch. 7): a feasible dual is optimal
+    exactly when it is 0 on every primal row with positive slack and
+    the dual row of every positive primal entry holds with equality.
+    So the face program is the explicit dual with only the primal's
+    tight rows as columns, and each positive entry's row written twice,
+    once negated; every point of it is on the face, and every point of
+    the face is in it.  A feasible mechanism that is not optimal leaves
+    it empty, and NotOptimal is raised.
+
     Minimizes total participation mass plus the mass on raising pairs
-    over the optimal face, the duals whose objective is revenue (the
-    instance's DRev; the face program).  Returns (dual, excess):
-    excess 0 means both goals were met exactly, and the regularized
-    table then stays at or below the values entrywise.  Single-item
-    instances always admit excess 0.  The face has many minimizers;
-    this returns the one vertex the simplex's pivot path reaches, and
-    it is the only function here that does.
+    over that program.  Returns (dual, excess): excess 0 means both
+    goals were met exactly, and the regularized table then stays at or
+    below the values entrywise.  Single-item instances always admit
+    excess 0.  The face has many minimizers; this returns the one
+    vertex the simplex's pivot path reaches, and it is the only function
+    here that does.  The vertex is accepted as the exact proofs accept
+    an optimum: a feasible dual of the full program whose objective is
+    the mechanism's revenue.
     """
-    base = build_dual_dslp(instance)
-    layout = _layout(instance, DS)  # the DS primal's rows are the face program's columns
-    count = instance.profile_count
-    xi_cols = [layout.xi(j, r) for j in range(instance.m) for r in range(count)]
-    c = [Fraction(0)] * base.ncols
+    if not mechanism_feasible(instance, mechanism, slacks):
+        raise InfeasibleInput("mechanism violates feasibility")
+    primal = build_dslp(instance)
+    layout = primal.layout
+    tight = _tight_rows(instance, layout, slacks)
+    goal = [0] * primal.nrows  # per primal row, its weight in the objective
     for i in range(instance.n):
-        for r in range(count):
-            c[layout.eta(i, r)] = Fraction(1)
+        for r in range(instance.profile_count):
+            goal[layout.eta(i, r)] = 1
         for t, t2 in _raising_pairs(instance, i):
             for ranks in instance.ranks[i]:
-                c[layout.zeta(i, ranks[t], t, t2)] = Fraction(1)
-    rows = list(base.rows) + [
-        tuple((col, Fraction(1)) for col in xi_cols),
-        tuple((col, Fraction(-1)) for col in xi_cols),
-    ]
-    b = list(base.b) + [revenue, -revenue]
-    # the dual program's rows, then the objective held to revenue both ways
+                goal[layout.zeta(i, ranks[t], t, t2)] = 1
+    # A^T y over the tight columns, one sum per primal column
+    sums = [[] for _ in range(primal.ncols)]
+    for col, r in enumerate(tight):
+        for j, coef in primal.rows[r]:
+            sums[j].append((col, coef))
+    # -A^T y <= -c for every primal column, then A^T y <= c for each
+    # positive one
+    rows = [[(col, -coef) for col, coef in terms] for terms in sums]
+    b = [-q for q in primal.c]
+    for j in _positive_columns(instance, layout, mechanism):
+        rows.append(sums[j])
+        b.append(primal.c[j])
+    c = [Fraction(goal[r]) for r in tight]
     certificate = solve(make_lp(MIN, c, rows, b))
-    dual = _feasible_dual(instance, layout, *_scale(certificate.primal))
+    y = [0] * primal.nrows
+    for r, value in zip(tight, certificate.primal):
+        y[r] = value
+    dual = _feasible_dual(instance, layout, *_scale(tuple(y)))
     # total participation mass alone already sums to at least one per buyer
     excess = certificate.objective - instance.n
     if excess < 0:
         raise NotOptimal(f"optimal-face search reached excess {excess} below 0")
-    if dual.objective() != revenue:
+    if dual.objective() != mechanism.revenue(instance):
         raise NotOptimal("optimal-face dual misses the revenue")
     return dual, excess
 
 
-def _tight_dual(instance: Instance, revenue: Fraction, dual: DualSolution | None):
-    """A (dual, excess) pair minimizing the face program: dual, when it
-    is not None and three exact checks accept it (it is feasible, its
-    objective is the certified revenue, and its face_excess is 0).  Weak
-    duality puts such a dual on the optimal face, where the excess is
-    never below 0, so it is a minimizer, though not necessarily the
-    vertex tight_downward_dual pins.  Otherwise the face program
+def _tight_rows(instance: Instance, layout, slacks: PrimalSlacks) -> list[int]:
+    """The DS primal rows a mechanism with these slacks meets with
+    equality, in row order, read off the slack numerators: ic rows
+    (buyer, profile, report), ir rows (buyer, profile), sup rows (item,
+    profile)."""
+    (a, b, (c, _)) = slacks.scaled
+    tight = []
+    for i, (a_i, _) in enumerate(a):
+        for r, (t, _) in enumerate(instance.positions[i]):
+            tight.extend(
+                layout.zeta(i, r, t, t2) for t2, gap in enumerate(a_i[r]) if t2 != t and not gap
+            )
+    for i, (b_i, _) in enumerate(b):
+        tight.extend(layout.eta(i, r) for r, gap in enumerate(b_i) if not gap)
+    for j, c_j in enumerate(c):
+        tight.extend(layout.xi(j, r) for r, gap in enumerate(c_j) if not gap)
+    return tight
+
+
+def _positive_columns(instance: Instance, layout, mechanism: Mechanism) -> list[int]:
+    """The DS primal columns where the mechanism is positive, in column
+    order, read off its numerators: x (buyer, item, profile), then p
+    (buyer, profile)."""
+    (alloc, pay), _ = mechanism.scaled
+    count = instance.profile_count
+    positive = [
+        layout.x(i, j, r)
+        for i in range(instance.n)
+        for j in range(instance.m)
+        for r in range(count)
+        if alloc[r][i][j] > 0
+    ]
+    positive.extend(
+        layout.p(i, r) for i in range(instance.n) for r in range(count) if pay[r][i] > 0
+    )
+    return positive
+
+
+def _tight_dual(instance: Instance, report: RevenueReport):
+    """A (dual, excess) pair minimizing the face program, from what
+    characterize reported: its agent-independent witness, when there is
+    one and three exact checks accept it (it is feasible, its objective
+    is DRev, and its face_excess is 0).  Weak duality puts such a dual
+    on the optimal face, where the excess is never below 0, so it is a
+    minimizer, though not necessarily the vertex tight_downward_dual
+    pins.  Otherwise the face program of the report's DS optimum
     answers."""
-    if dual is not None and dual.is_feasible() and dual.objective() == revenue:
+    dual = report.ai_witness
+    if dual is not None and dual.is_feasible() and dual.objective() == report.drev:
         excess = face_excess(instance, dual)
         if excess == 0:
             return dual, excess
-    return tight_downward_dual(instance, revenue=revenue)
+    return tight_downward_dual(instance, *report.ds_optimum)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +544,8 @@ def characterize(instance: Instance) -> RevenueReport:
     Bayesian optimal dual, a dominant-strategy optimal mechanism, its
     slacks).  On one item the canonical flow and Myerson's auction give
     it when _myerson_proof accepts them; otherwise, and on more items,
-    the proofs of both primal solves do."""
+    the proofs of both primal solves do.  The report keeps the
+    mechanism and its slacks as ds_optimum."""
     evidence = _myerson_proof(instance) if instance.m == 1 else None
     if evidence is None:
         ds_cert, bayes_cert = solve_form(instance, DS), solve_form(instance, BAYES)
@@ -494,7 +559,9 @@ def characterize(instance: Instance) -> RevenueReport:
     else:
         srev_value = srev(instance)
 
-    report = RevenueReport(brev=brev_value, drev=drev_value, srev=srev_value)
+    report = RevenueReport(
+        brev=brev_value, drev=drev_value, srev=srev_value, ds_optimum=(mechanism, slacks)
+    )
     ai_witness = None
     findings = []
     if report.brev_eq_drev:
@@ -546,8 +613,9 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     The tight dual behind tight_excess and ubvv_ok is the
     agent-independent witness characterize built when BRev = DRev, once
     _tight_dual's checks accept it, with excess 0; otherwise the face
-    program is solved.  all_equal_consistent is False exactly when one
-    revenue equality holds without the other two."""
+    program read off the report's DS optimum is solved.
+    all_equal_consistent is False exactly when one revenue equality
+    holds without the other two."""
     from .oracles import gen_instance, gen_shape
 
     spec = {"n": 3, **family, "iid": True}
@@ -565,7 +633,7 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     for index in range(count):
         instance = gen_instance(spec, seed + index, cap=cap)
         report = characterize(instance)
-        dual, excess = _tight_dual(instance, report.drev, report.ai_witness)
+        dual, excess = _tight_dual(instance, report)
         regular = regularize_ds(instance, dual, revenue=report.drev)
         table = virtual_values_ds(instance, regular)
         ubvv = check_ubvv(table, instance)

@@ -827,6 +827,12 @@ class DualSolution(_Numerators):
         return Fraction(sum(map(sum, xi.nums)), xi.den)
 
     def is_feasible(self) -> bool:
+        return self._feasible
+
+    @cached_property
+    def _feasible(self) -> bool:
+        """No multiplier and no dual slack is negative, read once: the
+        numerators of a dual never change."""
         nums = self.scaled
         return not _negative(*nums.zeta, *nums.eta, nums.xi, *nums.alpha, *nums.beta)
 
@@ -975,13 +981,20 @@ class VirtualValueTable:
 @dataclass(frozen=True)
 class RevenueReport:
     """The three optimal revenues; the equality flags are read off them.
-    Any ordering other than brev >= drev >= srev raises NotOptimal."""
+    Any ordering other than brev >= drev >= srev raises NotOptimal.
+
+    ds_optimum, when set, is the proved dominant-strategy optimum behind
+    drev: a mechanism of revenue drev and its slacks.  It describes the
+    optimal dual face by complementary slackness."""
 
     brev: Fraction
     drev: Fraction
     srev: Fraction
     ai_witness: DualSolution | None = None
     findings: tuple[str, ...] = field(default_factory=tuple)
+    ds_optimum: tuple[Mechanism, PrimalSlacks] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not (self.brev >= self.drev >= self.srev):

@@ -88,7 +88,8 @@ def _read_spec(spec: Mapping, cap: int):
     """Check a gen_instance spec, and its profile count against cap,
     without drawing anything.  Returns (n, m, per-buyer support sizes,
     value_range, denominator, iid, joint).  An unknown key, a count not
-    an int (or a bool) and a flag not a bool raise DimensionMismatch."""
+    an int (or a bool) or below 1, and a flag not a bool raise
+    DimensionMismatch, naming the key and the value."""
     for key, value in spec.items():
         if key in _SPEC_FLAGS:
             ok, kind = type(value) is bool, "a boolean"
@@ -97,6 +98,8 @@ def _read_spec(spec: Mapping, cap: int):
             ok, kind = all(type(v) is int for v in values), "an integer"
         else:
             raise DimensionMismatch(f"unknown generator spec key {echo(key)}")
+        if ok and key in _SPEC_COUNTS and any(v < 1 for v in values):
+            ok, kind = False, "positive"
         if not ok:
             raise DimensionMismatch(
                 f"generator spec value for {echo(key)} is not {kind}: {echo(value)}"
@@ -108,8 +111,6 @@ def _read_spec(spec: Mapping, cap: int):
     denominator = min(64, spec.get("denominator", 4))
     iid = spec.get("iid", False)
     correlated = spec.get("correlated", True)
-    if n < 1 or m < 1 or value_range < 1 or denominator < 1:
-        raise DimensionMismatch("spec sizes must be positive")
     # (support size, number of buyers with it)
     if isinstance(raw_support, (list, tuple)):
         counts = [(s, 1) for s in raw_support]
@@ -117,8 +118,6 @@ def _read_spec(spec: Mapping, cap: int):
             raise DimensionMismatch("per-buyer support list length != n")
     else:
         counts = [(raw_support, n)]
-    if any(s < 1 for s, _ in counts):
-        raise DimensionMismatch("support sizes must be positive")
     if iid and len({s for s, _ in counts}) != 1:
         raise DimensionMismatch("iid generation needs one shared support size")
     joint = correlated or m == 1

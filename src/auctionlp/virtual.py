@@ -195,7 +195,8 @@ def regularize_ds(
     zeta(t, 0) and the payment slack at t moves onto zeta(0, t), with
     eta reset to mu_{-i} at the zero type.  Objective and feasibility
     are preserved; all three regularity conditions are verified before
-    returning.
+    returning.  A dual that is regular already is returned itself, as
+    the moves would leave it.
     """
     return _regularize(instance, dual, revenue, DS)
 
@@ -214,11 +215,26 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
     """The moves of regularize_ds and regularize_bayes, made on the
     multipliers' numerators: buyer i's zeta, eta and psi over Z, its
     weights over W and its masses over M, all brought over
-    lcm(Z, W, M)."""
+    lcm(Z, W, M).
+
+    A feasible dual that _regularity_witness accepts is returned as it
+    is, since no move changes it.  Off the zero type its eta is 0, its
+    psi is the key's mass, and the zero type's eta is already the
+    weight, so each move adds 0.  On a slice of zero weight it holds no
+    multiplier to drop: eta there is 0, and so is every zeta.  Were some
+    zeta positive there, take the lexicographically greatest support
+    vector among the types it touches.  That type's psi, 0 like the
+    slice's masses, makes its inflow equal its outflow, so the inflow is
+    positive; its phi, 0 too, then makes its vector an average of the
+    vectors that flow in, all lexicographically smaller, which cannot
+    be.  So the moves are a projection: regularizing twice gives the
+    first result."""
     if not dual.is_feasible():
         raise InfeasibleInput("dual solution violates feasibility")
     if dual.objective() != revenue:
         raise NotOptimal("dual objective does not match the optimal revenue")
+    if _regularity_witness(instance, dual, form) is None:
+        return dual
     zeros = _zero_indices(instance)
     nums = dual.scaled
     multipliers = []

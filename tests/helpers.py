@@ -19,7 +19,11 @@ producers (the canonical flow, Myerson's auction, face_excess, the
 equivalence maps and the regularization moves).  mechanism_of and
 slacks_of build a Mechanism or PrimalSlacks from Fractions, labels
 renders every label of a layout, and iid_items_instance draws an
-instance whose values are i.i.d. across items as well as buyers.  The
+instance whose values are i.i.d. across items as well as buyers.
+ds_optimum reads the proved DS optimum off a solve, and
+revenue_face_program (with revenue_face_dual, its vertex) is the
+optimal dual face held to a revenue by two rows, the program that
+tight_downward_dual's complementary-slackness program replaced.  The
 references never call the rank-table paths they check (test_surface)."""
 
 import random
@@ -28,7 +32,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from auctionlp.auction import ProgramLayout, build_dual_dslp
+from auctionlp.auction import (
+    ProgramLayout,
+    _feasible_dual,
+    _layout,
+    _proof,
+    build_dual_dslp,
+    solve_form,
+)
 from auctionlp.errors import DimensionMismatch
 from auctionlp.lp import MAX, MIN, make_lp, solve
 from auctionlp.model import (
@@ -804,6 +815,48 @@ def reference_face_excess(instance, dual):
                 if any(b > a for a, b in zip(truth, instance.value(i, t2))):
                     total += dual.zeta[i][r][t2]
     return total
+
+
+def ds_optimum(instance):
+    """The proved dominant-strategy optimum of the instance's program,
+    (mechanism, slacks), as tight_downward_dual takes it."""
+    proof = _proof(instance, solve_form(instance, DS), DS)
+    return proof.mechanism, proof.slacks
+
+
+def revenue_face_program(instance, revenue):
+    """The optimal dual face as earlier releases searched it: the whole
+    explicit dominant-strategy dual (build_dual_dslp) under
+    tight_downward_dual's objective, every eta and every zeta on a
+    raising pair, plus two rows that hold the dual objective to
+    revenue."""
+    base = build_dual_dslp(instance)
+    layout = _layout(instance, DS)  # the primal's rows: base's columns
+    count = instance.profile_count
+    xi_cols = [layout.xi(j, r) for j in range(instance.m) for r in range(count)]
+    c = [Fraction(0)] * base.ncols
+    for i in range(instance.n):
+        for r, (t, _) in enumerate(instance.positions[i]):
+            c[layout.eta(i, r)] = Fraction(1)
+            for t2 in range(instance.sizes[i]):
+                truth, report = instance.value(i, t), instance.value(i, t2)
+                if any(b > a for a, b in zip(truth, report)):
+                    c[layout.zeta(i, r, t, t2)] = Fraction(1)
+    rows = list(base.rows) + [
+        tuple((col, Fraction(1)) for col in xi_cols),
+        tuple((col, Fraction(-1)) for col in xi_cols),
+    ]
+    b = list(base.b) + [revenue, -revenue]
+    return make_lp(MIN, c, rows, b)
+
+
+def revenue_face_dual(instance, revenue):
+    """(dual, excess) at the vertex the simplex reaches on
+    revenue_face_program: its multipliers as a feasible DualSolution,
+    and its objective less the buyer count."""
+    certificate = solve(revenue_face_program(instance, revenue))
+    dual = _feasible_dual(instance, _layout(instance, DS), *_scale(certificate.primal))
+    return dual, certificate.objective - instance.n
 
 
 def reference_bic_to_dsic(instance, dual):

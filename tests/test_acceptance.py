@@ -30,7 +30,7 @@ from auctionlp.auction import (
     solve_form,
 )
 from auctionlp.lp import solve
-from auctionlp.model import dual_from_multipliers
+from auctionlp.model import dual_from_multipliers, mechanism_slacks
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import (
     bayes_regularity_witness,
@@ -390,7 +390,10 @@ def test_c8_discrete_myerson_agreement(corpus, u12, u123, pair12):
     probed = 0
     for instance in singles:
         revenue = pipeline(instance)["ds_cert"].objective
-        dual, excess = tight_downward_dual(instance, revenue=revenue)
+        mechanism = stage(instance, "mech_ds")
+        dual, excess = tight_downward_dual(
+            instance, mechanism, mechanism_slacks(instance, mechanism)
+        )
         assert excess == 0
         reg = regularize_ds(instance, dual, revenue=revenue)
         table = virtual_values_ds(instance, reg)

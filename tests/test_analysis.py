@@ -29,12 +29,20 @@ from auctionlp.analysis import (
     tight_downward_dual,
 )
 from auctionlp.auction import BAYES, DS, drev, extract_dual, solve_form
-from auctionlp.errors import DimensionMismatch, NotAgentIndependent, NotOptimal
+from auctionlp.errors import (
+    DimensionMismatch,
+    InfeasibleInput,
+    NotAgentIndependent,
+    NotOptimal,
+)
 from auctionlp.model import (
     NEG_INF,
+    Mechanism,
+    Scaled,
     _scale,
     dual_from_multipliers,
     mechanism_feasible,
+    mechanism_slacks,
 )
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import (
@@ -44,7 +52,7 @@ from auctionlp.virtual import (
     virtual_values_ds,
 )
 from conftest import build
-from helpers import mechanism_of
+from helpers import ds_optimum, mechanism_of, revenue_face_dual, zero_mechanism
 
 F = Fraction
 
@@ -92,7 +100,7 @@ def lp_path(monkeypatch):
     monkeypatch.setattr(
         analysis,
         "_tight_dual",
-        lambda inst, revenue, dual: tight_downward_dual(inst, revenue=revenue),
+        lambda inst, report: tight_downward_dual(inst, *report.ds_optimum),
     )
 
 
@@ -109,9 +117,9 @@ def test_closed_forms_match_the_programs(monkeypatch):
     faced = []
     original = analysis.tight_downward_dual
 
-    def spy(instance, revenue=None):
+    def spy(instance, mechanism, slacks):
         faced.append(instance)
-        return original(instance, revenue=revenue)
+        return original(instance, mechanism, slacks)
 
     monkeypatch.setattr(analysis, "tight_downward_dual", spy)
     closed = [iid_scan(family, seed, count) for family, seed, count in SCAN_CORPUS]
@@ -221,7 +229,9 @@ def test_ironing_falls_back_to_the_programs(spied_solves, n, revenue):
     assert not mechanism_feasible(instance, mechanism)
     value, solves = spied_solves(srev, instance)
     assert value == revenue and solves == 1
-    (_, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, dual)
+    report = replace(characterize(instance), ai_witness=dual)
+    assert report.drev == revenue
+    (_, excess), solves = spied_solves(analysis._tight_dual, instance, report)
     assert excess == 0 and solves == 1
 
 
@@ -231,7 +241,8 @@ def test_regular_single_item_needs_no_program(spied_solves, u123, pair12, items1
     for instance, revenue in ((u123, F(4, 3)), (pair12, F(3, 2))):
         assert spied_solves(srev, instance) == (revenue, 0)
         flow = canonical_flow(instance)
-        (dual, excess), solves = spied_solves(analysis._tight_dual, instance, revenue, flow)
+        report = replace(characterize(instance), ai_witness=flow)
+        (dual, excess), solves = spied_solves(analysis._tight_dual, instance, report)
         assert (excess, solves) == (0, 0)
         assert dual is flow
         assert myerson_mechanism(instance, dual).revenue(instance) == revenue
@@ -339,7 +350,7 @@ def test_is_iid(pair12, gap2x2, u12):
 
 def test_tight_dual_reaches_zero_excess(u12, u123, pair12, items12):
     for instance in (u12, u123, pair12, items12):
-        dual, excess = tight_downward_dual(instance, drev(instance))
+        dual, excess = tight_downward_dual(instance, *ds_optimum(instance))
         assert excess == 0
         assert dual.is_feasible()
         reg = regularize_ds(instance, dual, revenue=drev(instance))
@@ -348,7 +359,7 @@ def test_tight_dual_reaches_zero_excess(u12, u123, pair12, items12):
 
 
 def test_tight_dual_frozen_small_uniform(u12):
-    dual, excess = tight_downward_dual(u12, revenue=F(1))
+    dual, excess = tight_downward_dual(u12, *ds_optimum(u12))
     assert excess == 0
     # one buyer: type t sits at the profile of rank t
     nonzero = {
@@ -367,44 +378,111 @@ def test_tight_dual_frozen_small_uniform(u12):
 # excess.
 TIGHT_DUAL_PINS = [
     ((3, 1, 2), 0, "0", "20d8670f9c72c49916850c7f67f9589dc20b8f8a702caa1f89f8fc2e66b9193c"),
-    ((4, 1, 2), 1, "0", "90d9c0904ce35f367c520c6677a2e3b5da2caf6a667ed7d77f1ecdfb1838b317"),
+    ((4, 1, 2), 1, "0", "a1e6a5ed1c2c32adc31a8afe694632f7bf6250dfc79b694428c87ed4d5e05701"),
     ((3, 2, 1), 2, "0", "44dac77ff69e33dac0d11e192676946c58568d8e546a07e96b4b8db0f189966c"),
-    ((3, 1, 3), 4, "0", "20e944cee051d1dd57ca0388856c13887a214f66a8030ab76d913ac82e6d4ab1"),
+    ((3, 1, 3), 4, "0", "f75c595bea20a28ef2bb792d727b95292a2ba7bbba4fca15b002e82c759668eb"),
     ((3, 2, 2), 0, "108/343", "fd81ed384a931f2f7678ebbc2df34b94005af47675c9c98efa38417235d3726b"),
     ((3, 2, 2), 3, "3/56", "dbabcd6e141ab409737763e496c9cdb9928fa553286a12781625f9e09f0f1173"),
 ]
 
 
+def dual_digest(instance, dual):
+    """A dual's multipliers, hashed in the nesting zeta[i][t][t2][s] of
+    earlier releases."""
+    zeta = tuple(
+        tuple(
+            tuple(tuple(dual.zeta[i][r][t2] for r in ranks) for t2 in range(k))
+            for ranks in zip(*instance.ranks[i])
+        )
+        for i, k in enumerate(instance.sizes)
+    )
+    return hashlib.sha256(repr((zeta, dual.eta, dual.xi)).encode()).hexdigest()
+
+
 def test_tight_dual_is_pinned():
     for (n, m, support), seed, excess, digest in TIGHT_DUAL_PINS:
         instance = gen_instance({"n": n, "m": m, "support": support, "iid": True}, seed)
-        dual, got = tight_downward_dual(instance, drev(instance))
+        dual, got = tight_downward_dual(instance, *ds_optimum(instance))
         assert got == F(excess)
-        # hashed in the nesting zeta[i][t][t2][s] of earlier releases
-        zeta = tuple(
-            tuple(
-                tuple(tuple(dual.zeta[i][r][t2] for r in ranks) for t2 in range(k))
-                for ranks in zip(*instance.ranks[i])
-            )
-            for i, k in enumerate(instance.sizes)
-        )
-        text = repr((zeta, dual.eta, dual.xi))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert dual_digest(instance, dual) == digest
+
+
+def test_revenue_face_program_reaches_the_earlier_vertices():
+    # The face held to DRev by two rows, as it was searched before the
+    # complementary-slackness program, still reaches the vertices pinned
+    # then; on these two the restricted program reaches another point of
+    # the face, at the same excess 0.
+    earlier = {
+        ((4, 1, 2), 1): "90d9c0904ce35f367c520c6677a2e3b5da2caf6a667ed7d77f1ecdfb1838b317",
+        ((3, 1, 3), 4): "20e944cee051d1dd57ca0388856c13887a214f66a8030ab76d913ac82e6d4ab1",
+    }
+    for ((n, m, support), seed), digest in earlier.items():
+        instance = gen_instance({"n": n, "m": m, "support": support, "iid": True}, seed)
+        dual, excess = revenue_face_dual(instance, drev(instance))
+        assert excess == 0 and dual_digest(instance, dual) == digest
+
+
+# (i.i.d. family, seeds): 142 instances for the differential test below
+FACE_CORPUS = [
+    ({"n": 3, "m": 2, "support": 2}, range(1, 61)),
+    ({"n": 3, "m": 1, "support": 2}, range(1, 41)),
+    ({"n": 4, "m": 1, "support": 2}, range(1, 11)),
+    ({"n": 3, "m": 2, "support": 3}, range(1, 13)),
+    ({"n": 3, "m": 1, "support": 3}, range(1, 21)),
+]
+
+
+def test_slackness_face_agrees_with_the_revenue_face():
+    # The face program read off the DS optimum by complementary slackness
+    # and the explicit dual held to DRev describe one face, so their
+    # minima agree; the vertices may not, and the verdict the scan reads
+    # off the regularized vertex agrees too.
+    for family, seeds in FACE_CORPUS:
+        for seed in seeds:
+            instance = gen_instance(dict(family, iid=True), seed)
+            mechanism, slacks = ds_optimum(instance)
+            revenue = mechanism.revenue(instance)
+            verdicts = []
+            for dual, excess in (
+                tight_downward_dual(instance, mechanism, slacks),
+                revenue_face_dual(instance, revenue),
+            ):
+                regular = regularize_ds(instance, dual, revenue=revenue)
+                verdicts.append(
+                    (excess, check_ubvv(virtual_values_ds(instance, regular), instance).ok)
+                )
+            assert verdicts[0] == verdicts[1], (family, seed)
 
 
 def test_face_excess_matches_the_face_search(u12):
     # the last pin ends with excess 3/56, through mass on raising pairs
     positive = gen_instance({"n": 3, "m": 2, "support": 2, "iid": True}, 3)
     for instance, expected in ((u12, F(0)), (positive, F(3, 56))):
-        dual, excess = tight_downward_dual(instance, drev(instance))
+        dual, excess = tight_downward_dual(instance, *ds_optimum(instance))
         assert face_excess(instance, dual) == excess == expected
 
 
-def test_tight_dual_rejects_unreachable_revenue(u12):
-    # the dual face is empty below the optimum; above it the plane is
-    # still feasible, so only the low side can fail
-    with pytest.raises(NotOptimal):
-        tight_downward_dual(u12, revenue=F(1, 2))
+def test_tight_dual_refuses_a_suboptimal_mechanism(monkeypatch, u12, pair12):
+    # No dual meets a feasible mechanism below DRev by complementary
+    # slackness, so its face program is empty and no dual is built.
+    built = []
+    monkeypatch.setattr(analysis, "_feasible_dual", lambda *args: built.append(args))
+    for instance in (u12, pair12):
+        mechanism, _ = ds_optimum(instance)
+        (alloc, pay), den = mechanism.scaled
+        halved = Mechanism(DS, Scaled((alloc, pay), 2 * den))
+        for suboptimal in (halved, zero_mechanism(instance)):
+            slacks = mechanism_slacks(instance, suboptimal)
+            assert mechanism_feasible(instance, suboptimal, slacks)
+            assert suboptimal.revenue(instance) < drev(instance)
+            with pytest.raises(NotOptimal):
+                tight_downward_dual(instance, suboptimal, slacks)
+        # and an infeasible one is no optimum at all
+        doubled_pay = tuple(tuple(2 * q for q in row) for row in pay)
+        doubled = Mechanism(DS, Scaled((alloc, doubled_pay), den))
+        with pytest.raises(InfeasibleInput):
+            tight_downward_dual(instance, doubled, mechanism_slacks(instance, doubled))
+    assert built == []
 
 
 # -- the scan's tight dual --------------------------------------------------
@@ -430,9 +508,10 @@ def test_scan_without_a_witness_solves_the_face(spied_solves):
 
 def test_tight_dual_refuses_bad_witnesses(spied_solves):
     instance = gen_instance(dict(IID_TWO_ITEMS, iid=True), EQUAL_SEED)
-    witness = characterize(instance).ai_witness
+    report = characterize(instance)
+    witness = report.ai_witness
     revenue = witness.objective()
-    pinned = tight_downward_dual(instance, revenue=revenue)
+    pinned = tight_downward_dual(instance, *report.ds_optimum)
     # move participation mass so that one eta goes negative and the
     # excess and objective stay as they were
     eta = [list(column) for column in witness.eta]
@@ -449,7 +528,9 @@ def test_tight_dual_refuses_bad_witnesses(spied_solves):
     assert certified.is_feasible() and certified.objective() == revenue
     assert face_excess(instance, certified) == F(95, 3456)
     for bad in (negative, inflated, certified):
-        got, solves = spied_solves(analysis._tight_dual, instance, revenue, bad)
+        got, solves = spied_solves(
+            analysis._tight_dual, instance, replace(report, ai_witness=bad)
+        )
         assert (got, solves) == (pinned, 1)
 
 
@@ -459,9 +540,7 @@ def test_tight_dual_takes_the_witness_after_a_declined_flow(spied_solves):
     instance = irregular(3)
     report = characterize(instance)
     assert canonical_flow(instance).objective() > report.drev
-    (dual, excess), solves = spied_solves(
-        analysis._tight_dual, instance, report.drev, report.ai_witness
-    )
+    (dual, excess), solves = spied_solves(analysis._tight_dual, instance, report)
     assert (excess, solves) == (0, 0)
     assert dual is report.ai_witness
 

@@ -25,7 +25,7 @@ from auctionlp.analysis import tight_downward_dual
 from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
 from auctionlp.model import load_instance, rat, rat_str
 from auctionlp.oracles import gen_instance, gen_shape
-from helpers import NUMBER_TABLE, labels
+from helpers import NUMBER_TABLE, ds_optimum, labels
 
 U12 = {
     "buyers": 1,
@@ -197,9 +197,9 @@ def test_primal_answers_are_proved_on_the_model_alone(tmp_path, capsys, monkeypa
     # the face program, a dual one, still answers to the program's check
     instance = load_instance(path)
     monkeypatch.setattr(program, "_split", counted)
-    revenue = solve_form(instance, "ds").objective
+    optimum = ds_optimum(instance)
     assert checks == []
-    tight_downward_dual(instance, revenue)
+    tight_downward_dual(instance, *optimum)
     assert checks
 
 
@@ -925,6 +925,19 @@ def test_characterize_bad_gen_spec(capsys):
         captured = capsys.readouterr()
         assert "DimensionMismatch" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("n", "0"), ("m", "-1"), ("value_range", "0"), ("denominator", "0"), ("support", "0")],
+)
+def test_characterize_gen_names_a_count_below_one(capsys, key, value):
+    spec = {"n": "3", "m": "1", "support": "2", key: value}
+    text = ",".join(f"{k}={v}" for k, v in spec.items())
+    assert main(["characterize", "--gen", text]) == 2
+    captured = capsys.readouterr()
+    assert f"generator spec value for '{key}' is not positive: {value}" in captured.err
+    assert captured.out == ""
 
 
 def test_characterize_gen_iid_scan_honors_caps(capsys):

@@ -26,13 +26,13 @@ from auctionlp.lp import (
 )
 from auctionlp.analysis import tight_downward_dual
 from auctionlp import auction
-from auctionlp.auction import build_blp, build_dslp, build_dual_blp, build_dual_dslp, drev
+from auctionlp.auction import build_blp, build_dslp, build_dual_blp, build_dual_dslp
 from auctionlp.errors import InfeasibleInput, NotOptimal
 from auctionlp.lp import simplex
 from auctionlp.lp.program import certify_optimal
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
 from auctionlp.oracles import gen_instance
-from helpers import brute_force_best, reference_optimal_check
+from helpers import brute_force_best, ds_optimum, reference_optimal_check
 
 F = Fraction
 
@@ -403,15 +403,16 @@ def test_float_pass_matches_exact_on_auction_programs(spec, seeds):
 
 
 def face_program(instance):
-    """The program tight_downward_dual solves: a min-sense search of
-    the optimal dual face with negative right-hand sides, so phase one
-    runs."""
+    """The program tight_downward_dual solves on the instance's DS
+    optimum: a min-sense search of the optimal dual face, whose
+    payment rows have negative right-hand sides, so phase one runs."""
     from auctionlp import analysis
 
+    optimum = ds_optimum(instance)
     programs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "solve", lambda lp: programs.append(lp) or solve(lp))
-        tight_downward_dual(instance, drev(instance))
+        tight_downward_dual(instance, *optimum)
     (lp,) = programs
     return lp
 
@@ -525,32 +526,32 @@ PINNED_BUILDS = (build_dslp, build_blp, build_dual_dslp, build_dual_blp, face_pr
 # switches to Bland's rule.  The explicit duals and the face program
 # start with artificials, so phase one runs.
 PIVOT_PINS = [
-    ({"n": 2, "m": 1, "support": 2}, 0, ((17, 1), (13, 0), (20, 0), (21, 0), (30, 0))),
-    ({"n": 2, "m": 1, "support": 2}, 1, ((14, 0), (10, 0), (21, 0), (18, 0), (23, 0))),
-    ({"n": 2, "m": 1, "support": 2}, 2, ((15, 1), (9, 0), (20, 0), (22, 0), (29, 0))),
+    ({"n": 2, "m": 1, "support": 2}, 0, ((17, 1), (13, 0), (20, 0), (21, 0), (27, 0))),
+    ({"n": 2, "m": 1, "support": 2}, 1, ((14, 0), (10, 0), (21, 0), (18, 0), (22, 0))),
+    ({"n": 2, "m": 1, "support": 2}, 2, ((15, 1), (9, 0), (20, 0), (22, 0), (27, 0))),
     ({"n": 2, "m": 1, "support": 2}, 3, ((15, 0), (12, 0), (21, 0), (18, 0), (26, 0))),
-    ({"n": 1, "m": 2, "support": 3}, 0, ((14, 0), (14, 0), (15, 0), (15, 0), (18, 0))),
-    ({"n": 1, "m": 2, "support": 3}, 1, ((7, 4), (7, 4), (13, 0), (13, 0), (12, 0))),
-    ({"n": 1, "m": 2, "support": 3}, 2, ((8, 1), (8, 1), (9, 0), (9, 0), (12, 1))),
+    ({"n": 1, "m": 2, "support": 3}, 0, ((14, 0), (14, 0), (15, 0), (15, 0), (17, 1))),
+    ({"n": 1, "m": 2, "support": 3}, 1, ((7, 4), (7, 4), (13, 0), (13, 0), (8, 0))),
+    ({"n": 1, "m": 2, "support": 3}, 2, ((8, 1), (8, 1), (9, 0), (9, 0), (9, 0))),
     (
         {"n": 2, "m": 2, "support": 1, "correlated": False},
         0,
-        ((14, 1), (11, 1), (26, 0), (24, 1), (46, 3)),
+        ((14, 1), (11, 1), (26, 0), (24, 1), (37, 0)),
     ),
     (
         {"n": 2, "m": 2, "support": 1, "correlated": False},
         1,
-        ((8, 0), (8, 0), (20, 0), (16, 0), (26, 7)),
+        ((8, 0), (8, 0), (20, 0), (16, 0), (25, 0)),
     ),
     (
         {"n": 2, "m": 2, "support": 1, "correlated": False},
         2,
-        ((6, 1), (6, 1), (15, 0), (15, 0), (28, 6)),
+        ((6, 1), (6, 1), (15, 0), (15, 0), (19, 3)),
     ),
-    ({"n": 3, "m": 1, "support": 2}, 0, ((44, 1), (25, 0), (62, 0), (49, 0), (83, 0))),
-    ({"n": 3, "m": 1, "support": 2}, 1, ((36, 0), (18, 0), (66, 0), (59, 0), (68, 0))),
-    ({"n": 2, "m": 2, "support": 2}, 0, ((27, 0), (29, 0), (29, 0), (27, 0), (34, 0))),
-    ({"n": 2, "m": 2, "support": 2}, 1, ((59, 0), (33, 0), (51, 0), (47, 1), (56, 2))),
+    ({"n": 3, "m": 1, "support": 2}, 0, ((44, 1), (25, 0), (62, 0), (49, 0), (84, 0))),
+    ({"n": 3, "m": 1, "support": 2}, 1, ((36, 0), (18, 0), (66, 0), (59, 0), (67, 0))),
+    ({"n": 2, "m": 2, "support": 2}, 0, ((27, 0), (29, 0), (29, 0), (27, 0), (35, 0))),
+    ({"n": 2, "m": 2, "support": 2}, 1, ((59, 0), (33, 0), (51, 0), (47, 1), (48, 2))),
 ]
 
 

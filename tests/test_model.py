@@ -456,6 +456,21 @@ def test_sign_tests_agree_with_value_comparisons(u12, pair12, items12):
     assert decisions == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_dual_reads_its_feasibility_once(monkeypatch, pair12):
+    # a dual is frozen, so its sign test runs on the first read only
+    dual = replace(extract_dual(pair12, solve_form(pair12, DS), DS))
+    calls = []
+    original = model._negative
+
+    def counted(*families):
+        calls.append(families)
+        return original(*families)
+
+    monkeypatch.setattr(model, "_negative", counted)
+    assert [dual.is_feasible() for _ in range(3)] == [True] * 3
+    assert len(calls) == 1
+
+
 def nested_ints(depth):
     """Tuples of ints nested depth levels below the outer one
     throughout; any tuple may be empty."""

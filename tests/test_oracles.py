@@ -224,6 +224,22 @@ def test_gen_spec_rejects_non_integer_count(read, spec):
 
 
 @pytest.mark.parametrize("read", SPEC_READERS)
+@pytest.mark.parametrize(
+    "spec,named",
+    [
+        ({"n": 0}, "'n' is not positive: 0"),
+        ({"m": -2}, "'m' is not positive: -2"),
+        ({"value_range": 0}, "'value_range' is not positive: 0"),
+        ({"denominator": 0}, "'denominator' is not positive: 0"),
+        ({"n": 2, "support": [2, 0]}, r"'support' is not positive: \[2, 0\]"),
+    ],
+)
+def test_gen_spec_rejects_count_below_one(read, spec, named):
+    with pytest.raises(DimensionMismatch, match=f"generator spec value for {named}$"):
+        read(spec)
+
+
+@pytest.mark.parametrize("read", SPEC_READERS)
 @pytest.mark.parametrize("spec", [{"n": True}, {"n": 2, "support": [1, False]}])
 def test_gen_spec_rejects_boolean_count(read, spec):
     with pytest.raises(DimensionMismatch, match="is not an integer"):

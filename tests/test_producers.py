@@ -180,7 +180,7 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
     monkeypatch.setattr(auction, "_scale", certificate_vector)
     report = characterize(instance)
     # the steps iid_scan takes after characterize
-    dual, excess = _tight_dual(instance, report.drev, report.ai_witness)
+    dual, excess = _tight_dual(instance, report)
     regular = regularize_ds(instance, dual, revenue=report.drev)
     assert check_ubvv(virtual_values_ds(instance, regular), instance).checked
     assert report.ai_witness is not None and excess == 0

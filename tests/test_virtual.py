@@ -21,6 +21,8 @@ from auctionlp.auction import (
     solve_form,
 )
 from auctionlp.errors import InfeasibleInput, NotOptimal, NotRegular
+from auctionlp.analysis import canonical_flow
+from auctionlp.oracles import gen_instance
 from auctionlp.model import (
     NEG_INF,
     VirtualValueTable,
@@ -40,6 +42,7 @@ from auctionlp.virtual import (
     virtual_values_bayes,
 )
 from helpers import (
+    drop,
     mechanism_of,
     myerson_formula,
     others_rank,
@@ -157,6 +160,86 @@ def test_regularize_is_idempotent(u123):
     cert, _, dual = optimal_pair(u123)
     reg = regularize_ds(u123, dual, revenue=cert.objective)
     assert regularize_ds(u123, reg, revenue=cert.objective) == reg
+
+
+REGULARIZATIONS = {
+    DS: (regularize_ds, ds_regularity_witness),
+    BAYES: (regularize_bayes, bayes_regularity_witness),
+}
+
+
+def idle_zeta(instance, dual):
+    """Whether some zeta of a dominant-strategy dual is nonzero at a
+    profile whose opponents have mass 0, where regularize_ds drops it."""
+    return any(
+        any(dual.zeta[i][r])
+        for r, v in enumerate(instance.profiles())
+        for i in range(instance.n)
+        if instance.mu_minus(i, drop(i, v)) == 0
+    )
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_regularization_is_a_projection(form):
+    # Regularizing twice gives the first result, the very object.  A
+    # dual comes back itself exactly when it is regular already: the
+    # certificate's dual is not, its regularization and (on one item,
+    # where it is optimal) the canonical flow are.  Neither a regular
+    # dual nor a regularized one holds zeta where the opponents have no
+    # mass.
+    regularize, witness = REGULARIZATIONS[form]
+    kept = rewritten = 0
+    for spec, seeds in (
+        ({"n": 2, "m": 1, "support": 2}, range(8)),
+        ({"n": 2, "m": 2, "support": 2}, range(6)),
+        ({"n": 3, "m": 1, "support": 2, "iid": True}, range(6)),
+    ):
+        for seed in seeds:
+            instance = gen_instance(spec, seed)
+            cert, _, dual = optimal_pair(instance, form)
+            revenue = cert.objective
+            once = regularize(instance, dual, revenue=revenue)
+            duals = [dual, once]
+            if form == DS and instance.m == 1:
+                flow = canonical_flow(instance)
+                if flow.is_feasible() and flow.objective() == revenue:
+                    duals.append(flow)
+            for candidate in duals:
+                result = regularize(instance, candidate, revenue=revenue)
+                assert regularize(instance, result, revenue=revenue) is result
+                regular = witness(instance, candidate) is None
+                assert (result is candidate) == regular
+                kept += regular
+                rewritten += not regular
+                if form == DS:
+                    assert not idle_zeta(instance, result)
+                    assert not (regular and idle_zeta(instance, candidate))
+    assert rewritten == 20 and kept == (34 if form == DS else 20)
+
+
+def test_regularize_drops_zeta_where_opponents_have_no_mass(pair12):
+    # No certificate dual above holds zeta on a massless slice, so one is
+    # made: a cycle of zeta between the zero type and type 2, against
+    # buyer 1's massless zero type, paid for by xi at that profile.  It is
+    # feasible, and optimal for the overpaid objective, but not regular,
+    # and regularization drops the cycle.
+    cert, _, dual = optimal_pair(pair12)
+    regular = regularize_ds(pair12, dual, revenue=cert.objective)
+    s0 = others_rank(pair12, 0, (0,))
+    assert pair12.mu_minus(0, (0,)) == 0
+    low, high = pair12.ranks[0][s0][0], pair12.ranks[0][s0][2]
+    zeta = [[list(row) for row in zeta_i] for zeta_i in regular.zeta]
+    zeta[0][low][2] += 1
+    zeta[0][high][0] += 1
+    xi = [list(regular.xi[0])]
+    xi[0][high] += 2  # the cycle's virtual value at the type-2 profile
+    moved = dual_from_multipliers(pair12, DS, frozen(zeta), regular.eta, frozen(xi))
+    revenue = cert.objective + 2
+    assert moved.is_feasible() and moved.objective() == revenue
+    assert idle_zeta(pair12, moved)
+    result = regularize_ds(pair12, moved, revenue=revenue)
+    assert result is not moved and not idle_zeta(pair12, result)
+    assert result.zeta == regular.zeta and result.xi == moved.xi
 
 
 def test_regularize_rejects_suboptimal_objective(u12):
