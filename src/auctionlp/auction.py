@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm, prod
+from operator import truediv
 from typing import NamedTuple
 
 from .errors import (
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .lp import (
     CertificateError,
+    DeferredProgram,
     LinearProgram,
     LpCertificate,
     MAX,
@@ -253,10 +255,18 @@ def _layout(instance: Instance, form: str) -> ProgramLayout:
 # Primal builders
 
 
-def _build_primal(instance: Instance, form: str) -> LinearProgram:
+def _build_primal(instance: Instance, form: str, number) -> LinearProgram:
     """max sum_v mu(v) sum_i p_i(v) subject to truthfulness (one row per
     buyer, key and deviation report), participation (one row per buyer
     and key), and unit supply of each item at each profile.
+
+    Each coefficient is number(numerator, denominator), of integers read
+    off the instance's tables over one denominator (supports_scaled,
+    the keys' scales, mu_scaled): Fraction makes the exact program,
+    which build_dslp and build_blp validate (make_lp), and
+    operator.truediv the float program that solve_form's float pass
+    reads.  Integer true division rounds correctly, so each float is
+    the exact coefficient's float.  The program is returned unvalidated.
 
     Keys are profile ranks (DS) or own types (BAYES); see
     multiplier_keys.  Each opponent slice of nonzero scale appends its
@@ -265,16 +275,18 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
     The layout's x and p are linear in the rank (x(i, j, r) is
     x(i, j, 0) + r), and the k - 1 ic rows of one key are contiguous, in
     report order; so each buyer's columns are offsets from its rank-0
-    columns, and each (slice, type) scales and negates its values once
-    for all of its reports."""
+    columns, and each (slice, type) writes the coefficients of its
+    scale for all of its reports.  Those are made once per distinct
+    scale: every slice has scale 1 in the DS form."""
     layout = _layout(instance, form)
     n, m, count = instance.n, instance.m, instance.profile_count
     nrows, ncols = layout.shape
-    zero, one = Fraction(0), Fraction(1)
-    mu = instance.mu_scaled.fractions()
+    zero, one = number(0, 1), number(1, 1)
+    masses, mass_den = instance.mu_scaled
     c = [zero] * ncols
     rows = [[] for _ in range(nrows)]
     b = [zero] * nrows
+    mu = [number(w, mass_den) if w else zero for w in masses]
     for i in range(n):
         p_i = layout.p(i, 0)
         c[p_i:p_i + count] = mu
@@ -284,44 +296,60 @@ def _build_primal(instance: Instance, form: str) -> LinearProgram:
         for r in range(count):
             rows[xi_j + r] = [(x + r, one) for x in xs]
         b[xi_j:xi_j + count] = [one] * count
-    for i, (k, supports) in enumerate(zip(instance.sizes, instance.supports)):
+    for i, (k, (vecs, value_den)) in enumerate(zip(instance.sizes, instance.supports_scaled)):
         keys = multiplier_keys(instance, form, i)
         scales, den = keys.scales
         xs = [layout.x(i, j, 0) for j in range(m)]
         p_i = layout.p(i, 0)
+        unit = den * value_den
+        # scale -> its payment coefficient, negated, and per type the
+        # (column, value, negated value) of each nonzero value
+        coefficients = {}
         for w, family, ranks in zip(scales, keys.families, instance.ranks[i]):
             if not w:
                 continue
-            w = one if w == den else Fraction(w, den)
-            neg = -w
+            if w not in coefficients:
+                coefficients[w] = (
+                    number(w, den),
+                    number(-w, den),
+                    [
+                        [(x, number(w * v, unit), number(-w * v, unit)) for x, v in zip(xs, vec) if v]
+                        for vec in vecs
+                    ],
+                )
+            paid, neg, types = coefficients[w]
             for t, r in enumerate(ranks):
-                vec = supports[t] if w == 1 else [w * v for v in supports[t]]
-                terms = [(x, v) for x, v in zip(xs, vec) if v]
-                truth = [(x + r, -v) for x, v in terms]
-                pay = (p_i + r, w)
+                terms = types[t]
+                truth = [(x + r, at_truth) for x, _, at_truth in terms]
+                pay = (p_i + r, paid)
                 # u_i at the lie minus u_i at the truth <= 0, one ic row
                 # per report t2 != t, starting at the key's first lie
                 first = layout.zeta(i, family[t], t, int(t == 0))
                 lies = ranks[:t] + ranks[t + 1:]
                 for row, lr in zip(rows[first:first + k - 1], lies):
-                    for (x, v), at_truth in zip(terms, truth):
+                    for (x, v, _), at_truth in zip(terms, truth):
                         row += ((x + lr, v), at_truth)
                     row += ((p_i + lr, neg), pay)
                 row = rows[layout.eta(i, family[t])]  # ir
                 row += truth
                 row.append(pay)
-    return make_lp(MAX, c, rows, b, layout)
+    return LinearProgram(MAX, c, rows, b, layout)
+
+
+def _exact_primal(instance: Instance, form: str) -> LinearProgram:
+    lp = _build_primal(instance, form, Fraction)
+    return make_lp(lp.sense, lp.c, lp.rows, lp.b, lp.layout)
 
 
 def build_dslp(instance: Instance) -> LinearProgram:
     """The dominant-strategy primal: one ic and ir row per profile."""
-    return _build_primal(instance, DS)
+    return _exact_primal(instance, DS)
 
 
 def build_blp(instance: Instance) -> LinearProgram:
     """The Bayesian primal: one ic and ir row per own type, weighted by
     the opponent mass mu_{-i}."""
-    return _build_primal(instance, BAYES)
+    return _exact_primal(instance, BAYES)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +490,16 @@ def solve_form(instance: Instance, form: str) -> LpCertificate:
     """Solve the primal program of the given form to optimality.  The
     model proves each vertex the solver proposes (_accept), so the
     certificate carries the mechanism, its slacks and the dual solution
-    that extraction returns."""
-    lp = build_dslp(instance) if form == DS else build_blp(instance)
-    return solve(lp, partial(_accept, instance))
+    that extraction returns.  The float pass reads the program built in
+    floats (_build_primal with truediv); the exact program (build_dslp
+    or build_blp) is built only if the model refuses its proposal."""
+    exact = build_dslp if form == DS else build_blp
+    program = DeferredProgram(
+        partial(_build_primal, instance, form, truediv),
+        partial(exact, instance),
+        _layout(instance, form),
+    )
+    return solve(program, partial(_accept, instance))
 
 
 def _accept(instance: Instance, lp: LinearProgram, x, y) -> LpCertificate:
@@ -758,9 +793,11 @@ def _prove(instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scal
 
 
 def write_certificate(path, document: dict) -> None:
+    """Write the document as indented JSON with sorted keys, rendered
+    whole first, so that the file takes one write."""
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
 
 
 def load_certificate(path) -> dict:

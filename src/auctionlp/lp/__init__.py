@@ -4,6 +4,7 @@ from .program import (
     MAX,
     MIN,
     CertificateError,
+    DeferredProgram,
     LinearProgram,
     LpCertificate,
     dual_of,
@@ -16,6 +17,7 @@ __all__ = [
     "MAX",
     "MIN",
     "CertificateError",
+    "DeferredProgram",
     "LinearProgram",
     "LpCertificate",
     "check_tableau_size",

@@ -40,6 +40,46 @@ class LinearProgram:
         return len(self.rows)
 
 
+class DeferredProgram:
+    """A program that solve builds in the arithmetic of each pass that
+    reads it, from its builders: floating() returns it with float
+    coefficients, each the correctly rounded value of the exact one,
+    and exact() the exact make_lp program.  The float pass runs first,
+    so the exact program is built only if the float pass proposes
+    nothing that the acceptor accepts.
+
+    The float program is not validated: nothing it proposes is accepted
+    but by the acceptor, which is handed this object and must prove a
+    vertex without its entries, from the layout alone.  (certify_optimal
+    reads the entries, so it cannot serve.)  nrows, ncols and rows read
+    the program built last, so reading them after a solve builds none."""
+
+    def __init__(self, floating, exact, layout: object = None):
+        self._floating, self._exact = floating, exact
+        self.layout = layout
+        self.built = None
+
+    def floating(self) -> LinearProgram:
+        self.built = self._floating()
+        return self.built
+
+    def exact(self) -> LinearProgram:
+        self.built = self._exact()
+        return self.built
+
+    @property
+    def nrows(self) -> int:
+        return self.built.nrows
+
+    @property
+    def ncols(self) -> int:
+        return self.built.ncols
+
+    @property
+    def rows(self):
+        return self.built.rows
+
+
 def _exact(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 

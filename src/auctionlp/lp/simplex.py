@@ -22,16 +22,22 @@ which guarantees termination.
 
 `solve` first runs the simplex over Python floats with the same pivot
 rule, so it walks the exact pivot path, and rounds the optimal vertex
-it ends on to nearby rationals.  Only an exact check accepts that
-proposal: the acceptor `solve` is given, `certify_optimal` on the
-program's rows and columns unless the caller passes its own (the
+it ends on to nearby rationals.  The float pass reads a program in
+floats (_in_arithmetic): a DeferredProgram's float build (the auction
+primals, made from the instance's integers), or a make_lp program's
+Fractions converted entry by entry.  Each float is the correctly
+rounded value of the exact coefficient either way.  Only an exact check
+accepts the proposal: the acceptor `solve` is given, `certify_optimal`
+on the program's rows and columns unless the caller passes its own (the
 auction builders prove their primals on the model instead).  Any other
-ending (the check fails, the float pass ends without an optimum, or it
-runs out of its pivot budget) runs the exact simplex from scratch, whose
-vertex faces the same acceptor.  Every program the package builds has
-an optimum, so the exact simplex ending without one (infeasible,
-unbounded, a corrupt tableau, or a vertex that fails its exact check)
-means a program built wrong, and it raises NotOptimal.
+ending (the check fails, the float pass ends without an optimum, runs
+out of its pivot budget, or meets a number floats cannot hold) runs the
+exact simplex from scratch, on the exact program, which a
+DeferredProgram builds only then; its vertex faces the same acceptor.
+Every program the package builds has an optimum, so the exact simplex
+ending without one (infeasible, unbounded, a corrupt tableau, or a
+vertex that fails its exact check) means a program built wrong, and it
+raises NotOptimal.
 """
 
 from __future__ import annotations
@@ -42,13 +48,13 @@ from typing import NoReturn
 
 from ..errors import NotOptimal, ScaleLimit
 from .program import (
+    DeferredProgram,
     LinearProgram,
     MAX,
     CertificateError,
     LpCertificate,
     _DENOMINATOR,
     _NUMERATOR,
-    _exact,
     certify_optimal,
 )
 
@@ -154,9 +160,10 @@ _ROUND_BOUND = 10**6
 
 # Endings of the float pass that hand the program to the exact simplex,
 # a rejected rounding among them (_NoProposal).  OverflowError and
-# ValueError come from numbers floats cannot hold: float() refuses a
-# rational beyond their range, and Fraction() the infinities and NaNs
-# that overflowing arithmetic leaves behind.
+# ValueError come from numbers floats cannot hold: building or
+# converting the float program refuses a rational beyond their range,
+# and Fraction() the infinities and NaNs that overflowing arithmetic
+# leaves behind.
 _NO_PROPOSAL = (_NoProposal, PivotLimit, OverflowError, ValueError)
 
 
@@ -176,6 +183,26 @@ def _to_float(q: Fraction) -> float:
     same correctly rounded integer division of the slots, which raises
     OverflowError beyond the float range."""
     return _NUMERATOR(q) / _DENOMINATOR(q)
+
+
+def _in_arithmetic(lp: LinearProgram | DeferredProgram, floating: bool) -> LinearProgram:
+    """The program a run sets its tableau up from, in the run's
+    arithmetic.  A DeferredProgram is built in it.  A make_lp program is
+    read as it is by the exact run, and converted entry by entry
+    (_to_float) for the float run.  Either float program raises
+    OverflowError on a coefficient beyond the float range."""
+    if isinstance(lp, DeferredProgram):
+        return lp.floating() if floating else lp.exact()
+    if not floating:
+        return lp
+    to_float = _to_float
+    return LinearProgram(
+        lp.sense,
+        tuple(map(to_float, lp.c)),
+        tuple([(j, to_float(q)) for j, q in row] for row in lp.rows),
+        tuple(map(to_float, lp.b)),
+        lp.layout,
+    )
 
 
 def _nearby_rational(value: float, bound: int) -> Fraction:
@@ -209,14 +236,15 @@ def _nearby_rational(value: float, bound: int) -> Fraction:
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
-def solve(lp: LinearProgram, accept=certify_optimal) -> LpCertificate:
+def solve(lp: LinearProgram | DeferredProgram, accept=certify_optimal) -> LpCertificate:
     """Solve to a verified optimal certificate: a primal/dual pair with a
     zero duality gap.  A program without an optimum raises NotOptimal.
 
-    A float pass proposes an optimal vertex and accept(lp, x, y), an
-    exact check, accepts it; otherwise the exact simplex answers, its
-    vertex checked by accept too.  accept returns the certificate of
-    (x, y), or raises CertificateError to refuse them."""
+    lp is a LinearProgram or a DeferredProgram.  A float pass proposes
+    an optimal vertex and accept(lp, x, y), an exact check, accepts it;
+    otherwise the exact simplex answers, its vertex checked by accept
+    too.  accept returns the certificate of (x, y), or raises
+    CertificateError to refuse them."""
     try:
         return _Simplex(lp, accept, floating=True).run()
     except _NO_PROPOSAL:
@@ -226,11 +254,13 @@ def solve(lp: LinearProgram, accept=certify_optimal) -> LpCertificate:
 
 class _Simplex:
     """One simplex run over exact rationals, or over floats when
-    `floating` is set.  The float run compares numbers up to _FLOAT_TOL
-    where the exact run compares them exactly, and otherwise makes the
-    same decisions.  It ends optimal with a certificate; otherwise the
-    float run raises one of _NO_PROPOSAL and the exact run NotOptimal
-    or PivotLimit.
+    `floating` is set.  The tableau is set up from lp in the run's
+    arithmetic (_in_arithmetic), and accept is handed lp itself.  The
+    float run compares numbers up to _FLOAT_TOL where the exact run
+    compares them exactly, and otherwise makes the same decisions.  It
+    ends optimal with a certificate; otherwise the float run raises one
+    of _NO_PROPOSAL (OverflowError at set-up among them) and the exact
+    run NotOptimal or PivotLimit.
 
     Column layout: structural | slack | artificial... | rhs.  T[r] maps
     the columns of row r to its nonzero entries, the right-hand side at
@@ -239,20 +269,23 @@ class _Simplex:
     its pricing set, the columns k where the row's entry is negative;
     `objs` lists the (row, set) pairs a pivot updates."""
 
-    def __init__(self, lp: LinearProgram, accept=certify_optimal, floating: bool = False):
+    def __init__(
+        self, lp: LinearProgram | DeferredProgram, accept=certify_optimal, floating: bool = False
+    ):
         self.lp = lp
         self.accept = accept
-        self.sign = 1 if lp.sense == MAX else -1
-        S = self.S = lp.ncols  # structural columns
-        R = self.R = lp.nrows
+        program = _in_arithmetic(lp, floating)
+        self.sign = 1 if program.sense == MAX else -1
+        S = self.S = program.ncols  # structural columns
+        R = self.R = program.nrows
         if floating:
-            num, zero, one = _to_float, 0.0, 1.0
+            zero, one = 0.0, 1.0
         else:
-            num, zero, one = _exact, Fraction(0), Fraction(1)
+            zero, one = Fraction(0), Fraction(1)
         self.tol = _FLOAT_TOL if floating else 0
         self.cap = _FLOAT_PIVOTS_PER_DIM * (R + S) if floating else _PIVOT_CAP
         self.zero, self.one = zero, one
-        negative_rhs = [_NUMERATOR(q) < 0 for q in lp.b]
+        negative_rhs = [q < 0 for q in program.b]
         self.K = sum(negative_rhs)
         check_tableau_size(R, S + self.K)
         width = S + R + self.K + 1
@@ -261,19 +294,21 @@ class _Simplex:
         rows = []
         basis = []
         acol = S + R
-        for r, (entries, b, neg) in enumerate(zip(lp.rows, lp.b, negative_rhs)):
+        # A float entry that rounds to 0.0 is dropped: the tableau holds
+        # nonzeros only.
+        for r, (entries, b, neg) in enumerate(zip(program.rows, program.b, negative_rhs)):
             if neg:
-                row = {j: -v for j, coef in entries if (v := num(coef))}
+                row = {j: -v for j, v in entries if v}
                 row[S + r] = -one
                 row[acol] = one
                 basis.append(acol)
                 acol += 1
             else:
-                row = {j: v for j, coef in entries if (v := num(coef))}
+                row = {j: v for j, v in entries if v}
                 row[S + r] = one
                 basis.append(S + r)
-            if _NUMERATOR(b):
-                row[rhs] = -num(b) if neg else num(b)
+            if b:
+                row[rhs] = -b if neg else b
             for k in row:
                 cols[k].add(r)
             rows.append(row)
@@ -282,7 +317,7 @@ class _Simplex:
         self.basis = basis
         # Real objective row for max(sign * c): reduced costs start at
         # -sign*c_j, value 0.
-        obj = [-num(q) if self.sign == 1 else num(q) for q in lp.c]
+        obj = [-q for q in program.c] if self.sign == 1 else list(program.c)
         self.negative = {j for j, v in enumerate(obj) if v < 0}
         obj += [zero] * (width - S)
         self.obj = obj

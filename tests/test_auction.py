@@ -2,11 +2,14 @@
 off-support profiles, and certificate documents."""
 
 import hashlib
+import io
 import itertools
 import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
+from operator import truediv
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +18,8 @@ from auctionlp.auction import (
     BAYES,
     DS,
     ProgramLayout,
+    _accept,
+    _build_primal,
     _feasible_dual,
     brev,
     build_blp,
@@ -34,7 +39,7 @@ from auctionlp.auction import (
     write_certificate,
 )
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch, NotRational
-from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, solve
+from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, simplex, solve
 from auctionlp.model import _scale, mechanism_feasible, rat, rat_str, ratio
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
@@ -225,6 +230,61 @@ def test_explicit_dual_matches_symbolic_dual():
             assert dual.layout is None
             assert (dual.nrows, dual.ncols) == (primal.ncols, primal.nrows)
             assert primal.layout.shape == (primal.nrows, primal.ncols)
+
+
+# Seeded instances for the float program: two to four buyers, one or two
+# items, two to five nonzero types, values and masses over denominators
+# above 1.  Seed 1 of the 36- and the two-item 27-profile shape gives
+# every zero type mass; every other instance has a zero-mass type.
+FLOAT_PROGRAM_SHAPES = [
+    {"n": 2, "m": 1, "support": 2},
+    {"n": 2, "m": 1, "support": 5},
+    {"n": 2, "m": 2, "support": 3},
+    {"n": 3, "m": 1, "support": 3},
+    {"n": 3, "m": 2, "support": 2},
+    {"n": 4, "m": 1, "support": 2},
+    {"n": 2, "m": 2, "support": 4, "denominator": 7},
+    {"n": 3, "m": 1, "support": 2, "iid": True},
+]
+
+
+def pivots_of(monkeypatch, run):
+    """run()'s result and the pivots it made, counted at simplex.eliminate."""
+    pivots = []
+    original = simplex.eliminate
+
+    def counting(tableau, r, c):
+        pivots.append(tableau.tol)
+        original(tableau, r, c)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(simplex, "eliminate", counting)
+        result = run()
+    return result, len(pivots)
+
+
+def test_float_program_is_the_exact_program_in_floats(monkeypatch):
+    # The float pass of solve_form reads a program built in floats from
+    # the instance's integers; it holds the float of every coefficient
+    # of the exact program, as converting it entry by entry gives, and
+    # so solve_form reaches the certificate, in as many pivots, that
+    # solving the exact program does.
+    zero_mass = set()
+    for spec, seed in itertools.product(FLOAT_PROGRAM_SHAPES, range(4)):
+        instance = gen_instance(spec, seed)
+        zero_mass.add(any(not q for probs in instance.probs for q in probs))
+        for form, build_exact in ((DS, build_dslp), (BAYES, build_blp)):
+            exact = build_exact(instance)
+            floats = _build_primal(instance, form, truediv)
+            converted = simplex._in_arithmetic(exact, True)
+            assert list(floats.c) == list(converted.c)
+            assert list(map(list, floats.rows)) == list(map(list, converted.rows))
+            assert list(floats.b) == list(converted.b)
+            assert all(type(v) is float for row in floats.rows for _, v in row)
+            assert floats.layout == exact.layout
+            expected = pivots_of(monkeypatch, partial(solve, exact, partial(_accept, instance)))
+            assert pivots_of(monkeypatch, partial(solve_form, instance, form)) == expected
+    assert zero_mass == {True, False}
 
 
 # -- four-way agreement -----------------------------------------------------
@@ -488,6 +548,10 @@ def test_certificate_round_trip(tmp_path, u123, reproof):
     assert all(value == "0" for value in document["ledger"].values())
     path = tmp_path / "cert.json"
     write_certificate(path, document)
+    # the bytes json.dump streams
+    streamed = io.StringIO()
+    json.dump(document, streamed, indent=2, sort_keys=True)
+    assert path.read_text(encoding="utf-8") == streamed.getvalue() + "\n"
     loaded = load_certificate(path)
     assert loaded == document
     assert verify_certificate_document(u123, loaded) == cert.objective

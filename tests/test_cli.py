@@ -125,6 +125,44 @@ def test_solve_prints_revenue(u12_path, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_values_beyond_float_range_are_solved_exactly(tmp_path, capsys, monkeypatch):
+    # Floats cannot hold 10**400: building the float program raises
+    # OverflowError, and the solve goes to the exact program.  Two
+    # i.i.d. buyers worth 0 or V sell at V unless both are worth 0.
+    value = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "buyers": 2,
+                "items": 1,
+                "supports": [[[0], [str(value)]]] * 2,
+                "probs": [["1/2", "1/2"]] * 2,
+            }
+        )
+    )
+    builds = []
+    for name in ("build_dslp", "build_blp"):
+        original = getattr(auction, name)
+        monkeypatch.setattr(
+            auction, name, lambda instance, original=original: builds.append(0) or original(instance)
+        )
+    for form in ("ds", "bic"):
+        builds.clear()
+        assert main(["solve", str(path), "--form", form]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{3 * value // 4}\n"
+        assert captured.err == ""
+        assert len(builds) == 1
+
+
+def off_vertex(value, bound):
+    """In place of the float pass's rounding: a rational 1/7 off the one
+    it would give, so that the model refuses every float proposal and
+    the exact program is built and solved."""
+    return Fraction(value).limit_denominator(bound) + Fraction(1, 7)
+
+
 def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
     def fail(instance, form):
         raise NotOptimal("no optimum")
@@ -135,23 +173,31 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
     # max x subject to x <= -1, and max x + y subject to x - y <= 1
     infeasible = make_lp(MAX, [1], [[(0, 1)]], [-1])
     unbounded = make_lp(MAX, [1, 1], [[(0, 1), (1, -1)]], [1])
-    # solve_form refusing, then the real simplex on a program built wrong
+    refused = (simplex, "_nearby_rational", off_vertex)
+    # solve_form refusing, then the real simplex on a program built wrong:
+    # the float pass reads a program of its own, so its proposal is
+    # refused for the exact program to be built
     cases = [
-        (cli, "solve_form", fail, "no optimum"),
-        (auction, "build_dslp", lambda _: infeasible, "exact simplex: phase one ends infeasible"),
-        (auction, "build_dslp", lambda _: unbounded, "exact simplex: phase two ends unbounded"),
+        ([(cli, "solve_form", fail)], "no optimum"),
+        (
+            [(auction, "build_dslp", lambda _: infeasible), refused],
+            "exact simplex: phase one ends infeasible",
+        ),
+        (
+            [(auction, "build_dslp", lambda _: unbounded), refused],
+            "exact simplex: phase two ends unbounded",
+        ),
         # an exact identity of the model acceptor failing inside the
         # solver, not a bad input
         (
-            auction,
-            "_feasible_mechanism",
-            refuse,
+            [(auction, "_feasible_mechanism", refuse)],
             "exact simplex: its vertex fails the exact check: mechanism violates feasibility",
         ),
     ]
-    for owner, name, replacement, message in cases:
+    for patches, message in cases:
         with monkeypatch.context() as patched:
-            patched.setattr(owner, name, replacement)
+            for owner, name, replacement in patches:
+                patched.setattr(owner, name, replacement)
             assert main(["solve", u12_path]) == 3
         captured = capsys.readouterr()
         assert captured.err == f"error: NotOptimal: {message}\n"
@@ -698,8 +744,8 @@ def test_solve_rejects_malformed_shapes(tmp_path, capsys, data):
 
 @pytest.mark.parametrize("form", ["ds", "bic"])
 def test_solve_builds_its_program_once(pair_path, tmp_path, capsys, monkeypatch, form):
-    import auctionlp.auction as auction
-
+    # The float pass reads a float program of its own: the exact program
+    # is built only when the model refuses the float proposal, and then once.
     builds = []
     for name in ("build_dslp", "build_blp"):
         original = getattr(auction, name)
@@ -710,9 +756,15 @@ def test_solve_builds_its_program_once(pair_path, tmp_path, capsys, monkeypatch,
 
         monkeypatch.setattr(auction, name, counting)
     cert = str(tmp_path / "cert.json")
-    assert main(["solve", pair_path, "--form", form, "--certificate", cert]) == 0
-    assert capsys.readouterr().out == "3/2\n"
-    assert len(builds) == 1
+    expected = "build_dslp" if form == "ds" else "build_blp"
+    for refused, count in ((False, 0), (True, 1)):
+        builds.clear()
+        with monkeypatch.context() as patched:
+            if refused:
+                patched.setattr(simplex, "_nearby_rational", off_vertex)
+            assert main(["solve", pair_path, "--form", form, "--certificate", cert]) == 0
+        assert capsys.readouterr().out == "3/2\n"
+        assert builds == [expected] * count
 
 
 def test_profile_cap_is_enforced(pair_path, capsys):
