@@ -7,6 +7,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
 from .auction import (
     _feasible_dual,
@@ -56,6 +57,7 @@ __all__ = [
     "is_iid",
     "revenue_record",
     "iid_scan",
+    "iid_records",
 ]
 
 
@@ -430,12 +432,14 @@ def _slice_mismatch(instance: Instance, dual: DualSolution, i: int, table=None):
     return None
 
 
-def check_agent_independence(instance: Instance, dual: DualSolution):
+def check_agent_independence(instance: Instance, dual: DualSolution, table=None):
     """Check that buyer-level dual data does not depend on the others'
     values: virtual values agree across mass-bearing opponent slices,
     and eta and zeta agree across all slices after weighting by the
-    opponent masses.  Returns (ok, witness)."""
-    table = virtual_values_ds(instance, dual)
+    opponent masses.  table, when given, is virtual_values_ds of dual;
+    otherwise it is built here.  Returns (ok, witness)."""
+    if table is None:
+        table = virtual_values_ds(instance, dual)
     for i in range(instance.n):
         witness = _slice_mismatch(instance, dual, i, table)
         if witness is not None:
@@ -512,12 +516,19 @@ def is_iid(instance: Instance) -> bool:
 
 
 def _myerson_proof(instance: Instance):
-    """(R, R, the Bayesian image, Myerson's auction, its slacks) when
-    _myerson_auction accepts the single-item instance's canonical flow,
-    at objective R, and two more exact checks pass: the auction is
-    feasible in the Bayesian form, and the flow's image is a feasible
-    Bayesian dual of objective R.  Weak duality on each side then makes
-    R both DRev and BRev.  Else None."""
+    """(R, R, the Bayesian image, Myerson's auction, its slacks, the
+    flow) when _myerson_auction accepts the single-item instance's
+    canonical flow, at objective R, and two more exact checks pass: the
+    auction is feasible in the Bayesian form, and the flow's image is a
+    feasible Bayesian dual of objective R.  Weak duality on each side
+    then makes R both DRev and BRev.  Else None.
+
+    The flow is a proved optimal dominant-strategy dual, and the image's
+    dominant-strategy spread (bic_to_dsic_dual) equals it: the image
+    exists only if no opponent slice's eta or zeta differs from the
+    reference slice's scaled by the slice masses (0 on a slice of no
+    mass), and the spread scales them back by the same masses, keeps xi
+    and derives every other family from these."""
     flow = canonical_flow(instance)
     auction = _myerson_auction(instance, flow)
     if auction is None:
@@ -532,7 +543,7 @@ def _myerson_proof(instance: Instance):
     except (NotAgentIndependent, NotOptimal):
         return None
     revenue = flow.objective()
-    return revenue, revenue, bayes_dual, mechanism, slacks
+    return revenue, revenue, bayes_dual, mechanism, slacks, flow
 
 
 def characterize(instance: Instance) -> RevenueReport:
@@ -542,16 +553,24 @@ def characterize(instance: Instance) -> RevenueReport:
 
     The witness is built from one evidence record, (DRev, BRev, a
     Bayesian optimal dual, a dominant-strategy optimal mechanism, its
-    slacks).  On one item the canonical flow and Myerson's auction give
-    it when _myerson_proof accepts them; otherwise, and on more items,
-    the proofs of both primal solves do.  The report keeps the
-    mechanism and its slacks as ds_optimum."""
+    slacks, the canonical flow or None).  On one item the canonical flow
+    and Myerson's auction give it when _myerson_proof accepts them;
+    otherwise, and on more items, the proofs of both primal solves do,
+    with no flow.  The witness is bic_to_dsic_dual of the regularized
+    Bayesian dual, save when regularization returns the flow's image
+    itself: the flow is then that spread already (see _myerson_proof),
+    and is the witness.  The report keeps the mechanism and its slacks
+    as ds_optimum, and the witness's dominant-strategy virtual-value
+    table, which the agent-independence check reads, as
+    witness_table."""
     evidence = _myerson_proof(instance) if instance.m == 1 else None
     if evidence is None:
         ds_cert, bayes_cert = solve_form(instance, DS), solve_form(instance, BAYES)
         ds, bayes = _proof(instance, ds_cert, DS), _proof(instance, bayes_cert, BAYES)
-        evidence = ds_cert.objective, bayes_cert.objective, bayes.dual, ds.mechanism, ds.slacks
-    drev_value, brev_value, bayes_dual, mechanism, slacks = evidence
+        evidence = (
+            ds_cert.objective, bayes_cert.objective, bayes.dual, ds.mechanism, ds.slacks, None
+        )
+    drev_value, brev_value, bayes_dual, mechanism, slacks, flow = evidence
     if instance.m == 1:
         # SRev is DRev: the item's marginal is the instance with its types
         # sorted, and relabeling types does not move DRev
@@ -562,15 +581,19 @@ def characterize(instance: Instance) -> RevenueReport:
     report = RevenueReport(
         brev=brev_value, drev=drev_value, srev=srev_value, ds_optimum=(mechanism, slacks)
     )
-    ai_witness = None
+    ai_witness = table = None
     findings = []
     if report.brev_eq_drev:
         regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
-        ai_witness = bic_to_dsic_dual(instance, regular)
+        if flow is not None and regular is bayes_dual:
+            ai_witness = flow
+        else:
+            ai_witness = bic_to_dsic_dual(instance, regular)
         ledger = check_cs_ds(instance, mechanism, ai_witness, slacks=slacks)
         if not ledger.optimal:
             findings.append("witness-not-dsic-optimal")
-        ok, witness = check_agent_independence(instance, ai_witness)
+        table = virtual_values_ds(instance, ai_witness)
+        ok, witness = check_agent_independence(instance, ai_witness, table)
         if not ok:
             findings.append(f"witness-not-agent-independent:{witness}")
 
@@ -581,7 +604,9 @@ def characterize(instance: Instance) -> RevenueReport:
             f"srev={rat_str(srev_value)}"
         )
 
-    return replace(report, ai_witness=ai_witness, findings=tuple(findings))
+    return replace(
+        report, ai_witness=ai_witness, findings=tuple(findings), witness_table=table
+    )
 
 
 def revenue_record(
@@ -613,10 +638,13 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
     The tight dual behind tight_excess and ubvv_ok is the
     agent-independent witness characterize built when BRev = DRev, once
     _tight_dual's checks accept it, with excess 0; otherwise the face
-    program read off the report's DS optimum is solved.
+    program read off the report's DS optimum is solved.  ubvv_ok reads
+    the regularized tight dual's table: the report's witness_table when
+    regularization returns the witness itself, as it returns any
+    regular dual, and a table built from it otherwise.
     all_equal_consistent is False exactly when one revenue equality
     holds without the other two."""
-    from .oracles import gen_instance, gen_shape
+    from .oracles import gen_shape
 
     spec = {"n": 3, **family, "iid": True}
     gen_shape(spec, cap)  # refuses a bad family before its n is read
@@ -629,13 +657,24 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
                 "n": n,
             }
         ]
-    records = []
+    return list(iid_records(spec, seed, count, cap))
+
+
+def iid_records(family: dict, seed: int, count: int, cap: int = 256) -> Iterator[dict]:
+    """iid_scan's records of a family of at least three buyers, each
+    made when it is asked for, so that a reader may stop the scan."""
+    from .oracles import gen_instance
+
+    spec = {"n": 3, **family, "iid": True}
     for index in range(count):
         instance = gen_instance(spec, seed + index, cap=cap)
         report = characterize(instance)
         dual, excess = _tight_dual(instance, report)
         regular = regularize_ds(instance, dual, revenue=report.drev)
-        table = virtual_values_ds(instance, regular)
+        if regular is report.ai_witness:
+            table = report.witness_table
+        else:
+            table = virtual_values_ds(instance, regular)
         ubvv = check_ubvv(table, instance)
         record = revenue_record(index, seed + index, instance, report)
         record.update(
@@ -644,5 +683,4 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
             tight_excess=rat_str(excess),
             ubvv_ok=ubvv.ok,
         )
-        records.append(record)
-    return records
+        yield record

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .analysis import characterize, iid_scan, revenue_record
+from .analysis import characterize, iid_records, revenue_record
 from .auction import (
     ProgramLayout,
     certificate_document,
@@ -138,35 +138,41 @@ def _characterize_one(instance) -> None:
         print("findings none")
 
 
+def _generated_records(spec: dict, seed: int, count: int, cap: int):
+    """One revenue record per drawn instance, each made when asked for."""
+    for index in range(count):
+        instance = gen_instance(spec, seed + index, cap=cap)
+        yield revenue_record(index, seed + index, instance, characterize(instance))
+
+
 def cmd_characterize(args) -> int:
     if args.gen is None:
         instance = _load(args)
         _characterize_one(instance)
         return 0
     spec = _parse_gen_spec(args.gen)
-    if args.count < 1:
-        raise DimensionMismatch(f"--count must be at least 1, got {echo(args.count)}")
+    seed = 0 if args.seed is None else args.seed
+    count = 1 if args.count is None else args.count
+    if count < 1:
+        raise DimensionMismatch(f"--count must be at least 1, got {echo(count)}")
     # An instance may need a dominant-strategy solve (on more than one
     # item, or where the closed form is refused), so refuse its tableau
     # before drawing; the builders' right-hand sides are nonnegative, so
     # it has no artificial columns.
     m, sizes = gen_shape(spec, args.caps)
     check_tableau_size(*ProgramLayout(DS, m, sizes).shape)
-    if args.count == 1 and not spec.get("iid"):
-        instance = gen_instance(spec, args.seed, cap=args.caps)
+    if count == 1 and not spec.get("iid"):
+        instance = gen_instance(spec, seed, cap=args.caps)
         _characterize_one(instance)
         return 0
     if spec.get("iid") and len(sizes) >= 3:
-        records = iid_scan(spec, args.seed, args.count, cap=args.caps)
+        records = iid_records(spec, seed, count, cap=args.caps)
     else:
-        records = []
-        for index in range(args.count):
-            instance = gen_instance(spec, args.seed + index, cap=args.caps)
-            records.append(
-                revenue_record(index, args.seed + index, instance, characterize(instance))
-            )
+        records = _generated_records(spec, seed, count, args.caps)
+    # each record goes out as soon as it is made, so a reader that
+    # closes stdout stops the scan at the next record
     for record in records:
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True), flush=True)
     return 0
 
 
@@ -270,8 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate instances instead: comma-separated key=value "
         "(n, m, support, value_range, denominator, iid, correlated)",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    # None when not given, so that main can refuse them without --gen
+    p.add_argument("--seed", type=int, help="first generator seed (default 0; needs --gen)")
+    p.add_argument(
+        "--count", type=int, help="instances to generate (default 1; needs --gen)"
+    )
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser(
@@ -288,8 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "characterize" and args.path is None and args.gen is None:
-        parser.error("characterize needs an instance path or --gen")
+    if args.command == "characterize":
+        if args.path is None and args.gen is None:
+            parser.error("characterize needs an instance path or --gen")
+        if args.path is not None and args.gen is not None:
+            parser.error("characterize takes an instance path or --gen, not both")
+        if args.gen is None and (args.seed is not None or args.count is not None):
+            parser.error("characterize --seed and --count need --gen")
     try:
         if args.caps < 1:
             raise DimensionMismatch(f"--caps must be at least 1, got {echo(args.caps)}")

@@ -985,7 +985,9 @@ class RevenueReport:
 
     ds_optimum, when set, is the proved dominant-strategy optimum behind
     drev: a mechanism of revenue drev and its slacks.  It describes the
-    optimal dual face by complementary slackness."""
+    optimal dual face by complementary slackness.  witness_table, when
+    set, is virtual_values_ds of ai_witness, the table the
+    agent-independence check read.  Neither takes part in comparisons."""
 
     brev: Fraction
     drev: Fraction
@@ -995,6 +997,7 @@ class RevenueReport:
     ds_optimum: tuple[Mechanism, PrimalSlacks] | None = field(
         default=None, compare=False, repr=False
     )
+    witness_table: VirtualValueTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.brev >= self.drev >= self.srev):

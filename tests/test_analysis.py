@@ -4,10 +4,13 @@ report."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -548,9 +551,10 @@ def test_tight_dual_takes_the_witness_after_a_declined_flow(spied_solves):
 def test_the_witness_is_the_flow_whenever_the_flow_qualifies():
     # Why iid_scan offers _tight_dual the witness alone: when the
     # canonical flow is feasible with objective DRev, the witness
-    # characterize builds equals it, since the flow is regular and
-    # agent-independent and the maps and regularization leave it as it
-    # is.  Then the flow never qualifies without a witness.
+    # characterize builds equals it.  On the closed form it is the flow
+    # itself; otherwise the flow is regular and agent-independent, and
+    # the maps and regularization leave it as it is.  Then the flow
+    # never qualifies without a witness.
     qualified = 0
     shapes = [(3, 2), (3, 3), (3, 4), (4, 2)]
     for (n, support), seed in itertools.product(shapes, range(10)):
@@ -561,6 +565,153 @@ def test_the_witness_is_the_flow_whenever_the_flow_qualifies():
             qualified += 1
             assert report.ai_witness == flow
     assert qualified >= 30
+
+
+# -- carried duals ----------------------------------------------------------
+#
+# characterize keeps the duals it proved: on the closed form the
+# canonical flow is the witness itself, and the witness's DS table
+# travels on the report, so the scan reads it instead of building it
+# again.
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls characterize and the scan make to these analysis
+    functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(analysis, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, spy)
+    return calls
+
+
+def test_closed_form_witness_is_the_flow(monkeypatch, pair12):
+    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
+    report = characterize(pair12)
+    assert calls == {"bic_to_dsic_dual": 0, "virtual_values_ds": 1}
+    assert report.ai_witness == canonical_flow(pair12)
+    assert report.witness_table == virtual_values_ds(pair12, report.ai_witness)
+
+
+def test_two_item_witness_is_mapped_once(monkeypatch):
+    instance = gen_instance(dict(IID_TWO_ITEMS, iid=True), EQUAL_SEED)
+    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
+    report = characterize(instance)
+    assert calls == {"bic_to_dsic_dual": 1, "virtual_values_ds": 1}
+    assert report.witness_table == virtual_values_ds(instance, report.ai_witness)
+
+
+@pytest.mark.parametrize(
+    "family, seed, witnessed",
+    [
+        # two closed forms, each tight dual its witness
+        ({"n": 3, "m": 1, "support": 2}, 1, 2),
+        # BRev = DRev on two items, its witness the tight dual
+        (IID_TWO_ITEMS, EQUAL_SEED, 1),
+        # BRev > DRev: no witness, the face program's dual gets a table
+        (IID_TWO_ITEMS, 3, 0),
+    ],
+)
+def test_scan_builds_one_table_per_witnessed_instance(monkeypatch, family, seed, witnessed):
+    count = max(witnessed, 1)
+    calls = _counted(monkeypatch, "virtual_values_ds")
+    records = iid_scan(family, seed, count)
+    assert calls == {"virtual_values_ds": count}
+    assert sum(record["brev_eq_drev"] for record in records) == witnessed
+
+
+def _perfbench_corpus(monkeypatch, workload, seed, workdir):
+    """The benchmark's corpus of one workload and seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.build_corpus(workload, seed, str(workdir))
+
+
+def test_iid_scan_corpus_maps_and_tabulates_once(monkeypatch, tmp_path):
+    # the benchmark's seed-1 pass: 41 instances, 33 on the closed form;
+    # the 6 mappings left are the two-item witnesses, and each instance
+    # gets one DS table (39 mappings and 80 tables before the duals were
+    # carried forward)
+    ops = _perfbench_corpus(monkeypatch, "iid-scan", 1, tmp_path)
+    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(cli.main(op.argv) == 0 for op in ops)
+    assert len(ops) == 41
+    assert calls == {"bic_to_dsic_dual": 6, "virtual_values_ds": 41}
+
+
+def _without_carried_duals(mp):
+    """Map every witness through bic_to_dsic_dual and build every table
+    the scan reads: the evidence drops its flow, and DS regularization
+    returns a value-equal copy, never the witness itself."""
+    proof, regularize = analysis._myerson_proof, analysis.regularize_ds
+
+    def no_flow(instance):
+        evidence = proof(instance)
+        return None if evidence is None else (*evidence[:-1], None)
+
+    def copied(instance, dual, revenue):
+        regular = regularize(instance, dual, revenue=revenue)
+        return replace(regular, scaled=regular.scaled)
+
+    mp.setattr(analysis, "_myerson_proof", no_flow)
+    mp.setattr(analysis, "regularize_ds", copied)
+
+
+# (n, m, support), i.i.d. and not, seeds 0-5: 96 instances
+CARRIED_SHAPES = [
+    (3, 1, 2), (3, 1, 3), (3, 1, 4), (4, 1, 2), (4, 1, 3), (3, 2, 2), (3, 2, 3), (4, 2, 2)
+]
+
+
+def _carried_outputs(family, seed):
+    """characterize's report and the witness's table, and the scan's
+    record when the buyers are drawn alike."""
+    reports = []
+
+    def recorded(inst):
+        reports.append(characterize(inst))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "characterize", recorded)
+        records = iid_scan(family, seed, 1) if family["iid"] else None
+    report = reports[0] if reports else characterize(gen_instance(family, seed))
+    return report, report.witness_table, records
+
+
+def test_carried_duals_change_no_output():
+    calls = {}
+    for carried in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not carried:
+                _without_carried_duals(mp)
+            counts = _counted(mp, "bic_to_dsic_dual", "virtual_values_ds")
+            outputs = [
+                _carried_outputs({"n": n, "m": m, "support": support, "iid": iid}, seed)
+                for (n, m, support), iid, seed in itertools.product(
+                    CARRIED_SHAPES, (True, False), range(6)
+                )
+            ]
+        calls[carried] = counts
+        if carried:
+            expected = outputs
+    # revenues, findings and the witness by value (the flags follow),
+    # the witness's table and the scan's records
+    assert outputs == expected
+    assert sum(report.ai_witness is not None for report, _, _ in outputs) == 78
+    # 53 witnesses are the flow, and 40 scanned tight duals are witnesses
+    assert calls[False]["bic_to_dsic_dual"] - calls[True]["bic_to_dsic_dual"] == 53
+    assert calls[False]["virtual_values_ds"] - calls[True]["virtual_values_ds"] == 40
 
 
 # -- agent independence -----------------------------------------------------

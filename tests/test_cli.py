@@ -17,11 +17,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import auctionlp
-from auctionlp import auction, cli, errors
+from auctionlp import analysis, auction, cli, errors
 from auctionlp.auction import build_blp, build_dslp, certificate_document, solve_form
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import NotOptimal, ScaleLimit
-from auctionlp.analysis import tight_downward_dual
+from auctionlp.analysis import iid_scan, tight_downward_dual
 from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
 from auctionlp.model import load_instance, rat, rat_str
 from auctionlp.oracles import gen_instance, gen_shape
@@ -929,6 +929,25 @@ def test_characterize_needs_path_or_gen(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["--gen", "n=2,m=1,support=2"], "not both"),
+        (["--seed", "3"], "need --gen"),
+        (["--count", "2"], "need --gen"),
+    ],
+)
+def test_characterize_refuses_input_it_would_ignore(tmp_path, capsys, argv, refusal):
+    # a path beside --gen, even one that does not exist, and --seed or
+    # --count without --gen would go unread
+    for path in (str(tmp_path / "missing.json"), str(tmp_path)):
+        with pytest.raises(SystemExit) as err:
+            main(["characterize", path, *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert refusal in captured.err and captured.out == ""
+
+
 def test_characterize_gen_is_deterministic(capsys):
     argv = ["characterize", "--gen", "n=2,m=1,support=2", "--seed", "4", "--count", "2"]
     assert main(argv) == 0
@@ -955,9 +974,12 @@ def test_characterize_gen_iid_scan(capsys):
         "2",
     ]
     assert main(argv) == 0
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    out = capsys.readouterr().out
+    records = [json.loads(line) for line in out.splitlines()]
     assert [r["brev"] for r in records] == ["11/24", "189/64"]
     assert all(r["tight_excess"] == "0" for r in records)
+    scanned = iid_scan({"n": 3, "m": 1, "support": 2}, 1, 2)
+    assert out == "".join(json.dumps(record, sort_keys=True) + "\n" for record in scanned)
 
 
 def test_characterize_bad_gen_spec(capsys):
@@ -1227,6 +1249,52 @@ def test_closed_stdout_exits_141_in_a_pipe():
     child.stderr.close()
     assert first["index"] == 0
     assert (child.wait(), stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("spec", ["n=3,m=2,support=3,iid=1", "n=2,m=1,support=2"])
+def test_a_reader_that_stops_stops_the_scan(capsys, monkeypatch, spec):
+    # `characterize --gen ... --count 20 | head -1`: each record reaches
+    # the reader before the next instance is drawn, and the write after
+    # the reader has gone ends the run
+    read_end, write_end = os.pipe()
+
+    class FirstLine(io.TextIOBase):
+        """A pipe whose reader closes it after one flushed line."""
+
+        def __init__(self):
+            self.pending, self.read = "", ""
+
+        def write(self, text):
+            if "\n" in self.read:
+                raise BrokenPipeError(32, "Broken pipe")
+            self.pending += text
+            return len(text)
+
+        def flush(self):
+            self.read, self.pending = self.read + self.pending, ""
+
+        def fileno(self):
+            return write_end
+
+    made = []
+    original = cli.characterize
+
+    def counted(instance):
+        made.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(cli, "characterize", counted)
+    monkeypatch.setattr(analysis, "characterize", counted)
+    reader = FirstLine()
+    try:
+        monkeypatch.setattr(sys, "stdout", reader)
+        assert main(["characterize", "--gen", spec, "--count", "20"]) == 141
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert json.loads(reader.read)["index"] == 0
+    assert len(made) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_closed_stdout_exits_141_in_process(u12_path, capsys, monkeypatch):
