@@ -9,26 +9,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from .auction import (
-    _feasible_dual,
-    _proof,
-    build_dslp,
-    drev,
-    solve_form,
-)
-from .errors import DimensionMismatch, InfeasibleInput, NotAgentIndependent, NotOptimal
-from .lp import MIN, make_lp, solve
+from .auction import _proof, _raising_pairs, drev, solve_form, tight_downward_dual
+from .errors import DimensionMismatch, NotAgentIndependent, NotOptimal
 from .model import (
     BAYES,
     DS,
     DualSolution,
     Instance,
     Mechanism,
-    PrimalSlacks,
     RevenueReport,
     Scaled,
     _dual_from_scaled,
-    _scale,
     mechanism_feasible,
     mechanism_slacks,
     rat_str,
@@ -243,16 +234,6 @@ def _myerson_auction(instance: Instance, dual: DualSolution):
 # Dual selection
 
 
-def _raising_pairs(instance: Instance, i: int) -> list[tuple[int, int]]:
-    """Buyer i's (true t, report t2) pairs whose report is higher on
-    some item."""
-    return [
-        (t, t2)
-        for t, t2 in itertools.permutations(range(instance.sizes[i]), 2)
-        if any(w2 > w for w, w2 in zip(instance.value(i, t), instance.value(i, t2)))
-    ]
-
-
 def face_excess(instance: Instance, dual: DualSolution) -> Fraction:
     """What tight_downward_dual minimizes, less the buyer count: total
     participation mass plus the mass on raising pairs, minus n."""
@@ -266,110 +247,6 @@ def face_excess(instance: Instance, dual: DualSolution) -> Fraction:
         )
         total += Fraction(sum(eta), eta_den) + Fraction(raising, zeta_den)
     return total
-
-
-def tight_downward_dual(instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks):
-    """Search the optimal dual face for a solution whose payment rows
-    are all tight and whose deviation mass never runs from a lower
-    value to a higher one on any item.
-
-    The face is read off a proved dominant-strategy optimum, a mechanism
-    and its slacks (a DS primal certificate's _proof, or characterize's
-    evidence), by complementary slackness (Schrijver, Theory of Linear
-    and Integer Programming, 1986, ch. 7): a feasible dual is optimal
-    exactly when it is 0 on every primal row with positive slack and
-    the dual row of every positive primal entry holds with equality.
-    So the face program is the explicit dual with only the primal's
-    tight rows as columns, and each positive entry's row written twice,
-    once negated; every point of it is on the face, and every point of
-    the face is in it.  A feasible mechanism that is not optimal leaves
-    it empty, and NotOptimal is raised.
-
-    Minimizes total participation mass plus the mass on raising pairs
-    over that program.  Returns (dual, excess): excess 0 means both
-    goals were met exactly, and the regularized table then stays at or
-    below the values entrywise.  Single-item instances always admit
-    excess 0.  The face has many minimizers; this returns the one
-    vertex the simplex's pivot path reaches, and it is the only function
-    here that does.  The vertex is accepted as the exact proofs accept
-    an optimum: a feasible dual of the full program whose objective is
-    the mechanism's revenue.
-    """
-    if not mechanism_feasible(instance, mechanism, slacks):
-        raise InfeasibleInput("mechanism violates feasibility")
-    primal = build_dslp(instance)
-    layout = primal.layout
-    tight = _tight_rows(instance, layout, slacks)
-    goal = [0] * primal.nrows  # per primal row, its weight in the objective
-    for i in range(instance.n):
-        for r in range(instance.profile_count):
-            goal[layout.eta(i, r)] = 1
-        for t, t2 in _raising_pairs(instance, i):
-            for ranks in instance.ranks[i]:
-                goal[layout.zeta(i, ranks[t], t, t2)] = 1
-    # A^T y over the tight columns, one sum per primal column
-    sums = [[] for _ in range(primal.ncols)]
-    for col, r in enumerate(tight):
-        for j, coef in primal.rows[r]:
-            sums[j].append((col, coef))
-    # -A^T y <= -c for every primal column, then A^T y <= c for each
-    # positive one
-    rows = [[(col, -coef) for col, coef in terms] for terms in sums]
-    b = [-q for q in primal.c]
-    for j in _positive_columns(instance, layout, mechanism):
-        rows.append(sums[j])
-        b.append(primal.c[j])
-    c = [Fraction(goal[r]) for r in tight]
-    certificate = solve(make_lp(MIN, c, rows, b))
-    y = [0] * primal.nrows
-    for r, value in zip(tight, certificate.primal):
-        y[r] = value
-    dual = _feasible_dual(instance, layout, *_scale(tuple(y)))
-    # total participation mass alone already sums to at least one per buyer
-    excess = certificate.objective - instance.n
-    if excess < 0:
-        raise NotOptimal(f"optimal-face search reached excess {excess} below 0")
-    if dual.objective() != mechanism.revenue(instance):
-        raise NotOptimal("optimal-face dual misses the revenue")
-    return dual, excess
-
-
-def _tight_rows(instance: Instance, layout, slacks: PrimalSlacks) -> list[int]:
-    """The DS primal rows a mechanism with these slacks meets with
-    equality, in row order, read off the slack numerators: ic rows
-    (buyer, profile, report), ir rows (buyer, profile), sup rows (item,
-    profile)."""
-    (a, b, (c, _)) = slacks.scaled
-    tight = []
-    for i, (a_i, _) in enumerate(a):
-        for r, (t, _) in enumerate(instance.positions[i]):
-            tight.extend(
-                layout.zeta(i, r, t, t2) for t2, gap in enumerate(a_i[r]) if t2 != t and not gap
-            )
-    for i, (b_i, _) in enumerate(b):
-        tight.extend(layout.eta(i, r) for r, gap in enumerate(b_i) if not gap)
-    for j, c_j in enumerate(c):
-        tight.extend(layout.xi(j, r) for r, gap in enumerate(c_j) if not gap)
-    return tight
-
-
-def _positive_columns(instance: Instance, layout, mechanism: Mechanism) -> list[int]:
-    """The DS primal columns where the mechanism is positive, in column
-    order, read off its numerators: x (buyer, item, profile), then p
-    (buyer, profile)."""
-    (alloc, pay), _ = mechanism.scaled
-    count = instance.profile_count
-    positive = [
-        layout.x(i, j, r)
-        for i in range(instance.n)
-        for j in range(instance.m)
-        for r in range(count)
-        if alloc[r][i][j] > 0
-    ]
-    positive.extend(
-        layout.p(i, r) for i in range(instance.n) for r in range(count) if pay[r][i] > 0
-    )
-    return positive
 
 
 def _tight_dual(instance: Instance, report: RevenueReport):

@@ -1,4 +1,5 @@
-"""Builders for the four auction programs and certificate round-trips.
+"""Builders for the four auction programs and the optimal-face program,
+and certificate round-trips.
 
 A ProgramLayout holds the structure of a primal program: where each
 variable and constraint sits.  One builder serves both forms: each
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm, prod
@@ -39,6 +40,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleInput,
     LabelMismatch,
+    NotOptimal,
     NotRational,
     echo,
 )
@@ -85,6 +87,7 @@ __all__ = [
     "drev",
     "brev",
     "solve_form",
+    "tight_downward_dual",
     "extend_ds",
     "extend_bayes",
     "certificate_document",
@@ -519,6 +522,119 @@ def drev(instance: Instance) -> Fraction:
 def brev(instance: Instance) -> Fraction:
     """Optimal revenue over Bayesian implementations."""
     return solve_form(instance, BAYES).objective
+
+
+# ---------------------------------------------------------------------------
+# The optimal dual face
+
+
+def _raising_pairs(instance: Instance, i: int) -> list[tuple[int, int]]:
+    """Buyer i's (true t, report t2) pairs whose report is higher on
+    some item."""
+    return [
+        (t, t2)
+        for t, t2 in itertools.permutations(range(instance.sizes[i]), 2)
+        if any(w2 > w for w, w2 in zip(instance.value(i, t), instance.value(i, t2)))
+    ]
+
+
+def tight_downward_dual(instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks):
+    """Search the optimal dual face for a solution whose payment rows
+    are all tight and whose deviation mass never runs from a lower
+    value to a higher one on any item.
+
+    The face is read off a proved dominant-strategy optimum, a mechanism
+    and its slacks (a DS primal certificate's _proof, or characterize's
+    evidence), by complementary slackness (Schrijver, Theory of Linear
+    and Integer Programming, 1986, ch. 7): a feasible dual is optimal
+    exactly when it is 0 on every primal row with positive slack and
+    the dual row of every positive primal entry holds with equality.
+    So the face program is dual_of the DS primal (build_dslp) restricted
+    to its tight rows, -A_T^T y <= -c, plus each positive entry's row
+    of it negated; every point of it is on the face, and every point of
+    the face is in it.  A feasible mechanism that is not optimal leaves
+    it empty, and NotOptimal is raised.
+
+    Minimizes total participation mass plus the mass on raising pairs
+    over that program.  Returns (dual, excess): excess 0 means both
+    goals were met exactly, and the regularized table then stays at or
+    below the values entrywise.  Single-item instances always admit
+    excess 0.  The face has many minimizers; this returns the one
+    vertex the simplex's pivot path reaches, and it is the only function
+    here that does.  The vertex is accepted as the exact proofs accept
+    an optimum: a feasible dual of the full program whose objective is
+    the mechanism's revenue.
+    """
+    if not mechanism_feasible(instance, mechanism, slacks):
+        raise InfeasibleInput("mechanism violates feasibility")
+    primal = build_dslp(instance)
+    layout = primal.layout
+    tight = _tight_rows(instance, layout, slacks)  # (row, weight) pairs
+    kept = tuple(primal.rows[r] for r, _ in tight)
+    face = dual_of(replace(primal, rows=kept, b=tuple(primal.b[r] for r, _ in tight)))
+    # each positive entry's row again, negated, so that it holds with equality
+    positive = _positive_columns(instance, layout, mechanism)
+    rows = face.rows + tuple(tuple((col, -coef) for col, coef in face.rows[j]) for j in positive)
+    b = face.b + tuple(-face.b[j] for j in positive)
+    weights = tuple(weight for _, weight in tight)
+    certificate = solve(replace(face, c=weights, rows=rows, b=b))
+    y = [0] * primal.nrows
+    for (r, _), value in zip(tight, certificate.primal):
+        y[r] = value
+    dual = _feasible_dual(instance, layout, *_scale(tuple(y)))
+    # total participation mass alone already sums to at least one per buyer
+    excess = certificate.objective - instance.n
+    if excess < 0:
+        raise NotOptimal(f"optimal-face search reached excess {excess} below 0")
+    if dual.objective() != mechanism.revenue(instance):
+        raise NotOptimal("optimal-face dual misses the revenue")
+    return dual, excess
+
+
+def _tight_rows(instance: Instance, layout: ProgramLayout, slacks: PrimalSlacks):
+    """The DS primal rows a mechanism with these slacks meets with
+    equality, in row order, read off the slack numerators: ic rows
+    (buyer, profile, report), ir rows (buyer, profile), sup rows (item,
+    profile).  Each comes as a (row, weight) pair, its weight in
+    tight_downward_dual's objective: 1 on every ir row and on the ic
+    row of every raising pair, else 0."""
+    (a, b, (c, _)) = slacks.scaled
+    one, zero = Fraction(1), Fraction(0)
+    tight = []
+    for i, (a_i, _) in enumerate(a):
+        raising = set(_raising_pairs(instance, i))
+        for r, (t, _) in enumerate(instance.positions[i]):
+            tight.extend(
+                (layout.zeta(i, r, t, t2), one if (t, t2) in raising else zero)
+                for t2, gap in enumerate(a_i[r])
+                if t2 != t and not gap
+            )
+    for i, (b_i, _) in enumerate(b):
+        tight.extend((layout.eta(i, r), one) for r, gap in enumerate(b_i) if not gap)
+    for j, c_j in enumerate(c):
+        tight.extend((layout.xi(j, r), zero) for r, gap in enumerate(c_j) if not gap)
+    return tight
+
+
+def _positive_columns(
+    instance: Instance, layout: ProgramLayout, mechanism: Mechanism
+) -> list[int]:
+    """The DS primal columns where the mechanism is positive, in column
+    order, read off its numerators: x (buyer, item, profile), then p
+    (buyer, profile)."""
+    (alloc, pay), _ = mechanism.scaled
+    count = instance.profile_count
+    positive = [
+        layout.x(i, j, r)
+        for i in range(instance.n)
+        for j in range(instance.m)
+        for r in range(count)
+        if alloc[r][i][j] > 0
+    ]
+    positive.extend(
+        layout.p(i, r) for i in range(instance.n) for r in range(count) if pay[r][i] > 0
+    )
+    return positive
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,9 @@ def main(argv=None) -> int:
             parser.error("characterize takes an instance path or --gen, not both")
         if args.gen is None and (args.seed is not None or args.count is not None):
             parser.error("characterize --seed and --count need --gen")
+        if args.gen is not None and args.augment_zero:
+            # generated instances always hold the zero type
+            parser.error("characterize --augment-zero needs an instance path, not --gen")
     try:
         if args.caps < 1:
             raise DimensionMismatch(f"--caps must be at least 1, got {echo(args.caps)}")

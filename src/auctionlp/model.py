@@ -768,6 +768,9 @@ def mechanism_feasible(
     scaled = _slack_numerators(instance, mechanism) if slacks is None else slacks.scaled
     (alloc, pay), den = mechanism.scaled
     cells = list(itertools.chain.from_iterable(alloc))
+    # x <= 1 (max <= den) follows from x >= 0 and the sup rows, which
+    # scaled.feasible tests, so dropping it changes no answer; it stays
+    # as a cheap early refusal
     in_bounds = not (_any_negative(cells) or max(map(max, cells)) > den or _any_negative(pay))
     return in_bounds and scaled.feasible
 

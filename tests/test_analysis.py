@@ -207,7 +207,6 @@ def spied_solves():
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(auction, "solve", spy)
-            mp.setattr(analysis, "solve", spy)
             result = fn(*args)
         return result, len(calls)
 
@@ -465,11 +464,18 @@ def test_face_excess_matches_the_face_search(u12):
         assert face_excess(instance, dual) == excess == expected
 
 
-def test_tight_dual_refuses_a_suboptimal_mechanism(monkeypatch, u12, pair12):
+def test_tight_dual_refuses_a_suboptimal_mechanism(u12, pair12):
     # No dual meets a feasible mechanism below DRev by complementary
-    # slackness, so its face program is empty and no dual is built.
+    # slackness, so its face program is empty and no dual is built.  The
+    # spy sees the face search's calls only: drev's solve proves its
+    # vertex through _feasible_dual too.
     built = []
-    monkeypatch.setattr(analysis, "_feasible_dual", lambda *args: built.append(args))
+
+    def faced(instance, mechanism, slacks):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(auction, "_feasible_dual", lambda *args: built.append(args))
+            tight_downward_dual(instance, mechanism, slacks)
+
     for instance in (u12, pair12):
         mechanism, _ = ds_optimum(instance)
         (alloc, pay), den = mechanism.scaled
@@ -479,12 +485,12 @@ def test_tight_dual_refuses_a_suboptimal_mechanism(monkeypatch, u12, pair12):
             assert mechanism_feasible(instance, suboptimal, slacks)
             assert suboptimal.revenue(instance) < drev(instance)
             with pytest.raises(NotOptimal):
-                tight_downward_dual(instance, suboptimal, slacks)
+                faced(instance, suboptimal, slacks)
         # and an infeasible one is no optimum at all
         doubled_pay = tuple(tuple(2 * q for q in row) for row in pay)
         doubled = Mechanism(DS, Scaled((alloc, doubled_pay), den))
         with pytest.raises(InfeasibleInput):
-            tight_downward_dual(instance, doubled, mechanism_slacks(instance, doubled))
+            faced(instance, doubled, mechanism_slacks(instance, doubled))
     assert built == []
 
 

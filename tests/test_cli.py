@@ -18,13 +18,20 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import auctionlp
 from auctionlp import analysis, auction, cli, errors
-from auctionlp.auction import build_blp, build_dslp, certificate_document, solve_form
+from auctionlp.auction import (
+    build_blp,
+    build_dslp,
+    certificate_document,
+    solve_form,
+    verify_certificate_document,
+)
 from auctionlp.cli import build_parser, main
-from auctionlp.errors import NotOptimal, ScaleLimit
+from auctionlp.errors import LabelMismatch, NotOptimal, ScaleLimit
 from auctionlp.analysis import iid_scan, tight_downward_dual
 from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
 from auctionlp.model import load_instance, rat, rat_str
 from auctionlp.oracles import gen_instance, gen_shape
+from auctionlp.virtual import CheckReport, VwmViolation
 from helpers import NUMBER_TABLE, ds_optimum, labels
 
 U12 = {
@@ -356,6 +363,38 @@ def test_self_check_rejects_forged_value(pair_path, tmp_path, capsys, reproof):
     forged.write_text(json.dumps(doc))
     assert main(["self-check", pair_path, str(forged)]) == 2
     assert "CertificateError" in capsys.readouterr().err
+
+
+def test_self_check_rejects_a_stated_objective_off_by_one(pair_path, tmp_path, capsys, reproof):
+    # the vectors are optimal: only the comparison with the stated
+    # objective refuses the document
+    cert = tmp_path / "cert.json"
+    main(["solve", pair_path, "--certificate", str(cert)])
+    capsys.readouterr()
+    document = json.loads(cert.read_text())
+    document["objective"] = rat_str(rat(document["objective"]) + 1)
+    with pytest.raises(CertificateError, match="objective mismatch"):
+        verify_certificate_document(load_instance(pair_path), document)
+    cert.write_text(json.dumps(document))
+    assert main(["self-check", pair_path, str(cert)]) == 2
+    assert "CertificateError: objective mismatch" in capsys.readouterr().err
+
+
+def test_self_check_rejects_a_certificate_of_other_masses(pair_path, tmp_path, capsys):
+    # every label of a same-shape instance reads here: the digest
+    # refuses its certificate before the proof does
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(PAIR12, probs=[[0, "1/4", "3/4"]] * 2)))
+    cert = tmp_path / "cert.json"
+    assert main(["solve", str(other), "--certificate", str(cert)]) == 0
+    capsys.readouterr()
+    document = json.loads(cert.read_text())
+    instance = load_instance(pair_path)
+    with pytest.raises(LabelMismatch, match="digest does not match the instance"):
+        verify_certificate_document(instance, document)
+    document["digest"] = instance.digest()
+    with pytest.raises(CertificateError):
+        verify_certificate_document(instance, document)
 
 
 @pytest.mark.parametrize(
@@ -923,6 +962,18 @@ def test_characterize_one_gen_instance_prints_its_block(tmp_path, capsys):
     assert block.startswith("brev ")
 
 
+def test_characterize_prints_each_finding(tmp_path, capsys):
+    # i.i.d. buyers whose items are correlated: BRev = DRev > SRev
+    path = tmp_path / "split.json"
+    path.write_text(gen_instance({"n": 3, "m": 2, "support": 2, "iid": True}, 6).to_json())
+    assert main(["characterize", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "witness agent-independent",
+        "finding iid-equality-split:brev=1195/288,drev=1195/288,srev=3581/864",
+    ]
+
+
 def test_characterize_needs_path_or_gen(capsys):
     with pytest.raises(SystemExit) as err:
         main(["characterize"])
@@ -946,6 +997,15 @@ def test_characterize_refuses_input_it_would_ignore(tmp_path, capsys, argv, refu
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert refusal in captured.err and captured.out == ""
+
+
+def test_characterize_refuses_augment_zero_with_gen(capsys):
+    # generated instances always hold the zero type, so the flag would go unread
+    with pytest.raises(SystemExit) as err:
+        main(["characterize", "--gen", "n=2,m=1,support=2", "--augment-zero"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--augment-zero needs an instance path" in captured.err and captured.out == ""
 
 
 def test_characterize_gen_is_deterministic(capsys):
@@ -1180,6 +1240,22 @@ def test_virtuals_table_output(u12_path, capsys):
 def test_virtuals_interim_output(pair_path, capsys):
     assert main(["virtuals", pair_path, "--form", "bic"]) == 0
     assert capsys.readouterr().out == PAIR_VIRTUALS_BIC
+
+
+def test_virtuals_reports_vwm_violations(u12_path, capsys, monkeypatch):
+    # one violation names its buyer, the other none
+    violations = (
+        VwmViolation("alloc-not-argmax", 0, 2, 0),
+        VwmViolation("unsold-max-positive", 0, 1),
+    )
+    monkeypatch.setattr(cli, "check_vwm", lambda *args: CheckReport(2, violations))
+    assert main(["virtuals", u12_path]) == 0
+    assert capsys.readouterr().out == U12_VIRTUALS.replace(
+        "vwm ok checked=2\n",
+        "vwm violations 2\n"
+        "vwm alloc-not-argmax i=0 j=0 r=2\n"
+        "vwm unsold-max-positive i=- j=0 r=1\n",
+    )
 
 
 @pytest.mark.parametrize("form", ["ds", "bic"])

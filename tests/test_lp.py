@@ -406,12 +406,10 @@ def face_program(instance):
     """The program tight_downward_dual solves on the instance's DS
     optimum: a min-sense search of the optimal dual face, whose
     payment rows have negative right-hand sides, so phase one runs."""
-    from auctionlp import analysis
-
     optimum = ds_optimum(instance)
     programs = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "solve", lambda lp: programs.append(lp) or solve(lp))
+        mp.setattr(auction, "solve", lambda lp: programs.append(lp) or solve(lp))
         tight_downward_dual(instance, *optimum)
     (lp,) = programs
     return lp
