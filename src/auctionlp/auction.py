@@ -33,7 +33,6 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm, prod
-from operator import truediv
 from typing import NamedTuple
 
 from .errors import (
@@ -51,7 +50,6 @@ from .lp import (
     LpCertificate,
     MAX,
     dual_of,
-    make_lp,
     recheck_certificate,
     solve,
 )
@@ -265,11 +263,13 @@ def _build_primal(instance: Instance, form: str, number) -> LinearProgram:
 
     Each coefficient is number(numerator, denominator), of integers read
     off the instance's tables over one denominator (supports_scaled,
-    the keys' scales, mu_scaled): Fraction makes the exact program,
-    which build_dslp and build_blp validate (make_lp), and
+    the keys' scales, mu_scaled): Fraction makes the exact program and
     operator.truediv the float program that solve_form's float pass
     reads.  Integer true division rounds correctly, so each float is
-    the exact coefficient's float.  The program is returned unvalidated.
+    the exact coefficient's float.  The program is well formed by
+    construction (every column in range and once in its row, every
+    coefficient nonzero), and is returned with list fields, unchecked:
+    a solve reads it as it is, and _exact_primal freezes the exact one.
 
     Keys are profile ranks (DS) or own types (BAYES); see
     multiplier_keys.  Each opponent slice of nonzero scale appends its
@@ -340,8 +340,9 @@ def _build_primal(instance: Instance, form: str, number) -> LinearProgram:
 
 
 def _exact_primal(instance: Instance, form: str) -> LinearProgram:
+    """The exact program of the form, frozen into tuples."""
     lp = _build_primal(instance, form, Fraction)
-    return make_lp(lp.sense, lp.c, lp.rows, lp.b, lp.layout)
+    return LinearProgram(lp.sense, tuple(lp.c), tuple(map(tuple, lp.rows)), tuple(lp.b), lp.layout)
 
 
 def build_dslp(instance: Instance) -> LinearProgram:
@@ -493,15 +494,11 @@ def solve_form(instance: Instance, form: str) -> LpCertificate:
     """Solve the primal program of the given form to optimality.  The
     model proves each vertex the solver proposes (_accept), so the
     certificate carries the mechanism, its slacks and the dual solution
-    that extraction returns.  The float pass reads the program built in
-    floats (_build_primal with truediv); the exact program (build_dslp
-    or build_blp) is built only if the model refuses its proposal."""
-    exact = build_dslp if form == DS else build_blp
-    program = DeferredProgram(
-        partial(_build_primal, instance, form, truediv),
-        partial(exact, instance),
-        _layout(instance, form),
-    )
+    that extraction returns.  The program is one builder in either
+    arithmetic (_build_primal): the float pass reads it built in floats,
+    and the exact pass built with Fraction, only if the model refuses
+    the float proposal."""
+    program = DeferredProgram(partial(_build_primal, instance, form), _layout(instance, form))
     return solve(program, partial(_accept, instance))
 
 

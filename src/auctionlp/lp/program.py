@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, truediv
 from typing import Sequence
 
 from ..errors import InvalidInput
@@ -42,29 +41,30 @@ class LinearProgram:
 
 class DeferredProgram:
     """A program that solve builds in the arithmetic of each pass that
-    reads it, from its builders: floating() returns it with float
-    coefficients, each the correctly rounded value of the exact one,
-    and exact() the exact make_lp program.  The float pass runs first,
-    so the exact program is built only if the float pass proposes
-    nothing that the acceptor accepts.
+    reads it, from one builder, build(number): number(p, q) makes each
+    coefficient from integers p and q.  floating() builds it with
+    operator.truediv, so each float is the correctly rounded value of
+    the exact coefficient, and exact() with Fraction.  The float pass
+    runs first, so the exact program is built only if the float pass
+    proposes nothing that the acceptor accepts.
 
-    The float program is not validated: nothing it proposes is accepted
+    Neither build is validated: nothing either pass proposes is accepted
     but by the acceptor, which is handed this object and must prove a
     vertex without its entries, from the layout alone.  (certify_optimal
     reads the entries, so it cannot serve.)  nrows, ncols and rows read
     the program built last, so reading them after a solve builds none."""
 
-    def __init__(self, floating, exact, layout: object = None):
-        self._floating, self._exact = floating, exact
+    def __init__(self, build, layout: object = None):
+        self._build = build
         self.layout = layout
         self.built = None
 
     def floating(self) -> LinearProgram:
-        self.built = self._floating()
+        self.built = self._build(truediv)
         return self.built
 
     def exact(self) -> LinearProgram:
-        self.built = self._exact()
+        self.built = self._build(Fraction)
         return self.built
 
     @property
@@ -87,36 +87,6 @@ def _exact(q) -> Fraction:
 # A Fraction keeps its numerator and denominator in slots; reading a
 # slot runs in C, where the public properties are a Python call per entry.
 _NUMERATOR, _DENOMINATOR = attrgetter("_numerator"), attrgetter("_denominator")
-_COLUMN, _COEFFICIENT = itemgetter(0), itemgetter(1)
-
-
-def _all_fractions(values) -> bool:
-    return all(map(isinstance, values, repeat(Fraction)))
-
-
-def _exact_all(values) -> tuple[Fraction, ...]:
-    values = tuple(values)
-    return values if _all_fractions(values) else tuple(map(_exact, values))
-
-
-def _all_clean(rows, ncols: int) -> bool:
-    """Whether every row is a sequence of (column, coefficient) tuples
-    with in-range columns, distinct within the row, and nonzero Fraction
-    coefficients.  Each test runs in C over all the entries at once."""
-    entries = list(chain.from_iterable(rows))
-    if not entries:
-        return True
-    if set(map(type, entries)) != {tuple} or set(map(len, entries)) != {2}:
-        return False
-    cols = list(map(_COLUMN, entries))
-    coefs = list(map(_COEFFICIENT, entries))
-    return (
-        min(cols) >= 0
-        and max(cols) < ncols
-        and sum(map(len, map(dict, rows))) == len(entries)
-        and _all_fractions(coefs)
-        and all(map(_NUMERATOR, coefs))
-    )
 
 
 def _checked_row(row, ncols: int) -> tuple[tuple[int, Fraction], ...]:
@@ -142,29 +112,22 @@ def make_lp(
     b: Sequence[Fraction],
     layout: object = None,
 ) -> LinearProgram:
-    """Validate and freeze an LP.  Zero coefficients are dropped;
+    """Validate and freeze an LP from outside the package (the package's
+    own builders freeze theirs).  Zero coefficients are dropped;
     malformed input (a bad sense, rows and b of different lengths, a
-    column out of range or repeated within a row) raises ValueError.
-    Fraction entries are stored as given; other numbers are converted.
-
-    Every entry is checked, at the cost of the nonzeros: in bulk, by
-    the least and greatest column, the count of distinct columns in each
-    row, and C-level tests that every coefficient is a nonzero Fraction.
-    Only when a bulk test fails are the rows walked entry by entry, to
-    convert numbers, drop zeros, or name the first bad column."""
+    column out of range or repeated within a row) raises ValueError,
+    naming the first bad column.  Fraction entries are stored as given;
+    other numbers are converted."""
     if sense not in (MAX, MIN):
         raise ValueError(f"bad sense {sense!r}")
     ncols = len(c)
     if len(rows) != len(b):
         raise ValueError("row arrays have inconsistent lengths")
-    rows = tuple(map(tuple, rows))
-    if not _all_clean(rows, ncols):
-        rows = tuple(_checked_row(row, ncols) for row in rows)
     return LinearProgram(
         sense=sense,
-        c=_exact_all(c),
-        rows=rows,
-        b=_exact_all(b),
+        c=tuple(map(_exact, c)),
+        rows=tuple(_checked_row(row, ncols) for row in rows),
+        b=tuple(map(_exact, b)),
         layout=layout,
     )
 
@@ -311,15 +274,17 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     max{c.x : Ax <= b, x >= 0}  ->  min{b.y : -A^T y <= -c, y >= 0}
     min{c.x : Ax <= b, x >= 0}  ->  max{-b.y : -A^T y <= c, y >= 0}
 
-    Both directions report the same optimal value as the input program,
-    and dual_of(dual_of(lp)) == lp.
+    Both directions report the same optimal value as the input program.
+    The input is trusted to be well formed, and so is its transpose,
+    which is frozen unchecked; dual_of(dual_of(lp)) == lp for a frozen
+    program whose rows list their columns in increasing order.
     """
     cols = [[] for _ in range(lp.ncols)]
     for r, row in enumerate(lp.rows):
         for j, coef in row:
             cols[j].append((r, -coef))
     if lp.sense == MAX:
-        sense, c, b = MIN, lp.b, tuple(-q for q in lp.c)
+        sense, c, b = MIN, tuple(lp.b), tuple(-q for q in lp.c)
     else:
         sense, c, b = MAX, tuple(-q for q in lp.b), tuple(lp.c)
-    return make_lp(sense, c, [tuple(col) for col in cols], b)
+    return LinearProgram(sense, c, tuple(map(tuple, cols)), b)

@@ -23,17 +23,20 @@ which guarantees termination.
 `solve` first runs the simplex over Python floats with the same pivot
 rule, so it walks the exact pivot path, and rounds the optimal vertex
 it ends on to nearby rationals.  The float pass reads a program in
-floats (_in_arithmetic): a DeferredProgram's float build (the auction
-primals, made from the instance's integers), or a make_lp program's
-Fractions converted entry by entry.  Each float is the correctly
-rounded value of the exact coefficient either way.  Only an exact check
+floats (_in_arithmetic): a DeferredProgram's builder run in floats (the
+auction primals, made from the instance's integers), or a frozen
+program's Fractions converted entry by entry.  Each float is the
+correctly rounded value of the exact coefficient either way.  No
+program is validated here: a frozen one is well formed by its maker
+(make_lp, or a package builder), and only an exact check
 accepts the proposal: the acceptor `solve` is given, `certify_optimal`
 on the program's rows and columns unless the caller passes its own (the
 auction builders prove their primals on the model instead).  Any other
 ending (the check fails, the float pass ends without an optimum, runs
 out of its pivot budget, or meets a number floats cannot hold) runs the
 exact simplex from scratch, on the exact program, which a
-DeferredProgram builds only then; its vertex faces the same acceptor.
+DeferredProgram builds (with Fraction) only then; its vertex faces the
+same acceptor.
 Every program the package builds has an optimum, so the exact simplex
 ending without one (infeasible, unbounded, a corrupt tableau, or a
 vertex that fails its exact check) means a program built wrong, and it
@@ -187,10 +190,11 @@ def _to_float(q: Fraction) -> float:
 
 def _in_arithmetic(lp: LinearProgram | DeferredProgram, floating: bool) -> LinearProgram:
     """The program a run sets its tableau up from, in the run's
-    arithmetic.  A DeferredProgram is built in it.  A make_lp program is
-    read as it is by the exact run, and converted entry by entry
-    (_to_float) for the float run.  Either float program raises
-    OverflowError on a coefficient beyond the float range."""
+    arithmetic.  A DeferredProgram's one builder is run in it (truediv
+    or Fraction).  A frozen program is read as it is by the exact run,
+    and converted entry by entry (_to_float) for the float run.  Either
+    float program raises OverflowError on a coefficient beyond the
+    float range."""
     if isinstance(lp, DeferredProgram):
         return lp.floating() if floating else lp.exact()
     if not floating:

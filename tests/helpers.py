@@ -20,7 +20,8 @@ equivalence maps and the regularization moves).  mechanism_of and
 slacks_of build a Mechanism or PrimalSlacks from Fractions, labels
 renders every label of a layout, and iid_items_instance draws an
 instance whose values are i.i.d. across items as well as buyers.
-ds_optimum reads the proved DS optimum off a solve, and
+ds_optimum reads the proved DS optimum off a solve, assert_frozen
+holds a package-built program to what make_lp makes of it, and
 revenue_face_program (with revenue_face_dual, its vertex) is the
 optimal dual face held to a revenue by two rows, the program that
 tight_downward_dual's complementary-slackness program replaced.  The
@@ -822,6 +823,15 @@ def ds_optimum(instance):
     (mechanism, slacks), as tight_downward_dual takes it."""
     proof = _proof(instance, solve_form(instance, DS), DS)
     return proof.mechanism, proof.slacks
+
+
+def assert_frozen(lp):
+    """lp is frozen and well formed, as make_lp would make it: every
+    column in range and once in its row, no zero coefficient (make_lp
+    drops it, so the programs differ), and every entry a Fraction."""
+    assert make_lp(lp.sense, lp.c, lp.rows, lp.b, lp.layout) == lp
+    entries = [*lp.c, *lp.b, *(q for row in lp.rows for _, q in row)]
+    assert all(isinstance(q, Fraction) for q in entries)
 
 
 def revenue_face_program(instance, revenue):

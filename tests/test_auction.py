@@ -45,6 +45,7 @@ from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import REPROOF_PATHS, build, reprove_on
 from helpers import (
+    assert_frozen,
     insert,
     labels,
     others_profiles,
@@ -268,7 +269,8 @@ def test_float_program_is_the_exact_program_in_floats(monkeypatch):
     # the instance's integers; it holds the float of every coefficient
     # of the exact program, as converting it entry by entry gives, and
     # so solve_form reaches the certificate, in as many pivots, that
-    # solving the exact program does.
+    # solving the exact program does.  No package program passes through
+    # make_lp, so the exact build and its transpose are held to it here.
     zero_mass = set()
     for spec, seed in itertools.product(FLOAT_PROGRAM_SHAPES, range(4)):
         instance = gen_instance(spec, seed)
@@ -282,6 +284,8 @@ def test_float_program_is_the_exact_program_in_floats(monkeypatch):
             assert list(floats.b) == list(converted.b)
             assert all(type(v) is float for row in floats.rows for _, v in row)
             assert floats.layout == exact.layout
+            assert_frozen(exact)
+            assert_frozen(dual_of(exact))
             expected = pivots_of(monkeypatch, partial(solve, exact, partial(_accept, instance)))
             assert pivots_of(monkeypatch, partial(solve_form, instance, form)) == expected
     assert zero_mass == {True, False}

@@ -29,7 +29,7 @@ from auctionlp.cli import build_parser, main
 from auctionlp.errors import LabelMismatch, NotOptimal, ScaleLimit
 from auctionlp.analysis import iid_scan, tight_downward_dual
 from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
-from auctionlp.model import load_instance, rat, rat_str
+from auctionlp.model import BAYES, DS, load_instance, rat, rat_str
 from auctionlp.oracles import gen_instance, gen_shape
 from auctionlp.virtual import CheckReport, VwmViolation
 from helpers import NUMBER_TABLE, ds_optimum, labels
@@ -149,11 +149,10 @@ def test_values_beyond_float_range_are_solved_exactly(tmp_path, capsys, monkeypa
         )
     )
     builds = []
-    for name in ("build_dslp", "build_blp"):
-        original = getattr(auction, name)
-        monkeypatch.setattr(
-            auction, name, lambda instance, original=original: builds.append(0) or original(instance)
-        )
+    exact = program.DeferredProgram.exact
+    monkeypatch.setattr(
+        program.DeferredProgram, "exact", lambda deferred: builds.append(0) or exact(deferred)
+    )
     for form in ("ds", "bic"):
         builds.clear()
         assert main(["solve", str(path), "--form", form]) == 0
@@ -187,11 +186,11 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
     cases = [
         ([(cli, "solve_form", fail)], "no optimum"),
         (
-            [(auction, "build_dslp", lambda _: infeasible), refused],
+            [(program.DeferredProgram, "exact", lambda _: infeasible), refused],
             "exact simplex: phase one ends infeasible",
         ),
         (
-            [(auction, "build_dslp", lambda _: unbounded), refused],
+            [(program.DeferredProgram, "exact", lambda _: unbounded), refused],
             "exact simplex: phase two ends unbounded",
         ),
         # an exact identity of the model acceptor failing inside the
@@ -786,16 +785,16 @@ def test_solve_builds_its_program_once(pair_path, tmp_path, capsys, monkeypatch,
     # The float pass reads a float program of its own: the exact program
     # is built only when the model refuses the float proposal, and then once.
     builds = []
-    for name in ("build_dslp", "build_blp"):
-        original = getattr(auction, name)
+    exact = program.DeferredProgram.exact
 
-        def counting(instance, original=original):
-            builds.append(original.__name__)
-            return original(instance)
+    def counting(deferred):
+        built = exact(deferred)
+        builds.append((deferred.layout.form, type(built.c[0])))
+        return built
 
-        monkeypatch.setattr(auction, name, counting)
+    monkeypatch.setattr(program.DeferredProgram, "exact", counting)
     cert = str(tmp_path / "cert.json")
-    expected = "build_dslp" if form == "ds" else "build_blp"
+    expected = (DS if form == "ds" else BAYES, Fraction)
     for refused, count in ((False, 0), (True, 1)):
         builds.clear()
         with monkeypatch.context() as patched:

@@ -32,7 +32,7 @@ from auctionlp.lp import simplex
 from auctionlp.lp.program import certify_optimal
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
 from auctionlp.oracles import gen_instance
-from helpers import brute_force_best, ds_optimum, reference_optimal_check
+from helpers import assert_frozen, brute_force_best, ds_optimum, reference_optimal_check
 
 F = Fraction
 
@@ -405,13 +405,15 @@ def test_float_pass_matches_exact_on_auction_programs(spec, seeds):
 def face_program(instance):
     """The program tight_downward_dual solves on the instance's DS
     optimum: a min-sense search of the optimal dual face, whose
-    payment rows have negative right-hand sides, so phase one runs."""
+    payment rows have negative right-hand sides, so phase one runs.
+    It reaches solve without make_lp, so it is held to make_lp here."""
     optimum = ds_optimum(instance)
     programs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(auction, "solve", lambda lp: programs.append(lp) or solve(lp))
         tight_downward_dual(instance, *optimum)
     (lp,) = programs
+    assert_frozen(lp)
     return lp
 
 
