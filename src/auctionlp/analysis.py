@@ -25,6 +25,7 @@ from .model import (
     rat_str,
     validate_instance,
 )
+from .oracles import gen_instance, gen_shape
 from .virtual import (
     check_cs_ds,
     check_ubvv,
@@ -48,7 +49,7 @@ __all__ = [
     "is_iid",
     "revenue_record",
     "iid_scan",
-    "iid_records",
+    "gen_records",
 ]
 
 
@@ -507,22 +508,9 @@ def revenue_record(
 
 
 def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
-    """Characterize seeded i.i.d. instances and collect per-instance
-    findings records; families below three buyers are excluded.  `cap`
-    bounds each instance's profile count, and a bad family raises, as
-    in gen_instance.
-
-    The tight dual behind tight_excess and ubvv_ok is the
-    agent-independent witness characterize built when BRev = DRev, once
-    _tight_dual's checks accept it, with excess 0; otherwise the face
-    program read off the report's DS optimum is solved.  ubvv_ok reads
-    the regularized tight dual's table: the report's witness_table when
-    regularization returns the witness itself, as it returns any
-    regular dual, and a table built from it otherwise.
-    all_equal_consistent is False exactly when one revenue equality
-    holds without the other two."""
-    from .oracles import gen_shape
-
+    """gen_records of the i.i.d. family (n defaults to 3 here); a family
+    below three buyers is excluded with a notice, and a bad family
+    raises, as in gen_instance."""
     spec = {"n": 3, **family, "iid": True}
     gen_shape(spec, cap)  # refuses a bad family before its n is read
     n = spec["n"]
@@ -534,30 +522,41 @@ def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
                 "n": n,
             }
         ]
-    return list(iid_records(spec, seed, count, cap))
+    return list(gen_records(spec, seed, count, cap))
 
 
-def iid_records(family: dict, seed: int, count: int, cap: int = 256) -> Iterator[dict]:
-    """iid_scan's records of a family of at least three buyers, each
-    made when it is asked for, so that a reader may stop the scan."""
-    from .oracles import gen_instance
+def gen_records(spec: dict, seed: int, count: int, cap: int = 256) -> Iterator[dict]:
+    """The revenue_record of each of count instances drawn from spec at
+    seeds seed, seed + 1, ..., each made when it is asked for, so that a
+    reader may stop the run.  `cap` bounds each instance's profile
+    count, and a bad spec raises, as in gen_instance.
 
-    spec = {"n": 3, **family, "iid": True}
+    An i.i.d. spec of at least three buyers is scanned: its records
+    also carry all_equal_consistent, bayes_gap, tight_excess and
+    ubvv_ok.  The tight dual behind tight_excess and ubvv_ok is the
+    agent-independent witness characterize built when BRev = DRev, once
+    _tight_dual's checks accept it, with excess 0; otherwise the face
+    program read off the report's DS optimum is solved.  ubvv_ok reads
+    the regularized tight dual's table: the report's witness_table when
+    regularization returns the witness itself, as it returns any
+    regular dual, and a table built from it otherwise.
+    all_equal_consistent is False exactly when one revenue equality
+    holds without the other two."""
     for index in range(count):
         instance = gen_instance(spec, seed + index, cap=cap)
         report = characterize(instance)
-        dual, excess = _tight_dual(instance, report)
-        regular = regularize_ds(instance, dual, revenue=report.drev)
-        if regular is report.ai_witness:
-            table = report.witness_table
-        else:
-            table = virtual_values_ds(instance, regular)
-        ubvv = check_ubvv(table, instance)
         record = revenue_record(index, seed + index, instance, report)
-        record.update(
-            all_equal_consistent=not report.equality_split,
-            bayes_gap=rat_str(report.brev - report.drev),
-            tight_excess=rat_str(excess),
-            ubvv_ok=ubvv.ok,
-        )
+        if spec.get("iid") and instance.n >= 3:
+            dual, excess = _tight_dual(instance, report)
+            regular = regularize_ds(instance, dual, revenue=report.drev)
+            if regular is report.ai_witness:
+                table = report.witness_table
+            else:
+                table = virtual_values_ds(instance, regular)
+            record.update(
+                all_equal_consistent=not report.equality_split,
+                bayes_gap=rat_str(report.brev - report.drev),
+                tight_excess=rat_str(excess),
+                ubvv_ok=check_ubvv(table, instance).ok,
+            )
         yield record

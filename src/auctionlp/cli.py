@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .analysis import characterize, iid_records, revenue_record
+from .analysis import characterize, gen_records
 from .auction import (
     ProgramLayout,
     certificate_document,
@@ -31,7 +31,7 @@ from .auction import (
 from .errors import AuctionLPError, DimensionMismatch, InvalidInput, ScaleLimit, echo
 from .lp import check_tableau_size
 from .model import BAYES, DS, NEG_INF, load_instance, multiplier_keys, rat_str
-from .oracles import _SPEC_COUNTS, _SPEC_FLAGS, gen_instance, gen_shape
+from .oracles import gen_instance, gen_shape, parse_spec
 from .virtual import (
     check_ubvv,
     check_vwm,
@@ -45,40 +45,6 @@ from .virtual import (
 _INVALID_INPUT = (InvalidInput, OSError, json.JSONDecodeError)
 
 _FORMS = {"ds": DS, "bic": BAYES}
-
-
-_GEN_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _parse_gen_spec(text: str) -> dict:
-    spec: dict = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise DimensionMismatch(f"generator spec entry lacks '=': {echo(part)}")
-        key, raw = part.split("=", 1)
-        key = key.strip()
-        raw = raw.strip()
-        if key in spec:
-            raise DimensionMismatch(f"generator spec repeats the key {echo(key)}")
-        if key in _SPEC_FLAGS:
-            if raw.lower() not in _GEN_FLAGS:
-                raise DimensionMismatch(
-                    f"generator spec value for {echo(key)} is not a boolean: {echo(raw)}"
-                )
-            spec[key] = _GEN_FLAGS[raw.lower()]
-        elif key in _SPEC_COUNTS:
-            try:
-                spec[key] = int(raw)
-            except ValueError:
-                raise DimensionMismatch(
-                    f"generator spec value for {echo(key)} is not an integer: {echo(raw)}"
-                ) from None
-        else:
-            raise DimensionMismatch(f"unknown generator spec key {echo(key)}")
-    return spec
 
 
 def _load(args) -> "Instance":
@@ -138,19 +104,12 @@ def _characterize_one(instance) -> None:
         print("findings none")
 
 
-def _generated_records(spec: dict, seed: int, count: int, cap: int):
-    """One revenue record per drawn instance, each made when asked for."""
-    for index in range(count):
-        instance = gen_instance(spec, seed + index, cap=cap)
-        yield revenue_record(index, seed + index, instance, characterize(instance))
-
-
 def cmd_characterize(args) -> int:
     if args.gen is None:
         instance = _load(args)
         _characterize_one(instance)
         return 0
-    spec = _parse_gen_spec(args.gen)
+    spec = parse_spec(args.gen)
     seed = 0 if args.seed is None else args.seed
     count = 1 if args.count is None else args.count
     if count < 1:
@@ -165,13 +124,9 @@ def cmd_characterize(args) -> int:
         instance = gen_instance(spec, seed, cap=args.caps)
         _characterize_one(instance)
         return 0
-    if spec.get("iid") and len(sizes) >= 3:
-        records = iid_records(spec, seed, count, cap=args.caps)
-    else:
-        records = _generated_records(spec, seed, count, args.caps)
     # each record goes out as soon as it is made, so a reader that
     # closes stdout stops the scan at the next record
-    for record in records:
+    for record in gen_records(spec, seed, count, args.caps):
         print(json.dumps(record, sort_keys=True), flush=True)
     return 0
 

@@ -515,7 +515,6 @@ def validate_instance(
 
     supports: list[tuple[tuple[Fraction, ...], ...]] = []
     probs: list[tuple[Fraction, ...]] = []
-    zero = (Fraction(0),) * m
     for i in range(n):
         sup = [tuple(rat(c) for c in vec) for vec in raw_supports[i]]
         ps = [rat(q) for q in raw_probs[i]]
@@ -533,6 +532,8 @@ def validate_instance(
             for c in vec:
                 if c < 0:
                     raise NegativeValue(f"buyer {i}: negative coordinate {cut(rat_str(c))}")
+        # formed only now, so that m is bounded by the data
+        zero = (Fraction(0),) * m
         for q in ps:
             if q < 0:
                 raise NegativeValue(f"buyer {i}: negative mass {cut(rat_str(q))}")

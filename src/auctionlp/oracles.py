@@ -1,6 +1,8 @@
-"""Seeded instance generation: `gen_instance` draws a deterministic
-instance from a spec and a seed, and `gen_shape` gives the shape it
-draws without drawing anything.
+"""Seeded instance generation: `parse_spec` reads spec text such as
+`n=3,m=1,iid=1` into a spec, the one reader of that text; `gen_instance`
+draws a deterministic instance from a spec and a seed, and `gen_shape`
+gives the shape it draws without drawing anything.  Both judge every
+key and value of a spec through one check.
 
 The brute-force revenue baselines that cross-check the solver live with
 the test suite, in tests/baselines.py.
@@ -17,7 +19,7 @@ from typing import Mapping
 from .errors import DimensionMismatch, ScaleLimit, echo
 from .model import Instance, validate_instance
 
-__all__ = ["gen_instance", "gen_shape"]
+__all__ = ["gen_instance", "gen_shape", "parse_spec"]
 
 
 def _draw_value(rng: random.Random, value_range: int, denominator: int) -> Fraction:
@@ -82,6 +84,33 @@ def _product_buyer(
 # The keys of a gen_instance spec: counts (support may be a list) and flags.
 _SPEC_COUNTS = ("n", "m", "support", "value_range", "denominator")
 _SPEC_FLAGS = ("iid", "correlated")
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def parse_spec(text: str) -> dict:
+    """The spec in comma-separated key=value text: a flag's word (1,
+    true, yes, 0, false or no, in any case) becomes a bool, another
+    key's value an int where int() reads it, and any other value stays
+    text, for gen_shape to refuse.  Only a part without '=' and a
+    repeated key raise DimensionMismatch here."""
+    spec: dict = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise DimensionMismatch(f"generator spec entry lacks '=': {echo(part)}")
+        key, raw = (side.strip() for side in part.split("=", 1))
+        if key in spec:
+            raise DimensionMismatch(f"generator spec repeats the key {echo(key)}")
+        if key in _SPEC_FLAGS:
+            spec[key] = _FLAG_WORDS.get(raw.lower(), raw)
+        else:
+            try:
+                spec[key] = int(raw)
+            except ValueError:
+                spec[key] = raw
+    return spec
 
 
 def _read_spec(spec: Mapping, cap: int):

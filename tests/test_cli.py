@@ -30,7 +30,7 @@ from auctionlp.errors import LabelMismatch, NotOptimal, ScaleLimit
 from auctionlp.analysis import iid_scan, tight_downward_dual
 from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
 from auctionlp.model import BAYES, DS, load_instance, rat, rat_str
-from auctionlp.oracles import gen_instance, gen_shape
+from auctionlp.oracles import gen_instance, gen_shape, parse_spec
 from auctionlp.virtual import CheckReport, VwmViolation
 from helpers import NUMBER_TABLE, ds_optimum, labels
 
@@ -91,6 +91,20 @@ def test_validate_missing_zero_type(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["supports"][0][0] == ["0"]
     assert data["probs"][0][0] == "0"
+
+
+@pytest.mark.parametrize("items", [10**12, 2**64])
+def test_validate_refuses_a_huge_item_count_before_using_it(tmp_path, capsys, items):
+    # the item count is checked against the data's vectors before any
+    # vector of that length is formed
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"buyers": 1, "items": items, "supports": [[[0]]], "probs": [[1]]}))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: DimensionMismatch: buyer 0: value vector of length 1, expected {items}\n"
+    )
+    assert captured.out == ""
 
 
 def test_validate_rejects_broken_json(tmp_path, capsys):
@@ -1058,6 +1072,17 @@ def test_characterize_bad_gen_spec(capsys):
         captured = capsys.readouterr()
         assert "DimensionMismatch" in captured.err
         assert captured.out == ""
+    # with two faults, the spec's syntax is named first, then --count,
+    # then the values
+    for spec, count, line in (
+        ("n=x,foo", "1", "generator spec entry lacks '=': 'foo'"),
+        ("n=x,n=2", "1", "generator spec repeats the key 'n'"),
+        ("n=x", "0", "--count must be at least 1, got 0"),
+    ):
+        assert main(["characterize", "--gen", spec, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: DimensionMismatch: {line}\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -1188,7 +1213,7 @@ def _would_solve_past(spec_text, caps, count, profiles):
     profiles profiles: the spec, --caps and --count all read, and the
     shape within the cap."""
     try:
-        spec = cli._parse_gen_spec(spec_text)
+        spec = parse_spec(spec_text)
         caps, count = int(caps), int(count)
         if caps < 1 or count < 1:
             return False

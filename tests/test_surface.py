@@ -50,7 +50,7 @@ def test_exports_resolve_and_references_stay_independent():
         module = importlib.import_module(info.name)
         for export in getattr(module, "__all__", ()):
             assert hasattr(module, export), f"{info.name}.__all__ names missing {export}"
-    assert auctionlp.oracles.__all__ == ["gen_instance", "gen_shape"]
+    assert auctionlp.oracles.__all__ == ["gen_instance", "gen_shape", "parse_spec"]
 
     here = Path(__file__).parent
     trees = {name: ast.parse((here / name).read_text()) for name in ("helpers.py", "baselines.py")}
