@@ -9,7 +9,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from .auction import _proof, _raising_pairs, drev, solve_form, tight_downward_dual
+from .auction import (
+    _certificate_of,
+    _proof,
+    _raising_pairs,
+    drev,
+    solve_form,
+    tight_downward_dual,
+)
 from .errors import DimensionMismatch, NotAgentIndependent, NotOptimal
 from .model import (
     BAYES,
@@ -45,6 +52,7 @@ __all__ = [
     "check_agent_independence",
     "bic_to_dsic_dual",
     "dsic_to_bic_dual",
+    "proved_certificate",
     "characterize",
     "is_iid",
     "revenue_record",
@@ -91,9 +99,9 @@ def item_revenue(instance: Instance, j: int) -> Fraction:
     positive virtual value) the marginal's dominant-strategy program
     does."""
     marginal = item_marginal(instance, j)
-    dual = canonical_flow(marginal)
-    if _myerson_auction(marginal, dual) is not None:
-        return dual.objective()
+    optimum = _ds_optimum(marginal)
+    if optimum is not None:
+        return optimum[0].objective()
     return drev(marginal)
 
 
@@ -229,6 +237,15 @@ def _myerson_auction(instance: Instance, dual: DualSolution):
     ):
         return mechanism, slacks
     return None
+
+
+def _ds_optimum(instance: Instance):
+    """(the canonical flow, Myerson's auction, its slacks) of a
+    single-item instance when _myerson_auction accepts them: a proved
+    dominant-strategy optimum, by its two exact checks.  Else None."""
+    flow = canonical_flow(instance)
+    auction = _myerson_auction(instance, flow)
+    return None if auction is None else (flow, *auction)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +410,52 @@ def is_iid(instance: Instance) -> bool:
     )
 
 
+def _bayes_optimum(instance: Instance, flow: DualSolution, mechanism: Mechanism):
+    """(the flow's Bayesian image, the auction in the Bayesian form, its
+    slacks there) for a proved dominant-strategy optimum (_ds_optimum),
+    when two more exact checks pass: the auction is feasible in the
+    Bayesian form, and the image is a feasible Bayesian dual of the
+    flow's objective R.  The auction keeps its revenue R, so weak
+    duality makes R BRev.  Else None."""
+    # the same auction, so the same revenue, held to the Bayesian rows
+    bayes = Mechanism(BAYES, mechanism.scaled)
+    slacks = mechanism_slacks(instance, bayes)
+    if not mechanism_feasible(instance, bayes, slacks):
+        return None
+    try:
+        # feasible with the flow's objective, or it raises
+        return dsic_to_bic_dual(instance, flow), bayes, slacks
+    except (NotAgentIndependent, NotOptimal):
+        return None
+
+
+def proved_certificate(instance: Instance, form: str):
+    """The form's optimum in closed form, as a primal certificate of the
+    form's program, or None.  On one item, Myerson's auction and the
+    canonical flow answer the dominant-strategy form when _ds_optimum's
+    two exact checks accept them, and the auction and the flow's
+    Bayesian image answer the Bayesian form when _bayes_optimum's two
+    checks accept those too.  None on more items, or where a check
+    refuses (ironing would change a positive virtual value); the
+    program answers then.  The certificate carries the proof
+    (auction._certificate_of), as solve_form's do."""
+    if instance.m != 1:
+        return None
+    optimum = _ds_optimum(instance)
+    if optimum is not None and form == BAYES:
+        flow, mechanism, _ = optimum
+        optimum = _bayes_optimum(instance, flow, mechanism)
+    if optimum is None:
+        return None
+    dual, mechanism, slacks = optimum
+    return _certificate_of(instance, mechanism, slacks, dual)
+
+
 def _myerson_proof(instance: Instance):
     """(R, R, the Bayesian image, Myerson's auction, its slacks, the
-    flow) when _myerson_auction accepts the single-item instance's
-    canonical flow, at objective R, and two more exact checks pass: the
-    auction is feasible in the Bayesian form, and the flow's image is a
-    feasible Bayesian dual of objective R.  Weak duality on each side
-    then makes R both DRev and BRev.  Else None.
+    flow) when both closed forms accept the single-item instance, at
+    the flow's objective R: _ds_optimum, then _bayes_optimum.  Weak
+    duality on each side then makes R both DRev and BRev.  Else None.
 
     The flow is a proved optimal dominant-strategy dual, and the image's
     dominant-strategy spread (bic_to_dsic_dual) equals it: the image
@@ -407,21 +463,15 @@ def _myerson_proof(instance: Instance):
     reference slice's scaled by the slice masses (0 on a slice of no
     mass), and the spread scales them back by the same masses, keeps xi
     and derives every other family from these."""
-    flow = canonical_flow(instance)
-    auction = _myerson_auction(instance, flow)
-    if auction is None:
+    optimum = _ds_optimum(instance)
+    if optimum is None:
         return None
-    mechanism, slacks = auction
-    # the same auction, so the same revenue, held to the Bayesian rows
-    if not mechanism_feasible(instance, Mechanism(BAYES, mechanism.scaled)):
-        return None
-    try:
-        # feasible with the flow's objective, or it raises
-        bayes_dual = dsic_to_bic_dual(instance, flow)
-    except (NotAgentIndependent, NotOptimal):
+    flow, mechanism, slacks = optimum
+    bayes = _bayes_optimum(instance, flow, mechanism)
+    if bayes is None:
         return None
     revenue = flow.objective()
-    return revenue, revenue, bayes_dual, mechanism, slacks, flow
+    return revenue, revenue, bayes[0], mechanism, slacks, flow
 
 
 def characterize(instance: Instance) -> RevenueReport:

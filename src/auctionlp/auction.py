@@ -486,6 +486,58 @@ def _multipliers(instance: Instance, layout: ProgramLayout, values):
     return tuple(zeta), tuple(eta), xi
 
 
+def _primal_vector(instance: Instance, layout: ProgramLayout, alloc, pay) -> tuple:
+    """The primal vector _mechanism_entries reads (alloc, pay) off: each
+    (buyer, item) and each buyer's payments written as one slice."""
+    n, m, count = instance.n, instance.m, instance.profile_count
+    vector = [None] * layout.shape[1]
+    for i in range(n):
+        for j in range(m):
+            x = layout.x(i, j, 0)
+            vector[x : x + count] = [cell[i][j] for cell in alloc]
+        p = layout.p(i, 0)
+        vector[p : p + count] = [row[i] for row in pay]
+    return tuple(vector)
+
+
+def _multiplier_vector(instance: Instance, layout: ProgramLayout, zeta, eta, xi) -> tuple:
+    """The multiplier vector _multipliers reads (zeta, eta, xi) off, each
+    zeta row written without its diagonal, as one slice of its key's
+    ic rows."""
+    count = instance.profile_count
+    vector = [None] * layout.shape[0]
+    for j, xi_j in enumerate(xi):
+        x = layout.xi(j, 0)
+        vector[x : x + count] = xi_j
+    for i, k in enumerate(instance.sizes):
+        positions = multiplier_keys(instance, layout.form, i).positions
+        for key, (t, _) in enumerate(positions):
+            first = layout.zeta(i, key, t, int(t == 0))
+            row = zeta[i][key]
+            vector[first : first + k - 1] = row[:t] + row[t + 1 :]
+        first = layout.eta(i, 0)
+        vector[first : first + len(positions)] = eta[i]
+    return tuple(vector)
+
+
+def _certificate_of(
+    instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks, dual: DualSolution
+) -> LpCertificate:
+    """The primal certificate of the mechanism's form that holds an
+    optimum its caller proved exactly (the closed form of
+    analysis.proved_certificate): the mechanism as the primal point and
+    the dual as the row multipliers, over the form's layout, carrying
+    the proof as solve_form's certificates carry _prove's.  It checks
+    nothing; a test reads the vectors back (_mechanism_entries,
+    _multipliers) to pin this writer, and verify_certificate_document
+    re-proves a document written from it."""
+    layout = _layout(instance, mechanism.form)
+    primal = _primal_vector(instance, layout, mechanism.alloc, mechanism.pay)
+    multipliers = _multiplier_vector(instance, layout, dual.zeta, dual.eta, dual.xi)
+    proof = _Proof(instance, mechanism, slacks, dual)
+    return LpCertificate(primal, multipliers, dual.objective(), layout, proof)
+
+
 # ---------------------------------------------------------------------------
 # Optimal revenues
 

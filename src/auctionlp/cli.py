@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .analysis import characterize, gen_records
+from .analysis import characterize, gen_records, proved_certificate
 from .auction import (
     ProgramLayout,
     certificate_document,
@@ -69,8 +69,14 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     instance = _load(args)
     form = _FORMS[args.form]
-    # the model proved the answer while solving (solve_form)
-    certificate = solve_form(instance, form)
+    # the program's tableau guard comes first, so that a closed-form
+    # answer is refused wherever the program's would be
+    check_tableau_size(*ProgramLayout(form, instance.m, instance.sizes).shape)
+    # a one-item optimum proved in closed form, or else the program's,
+    # which the model proved while solving (solve_form)
+    certificate = proved_certificate(instance, form)
+    if certificate is None:
+        certificate = solve_form(instance, form)
     if args.certificate:
         document = certificate_document(instance, form, certificate)
         write_certificate(args.certificate, document)

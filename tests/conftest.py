@@ -12,6 +12,12 @@ def build(buyers, items, supports, probs):
     )
 
 
+def irregular(n):
+    """Value 3 has a negative virtual value between two positive ones,
+    so the optimal auction irons it."""
+    return build(n, 1, [[[0], [2], [3], [10]]] * n, [[0, "1/2", "1/4", "1/4"]] * n)
+
+
 @pytest.fixture(scope="session")
 def u12():
     """One buyer, one item, value uniform on {1, 2}."""

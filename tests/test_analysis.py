@@ -54,7 +54,7 @@ from auctionlp.virtual import (
     regularize_ds,
     virtual_values_ds,
 )
-from conftest import build
+from conftest import build, irregular
 from helpers import ds_optimum, mechanism_of, revenue_face_dual, zero_mechanism
 
 F = Fraction
@@ -211,12 +211,6 @@ def spied_solves():
         return result, len(calls)
 
     return run
-
-
-def irregular(n):
-    """Value 3 has a negative virtual value between two positive ones,
-    so the optimal auction irons it."""
-    return build(n, 1, [[[0], [2], [3], [10]]] * n, [[0, "1/2", "1/4", "1/4"]] * n)
 
 
 @pytest.mark.parametrize("n,revenue", [(1, F(5, 2)), (3, F(185, 32))])

@@ -62,6 +62,13 @@ def pair_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def lp_only(monkeypatch):
+    """solve answers one-item instances through the program, as it does
+    two-item ones: the closed form is switched off."""
+    monkeypatch.setattr(cli, "proved_certificate", lambda instance, form: None)
+
+
 # -- validate ---------------------------------------------------------------
 
 
@@ -146,7 +153,7 @@ def test_solve_prints_revenue(u12_path, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
-def test_values_beyond_float_range_are_solved_exactly(tmp_path, capsys, monkeypatch):
+def test_values_beyond_float_range_are_solved_exactly(tmp_path, capsys, monkeypatch, lp_only):
     # Floats cannot hold 10**400: building the float program raises
     # OverflowError, and the solve goes to the exact program.  Two
     # i.i.d. buyers worth 0 or V sell at V unless both are worth 0.
@@ -183,7 +190,7 @@ def off_vertex(value, bound):
     return Fraction(value).limit_denominator(bound) + Fraction(1, 7)
 
 
-def test_solver_failure_exits_3(u12_path, capsys, monkeypatch):
+def test_solver_failure_exits_3(u12_path, capsys, monkeypatch, lp_only):
     def fail(instance, form):
         raise NotOptimal("no optimum")
 
@@ -320,7 +327,9 @@ def test_solve_certificate_round_trip(u12_path, tmp_path, capsys):
     assert capsys.readouterr().out == "ok 1\n"
 
 
-def test_certificates_past_the_common_denominator_cap_self_check(tmp_path, capsys, monkeypatch):
+def test_certificates_past_the_common_denominator_cap_self_check(
+    tmp_path, capsys, monkeypatch, lp_only
+):
     # Values over coprime denominators near 2**1000 make optimal duals
     # whose lcm passes the 4096-bit cap (6998 bits DS, 5998 bits BIC):
     # extraction reads them, and self-check accepts them on the
@@ -795,7 +804,7 @@ def test_solve_rejects_malformed_shapes(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize("form", ["ds", "bic"])
-def test_solve_builds_its_program_once(pair_path, tmp_path, capsys, monkeypatch, form):
+def test_solve_builds_its_program_once(pair_path, tmp_path, capsys, monkeypatch, form, lp_only):
     # The float pass reads a float program of its own: the exact program
     # is built only when the model refuses the float proposal, and then once.
     builds = []
@@ -898,7 +907,7 @@ def test_oversized_gen_program_is_refused_before_drawing(capsys):
     assert captured.out == ""
 
 
-def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch):
+def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch, lp_only):
     from fractions import Fraction
 
     import auctionlp.lp.simplex as simplex
