@@ -10,7 +10,7 @@ from math import lcm
 from typing import Iterator
 
 from .auction import (
-    _certificate_of,
+    _Proof,
     _proof,
     _raising_pairs,
     drev,
@@ -101,7 +101,7 @@ def item_revenue(instance: Instance, j: int) -> Fraction:
     marginal = item_marginal(instance, j)
     optimum = _ds_optimum(marginal)
     if optimum is not None:
-        return optimum[0].objective()
+        return optimum.objective
     return drev(marginal)
 
 
@@ -123,27 +123,20 @@ def _value_ladder(instance: Instance, i: int) -> tuple[list[int], list[int], int
     return sorted(range(len(values)), key=values.__getitem__), values, den
 
 
-def canonical_flow(instance: Instance) -> DualSolution:
-    """The downward canonical flow of a single-item instance, unironed
-    (Cai, Devanur and Weinberg 2016; discrete virtual values as in
-    Elkind 2007).
-
-    On each of buyer i's opponent slices, of mass w, the types in
-    ascending value order send zeta(u, u - 1) = w * C_u, where C_u is
-    the buyer's mass at or above u, and the lowest type carries
-    eta = w.  The expected virtual value at u is then
+def _ladder_flow(instance: Instance):
+    """The canonical flow's Bayesian multipliers and its xi, read off
+    each buyer's value ladder: per buyer, its (zeta, eta) over its mass
+    denominator P, and xi over X.  The types in ascending value order
+    send zeta(u, u - 1) = C_u, where C_u is the buyer's mass at or above
+    u, and the lowest type carries eta = 1.  On an opponent slice of
+    mass w, w times these are the flow's multipliers (canonical_flow),
+    and the expected virtual value at u is then
     w * (C_u v_u - C_{u+1} v_{u+1}) = w * (f_u v_u - C_{u+1} (v_{u+1} - v_u)),
-    mu(v) times the discrete Myerson virtual value, and xi at each
-    profile is the largest over the buyers, or 0.  The dual's alpha and
-    beta derive these coefficients again from the multipliers, so
-    is_feasible() checks the construction.  The objective is
-    E[max_i phi_i(v_i)^+]; it is the optimal revenue unless ironing
-    would change a positive virtual value.
+    mu(v) times the discrete Myerson virtual value; xi at each profile
+    is the largest over the buyers, or 0.
 
-    The flow is built on numerators: with buyer i's masses over P, its
-    opponent masses over W and its values over V, its multipliers are
-    over P * W and its virtual values over P * W * V, which xi holds
-    over their lcm X."""
+    With buyer i's opponent masses over W and its values over V, its
+    virtual values are over P * W * V, which xi holds over their lcm X."""
     if instance.m != 1:
         raise DimensionMismatch("the canonical flow is defined for one item")
     dens = [
@@ -158,7 +151,6 @@ def canonical_flow(instance: Instance) -> DualSolution:
     for i, k in enumerate(instance.sizes):
         order, values, _ = _value_ladder(instance, i)
         probs, p_den = instance.probs_scaled[i]
-        weights, w_den = instance.mu_minus_scaled[i]
         to_xi = xi_den // dens[i]
         # above[u]: the mass of the types from the u-th lowest up
         above = list(itertools.accumulate((probs[t] for t in reversed(order)), initial=0))[::-1]
@@ -166,32 +158,53 @@ def canonical_flow(instance: Instance) -> DualSolution:
         value_above = [above[u] * values[t] for u, t in enumerate(order)] + [0]
         # drops[u]: f_u times the virtual value at u, so phi = w * drops[u]
         drops = [value_above[u] - value_above[u + 1] for u in range(k)]
-        zeta_i = [None] * instance.profile_count
-        eta_i = [0] * instance.profile_count
-        idle = (0,) * k
-        for w, ranks in zip(weights, instance.ranks[i]):
+        # (type, its drop over X) where the virtual value is positive
+        positive = [(t, drop * to_xi) for t, drop in zip(order, drops) if drop > 0]
+        for w, ranks in zip(instance.mu_minus_scaled[i].nums, instance.ranks[i]):
             if not w:
-                for r in ranks:
-                    zeta_i[r] = idle
                 continue
-            eta_i[ranks[order[0]]] = w * p_den
-            zeta_i[ranks[order[0]]] = idle
-            for u in range(1, k):
-                row = [0] * k
-                row[order[u - 1]] = w * above[u]
-                zeta_i[ranks[order[u]]] = tuple(row)
-            for t, drop in zip(order, drops):
-                if drop > 0:
-                    r = ranks[t]
-                    phi = w * drop * to_xi
-                    if phi > xi[r]:
-                        xi[r] = phi
-        multipliers.append(Scaled((tuple(zeta_i), tuple(eta_i)), p_den * w_den))
-    return _dual_from_scaled(instance, DS, multipliers, Scaled((tuple(xi),), xi_den))
+            for t, drop in positive:
+                r = ranks[t]
+                phi = w * drop
+                if phi > xi[r]:
+                    xi[r] = phi
+        zeta, eta = [(0,) * k] * k, [0] * k
+        eta[order[0]] = p_den
+        for u in range(1, k):
+            row = [0] * k
+            row[order[u - 1]] = above[u]
+            zeta[order[u]] = tuple(row)
+        multipliers.append(Scaled((tuple(zeta), tuple(eta)), p_den))
+    return multipliers, Scaled((tuple(xi),), xi_den)
+
+
+def canonical_flow(instance: Instance) -> DualSolution:
+    """The downward canonical flow of a single-item instance, unironed
+    (Cai, Devanur and Weinberg 2016; discrete virtual values as in
+    Elkind 2007): on each of buyer i's opponent slices, of mass w, w
+    times the ladder multipliers of _ladder_flow, so that the lowest
+    type carries eta = w, with its xi.  The dual's alpha and beta derive
+    the virtual values again from the multipliers, so is_feasible()
+    checks the construction.  The objective is E[max_i phi_i(v_i)^+];
+    it is the optimal revenue unless ironing would change a positive
+    virtual value.  The flow is the dominant-strategy spread of its
+    Bayesian image (_flow_image), multiplier for multiplier."""
+    multipliers, xi = _ladder_flow(instance)
+    return _dual_from_scaled(instance, DS, _spread(instance, multipliers), xi)
+
+
+def _flow_image(instance: Instance) -> DualSolution:
+    """The canonical flow's Bayesian image: the ladder multipliers of
+    _ladder_flow as a Bayesian dual, with the flow's xi.  It equals
+    dsic_to_bic_dual of the flow, and bic_to_dsic_dual maps it back to
+    the flow, without reading the flow."""
+    multipliers, xi = _ladder_flow(instance)
+    return _dual_from_scaled(instance, BAYES, multipliers, xi)
 
 
 def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
-    """The single-item auction a canonical flow prices.  At each profile
+    """The single-item auction a canonical flow, or its Bayesian image,
+    prices; the two have the same alpha zeros.  At each profile
     where xi > 0 the item goes to the first buyer whose alpha is 0 there,
     one of highest virtual value.  Along each opponent slice's value
     ladder a buyer pays v_u x(u) minus the sum of (v_{u'+1} - v_{u'})
@@ -201,51 +214,66 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     feasibility."""
     n, count = instance.n, instance.profile_count
     nums = dual.scaled
-    alpha = [scaled.nums[0] for scaled in nums.alpha]
-    winner = [None] * count
-    for r, x in enumerate(nums.xi.nums[0]):
-        if x > 0:
-            winner[r] = next((i for i in range(n) if alpha[i][r] == 0), None)
+    # each profile's alphas, one per buyer
+    alphas = zip(*[scaled.nums[0] for scaled in nums.alpha])
+    winner = [
+        column.index(0) if x > 0 and 0 in column else None
+        for x, column in zip(nums.xi.nums[0], alphas)
+    ]
     ladders = [_value_ladder(instance, i) for i in range(n)]
     den = lcm(*(value_den for _, _, value_den in ladders))
     pay = [[0] * n for _ in range(count)]
     for i, (order, values, value_den) in enumerate(ladders):
         unit = den // value_den
+        # (type, value over den) up the ladder
+        ladder = [(t, values[t] * unit) for t in order]
         for ranks in instance.ranks[i]:
             paid = held = 0
-            for t in order:
+            for t, value in ladder:
                 r = ranks[t]
-                x = int(winner[r] == i)
-                paid += values[t] * unit * (x - held)
+                x = winner[r] == i
+                paid += value * (x - held)
                 held = x
                 pay[r][i] = paid
-    alloc = tuple(tuple((den,) if i == won else (0,) for i in range(n)) for won in winner)
+    # the allocation at a profile of each winner, or of none
+    cells = {
+        won: tuple((den,) if i == won else (0,) for i in range(n)) for won in (None, *range(n))
+    }
+    alloc = tuple([cells[won] for won in winner])
     return Mechanism(DS, Scaled((alloc, tuple(map(tuple, pay))), den))
 
 
-def _myerson_auction(instance: Instance, dual: DualSolution):
-    """(Myerson's auction, its slacks) when the dual is feasible and the
-    auction it prices is a feasible dominant-strategy mechanism whose
-    revenue is the dual's objective, both checked exactly; by weak
-    duality that revenue is then DRev.  Else None."""
+def _myerson_auction(instance: Instance, dual: DualSolution, form: str):
+    """The proof (auction._Proof) that Myerson's auction, priced off a
+    single-item dual of the form, and the dual are an optimum of the
+    form, or None.  Three exact checks: the dual is feasible, the
+    auction is a feasible mechanism in the form, and its revenue is the
+    dual's objective.  Weak duality then makes that revenue the form's
+    optimum."""
     if not dual.is_feasible():
         return None
-    mechanism = myerson_mechanism(instance, dual)
+    mechanism = Mechanism(form, myerson_mechanism(instance, dual).scaled)
     slacks = mechanism_slacks(instance, mechanism)
     if mechanism_feasible(instance, mechanism, slacks) and (
         mechanism.revenue(instance) == dual.objective()
     ):
-        return mechanism, slacks
+        return _Proof(instance, mechanism, slacks, dual)
     return None
 
 
 def _ds_optimum(instance: Instance):
-    """(the canonical flow, Myerson's auction, its slacks) of a
-    single-item instance when _myerson_auction accepts them: a proved
-    dominant-strategy optimum, by its two exact checks.  Else None."""
-    flow = canonical_flow(instance)
-    auction = _myerson_auction(instance, flow)
-    return None if auction is None else (flow, *auction)
+    """The proof of a single-item instance's dominant-strategy optimum
+    in closed form: the canonical flow and Myerson's auction, when
+    _myerson_auction accepts them.  Else None."""
+    return _myerson_auction(instance, canonical_flow(instance), DS)
+
+
+def _bayes_optimum(instance: Instance):
+    """The proof of a single-item instance's Bayesian optimum in closed
+    form: the flow's Bayesian image (_flow_image) and Myerson's auction
+    held to the Bayesian rows, when _myerson_auction accepts them.  No
+    dominant-strategy flow is built or checked.  Else None."""
+    return _myerson_auction(instance, _flow_image(instance), BAYES)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +383,35 @@ def bic_to_dsic_dual(
     Buyer i's multipliers over Z and its opponent masses over W give
     numerators over Z * W."""
     nums = dual.scaled
-    multipliers = []
-    for i, positions in enumerate(instance.positions):
-        weights, w_den = instance.mu_minus_scaled[i]
-        (zeta_i, den), eta_i = nums.zeta[i], nums.eta[i].nums
-        zeta = tuple(tuple(z * weights[s] for z in zeta_i[t]) for t, s in positions)
-        eta = tuple(eta_i[t] * weights[s] for t, s in positions)
-        multipliers.append(Scaled((zeta, eta), den * w_den))
-    return _mapped(_dual_from_scaled(instance, DS, multipliers, nums.xi), dual)
+    multipliers = [Scaled((z.nums, e.nums), z.den) for z, e in zip(nums.zeta, nums.eta)]
+    spread = _spread(instance, multipliers)
+    return _mapped(_dual_from_scaled(instance, DS, spread, nums.xi), dual)
+
+
+def _spread(instance: Instance, multipliers) -> list[Scaled]:
+    """Each buyer's Bayesian (zeta, eta) over Z, written at every
+    profile of its own type times the opponent mass of the profile's
+    slice: the dominant-strategy multipliers over Z * W, with the
+    opponent masses over W."""
+    count = instance.profile_count
+    spread = []
+    for slices, ((zeta_i, eta_i), den), (weights, w_den) in zip(
+        instance.ranks, multipliers, instance.mu_minus_scaled
+    ):
+        idle = (0,) * len(zeta_i)
+        zeta, eta = [idle] * count, [0] * count
+        # only a nonzero row or eta on a slice of nonzero mass moves
+        # off the zeros these start at
+        rows = [(t, row) for t, row in enumerate(zeta_i) if any(row)]
+        held = [(t, e) for t, e in enumerate(eta_i) if e]
+        for w, ranks in zip(weights, slices):
+            if w:
+                for t, row in rows:
+                    zeta[ranks[t]] = tuple([z * w for z in row])
+                for t, e in held:
+                    eta[ranks[t]] = e * w
+        spread.append(Scaled((tuple(zeta), tuple(eta)), den * w_den))
+    return spread
 
 
 def _mapped(result, dual):
@@ -410,68 +459,36 @@ def is_iid(instance: Instance) -> bool:
     )
 
 
-def _bayes_optimum(instance: Instance, flow: DualSolution, mechanism: Mechanism):
-    """(the flow's Bayesian image, the auction in the Bayesian form, its
-    slacks there) for a proved dominant-strategy optimum (_ds_optimum),
-    when two more exact checks pass: the auction is feasible in the
-    Bayesian form, and the image is a feasible Bayesian dual of the
-    flow's objective R.  The auction keeps its revenue R, so weak
-    duality makes R BRev.  Else None."""
-    # the same auction, so the same revenue, held to the Bayesian rows
-    bayes = Mechanism(BAYES, mechanism.scaled)
-    slacks = mechanism_slacks(instance, bayes)
-    if not mechanism_feasible(instance, bayes, slacks):
-        return None
-    try:
-        # feasible with the flow's objective, or it raises
-        return dsic_to_bic_dual(instance, flow), bayes, slacks
-    except (NotAgentIndependent, NotOptimal):
-        return None
-
-
 def proved_certificate(instance: Instance, form: str):
-    """The form's optimum in closed form, as a primal certificate of the
-    form's program, or None.  On one item, Myerson's auction and the
-    canonical flow answer the dominant-strategy form when _ds_optimum's
-    two exact checks accept them, and the auction and the flow's
-    Bayesian image answer the Bayesian form when _bayes_optimum's two
-    checks accept those too.  None on more items, or where a check
-    refuses (ironing would change a positive virtual value); the
-    program answers then.  The certificate carries the proof
-    (auction._certificate_of), as solve_form's do."""
+    """The form's optimum in closed form, as its proof (auction._Proof),
+    or None.  On one item, _ds_optimum answers the dominant-strategy
+    form and _bayes_optimum the Bayesian form, each on its own three
+    exact checks.  None on more items, or where a check refuses
+    (ironing would change a positive virtual value); the program
+    answers then.  certificate_document writes the proof as it writes a
+    solve_form certificate, and the proof's objective is the optimum."""
     if instance.m != 1:
         return None
-    optimum = _ds_optimum(instance)
-    if optimum is not None and form == BAYES:
-        flow, mechanism, _ = optimum
-        optimum = _bayes_optimum(instance, flow, mechanism)
-    if optimum is None:
-        return None
-    dual, mechanism, slacks = optimum
-    return _certificate_of(instance, mechanism, slacks, dual)
+    return (_ds_optimum if form == DS else _bayes_optimum)(instance)
 
 
 def _myerson_proof(instance: Instance):
-    """(R, R, the Bayesian image, Myerson's auction, its slacks, the
-    flow) when both closed forms accept the single-item instance, at
-    the flow's objective R: _ds_optimum, then _bayes_optimum.  Weak
-    duality on each side then makes R both DRev and BRev.  Else None.
+    """(DRev, BRev, the Bayesian image, Myerson's auction, its slacks,
+    the flow) when both closed forms accept the single-item instance:
+    _ds_optimum, then _bayes_optimum, each proving its form's optimum by
+    weak duality.  Else None.
 
     The flow is a proved optimal dominant-strategy dual, and the image's
-    dominant-strategy spread (bic_to_dsic_dual) equals it: the image
-    exists only if no opponent slice's eta or zeta differs from the
-    reference slice's scaled by the slice masses (0 on a slice of no
-    mass), and the spread scales them back by the same masses, keeps xi
-    and derives every other family from these."""
-    optimum = _ds_optimum(instance)
-    if optimum is None:
+    dominant-strategy spread (bic_to_dsic_dual) equals it: canonical_flow
+    is that spread of the ladder multipliers the image holds, with the
+    same xi, and every other family derives from these."""
+    ds = _ds_optimum(instance)
+    if ds is None:
         return None
-    flow, mechanism, slacks = optimum
-    bayes = _bayes_optimum(instance, flow, mechanism)
+    bayes = _bayes_optimum(instance)
     if bayes is None:
         return None
-    revenue = flow.objective()
-    return revenue, revenue, bayes[0], mechanism, slacks, flow
+    return ds.objective, bayes.objective, bayes.dual, ds.mechanism, ds.slacks, ds.dual
 
 
 def characterize(instance: Instance) -> RevenueReport:

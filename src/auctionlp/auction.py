@@ -11,6 +11,12 @@ A dual program is the plain transpose of its primal (dual_of) and
 carries no layout: its columns are the primal layout's rows, and its
 rows the primal's columns.
 
+A proved optimum is a _Proof: the mechanism, its slacks and a dual
+solution of equal objective.  solve_form's certificates carry the one
+_prove built, and the one-item closed forms (analysis.proved_certificate)
+return theirs in place of a certificate; certificate_document writes
+either from the proof's integer numerators.
+
 Labels are only a rendering of the layout, used to name components in
 certificate documents; programs and certificates hold none.  Their
 grammar (profile keys are support indices joined by "."):
@@ -19,9 +25,12 @@ grammar (profile keys are support indices joined by "."):
     ds rows     ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
     bayes rows  ic:<i>:<t>:<t'>      ir:<i>:<t>      sup:<j>:<vkey>
 
-row_label and col_label render one index.  index_of reads a label
-strictly, field by field, and renders nothing back: a field must be
-spelled exactly as the renderer writes it, and be in range.
+Each of the five formats is written once (_X, _P, _IC, _IR, _SUP).
+row_label and col_label render one index with them, and
+certificate_document a whole section, family by family, decoding no
+index.  index_of reads a label strictly, field by field, and renders
+nothing back: a field must be spelled exactly as the renderers write
+it, and be in range.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -96,6 +105,14 @@ __all__ = [
 
 def profile_key(profile) -> str:
     return ".".join(str(t) for t in profile) if profile else "_"
+
+
+# The label grammar of the module docstring, each format written once
+_X = "x:{}:{}:{}".format  # buyer, item, profile
+_P = "p:{}:{}".format  # buyer, profile
+_IC = "ic:{}:{}:{}".format  # buyer, key, report
+_IR = "ir:{}:{}".format  # buyer, key
+_SUP = "sup:{}:{}".format  # item, profile
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +193,15 @@ class ProgramLayout:
         zeta, eta, xi = self._blocks
         if r >= xi:
             j, rank = divmod(r - xi, self.count)
-            return f"sup:{j}:{names[rank]}"
+            return _SUP(j, names[rank])
         ic = r < eta[0]
         starts = zeta if ic else eta
         i = bisect_right(starts, r) - 1
         key, lie = divmod(r - starts[i], self.sizes[i] - 1) if ic else (r - starts[i], None)
         name, t = (names[key], profiles[key][i]) if self.form == DS else (key, key)
         if lie is None:
-            return f"ir:{i}:{name}"
-        return f"ic:{i}:{name}:{lie + (lie >= t)}"
+            return _IR(i, name)
+        return _IC(i, name, lie + (lie >= t))
 
     def col_label(self, c: int) -> str:
         """The label of primal column c, the inverse of x and p."""
@@ -193,8 +210,8 @@ class ProgramLayout:
         xs = len(self.sizes) * self.m
         if block < xs:
             i, j = divmod(block, self.m)
-            return f"x:{i}:{j}:{name}"
-        return f"p:{block - xs}:{name}"
+            return _X(i, j, name)
+        return _P(block - xs, name)
 
     @cached_property
     def _ranks(self) -> dict[str, int]:
@@ -379,14 +396,21 @@ def build_dual_blp(instance: Instance) -> LinearProgram:
 
 
 class _Proof(NamedTuple):
-    """What _prove built while it proved a primal point and its row
-    multipliers optimal for the instance's program: the mechanism the
-    point stands for, its slacks, and the dual solution."""
+    """A proved optimum of the instance's program in the mechanism's
+    form: the mechanism, its slacks, and a dual solution of equal
+    objective, each checked feasible.  _prove builds one while it
+    proves a primal point and its row multipliers, and a closed form
+    (analysis.proved_certificate) builds one from Myerson's auction and
+    a canonical flow.  certificate_document writes either kind."""
 
     instance: Instance
     mechanism: Mechanism
     slacks: PrimalSlacks
     dual: DualSolution
+
+    @property
+    def objective(self) -> Fraction:
+        return self.dual.objective()
 
 
 def _proof(instance: Instance, certificate: LpCertificate, form: str) -> _Proof:
@@ -484,58 +508,6 @@ def _multipliers(instance: Instance, layout: ProgramLayout, values):
         first = layout.eta(i, 0)
         eta.append(values[first : first + len(positions)])
     return tuple(zeta), tuple(eta), xi
-
-
-def _primal_vector(instance: Instance, layout: ProgramLayout, alloc, pay) -> tuple:
-    """The primal vector _mechanism_entries reads (alloc, pay) off: each
-    (buyer, item) and each buyer's payments written as one slice."""
-    n, m, count = instance.n, instance.m, instance.profile_count
-    vector = [None] * layout.shape[1]
-    for i in range(n):
-        for j in range(m):
-            x = layout.x(i, j, 0)
-            vector[x : x + count] = [cell[i][j] for cell in alloc]
-        p = layout.p(i, 0)
-        vector[p : p + count] = [row[i] for row in pay]
-    return tuple(vector)
-
-
-def _multiplier_vector(instance: Instance, layout: ProgramLayout, zeta, eta, xi) -> tuple:
-    """The multiplier vector _multipliers reads (zeta, eta, xi) off, each
-    zeta row written without its diagonal, as one slice of its key's
-    ic rows."""
-    count = instance.profile_count
-    vector = [None] * layout.shape[0]
-    for j, xi_j in enumerate(xi):
-        x = layout.xi(j, 0)
-        vector[x : x + count] = xi_j
-    for i, k in enumerate(instance.sizes):
-        positions = multiplier_keys(instance, layout.form, i).positions
-        for key, (t, _) in enumerate(positions):
-            first = layout.zeta(i, key, t, int(t == 0))
-            row = zeta[i][key]
-            vector[first : first + k - 1] = row[:t] + row[t + 1 :]
-        first = layout.eta(i, 0)
-        vector[first : first + len(positions)] = eta[i]
-    return tuple(vector)
-
-
-def _certificate_of(
-    instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks, dual: DualSolution
-) -> LpCertificate:
-    """The primal certificate of the mechanism's form that holds an
-    optimum its caller proved exactly (the closed form of
-    analysis.proved_certificate): the mechanism as the primal point and
-    the dual as the row multipliers, over the form's layout, carrying
-    the proof as solve_form's certificates carry _prove's.  It checks
-    nothing; a test reads the vectors back (_mechanism_entries,
-    _multipliers) to pin this writer, and verify_certificate_document
-    re-proves a document written from it."""
-    layout = _layout(instance, mechanism.form)
-    primal = _primal_vector(instance, layout, mechanism.alloc, mechanism.pay)
-    multipliers = _multiplier_vector(instance, layout, dual.zeta, dual.eta, dual.xi)
-    proof = _Proof(instance, mechanism, slacks, dual)
-    return LpCertificate(primal, multipliers, dual.objective(), layout, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -781,31 +753,78 @@ _LEDGER_KEYS = (*(f.name for f in fields(GapLedger)), "gap")
 def certificate_document(instance: Instance, form: str, certificate) -> dict:
     """Self-contained record of an optimal primal solve: objective,
     nonzero primal and dual entries by label, and the complementary
-    slackness ledger (all zeros at an optimum).  The mechanism, its
-    slacks and the dual solution are the certificate's proof (_proof),
-    so a certificate that is not optimal raises CertificateError."""
-    proof = _proof(instance, certificate, form)
+    slackness ledger (all zeros at an optimum).
+
+    certificate is a primal certificate of the form's program, read
+    through its proof (_proof), so one that is not optimal raises
+    CertificateError; or the proof of a closed form
+    (analysis.proved_certificate), which raises LabelMismatch unless it
+    proves this instance's optimum in this form, as it holds no vectors
+    to prove again.  Both sections are rendered from the proof's
+    integer numerators (_sections); self-check proves the document
+    again whichever wrote it."""
+    if isinstance(certificate, _Proof):
+        if certificate.instance != instance or certificate.mechanism.form != form:
+            raise LabelMismatch(f"proof is not of this instance's {form} optimum")
+        proof = certificate
+    else:
+        proof = _proof(instance, certificate, form)
     check = check_cs_ds if form == DS else check_cs_bayes
     ledger = check(instance, proof.mechanism, proof.dual, slacks=proof.slacks)
-    layout = certificate.layout
+    primal, dual = _sections(instance, form, proof)
     return {
         "kind": "auctionlp.certificate",
         "version": 1,
         "digest": instance.digest(),
         "form": form,
-        "objective": rat_str(certificate.objective),
-        "primal": {
-            layout.col_label(c): rat_str(value)
-            for c, value in enumerate(certificate.primal)
-            if value
-        },
-        "dual": {
-            layout.row_label(r): rat_str(value)
-            for r, value in enumerate(certificate.dual)
-            if value
-        },
+        "objective": rat_str(proof.objective),
+        "primal": primal,
+        "dual": dual,
         "ledger": {key: rat_str(getattr(ledger, key)) for key in _LEDGER_KEYS},
     }
+
+
+def _text(num: int, den: int) -> str:
+    """rat_str of num / den, reduced with one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _sections(instance: Instance, form: str, proof: _Proof) -> tuple[dict, dict]:
+    """The primal and dual sections of the proof's document: each
+    nonzero numerator of the mechanism (alloc, pay) and of the dual
+    (zeta off its diagonal, eta, xi) by its label, family by family,
+    with no index decoded.  A multiplier key is named by its profile
+    (DS) or its own type (BAYES)."""
+    profiles, names = _layout(instance, form)._names
+    (alloc, pay), den = proof.mechanism.scaled
+    primal = {}
+    for name, cells, prices in zip(names, alloc, pay):
+        for i, (cell, price) in enumerate(zip(cells, prices)):
+            for j, q in enumerate(cell):
+                if q:
+                    primal[_X(i, j, name)] = _text(q, den)
+            if price:
+                primal[_P(i, name)] = _text(price, den)
+    nums = proof.dual.scaled
+    dual = {}
+    for i, ((zeta, den), (eta, _)) in enumerate(zip(nums.zeta, nums.eta)):
+        if form == DS:
+            keys = [(name, v[i]) for name, v in zip(names, profiles)]
+        else:
+            keys = [(t, t) for t in range(instance.sizes[i])]
+        for (key, t), row, held in zip(keys, zeta, eta):
+            for t2, q in enumerate(row):
+                if q and t2 != t:
+                    dual[_IC(i, key, t2)] = _text(q, den)
+            if held:
+                dual[_IR(i, key)] = _text(held, den)
+    xi, den = nums.xi
+    for j, row in enumerate(xi):
+        for name, q in zip(names, row):
+            if q:
+                dual[_SUP(j, name)] = _text(q, den)
+    return primal, dual
 
 
 def _section_values(document: dict, key: str):

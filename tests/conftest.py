@@ -1,4 +1,9 @@
-"""Shared instances and the acceptance-summary reporter."""
+"""Shared instances, the benchmark's corpora and the acceptance-summary
+reporter."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,18 @@ def build(buyers, items, supports, probs):
     return validate_instance(
         {"buyers": buyers, "items": items, "supports": supports, "probs": probs}
     )
+
+
+def perfbench_corpus(monkeypatch, workload, seed, workdir):
+    """The benchmark's corpus of one workload and seed, its input files
+    written under workdir; perfbench/workloads.py is only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.build_corpus(workload, seed, str(workdir))
 
 
 def irregular(n):

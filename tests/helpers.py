@@ -10,7 +10,8 @@ deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
 dual; zero_mechanism, min_entry of slacks and row_dot of a program;
 reference_names and reference_index_of (labels read by rendering
-back) of a program layout; drop, insert, others_sizes, others_rank,
+back) of a program layout, and reference_sections, a certificate's
+document sections rendered through reference_names; drop, insert, others_sizes, others_rank,
 others_count, others_profiles and profile_prob of an instance's
 profiles; reference_fraction, CPython 3.11's reading of number text,
 with NUMBER_TABLE, literals at the edges of that grammar; and the
@@ -50,6 +51,7 @@ from auctionlp.model import (
     PrimalSlacks,
     SlackNumerators,
     _scale,
+    rat_str,
     validate_instance,
 )
 
@@ -484,6 +486,18 @@ def reference_names(layout):
                     if t2 != t:
                         rows[layout.zeta(i, t, t, t2)] = f"ic:{i}:{t}:{t2}"
     return rows, cols
+
+
+def reference_sections(certificate):
+    """The objective, primal and dual of a primal certificate's document
+    by definition: each nonzero entry of its vectors, as rat_str text,
+    under the label reference_names gives its index."""
+    rows, cols = reference_names(certificate.layout)
+    return {
+        "objective": rat_str(certificate.objective),
+        "primal": {cols[c]: rat_str(q) for c, q in enumerate(certificate.primal) if q},
+        "dual": {rows[r]: rat_str(q) for r, q in enumerate(certificate.dual) if q},
+    }
 
 
 def _reference_rank(layout, name):

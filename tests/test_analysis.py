@@ -4,13 +4,10 @@ report."""
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import itertools
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -54,7 +51,7 @@ from auctionlp.virtual import (
     regularize_ds,
     virtual_values_ds,
 )
-from conftest import build, irregular
+from conftest import build, irregular, perfbench_corpus
 from helpers import ds_optimum, mechanism_of, revenue_face_dual, zero_mechanism
 
 F = Fraction
@@ -625,23 +622,12 @@ def test_scan_builds_one_table_per_witnessed_instance(monkeypatch, family, seed,
     assert sum(record["brev_eq_drev"] for record in records) == witnessed
 
 
-def _perfbench_corpus(monkeypatch, workload, seed, workdir):
-    """The benchmark's corpus of one workload and seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads.build_corpus(workload, seed, str(workdir))
-
-
 def test_iid_scan_corpus_maps_and_tabulates_once(monkeypatch, tmp_path):
     # the benchmark's seed-1 pass: 41 instances, 33 on the closed form;
     # the 6 mappings left are the two-item witnesses, and each instance
     # gets one DS table (39 mappings and 80 tables before the duals were
     # carried forward)
-    ops = _perfbench_corpus(monkeypatch, "iid-scan", 1, tmp_path)
+    ops = perfbench_corpus(monkeypatch, "iid-scan", 1, tmp_path)
     calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
     with contextlib.redirect_stdout(io.StringIO()):
         assert all(cli.main(op.argv) == 0 for op in ops)

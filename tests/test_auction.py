@@ -38,6 +38,8 @@ from auctionlp.auction import (
     verify_certificate_document,
     write_certificate,
 )
+from auctionlp.analysis import proved_certificate
+from auctionlp.cli import main
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch, NotRational
 from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, simplex, solve
 from auctionlp.model import _scale, mechanism_feasible, rat, rat_str, ratio
@@ -621,6 +623,27 @@ def test_certificate_document_is_pinned(pair12, form):
     assert any(label.split(":")[2] == "1" for label in document["primal"] if label[0] == "x")
     ic_buyers = {label.split(":")[1] for label in document["dual"] if label.startswith("ic:")}
     assert len(ic_buyers) > 1
+
+
+# The file `solve --certificate` writes for a one-item instance, which
+# the closed form answers in both forms: three buyers of support 3, one
+# of whose zero types has mass.
+CLOSED_FORM_SPEC = ({"n": 3, "m": 1, "support": 3}, 0)
+CLOSED_FORM_FILE_SHA256 = {
+    "ds": "bc4660badfdbc0ed2e0af0108b56e62eb9ecf1ed00ec6b87cfba5df5f0527c91",
+    "bic": "17888941d6626e0f3bb3d8c5eb468f77d86602e9bf50880bebd3e04947293a37",
+}
+
+
+@pytest.mark.parametrize("flag, form", [("ds", DS), ("bic", BAYES)])
+def test_closed_form_certificate_file_is_pinned(tmp_path, capsys, flag, form):
+    instance = gen_instance(*CLOSED_FORM_SPEC)
+    assert proved_certificate(instance, form) is not None
+    path, cert = tmp_path / "instance.json", tmp_path / "cert.json"
+    path.write_text(instance.to_json())
+    assert main(["solve", str(path), "--form", flag, "--certificate", str(cert)]) == 0
+    assert capsys.readouterr().out == "17111/6075\n"
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == CLOSED_FORM_FILE_SHA256[flag]
 
 
 # The model re-proof of a stored certificate and the program's row-local

@@ -1,27 +1,50 @@
-"""solve's one-item closed form: Myerson's auction and the canonical
-flow (or its Bayesian image) written as the certificate, the program
-answering only where the closed form's exact checks refuse."""
+"""solve's one-item closed form: Myerson's auction with the canonical
+flow (dominant-strategy form) or the flow's Bayesian image (Bayesian
+form), each proved on its own and written to the certificate from its
+proof, the program answering only where the closed form's exact checks
+refuse."""
 
+import contextlib
+import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
 from auctionlp import analysis, auction, cli
-from auctionlp.analysis import proved_certificate
+from auctionlp.analysis import (
+    _flow_image,
+    bic_to_dsic_dual,
+    canonical_flow,
+    dsic_to_bic_dual,
+    myerson_mechanism,
+    proved_certificate,
+)
 from auctionlp.auction import (
-    _certificate_of,
     _mechanism_entries,
     _multipliers,
+    _over_common_denominator,
+    _section_entries,
     certificate_document,
     solve_form,
     verify_certificate_document,
 )
 from auctionlp.cli import main
+from auctionlp.errors import LabelMismatch, NotAgentIndependent, NotOptimal
 from auctionlp.lp import program, simplex
-from auctionlp.model import BAYES, DS
+from auctionlp.model import (
+    BAYES,
+    DS,
+    Mechanism,
+    Scaled,
+    _dual_from_scaled,
+    mechanism_feasible,
+    mechanism_slacks,
+)
 from auctionlp.oracles import gen_instance
-from conftest import build, irregular
+from conftest import build, irregular, perfbench_corpus
+from helpers import reference_sections
 
 FORMS = {"ds": DS, "bic": BAYES}
 
@@ -102,47 +125,181 @@ def test_closed_form_solves_match_the_program(tmp_path, capsys, monkeypatch, pro
     assert all(ds or not bic for ds, bic in zip(verdicts[DS], verdicts[BAYES]))
 
 
-def _scaled_by(den, rows):
-    return tuple(tuple(q * den for q in row) for row in rows)
+def _times(nested, factor):
+    """Every int of a nested tuple times factor."""
+    if isinstance(nested, tuple):
+        return tuple(_times(part, factor) for part in nested)
+    return nested * factor
+
+
+def _read_back(instance, form, document):
+    """The document's primal and dual vectors as verify reads them: each
+    entry straight to its index, each vector over one denominator."""
+    layout = auction._layout(instance, form)
+    unknown = []
+    entries = [
+        _section_entries(document, key, layout, row, unknown)
+        for key, row in (("primal", False), ("dual", True))
+    ]
+    assert unknown == []
+    return layout, [_over_common_denominator(*pair) for pair in zip(layout.shape[::-1], entries)]
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])
 def test_closed_form_certificate_reads_back_as_its_proof(form):
     read = 0
     for name, instance in CORPUS:
-        certificate = proved_certificate(instance, form)
-        if certificate is None:
+        proof = proved_certificate(instance, form)
+        if proof is None:
             continue
         read += 1
-        layout, proof = certificate.layout, certificate.proof
-        assert layout == auction._layout(instance, form) and proof.instance is instance, name
-        assert None not in certificate.primal and None not in certificate.dual, name
+        assert proof.instance is instance and proof.mechanism.form == form, name
         revenue = proof.mechanism.revenue(instance)
-        assert certificate.objective == proof.dual.objective() == revenue, name
-        # the vectors, scaled by the proof's denominators, give its numerators
+        assert proof.objective == proof.dual.objective() == revenue, name
+        document = certificate_document(instance, form, proof)
+        assert Fraction(document["objective"]) == proof.objective, name
+        layout, (primal, dual) = _read_back(instance, form, document)
+        # over the document's denominators, the entries give the proof's
+        # numerators over its own
         mechanism = proof.mechanism.scaled
-        scaled = [q * mechanism.den for q in certificate.primal]
-        assert _mechanism_entries(instance, layout, scaled) == mechanism.nums, name
-        zeta, eta, xi = _multipliers(instance, layout, certificate.dual)
+        read_mechanism = _mechanism_entries(instance, layout, primal.nums)
+        assert _times(read_mechanism, mechanism.den) == _times(mechanism.nums, primal.den), name
+        zeta, eta, xi = _multipliers(instance, layout, dual.nums)
         nums = proof.dual.scaled
         for i in range(instance.n):
-            assert _scaled_by(nums.zeta[i].den, zeta[i]) == nums.zeta[i].nums, name
-            assert _scaled_by(nums.eta[i].den, (eta[i],)) == (nums.eta[i].nums,), name
-        assert _scaled_by(nums.xi.den, xi) == nums.xi.nums, name
+            assert _times(zeta[i], nums.zeta[i].den) == _times(nums.zeta[i].nums, dual.den), name
+            assert _times(eta[i], nums.eta[i].den) == _times(nums.eta[i].nums, dual.den), name
+        assert _times(xi, nums.xi.den) == _times(nums.xi.nums, dual.den), name
     assert read >= len(CORPUS) // 2
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])
 @pytest.mark.parametrize("spec", [{"n": 2, "m": 2, "support": 2}, {"n": 3, "m": 1, "support": 3}])
 def test_writing_a_solved_proof_gives_back_the_solved_vectors(spec, form):
-    # _prove read the program's vectors into the proof; writing it out
-    # again is the inverse, on more items too
+    # _prove read the program's vectors into the proof; the document
+    # rendered from the proof is the vectors' own rendering, label by
+    # label, on more items too
     instance = gen_instance(spec, 1)
     certificate = solve_form(instance, form)
-    written = _certificate_of(instance, *certificate.proof[1:])
-    assert written.primal == certificate.primal and written.dual == certificate.dual
-    assert written.objective == certificate.objective
-    assert written.layout == certificate.layout
+    document = certificate_document(instance, form, certificate.proof)
+    assert document == certificate_document(instance, form, certificate)
+    sections = {key: document[key] for key in ("objective", "primal", "dual")}
+    assert sections == reference_sections(certificate)
+
+
+def test_a_proof_documents_only_its_own_optimum(pair12, u12):
+    proof = proved_certificate(pair12, DS)
+    assert certificate_document(pair12, DS, proof)["objective"] == "3/2"
+    for instance, form in ((u12, DS), (pair12, BAYES)):
+        with pytest.raises(LabelMismatch):
+            certificate_document(instance, form, proof)
+
+
+def _image_corpus():
+    """(name, instance) pairs, about 120: one item, n 1-4, supports 2-7,
+    i.i.d. and correlated, whole-number values, zero-mass types of
+    either kind, and instances that need ironing."""
+    supports = {1: range(2, 8), 2: range(2, 8), 3: range(2, 5), 4: range(2, 4)}
+    shapes = [
+        {"n": n, "support": k, "iid": iid}
+        for n, ks in supports.items()
+        for k in ks
+        for iid in (False, True)
+    ]
+    shapes += [
+        {"n": n, "support": k, "denominator": 1, "value_range": 10, "iid": iid}
+        for n, k in ((2, 5), (3, 3))
+        for iid in (False, True)
+    ]
+    corpus = [
+        (f"{spec}@{seed}", gen_instance({"m": 1, **spec}, seed))
+        for spec in shapes
+        for seed in range(3)
+    ]
+    corpus += [(name, instance) for name, instance in CORPUS if "mass" in name]
+    corpus += [(f"irregular{n}", irregular(n)) for n in range(1, 5)]
+    return corpus
+
+
+def _parent_bayes_proof(instance):
+    """The Bayesian closed form as it was proved before the image stood
+    alone: the dominant-strategy optimum first, then its auction held to
+    the Bayesian rows, and the flow mapped back by dsic_to_bic_dual."""
+    ds = analysis._ds_optimum(instance)
+    if ds is None:
+        return None
+    mechanism = Mechanism(BAYES, ds.mechanism.scaled)
+    slacks = mechanism_slacks(instance, mechanism)
+    if not mechanism_feasible(instance, mechanism, slacks):
+        return None
+    try:
+        image = dsic_to_bic_dual(instance, ds.dual)
+    except (NotAgentIndependent, NotOptimal):
+        return None
+    return auction._Proof(instance, mechanism, slacks, image)
+
+
+def test_bayes_image_stands_for_the_flow():
+    corpus = _image_corpus()
+    assert 110 <= len(corpus) <= 130
+    verdicts = []
+    for name, instance in corpus:
+        flow, image = canonical_flow(instance), _flow_image(instance)
+        assert image == dsic_to_bic_dual(instance, flow), name
+        assert bic_to_dsic_dual(instance, image) == flow, name
+        before, after = _parent_bayes_proof(instance), analysis._bayes_optimum(instance)
+        verdicts.append(before is not None)
+        if before is not None:
+            assert after is not None, name
+            document = certificate_document(instance, BAYES, after)
+            assert document == certificate_document(instance, BAYES, before), name
+    assert set(verdicts) == {True, False}
+
+
+def _negated_eta(multipliers, xi):
+    """eta below 0 at buyer 0's zero type, its lowest: the image turns
+    infeasible, and no virtual value and no objective moves."""
+    (zeta, eta), den = multipliers[0]
+    return [Scaled((zeta, (-eta[0], *eta[1:])), den), *multipliers[1:]], xi
+
+
+def _raised_xi(multipliers, xi):
+    """xi raised at the all-zero profile, where no virtual value is
+    positive and no buyer wins: the image stays feasible and prices the
+    same auction, but its objective passes the auction's revenue."""
+    (row,), den = xi
+    return multipliers, Scaled(((row[0] + 1, *row[1:]),), den)
+
+
+@pytest.mark.parametrize("tamper", [_negated_eta, _raised_xi])
+def test_bayes_closed_form_refuses_a_tampered_image(monkeypatch, pair12, tamper):
+    # each tampered image prices the accepted auction, and fails exactly
+    # one of the other two checks, which alone must refuse it
+    accepted = analysis._bayes_optimum(pair12)
+    image = _dual_from_scaled(pair12, BAYES, *tamper(*analysis._ladder_flow(pair12)))
+    assert Mechanism(BAYES, myerson_mechanism(pair12, image).scaled) == accepted.mechanism
+    assert image.is_feasible() != (accepted.mechanism.revenue(pair12) == image.objective())
+    monkeypatch.setattr(analysis, "_flow_image", lambda instance: image)
+    assert analysis._bayes_optimum(pair12) is None
+    assert proved_certificate(pair12, BAYES) is None
+
+
+# sha256 over the certificate files of one pass of the benchmark's
+# seed-1 solve-cert corpus, in corpus order; the benchmark's own digest
+# covers only what the solves print
+SOLVE_CERT_FILES_SHA256 = "f4ea93e261363719d7c2a03e42722cbc9d5bd0de50d906e05fc1500a696ba70c"
+
+
+def test_solve_cert_certificate_files_are_pinned(monkeypatch, tmp_path):
+    ops = perfbench_corpus(monkeypatch, "solve-cert", 1, tmp_path)
+    assert len(ops) == 80
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(main(op.argv) == 0 for op in ops)
+    digest = hashlib.sha256()
+    for op in ops:
+        with open(op.cert, "rb") as handle:
+            digest.update(handle.read())
+    assert digest.hexdigest() == SOLVE_CERT_FILES_SHA256
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -92,7 +92,7 @@ def _check_flow(instance):
 
 def test_single_item_corpus_needs_ironing_sometimes():
     instances = [gen_instance(spec, seed) for spec, seed in SINGLE_ITEM_CASES]
-    accepted = [_myerson_auction(x, canonical_flow(x)) is not None for x in instances]
+    accepted = [_myerson_auction(x, canonical_flow(x), DS) is not None for x in instances]
     assert any(accepted) and not all(accepted)
 
 
