@@ -504,10 +504,11 @@ def characterize(instance: Instance) -> RevenueReport:
     with no flow.  The witness is bic_to_dsic_dual of the regularized
     Bayesian dual, save when regularization returns the flow's image
     itself: the flow is then that spread already (see _myerson_proof),
-    and is the witness.  The report keeps the mechanism and its slacks
-    as ds_optimum, and the witness's dominant-strategy virtual-value
-    table, which the agent-independence check reads, as
-    witness_table."""
+    and is the witness, whose slackness ledger with the mechanism is
+    zero by the proof; a mapped witness has its ledger checked.  The
+    report keeps the mechanism and its slacks as ds_optimum, and the
+    witness's dominant-strategy virtual-value table, which the
+    agent-independence check reads, as witness_table."""
     evidence = _myerson_proof(instance) if instance.m == 1 else None
     if evidence is None:
         ds_cert, bayes_cert = solve_form(instance, DS), solve_form(instance, BAYES)
@@ -531,12 +532,12 @@ def characterize(instance: Instance) -> RevenueReport:
     if report.brev_eq_drev:
         regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
         if flow is not None and regular is bayes_dual:
+            # proved optimal with the mechanism: its ledger is zero
             ai_witness = flow
         else:
             ai_witness = bic_to_dsic_dual(instance, regular)
-        ledger = check_cs_ds(instance, mechanism, ai_witness, slacks=slacks)
-        if not ledger.optimal:
-            findings.append("witness-not-dsic-optimal")
+            if not check_cs_ds(instance, mechanism, ai_witness, slacks=slacks).optimal:
+                findings.append("witness-not-dsic-optimal")
         table = virtual_values_ds(instance, ai_witness)
         ok, witness = check_agent_independence(instance, ai_witness, table)
         if not ok:

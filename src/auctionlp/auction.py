@@ -25,19 +25,17 @@ grammar (profile keys are support indices joined by "."):
     ds rows     ic:<i>:<vkey>:<t'>   ir:<i>:<vkey>   sup:<j>:<vkey>
     bayes rows  ic:<i>:<t>:<t'>      ir:<i>:<t>      sup:<j>:<vkey>
 
-Each of the five formats is written once (_X, _P, _IC, _IR, _SUP).
-row_label and col_label render one index with them, and
-certificate_document a whole section, family by family, decoding no
-index.  index_of reads a label strictly, field by field, and renders
-nothing back: a field must be spelled exactly as the renderers write
-it, and be in range.
+Each of the five formats is written once (_X, _P, _IC, _IR, _SUP), and
+certificate_document renders a whole section with them, family by
+family, decoding no index.  index_of reads a label strictly, field by
+field, and renders nothing back: a field must be spelled exactly as
+the renderer writes it, and be in range.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -82,7 +80,7 @@ from .model import (
     ratio,
     read_json,
 )
-from .virtual import GapLedger, check_cs_bayes, check_cs_ds
+from .virtual import GapLedger
 
 __all__ = [
     "build_dslp",
@@ -185,34 +183,6 @@ class ProgramLayout:
         profiles = list(itertools.product(*map(range, self.sizes)))
         return profiles, [profile_key(v) for v in profiles]
 
-    def row_label(self, r: int) -> str:
-        """The label of primal row r, the inverse of zeta, eta and xi.
-        A one-type buyer's ic block is empty and starts where the next
-        buyer's does, so bisect_right passes over it."""
-        profiles, names = self._names
-        zeta, eta, xi = self._blocks
-        if r >= xi:
-            j, rank = divmod(r - xi, self.count)
-            return _SUP(j, names[rank])
-        ic = r < eta[0]
-        starts = zeta if ic else eta
-        i = bisect_right(starts, r) - 1
-        key, lie = divmod(r - starts[i], self.sizes[i] - 1) if ic else (r - starts[i], None)
-        name, t = (names[key], profiles[key][i]) if self.form == DS else (key, key)
-        if lie is None:
-            return _IR(i, name)
-        return _IC(i, name, lie + (lie >= t))
-
-    def col_label(self, c: int) -> str:
-        """The label of primal column c, the inverse of x and p."""
-        block, rank = divmod(c, self.count)
-        name = self._names[1][rank]
-        xs = len(self.sizes) * self.m
-        if block < xs:
-            i, j = divmod(block, self.m)
-            return _X(i, j, name)
-        return _P(block - xs, name)
-
     @cached_property
     def _ranks(self) -> dict[str, int]:
         """Each profile key to its rank: the only spellings a profile
@@ -229,11 +199,11 @@ class ProgramLayout:
         return tables[n], tables[m], [tables[k] for k in self.sizes]
 
     def index_of(self, label: str, row: bool) -> int | None:
-        """The row (row true) or column that row_label or col_label
-        renders as label, or None.  The label is read strictly, field by
-        field, and never rendered back: each field must be one of the
-        spellings in _numbers or _ranks, and an ic row's report must
-        differ from the own type."""
+        """The row (row true) or column whose label, in the grammar of
+        the module docstring, is label, or None.  The label is read
+        strictly, field by field, and never rendered back: each field
+        must be one of the spellings in _numbers or _ranks, and an ic
+        row's report must differ from the own type."""
         kind, *parts = label.split(":")
         buyers, items, types = self._numbers
         ranks = self._ranks
@@ -762,15 +732,19 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     proves this instance's optimum in this form, as it holds no vectors
     to prove again.  Both sections are rendered from the proof's
     integer numerators (_sections); self-check proves the document
-    again whichever wrote it."""
+    again whichever wrote it.
+
+    The ledger is the proved pair's, written without being summed: a
+    proof checked the slacks, the multipliers, alpha, beta, x and p
+    nonnegative and the revenue equal to the dual objective, so each of
+    the five families is a sum of nonnegative products, and together
+    they add up to a zero gap (virtual.check_cs_ds).  Each is zero."""
     if isinstance(certificate, _Proof):
         if certificate.instance != instance or certificate.mechanism.form != form:
             raise LabelMismatch(f"proof is not of this instance's {form} optimum")
         proof = certificate
     else:
         proof = _proof(instance, certificate, form)
-    check = check_cs_ds if form == DS else check_cs_bayes
-    ledger = check(instance, proof.mechanism, proof.dual, slacks=proof.slacks)
     primal, dual = _sections(instance, form, proof)
     return {
         "kind": "auctionlp.certificate",
@@ -780,7 +754,7 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
         "objective": rat_str(proof.objective),
         "primal": primal,
         "dual": dual,
-        "ledger": {key: rat_str(getattr(ledger, key)) for key in _LEDGER_KEYS},
+        "ledger": dict.fromkeys(_LEDGER_KEYS, "0"),
     }
 
 

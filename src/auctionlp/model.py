@@ -52,6 +52,17 @@ phi_star and psi (Bayesian: phibar_star and psibar) once; the dual keeps
 them, and every later step (regularity, regularization, virtual values)
 reads them there.
 
+The DS gather.  Every dominant-strategy key is one opponent slice at
+scale 1, so `_slack_numerators` and `_dual_from_scaled` handle all of a
+buyer's DS keys at once.  They read the buyer's allocation and payment
+columns, or its zeta and eta rows, once; then for each report t2 they
+gather the entries on every slice s through the rank-table column
+ranks[i][s][t2], one list comprehension per report and quantity
+(utilities, held weight, zeta inflow, phi, psi), and write alpha and
+beta over all ranks at once.  A Bayesian key sums each report's
+entries over its slices at their scales (`_key_rows`), and its
+coefficients are computed one key at a time (`_key_coefficients`).
+
 Integer numerators.  The post-solve arithmetic runs on integer
 numerators over one denominator per vector, or per buyer where the
 vector is per buyer (a `Scaled`):
@@ -701,10 +712,11 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
     D, buyer i's values over V and its scales (see multiplier_keys) over
     W, buyer i's a and b are over V * W * D, and c is over D.
 
-    Per buyer and family of keys, each report's allocation and payment
-    are summed over the family's slices at their scales, and each
-    utility of a true type under a report is evaluated once against
-    those sums."""
+    Every DS key is one slice at scale 1: buyer i's allocation and
+    payment columns are read once, and each report's entries are
+    gathered on every slice at once.  A Bayesian key sums each report's
+    allocation and payment over the slices at their scales (_key_rows).
+    Each utility of a true type under a report is evaluated once."""
     _check_dims(instance, mechanism)
     form = mechanism.form
     (alloc, pay), den = mechanism.scaled
@@ -713,27 +725,55 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
     c = Scaled(tuple(zip(*([den - q for q in items] for items in sold))), den)
     a, b = [], []
     for i in range(instance.n):
-        keys = multiplier_keys(instance, form, i)
-        scales = keys.scales
+        scales = multiplier_keys(instance, form, i).scales
         vecs, vden = instance.supports_scaled[i]
-        a_i, b_i = [None] * len(keys.positions), [None] * len(keys.positions)
-        # the slices of each family, grouped by the family's first key
-        groups: dict = {}
-        for s, family in enumerate(keys.families):
-            groups.setdefault(family[0], (family, []))[1].append(s)
-        for family, slices in groups.values():
+        if form == DS:
+            # buyer i's columns, read once; then per report t2, its
+            # allocation per item and vden times its payment on every
+            # slice s, gathered at the ranks ranks[i][s][t2]
+            items = list(zip(*[row[i] for row in alloc]))
+            prices = [vden * row[i] for row in pay]
+            reports = [
+                ([[column[r] for r in ranks] for column in items], [prices[r] for r in ranks])
+                for ranks in zip(*instance.ranks[i])
+            ]
+            gaps, truths = [], []
+            for t, vec in enumerate(vecs):
+                # u[t2][s]: utility of true type t reporting t2 on slice s
+                u = [_utilities(vec, *report) for report in reports]
+                gap = [[truth - lie for truth, lie in zip(u[t], lies)] for lies in u]
+                gaps.append(list(zip(*gap)))
+                truths.append(u[t])
+            positions = instance.positions[i]
+            a_i = [gaps[t][s] for t, s in positions]
+            b_i = [truths[t][s] for t, s in positions]
+        else:
+            slices = range(len(scales.nums))
             rows = list(zip(*_key_rows(instance, alloc, pay, i, scales.nums, slices)))
-            for t, key in enumerate(family):
+            a_i, b_i = [], []
+            for t, vec in enumerate(vecs):
                 # u[t2]: utility of true type t reporting t2
-                vec = vecs[t]
                 u = [sum(map(mul, vec, cell)) - vden * price for cell, price in rows]
                 truth = u[t]
-                a_i[key] = tuple([truth - lie for lie in u])
-                b_i[key] = truth
+                a_i.append(tuple([truth - lie for lie in u]))
+                b_i.append(truth)
         den_i = vden * scales.den * den
         a.append(Scaled(tuple(a_i), den_i))
         b.append(Scaled(tuple(b_i), den_i))
     return SlackNumerators(tuple(a), tuple(b), c)
+
+
+def _utilities(vec, items, prices) -> list[int]:
+    """vec . x - price entry by entry, with items[j] the entries of x's
+    item j: one item at a time, skipping the items vec values at 0."""
+    total = None
+    for v, column in zip(vec, items):
+        if v:
+            if total is None:
+                total = [v * x - price for x, price in zip(column, prices)]
+            else:
+                total = [q + v * x for q, x in zip(total, column)]
+    return [-price for price in prices] if total is None else total
 
 
 def _key_rows(instance: Instance, alloc, pay, i: int, scales, slices):
@@ -884,13 +924,45 @@ def multiplier_keys(instance: Instance, form: str, i: int) -> MultiplierKeys:
     )
 
 
+def _ds_coefficients(instance: Instance, i: int, zeta_i, eta_i, vecs) -> tuple[list, list]:
+    """phi_star per item and psi of every DS key of buyer i, as
+    _key_coefficients computes them one key at a time: per item, phi by
+    rank, and psi by rank.  At the keys of own type t, on every slice at
+    once: the keys' participation weights and "true t, report t2"
+    multipliers (held), less the "true t2, report t" ones (inflow,
+    gathered at the keys ranks[i][s][t2]).  Diagonal entries are
+    ignored."""
+    table = list(zip(*instance.ranks[i]))  # table[t][s]: the key of type t on slice s
+    totals = [e + sum(row) for e, row in zip(eta_i, zeta_i)]
+    phis, psis = [], []
+    for t, (keys, vec) in enumerate(zip(table, vecs)):
+        into = [row[t] for row in zeta_i]  # into[key]: the key's "report t" multiplier
+        held = [totals[key] - into[key] for key in keys]
+        psi, phi = held, [[h * v for h in held] for v in vec]
+        for t2, (lie_keys, lie_vec) in enumerate(zip(table, vecs)):
+            if t2 == t:
+                continue
+            inflow = [into[key] for key in lie_keys]
+            psi = [q - w for q, w in zip(psi, inflow)]
+            phi = [
+                [q - w * v for q, w in zip(column, inflow)] if v else column
+                for column, v in zip(phi, lie_vec)
+            ]
+        phis.append(phi)
+        psis.append(psi)
+    positions = instance.positions[i]
+    phi = [[phis[t][j][s] for t, s in positions] for j in range(instance.m)]
+    return phi, [psis[t][s] for t, s in positions]
+
+
 def _key_coefficients(zeta_i, eta_i, family, t, vecs):
     """phi_star per item and psi (Bayesian: phibar_star and psibar) at
     the key of type t in family (see multiplier_keys): the key's
     participation weight and "true t, report t2" multipliers, less the
     "true t2, report t" ones; phi weighs each by its type's vector in
     vecs.  Diagonal entries are ignored.  The arithmetic is generic:
-    _dual_from_scaled passes integer numerators."""
+    _dual_from_scaled passes integer numerators of a Bayesian key (its
+    DS keys go through _ds_coefficients, all at once)."""
     key = family[t]
     held, inflow = eta_i[key], []
     for t2, (out, key2) in enumerate(zip(zeta_i[key], family)):
@@ -937,23 +1009,34 @@ def _dual_from_scaled(instance: Instance, form: str, multipliers, xi_scaled) -> 
         families, scales = keys.families, keys.scales
         (zeta_i, eta_i), zeta_den = multipliers[i]
         vecs, value_den = instance.supports_scaled[i]
-        per_key = (_key_coefficients(zeta_i, eta_i, families[s], t, vecs) for t, s in keys.positions)
-        phis, psis = zip(*per_key)
         phi_den = zeta_den * value_den
         alpha_den = lcm(xi_den, scales.den * phi_den)
         beta_den = lcm(scales.den * zeta_den, mu.den)
         to_alpha, to_beta = alpha_den // (scales.den * phi_den), beta_den // (scales.den * zeta_den)
         to_xi, to_mu = alpha_den // xi_den, beta_den // mu.den
-        alpha_i = [[q * to_xi for q in col] for col in xi_nums]
-        beta_i = [-q * to_mu for q in mu.nums]
-        for w, family, ranks in zip(scales.nums, families, instance.ranks[i]):
-            if not w:
-                continue
-            w_alpha, w_beta = w * to_alpha, w * to_beta
-            for key, r in zip(family, ranks):
-                for col, phi_j in zip(alpha_i, phis[key]):
-                    col[r] -= w_alpha * phi_j
-                beta_i[r] += w_beta * psis[key]
+        if form == DS:
+            # every rank is its own key, on one slice at scale 1
+            phi, psis = _ds_coefficients(instance, i, zeta_i, eta_i, vecs)
+            alpha_i = [
+                [q * to_xi - to_alpha * p for q, p in zip(col, phi_j)]
+                for col, phi_j in zip(xi_nums, phi)
+            ]
+            beta_i = [to_beta * p - q * to_mu for p, q in zip(psis, mu.nums)]
+            phis, psis = tuple(zip(*phi)), tuple(psis)
+        else:
+            phis, psis = zip(*(
+                _key_coefficients(zeta_i, eta_i, families[s], t, vecs) for t, s in keys.positions
+            ))
+            alpha_i = [[q * to_xi for q in col] for col in xi_nums]
+            beta_i = [-q * to_mu for q in mu.nums]
+            for w, family, ranks in zip(scales.nums, families, instance.ranks[i]):
+                if not w:
+                    continue
+                w_alpha, w_beta = w * to_alpha, w * to_beta
+                for key, r in zip(family, ranks):
+                    for col, phi_j in zip(alpha_i, phis[key]):
+                        col[r] -= w_alpha * phi_j
+                    beta_i[r] += w_beta * psis[key]
         parts.append((
             Scaled(zeta_i, zeta_den),
             Scaled(eta_i, zeta_den),

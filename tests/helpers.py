@@ -10,7 +10,7 @@ deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
 dual; zero_mechanism, min_entry of slacks and row_dot of a program;
 reference_names and reference_index_of (labels read by rendering
-back) of a program layout, and reference_sections, a certificate's
+back through row_label and col_label) of a program layout, and reference_sections, a certificate's
 document sections rendered through reference_names; drop, insert, others_sizes, others_rank,
 others_count, others_profiles and profile_prob of an instance's
 profiles; reference_fraction, CPython 3.11's reading of number text,
@@ -30,11 +30,17 @@ references never call the rank-table paths they check (test_surface)."""
 
 import random
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
 from auctionlp.auction import (
+    _IC,
+    _IR,
+    _P,
+    _SUP,
+    _X,
     ProgramLayout,
     _feasible_dual,
     _layout,
@@ -450,11 +456,43 @@ def reference_primal(instance, form):
     return make_lp(MAX, c, rows, b, layout)
 
 
+def row_label(layout, r):
+    """The label of primal row r, the inverse of the layout's zeta, eta
+    and xi, in the auction module's five formats.  A one-type buyer's ic
+    block is empty and starts where the next buyer's does, so
+    bisect_right passes over it."""
+    profiles, names = layout._names
+    zeta, eta, xi = layout._blocks
+    if r >= xi:
+        j, rank = divmod(r - xi, layout.count)
+        return _SUP(j, names[rank])
+    ic = r < eta[0]
+    starts = zeta if ic else eta
+    i = bisect_right(starts, r) - 1
+    key, lie = divmod(r - starts[i], layout.sizes[i] - 1) if ic else (r - starts[i], None)
+    name, t = (names[key], profiles[key][i]) if layout.form == DS else (key, key)
+    if lie is None:
+        return _IR(i, name)
+    return _IC(i, name, lie + (lie >= t))
+
+
+def col_label(layout, c):
+    """The label of primal column c, the inverse of the layout's x and p."""
+    block, rank = divmod(c, layout.count)
+    name = layout._names[1][rank]
+    xs = len(layout.sizes) * layout.m
+    if block < xs:
+        i, j = divmod(block, layout.m)
+        return _X(i, j, name)
+    return _P(block - xs, name)
+
+
 def labels(layout):
     """(row labels, column labels) of a layout's primal program, rendered
-    one index at a time by its row_label and col_label."""
+    one index at a time by row_label and col_label."""
     nrows, ncols = layout.shape
-    return list(map(layout.row_label, range(nrows))), list(map(layout.col_label, range(ncols)))
+    rows = [row_label(layout, r) for r in range(nrows)]
+    return rows, [col_label(layout, c) for c in range(ncols)]
 
 
 def reference_names(layout):
@@ -538,10 +576,8 @@ def reference_index_of(layout, label, row):
         index = _reference_read(layout, label, row)
     except (ValueError, IndexError):
         return None
-    bound, render = (
-        (layout.shape[0], layout.row_label) if row else (layout.shape[1], layout.col_label)
-    )
-    return index if 0 <= index < bound and render(index) == label else None
+    bound, render = (layout.shape[0], row_label) if row else (layout.shape[1], col_label)
+    return index if 0 <= index < bound and render(layout, index) == label else None
 
 
 

@@ -46,6 +46,7 @@ from auctionlp.model import (
 )
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import (
+    check_cs_ds,
     check_ubvv,
     regularize_bayes,
     regularize_ds,
@@ -698,6 +699,47 @@ def test_carried_duals_change_no_output():
     # 53 witnesses are the flow, and 40 scanned tight duals are witnesses
     assert calls[False]["bic_to_dsic_dual"] - calls[True]["bic_to_dsic_dual"] == 53
     assert calls[False]["virtual_values_ds"] - calls[True]["virtual_values_ds"] == 40
+
+
+def test_flow_witness_ledger_is_zero_unchecked():
+    # a flow witness is proved optimal with the mechanism, so characterize
+    # sums no ledger for it; forcing the check (a value-equal copy of the
+    # regularized dual sends the witness through bic_to_dsic_dual and
+    # check_cs_ds) changes no report, and the skipped ledger is zero
+    instances = [
+        gen_instance({"n": n, "m": 1, "support": support, "iid": iid}, seed)
+        for (n, support), iid, seed in itertools.product(
+            [(1, 3), (2, 2), (2, 4), (3, 2), (4, 2)], (True, False), range(4)
+        )
+    ]
+    outputs, checked = {}, {}
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if forced:
+                regularize = analysis.regularize_bayes
+
+                def copied(instance, dual, revenue):
+                    regular = regularize(instance, dual, revenue=revenue)
+                    return replace(regular, scaled=regular.scaled)
+
+                mp.setattr(analysis, "regularize_bayes", copied)
+            calls = _counted(mp, "check_cs_ds")
+            reports = [characterize(instance) for instance in instances]
+        outputs[forced] = [(report, report.witness_table) for report in reports]
+        checked[forced] = calls["check_cs_ds"]
+    # revenues, findings and the witness by value, and the witness's table
+    assert outputs[True] == outputs[False]
+    witnessed = [
+        (instance, report)
+        for instance, (report, _) in zip(instances, outputs[False])
+        if report.ai_witness is not None
+    ]
+    # every instance has a witness, and 34 of them are the flow
+    assert (len(witnessed), checked[True], checked[False]) == (40, 40, 6)
+    for instance, report in witnessed:
+        mechanism, slacks = report.ds_optimum
+        ledger = check_cs_ds(instance, mechanism, report.ai_witness, slacks=slacks)
+        assert (ledger.ic, ledger.ir, ledger.supply, ledger.alloc, ledger.pay) == (0,) * 5
 
 
 # -- agent independence -----------------------------------------------------

@@ -14,6 +14,7 @@ from operator import truediv
 import pytest
 from hypothesis import given, strategies as st
 
+from auctionlp import auction
 from auctionlp.auction import (
     BAYES,
     DS,
@@ -713,11 +714,11 @@ def test_reproof_renders_no_label(monkeypatch, form):
         document = certificate_document(instance, form, certificate)
         documents.append((instance, document, certificate.objective))
 
-    def rendered(layout, index):
+    def rendered(*fields):
         raise AssertionError("a re-proof rendered a label")
 
-    monkeypatch.setattr(ProgramLayout, "row_label", rendered)
-    monkeypatch.setattr(ProgramLayout, "col_label", rendered)
+    for label_format in ("_X", "_P", "_IC", "_IR", "_SUP"):
+        monkeypatch.setattr(auction, label_format, rendered)
     for instance, document, objective in documents:
         assert verify_certificate_document(instance, document) == objective
 

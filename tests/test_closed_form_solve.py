@@ -43,6 +43,7 @@ from auctionlp.model import (
     mechanism_slacks,
 )
 from auctionlp.oracles import gen_instance
+from auctionlp.virtual import check_cs_bayes, check_cs_ds
 from conftest import build, irregular, perfbench_corpus
 from helpers import reference_sections
 
@@ -300,6 +301,35 @@ def test_solve_cert_certificate_files_are_pinned(monkeypatch, tmp_path):
         with open(op.cert, "rb") as handle:
             digest.update(handle.read())
     assert digest.hexdigest() == SOLVE_CERT_FILES_SHA256
+
+
+def test_written_ledgers_are_the_proved_pairs(monkeypatch, tmp_path):
+    # certificate_document writes a proved pair's ledger as zeros, summing
+    # nothing; over the seed-1 solve-cert pass, closed-form proofs and the
+    # program's alike, the ledger summed by check_cs_* is zero family by
+    # family and is what the document holds
+    ops = perfbench_corpus(monkeypatch, "solve-cert", 1, tmp_path)
+    written, document = [], auction.certificate_document
+
+    def recorded(instance, form, certificate):
+        written.append((instance, form, certificate, document(instance, form, certificate)))
+        return written[-1][-1]
+
+    monkeypatch.setattr(cli, "certificate_document", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(main(op.argv) == 0 for op in ops)
+    closed = 0
+    for instance, form, certificate, doc in written:
+        if isinstance(certificate, auction._Proof):
+            closed, proof = closed + 1, certificate
+        else:
+            proof = auction._proof(instance, certificate, form)
+        check = check_cs_ds if form == DS else check_cs_bayes
+        ledger = check(instance, proof.mechanism, proof.dual, slacks=proof.slacks)
+        families = [getattr(ledger, key) for key in ("ic", "ir", "supply", "alloc", "pay", "gap")]
+        assert families == [0] * 6
+        assert doc["ledger"] == dict.fromkeys(("ic", "ir", "supply", "alloc", "pay", "gap"), "0")
+    assert (len(written), closed) == (80, 56)
 
 
 @pytest.mark.parametrize("n", [1, 3])

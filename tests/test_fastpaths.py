@@ -15,6 +15,7 @@ opponent-mass-weighted sum of dominant-strategy rows."""
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -29,10 +30,14 @@ from auctionlp.auction import (
 from auctionlp.model import (
     BAYES,
     DS,
+    DualNumerators,
     Mechanism,
     Scaled,
+    SlackNumerators,
     VirtualValueTable,
+    _dual_from_scaled,
     _scale,
+    _slack_numerators,
     dual_from_multipliers,
     mechanism_slacks,
     multiplier_keys,
@@ -276,6 +281,90 @@ def test_builders_and_mass_tables_match_definition(spec, seed):
         assert (lp.sense, lp.c, lp.b) == (reference.sense, reference.c, reference.b)
         # tuple equality: the same entries in the same order, row by row
         assert lp.rows == reference.rows
+
+
+# -- the kernels, numerator for numerator ----------------------------------------
+#
+# _slack_numerators and _dual_from_scaled gather every DS key of a buyer
+# on all slices at once, and sum a Bayesian key's slices.  On random
+# mechanisms (negative entries included) and random multipliers (zeta
+# diagonals nonzero, which every formula ignores), both must give the
+# definitions' values as the very numerators, over the very
+# denominators, that the module docstring of model names.
+
+
+def _over(values, den):
+    """Rationals nested in tuples as integer numerators over den, each
+    of which must be whole."""
+    if isinstance(values, tuple):
+        return tuple(_over(value, den) for value in values)
+    whole = values * den
+    assert whole.denominator == 1
+    return whole.numerator
+
+
+def _kernel_case(seed, form):
+    """A seeded instance (n 1-3, m 1-3, support sizes 2-3), a random
+    mechanism of the form and random multipliers of the form, over
+    random denominators."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    instance = gen_instance({"n": n, "m": m, "support": [rng.randint(1, 2) for _ in range(n)]}, seed)
+    count = instance.profile_count
+    alloc = tuple(
+        tuple(tuple(rng.randint(-3, 6) for _ in range(m)) for _ in range(n)) for _ in range(count)
+    )
+    pay = tuple(tuple(rng.randint(-4, 9) for _ in range(n)) for _ in range(count))
+    mechanism = Mechanism(form, Scaled((alloc, pay), rng.randint(1, 6)))
+    multipliers = []
+    for k in instance.sizes:
+        keys = range(count if form == DS else k)
+        zeta = tuple(tuple(rng.randint(-2, 5) for _ in range(k)) for _ in keys)
+        eta = tuple(rng.randint(-2, 5) for _ in keys)
+        multipliers.append(Scaled((zeta, eta), rng.randint(1, 7)))
+    xi = Scaled(tuple(tuple(rng.randint(-3, 5) for _ in range(count)) for _ in range(m)), rng.randint(1, 5))
+    return instance, mechanism, multipliers, xi
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_kernels_give_the_definitions_numerators(form):
+    diagonals = 0
+    for seed in range(200):
+        instance, mechanism, multipliers, xi = _kernel_case(seed, form)
+        den = mechanism.scaled.den
+        mu_den = instance.mu_scaled.den
+        value_dens = [instance.supports_scaled[i].den for i in range(instance.n)]
+        scale_dens = [multiplier_keys(instance, form, i).scales.den for i in range(instance.n)]
+
+        reference = reference_slacks(instance, mechanism)
+        slack_dens = [v * w * den for v, w in zip(value_dens, scale_dens)]
+        assert _slack_numerators(instance, mechanism) == SlackNumerators(
+            tuple(Scaled(_over(a, d), d) for a, d in zip(reference.a, slack_dens)),
+            tuple(Scaled(_over(b, d), d) for b, d in zip(reference.b, slack_dens)),
+            Scaled(_over(reference.c, den), den),
+        )
+
+        dual = _dual_from_scaled(instance, form, multipliers, xi)
+        alpha, beta = reference_dual_slacks(instance, dual, form)
+        phi, psi = _reference_coefficients(instance, dual, form)
+        parts = []
+        for i, ((_, zeta_den), v, w) in enumerate(zip(multipliers, value_dens, scale_dens)):
+            alpha_den, beta_den = lcm(xi.den, w * zeta_den * v), lcm(w * zeta_den, mu_den)
+            parts.append((
+                Scaled(_over(alpha[i], alpha_den), alpha_den),
+                Scaled(_over(beta[i], beta_den), beta_den),
+                Scaled(_over(phi[i], zeta_den * v), zeta_den * v),
+                Scaled(_over(psi[i], zeta_den), zeta_den),
+            ))
+        zetas = tuple(Scaled(zeta, d) for (zeta, _), d in multipliers)
+        etas = tuple(Scaled(eta, d) for (_, eta), d in multipliers)
+        assert dual.scaled == DualNumerators(zetas, etas, xi, *map(tuple, zip(*parts)))
+        diagonals += any(
+            row[instance.positions[i][key][0] if form == DS else key]
+            for i, zeta in enumerate(dual.zeta)
+            for key, row in enumerate(zeta)
+        )
+    assert diagonals > 150
 
 
 # -- adversarial denominators ---------------------------------------------------

@@ -29,8 +29,12 @@ FAST_PATHS = {
 BUILDER_PATHS = {
     "_build_primal", "build_dslp", "build_blp", "multiplier_keys", "ranks", "positions",
 }
-# The label rendering; helpers.reference_names uses none of it.
-RENDER_PATHS = {"row_label", "col_label", "labels"}
+# The label rendering: the auction module's five formats and its
+# section renderer, and the test-side row_label and col_label built on
+# the formats; helpers.reference_names uses none of it.
+RENDER_PATHS = {
+    "row_label", "col_label", "labels", "_X", "_P", "_IC", "_IR", "_SUP", "_sections", "_names",
+}
 
 
 def _names(tree):
@@ -95,3 +99,15 @@ def test_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_mutants_apply_to_the_code_as_it_stands():
+    # tests/mutation.py edits the code by exact text, so a change that
+    # moves a mutant's text must update the list
+    path = Path(__file__).with_name("mutation.py")
+    spec = importlib.util.spec_from_file_location("mutation", path)
+    mutation = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutation)
+    assert mutation.MUTANTS
+    for mutant in mutation.MUTANTS:
+        assert mutation.stale(mutant) is None, mutant.name
