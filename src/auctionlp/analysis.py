@@ -90,16 +90,12 @@ def item_marginal(instance: Instance, j: int) -> Instance:
 
 
 def item_revenue(instance: Instance, j: int) -> Fraction:
-    """Optimal revenue of selling item j alone, on its marginal.
-
-    Myerson's auction answers when two exact checks accept it: the
-    canonical flow is a feasible dual, whose objective bounds the
-    revenue from above, and the auction it prices is a feasible
-    mechanism with the same revenue.  Otherwise (ironing would change a
-    positive virtual value) the marginal's dominant-strategy program
-    does."""
+    """Optimal revenue of selling item j alone, on its marginal: the
+    dominant-strategy closed form (proved_certificate) when its checks
+    accept it, else (ironing would change a positive virtual value) the
+    marginal's dominant-strategy program."""
     marginal = item_marginal(instance, j)
-    optimum = _ds_optimum(marginal)
+    optimum = proved_certificate(marginal, DS)
     if optimum is not None:
         return optimum.objective
     return drev(marginal)
@@ -261,19 +257,21 @@ def _myerson_auction(instance: Instance, dual: DualSolution, form: str):
     return None
 
 
-def _ds_optimum(instance: Instance):
-    """The proof of a single-item instance's dominant-strategy optimum
-    in closed form: the canonical flow and Myerson's auction, when
-    _myerson_auction accepts them.  Else None."""
-    return _myerson_auction(instance, canonical_flow(instance), DS)
-
-
-def _bayes_optimum(instance: Instance):
-    """The proof of a single-item instance's Bayesian optimum in closed
-    form: the flow's Bayesian image (_flow_image) and Myerson's auction
-    held to the Bayesian rows, when _myerson_auction accepts them.  No
-    dominant-strategy flow is built or checked.  Else None."""
-    return _myerson_auction(instance, _flow_image(instance), BAYES)
+def proved_certificate(instance: Instance, form: str):
+    """The form's optimum in closed form, as its proof (auction._Proof),
+    or None: on one item, Myerson's auction priced off the canonical
+    flow (dominant-strategy form) or off the flow's Bayesian image
+    (Bayesian form, _flow_image; no flow is built), when the three exact
+    checks of _myerson_auction accept the pair.  None on more items, or
+    where a check refuses (ironing would change a positive virtual
+    value); the program answers then.  It is the one closed-form entry:
+    solve, SRev and characterize read it.  certificate_document writes
+    the proof as it writes a solve_form certificate, and the proof's
+    objective is the optimum."""
+    if instance.m != 1:
+        return None
+    dual = canonical_flow(instance) if form == DS else _flow_image(instance)
+    return _myerson_auction(instance, dual, form)
 
 
 # ---------------------------------------------------------------------------
@@ -459,64 +457,31 @@ def is_iid(instance: Instance) -> bool:
     )
 
 
-def proved_certificate(instance: Instance, form: str):
-    """The form's optimum in closed form, as its proof (auction._Proof),
-    or None.  On one item, _ds_optimum answers the dominant-strategy
-    form and _bayes_optimum the Bayesian form, each on its own three
-    exact checks.  None on more items, or where a check refuses
-    (ironing would change a positive virtual value); the program
-    answers then.  certificate_document writes the proof as it writes a
-    solve_form certificate, and the proof's objective is the optimum."""
-    if instance.m != 1:
-        return None
-    return (_ds_optimum if form == DS else _bayes_optimum)(instance)
-
-
-def _myerson_proof(instance: Instance):
-    """(DRev, BRev, the Bayesian image, Myerson's auction, its slacks,
-    the flow) when both closed forms accept the single-item instance:
-    _ds_optimum, then _bayes_optimum, each proving its form's optimum by
-    weak duality.  Else None.
-
-    The flow is a proved optimal dominant-strategy dual, and the image's
-    dominant-strategy spread (bic_to_dsic_dual) equals it: canonical_flow
-    is that spread of the ladder multipliers the image holds, with the
-    same xi, and every other family derives from these."""
-    ds = _ds_optimum(instance)
-    if ds is None:
-        return None
-    bayes = _bayes_optimum(instance)
-    if bayes is None:
-        return None
-    return ds.objective, bayes.objective, bayes.dual, ds.mechanism, ds.slacks, ds.dual
-
-
 def characterize(instance: Instance) -> RevenueReport:
     """Compute the three revenues, and when the Bayesian and
     dominant-strategy optima agree, produce the agent-independent
     dominant-strategy dual witnessing the equality.
 
-    The witness is built from one evidence record, (DRev, BRev, a
-    Bayesian optimal dual, a dominant-strategy optimal mechanism, its
-    slacks, the canonical flow or None).  On one item the canonical flow
-    and Myerson's auction give it when _myerson_proof accepts them;
-    otherwise, and on more items, the proofs of both primal solves do,
-    with no flow.  The witness is bic_to_dsic_dual of the regularized
-    Bayesian dual, save when regularization returns the flow's image
-    itself: the flow is then that spread already (see _myerson_proof),
-    and is the witness, whose slackness ledger with the mechanism is
-    zero by the proof; a mapped witness has its ledger checked.  The
-    report keeps the mechanism and its slacks as ds_optimum, and the
-    witness's dominant-strategy virtual-value table, which the
+    DRev and BRev are the objectives of two proofs (auction._Proof):
+    both from proved_certificate when it accepts both forms, else, on
+    more items too, both from the programs' solves.  Both forms come
+    from the closed form or neither, so that where either form refuses
+    the report is the programs' own.  The witness is
+    bic_to_dsic_dual of the regularized Bayesian dual, save when both
+    proofs are closed forms and regularization returns the flow's image
+    itself: the image's spread is then the flow (canonical_flow), the
+    dominant-strategy proof's dual, which is the witness, and whose
+    slackness ledger with the mechanism is zero by the proof; a mapped
+    witness has its ledger checked.  The report keeps the
+    dominant-strategy proof's mechanism and slacks as ds_optimum, and
+    the witness's dominant-strategy virtual-value table, which the
     agent-independence check reads, as witness_table."""
-    evidence = _myerson_proof(instance) if instance.m == 1 else None
-    if evidence is None:
-        ds_cert, bayes_cert = solve_form(instance, DS), solve_form(instance, BAYES)
-        ds, bayes = _proof(instance, ds_cert, DS), _proof(instance, bayes_cert, BAYES)
-        evidence = (
-            ds_cert.objective, bayes_cert.objective, bayes.dual, ds.mechanism, ds.slacks, None
-        )
-    drev_value, brev_value, bayes_dual, mechanism, slacks, flow = evidence
+    ds = proved_certificate(instance, DS)
+    bayes = proved_certificate(instance, BAYES) if ds else None
+    closed = bayes is not None
+    if not closed:
+        ds, bayes = (_proof(instance, solve_form(instance, form), form) for form in (DS, BAYES))
+    drev_value, brev_value = ds.objective, bayes.objective
     if instance.m == 1:
         # SRev is DRev: the item's marginal is the instance with its types
         # sorted, and relabeling types does not move DRev
@@ -525,18 +490,18 @@ def characterize(instance: Instance) -> RevenueReport:
         srev_value = srev(instance)
 
     report = RevenueReport(
-        brev=brev_value, drev=drev_value, srev=srev_value, ds_optimum=(mechanism, slacks)
+        brev=brev_value, drev=drev_value, srev=srev_value, ds_optimum=(ds.mechanism, ds.slacks)
     )
     ai_witness = table = None
     findings = []
     if report.brev_eq_drev:
-        regular = regularize_bayes(instance, bayes_dual, revenue=brev_value)
-        if flow is not None and regular is bayes_dual:
+        regular = regularize_bayes(instance, bayes.dual, revenue=brev_value)
+        if closed and regular is bayes.dual:
             # proved optimal with the mechanism: its ledger is zero
-            ai_witness = flow
+            ai_witness = ds.dual
         else:
             ai_witness = bic_to_dsic_dual(instance, regular)
-            if not check_cs_ds(instance, mechanism, ai_witness, slacks=slacks).optimal:
+            if not check_cs_ds(instance, ds.mechanism, ai_witness, slacks=ds.slacks).optimal:
                 findings.append("witness-not-dsic-optimal")
         table = virtual_values_ds(instance, ai_witness)
         ok, witness = check_agent_independence(instance, ai_witness, table)

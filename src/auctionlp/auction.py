@@ -701,7 +701,7 @@ def extend_bayes(instance: Instance, mechanism: Mechanism, query):
     (alloc, pay), den = mechanism.scaled
     for i, vec in enumerate(query):
         scales = multiplier_keys(instance, BAYES, i).scales
-        rows = _key_rows(instance, alloc, pay, i, scales.nums, range(len(scales.nums)))
+        rows = _key_rows(instance, alloc, pay, i, scales.nums)
         unit = scales.den * den
         cells = [tuple(Fraction(x, unit) for x in cell) for cell in rows[0]]
         prices = [Fraction(q, unit) for q in rows[1]]

@@ -748,8 +748,7 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
             a_i = [gaps[t][s] for t, s in positions]
             b_i = [truths[t][s] for t, s in positions]
         else:
-            slices = range(len(scales.nums))
-            rows = list(zip(*_key_rows(instance, alloc, pay, i, scales.nums, slices)))
+            rows = list(zip(*_key_rows(instance, alloc, pay, i, scales.nums)))
             a_i, b_i = [], []
             for t, vec in enumerate(vecs):
                 # u[t2]: utility of true type t reporting t2
@@ -776,23 +775,17 @@ def _utilities(vec, items, prices) -> list[int]:
     return [-price for price in prices] if total is None else total
 
 
-def _key_rows(instance: Instance, alloc, pay, i: int, scales, slices):
+def _key_rows(instance: Instance, alloc, pay, i: int, scales):
     """Buyer i's allocation and payment numerators per report (alloc
-    and pay as in Mechanism.scaled), summed over the given slices at
-    their scale numerators.  One slice at numerator 1 is read in place;
-    zero-scale slices add nothing."""
-    ranks_i = instance.ranks[i]
-    if len(slices) == 1 and scales[slices[0]] == 1:
-        ranks = ranks_i[slices[0]]
-        return [alloc[lr][i] for lr in ranks], [pay[lr][i] for lr in ranks]
+    and pay as in Mechanism.scaled), summed over its opponent slices at
+    their scale numerators; zero-scale slices add nothing."""
     k, m = instance.sizes[i], instance.m
     cells = [[0] * m for _ in range(k)]
     prices = [0] * k
-    for s in slices:
-        w = scales[s]
+    for w, ranks in zip(scales, instance.ranks[i]):
         if not w:
             continue
-        for t2, lr in enumerate(ranks_i[s]):
+        for t2, lr in enumerate(ranks):
             acc = cells[t2]
             for j, x in enumerate(alloc[lr][i]):
                 acc[j] += w * x

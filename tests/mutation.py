@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 
 
 MODEL = "src/auctionlp/model.py"
+ANALYSIS = "src/auctionlp/analysis.py"
 
 MUTANTS = [
     # the DS gather of _ds_coefficients reads the inflow through the
@@ -85,6 +86,29 @@ MUTANTS = [
         MODEL,
         "beta_i = [to_beta * p - q * to_mu for p, q in zip(psis, mu.nums)]",
         "beta_i = [to_beta * p - q for p, q in zip(psis, mu.nums)]",
+    ),
+    # the closed form (_myerson_auction) accepts a dual it has not
+    # checked feasible
+    Mutant(
+        "closed-form-dual-unchecked",
+        ANALYSIS,
+        "    if not dual.is_feasible():\n        return None\n    mechanism = Mechanism(",
+        "    mechanism = Mechanism(",
+    ),
+    # the closed form accepts an auction it has not checked feasible
+    Mutant(
+        "closed-form-mechanism-unchecked",
+        ANALYSIS,
+        "if mechanism_feasible(instance, mechanism, slacks) and (",
+        "if True and (",
+    ),
+    # the closed form accepts an auction whose revenue is not the dual's
+    # objective
+    Mutant(
+        "closed-form-revenue-unchecked",
+        ANALYSIS,
+        "mechanism.revenue(instance) == dual.objective()",
+        "True",
     ),
 ]
 

@@ -24,6 +24,7 @@ from auctionlp.analysis import (
     item_marginal,
     item_revenue,
     myerson_mechanism,
+    proved_certificate,
     revenue_record,
     srev,
     tight_downward_dual,
@@ -39,6 +40,7 @@ from auctionlp.model import (
     NEG_INF,
     Mechanism,
     Scaled,
+    _dual_from_scaled,
     _scale,
     dual_from_multipliers,
     mechanism_feasible,
@@ -94,10 +96,7 @@ def test_srev_breakdown(items12):
 def lp_path(monkeypatch):
     """Route SRev, characterize's revenues and the scan's tight dual
     through their programs, as before the closed forms."""
-    monkeypatch.setattr(
-        analysis, "item_revenue", lambda inst, j: drev(item_marginal(inst, j))
-    )
-    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst: None)
+    monkeypatch.setattr(analysis, "proved_certificate", lambda inst, form: None)
     monkeypatch.setattr(
         analysis,
         "_tight_dual",
@@ -318,17 +317,20 @@ def test_closed_form_characterize_matches_the_programs(monkeypatch):
         for iid in (True, False)
     ]
     proved = []
-    original = analysis._myerson_proof
+    original = analysis.proved_certificate
 
-    def spy(instance):
-        proof = original(instance)
-        proved.append(proof is not None)
+    def spy(instance, form):
+        proof = original(instance, form)
+        proved.append((form, proof is not None))
         return proof
 
-    monkeypatch.setattr(analysis, "_myerson_proof", spy)
+    monkeypatch.setattr(analysis, "proved_certificate", spy)
     closed = [_characterize_outputs(instance, seed) for seed, instance in instances]
-    assert len(proved) == 30 and proved.count(False) == 8
-    monkeypatch.setattr(analysis, "_myerson_proof", lambda inst: None)
+    # 8 of the 30 refused on the DS form, and the Bayesian form, asked
+    # only of the other 22, accepted each
+    assert proved.count((DS, True)) == proved.count((BAYES, True)) == 22
+    assert len(proved) == 30 + 22 and proved.count((DS, False)) == 8
+    monkeypatch.setattr(analysis, "proved_certificate", lambda inst, form: None)
     programs = [_characterize_outputs(instance, seed) for seed, instance in instances]
     assert closed == programs
 
@@ -638,20 +640,19 @@ def test_iid_scan_corpus_maps_and_tabulates_once(monkeypatch, tmp_path):
 
 def _without_carried_duals(mp):
     """Map every witness through bic_to_dsic_dual and build every table
-    the scan reads: the evidence drops its flow, and DS regularization
-    returns a value-equal copy, never the witness itself."""
-    proof, regularize = analysis._myerson_proof, analysis.regularize_ds
+    the scan reads: both regularizations return a value-equal copy,
+    never the dual they were given, so no witness is the flow and no
+    tight dual is the witness."""
 
-    def no_flow(instance):
-        evidence = proof(instance)
-        return None if evidence is None else (*evidence[:-1], None)
+    def copied(regularize):
+        def copy(instance, dual, revenue):
+            regular = regularize(instance, dual, revenue=revenue)
+            return replace(regular, scaled=regular.scaled)
 
-    def copied(instance, dual, revenue):
-        regular = regularize(instance, dual, revenue=revenue)
-        return replace(regular, scaled=regular.scaled)
+        return copy
 
-    mp.setattr(analysis, "_myerson_proof", no_flow)
-    mp.setattr(analysis, "regularize_ds", copied)
+    for name in ("regularize_bayes", "regularize_ds"):
+        mp.setattr(analysis, name, copied(getattr(analysis, name)))
 
 
 # (n, m, support), i.i.d. and not, seeds 0-5: 96 instances
@@ -740,6 +741,50 @@ def test_flow_witness_ledger_is_zero_unchecked():
         mechanism, slacks = report.ds_optimum
         ledger = check_cs_ds(instance, mechanism, report.ai_witness, slacks=slacks)
         assert (ledger.ic, ledger.ir, ledger.supply, ledger.alloc, ledger.pay) == (0,) * 5
+
+
+def _raised_xi(instance, form, dual):
+    """dual with xi one numerator higher at every profile: still
+    feasible, but its objective passes every mechanism's revenue, so
+    the closed form's revenue check refuses it."""
+    nums = dual.scaled
+    multipliers = [Scaled((z.nums, e.nums), z.den) for z, e in zip(nums.zeta, nums.eta)]
+    (row,), den = nums.xi
+    return _dual_from_scaled(instance, form, multipliers, Scaled((tuple(x + 1 for x in row),), den))
+
+
+# (n, support, seed) of one-item i.i.d. instances whose DS optimum in
+# closed form, Myerson's auction, is not the programs' optimal vertex
+MIXED_CASES = [(2, 3, 0), (3, 2, 0), (3, 2, 3), (3, 3, 0), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("seam, form", [("canonical_flow", DS), ("_flow_image", BAYES)])
+def test_a_mixed_refusal_takes_both_optima_from_the_programs(seam, form):
+    # the two closed forms accepted or refused together on every seeded
+    # instance tried, but nothing proves they must; with one form's dual
+    # tampered only that form refuses, and characterize and the scan
+    # answer as they do with no closed form at all, down to the DS
+    # optimum the report keeps
+    other = BAYES if form == DS else DS
+    for n, support, seed in MIXED_CASES:
+        family = {"n": n, "m": 1, "support": support, "iid": True}
+        instance = gen_instance(family, seed)
+
+        def outputs():
+            report, table, records = _carried_outputs(family, seed)
+            return report, report.ds_optimum, table, records
+
+        closed = outputs()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "proved_certificate", lambda inst, _: None)
+            programs = outputs()
+        assert closed != programs
+        with pytest.MonkeyPatch.context() as mp:
+            original = getattr(analysis, seam)
+            mp.setattr(analysis, seam, lambda inst: _raised_xi(inst, form, original(inst)))
+            assert proved_certificate(instance, form) is None
+            assert proved_certificate(instance, other) is not None
+            assert outputs() == programs
 
 
 # -- agent independence -----------------------------------------------------

@@ -226,7 +226,7 @@ def _parent_bayes_proof(instance):
     """The Bayesian closed form as it was proved before the image stood
     alone: the dominant-strategy optimum first, then its auction held to
     the Bayesian rows, and the flow mapped back by dsic_to_bic_dual."""
-    ds = analysis._ds_optimum(instance)
+    ds = proved_certificate(instance, DS)
     if ds is None:
         return None
     mechanism = Mechanism(BAYES, ds.mechanism.scaled)
@@ -248,7 +248,7 @@ def test_bayes_image_stands_for_the_flow():
         flow, image = canonical_flow(instance), _flow_image(instance)
         assert image == dsic_to_bic_dual(instance, flow), name
         assert bic_to_dsic_dual(instance, image) == flow, name
-        before, after = _parent_bayes_proof(instance), analysis._bayes_optimum(instance)
+        before, after = _parent_bayes_proof(instance), proved_certificate(instance, BAYES)
         verdicts.append(before is not None)
         if before is not None:
             assert after is not None, name
@@ -276,12 +276,11 @@ def _raised_xi(multipliers, xi):
 def test_bayes_closed_form_refuses_a_tampered_image(monkeypatch, pair12, tamper):
     # each tampered image prices the accepted auction, and fails exactly
     # one of the other two checks, which alone must refuse it
-    accepted = analysis._bayes_optimum(pair12)
+    accepted = proved_certificate(pair12, BAYES)
     image = _dual_from_scaled(pair12, BAYES, *tamper(*analysis._ladder_flow(pair12)))
     assert Mechanism(BAYES, myerson_mechanism(pair12, image).scaled) == accepted.mechanism
     assert image.is_feasible() != (accepted.mechanism.revenue(pair12) == image.objective())
     monkeypatch.setattr(analysis, "_flow_image", lambda instance: image)
-    assert analysis._bayes_optimum(pair12) is None
     assert proved_certificate(pair12, BAYES) is None
 
 
@@ -336,7 +335,7 @@ def test_written_ledgers_are_the_proved_pairs(monkeypatch, tmp_path):
 @pytest.mark.parametrize("flag", sorted(FORMS))
 def test_ironing_falls_back_to_the_program(tmp_path, capsys, program_runs, n, flag):
     instance, form = irregular(n), FORMS[flag]
-    assert analysis._ds_optimum(instance) is None
+    assert proved_certificate(instance, DS) is None
     assert proved_certificate(instance, form) is None
     path, cert = tmp_path / "irregular.json", tmp_path / "cert.json"
     path.write_text(instance.to_json())

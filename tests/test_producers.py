@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from auctionlp import analysis, auction, model
 from auctionlp.analysis import (
-    _myerson_auction,
     _tight_dual,
     bic_to_dsic_dual,
     canonical_flow,
@@ -24,6 +23,7 @@ from auctionlp.analysis import (
     face_excess,
     item_marginal,
     myerson_mechanism,
+    proved_certificate,
 )
 from auctionlp.auction import extract_dual, solve_form
 from auctionlp.model import BAYES, DS, dual_from_multipliers, validate_instance
@@ -92,7 +92,7 @@ def _check_flow(instance):
 
 def test_single_item_corpus_needs_ironing_sometimes():
     instances = [gen_instance(spec, seed) for spec, seed in SINGLE_ITEM_CASES]
-    accepted = [_myerson_auction(x, canonical_flow(x), DS) is not None for x in instances]
+    accepted = [proved_certificate(x, DS) is not None for x in instances]
     assert any(accepted) and not all(accepted)
 
 
@@ -160,7 +160,7 @@ def test_flow_producers_match_their_references_over_large_primes(instance):
 def test_producers_split_no_fractions(monkeypatch, support, seed):
     instance = gen_instance({"n": 3, "m": 1, "support": support, "iid": True}, seed)
     assert item_marginal(instance, 0) == instance
-    assert (analysis._myerson_proof(instance) is None) == (support == 3)
+    assert (analysis.proved_certificate(instance, DS) is None) == (support == 3)
     # the instance's own tables are split once, where they are read in
     for table in ("supports_scaled", "probs_scaled", "mu_scaled", "mu_minus_scaled"):
         getattr(instance, table)
