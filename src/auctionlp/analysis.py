@@ -32,7 +32,7 @@ from .model import (
     rat_str,
     validate_instance,
 )
-from .oracles import gen_instance, gen_shape
+from .oracles import gen_instance
 from .virtual import (
     check_cs_ds,
     check_ubvv,
@@ -56,7 +56,6 @@ __all__ = [
     "characterize",
     "is_iid",
     "revenue_record",
-    "iid_scan",
     "gen_records",
 ]
 
@@ -538,24 +537,6 @@ def revenue_record(
         "srev_eq_brev": report.srev_eq_brev,
         "findings": list(report.findings),
     }
-
-
-def iid_scan(family: dict, seed: int, count: int, cap: int = 256) -> list[dict]:
-    """gen_records of the i.i.d. family (n defaults to 3 here); a family
-    below three buyers is excluded with a notice, and a bad family
-    raises, as in gen_instance."""
-    spec = {"n": 3, **family, "iid": True}
-    gen_shape(spec, cap)  # refuses a bad family before its n is read
-    n = spec["n"]
-    if n < 3:
-        return [
-            {
-                "notice": "excluded",
-                "reason": "the all-equal implication needs at least 3 buyers",
-                "n": n,
-            }
-        ]
-    return list(gen_records(spec, seed, count, cap))
 
 
 def gen_records(spec: dict, seed: int, count: int, cap: int = 256) -> Iterator[dict]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, truediv
+from operator import truediv
 from typing import Sequence
 
 from ..errors import InvalidInput
@@ -82,11 +82,6 @@ class DeferredProgram:
 
 def _exact(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
-
-
-# A Fraction keeps its numerator and denominator in slots; reading a
-# slot runs in C, where the public properties are a Python call per entry.
-_NUMERATOR, _DENOMINATOR = attrgetter("_numerator"), attrgetter("_denominator")
 
 
 def _checked_row(row, ncols: int) -> tuple[tuple[int, Fraction], ...]:

@@ -25,9 +25,9 @@ rule, so it walks the exact pivot path, and rounds the optimal vertex
 it ends on to nearby rationals.  The float pass reads a program in
 floats (_in_arithmetic): a DeferredProgram's builder run in floats (the
 auction primals, made from the instance's integers), or a frozen
-program's Fractions converted entry by entry.  Each float is the
-correctly rounded value of the exact coefficient either way.  No
-program is validated here: a frozen one is well formed by its maker
+program's Fractions converted entry by entry with float.  Each float
+is the correctly rounded value of the exact coefficient either way.
+No program is validated here: a frozen one is well formed by its maker
 (make_lp, or a package builder), and only an exact check
 accepts the proposal: the acceptor `solve` is given, `certify_optimal`
 on the program's rows and columns unless the caller passes its own (the
@@ -56,8 +56,6 @@ from .program import (
     MAX,
     CertificateError,
     LpCertificate,
-    _DENOMINATOR,
-    _NUMERATOR,
     certify_optimal,
 )
 
@@ -181,30 +179,22 @@ def check_tableau_size(rows: int, cols: int) -> None:
         )
 
 
-def _to_float(q: Fraction) -> float:
-    """float(q), without numbers.Rational.__float__'s extra calls: the
-    same correctly rounded integer division of the slots, which raises
-    OverflowError beyond the float range."""
-    return _NUMERATOR(q) / _DENOMINATOR(q)
-
-
 def _in_arithmetic(lp: LinearProgram | DeferredProgram, floating: bool) -> LinearProgram:
     """The program a run sets its tableau up from, in the run's
     arithmetic.  A DeferredProgram's one builder is run in it (truediv
     or Fraction).  A frozen program is read as it is by the exact run,
-    and converted entry by entry (_to_float) for the float run.  Either
+    and converted entry by entry with float for the float run.  Either
     float program raises OverflowError on a coefficient beyond the
     float range."""
     if isinstance(lp, DeferredProgram):
         return lp.floating() if floating else lp.exact()
     if not floating:
         return lp
-    to_float = _to_float
     return LinearProgram(
         lp.sense,
-        tuple(map(to_float, lp.c)),
-        tuple([(j, to_float(q)) for j, q in row] for row in lp.rows),
-        tuple(map(to_float, lp.b)),
+        tuple(map(float, lp.c)),
+        tuple([(j, float(q)) for j, q in row] for row in lp.rows),
+        tuple(map(float, lp.b)),
         lp.layout,
     )
 

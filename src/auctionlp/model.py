@@ -800,13 +800,10 @@ def mechanism_feasible(
     off the numerators.  slacks, when given, are this mechanism's
     mechanism_slacks."""
     scaled = _slack_numerators(instance, mechanism) if slacks is None else slacks.scaled
-    (alloc, pay), den = mechanism.scaled
-    cells = list(itertools.chain.from_iterable(alloc))
-    # x <= 1 (max <= den) follows from x >= 0 and the sup rows, which
-    # scaled.feasible tests, so dropping it changes no answer; it stays
-    # as a cheap early refusal
-    in_bounds = not (_any_negative(cells) or max(map(max, cells)) > den or _any_negative(pay))
-    return in_bounds and scaled.feasible
+    alloc, pay = mechanism.scaled.nums
+    # x <= 1 follows from x >= 0 and the sup rows (den - sum of x >= 0),
+    # which scaled.feasible tests
+    return not (_any_negative(alloc) or _any_negative(pay)) and scaled.feasible
 
 
 # ---------------------------------------------------------------------------
@@ -948,21 +945,20 @@ def _ds_coefficients(instance: Instance, i: int, zeta_i, eta_i, vecs) -> tuple[l
     return phi, [psis[t][s] for t, s in positions]
 
 
-def _key_coefficients(zeta_i, eta_i, family, t, vecs):
-    """phi_star per item and psi (Bayesian: phibar_star and psibar) at
-    the key of type t in family (see multiplier_keys): the key's
-    participation weight and "true t, report t2" multipliers, less the
-    "true t2, report t" ones; phi weighs each by its type's vector in
-    vecs.  Diagonal entries are ignored.  The arithmetic is generic:
-    _dual_from_scaled passes integer numerators of a Bayesian key (its
-    DS keys go through _ds_coefficients, all at once)."""
-    key = family[t]
-    held, inflow = eta_i[key], []
-    for t2, (out, key2) in enumerate(zip(zeta_i[key], family)):
+def _key_coefficients(zeta_i, eta_i, t, vecs):
+    """phibar_star per item and psibar at the Bayesian key of type t,
+    which is its own type (see multiplier_keys): the key's participation
+    weight and "true t, report t2" multipliers, less the "true t2,
+    report t" ones; phi weighs each by its type's vector in vecs.
+    Diagonal entries are ignored.  The arithmetic is generic:
+    _dual_from_scaled passes integer numerators (its DS keys go through
+    _ds_coefficients, all at once)."""
+    held, inflow = eta_i[t], []
+    for t2, out in enumerate(zeta_i[t]):
         if t2 != t:
             if out:
                 held += out
-            w = zeta_i[key2][t]
+            w = zeta_i[t2][t]
             if w:
                 inflow.append((w, vecs[t2]))
     psi = held
@@ -998,8 +994,7 @@ def _dual_from_scaled(instance: Instance, form: str, multipliers, xi_scaled) -> 
     xi_nums, xi_den = xi_scaled
     parts = []
     for i in range(instance.n):
-        keys = multiplier_keys(instance, form, i)
-        families, scales = keys.families, keys.scales
+        scales = multiplier_keys(instance, form, i).scales
         (zeta_i, eta_i), zeta_den = multipliers[i]
         vecs, value_den = instance.supports_scaled[i]
         phi_den = zeta_den * value_den
@@ -1018,18 +1013,18 @@ def _dual_from_scaled(instance: Instance, form: str, multipliers, xi_scaled) -> 
             phis, psis = tuple(zip(*phi)), tuple(psis)
         else:
             phis, psis = zip(*(
-                _key_coefficients(zeta_i, eta_i, families[s], t, vecs) for t, s in keys.positions
+                _key_coefficients(zeta_i, eta_i, t, vecs) for t in range(len(vecs))
             ))
             alpha_i = [[q * to_xi for q in col] for col in xi_nums]
             beta_i = [-q * to_mu for q in mu.nums]
-            for w, family, ranks in zip(scales.nums, families, instance.ranks[i]):
+            for w, ranks in zip(scales.nums, instance.ranks[i]):
                 if not w:
                     continue
                 w_alpha, w_beta = w * to_alpha, w * to_beta
-                for key, r in zip(family, ranks):
-                    for col, phi_j in zip(alpha_i, phis[key]):
+                for t, r in enumerate(ranks):
+                    for col, phi_j in zip(alpha_i, phis[t]):
                         col[r] -= w_alpha * phi_j
-                    beta_i[r] += w_beta * psis[key]
+                    beta_i[r] += w_beta * psis[t]
         parts.append((
             Scaled(zeta_i, zeta_den),
             Scaled(eta_i, zeta_den),

@@ -87,6 +87,28 @@ MUTANTS = [
         "beta_i = [to_beta * p - q * to_mu for p, q in zip(psis, mu.nums)]",
         "beta_i = [to_beta * p - q for p, q in zip(psis, mu.nums)]",
     ),
+    # a Bayesian key's inflow reads its own "true t, report t2"
+    # multiplier instead of the "true t2, report t" one
+    Mutant(
+        "bayes-inflow-transposed",
+        MODEL,
+        "w = zeta_i[t2][t]",
+        "w = zeta_i[t][t2]",
+    ),
+    # a Bayesian slice's alpha adds the key's phi instead of subtracting it
+    Mutant(
+        "bayes-slice-alpha-sign",
+        MODEL,
+        "col[r] -= w_alpha * phi_j",
+        "col[r] += w_alpha * phi_j",
+    ),
+    # a Bayesian key's payment sums its slices without their scales
+    Mutant(
+        "bayes-key-rows-unscaled",
+        MODEL,
+        "prices[t2] += w * pay[lr][i]",
+        "prices[t2] += pay[lr][i]",
+    ),
     # the closed form (_myerson_auction) accepts a dual it has not
     # checked feasible
     Mutant(

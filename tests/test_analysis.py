@@ -19,7 +19,7 @@ from auctionlp.analysis import (
     check_agent_independence,
     dsic_to_bic_dual,
     face_excess,
-    iid_scan,
+    gen_records,
     is_iid,
     item_marginal,
     item_revenue,
@@ -107,9 +107,9 @@ def lp_path(monkeypatch):
 # (family, first seed, count): support 3 at seed 1 needs ironing; the
 # two-item seeds 1 and 2 have BRev = DRev, and 0 and 3 BRev > DRev
 SCAN_CORPUS = [
-    ({"n": 3, "m": 1, "support": 2}, 1, 2),
-    ({"n": 3, "m": 1, "support": 3}, 0, 2),
-    ({"n": 3, "m": 2, "support": 2}, 0, 4),
+    ({"n": 3, "m": 1, "support": 2, "iid": True}, 1, 2),
+    ({"n": 3, "m": 1, "support": 3, "iid": True}, 0, 2),
+    ({"n": 3, "m": 2, "support": 2, "iid": True}, 0, 4),
 ]
 
 
@@ -122,7 +122,7 @@ def test_closed_forms_match_the_programs(monkeypatch):
         return original(instance, mechanism, slacks)
 
     monkeypatch.setattr(analysis, "tight_downward_dual", spy)
-    closed = [iid_scan(family, seed, count) for family, seed, count in SCAN_CORPUS]
+    closed = [list(gen_records(*scan)) for scan in SCAN_CORPUS]
     # every other instance takes its flow or its equality witness
     two_items = {"n": 3, "m": 2, "support": 2, "iid": True}
     assert faced == [gen_instance(two_items, 0), gen_instance(two_items, 3)]
@@ -131,7 +131,7 @@ def test_closed_forms_match_the_programs(monkeypatch):
         if family["m"] != 1:
             continue
         for index, record in enumerate(records):
-            instance = gen_instance(dict(family, iid=True), seed + index)
+            instance = gen_instance(family, seed + index)
             revenue = F(record["drev"])
             dual = canonical_flow(instance)
             accepted = dual.is_feasible() and dual.objective() == revenue
@@ -141,7 +141,7 @@ def test_closed_forms_match_the_programs(monkeypatch):
                 regularize_ds(instance, dual, revenue=revenue)
     assert verdicts == {True, False}
     lp_path(monkeypatch)
-    programs = [iid_scan(family, seed, count) for family, seed, count in SCAN_CORPUS]
+    programs = [list(gen_records(*scan)) for scan in SCAN_CORPUS]
     assert closed == programs
 
 
@@ -157,10 +157,13 @@ def test_scan_builds_each_canonical_flow_once(monkeypatch):
         return original(instance)
 
     monkeypatch.setattr(analysis, "canonical_flow", spy)
-    for family, seed in (({"n": 3, "m": 1, "support": 2}, 1), ({"n": 3, "m": 2, "support": 2}, 0)):
+    for family, seed in (
+        ({"n": 3, "m": 1, "support": 2, "iid": True}, 1),
+        ({"n": 3, "m": 2, "support": 2, "iid": True}, 0),
+    ):
         built.clear()
-        (record,) = iid_scan(family, seed, 1)
-        instance = gen_instance(dict(family, iid=True), seed)
+        (record,) = gen_records(family, seed, 1)
+        instance = gen_instance(family, seed)
         if instance.m == 1:
             assert item_marginal(instance, 0) == instance
             assert built == [instance]
@@ -490,27 +493,27 @@ def test_tight_dual_refuses_a_suboptimal_mechanism(u12, pair12):
 
 # -- the scan's tight dual --------------------------------------------------
 
-IID_TWO_ITEMS = {"n": 3, "m": 2, "support": 2}
+IID_TWO_ITEMS = {"n": 3, "m": 2, "support": 2, "iid": True}
 # from the iid-scan corpus: BRev = DRev, and its equality witness has excess 0
 EQUAL_SEED = 1055119864
 
 
 def test_scan_takes_the_equality_witness(spied_solves):
     # the DS and Bayesian programs, and no face program
-    (record,), solves = spied_solves(iid_scan, IID_TWO_ITEMS, EQUAL_SEED, 1)
+    (record,), solves = spied_solves(lambda: list(gen_records(IID_TWO_ITEMS, EQUAL_SEED, 1)))
     assert record["brev_eq_drev"] and record["tight_excess"] == "0"
     assert solves == 2
 
 
 def test_scan_without_a_witness_solves_the_face(spied_solves):
     # (3, 2, 2) seed 3 is the last TIGHT_DUAL_PINS entry: BRev > DRev
-    (record,), solves = spied_solves(iid_scan, IID_TWO_ITEMS, 3, 1)
+    (record,), solves = spied_solves(lambda: list(gen_records(IID_TWO_ITEMS, 3, 1)))
     assert not record["brev_eq_drev"] and record["tight_excess"] == "3/56"
     assert solves == 3
 
 
 def test_tight_dual_refuses_bad_witnesses(spied_solves):
-    instance = gen_instance(dict(IID_TWO_ITEMS, iid=True), EQUAL_SEED)
+    instance = gen_instance(IID_TWO_ITEMS, EQUAL_SEED)
     report = characterize(instance)
     witness = report.ai_witness
     revenue = witness.objective()
@@ -549,7 +552,7 @@ def test_tight_dual_takes_the_witness_after_a_declined_flow(spied_solves):
 
 
 def test_the_witness_is_the_flow_whenever_the_flow_qualifies():
-    # Why iid_scan offers _tight_dual the witness alone: when the
+    # Why the scan offers _tight_dual the witness alone: when the
     # canonical flow is feasible with objective DRev, the witness
     # characterize builds equals it.  On the closed form it is the flow
     # itself; otherwise the flow is regular and agent-independent, and
@@ -599,7 +602,7 @@ def test_closed_form_witness_is_the_flow(monkeypatch, pair12):
 
 
 def test_two_item_witness_is_mapped_once(monkeypatch):
-    instance = gen_instance(dict(IID_TWO_ITEMS, iid=True), EQUAL_SEED)
+    instance = gen_instance(IID_TWO_ITEMS, EQUAL_SEED)
     calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
     report = characterize(instance)
     assert calls == {"bic_to_dsic_dual": 1, "virtual_values_ds": 1}
@@ -610,7 +613,7 @@ def test_two_item_witness_is_mapped_once(monkeypatch):
     "family, seed, witnessed",
     [
         # two closed forms, each tight dual its witness
-        ({"n": 3, "m": 1, "support": 2}, 1, 2),
+        ({"n": 3, "m": 1, "support": 2, "iid": True}, 1, 2),
         # BRev = DRev on two items, its witness the tight dual
         (IID_TWO_ITEMS, EQUAL_SEED, 1),
         # BRev > DRev: no witness, the face program's dual gets a table
@@ -620,7 +623,7 @@ def test_two_item_witness_is_mapped_once(monkeypatch):
 def test_scan_builds_one_table_per_witnessed_instance(monkeypatch, family, seed, witnessed):
     count = max(witnessed, 1)
     calls = _counted(monkeypatch, "virtual_values_ds")
-    records = iid_scan(family, seed, count)
+    records = list(gen_records(family, seed, count))
     assert calls == {"virtual_values_ds": count}
     assert sum(record["brev_eq_drev"] for record in records) == witnessed
 
@@ -672,7 +675,7 @@ def _carried_outputs(family, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "characterize", recorded)
-        records = iid_scan(family, seed, 1) if family["iid"] else None
+        records = list(gen_records(family, seed, 1)) if family["iid"] else None
     report = reports[0] if reports else characterize(gen_instance(family, seed))
     return report, report.witness_table, records
 
@@ -882,17 +885,6 @@ def test_characterize_iid_triple_all_equal():
 # -- scanning ---------------------------------------------------------------
 
 
-def test_iid_scan_excludes_small_families():
-    records = iid_scan({"n": 2, "m": 1}, 0, 5)
-    assert records == [
-        {
-            "notice": "excluded",
-            "reason": "the all-equal implication needs at least 3 buyers",
-            "n": 2,
-        }
-    ]
-
-
 # Claim 2 splits when the buyers are drawn alike but each buyer's items
 # are drawn jointly: (seed, instance digest, BRev = DRev, SRev) of
 # n=3, m=2, support=2, iid=1, each with BRev = DRev > SRev
@@ -907,27 +899,34 @@ CLAIM_2_SPLITS = [
 
 def test_correlated_items_split_the_equalities():
     for seed, digest, revenue, separate in CLAIM_2_SPLITS:
-        instance = gen_instance(dict(IID_TWO_ITEMS, iid=True), seed)
+        instance = gen_instance(IID_TWO_ITEMS, seed)
         report = characterize(instance)
         assert instance.digest() == digest
         assert (report.brev, report.drev, report.srev) == (F(revenue), F(revenue), F(separate))
         assert report.equality_split
         finding = f"iid-equality-split:brev={revenue},drev={revenue},srev={separate}"
         assert report.findings == (finding,)
-        (record,) = iid_scan(IID_TWO_ITEMS, seed, 1)
+        (record,) = gen_records(IID_TWO_ITEMS, seed, 1)
         assert record["digest"] == digest and record["findings"] == [finding]
         assert record["all_equal_consistent"] is False
 
 
-@pytest.mark.parametrize("family", [{"n": 3.5, "m": 1}, {"n": 2.9, "m": 1}, {"n": 3, "supprt": 2}])
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"n": 3.5, "m": 1, "iid": True},
+        {"n": 2.9, "m": 1, "iid": True},
+        {"n": 3, "supprt": 2, "iid": True},
+    ],
+)
 def test_iid_scan_refuses_a_bad_family(family):
-    # n is checked like every other key, before the exclusion reads it
     with pytest.raises(DimensionMismatch):
-        iid_scan(family, 0, 1)
+        next(gen_records(family, 0, 1))
 
 
 def test_iid_scan_records(u12):
-    records = iid_scan({"n": 3, "m": 1, "support": 2}, 1, 3)
+    spec = {"n": 3, "m": 1, "support": 2, "iid": True}
+    records = list(gen_records(spec, 1, 3))
     assert [r["brev"] for r in records] == ["11/24", "189/64", "10/3"]
     for index, record in enumerate(records):
         assert record["index"] == index
@@ -942,4 +941,4 @@ def test_iid_scan_records(u12):
         )
         assert (record["bayes_gap"] == "0") == record["brev_eq_drev"]
         assert all(flags) or not any(flags)
-    assert iid_scan({"n": 3, "m": 1, "support": 2}, 1, 3) == records
+    assert list(gen_records(spec, 1, 3)) == records

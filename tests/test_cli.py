@@ -27,7 +27,7 @@ from auctionlp.auction import (
 )
 from auctionlp.cli import build_parser, main
 from auctionlp.errors import LabelMismatch, NotOptimal, ScaleLimit
-from auctionlp.analysis import iid_scan, tight_downward_dual
+from auctionlp.analysis import gen_records, tight_downward_dual
 from auctionlp.lp import MAX, CertificateError, make_lp, program, simplex
 from auctionlp.model import BAYES, DS, load_instance, rat, rat_str
 from auctionlp.oracles import gen_instance, gen_shape, parse_spec
@@ -1060,7 +1060,7 @@ def test_characterize_gen_iid_scan(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["brev"] for r in records] == ["11/24", "189/64"]
     assert all(r["tight_excess"] == "0" for r in records)
-    scanned = iid_scan({"n": 3, "m": 1, "support": 2}, 1, 2)
+    scanned = gen_records({"n": 3, "m": 1, "support": 2, "iid": True}, 1, 2)
     assert out == "".join(json.dumps(record, sort_keys=True) + "\n" for record in scanned)
 
 

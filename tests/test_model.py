@@ -367,12 +367,21 @@ def test_infeasible_mechanism_detected(u12):
 
 
 def test_mechanism_dimension_checks(u12, pair12):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="profile count"):
         mechanism_slacks(pair12, zero_mechanism(u12))
+    zero = Fraction(0)
+    # u12's three profiles, with two buyers, then with two items
+    for alloc, pay, mismatch in (
+        ((((zero,), (zero,)),) * 3, ((zero, zero),) * 3, "buyer"),
+        ((((zero, zero),),) * 3, ((zero,),) * 3, "item"),
+    ):
+        with pytest.raises(DimensionMismatch, match=f"{mismatch} dimension"):
+            mechanism_slacks(u12, mechanism_of("ds", alloc, pay))
 
 
 def test_bounds_checked_separately(u12):
-    # slack enumeration alone does not catch an over-unit allocation
+    # an over-unit allocation leaves a negative sup slack (1 - 2), which
+    # refuses it: x <= 1 needs no test of its own
     alloc = (((Fraction(0),),), ((Fraction(0),),), ((Fraction(2),),))
     pay = ((Fraction(0),), (Fraction(0),), (Fraction(0),))
     mech = mechanism_of("ds", alloc, pay)

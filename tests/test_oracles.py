@@ -203,7 +203,7 @@ def test_gen_instance_rejects_bad_sizes():
         gen_instance({"n": 1, "support": 0}, 1)
 
 
-# The spec boundary: gen_instance, gen_shape (and so iid_scan) refuse
+# The spec boundary: gen_instance, gen_shape (and so gen_records) refuse
 # what the CLI's --gen parser refuses, instead of coercing it.
 SPEC_READERS = [lambda spec: gen_instance(spec, 0), gen_shape]
 

@@ -179,7 +179,7 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
     # auction binds _scale at import, so its proof is patched apart
     monkeypatch.setattr(auction, "_scale", certificate_vector)
     report = characterize(instance)
-    # the steps iid_scan takes after characterize
+    # the steps gen_records takes after characterize on an i.i.d. spec
     dual, excess = _tight_dual(instance, report)
     regular = regularize_ds(instance, dual, revenue=report.drev)
     assert check_ubvv(virtual_values_ds(instance, regular), instance).checked

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import auctionlp
 import auctionlp.oracles
-from auctionlp.auction import solve_form
+from auctionlp import auction
+from auctionlp.auction import build_dslp, solve_form
 from auctionlp.model import DS, Instance
 
 # The rank-table, integer-numerator and closed-form paths that
@@ -72,10 +73,11 @@ def test_exports_resolve_and_references_stay_independent():
         assert not used & paths, f"{name} uses {sorted(used & paths)}"
 
 
-def test_benchmark_trace_targets_resolve(u12):
+def test_benchmark_trace_targets_resolve(u12, monkeypatch):
     # A traced benchmark run (perfbench/run.py --trace 1) rebinds these
     # functions by name, and reads these fields of every certificate
-    # solve returns; a rename here must fail a test, not the trace.
+    # solve returns and the sizes of every program it is handed (after
+    # the solve); a rename here must fail a test, not the trace.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -86,9 +88,23 @@ def test_benchmark_trace_targets_resolve(u12):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for attr in ("mu", "mu_minus"):
         assert callable(getattr(Instance, attr, None)), attr
+    handed = []
+    original = auction.solve
+
+    def spy(lp, *accept):
+        handed.append(lp)
+        return original(lp, *accept)
+
+    monkeypatch.setattr(auction, "solve", spy)
     certificate = solve_form(u12, DS)
     for attr in ("primal", "dual", "witness", "objective"):
         assert hasattr(certificate, attr), attr
+    # solve_form hands solve a DeferredProgram, whose sizes are read off
+    # the program it built last
+    (program,) = handed
+    built = build_dslp(u12)
+    assert (program.nrows, program.ncols) == (built.nrows, built.ncols)
+    assert [len(row) for row in program.rows] == [len(row) for row in built.rows]
 
 
 def test_readme_python_example_runs():

@@ -20,11 +20,12 @@ from auctionlp.auction import (
     extract_mechanism,
     solve_form,
 )
-from auctionlp.errors import InfeasibleInput, NotOptimal, NotRegular
+from auctionlp.errors import InfeasibleInput, MissingZeroType, NotOptimal, NotRegular
 from auctionlp.analysis import canonical_flow
 from auctionlp.oracles import gen_instance
 from auctionlp.model import (
     NEG_INF,
+    Instance,
     VirtualValueTable,
     _scale,
     dual_from_multipliers,
@@ -322,6 +323,19 @@ def test_witness_accepts_regular(u12):
     _, _, dual = optimal_pair(u12)
     reg = regularize_ds(u12, dual, revenue=1)
     assert ds_regularity_witness(u12, reg) is None
+
+
+def test_checks_refuse_an_instance_without_a_zero_type():
+    # the constructor checks nothing (validate_instance adds or refuses
+    # the zero vector), so an Instance built directly may lack it
+    instance = Instance(1, 1, (((F(1),), (F(2),)),), ((F(1, 2), F(1, 2)),))
+    assert instance.zero_index(0) is None
+    zeta = frozen(zeros_like_zeta(instance))
+    eta, xi = ((F(0), F(0)),), ((F(0), F(0)),)
+    for form, check in ((DS, ds_regularity_witness), (BAYES, virtual_values_bayes)):
+        dual = dual_from_multipliers(instance, form, zeta, eta, xi)
+        with pytest.raises(MissingZeroType, match="^buyer 0 has no zero vector in support$"):
+            check(instance, dual)
 
 
 def bayes_dual_with_regular_buyer0(pair12, zeta1, eta1):
