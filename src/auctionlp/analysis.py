@@ -10,14 +10,14 @@ from math import lcm
 from typing import Iterator
 
 from .auction import (
-    _Proof,
+    _accepted,
     _proof,
     _raising_pairs,
     drev,
     solve_form,
     tight_downward_dual,
 )
-from .errors import DimensionMismatch, NotAgentIndependent, NotOptimal
+from .errors import CertificateError, DimensionMismatch, NotAgentIndependent, NotOptimal
 from .model import (
     BAYES,
     DS,
@@ -27,7 +27,6 @@ from .model import (
     RevenueReport,
     Scaled,
     _dual_from_scaled,
-    mechanism_feasible,
     mechanism_slacks,
     rat_str,
     validate_instance,
@@ -241,32 +240,25 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
 def _myerson_auction(instance: Instance, dual: DualSolution, form: str):
     """The proof (auction._Proof) that Myerson's auction, priced off a
     single-item dual of the form, and the dual are an optimum of the
-    form, or None.  Three exact checks: the dual is feasible, the
-    auction is a feasible mechanism in the form, and its revenue is the
-    dual's objective.  Weak duality then makes that revenue the form's
-    optimum."""
-    if not dual.is_feasible():
-        return None
+    form, as auction._accepted accepts it, or None where it refuses."""
     mechanism = Mechanism(form, myerson_mechanism(instance, dual).scaled)
-    slacks = mechanism_slacks(instance, mechanism)
-    if mechanism_feasible(instance, mechanism, slacks) and (
-        mechanism.revenue(instance) == dual.objective()
-    ):
-        return _Proof(instance, mechanism, slacks, dual)
-    return None
+    try:
+        return _accepted(instance, mechanism, mechanism_slacks(instance, mechanism), dual)
+    except CertificateError:
+        return None
 
 
 def proved_certificate(instance: Instance, form: str):
     """The form's optimum in closed form, as its proof (auction._Proof),
     or None: on one item, Myerson's auction priced off the canonical
     flow (dominant-strategy form) or off the flow's Bayesian image
-    (Bayesian form, _flow_image; no flow is built), when the three exact
-    checks of _myerson_auction accept the pair.  None on more items, or
-    where a check refuses (ironing would change a positive virtual
-    value); the program answers then.  It is the one closed-form entry:
-    solve, SRev and characterize read it.  certificate_document writes
-    the proof as it writes a solve_form certificate, and the proof's
-    objective is the optimum."""
+    (Bayesian form, _flow_image; no flow is built), when the one
+    acceptance of an optimum (auction._accepted) accepts the pair.  None
+    on more items, or where it refuses (ironing would change a positive
+    virtual value); the program answers then.  It is the one closed-form
+    entry: solve, SRev and characterize read it.  certificate_document
+    writes the proof as it writes a solve_form certificate, and the
+    proof's objective is the optimum."""
     if instance.m != 1:
         return None
     dual = canonical_flow(instance) if form == DS else _flow_image(instance)

@@ -12,10 +12,12 @@ carries no layout: its columns are the primal layout's rows, and its
 rows the primal's columns.
 
 A proved optimum is a _Proof: the mechanism, its slacks and a dual
-solution of equal objective.  solve_form's certificates carry the one
-_prove built, and the one-item closed forms (analysis.proved_certificate)
+solution of equal objective.  One function accepts every optimum and
+makes every proof (_accepted).  solve_form's certificates carry the one
+_prove made, and the one-item closed forms (analysis.proved_certificate)
 return theirs in place of a certificate; certificate_document writes
-either from the proof's integer numerators.
+either from the proof's integer numerators.  The optimal-face search
+accepts its vertex there too, and ends in NotOptimal on a refusal.
 
 Labels are only a rendering of the layout, used to name components in
 certificate documents; programs and certificates hold none.  Their
@@ -43,6 +45,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import (
+    CertificateError,
     DimensionMismatch,
     InfeasibleInput,
     LabelMismatch,
@@ -51,7 +54,6 @@ from .errors import (
     echo,
 )
 from .lp import (
-    CertificateError,
     DeferredProgram,
     LinearProgram,
     LpCertificate,
@@ -368,10 +370,10 @@ def build_dual_blp(instance: Instance) -> LinearProgram:
 class _Proof(NamedTuple):
     """A proved optimum of the instance's program in the mechanism's
     form: the mechanism, its slacks, and a dual solution of equal
-    objective, each checked feasible.  _prove builds one while it
-    proves a primal point and its row multipliers, and a closed form
-    (analysis.proved_certificate) builds one from Myerson's auction and
-    a canonical flow.  certificate_document writes either kind."""
+    objective, each checked feasible.  _accepted makes every one: for
+    _prove, off a primal point and its row multipliers, and for a closed
+    form (analysis.proved_certificate), off Myerson's auction and a
+    canonical flow.  certificate_document writes either kind."""
 
     instance: Instance
     mechanism: Mechanism
@@ -411,19 +413,6 @@ def extract_mechanism(
     return _proof(instance, certificate, form).mechanism
 
 
-def _feasible_mechanism(
-    instance: Instance, layout: ProgramLayout, nums, den: int
-) -> tuple[Mechanism, PrimalSlacks]:
-    """The mechanism that a primal vector of numerators over den stands
-    for, and its slacks.  Raises InfeasibleInput unless the mechanism is
-    feasible: x, p >= 0 and every ic, ir and sup row holds."""
-    mechanism = Mechanism(layout.form, Scaled(_mechanism_entries(instance, layout, nums), den))
-    slacks = mechanism_slacks(instance, mechanism)
-    if not mechanism_feasible(instance, mechanism, slacks):
-        raise InfeasibleInput("mechanism violates feasibility")
-    return mechanism, slacks
-
-
 def _mechanism_entries(instance: Instance, layout: ProgramLayout, vector):
     """(alloc, pay) read off a primal vector.  The layout's x and p are
     linear in the rank, so each (buyer, item) and each buyer's payments
@@ -447,16 +436,12 @@ def extract_dual(
     return _proof(instance, certificate, form).dual
 
 
-def _feasible_dual(instance: Instance, layout: ProgramLayout, nums, den: int):
+def _dual_at(instance: Instance, layout: ProgramLayout, nums, den: int) -> DualSolution:
     """The dual solution that a vector of multiplier numerators over den
-    stands for.  Raises InfeasibleInput unless it is feasible: zeta, eta,
-    xi >= 0 and every dual column (alpha, beta) holds."""
+    stands for, unchecked: _accepted checks it feasible."""
     zeta, eta, xi = _multipliers(instance, layout, nums)
     multipliers = [Scaled(pair, den) for pair in zip(zeta, eta)]
-    dual = _dual_from_scaled(instance, layout.form, multipliers, Scaled(xi, den))
-    if not dual.is_feasible():
-        raise InfeasibleInput("dual violates feasibility")
-    return dual
+    return _dual_from_scaled(instance, layout.form, multipliers, Scaled(xi, den))
 
 
 def _multipliers(instance: Instance, layout: ProgramLayout, values):
@@ -552,9 +537,10 @@ def tight_downward_dual(instance: Instance, mechanism: Mechanism, slacks: Primal
     below the values entrywise.  Single-item instances always admit
     excess 0.  The face has many minimizers; this returns the one
     vertex the simplex's pivot path reaches, and it is the only function
-    here that does.  The vertex is accepted as the exact proofs accept
-    an optimum: a feasible dual of the full program whose objective is
-    the mechanism's revenue.
+    here that does.  The vertex is accepted as every optimum is
+    (_accepted): a feasible dual of the full program whose objective is
+    the mechanism's revenue.  Only a face program built wrong reaches a
+    vertex it refuses, so a refusal raises NotOptimal.
     """
     if not mechanism_feasible(instance, mechanism, slacks):
         raise InfeasibleInput("mechanism violates feasibility")
@@ -572,13 +558,15 @@ def tight_downward_dual(instance: Instance, mechanism: Mechanism, slacks: Primal
     y = [0] * primal.nrows
     for (r, _), value in zip(tight, certificate.primal):
         y[r] = value
-    dual = _feasible_dual(instance, layout, *_scale(tuple(y)))
+    dual = _dual_at(instance, layout, *_scale(tuple(y)))
     # total participation mass alone already sums to at least one per buyer
     excess = certificate.objective - instance.n
     if excess < 0:
         raise NotOptimal(f"optimal-face search reached excess {excess} below 0")
-    if dual.objective() != mechanism.revenue(instance):
-        raise NotOptimal("optimal-face dual misses the revenue")
+    try:
+        _accepted(instance, mechanism, slacks, dual)
+    except CertificateError as exc:
+        raise NotOptimal(f"optimal-face dual refused: {exc}") from None
     return dual, excess
 
 
@@ -929,25 +917,44 @@ def _over_common_denominator(size: int, entries) -> Scaled | None:
 def _prove(instance: Instance, layout: ProgramLayout, primal: Scaled, dual: Scaled) -> _Proof:
     """Prove that a primal point and its row multipliers, read through
     the layout, are optimal, or raise CertificateError: the mechanism
-    the point stands for is feasible (_feasible_mechanism), so are the
-    multipliers (_feasible_dual), and revenue = dual objective, so that
-    by weak duality both are optimal.  Between them the two model checks
-    cover every entry's sign, every primal row and every dual column of
-    the program.  Returns what it built.
+    the point stands for (_mechanism_entries) and the dual solution the
+    multipliers stand for (_dual_at) are accepted by _accepted.  Between
+    them its two feasibility checks cover every entry's sign, every
+    primal row and every dual column of the program.
 
     This is the one proof of an auction primal's optimum: it accepts
     each vertex a solve_form solve proposes (_accept), proves a primal
     certificate that carries no proof for the instance before anything
     is read from it (_proof), and re-proves a stored certificate
     (verify_certificate_document)."""
-    try:
-        mechanism, slacks = _feasible_mechanism(instance, layout, *primal)
-        solution = _feasible_dual(instance, layout, *dual)
-    except InfeasibleInput as exc:
-        raise CertificateError(str(exc)) from None
-    if solution.objective() != mechanism.revenue(instance):
+    nums, den = primal
+    mechanism = Mechanism(layout.form, Scaled(_mechanism_entries(instance, layout, nums), den))
+    slacks = mechanism_slacks(instance, mechanism)
+    return _accepted(instance, mechanism, slacks, _dual_at(instance, layout, *dual))
+
+
+def _accepted(
+    instance: Instance, mechanism: Mechanism, slacks: PrimalSlacks, dual: DualSolution
+) -> _Proof:
+    """The proof that a mechanism, with its slacks, and a dual solution
+    of its form are an optimum of the instance's program in that form,
+    or CertificateError.  Three exact checks, in order: the mechanism is
+    feasible (x, p >= 0 and every ic, ir and sup row holds), so is the
+    dual (zeta, eta, xi >= 0 and every dual column holds), and the
+    revenue equals the dual objective, so that by weak duality both are
+    optimal.
+
+    It is the one acceptance of an optimum, and the only code that
+    makes a _Proof: _prove, the one-item closed form
+    (analysis.proved_certificate) and the optimal-face search
+    (tight_downward_dual) each accept through it."""
+    if not mechanism_feasible(instance, mechanism, slacks):
+        raise CertificateError("mechanism violates feasibility")
+    if not dual.is_feasible():
+        raise CertificateError("dual violates feasibility")
+    if dual.objective() != mechanism.revenue(instance):
         raise CertificateError("duality gap nonzero")
-    return _Proof(instance, mechanism, slacks, solution)
+    return _Proof(instance, mechanism, slacks, dual)
 
 
 def write_certificate(path, document: dict) -> None:

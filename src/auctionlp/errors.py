@@ -63,6 +63,13 @@ class LabelMismatch(InvalidInput):
     against."""
 
 
+class CertificateError(InvalidInput):
+    """An exact verification of a certificate failed.  It is how a stored
+    certificate that is not optimal (a tampered document, say) is
+    refused, as invalid input; the solver turns it into another ending:
+    a rejected rounding in the float pass, NotOptimal in the exact one."""
+
+
 class NotOptimal(AuctionLPError):
     """A dual solution claimed optimal fails the strong-duality check, or
     a program the package built has no optimum (the exact simplex ends

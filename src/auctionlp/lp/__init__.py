@@ -1,9 +1,9 @@
 """Exact-rational linear programming with verified certificates."""
 
+from ..errors import CertificateError
 from .program import (
     MAX,
     MIN,
-    CertificateError,
     DeferredProgram,
     LinearProgram,
     LpCertificate,

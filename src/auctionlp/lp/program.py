@@ -16,7 +16,7 @@ from math import lcm
 from operator import truediv
 from typing import Sequence
 
-from ..errors import InvalidInput
+from ..errors import CertificateError
 
 MAX = "max"
 MIN = "min"
@@ -154,13 +154,6 @@ class LpCertificate:
     proof: object = field(default=None, compare=False, repr=False)
     # no certificate carries a witness; perfbench/spans.py still reads one
     witness = None
-
-
-class CertificateError(InvalidInput):
-    """An exact verification of a certificate failed.  It is how a stored
-    certificate that is not optimal (a tampered document, say) is
-    refused, as invalid input; the solver turns it into another ending:
-    a rejected rounding in the float pass, NotOptimal in the exact one."""
 
 
 def _require(ok: bool, msg: str) -> None:

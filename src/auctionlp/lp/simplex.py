@@ -49,12 +49,11 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import NoReturn
 
-from ..errors import NotOptimal, ScaleLimit
+from ..errors import CertificateError, NotOptimal, ScaleLimit
 from .program import (
     DeferredProgram,
     LinearProgram,
     MAX,
-    CertificateError,
     LpCertificate,
     certify_optimal,
 )

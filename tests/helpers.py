@@ -42,7 +42,7 @@ from auctionlp.auction import (
     _SUP,
     _X,
     ProgramLayout,
-    _feasible_dual,
+    _dual_at,
     _layout,
     _proof,
     build_dual_dslp,
@@ -915,7 +915,8 @@ def revenue_face_dual(instance, revenue):
     revenue_face_program: its multipliers as a feasible DualSolution,
     and its objective less the buyer count."""
     certificate = solve(revenue_face_program(instance, revenue))
-    dual = _feasible_dual(instance, _layout(instance, DS), *_scale(certificate.primal))
+    dual = _dual_at(instance, _layout(instance, DS), *_scale(certificate.primal))
+    assert dual.is_feasible()
     return dual, certificate.objective - instance.n
 
 

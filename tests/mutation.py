@@ -48,7 +48,8 @@ class Mutant(NamedTuple):
 
 
 MODEL = "src/auctionlp/model.py"
-ANALYSIS = "src/auctionlp/analysis.py"
+AUCTION = "src/auctionlp/auction.py"
+PROGRAM = "src/auctionlp/lp/program.py"
 
 MUTANTS = [
     # the DS gather of _ds_coefficients reads the inflow through the
@@ -109,28 +110,92 @@ MUTANTS = [
         "prices[t2] += w * pay[lr][i]",
         "prices[t2] += pay[lr][i]",
     ),
-    # the closed form (_myerson_auction) accepts a dual it has not
-    # checked feasible
+    # the one acceptance of an optimum (_accepted) takes a dual it has
+    # not checked feasible
     Mutant(
-        "closed-form-dual-unchecked",
-        ANALYSIS,
-        "    if not dual.is_feasible():\n        return None\n    mechanism = Mechanism(",
-        "    mechanism = Mechanism(",
+        "accepted-dual-unchecked",
+        AUCTION,
+        "if not dual.is_feasible():",
+        "if False:",
     ),
-    # the closed form accepts an auction it has not checked feasible
+    # _accepted takes a mechanism it has not checked feasible (the face
+    # search's argument check reads the same test, and raises another error)
     Mutant(
-        "closed-form-mechanism-unchecked",
-        ANALYSIS,
-        "if mechanism_feasible(instance, mechanism, slacks) and (",
-        "if True and (",
+        "accepted-mechanism-unchecked",
+        AUCTION,
+        "if not mechanism_feasible(instance, mechanism, slacks):\n"
+        "        raise CertificateError(",
+        "if False:\n        raise CertificateError(",
     ),
-    # the closed form accepts an auction whose revenue is not the dual's
-    # objective
+    # _accepted takes a mechanism whose revenue is not the dual's objective
     Mutant(
-        "closed-form-revenue-unchecked",
-        ANALYSIS,
-        "mechanism.revenue(instance) == dual.objective()",
-        "True",
+        "accepted-revenue-unchecked",
+        AUCTION,
+        "if dual.objective() != mechanism.revenue(instance):",
+        "if False:",
+    ),
+    # a certificate document is read against an instance of other masses
+    Mutant(
+        "verify-digest-unchecked",
+        AUCTION,
+        'if document.get("digest") != instance.digest():',
+        "if False:",
+    ),
+    # the model re-proof of a document drops its stated objective
+    Mutant(
+        "verify-objective-unchecked",
+        AUCTION,
+        "elif _prove(instance, layout, *vectors).dual.objective() != objective:",
+        "elif _prove(instance, layout, *vectors) is None:",
+    ),
+    # a proof-less primal certificate keeps an objective its pair does not have
+    Mutant(
+        "proof-objective-unchecked",
+        AUCTION,
+        "if proof.dual.objective() != certificate.objective:",
+        "if False:",
+    ),
+    # a document's stored ledger may hold a nonzero entry
+    Mutant(
+        "verify-ledger-unchecked",
+        AUCTION,
+        "if any(ledger.values()):",
+        "if False:",
+    ),
+    # _build_primal writes an ic row's truth term with its sign flipped
+    Mutant(
+        "primal-truth-sign",
+        AUCTION,
+        "number(-w * v, unit)) for x, v in zip(xs, vec) if v]",
+        "number(w * v, unit)) for x, v in zip(xs, vec) if v]",
+    ),
+    # recheck_certificate drops the stated objective
+    Mutant(
+        "recheck-objective-unchecked",
+        PROGRAM,
+        "_require(objective == cert.objective,",
+        "_require(True,",
+    ),
+    # certify_optimal takes a dual that violates a dual column
+    Mutant(
+        "certify-dual-column-unchecked",
+        PROGRAM,
+        "num * cj.denominator >= sign * cj.numerator * den,",
+        "True,",
+    ),
+    # certify_optimal takes a pair with a duality gap
+    Mutant(
+        "certify-gap-unchecked",
+        PROGRAM,
+        "_require(sign * cx_num * by_den == by_num * cx_den,",
+        "_require(True,",
+    ),
+    # certify_optimal takes a dual with a negative entry
+    Mutant(
+        "certify-dual-negativity-unchecked",
+        PROGRAM,
+        '_require(not _negative(ys), "dual negativity")',
+        "pass",
     ),
 ]
 

@@ -465,12 +465,12 @@ def test_tight_dual_refuses_a_suboptimal_mechanism(u12, pair12):
     # No dual meets a feasible mechanism below DRev by complementary
     # slackness, so its face program is empty and no dual is built.  The
     # spy sees the face search's calls only: drev's solve proves its
-    # vertex through _feasible_dual too.
+    # vertex through _dual_at too.
     built = []
 
     def faced(instance, mechanism, slacks):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(auction, "_feasible_dual", lambda *args: built.append(args))
+            mp.setattr(auction, "_dual_at", lambda *args: built.append(args))
             tight_downward_dual(instance, mechanism, slacks)
 
     for instance in (u12, pair12):
@@ -489,6 +489,33 @@ def test_tight_dual_refuses_a_suboptimal_mechanism(u12, pair12):
         with pytest.raises(InfeasibleInput):
             faced(instance, doubled, mechanism_slacks(instance, doubled))
     assert built == []
+
+
+def test_tight_dual_refuses_a_vertex_it_cannot_accept(monkeypatch):
+    # A face vertex read back wrong stands for a program built wrong,
+    # not for a bad argument: the one acceptance (auction._accepted)
+    # refuses it, and the search ends in NotOptimal with its reason.
+    instance = gen_instance({"n": 3, "m": 1, "support": 2, "iid": True}, 1)
+    mechanism, slacks = ds_optimum(instance)
+    read = auction._multipliers
+
+    def negated_eta(instance, layout, values):
+        zeta, eta, xi = read(instance, layout, values)
+        k = next(k for k, q in enumerate(eta[0]) if q)
+        return zeta, ((*eta[0][:k], -eta[0][k], *eta[0][k + 1:]), *eta[1:]), xi
+
+    def doubled_xi(instance, layout, values):
+        zeta, eta, xi = read(instance, layout, values)
+        return zeta, eta, tuple(tuple(2 * q for q in row) for row in xi)
+
+    for misread, reason in (
+        (negated_eta, "dual violates feasibility"),
+        (doubled_xi, "duality gap nonzero"),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(auction, "_multipliers", misread)
+            with pytest.raises(NotOptimal, match=f"^optimal-face dual refused: {reason}$"):
+                tight_downward_dual(instance, mechanism, slacks)
 
 
 # -- the scan's tight dual --------------------------------------------------

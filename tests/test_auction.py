@@ -21,7 +21,7 @@ from auctionlp.auction import (
     ProgramLayout,
     _accept,
     _build_primal,
-    _feasible_dual,
+    _dual_at,
     brev,
     build_blp,
     build_dslp,
@@ -335,7 +335,8 @@ def test_extract_dual_from_both_routes(u123):
         from_rows = extract_dual(u123, solve_form(u123, form), form)
         assert from_rows.objective() == target
         layout = ProgramLayout(form, u123.m, u123.sizes)
-        from_cols = _feasible_dual(u123, layout, *_scale(solve(build_dual(u123)).primal))
+        from_cols = _dual_at(u123, layout, *_scale(solve(build_dual(u123)).primal))
+        assert from_cols.is_feasible()
         assert from_cols.objective() == target
 
 

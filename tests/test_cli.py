@@ -194,8 +194,8 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch, lp_only):
     def fail(instance, form):
         raise NotOptimal("no optimum")
 
-    def refuse(instance, layout, nums, den):
-        raise errors.InfeasibleInput("mechanism violates feasibility")
+    def refuse(instance, mechanism, slacks):
+        return False
 
     # max x subject to x <= -1, and max x + y subject to x - y <= 1
     infeasible = make_lp(MAX, [1], [[(0, 1)]], [-1])
@@ -217,7 +217,7 @@ def test_solver_failure_exits_3(u12_path, capsys, monkeypatch, lp_only):
         # an exact identity of the model acceptor failing inside the
         # solver, not a bad input
         (
-            [(auction, "_feasible_mechanism", refuse)],
+            [(auction, "mechanism_feasible", refuse)],
             "exact simplex: its vertex fails the exact check: mechanism violates feasibility",
         ),
     ]
@@ -306,7 +306,8 @@ def test_error_classes_carry_their_exit_codes(u12_path, capsys, monkeypatch):
         for value in vars(errors).values()
         if isinstance(value, type) and issubclass(value, errors.AuctionLPError)
     }
-    assert declared | {CertificateError, simplex.PivotLimit} == set(EXIT_CODES)
+    # lp's CertificateError is errors' own, which declared holds
+    assert declared | {simplex.PivotLimit} == set(EXIT_CODES)
     for error, code in EXIT_CODES.items():
 
         def fail(args):

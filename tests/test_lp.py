@@ -27,7 +27,7 @@ from auctionlp.lp import (
 from auctionlp.analysis import tight_downward_dual
 from auctionlp import auction
 from auctionlp.auction import build_blp, build_dslp, build_dual_blp, build_dual_dslp
-from auctionlp.errors import InfeasibleInput, NotOptimal
+from auctionlp.errors import NotOptimal
 from auctionlp.lp import simplex
 from auctionlp.lp.program import certify_optimal
 from auctionlp.lp.simplex import _NO_PROPOSAL, _Simplex
@@ -156,10 +156,10 @@ def strip_artificial_rows(run):
                 run.cols[k].discard(r)
 
 
-def refuse_mechanism(instance, layout, nums, den):
+def refuse_mechanism(instance, mechanism, slacks):
     """In place of the model acceptor's primal check: every mechanism is
     infeasible, so the exact check rejects every vertex."""
-    raise InfeasibleInput("mechanism violates feasibility")
+    return False
 
 
 # min x0 + x1 subject to x0 + x1 >= 2: one artificial, so phase one runs
@@ -190,7 +190,7 @@ NO_OPTIMUM = {
     "vertex-refused": (
         build_dslp(ACCEPTED_ON_MODEL),
         partial(auction._accept, ACCEPTED_ON_MODEL),
-        ((auction, "_feasible_mechanism", refuse_mechanism),),
+        ((auction, "mechanism_feasible", refuse_mechanism),),
         "its vertex fails the exact check: mechanism violates feasibility",
     ),
 }
