@@ -5,18 +5,20 @@ A ProgramLayout holds the structure of a primal program: where each
 variable and constraint sits.  One builder serves both forms: each
 opponent slice adds its scaled dominant-strategy rows into the rows of
 its keys (see model.multiplier_keys), at the layout's indices, and
-extraction reads certificate values back at the same indices.  Every
-primal program and its certificates carry the layout it was built with.
-A dual program is the plain transpose of its primal (dual_of) and
-carries no layout: its columns are the primal layout's rows, and its
-rows the primal's columns.
+extraction reads certificate values back at the same indices.
+Programs and certificates hold numbers only: this module computes the
+layout (_layout) wherever it builds a program or reads a vector.  A
+dual program is the plain transpose of its primal (dual_of): its
+columns are the primal layout's rows, and its rows the primal's
+columns.
 
 A proved optimum is a _Proof: the mechanism, its slacks and a dual
 solution of equal objective.  One function accepts every optimum and
 makes every proof (_accepted).  solve_form's certificates carry the one
 _prove made, and the one-item closed forms (analysis.proved_certificate)
 return theirs in place of a certificate; certificate_document writes
-either from the proof's integer numerators.  The optimal-face search
+either from the proof's integer numerators.  One rule (_proof) says
+whose optimum a proof or certificate is.  The optimal-face search
 accepts its vertex there too, and ends in NotOptimal on a refusal.
 
 Labels are only a rendering of the layout, used to name components in
@@ -58,6 +60,7 @@ from .lp import (
     LinearProgram,
     LpCertificate,
     MAX,
+    check_tableau_size,
     dual_of,
     recheck_certificate,
     solve,
@@ -325,13 +328,13 @@ def _build_primal(instance: Instance, form: str, number) -> LinearProgram:
                 row = rows[layout.eta(i, family[t])]  # ir
                 row += truth
                 row.append(pay)
-    return LinearProgram(MAX, c, rows, b, layout)
+    return LinearProgram(MAX, c, rows, b)
 
 
 def _exact_primal(instance: Instance, form: str) -> LinearProgram:
     """The exact program of the form, frozen into tuples."""
     lp = _build_primal(instance, form, Fraction)
-    return LinearProgram(lp.sense, tuple(lp.c), tuple(map(tuple, lp.rows)), tuple(lp.b), lp.layout)
+    return LinearProgram(lp.sense, tuple(lp.c), tuple(map(tuple, lp.rows)), tuple(lp.b))
 
 
 def build_dslp(instance: Instance) -> LinearProgram:
@@ -352,14 +355,13 @@ def build_blp(instance: Instance) -> LinearProgram:
 def build_dual_dslp(instance: Instance) -> LinearProgram:
     """min sum xi, one row per primal variable: the expected-virtual-value
     bound per x_i^j(v) and the payment-weight bound per p_i(v).  The
-    transpose of build_dslp (dual_of), with no layout: its columns are
-    the rows of the primal's layout, its rows the primal's columns."""
+    transpose of build_dslp (dual_of): its columns are the rows of the
+    primal's layout, its rows the primal's columns."""
     return dual_of(build_dslp(instance))
 
 
 def build_dual_blp(instance: Instance) -> LinearProgram:
-    """The transpose of build_blp, with no layout, indexed as
-    build_dual_dslp is."""
+    """The transpose of build_blp, indexed as build_dual_dslp is."""
     return dual_of(build_blp(instance))
 
 
@@ -385,18 +387,23 @@ class _Proof(NamedTuple):
         return self.dual.objective()
 
 
-def _proof(instance: Instance, certificate: LpCertificate, form: str) -> _Proof:
-    """The proof that a primal certificate of the form's builder is
-    optimal for the instance: the one it carries when solve_form proved
-    it for this very instance, else _prove's.  That raises
-    CertificateError unless the pair is optimal, and so does an
-    objective other than the pair's."""
-    layout = _layout(instance, form)
-    if certificate.layout != layout:
-        raise LabelMismatch(f"certificate is not from the {form} primal builder")
-    proof = certificate.proof
-    if isinstance(proof, _Proof) and proof.instance is instance:
+def _proof(instance: Instance, certificate, form: str) -> _Proof:
+    """The proof that certificate is the instance's optimum in the form:
+    the one rule for whose optimum a proof or certificate is.  A _Proof,
+    passed itself or carried as certificate.proof, whose instance equals
+    this one is returned in its own form only (LabelMismatch in another),
+    and a bare _Proof of another instance raises LabelMismatch.  Any
+    other certificate must have the form's primal shape (LabelMismatch
+    if not) and is proved on the model (_prove): CertificateError unless
+    the pair is optimal and has the stated objective."""
+    proof = certificate if isinstance(certificate, _Proof) else certificate.proof
+    if proof is certificate or (isinstance(proof, _Proof) and proof.instance == instance):
+        if proof.instance != instance or proof.mechanism.form != form:
+            raise LabelMismatch(f"proof is not of this instance's {form} optimum")
         return proof
+    layout = _layout(instance, form)
+    if (len(certificate.dual), len(certificate.primal)) != layout.shape:
+        raise LabelMismatch(f"certificate is not of the {form} primal's shape")
     proof = _prove(instance, layout, _scale(certificate.primal), _scale(certificate.dual))
     if proof.dual.objective() != certificate.objective:
         raise CertificateError("objective mismatch")
@@ -432,7 +439,8 @@ def extract_dual(
     """The dual solution of an optimal primal certificate produced from
     build_dslp or build_blp: the one its proof (_proof) built.  A
     certificate whose pair is not optimal raises CertificateError, and
-    one of another program (a dual program's among them) LabelMismatch."""
+    one of another shape (a dual program's among them) or a proof of
+    another optimum LabelMismatch (_proof)."""
     return _proof(instance, certificate, form).dual
 
 
@@ -476,18 +484,22 @@ def solve_form(instance: Instance, form: str) -> LpCertificate:
     that extraction returns.  The program is one builder in either
     arithmetic (_build_primal): the float pass reads it built in floats,
     and the exact pass built with Fraction, only if the model refuses
-    the float proposal."""
-    program = DeferredProgram(partial(_build_primal, instance, form), _layout(instance, form))
-    return solve(program, partial(_accept, instance))
+    the float proposal.  The solver's tableau guard is run on the
+    layout's shape first, so an oversize program is refused unbuilt."""
+    layout = _layout(instance, form)
+    check_tableau_size(*layout.shape)
+    program = DeferredProgram(partial(_build_primal, instance, form))
+    return solve(program, partial(_accept, instance, layout))
 
 
-def _accept(instance: Instance, lp: LinearProgram, x, y) -> LpCertificate:
+def _accept(instance: Instance, layout: ProgramLayout, lp, x, y) -> LpCertificate:
     """The exact check a solve_form solve hands each vertex to: x and y,
     each put over one denominator once, proved optimal on the model
-    (_prove), or refused with CertificateError."""
+    through the layout of the program (_prove), or refused with
+    CertificateError.  The program lp itself is not read."""
     x, y = tuple(x), tuple(y)
-    proof = _prove(instance, lp.layout, _scale(x), _scale(y))
-    return LpCertificate(x, y, proof.dual.objective(), lp.layout, proof)
+    proof = _prove(instance, layout, _scale(x), _scale(y))
+    return LpCertificate(x, y, proof.dual.objective(), proof=proof)
 
 
 def drev(instance: Instance) -> Fraction:
@@ -545,7 +557,7 @@ def tight_downward_dual(instance: Instance, mechanism: Mechanism, slacks: Primal
     if not mechanism_feasible(instance, mechanism, slacks):
         raise InfeasibleInput("mechanism violates feasibility")
     primal = build_dslp(instance)
-    layout = primal.layout
+    layout = _layout(instance, DS)
     tight = _tight_rows(instance, layout, slacks)  # (row, weight) pairs
     kept = tuple(primal.rows[r] for r, _ in tight)
     face = dual_of(replace(primal, rows=kept, b=tuple(primal.b[r] for r, _ in tight)))
@@ -713,12 +725,11 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     nonzero primal and dual entries by label, and the complementary
     slackness ledger (all zeros at an optimum).
 
-    certificate is a primal certificate of the form's program, read
-    through its proof (_proof), so one that is not optimal raises
-    CertificateError; or the proof of a closed form
-    (analysis.proved_certificate), which raises LabelMismatch unless it
-    proves this instance's optimum in this form, as it holds no vectors
-    to prove again.  Both sections are rendered from the proof's
+    certificate is a primal certificate of the form's program or the
+    proof of a closed form (analysis.proved_certificate), read through
+    _proof: a proof not of this instance's optimum in this form raises
+    LabelMismatch, and a certificate that is not optimal
+    CertificateError.  Both sections are rendered from the proof's
     integer numerators (_sections); self-check proves the document
     again whichever wrote it.
 
@@ -727,12 +738,7 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     nonnegative and the revenue equal to the dual objective, so each of
     the five families is a sum of nonnegative products, and together
     they add up to a zero gap (virtual.check_cs_ds).  Each is zero."""
-    if isinstance(certificate, _Proof):
-        if certificate.instance != instance or certificate.mechanism.form != form:
-            raise LabelMismatch(f"proof is not of this instance's {form} optimum")
-        proof = certificate
-    else:
-        proof = _proof(instance, certificate, form)
+    proof = _proof(instance, certificate, form)
     primal, dual = _sections(instance, form, proof)
     return {
         "kind": "auctionlp.certificate",

@@ -69,11 +69,9 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     instance = _load(args)
     form = _FORMS[args.form]
-    # the program's tableau guard comes first, so that a closed-form
-    # answer is refused wherever the program's would be
-    check_tableau_size(*ProgramLayout(form, instance.m, instance.sizes).shape)
     # a one-item optimum proved in closed form, or else the program's,
-    # which the model proved while solving (solve_form)
+    # which the model proved while solving (solve_form) past the
+    # solver's own tableau guard
     certificate = proved_certificate(instance, form)
     if certificate is None:
         certificate = solve_form(instance, form)

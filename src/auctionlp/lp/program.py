@@ -2,10 +2,9 @@
 
 Standard form: optimize c.x subject to A x <= b, x >= 0, with sense max
 or min.  Rows are stored sparse as (column, coefficient) pairs.  Rows
-and columns are known by index only.  A program may also carry its
-builder's `layout`, an opaque value that this package only copies onto
-certificates; a builder that names components renders the names from
-it.
+and columns are known by index only: programs and certificates hold
+numbers, and a builder that names components keeps its own map from
+names to indices.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class LinearProgram:
     c: tuple[Fraction, ...]
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     b: tuple[Fraction, ...]
-    layout: object = field(default=None, compare=False)
 
     @property
     def ncols(self) -> int:
@@ -49,14 +47,13 @@ class DeferredProgram:
     proposes nothing that the acceptor accepts.
 
     Neither build is validated: nothing either pass proposes is accepted
-    but by the acceptor, which is handed this object and must prove a
-    vertex without its entries, from the layout alone.  (certify_optimal
+    but by the acceptor, which must prove a vertex without the program's
+    entries, from what its builder knows of the program.  (certify_optimal
     reads the entries, so it cannot serve.)  nrows, ncols and rows read
     the program built last, so reading them after a solve builds none."""
 
-    def __init__(self, build, layout: object = None):
+    def __init__(self, build):
         self._build = build
-        self.layout = layout
         self.built = None
 
     def floating(self) -> LinearProgram:
@@ -105,7 +102,6 @@ def make_lp(
     c: Sequence[Fraction],
     rows: Sequence[Sequence[tuple[int, Fraction]]],
     b: Sequence[Fraction],
-    layout: object = None,
 ) -> LinearProgram:
     """Validate and freeze an LP from outside the package (the package's
     own builders freeze theirs).  Zero coefficients are dropped;
@@ -123,7 +119,6 @@ def make_lp(
         c=tuple(map(_exact, c)),
         rows=tuple(_checked_row(row, ncols) for row in rows),
         b=tuple(map(_exact, b)),
-        layout=layout,
     )
 
 
@@ -138,20 +133,20 @@ class LpCertificate:
     builder's own exact check), and recheck_certificate verifies a
     certificate that came from elsewhere.
 
-    proof is what the accepting check built while it proved x and y, an
-    opaque value this package only carries (None from certify_optimal).
-    It belongs to these vectors: a certificate made with other values
-    must not carry it over.  A reader that cannot use it (None, or a
-    proof made for another instance) proves x and y again before it
-    reads them, so a certificate without it gives the same answers, or
-    is refused when they are not optimal.
+    proof, given by keyword only, is what the accepting check built
+    while it proved x and y, an opaque value this package only carries
+    (None from certify_optimal).  It belongs to these vectors: a
+    certificate made with other values must not carry it over.  A
+    reader that cannot use it (None, or a proof made for another
+    instance) proves x and y again before it reads them, so a
+    certificate without it gives the same answers, or is refused when
+    they are not optimal.
     """
 
     primal: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
     objective: Fraction
-    layout: object = field(default=None, compare=False)
-    proof: object = field(default=None, compare=False, repr=False)
+    proof: object = field(default=None, compare=False, repr=False, kw_only=True)
     # no certificate carries a witness; perfbench/spans.py still reads one
     witness = None
 
@@ -244,7 +239,7 @@ def certify_optimal(lp: LinearProgram, x, y) -> LpCertificate:
     cx_num, cx_den = _dot(enumerate(lp.c), xs)
     by_num, by_den = _dot(enumerate(lp.b), ys)
     _require(sign * cx_num * by_den == by_num * cx_den, "duality gap nonzero")
-    return LpCertificate(tuple(x), tuple(y), Fraction(cx_num, cx_den), lp.layout)
+    return LpCertificate(tuple(x), tuple(y), Fraction(cx_num, cx_den))
 
 
 def recheck_certificate(lp: LinearProgram, cert: LpCertificate) -> None:

@@ -194,7 +194,6 @@ def _in_arithmetic(lp: LinearProgram | DeferredProgram, floating: bool) -> Linea
         tuple(map(float, lp.c)),
         tuple([(j, float(q)) for j, q in row] for row in lp.rows),
         tuple(map(float, lp.b)),
-        lp.layout,
     )
 
 
@@ -255,7 +254,7 @@ class _Simplex:
     of _NO_PROPOSAL (OverflowError at set-up among them) and the exact
     run NotOptimal or PivotLimit.
 
-    Column layout: structural | slack | artificial... | rhs.  T[r] maps
+    Column order: structural | slack | artificial... | rhs.  T[r] maps
     the columns of row r to its nonzero entries, the right-hand side at
     key `rhs` included; cols[k] is the set of rows that hold column k.
     The objective rows are dense lists over the same columns, each with

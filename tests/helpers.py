@@ -453,7 +453,7 @@ def reference_primal(instance, form):
                 row = rows[layout.eta(i, key)]
                 row += [(layout.x(i, j, r), -q) for j, q in enumerate(value) if q]
                 row.append((layout.p(i, r), w))
-    return make_lp(MAX, c, rows, b, layout)
+    return make_lp(MAX, c, rows, b)
 
 
 def row_label(layout, r):
@@ -526,11 +526,12 @@ def reference_names(layout):
     return rows, cols
 
 
-def reference_sections(certificate):
+def reference_sections(certificate, layout):
     """The objective, primal and dual of a primal certificate's document
     by definition: each nonzero entry of its vectors, as rat_str text,
-    under the label reference_names gives its index."""
-    rows, cols = reference_names(certificate.layout)
+    under the label reference_names gives its index in the layout of
+    the certificate's program."""
+    rows, cols = reference_names(layout)
     return {
         "objective": rat_str(certificate.objective),
         "primal": {cols[c]: rat_str(q) for c, q in enumerate(certificate.primal) if q},
@@ -879,7 +880,7 @@ def assert_frozen(lp):
     """lp is frozen and well formed, as make_lp would make it: every
     column in range and once in its row, no zero coefficient (make_lp
     drops it, so the programs differ), and every entry a Fraction."""
-    assert make_lp(lp.sense, lp.c, lp.rows, lp.b, lp.layout) == lp
+    assert make_lp(lp.sense, lp.c, lp.rows, lp.b) == lp
     entries = [*lp.c, *lp.b, *(q for row in lp.rows for _, q in row)]
     assert all(isinstance(q, Fraction) for q in entries)
 

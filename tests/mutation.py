@@ -155,6 +155,20 @@ MUTANTS = [
         "if proof.dual.objective() != certificate.objective:",
         "if False:",
     ),
+    # _proof reads a pair of vectors of another shape through the form's layout
+    Mutant(
+        "proof-shape-unchecked",
+        AUCTION,
+        "if (len(certificate.dual), len(certificate.primal)) != layout.shape:",
+        "if False:",
+    ),
+    # _proof reuses a proof of this instance in a form it does not prove
+    Mutant(
+        "proof-form-unchecked",
+        AUCTION,
+        "if proof.instance != instance or proof.mechanism.form != form:",
+        "if proof.instance != instance:",
+    ),
     # a document's stored ledger may hold a nonzero entry
     Mutant(
         "verify-ledger-unchecked",

@@ -22,6 +22,7 @@ from auctionlp.auction import (
     _accept,
     _build_primal,
     _dual_at,
+    _layout,
     brev,
     build_blp,
     build_dslp,
@@ -75,7 +76,7 @@ def test_label_counts_match_dimensions(pair12, items12):
     for instance in (pair12, items12):
         profiles = math.prod(instance.sizes)
         dslp = build_dslp(instance)
-        rows, cols = labels(dslp.layout)
+        rows, cols = labels(_layout(instance, DS))
         assert len(cols) == dslp.ncols
         assert len(cols) == instance.n * instance.m * profiles + instance.n * profiles
         ic = sum(
@@ -86,7 +87,7 @@ def test_label_counts_match_dimensions(pair12, items12):
         assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
 
         blp = build_blp(instance)
-        b_rows, b_cols = labels(blp.layout)
+        b_rows, b_cols = labels(_layout(instance, BAYES))
         assert b_cols == cols
         ic_b = sum(size * (size - 1) for size in instance.sizes)
         types = sum(instance.sizes)
@@ -222,18 +223,17 @@ TRANSPOSE_SHAPES = [
 
 def test_explicit_dual_matches_symbolic_dual():
     # a layout describes the primal alone: a dual program's rows are the
-    # primal's columns and its columns the primal's rows, and it carries
-    # no layout of its own
+    # primal's columns and its columns the primal's rows
+    builds = ((DS, build_dslp, build_dual_dslp), (BAYES, build_blp, build_dual_blp))
     for spec, seed in TRANSPOSE_SHAPES:
         instance = gen_instance(spec, seed)
-        for build_primal, build_dual in ((build_dslp, build_dual_dslp), (build_blp, build_dual_blp)):
+        for form, build_primal, build_dual in builds:
             primal = build_primal(instance)
             dual = build_dual(instance)
             assert dual == dual_of(primal)
             assert dual.sense == MIN
-            assert dual.layout is None
             assert (dual.nrows, dual.ncols) == (primal.ncols, primal.nrows)
-            assert primal.layout.shape == (primal.nrows, primal.ncols)
+            assert _layout(instance, form).shape == (primal.nrows, primal.ncols)
 
 
 # Seeded instances for the float program: two to four buyers, one or two
@@ -286,10 +286,10 @@ def test_float_program_is_the_exact_program_in_floats(monkeypatch):
             assert list(map(list, floats.rows)) == list(map(list, converted.rows))
             assert list(floats.b) == list(converted.b)
             assert all(type(v) is float for row in floats.rows for _, v in row)
-            assert floats.layout == exact.layout
             assert_frozen(exact)
             assert_frozen(dual_of(exact))
-            expected = pivots_of(monkeypatch, partial(solve, exact, partial(_accept, instance)))
+            accept = partial(_accept, instance, _layout(instance, form))
+            expected = pivots_of(monkeypatch, partial(solve, exact, accept))
             assert pivots_of(monkeypatch, partial(solve_form, instance, form)) == expected
     assert zero_mass == {True, False}
 
@@ -344,8 +344,8 @@ def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
     cert = solve_form(u12, DS)
     with pytest.raises(LabelMismatch):
         extract_dual(u123, cert, DS)
-    # a ds certificate cannot pass as a bayes one, even for a single buyer,
-    # where the two label schemes coincide
+    # a carried ds proof cannot pass as a bayes one, even for a single
+    # buyer, where the two programs coincide
     with pytest.raises(LabelMismatch):
         extract_dual(pair12, solve_form(pair12, DS), BAYES)
     with pytest.raises(LabelMismatch):
@@ -355,22 +355,40 @@ def test_extract_dual_rejects_foreign_labels(u12, u123, pair12):
         extract_dual(u12, stray, DS)
 
 
+def test_a_proofless_ds_certificate_of_one_buyer_reads_as_bayes(u12):
+    # certificates hold numbers only: with one buyer the two programs are
+    # the same, so the vectors of a ds solve, without their proof, are
+    # proved on the Bayesian model and give BRev
+    cert = solve(build_dslp(u12))
+    assert cert.proof is None
+    proof = auction._proof(u12, cert, BAYES)
+    assert proof.mechanism.form == BAYES
+    assert proof.objective == extract_dual(u12, cert, BAYES).objective() == brev(u12)
+
+
+def test_a_stale_positional_layout_is_refused(u12):
+    # proof is keyword-only, so a layout passed fourth binds nothing
+    cert = solve_form(u12, DS)
+    with pytest.raises(TypeError):
+        LpCertificate(cert.primal, cert.dual, cert.objective, _layout(u12, DS))
+
+
 # A primal certificate means an optimal pair.  Without a proof it is
 # proved (auction._prove) before anything is read from it, so a pair that
 # is feasible on both sides but not optimal is refused, whatever it claims,
 # and so is an optimal pair that claims another objective.
-def _zeroed_primal(cert):
-    return LpCertificate((F(0),) * len(cert.primal), cert.dual, cert.objective, cert.layout)
+def _zeroed_primal(cert, layout):
+    return LpCertificate((F(0),) * len(cert.primal), cert.dual, cert.objective)
 
 
-def _raised_xi(cert):
+def _raised_xi(cert, layout):
     dual = list(cert.dual)
-    dual[cert.layout.xi(0, 0)] += F(1, 5)
-    return LpCertificate(cert.primal, tuple(dual), cert.objective, cert.layout)
+    dual[layout.xi(0, 0)] += F(1, 5)
+    return LpCertificate(cert.primal, tuple(dual), cert.objective)
 
 
-def _claimed_more(cert):
-    return LpCertificate(cert.primal, cert.dual, cert.objective + F(1, 5), cert.layout)
+def _claimed_more(cert, layout):
+    return LpCertificate(cert.primal, cert.dual, cert.objective + F(1, 5))
 
 
 _PRIMAL_READERS = {
@@ -383,11 +401,13 @@ _PRIMAL_READERS = {
 @pytest.mark.parametrize("form", [DS, BAYES])
 @pytest.mark.parametrize("reader", list(_PRIMAL_READERS))
 def test_primal_readers_refuse_a_dual_program_certificate(pair12, form, reader):
-    # a dual program carries no layout, so its certificate is no primal
-    # certificate of either form, optimal though its point is
+    # a dual program's certificate has the primal's lengths swapped, so
+    # it is no primal certificate of either form, optimal though its
+    # point is
     for build_dual in (build_dual_dslp, build_dual_blp):
         cert = solve(build_dual(pair12))
-        assert cert.objective == F(3, 2) and cert.layout is None
+        assert cert.objective == F(3, 2)
+        assert (len(cert.dual), len(cert.primal)) != _layout(pair12, form).shape
         with pytest.raises(LabelMismatch):
             _PRIMAL_READERS[reader](pair12, cert, form)
 
@@ -398,7 +418,7 @@ def test_primal_readers_refuse_a_dual_program_certificate(pair12, form, reader):
 def test_extraction_refuses_a_certificate_that_is_not_optimal(pair12, form, forge, reader):
     cert = solve_form(pair12, form)
     assert cert.objective == F(3, 2)
-    forged = forge(cert)  # the builder's layout, and no proof
+    forged = forge(cert, _layout(pair12, form))  # the form's shape, and no proof
     assert forged.proof is None
     with pytest.raises(CertificateError):
         _PRIMAL_READERS[reader](pair12, forged, form)
@@ -423,7 +443,7 @@ def test_dual_is_keyed_like_the_primal_rows(form):
         instance = gen_instance(spec, seed)
         cert = solve_form(instance, form)
         dual = extract_dual(instance, cert, form)
-        layout = cert.layout
+        layout = _layout(instance, form)
         for i, k in enumerate(instance.sizes):
             keys = instance.profile_count if form == DS else k
             assert len(dual.eta[i]) == len(dual.zeta[i]) == keys
@@ -688,7 +708,7 @@ def test_reproof_paths_agree(request, monkeypatch, source, form):
         instance = request.getfixturevalue(source)
     certificate = solve_form(instance, form)
     document = certificate_document(instance, form, certificate)
-    documents = [document, *perturbed_documents(document, certificate.layout)]
+    documents = [document, *perturbed_documents(document, _layout(instance, form))]
     outcomes = {}
     for path in REPROOF_PATHS:
         with monkeypatch.context() as patch:

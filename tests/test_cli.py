@@ -19,8 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import auctionlp
 from auctionlp import analysis, auction, cli, errors
 from auctionlp.auction import (
-    build_blp,
-    build_dslp,
+    ProgramLayout,
     certificate_document,
     solve_form,
     verify_certificate_document,
@@ -346,7 +345,7 @@ def test_certificates_past_the_common_denominator_cap_self_check(
     rechecked = []
 
     def counted(lp, certificate):
-        rechecked.append(lp.layout.form)
+        rechecked.append((lp.nrows, lp.ncols))
         recheck(lp, certificate)
 
     def refuse(*args):
@@ -364,7 +363,7 @@ def test_certificates_past_the_common_denominator_cap_self_check(
             patch.setattr(auction, "_prove", refuse)
             assert main(["self-check", str(path), str(cert)]) == 0
         assert capsys.readouterr().out == f"ok {document['objective']}\n"
-    assert rechecked == ["ds", "bayes"]
+    assert rechecked == [ProgramLayout(form, 1, (4, 4)).shape for form in (DS, BAYES)]
 
 
 def test_self_check_rejects_foreign_certificate(u12_path, pair_path, tmp_path, capsys):
@@ -434,8 +433,7 @@ def test_self_check_rejects_forged_denominators_quickly(tmp_path, capsys, form, 
     instance = gen_instance({"n": 4, "m": 1, "support": 3}, 3)
     path = tmp_path / "instance.json"
     path.write_text(instance.to_json())
-    build = build_dslp if form == "ds" else build_blp
-    row_names, col_names = labels(build(instance).layout)
+    row_names, col_names = labels(ProgramLayout(form, instance.m, instance.sizes))
     rng = random.Random(5)
     dens = set()
     while len(dens) < len(row_names) + len(col_names):
@@ -813,12 +811,12 @@ def test_solve_builds_its_program_once(pair_path, tmp_path, capsys, monkeypatch,
 
     def counting(deferred):
         built = exact(deferred)
-        builds.append((deferred.layout.form, type(built.c[0])))
+        builds.append(((built.nrows, built.ncols), type(built.c[0])))
         return built
 
     monkeypatch.setattr(program.DeferredProgram, "exact", counting)
     cert = str(tmp_path / "cert.json")
-    expected = (DS if form == "ds" else BAYES, Fraction)
+    expected = (ProgramLayout(DS if form == "ds" else BAYES, 1, (3, 3)).shape, Fraction)
     for refused, count in ((False, 0), (True, 1)):
         builds.clear()
         with monkeypatch.context() as patched:
@@ -875,13 +873,21 @@ def test_gen_cap_is_safe_for_huge_item_counts(capsys):
         gen_instance({"n": 1, "m": 10**7, "support": 2, "correlated": False}, 0)
 
 
-def test_tableau_cap_exits_4(u12_path, capsys, monkeypatch):
-    import auctionlp.lp.simplex as simplex
+def test_tableau_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # two items, so no closed form answers before the program's guard,
+    # which refuses the program before either build of it
+    path = tmp_path / "items12.json"
+    items12 = {"buyers": 1, "items": 2, "supports": [[[0, 0], [1, 2]]], "probs": [[0, 1]]}
+    path.write_text(json.dumps(items12))
 
+    def refuse(*args):
+        raise AssertionError("an oversize program was built")
+
+    monkeypatch.setattr(auction, "_build_primal", refuse)
     monkeypatch.setattr(simplex, "_TABLEAU_CAP", 10)
-    assert main(["solve", u12_path]) == 4
+    assert main(["solve", str(path)]) == 4
     err = capsys.readouterr().err
-    assert "ScaleLimit: a 12x19 tableau exceeds the cap of 10 entries" in err
+    assert "ScaleLimit: a 8x15 tableau exceeds the cap of 10 entries" in err
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -185,12 +186,17 @@ def test_writing_a_solved_proof_gives_back_the_solved_vectors(spec, form):
     document = certificate_document(instance, form, certificate.proof)
     assert document == certificate_document(instance, form, certificate)
     sections = {key: document[key] for key in ("objective", "primal", "dual")}
-    assert sections == reference_sections(certificate)
+    assert sections == reference_sections(certificate, auction._layout(instance, form))
 
 
 def test_a_proof_documents_only_its_own_optimum(pair12, u12):
     proof = proved_certificate(pair12, DS)
-    assert certificate_document(pair12, DS, proof)["objective"] == "3/2"
+    document = certificate_document(pair12, DS, proof)
+    assert document["objective"] == "3/2"
+    # an equal instance that is another object has the same optimum
+    twin = replace(pair12)
+    assert twin == pair12 and twin is not pair12
+    assert certificate_document(twin, DS, proof) == document
     for instance, form in ((u12, DS), (pair12, BAYES)):
         with pytest.raises(LabelMismatch):
             certificate_document(instance, form, proof)
@@ -319,10 +325,8 @@ def test_written_ledgers_are_the_proved_pairs(monkeypatch, tmp_path):
         assert all(main(op.argv) == 0 for op in ops)
     closed = 0
     for instance, form, certificate, doc in written:
-        if isinstance(certificate, auction._Proof):
-            closed, proof = closed + 1, certificate
-        else:
-            proof = auction._proof(instance, certificate, form)
+        closed += isinstance(certificate, auction._Proof)
+        proof = auction._proof(instance, certificate, form)
         check = check_cs_ds if form == DS else check_cs_bayes
         ledger = check(instance, proof.mechanism, proof.dual, slacks=proof.slacks)
         families = [getattr(ledger, key) for key in ("ic", "ir", "supply", "alloc", "pay", "gap")]
@@ -383,16 +387,16 @@ def test_values_beyond_float_range_build_no_program(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("flag", sorted(FORMS))
-def test_tableau_guard_comes_before_the_closed_form(tmp_path, capsys, monkeypatch, flag):
+def test_closed_form_comes_before_the_tableau_guard(tmp_path, capsys, monkeypatch, flag):
+    # the guard is the solver's own: the closed form answers past it, and
+    # only a program that must be solved is refused
     path = tmp_path / "u12.json"
     u12 = {"buyers": 1, "items": 1, "supports": [[[0], [1], [2]]], "probs": [[0, "1/2", "1/2"]]}
     path.write_text(json.dumps(u12))
-
-    def refuse(instance, form):
-        raise AssertionError("the closed form ran past the tableau guard")
-
     monkeypatch.setattr(simplex, "_TABLEAU_CAP", 10)
-    monkeypatch.setattr(cli, "proved_certificate", refuse)
+    assert main(["solve", str(path), "--form", flag]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    monkeypatch.setattr(cli, "proved_certificate", lambda instance, form: None)
     assert main(["solve", str(path), "--form", flag]) == 4
     captured = capsys.readouterr()
     assert captured.err == "error: ScaleLimit: a 12x19 tableau exceeds the cap of 10 entries\n"

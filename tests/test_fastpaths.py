@@ -21,6 +21,7 @@ import pytest
 
 from auctionlp.analysis import _slice_mismatch
 from auctionlp.auction import (
+    ProgramLayout,
     build_blp,
     build_dslp,
     extract_dual,
@@ -198,12 +199,13 @@ def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
     own type and report; multiplier_keys' scales are those weights."""
     instance = gen_instance(spec, seed)
     ds, bayes = build_dslp(instance), build_blp(instance)
+    ds_at, bayes_at = (ProgramLayout(form, instance.m, instance.sizes) for form in (DS, BAYES))
     assert (bayes.sense, bayes.c) == (ds.sense, ds.c)
     for j, r in itertools.product(range(instance.m), range(instance.profile_count)):
-        supply = ds.layout.xi(j, r), bayes.layout.xi(j, r)
+        supply = ds_at.xi(j, r), bayes_at.xi(j, r)
         assert ds.rows[supply[0]] == bayes.rows[supply[1]]
         assert ds.b[supply[0]] == bayes.b[supply[1]] == 1
-    assert not any(bayes.b[: bayes.layout.xi(0, 0)])
+    assert not any(bayes.b[: bayes_at.xi(0, 0)])
 
     # any allocation and payments, feasible or not
     rng = random.Random(seed)
@@ -222,16 +224,16 @@ def test_bayesian_rows_are_weighted_sums_of_ds_rows(spec, seed):
         assert set(multiplier_keys(instance, DS, i).scales.fractions()) == {1}
         for t in range(k):
             ranks = [slice_ranks[t] for slice_ranks in instance.ranks[i]]
-            ds_rows = [ds.rows[ds.layout.eta(i, r)] for r in ranks]
-            bayes_row = bayes.rows[bayes.layout.eta(i, t)]
+            ds_rows = [ds.rows[ds_at.eta(i, r)] for r in ranks]
+            bayes_row = bayes.rows[bayes_at.eta(i, t)]
             assert _weighted_sum([bayes_row], [1]) == _weighted_sum(ds_rows, weights)
             utility = sum(w * ds_slacks.b[i][r] for w, r in zip(weights, ranks))
             assert bayes_slacks.b[i][t] == utility
             for t2 in range(k):
                 if t2 == t:
                     continue
-                ds_rows = [ds.rows[ds.layout.zeta(i, r, t, t2)] for r in ranks]
-                bayes_row = bayes.rows[bayes.layout.zeta(i, t, t, t2)]
+                ds_rows = [ds.rows[ds_at.zeta(i, r, t, t2)] for r in ranks]
+                bayes_row = bayes.rows[bayes_at.zeta(i, t, t, t2)]
                 assert _weighted_sum([bayes_row], [1]) == _weighted_sum(ds_rows, weights)
                 margin = sum(w * ds_slacks.a[i][r][t2] for w, r in zip(weights, ranks))
                 assert bayes_slacks.a[i][t][t2] == margin
@@ -277,7 +279,6 @@ def test_builders_and_mass_tables_match_definition(spec, seed):
     assert instance.mu_minus_scaled == tuple(map(_scale, slice_masses))
     for form, build in ((DS, build_dslp), (BAYES, build_blp)):
         lp, reference = build(instance), reference_primal(instance, form)
-        assert lp.layout == reference.layout
         assert (lp.sense, lp.c, lp.b) == (reference.sense, reference.c, reference.b)
         # tuple equality: the same entries in the same order, row by row
         assert lp.rows == reference.rows

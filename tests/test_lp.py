@@ -166,6 +166,7 @@ def refuse_mechanism(instance, mechanism, slacks):
 PHASE_ONE_LP = lp_of(MIN, [1, 1], [[-1, -1]], [-2])
 # an auction primal, and the model acceptor solve_form hands it to
 ACCEPTED_ON_MODEL = gen_instance({"n": 2, "m": 1, "support": 2}, 1)
+ACCEPTED_LAYOUT = auction._layout(ACCEPTED_ON_MODEL, auction.DS)
 
 # (program, acceptor, (owner, name, replacement) patches, the ending's message)
 NO_OPTIMUM = {
@@ -189,7 +190,7 @@ NO_OPTIMUM = {
     ),
     "vertex-refused": (
         build_dslp(ACCEPTED_ON_MODEL),
-        partial(auction._accept, ACCEPTED_ON_MODEL),
+        partial(auction._accept, ACCEPTED_ON_MODEL, ACCEPTED_LAYOUT),
         ((auction, "mechanism_feasible", refuse_mechanism),),
         "its vertex fails the exact check: mechanism violates feasibility",
     ),

@@ -18,6 +18,7 @@ import pytest
 from auctionlp import auction
 from auctionlp.auction import (
     _accept,
+    _layout,
     build_blp,
     build_dslp,
     certificate_document,
@@ -25,7 +26,7 @@ from auctionlp.auction import (
     extract_mechanism,
     solve_form,
 )
-from auctionlp.lp import CertificateError, recheck_certificate
+from auctionlp.lp import CertificateError, LpCertificate, recheck_certificate
 from auctionlp.lp.program import certify_optimal
 from auctionlp.model import BAYES, DS, validate_instance
 from auctionlp.oracles import gen_instance
@@ -99,15 +100,15 @@ def program_verdict(lp, x, y):
         return None
 
 
-def model_verdict(instance, lp, x, y):
+def model_verdict(instance, layout, lp, x, y):
     """The objective of the certificate the model acceptor makes of
-    (x, y), else None."""
+    (x, y), read through the layout, else None."""
     try:
-        certificate = _accept(instance, lp, x, y)
+        certificate = _accept(instance, layout, lp, x, y)
     except CertificateError:
         return None
     assert (certificate.primal, certificate.dual) == (tuple(x), tuple(y))
-    assert certificate.layout == lp.layout
+    assert certificate.proof.mechanism.form == layout.form
     return certificate.objective
 
 
@@ -120,9 +121,10 @@ def test_model_acceptor_agrees_with_the_program_check(name, form):
     # the proof of the solve stays checkable apart from the model
     recheck_certificate(lp, certificate)
     x, y = certificate.primal, certificate.dual
-    candidates = [(x, y), *perturbations(lp.layout, x, y)]
+    layout = _layout(instance, form)
+    candidates = [(x, y), *perturbations(layout, x, y)]
     verdicts = [program_verdict(lp, *pair) for pair in candidates]
-    assert [model_verdict(instance, lp, *pair) for pair in candidates] == verdicts
+    assert [model_verdict(instance, layout, lp, *pair) for pair in candidates] == verdicts
     assert verdicts[0] == certificate.objective
     assert verdicts.count(None) > len(candidates) // 2
 
@@ -143,15 +145,20 @@ def test_extraction_returns_what_the_proof_built(monkeypatch, form):
     assert extract_mechanism(instance, certificate, form) is proof.mechanism
     assert extract_dual(instance, certificate, form) is proof.dual
     document = certificate_document(instance, form, certificate)
-    assert proved == []
-    # an equal instance validated again is another object, so the proof
-    # is not trusted for it: each reader proves the certificate once,
-    # which builds equal objects and the same document
+    # an equal instance validated again is another object with the same
+    # program, so the proof is its optimum too and is reused
     twin = validate_instance(instance.to_data())
     assert twin == instance and twin is not instance
-    mechanism = extract_mechanism(twin, certificate, form)
-    assert mechanism == proof.mechanism and mechanism is not proof.mechanism
-    dual = extract_dual(twin, certificate, form)
-    assert dual == proof.dual and dual is not proof.dual
+    assert extract_mechanism(twin, certificate, form) is proof.mechanism
+    assert extract_dual(twin, certificate, form) is proof.dual
     assert certificate_document(twin, form, certificate) == document
+    assert proved == []
+    # without its proof, each reader proves the vectors once, which
+    # builds equal objects and the same document
+    bare = LpCertificate(certificate.primal, certificate.dual, certificate.objective)
+    mechanism = extract_mechanism(twin, bare, form)
+    assert mechanism == proof.mechanism and mechanism is not proof.mechanism
+    dual = extract_dual(twin, bare, form)
+    assert dual == proof.dual and dual is not proof.dual
+    assert certificate_document(twin, form, bare) == document
     assert len(proved) == 3 and all(seen is twin for seen in proved)
