@@ -93,10 +93,8 @@ def item_revenue(instance: Instance, j: int) -> Fraction:
     accept it, else (ironing would change a positive virtual value) the
     marginal's dominant-strategy program."""
     marginal = item_marginal(instance, j)
-    optimum = proved_certificate(marginal, DS)
-    if optimum is not None:
-        return optimum.objective
-    return drev(marginal)
+    proofs = proved_certificate(marginal, DS)
+    return drev(marginal) if proofs is None else proofs[0].objective
 
 
 def srev(instance: Instance) -> Fraction:
@@ -182,18 +180,19 @@ def canonical_flow(instance: Instance) -> DualSolution:
     checks the construction.  The objective is E[max_i phi_i(v_i)^+];
     it is the optimal revenue unless ironing would change a positive
     virtual value.  The flow is the dominant-strategy spread of its
-    Bayesian image (_flow_image), multiplier for multiplier."""
-    multipliers, xi = _ladder_flow(instance)
-    return _dual_from_scaled(instance, DS, _spread(instance, multipliers), xi)
+    Bayesian image (_flow_dual), multiplier for multiplier."""
+    return _flow_dual(instance, DS, *_ladder_flow(instance))
 
 
-def _flow_image(instance: Instance) -> DualSolution:
-    """The canonical flow's Bayesian image: the ladder multipliers of
-    _ladder_flow as a Bayesian dual, with the flow's xi.  It equals
-    dsic_to_bic_dual of the flow, and bic_to_dsic_dual maps it back to
-    the flow, without reading the flow."""
-    multipliers, xi = _ladder_flow(instance)
-    return _dual_from_scaled(instance, BAYES, multipliers, xi)
+def _flow_dual(instance: Instance, form: str, multipliers, xi) -> DualSolution:
+    """The form's dual of the ladder multipliers and xi of _ladder_flow:
+    the canonical flow (DS), their spread across the opponent slices, or
+    its Bayesian image (BAYES), the multipliers as they are.  The image
+    equals dsic_to_bic_dual of the flow, and bic_to_dsic_dual maps it
+    back to the flow."""
+    if form == DS:
+        multipliers = _spread(instance, multipliers)
+    return _dual_from_scaled(instance, form, multipliers, xi)
 
 
 def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
@@ -237,32 +236,46 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     return Mechanism(DS, Scaled((alloc, tuple(map(tuple, pay))), den))
 
 
-def _myerson_auction(instance: Instance, dual: DualSolution, form: str):
-    """The proof (auction._Proof) that Myerson's auction, priced off a
-    single-item dual of the form, and the dual are an optimum of the
-    form, as auction._accepted accepts it, or None where it refuses."""
-    mechanism = Mechanism(form, myerson_mechanism(instance, dual).scaled)
+def _myerson_auction(instance: Instance, form: str, auction: Scaled, dual: DualSolution):
+    """The proof (auction._Proof) that Myerson's auction, held by its
+    numerators as a mechanism of the form, and a single-item dual of the
+    form are an optimum of the form, as auction._accepted accepts it,
+    or None where it refuses."""
+    mechanism = Mechanism(form, auction)
     try:
         return _accepted(instance, mechanism, mechanism_slacks(instance, mechanism), dual)
     except CertificateError:
         return None
 
 
-def proved_certificate(instance: Instance, form: str):
-    """The form's optimum in closed form, as its proof (auction._Proof),
-    or None: on one item, Myerson's auction priced off the canonical
-    flow (dominant-strategy form) or off the flow's Bayesian image
-    (Bayesian form, _flow_image; no flow is built), when the one
-    acceptance of an optimum (auction._accepted) accepts the pair.  None
-    on more items, or where it refuses (ironing would change a positive
-    virtual value); the program answers then.  It is the one closed-form
-    entry: solve, SRev and characterize read it.  certificate_document
-    writes the proof as it writes a solve_form certificate, and the
-    proof's objective is the optimum."""
+def proved_certificate(instance: Instance, *forms: str):
+    """The optimum of each given form in closed form, as their proofs
+    (auction._Proof) in the order asked, or None: on one item, Myerson's
+    auction priced off the canonical flow (dominant-strategy form) or
+    off the flow's Bayesian image (Bayesian form), when the one
+    acceptance of an optimum (auction._accepted) accepts each pair.
+    One ladder flow (_ladder_flow) makes every form's dual, and the
+    first form's dual prices the one auction: the flow and its image
+    have the same alpha zeros and xi, so they price the same
+    numerators.  None on more items, or where any form refuses
+    (ironing would change a positive virtual value); the programs
+    answer then.  It is the one closed-form entry: solve and SRev ask
+    for one form, characterize for both.  certificate_document writes a
+    proof as it writes a solve_form certificate, and a proof's
+    objective is the form's optimum."""
     if instance.m != 1:
         return None
-    dual = canonical_flow(instance) if form == DS else _flow_image(instance)
-    return _myerson_auction(instance, dual, form)
+    flow = _ladder_flow(instance)
+    auction, proofs = None, []
+    for form in forms:
+        dual = _flow_dual(instance, form, *flow)
+        if auction is None:
+            auction = myerson_mechanism(instance, dual).scaled
+        proof = _myerson_auction(instance, form, auction, dual)
+        if proof is None:
+            return None
+        proofs.append(proof)
+    return tuple(proofs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +330,15 @@ def _slice_mismatch(instance: Instance, dual: DualSolution, i: int, table=None):
     i's eta or zeta on an opponent slice differ from the reference
     slice's after weighting by the opponent masses, or where the
     table's virtual values differ on a mass-bearing slice: a (kind,
-    indices) witness, or None.  The weighted comparisons cross-multiply
-    integer numerators: the dual's over its per-buyer denominators and
-    the opponent masses over theirs, which cancel on both sides."""
+    indices) witness, or None.  The comparisons read integer
+    numerators: the table's over buyer i's one denominator, and, weighted,
+    the dual's over its per-buyer denominators and the opponent masses
+    over theirs, which cancel on both sides."""
     weights, slices = instance.mu_minus_scaled[i].nums, instance.ranks[i]
     ref = _reference_slice(instance, i)
     wref = weights[ref]
     zeta, eta = dual.scaled.zeta[i].nums, dual.scaled.eta[i].nums
-    values = () if table is None else table.values[i]
+    values = () if table is None else table.scaled[i].nums
     for t in range(instance.sizes[i]):
         base = slices[ref][t]
         eta_ref, zeta_ref = eta[base], zeta[base]
@@ -454,8 +468,8 @@ def characterize(instance: Instance) -> RevenueReport:
     dominant-strategy dual witnessing the equality.
 
     DRev and BRev are the objectives of two proofs (auction._Proof):
-    both from proved_certificate when it accepts both forms, else, on
-    more items too, both from the programs' solves.  Both forms come
+    both from one proved_certificate call when it accepts both forms,
+    else, on more items too, both from the programs' solves.  Both forms come
     from the closed form or neither, so that where either form refuses
     the report is the programs' own.  The witness is
     bic_to_dsic_dual of the regularized Bayesian dual, save when both
@@ -467,11 +481,11 @@ def characterize(instance: Instance) -> RevenueReport:
     dominant-strategy proof's mechanism and slacks as ds_optimum, and
     the witness's dominant-strategy virtual-value table, which the
     agent-independence check reads, as witness_table."""
-    ds = proved_certificate(instance, DS)
-    bayes = proved_certificate(instance, BAYES) if ds else None
-    closed = bayes is not None
+    proofs = proved_certificate(instance, DS, BAYES)
+    closed = proofs is not None
     if not closed:
-        ds, bayes = (_proof(instance, solve_form(instance, form), form) for form in (DS, BAYES))
+        proofs = [_proof(instance, solve_form(instance, form), form) for form in (DS, BAYES)]
+    ds, bayes = proofs
     drev_value, brev_value = ds.objective, bayes.objective
     if instance.m == 1:
         # SRev is DRev: the item's marginal is the instance with its types
@@ -544,8 +558,9 @@ def gen_records(spec: dict, seed: int, count: int, cap: int = 256) -> Iterator[d
     _tight_dual's checks accept it, with excess 0; otherwise the face
     program read off the report's DS optimum is solved.  ubvv_ok reads
     the regularized tight dual's table: the report's witness_table when
-    regularization returns the witness itself, as it returns any
-    regular dual, and a table built from it otherwise.
+    the tight dual is the witness, which that table's construction
+    proved regular (regularize_ds would return it as it is), and the
+    table of regularize_ds's result otherwise.
     all_equal_consistent is False exactly when one revenue equality
     holds without the other two."""
     for index in range(count):
@@ -554,10 +569,10 @@ def gen_records(spec: dict, seed: int, count: int, cap: int = 256) -> Iterator[d
         record = revenue_record(index, seed + index, instance, report)
         if spec.get("iid") and instance.n >= 3:
             dual, excess = _tight_dual(instance, report)
-            regular = regularize_ds(instance, dual, revenue=report.drev)
-            if regular is report.ai_witness:
+            if dual is report.ai_witness:
                 table = report.witness_table
             else:
+                regular = regularize_ds(instance, dual, revenue=report.drev)
                 table = virtual_values_ds(instance, regular)
             record.update(
                 all_equal_consistent=not report.equality_split,

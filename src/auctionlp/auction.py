@@ -518,11 +518,12 @@ def brev(instance: Instance) -> Fraction:
 
 def _raising_pairs(instance: Instance, i: int) -> list[tuple[int, int]]:
     """Buyer i's (true t, report t2) pairs whose report is higher on
-    some item."""
+    some item, compared on the value numerators."""
+    vecs = instance.supports_scaled[i].nums
     return [
         (t, t2)
-        for t, t2 in itertools.permutations(range(instance.sizes[i]), 2)
-        if any(w2 > w for w, w2 in zip(instance.value(i, t), instance.value(i, t2)))
+        for t, t2 in itertools.permutations(range(len(vecs)), 2)
+        if any(w2 > w for w, w2 in zip(vecs[t], vecs[t2]))
     ]
 
 

@@ -72,9 +72,8 @@ def cmd_solve(args) -> int:
     # a one-item optimum proved in closed form, or else the program's,
     # which the model proved while solving (solve_form) past the
     # solver's own tableau guard
-    certificate = proved_certificate(instance, form)
-    if certificate is None:
-        certificate = solve_form(instance, form)
+    proofs = proved_certificate(instance, form)
+    certificate = solve_form(instance, form) if proofs is None else proofs[0]
     if args.certificate:
         document = certificate_document(instance, form, certificate)
         write_certificate(args.certificate, document)

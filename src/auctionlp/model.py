@@ -1,13 +1,15 @@
 """Exact-rational domain types for auction instances, mechanisms, dual
 solutions, and virtual-value tables.
 
-Every number these types show is a `fractions.Fraction`, save NEG_INF,
-the marker of an unbounded-below virtual value; the arithmetic behind
-the post-solve ones runs on integers (see Integer numerators below).
-NEG_INF is IEEE -inf, which Fraction compares with exactly: it is the
-one float outside the LP solver's proposal pass, whose answers only
-count once an exact check accepts them.  Types are frozen dataclasses
-built from nested tuples, immutable after construction.
+An instance holds `fractions.Fraction`s; every post-solve type
+(mechanism, primal slacks, dual solution, virtual-value table) holds
+integer numerators and shows them as Fractions only through views (see
+Integer numerators below).  A table marks an unbounded-below virtual
+value by None among its numerators, and its view shows NEG_INF there:
+IEEE -inf, which Fraction and int compare with exactly, the one float
+outside the LP solver's proposal pass, whose answers only count once an
+exact check accepts them.  Types are frozen dataclasses built from
+nested tuples, immutable after construction.
 
 Conventions used throughout:
 
@@ -23,6 +25,8 @@ Rank tables.  An Instance builds, on first use and then caches:
 * `sizes` and `profile_count`;
 * `ranks[i][s][t]`, the rank of the profile where buyer i has type t
   against slice s, and its inverse `positions[i][r] = (t, s)`;
+* `zero_types[i]`, the index of buyer i's zero vector (None where it
+  has none);
 * `mu_scaled`, the prior masses of the profiles by rank, and
   `mu_minus_scaled[i]`, the masses of buyer i's opponent slices by
   slice, as integer numerators (see Integer numerators below).
@@ -76,11 +80,15 @@ vector is per buyer (a `Scaled`):
   dominant-strategy form, W_i in the Bayesian form);
 * `DualSolution.scaled`: zeta[i], eta[i] and psi[i] over Z_i, xi over
   X, phi[i] over Z_i * V_i, alpha[i] over lcm(X, S_i * Z_i * V_i) and
-  beta[i] over lcm(S_i * Z_i, M).
+  beta[i] over lcm(S_i * Z_i, M);
+* `VirtualValueTable.scaled`: buyer i's entries over Z_i * V_i * L_i,
+  where L_i is the lcm of the numerators of its keys' nonzero masses
+  (over M_i), so that phi / mass at a key of mass q is
+  phi * M_i * (L_i // q); None stands for -inf.
 
-Mechanisms, primal slacks and duals hold only these numerators.  Their
-`Fraction` fields are views, made on first read for IO, the CLI and
-tests (every zero in them one shared Fraction(0)).  Two values compare
+Mechanisms, primal slacks, duals and tables hold only these numerators.
+Their `Fraction` fields are views, made on first read for IO, the CLI
+and tests (every zero in them one shared Fraction(0)).  Two values compare
 and hash by their views, so they are equal when they stand for the same
 rationals, whichever denominators their producers chose.  Each producer
 builds its numerators directly: extraction puts the one certificate
@@ -96,7 +104,9 @@ multipliers, splits them once and calls it.  The sign tests
 (`PrimalSlacks.feasible`, `mechanism_feasible`,
 `DualSolution.is_feasible`), the slackness ledger, regularity,
 `Mechanism.revenue` and `DualSolution.objective` read numerators, and
-make a Fraction only for the value they return.
+make a Fraction only for the value they return.  So do the checks on a
+table (virtual.check_ubvv and check_vwm, analysis._slice_mismatch),
+which compare its numerators as integers and make no Fraction.
 """
 
 from __future__ import annotations
@@ -375,11 +385,7 @@ class Instance:
         return self.probs[i][t]
 
     def zero_index(self, i: int) -> int | None:
-        zero = (Fraction(0),) * self.m
-        for t, vec in enumerate(self.supports[i]):
-            if vec == zero:
-                return t
-        return None
+        return self.zero_types[i]
 
     # -- measures -----------------------------------------------------------
 
@@ -439,6 +445,17 @@ class Instance:
     def supports_scaled(self) -> tuple[Scaled, ...]:
         """Per buyer, its value vectors over one denominator."""
         return tuple(map(_scale, self.supports))
+
+    @cached_property
+    def zero_types(self) -> tuple[int | None, ...]:
+        """Per buyer, the index of its zero vector, or None.  It reads
+        the supports' own Fractions, each zero of which is false, so
+        that an instance asked only this (a generator's rejected draw,
+        say) scales no support."""
+        return tuple(
+            next((t for t, vec in enumerate(vecs) if not any(vec)), None)
+            for vecs in self.supports
+        )
 
     @cached_property
     def probs_scaled(self) -> tuple[Scaled, ...]:
@@ -1041,16 +1058,31 @@ def _dual_from_scaled(instance: Instance, form: str, multipliers, xi_scaled) -> 
 # Virtual values and reports
 
 
-@dataclass(frozen=True)
-class VirtualValueTable:
+@dataclass(frozen=True, eq=False)
+class VirtualValueTable(_Numerators):
     """Per (buyer, item, profile) virtual values.
 
-    values[i][j][r] is a Fraction or NEG_INF.  Bayesian-form tables are
-    constant across opponent indices by construction.
+    scaled[i] holds buyer i's entries over one denominator: nums[j][r]
+    is the numerator of item j's virtual value at the profile of rank r,
+    or None for -inf.  values[i][j][r] is its view, a Fraction or
+    NEG_INF.  Bayesian-form tables are constant across opponent indices
+    by construction.
     """
 
     form: str
-    values: tuple
+    scaled: tuple[Scaled, ...]
+
+    _views = ("form", "values")
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(
+            tuple(
+                tuple([NEG_INF if q is None else Fraction(q, den) if q else _ZERO for q in column])
+                for column in nums
+            )
+            for nums, den in self.scaled
+        )
 
 
 @dataclass(frozen=True)

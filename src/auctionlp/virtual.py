@@ -129,13 +129,10 @@ def _products(pairs) -> Fraction:
 # Regularity
 
 
-def _zero_indices(instance: Instance) -> list[int]:
-    zeros = []
-    for i in range(instance.n):
-        t0 = instance.zero_index(i)
-        if t0 is None:
-            raise MissingZeroType(f"buyer {i} has no zero vector in support")
-        zeros.append(t0)
+def _zero_indices(instance: Instance) -> tuple[int, ...]:
+    zeros = instance.zero_types
+    if None in zeros:
+        raise MissingZeroType(f"buyer {zeros.index(None)} has no zero vector in support")
     return zeros
 
 
@@ -301,33 +298,32 @@ def virtual_values_bayes(
 
 def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> VirtualValueTable:
     """One entry per key, phi / mass, read out at every profile of it,
-    made from the numerators of phi and the masses.  Regularity is
-    checked first."""
+    made from the numerators of phi and the masses: buyer i's phi over
+    Z * V and its keys' masses over M put a key of mass q at
+    phi * M * (L // q) over Z * V * L, where L is the lcm of the
+    buyer's nonzero masses.  Regularity is checked first."""
     witness = _regularity_witness(instance, dual, form)
     if witness is not None:
         raise NotRegular(f"dual is not regular: {witness}")
     zeros = _zero_indices(instance)
-    values = []
+    scaled = []
     for i, t0 in enumerate(zeros):
         keys = multiplier_keys(instance, form, i)
         masses, m_den = keys.masses
+        weights = keys.weights.nums
         phi_i, phi_den = dual.scaled.phi[i]
+        unit = lcm(*filter(None, masses))
         per_key = []
         for key, (t, s) in enumerate(keys.positions):
             w = masses[key]
             if w:
-                unit = phi_den * w
-                per_key.append(tuple(Fraction(phi * m_den, unit) for phi in phi_i[key]))
+                up = m_den * (unit // w)
+                per_key.append(tuple([phi * up for phi in phi_i[key]]))
             else:
-                entry = NEG_INF if keys.weights.nums[s] and t == t0 else Fraction(0)
-                per_key.append((entry,) * instance.m)
-        values.append(
-            tuple(
-                tuple(per_key[keys.families[s][t]][j] for t, s in instance.positions[i])
-                for j in range(instance.m)
-            )
-        )
-    return VirtualValueTable(form=form, values=tuple(values))
+                per_key.append((None if weights[s] and t == t0 else 0,) * instance.m)
+        rows = [per_key[keys.families[s][t]] for t, s in instance.positions[i]]
+        scaled.append(Scaled(tuple(zip(*rows)), phi_den * unit))
+    return VirtualValueTable(form, tuple(scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +356,30 @@ def check_vwm(
 ) -> CheckReport:
     """Verify that on every mass-bearing profile each item goes only to
     buyers of maximal nonnegative virtual value, and that the item is
-    fully allocated whenever the maximum is positive."""
+    fully allocated whenever the maximum is positive.  The buyers'
+    entries are compared over the lcm of their denominators (NEG_INF,
+    which ints compare with exactly, for -inf), and the allocation's
+    numerators against its denominator."""
     violations = []
     checked = 0
+    den = lcm(*(scaled.den for scaled in table.scaled))
+    columns = [
+        [
+            [NEG_INF if q is None else q * (den // buyer_den) for q in column]
+            for column in nums
+        ]
+        for nums, buyer_den in table.scaled
+    ]
+    alloc, alloc_den = mechanism.scaled.nums[0], mechanism.scaled.den
     for r, w in enumerate(instance.mu_scaled.nums):
         if w == 0:
             continue
         checked += 1
         for j in range(instance.m):
-            entries = [table.values[i][j][r] for i in range(instance.n)]
+            entries = [buyer[j][r] for buyer in columns]
             best = max(entries)
             for i in range(instance.n):
-                if mechanism.alloc[r][i][j] > 0:
+                if alloc[r][i][j] > 0:
                     if entries[i] != best:
                         violations.append(
                             VwmViolation("alloc-not-argmax", j, r, i)
@@ -380,30 +388,34 @@ def check_vwm(
                         violations.append(
                             VwmViolation("alloc-negative", j, r, i)
                         )
-            sold = sum((cell[j] for cell in mechanism.alloc[r]), Fraction(0))
-            if sold < 1 and best > 0:
+            sold = sum(cell[j] for cell in alloc[r])
+            if sold < alloc_den and best > 0:
                 violations.append(VwmViolation("unsold-max-positive", j, r))
-            if 0 < sold < 1 and best != 0:
+            if 0 < sold < alloc_den and best != 0:
                 violations.append(VwmViolation("partial-max-nonzero", j, r))
     return CheckReport(checked=checked, violations=tuple(violations))
 
 
 def check_ubvv(table: VirtualValueTable, instance: Instance) -> CheckReport:
     """Report whether every finite entry on a mass-bearing profile stays
-    at or below the corresponding value coordinate.  Violations are
-    findings, not errors."""
+    at or below the corresponding value coordinate, cross-multiplying
+    the entry's numerator over its buyer's denominator with the value's
+    over the buyer's value denominator.  Violations are findings, not
+    errors."""
     violations = []
     checked = 0
     for r, w in enumerate(instance.mu_scaled.nums):
         if w == 0:
             continue
-        for i in range(instance.n):
-            vec = instance.value(i, instance.positions[i][r][0])
-            for j in range(instance.m):
-                entry = table.values[i][j][r]
-                if entry == NEG_INF:
+        for i, ((nums, den), (vecs, value_den)) in enumerate(
+            zip(table.scaled, instance.supports_scaled)
+        ):
+            vec = vecs[instance.positions[i][r][0]]
+            for j, column in enumerate(nums):
+                entry = column[r]
+                if entry is None:
                     continue
                 checked += 1
-                if entry > vec[j]:
+                if entry * value_den > vec[j] * den:
                     violations.append((i, j, r))
     return CheckReport(checked=checked, violations=tuple(violations))

@@ -17,8 +17,11 @@ profiles; reference_fraction, CPython 3.11's reading of number text,
 with NUMBER_TABLE, literals at the edges of that grammar; and the
 plain-Fraction references of the integer
 producers (the canonical flow, Myerson's auction, face_excess, the
-equivalence maps and the regularization moves).  mechanism_of and
-slacks_of build a Mechanism or PrimalSlacks from Fractions, labels
+equivalence maps and the regularization moves), of the virtual-value
+tables (reference_virtual_values) and of the checks on them
+(reference_ubvv, reference_vwm, reference_agent_independence), each over
+the Fraction views.  mechanism_of, slacks_of and table_of build a
+Mechanism, PrimalSlacks or VirtualValueTable from Fractions, labels
 renders every label of a layout, and iid_items_instance draws an
 instance whose values are i.i.d. across items as well as buyers.
 ds_optimum reads the proved DS optimum off a solve, assert_frozen
@@ -53,9 +56,12 @@ from auctionlp.lp import MAX, MIN, make_lp, solve
 from auctionlp.model import (
     BAYES,
     DS,
+    NEG_INF,
     Mechanism,
     PrimalSlacks,
+    Scaled,
     SlackNumerators,
+    VirtualValueTable,
     _scale,
     rat_str,
     validate_instance,
@@ -629,6 +635,22 @@ def slacks_of(form, a, b, c):
     return PrimalSlacks(form, numerators)
 
 
+def table_of(form, values):
+    """The VirtualValueTable with these values, values[i][j][r] a
+    Fraction or NEG_INF: each buyer's finite entries over the lcm of
+    their denominators, and None for NEG_INF.  Tests build every table
+    of Fractions through it."""
+    buyers = []
+    for columns in values:
+        nums, den = _scale(tuple(tuple(0 if q == NEG_INF else q for q in c) for c in columns))
+        marked = tuple(
+            tuple(None if q == NEG_INF else n for q, n in zip(column, row))
+            for column, row in zip(columns, nums)
+        )
+        buyers.append(Scaled(marked, den))
+    return VirtualValueTable(form, tuple(buyers))
+
+
 def zero_mechanism(instance, form=DS):
     alloc = (((Fraction(0),) * instance.m,) * instance.n,) * instance.profile_count
     pay = ((Fraction(0),) * instance.n,) * instance.profile_count
@@ -783,6 +805,92 @@ def reference_slice_mismatch(instance, dual, i, table=None):
                 if t2 != t and z * weights[ref] != zref * weights[s]:
                     return ("zeta", (i, t, t2, s))
     return None
+
+
+def reference_agent_independence(instance, dual, table):
+    """analysis.check_agent_independence by definition: (False, the
+    first buyer's reference_slice_mismatch witness), or (True, None)."""
+    for i in range(instance.n):
+        witness = reference_slice_mismatch(instance, dual, i, table)
+        if witness is not None:
+            return False, witness
+    return True, None
+
+
+def reference_virtual_values(instance, dual, form):
+    """The values of virtual_values_ds (form DS) or virtual_values_bayes
+    (BAYES) by definition, values[i][j][r] at the profile v of rank r:
+    phi_star(v) / mu(v) (Bayesian: phibar_star(v_i) / mu_i(v_i)); where
+    that mass is 0, NEG_INF at the zero type on an opponent profile of
+    positive mass (every Bayesian key counts as one) and 0 elsewhere.
+    Regularity is not checked."""
+    values = []
+    for i in range(instance.n):
+        t0 = instance.zero_index(i)
+        columns = []
+        for j in range(instance.m):
+            column = []
+            for v in instance.profiles():
+                t = v[i]
+                if form == DS:
+                    mass, weight = instance.mu(v), instance.mu_minus(i, drop(i, v))
+                else:
+                    mass, weight = instance.mu_i(i, t), 1
+                if not mass:
+                    column.append(NEG_INF if weight and t == t0 else Fraction(0))
+                elif form == DS:
+                    column.append(phi_star(dual, instance, i, j, v) / mass)
+                else:
+                    column.append(phibar_star(dual, instance, i, j, t) / mass)
+            columns.append(tuple(column))
+        values.append(tuple(columns))
+    return tuple(values)
+
+
+def reference_ubvv(table, instance):
+    """virtual.check_ubvv by definition, over profile tuples and the
+    table's Fraction view: (checked, violations), each violation an
+    (i, j, r) whose finite entry exceeds the value."""
+    checked, violations = 0, []
+    for v in instance.profiles():
+        if not instance.mu(v):
+            continue
+        r = instance.rank(v)
+        for i in range(instance.n):
+            for j in range(instance.m):
+                entry = table.values[i][j][r]
+                if entry != NEG_INF:
+                    checked += 1
+                    if entry > instance.value(i, v[i])[j]:
+                        violations.append((i, j, r))
+    return checked, tuple(violations)
+
+
+def reference_vwm(instance, mechanism, table):
+    """virtual.check_vwm by definition, over profile tuples and the
+    Fraction views of the mechanism and the table: (checked, violations),
+    each violation a (kind, item, rank, buyer or None)."""
+    checked, violations = 0, []
+    for v in instance.profiles():
+        if not instance.mu(v):
+            continue
+        checked += 1
+        r = instance.rank(v)
+        for j in range(instance.m):
+            entries = [table.values[i][j][r] for i in range(instance.n)]
+            best = max(entries)
+            for i, entry in enumerate(entries):
+                if mechanism.alloc[r][i][j] > 0:
+                    if entry != best:
+                        violations.append(("alloc-not-argmax", j, r, i))
+                    if entry < 0:
+                        violations.append(("alloc-negative", j, r, i))
+            total = sold(mechanism, instance, j, v)
+            if total < 1 and best > 0:
+                violations.append(("unsold-max-positive", j, r, None))
+            if 0 < total < 1 and best != 0:
+                violations.append(("partial-max-nonzero", j, r, None))
+    return checked, violations
 
 
 # -- plain-Fraction references of the integer producers ----------------------

@@ -50,6 +50,8 @@ class Mutant(NamedTuple):
 MODEL = "src/auctionlp/model.py"
 AUCTION = "src/auctionlp/auction.py"
 PROGRAM = "src/auctionlp/lp/program.py"
+VIRTUAL = "src/auctionlp/virtual.py"
+ANALYSIS = "src/auctionlp/analysis.py"
 
 MUTANTS = [
     # the DS gather of _ds_coefficients reads the inflow through the
@@ -182,6 +184,49 @@ MUTANTS = [
         AUCTION,
         "number(-w * v, unit)) for x, v in zip(xs, vec) if v]",
         "number(w * v, unit)) for x, v in zip(xs, vec) if v]",
+    ),
+    # _build_primal keeps the zero-valued terms of ic and ir rows
+    Mutant(
+        "primal-zero-coefficient-kept",
+        AUCTION,
+        "zip(xs, vec) if v]",
+        "zip(xs, vec)]",
+    ),
+    # _build_primal writes the truth's payment column twice in an ic
+    # row, in place of the lie's
+    Mutant(
+        "primal-pay-column-twice",
+        AUCTION,
+        "row += ((p_i + lr, neg), pay)",
+        "row += ((p_i + r, neg), pay)",
+    ),
+    # check_ubvv flags an entry equal to its value
+    Mutant(
+        "ubvv-strict-relaxed",
+        VIRTUAL,
+        "if entry * value_den > vec[j] * den:",
+        "if entry * value_den >= vec[j] * den:",
+    ),
+    # check_ubvv reads the value's numerator as the value
+    Mutant(
+        "ubvv-value-den-dropped",
+        VIRTUAL,
+        "if entry * value_den > vec[j] * den:",
+        "if entry > vec[j] * den:",
+    ),
+    # _slice_mismatch compares no virtual values across slices
+    Mutant(
+        "slice-phi-unchecked",
+        ANALYSIS,
+        "if column[r] != column[base]:",
+        "if False:",
+    ),
+    # a table writes 0 where a virtual value is -inf
+    Mutant(
+        "table-neg-inf-as-zero",
+        VIRTUAL,
+        "(None if weights[s] and t == t0 else 0,)",
+        "(0 if weights[s] and t == t0 else 0,)",
     ),
     # recheck_certificate drops the stated objective
     Mutant(

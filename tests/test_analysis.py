@@ -96,7 +96,7 @@ def test_srev_breakdown(items12):
 def lp_path(monkeypatch):
     """Route SRev, characterize's revenues and the scan's tight dual
     through their programs, as before the closed forms."""
-    monkeypatch.setattr(analysis, "proved_certificate", lambda inst, form: None)
+    monkeypatch.setattr(analysis, "proved_certificate", lambda inst, *forms: None)
     monkeypatch.setattr(
         analysis,
         "_tight_dual",
@@ -147,16 +147,16 @@ def test_closed_forms_match_the_programs(monkeypatch):
 
 def test_scan_builds_each_canonical_flow_once(monkeypatch):
     # A single-item instance's SRev is the certified DRev, so only the
-    # tight dual builds its flow.  A two-item
+    # closed form of both forms builds its ladder flow, once.  A two-item
     # instance builds one flow per item marginal and no tight-dual flow.
     built = []
-    original = analysis.canonical_flow
+    original = analysis._ladder_flow
 
     def spy(instance):
         built.append(instance)
         return original(instance)
 
-    monkeypatch.setattr(analysis, "canonical_flow", spy)
+    monkeypatch.setattr(analysis, "_ladder_flow", spy)
     for family, seed in (
         ({"n": 3, "m": 1, "support": 2, "iid": True}, 1),
         ({"n": 3, "m": 2, "support": 2, "iid": True}, 0),
@@ -278,8 +278,13 @@ def test_characterize_refuses_a_tampered_proposal(spied_solves, monkeypatch, pai
     doubled = tuple(tuple(2 * x for x in column) for column in flow.xi)
     inflated = dual_from_multipliers(pair12, DS, flow.zeta, flow.eta, doubled)
     assert inflated.is_feasible() and inflated.objective() == 2 * expected[0]
+    flow_dual = analysis._flow_dual
     with monkeypatch.context() as patched:
-        patched.setattr(analysis, "canonical_flow", lambda instance: inflated)
+        patched.setattr(
+            analysis,
+            "_flow_dual",
+            lambda inst, form, *flow: inflated if form == DS else flow_dual(inst, form, *flow),
+        )
         report, solves = spied_solves(characterize, pair12)
     assert solves == 2 and (report.drev, report.brev) == expected
     monkeypatch.setattr(analysis, "myerson_mechanism", _bumped_payment)
@@ -320,20 +325,20 @@ def test_closed_form_characterize_matches_the_programs(monkeypatch):
         for iid in (True, False)
     ]
     proved = []
-    original = analysis.proved_certificate
+    original = analysis._myerson_auction
 
-    def spy(instance, form):
-        proof = original(instance, form)
+    def spy(instance, form, auction, dual):
+        proof = original(instance, form, auction, dual)
         proved.append((form, proof is not None))
         return proof
 
-    monkeypatch.setattr(analysis, "proved_certificate", spy)
+    monkeypatch.setattr(analysis, "_myerson_auction", spy)
     closed = [_characterize_outputs(instance, seed) for seed, instance in instances]
-    # 8 of the 30 refused on the DS form, and the Bayesian form, asked
-    # only of the other 22, accepted each
+    # 8 of the 30 refused on the DS form, and the Bayesian form, proved
+    # only for the other 22, accepted each
     assert proved.count((DS, True)) == proved.count((BAYES, True)) == 22
     assert len(proved) == 30 + 22 and proved.count((DS, False)) == 8
-    monkeypatch.setattr(analysis, "proved_certificate", lambda inst, form: None)
+    monkeypatch.setattr(analysis, "proved_certificate", lambda inst, *forms: None)
     programs = [_characterize_outputs(instance, seed) for seed, instance in instances]
     assert closed == programs
 
@@ -659,30 +664,34 @@ def test_iid_scan_corpus_maps_and_tabulates_once(monkeypatch, tmp_path):
     # the benchmark's seed-1 pass: 41 instances, 33 on the closed form;
     # the 6 mappings left are the two-item witnesses, and each instance
     # gets one DS table (39 mappings and 80 tables before the duals were
-    # carried forward)
+    # carried forward).  Only the 2 tight duals that are not their
+    # witness are regularized: building the witness's table proved it
+    # regular
     ops = perfbench_corpus(monkeypatch, "iid-scan", 1, tmp_path)
-    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
+    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds", "regularize_ds")
     with contextlib.redirect_stdout(io.StringIO()):
         assert all(cli.main(op.argv) == 0 for op in ops)
     assert len(ops) == 41
-    assert calls == {"bic_to_dsic_dual": 6, "virtual_values_ds": 41}
+    assert calls == {"bic_to_dsic_dual": 6, "virtual_values_ds": 41, "regularize_ds": 2}
 
 
 def _without_carried_duals(mp):
     """Map every witness through bic_to_dsic_dual and build every table
-    the scan reads: both regularizations return a value-equal copy,
-    never the dual they were given, so no witness is the flow and no
-    tight dual is the witness."""
+    the scan reads: the Bayesian regularization and the tight dual's
+    selection return a value-equal copy, never the dual they were
+    given, so no witness is the flow and no tight dual is the witness."""
+    regularize, tight = analysis.regularize_bayes, analysis._tight_dual
 
-    def copied(regularize):
-        def copy(instance, dual, revenue):
-            regular = regularize(instance, dual, revenue=revenue)
-            return replace(regular, scaled=regular.scaled)
+    def regularized(instance, dual, revenue):
+        regular = regularize(instance, dual, revenue=revenue)
+        return replace(regular, scaled=regular.scaled)
 
-        return copy
+    def tight_copy(instance, report):
+        dual, excess = tight(instance, report)
+        return replace(dual, scaled=dual.scaled), excess
 
-    for name in ("regularize_bayes", "regularize_ds"):
-        mp.setattr(analysis, name, copied(getattr(analysis, name)))
+    mp.setattr(analysis, "regularize_bayes", regularized)
+    mp.setattr(analysis, "_tight_dual", tight_copy)
 
 
 # (n, m, support), i.i.d. and not, seeds 0-5: 96 instances
@@ -788,8 +797,8 @@ def _raised_xi(instance, form, dual):
 MIXED_CASES = [(2, 3, 0), (3, 2, 0), (3, 2, 3), (3, 3, 0), (3, 3, 2)]
 
 
-@pytest.mark.parametrize("seam, form", [("canonical_flow", DS), ("_flow_image", BAYES)])
-def test_a_mixed_refusal_takes_both_optima_from_the_programs(seam, form):
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_a_mixed_refusal_takes_both_optima_from_the_programs(form):
     # the two closed forms accepted or refused together on every seeded
     # instance tried, but nothing proves they must; with one form's dual
     # tampered only that form refuses, and characterize and the scan
@@ -806,14 +815,20 @@ def test_a_mixed_refusal_takes_both_optima_from_the_programs(seam, form):
 
         closed = outputs()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "proved_certificate", lambda inst, _: None)
+            mp.setattr(analysis, "proved_certificate", lambda inst, *forms: None)
             programs = outputs()
         assert closed != programs
         with pytest.MonkeyPatch.context() as mp:
-            original = getattr(analysis, seam)
-            mp.setattr(analysis, seam, lambda inst: _raised_xi(inst, form, original(inst)))
+            original = analysis._flow_dual
+
+            def tampered(inst, at, *flow):
+                dual = original(inst, at, *flow)
+                return _raised_xi(inst, at, dual) if at == form else dual
+
+            mp.setattr(analysis, "_flow_dual", tampered)
             assert proved_certificate(instance, form) is None
             assert proved_certificate(instance, other) is not None
+            assert proved_certificate(instance, DS, BAYES) is None
             assert outputs() == programs
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from auctionlp import analysis, auction, cli
 from auctionlp.analysis import (
-    _flow_image,
+    _flow_dual,
     bic_to_dsic_dual,
     canonical_flow,
     dsic_to_bic_dual,
@@ -98,9 +98,9 @@ def test_closed_form_solves_match_the_program(tmp_path, capsys, monkeypatch, pro
     original = cli.proved_certificate
 
     def spy(instance, form):
-        certificate = original(instance, form)
-        verdicts[form].append(certificate is not None)
-        return certificate
+        proofs = original(instance, form)
+        verdicts[form].append(proofs is not None)
+        return proofs
 
     monkeypatch.setattr(cli, "proved_certificate", spy)
     assert len(CORPUS) >= 40
@@ -151,9 +151,10 @@ def _read_back(instance, form, document):
 def test_closed_form_certificate_reads_back_as_its_proof(form):
     read = 0
     for name, instance in CORPUS:
-        proof = proved_certificate(instance, form)
-        if proof is None:
+        proofs = proved_certificate(instance, form)
+        if proofs is None:
             continue
+        (proof,) = proofs
         read += 1
         assert proof.instance is instance and proof.mechanism.form == form, name
         revenue = proof.mechanism.revenue(instance)
@@ -190,7 +191,7 @@ def test_writing_a_solved_proof_gives_back_the_solved_vectors(spec, form):
 
 
 def test_a_proof_documents_only_its_own_optimum(pair12, u12):
-    proof = proved_certificate(pair12, DS)
+    (proof,) = proved_certificate(pair12, DS)
     document = certificate_document(pair12, DS, proof)
     assert document["objective"] == "3/2"
     # an equal instance that is another object has the same optimum
@@ -232,9 +233,10 @@ def _parent_bayes_proof(instance):
     """The Bayesian closed form as it was proved before the image stood
     alone: the dominant-strategy optimum first, then its auction held to
     the Bayesian rows, and the flow mapped back by dsic_to_bic_dual."""
-    ds = proved_certificate(instance, DS)
-    if ds is None:
+    proofs = proved_certificate(instance, DS)
+    if proofs is None:
         return None
+    (ds,) = proofs
     mechanism = Mechanism(BAYES, ds.mechanism.scaled)
     slacks = mechanism_slacks(instance, mechanism)
     if not mechanism_feasible(instance, mechanism, slacks):
@@ -251,16 +253,46 @@ def test_bayes_image_stands_for_the_flow():
     assert 110 <= len(corpus) <= 130
     verdicts = []
     for name, instance in corpus:
-        flow, image = canonical_flow(instance), _flow_image(instance)
+        flow = canonical_flow(instance)
+        image = _flow_dual(instance, BAYES, *analysis._ladder_flow(instance))
         assert image == dsic_to_bic_dual(instance, flow), name
         assert bic_to_dsic_dual(instance, image) == flow, name
         before, after = _parent_bayes_proof(instance), proved_certificate(instance, BAYES)
         verdicts.append(before is not None)
         if before is not None:
             assert after is not None, name
+            (after,) = after
             document = certificate_document(instance, BAYES, after)
             assert document == certificate_document(instance, BAYES, before), name
     assert set(verdicts) == {True, False}
+
+
+def test_two_form_proofs_are_the_one_form_proofs(monkeypatch):
+    # one call proves both forms off one ladder flow and one priced
+    # auction, and gives each one-form call's proof; the two forms hold
+    # the same auction numerators, and where either form refuses the
+    # call refuses
+    calls = []
+    for name in ("_ladder_flow", "myerson_mechanism"):
+        original = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    verdicts = set()
+    for name, instance in CORPUS:
+        calls.clear()
+        both = proved_certificate(instance, DS, BAYES)
+        assert calls == ["_ladder_flow", "myerson_mechanism"], name
+        ds, bayes = proved_certificate(instance, DS), proved_certificate(instance, BAYES)
+        verdicts.add((ds is not None, bayes is not None))
+        if both is None:
+            assert ds is None or bayes is None, name
+            continue
+        assert both == ds + bayes, name
+        assert both[0].mechanism.scaled == both[1].mechanism.scaled, name
+        assert [proof.mechanism.form for proof in both] == [DS, BAYES], name
+        assert proved_certificate(instance, BAYES, DS) == both[::-1], name
+    assert verdicts == {(True, True), (False, False)}
 
 
 def _negated_eta(multipliers, xi):
@@ -282,11 +314,11 @@ def _raised_xi(multipliers, xi):
 def test_bayes_closed_form_refuses_a_tampered_image(monkeypatch, pair12, tamper):
     # each tampered image prices the accepted auction, and fails exactly
     # one of the other two checks, which alone must refuse it
-    accepted = proved_certificate(pair12, BAYES)
+    (accepted,) = proved_certificate(pair12, BAYES)
     image = _dual_from_scaled(pair12, BAYES, *tamper(*analysis._ladder_flow(pair12)))
     assert Mechanism(BAYES, myerson_mechanism(pair12, image).scaled) == accepted.mechanism
     assert image.is_feasible() != (accepted.mechanism.revenue(pair12) == image.objective())
-    monkeypatch.setattr(analysis, "_flow_image", lambda instance: image)
+    monkeypatch.setattr(analysis, "_flow_dual", lambda instance, form, *flow: image)
     assert proved_certificate(pair12, BAYES) is None
 
 

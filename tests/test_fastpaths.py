@@ -35,7 +35,6 @@ from auctionlp.model import (
     Mechanism,
     Scaled,
     SlackNumerators,
-    VirtualValueTable,
     _dual_from_scaled,
     _scale,
     _slack_numerators,
@@ -58,6 +57,7 @@ from helpers import (
     reference_primal,
     reference_slacks,
     reference_slice_mismatch,
+    table_of,
 )
 
 F = Fraction
@@ -597,7 +597,7 @@ def test_slice_mismatch_matches_definition(index):
         dual = dual_from_multipliers(
             instance, DS, tuple(tuple(map(tuple, z)) for z in zeta), tuple(map(tuple, eta)), xi
         )
-        table = VirtualValueTable(DS, tuple(tuple(map(tuple, v)) for v in values))
+        table = table_of(DS, tuple(tuple(map(tuple, v)) for v in values))
         found = []
         for i in range(instance.n):
             for tab in (None, table):

@@ -21,7 +21,7 @@ from auctionlp.model import DS, Instance
 FAST_PATHS = {
     "_key_coefficients", "_key_rows", "mechanism_slacks", "_slack_numerators",
     "dual_from_multipliers", "_dual_from_scaled", "canonical_flow", "_ladder_flow",
-    "_flow_image", "myerson_mechanism", "proved_certificate",
+    "_flow_dual", "myerson_mechanism", "proved_certificate",
     "face_excess", "bic_to_dsic_dual", "dsic_to_bic_dual", "regularize_ds",
     "regularize_bayes", "_regularize", "scaled", "supports_scaled", "probs_scaled",
     "mu_scaled", "mu_minus_scaled",

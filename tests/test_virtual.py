@@ -6,6 +6,7 @@ ironed formula (helpers.myerson_formula); where the optimal regular
 dual is not unique, the disagreement must be witnessed by the face
 probe (helpers.regular_phi_range)."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,12 +22,11 @@ from auctionlp.auction import (
     solve_form,
 )
 from auctionlp.errors import InfeasibleInput, MissingZeroType, NotOptimal, NotRegular
-from auctionlp.analysis import canonical_flow
+from auctionlp.analysis import bic_to_dsic_dual, canonical_flow, check_agent_independence
 from auctionlp.oracles import gen_instance
 from auctionlp.model import (
     NEG_INF,
     Instance,
-    VirtualValueTable,
     _scale,
     dual_from_multipliers,
 )
@@ -47,8 +47,13 @@ from helpers import (
     mechanism_of,
     myerson_formula,
     others_rank,
+    reference_agent_independence,
+    reference_ubvv,
+    reference_virtual_values,
+    reference_vwm,
     regular_phi_range,
     sold,
+    table_of,
     zero_mechanism,
 )
 
@@ -422,10 +427,7 @@ def test_bayes_table_is_constant_across_opponents(pair12):
 
 
 def hand_table(instance, entries):
-    return VirtualValueTable(
-        form=DS,
-        values=((tuple(entries),),),
-    )
+    return table_of(DS, ((tuple(entries),),))
 
 
 def pair_table(pair12, per_type):
@@ -435,7 +437,7 @@ def pair_table(pair12, per_type):
         )
         for i in (0, 1)
     )
-    return VirtualValueTable(form=DS, values=values)
+    return table_of(DS, values)
 
 
 def mech_rows(instance, rows):
@@ -527,3 +529,99 @@ def test_ubvv_skips_unbounded_entries(u12):
     report = check_ubvv(table, u12)
     assert report.ok
     assert report.checked == 1
+
+
+# -- numerator tables against their Fraction definitions ---------------------
+
+
+# (spec, seeds): one to three buyers, one or two items, values over
+# denominators up to 4, zero-mass zero types among them; 40 instances
+TABLE_SHAPES = [
+    ({"n": 1, "m": 1, "support": 3}, range(4)),
+    ({"n": 2, "m": 1, "support": 3}, range(8)),
+    ({"n": 2, "m": 1, "support": 2, "iid": True}, range(6)),
+    ({"n": 3, "m": 1, "support": 2, "iid": True}, range(8)),
+    ({"n": 3, "m": 1, "support": 2}, range(6)),
+    ({"n": 2, "m": 2, "support": 2}, range(8)),
+]
+TABLE_CASES = [(spec, seed) for spec, seeds in TABLE_SHAPES for seed in seeds]
+
+
+def _doctored(instance, table, rng):
+    """The table with each finite entry moved to its value, or 1/7 off
+    it either way, and a few entries to NEG_INF: the upper-bound check's
+    edge on every entry, with argmax changes for check_vwm."""
+    values = [[list(column) for column in buyer] for buyer in table.values]
+    for i, buyer in enumerate(values):
+        for j, column in enumerate(buyer):
+            for r, entry in enumerate(column):
+                if entry != NEG_INF:
+                    t = instance.positions[i][r][0]
+                    column[r] = instance.value(i, t)[j] + rng.choice((F(-1, 7), F(0), F(1, 7)))
+                    if rng.random() < 0.1:
+                        column[r] = NEG_INF
+    return table_of(table.form, values)
+
+
+def _phi_moved(instance, table, rng):
+    """The table with one entry of one buyer moved by 1/5, or None when
+    no buyer has more than one opponent slice."""
+    buyers = [i for i in range(instance.n) if len(instance.ranks[i]) > 1]
+    if not buyers:
+        return None
+    i = rng.choice(buyers)
+    values = [[list(column) for column in buyer] for buyer in table.values]
+    column = values[i][rng.randrange(instance.m)]
+    r = rng.randrange(instance.profile_count)
+    column[r] = F(1, 5) if column[r] == NEG_INF else column[r] + F(1, 5)
+    return table_of(table.form, values)
+
+
+def test_numerator_tables_and_checks_match_their_fraction_definitions():
+    kinds, verdicts, edges, unbounded = set(), set(), 0, 0
+    for spec, seed in TABLE_CASES:
+        instance = gen_instance(spec, seed)
+        rng = random.Random(seed)
+        witness = None
+        for form in (DS, BAYES):
+            cert, mech, dual = optimal_pair(instance, form)
+            if form == DS:
+                regular = regularize_ds(instance, dual, revenue=cert.objective)
+                table = virtual_values_ds(instance, regular)
+            else:
+                regular = regularize_bayes(instance, dual, revenue=cert.objective)
+                table = virtual_values_bayes(instance, regular)
+                witness = bic_to_dsic_dual(instance, regular)
+            expected = reference_virtual_values(instance, regular, form)
+            assert table.values == expected, (spec, seed, form)
+            assert table == table_of(form, expected)
+            for tab in (table, _doctored(instance, table, rng)):
+                ubvv = check_ubvv(tab, instance)
+                assert (ubvv.checked, ubvv.violations) == reference_ubvv(tab, instance)
+                vwm = check_vwm(instance, mech, tab)
+                found = [(v.kind, v.item, v.rank, v.buyer) for v in vwm.violations]
+                assert (vwm.checked, found) == reference_vwm(instance, mech, tab)
+                verdicts.add(ubvv.ok)
+                kinds.update(kind for kind, *_ in found)
+            for i, buyer in enumerate(table.values):
+                for j, column in enumerate(buyer):
+                    for r, entry in enumerate(column):
+                        edges += entry == instance.value(i, instance.positions[i][r][0])[j]
+                        unbounded += entry == NEG_INF
+            if form == DS:
+                pairs = [(regular, table)]
+            else:
+                ds_table = virtual_values_ds(instance, witness)
+                pairs = [(witness, ds_table), (witness, _phi_moved(instance, ds_table, rng))]
+            for ds_dual, tab in pairs:
+                if tab is None:
+                    continue
+                found = check_agent_independence(instance, ds_dual, tab)
+                assert found == reference_agent_independence(instance, ds_dual, tab)
+                kinds.add(found[1][0] if found[1] else found[0])
+    # both verdicts, every kind of finding, entries at their value and
+    # -inf entries at zero-mass zero types
+    assert verdicts == {True, False} and edges and unbounded
+    assert {"phi", "zeta", True} <= kinds
+    vwm_kinds = {"alloc-not-argmax", "alloc-negative", "unsold-max-positive", "partial-max-nonzero"}
+    assert vwm_kinds <= kinds
