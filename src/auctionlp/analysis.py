@@ -32,13 +32,7 @@ from .model import (
     validate_instance,
 )
 from .oracles import gen_instance
-from .virtual import (
-    check_cs_ds,
-    check_ubvv,
-    regularize_bayes,
-    regularize_ds,
-    virtual_values_ds,
-)
+from .virtual import check_cs, check_ubvv, regularize, virtual_values
 
 __all__ = [
     "srev",
@@ -236,12 +230,12 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     return Mechanism(DS, Scaled((alloc, tuple(map(tuple, pay))), den))
 
 
-def _myerson_auction(instance: Instance, form: str, auction: Scaled, dual: DualSolution):
+def _myerson_auction(instance: Instance, auction: Scaled, dual: DualSolution):
     """The proof (auction._Proof) that Myerson's auction, held by its
-    numerators as a mechanism of the form, and a single-item dual of the
-    form are an optimum of the form, as auction._accepted accepts it,
-    or None where it refuses."""
-    mechanism = Mechanism(form, auction)
+    numerators as a mechanism of the dual's form, and a single-item dual
+    are an optimum of that form, as auction._accepted accepts it, or
+    None where it refuses."""
+    mechanism = Mechanism(dual.form, auction)
     try:
         return _accepted(instance, mechanism, mechanism_slacks(instance, mechanism), dual)
     except CertificateError:
@@ -271,7 +265,7 @@ def proved_certificate(instance: Instance, *forms: str):
         dual = _flow_dual(instance, form, *flow)
         if auction is None:
             auction = myerson_mechanism(instance, dual).scaled
-        proof = _myerson_auction(instance, form, auction, dual)
+        proof = _myerson_auction(instance, auction, dual)
         if proof is None:
             return None
         proofs.append(proof)
@@ -284,7 +278,9 @@ def proved_certificate(instance: Instance, *forms: str):
 
 def face_excess(instance: Instance, dual: DualSolution) -> Fraction:
     """What tight_downward_dual minimizes, less the buyer count: total
-    participation mass plus the mass on raising pairs, minus n."""
+    participation mass plus the mass on raising pairs, minus n, of a
+    dominant-strategy dual (DimensionMismatch for another)."""
+    dual.check_form(DS)
     nums = dual.scaled
     total = Fraction(-instance.n)
     for i, ((zeta, zeta_den), (eta, eta_den)) in enumerate(zip(nums.zeta, nums.eta)):
@@ -362,10 +358,13 @@ def check_agent_independence(instance: Instance, dual: DualSolution, table=None)
     """Check that buyer-level dual data does not depend on the others'
     values: virtual values agree across mass-bearing opponent slices,
     and eta and zeta agree across all slices after weighting by the
-    opponent masses.  table, when given, is virtual_values_ds of dual;
-    otherwise it is built here.  Returns (ok, witness)."""
+    opponent masses.  The dual is a dominant-strategy one
+    (DimensionMismatch for another).  table, when given, is
+    virtual_values of dual; otherwise it is built here.  Returns (ok,
+    witness)."""
+    dual.check_form(DS)
     if table is None:
-        table = virtual_values_ds(instance, dual)
+        table = virtual_values(instance, dual)
     for i in range(instance.n):
         witness = _slice_mismatch(instance, dual, i, table)
         if witness is not None:
@@ -384,7 +383,9 @@ def bic_to_dsic_dual(
     mass: the result is feasible for the dominant-strategy dual with
     the same objective, and is agent-independent by construction.
     Buyer i's multipliers over Z and its opponent masses over W give
-    numerators over Z * W."""
+    numerators over Z * W.  A dual of the other form raises
+    DimensionMismatch."""
+    dual.check_form(BAYES)
     nums = dual.scaled
     multipliers = [Scaled((z.nums, e.nums), z.den) for z, e in zip(nums.zeta, nums.eta)]
     spread = _spread(instance, multipliers)
@@ -432,7 +433,9 @@ def dsic_to_bic_dual(
     """Invert bic_to_dsic_dual on an agent-independent dual by reading
     each buyer's multipliers off a mass-bearing opponent slice.  Dividing
     by that slice's mass w / W scales the numerators by W and the
-    denominator by w."""
+    denominator by w.  A dual of the other form raises
+    DimensionMismatch."""
+    dual.check_form(DS)
     nums = dual.scaled
     multipliers = []
     for i in range(instance.n):
@@ -500,15 +503,15 @@ def characterize(instance: Instance) -> RevenueReport:
     ai_witness = table = None
     findings = []
     if report.brev_eq_drev:
-        regular = regularize_bayes(instance, bayes.dual, revenue=brev_value)
+        regular = regularize(instance, bayes.dual, revenue=brev_value)
         if closed and regular is bayes.dual:
             # proved optimal with the mechanism: its ledger is zero
             ai_witness = ds.dual
         else:
             ai_witness = bic_to_dsic_dual(instance, regular)
-            if not check_cs_ds(instance, ds.mechanism, ai_witness, slacks=ds.slacks).optimal:
+            if not check_cs(instance, ds.mechanism, ai_witness, slacks=ds.slacks).optimal:
                 findings.append("witness-not-dsic-optimal")
-        table = virtual_values_ds(instance, ai_witness)
+        table = virtual_values(instance, ai_witness)
         ok, witness = check_agent_independence(instance, ai_witness, table)
         if not ok:
             findings.append(f"witness-not-agent-independent:{witness}")
@@ -559,8 +562,8 @@ def gen_records(spec: dict, seed: int, count: int, cap: int = 256) -> Iterator[d
     program read off the report's DS optimum is solved.  ubvv_ok reads
     the regularized tight dual's table: the report's witness_table when
     the tight dual is the witness, which that table's construction
-    proved regular (regularize_ds would return it as it is), and the
-    table of regularize_ds's result otherwise.
+    proved regular (regularize would return it as it is), and the
+    table of regularize's result otherwise.
     all_equal_consistent is False exactly when one revenue equality
     holds without the other two."""
     for index in range(count):
@@ -572,8 +575,8 @@ def gen_records(spec: dict, seed: int, count: int, cap: int = 256) -> Iterator[d
             if dual is report.ai_witness:
                 table = report.witness_table
             else:
-                regular = regularize_ds(instance, dual, revenue=report.drev)
-                table = virtual_values_ds(instance, regular)
+                regular = regularize(instance, dual, revenue=report.drev)
+                table = virtual_values(instance, regular)
             record.update(
                 all_equal_consistent=not report.equality_split,
                 bayes_gap=rat_str(report.brev - report.drev),

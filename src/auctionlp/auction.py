@@ -738,9 +738,9 @@ def certificate_document(instance: Instance, form: str, certificate) -> dict:
     proof checked the slacks, the multipliers, alpha, beta, x and p
     nonnegative and the revenue equal to the dual objective, so each of
     the five families is a sum of nonnegative products, and together
-    they add up to a zero gap (virtual.check_cs_ds).  Each is zero."""
+    they add up to a zero gap (virtual.check_cs).  Each is zero."""
     proof = _proof(instance, certificate, form)
-    primal, dual = _sections(instance, form, proof)
+    primal, dual = _sections(instance, proof)
     return {
         "kind": "auctionlp.certificate",
         "version": 1,
@@ -759,12 +759,13 @@ def _text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _sections(instance: Instance, form: str, proof: _Proof) -> tuple[dict, dict]:
+def _sections(instance: Instance, proof: _Proof) -> tuple[dict, dict]:
     """The primal and dual sections of the proof's document: each
     nonzero numerator of the mechanism (alloc, pay) and of the dual
     (zeta off its diagonal, eta, xi) by its label, family by family,
     with no index decoded.  A multiplier key is named by its profile
-    (DS) or its own type (BAYES)."""
+    (DS) or its own type (BAYES), as the proof's form says."""
+    form = proof.dual.form
     profiles, names = _layout(instance, form)._names
     (alloc, pay), den = proof.mechanism.scaled
     primal = {}
@@ -945,16 +946,18 @@ def _accepted(
 ) -> _Proof:
     """The proof that a mechanism, with its slacks, and a dual solution
     of its form are an optimum of the instance's program in that form,
-    or CertificateError.  Three exact checks, in order: the mechanism is
-    feasible (x, p >= 0 and every ic, ir and sup row holds), so is the
-    dual (zeta, eta, xi >= 0 and every dual column holds), and the
-    revenue equals the dual objective, so that by weak duality both are
-    optimal.
+    or CertificateError.  Four exact checks, in order: the dual is of
+    the mechanism's form, the mechanism is feasible (x, p >= 0 and
+    every ic, ir and sup row holds), so is the dual (zeta, eta, xi >= 0
+    and every dual column holds), and the revenue equals the dual
+    objective, so that by weak duality both are optimal.
 
     It is the one acceptance of an optimum, and the only code that
     makes a _Proof: _prove, the one-item closed form
     (analysis.proved_certificate) and the optimal-face search
     (tight_downward_dual) each accept through it."""
+    if dual.form != mechanism.form:
+        raise CertificateError(f"a {dual.form} dual does not prove a {mechanism.form} mechanism")
     if not mechanism_feasible(instance, mechanism, slacks):
         raise CertificateError("mechanism violates feasibility")
     if not dual.is_feasible():

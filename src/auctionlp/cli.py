@@ -32,14 +32,7 @@ from .errors import AuctionLPError, DimensionMismatch, InvalidInput, ScaleLimit,
 from .lp import check_tableau_size
 from .model import BAYES, DS, NEG_INF, load_instance, multiplier_keys, rat_str
 from .oracles import gen_instance, gen_shape, parse_spec
-from .virtual import (
-    check_ubvv,
-    check_vwm,
-    regularize_bayes,
-    regularize_ds,
-    virtual_values_bayes,
-    virtual_values_ds,
-)
+from .virtual import check_ubvv, check_vwm, regularize, virtual_values
 
 # Invalid input, exit 2: bad data (a forged certificate too) or files.
 _INVALID_INPUT = (InvalidInput, OSError, json.JSONDecodeError)
@@ -146,13 +139,11 @@ def cmd_virtuals(args) -> int:
     dual = extract_dual(instance, certificate, form)
     print(f"form {args.form}")
     print(f"objective {rat_str(certificate.objective)}")
+    regular = regularize(instance, dual, revenue=certificate.objective)
+    table = virtual_values(instance, regular)
     if form == DS:
-        regular = regularize_ds(instance, dual, revenue=certificate.objective)
-        table = virtual_values_ds(instance, regular)
         prefix, names = "phi", [profile_key(v) for v in instance.profiles()]
     else:
-        regular = regularize_bayes(instance, dual, revenue=certificate.objective)
-        table = virtual_values_bayes(instance, regular)
         prefix, names = "phibar", range(max(instance.sizes))
     # one line per multiplier key: a profile (DS) or an own type (BAYES)
     for i in range(instance.n):

@@ -54,7 +54,9 @@ dominant-strategy rows; its weights and masses are what a regular dual
 meets at the keys.  `_dual_from_scaled` computes each key's
 phi_star and psi (Bayesian: phibar_star and psibar) once; the dual keeps
 them, and every later step (regularity, regularization, virtual values)
-reads them there.
+reads them there.  A dual holds its form, as a mechanism, its slacks
+and a table do, so no function takes a form beside a dual: each reads
+the dual's own.
 
 The DS gather.  Every dominant-strategy key is one opponent slice at
 scale 1, so `_slack_numerators` and `_dual_from_scaled` handle all of a
@@ -854,12 +856,15 @@ class DualSolution(_Numerators):
     psi[i][key] are the key's coefficients, as _dual_from_scaled, the one
     constructor, derives them.  The dual holds their numerators
     (scaled); the Fraction families are views of them.  One type serves
-    both forms: the functions that take a dual say which form they read.
+    both forms, and form records which program the dual is of: every
+    function that takes a dual reads it there, and one that reads a
+    single form refuses the other (check_form).
     """
 
+    form: str
     scaled: DualNumerators
 
-    _views = DualNumerators._fields
+    _views = ("form", *DualNumerators._fields)
     zeta = _view("zeta")
     eta = _view("eta")
     xi = _view("xi", per_buyer=False)
@@ -867,6 +872,12 @@ class DualSolution(_Numerators):
     beta = _view("beta")
     phi = _view("phi")
     psi = _view("psi")
+
+    def check_form(self, form: str) -> None:
+        """DimensionMismatch, naming both forms, unless the dual is of
+        the given form."""
+        if self.form != form:
+            raise DimensionMismatch(f"a {form} dual is needed, not a {self.form} one")
 
     def objective(self) -> Fraction:
         return self._objective
@@ -1051,7 +1062,7 @@ def _dual_from_scaled(instance: Instance, form: str, multipliers, xi_scaled) -> 
             Scaled(psis, zeta_den),
         ))
     zetas, etas, alphas, betas, phis, psis = zip(*parts)
-    return DualSolution(DualNumerators(zetas, etas, xi_scaled, alphas, betas, phis, psis))
+    return DualSolution(form, DualNumerators(zetas, etas, xi_scaled, alphas, betas, phis, psis))
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1104,7 @@ class RevenueReport:
     ds_optimum, when set, is the proved dominant-strategy optimum behind
     drev: a mechanism of revenue drev and its slacks.  It describes the
     optimal dual face by complementary slackness.  witness_table, when
-    set, is virtual_values_ds of ai_witness, the table the
+    set, is virtual.virtual_values of ai_witness, the table the
     agent-independence check read.  Neither takes part in comparisons."""
 
     brev: Fraction

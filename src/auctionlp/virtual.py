@@ -1,8 +1,9 @@
 """Complementary slackness ledgers, dual regularization, and virtual
 values derived from regularized optimal duals.
 
-Both forms share one dual format (see model.multiplier_keys), so each
-step below has one body; the public functions of each form enter it."""
+Both forms share one dual format (see model.multiplier_keys), and a
+dual holds its form, so each step below is one function that reads the
+form off the dual."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from math import lcm
 
 from .errors import InfeasibleInput, MissingZeroType, NotOptimal, NotRegular
 from .model import (
-    BAYES,
     DS,
     DualSolution,
     Instance,
@@ -29,14 +29,10 @@ from .model import (
 
 __all__ = [
     "GapLedger",
-    "check_cs_ds",
-    "check_cs_bayes",
-    "regularize_ds",
-    "regularize_bayes",
-    "ds_regularity_witness",
-    "bayes_regularity_witness",
-    "virtual_values_ds",
-    "virtual_values_bayes",
+    "check_cs",
+    "regularity_witness",
+    "regularize",
+    "virtual_values",
     "CheckReport",
     "check_vwm",
     "check_ubvv",
@@ -66,7 +62,7 @@ class GapLedger:
         return self.gap == 0
 
 
-def check_cs_ds(
+def check_cs(
     instance: Instance,
     mechanism: Mechanism,
     dual: DualSolution,
@@ -74,23 +70,10 @@ def check_cs_ds(
 ) -> GapLedger:
     """Pair every slack with its multiplier; the five family sums add up
     to obj(dual) - obj(primal) exactly, and vanish iff both sides are
-    optimal."""
-    return _check_cs(instance, mechanism, dual, slacks)
-
-
-def check_cs_bayes(
-    instance: Instance,
-    mechanism: Mechanism,
-    dual: DualSolution,
-    slacks: PrimalSlacks | None = None,
-) -> GapLedger:
-    """check_cs_ds for the Bayesian form."""
-    return _check_cs(instance, mechanism, dual, slacks)
-
-
-def _check_cs(instance, mechanism, dual, slacks) -> GapLedger:
-    """The ledger of either form: the slacks' a and b are keyed like the
-    dual's zeta and eta."""
+    optimal.  The mechanism's slacks a and b are keyed like the dual's
+    zeta and eta, in either form; a dual of another form than the
+    mechanism's raises DimensionMismatch."""
+    dual.check_form(mechanism.form)
     slacks = _slack_numerators(instance, mechanism) if slacks is None else slacks.scaled
     if not slacks.feasible:
         raise InfeasibleInput("primal slacks contain a negative entry")
@@ -136,32 +119,22 @@ def _zero_indices(instance: Instance) -> tuple[int, ...]:
     return zeros
 
 
-def ds_regularity_witness(instance: Instance, dual: DualSolution):
+def regularity_witness(instance: Instance, dual: DualSolution):
     """None if the dual satisfies all three regularity conditions, else
-    a (condition, indices) witness."""
-    return _regularity_witness(instance, dual, DS)
-
-
-def bayes_regularity_witness(instance: Instance, dual: DualSolution):
-    """ds_regularity_witness for the Bayesian form."""
-    return _regularity_witness(instance, dual, BAYES)
-
-
-def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
-    """Per key: no virtual value on a zero-mass slice ("virtual", naming
-    the first item whose phi is nonzero), participation weight only on
-    the zero type and there exactly the slice's weight ("source"), and
-    the payment coefficient psi equal to the key's mass ("trans").  DS
-    keys are named by profile, BAYES keys by type.  The comparisons
-    cross-multiply numerators: the dual's, and the weights' and masses'
-    over theirs."""
+    a (condition, indices) witness.  Per key: no virtual value on a
+    zero-mass slice ("virtual", naming the first item whose phi is
+    nonzero), participation weight only on the zero type and there
+    exactly the slice's weight ("source"), and the payment coefficient
+    psi equal to the key's mass ("trans").  DS keys are named by
+    profile, BAYES keys by type.  The comparisons cross-multiply
+    numerators: the dual's, and the weights' and masses' over theirs."""
     zeros = _zero_indices(instance)
     profiles = list(instance.profiles())
     nums = dual.scaled
     for i, t0 in enumerate(zeros):
-        keys = multiplier_keys(instance, form, i)
+        keys = multiplier_keys(instance, dual.form, i)
         (weights, w_den), (masses, m_den) = keys.weights, keys.masses
-        names = profiles if form == DS else range(len(keys.positions))
+        names = profiles if dual.form == DS else range(len(keys.positions))
         (eta_i, eta_den), (psi_i, psi_den) = nums.eta[i], nums.psi[i]
         phi_i = nums.phi[i].nums
         for key, (t, s) in enumerate(keys.positions):
@@ -181,40 +154,22 @@ def _regularity_witness(instance: Instance, dual: DualSolution, form: str):
 # Regularization
 
 
-def regularize_ds(
-    instance: Instance, dual: DualSolution, revenue: Fraction
-) -> DualSolution:
+def regularize(instance: Instance, dual: DualSolution, revenue: Fraction) -> DualSolution:
     """Rewrite an optimal dual so that participation weight sits only on
-    the zero type and the payment coefficient meets mu(v) exactly.
+    the zero type and the payment coefficient meets the key's mass
+    exactly.  Objective and feasibility are preserved; all three
+    regularity conditions are verified before returning.
 
-    Per buyer and slice, every multiplier on a slice of zero opponent
-    mass is dropped; elsewhere eta at a nonzero type moves onto
-    zeta(t, 0) and the payment slack at t moves onto zeta(0, t), with
-    eta reset to mu_{-i} at the zero type.  Objective and feasibility
-    are preserved; all three regularity conditions are verified before
-    returning.  A dual that is regular already is returned itself, as
-    the moves would leave it.
-    """
-    return _regularize(instance, dual, revenue, DS)
+    Per buyer and slice, every multiplier on a slice of zero weight is
+    dropped; elsewhere eta at a nonzero type moves onto zeta(t, 0), the
+    payment-coefficient surplus at t (DS: psi(v) - mu(v); Bayesian:
+    psibar(t) - mu_i(t)) moves onto zeta(0, t), and eta at the zero type
+    becomes the slice's weight (DS: mu_{-i}; Bayesian: the unit mass).
+    The moves are made on the multipliers' numerators: buyer i's zeta,
+    eta and psi over Z, its weights over W and its masses over M, all
+    brought over lcm(Z, W, M).
 
-
-def regularize_bayes(
-    instance: Instance, dual: DualSolution, revenue: Fraction
-) -> DualSolution:
-    """Bayesian mirror of regularize_ds: per buyer, eta at a nonzero
-    type moves onto zeta(t, 0), the payment-coefficient surplus
-    psibar(t) - mu_i(t) moves onto zeta(0, t), and eta becomes the unit
-    mass at the zero type."""
-    return _regularize(instance, dual, revenue, BAYES)
-
-
-def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form: str):
-    """The moves of regularize_ds and regularize_bayes, made on the
-    multipliers' numerators: buyer i's zeta, eta and psi over Z, its
-    weights over W and its masses over M, all brought over
-    lcm(Z, W, M).
-
-    A feasible dual that _regularity_witness accepts is returned as it
+    A feasible dual that regularity_witness accepts is returned as it
     is, since no move changes it.  Off the zero type its eta is 0, its
     psi is the key's mass, and the zero type's eta is already the
     weight, so each move adds 0.  On a slice of zero weight it holds no
@@ -230,13 +185,13 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
         raise InfeasibleInput("dual solution violates feasibility")
     if dual.objective() != revenue:
         raise NotOptimal("dual objective does not match the optimal revenue")
-    if _regularity_witness(instance, dual, form) is None:
+    if regularity_witness(instance, dual) is None:
         return dual
     zeros = _zero_indices(instance)
     nums = dual.scaled
     multipliers = []
     for i, (k, t0) in enumerate(zip(instance.sizes, zeros)):
-        keys = multiplier_keys(instance, form, i)
+        keys = multiplier_keys(instance, dual.form, i)
         (weights, w_den), (masses, m_den) = keys.weights, keys.masses
         zeta_den = nums.zeta[i].den
         den = lcm(zeta_den, w_den, m_den)
@@ -261,12 +216,12 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
                     eta_i[key] = 0
             eta_i[key0] = w * to_w
         multipliers.append(Scaled((tuple(map(tuple, zeta_i)), tuple(eta_i)), den))
-    result = _dual_from_scaled(instance, form, multipliers, nums.xi)
+    result = _dual_from_scaled(instance, dual.form, multipliers, nums.xi)
     if not result.is_feasible():
         raise NotRegular("regularized dual lost feasibility")
     if result.objective() != revenue:
         raise NotRegular("regularized dual changed the objective")
-    witness = _regularity_witness(instance, result, form)
+    witness = regularity_witness(instance, result)
     if witness is not None:
         raise NotRegular(f"regularity condition failed: {witness}")
     return result
@@ -276,39 +231,26 @@ def _regularize(instance: Instance, dual: DualSolution, revenue: Fraction, form:
 # Virtual values
 
 
-def virtual_values_ds(instance: Instance, dual: DualSolution) -> VirtualValueTable:
-    """Per-profile virtual values of a regular dual.
+def virtual_values(instance: Instance, dual: DualSolution) -> VirtualValueTable:
+    """The virtual values of a regular dual, a table of its form: one
+    entry per key, phi / mass, read out at every profile of it, so that
+    a Bayesian table is constant in v_{-i}.  On mass-bearing keys a
+    regular dual's payment coefficient psi is the mass.  Zero-mass
+    opponent slices get 0 by convention, as do zero-mass nonzero own
+    types; the zero type at zero mass against a mass-bearing slice is
+    -inf.  Regularity is checked first.
 
-    On mass-bearing profiles the entry is the dual's expected virtual
-    value phi_star divided by mu(v); a regular dual's payment
-    coefficient psi is mu(v) there.  Zero-mass opponent slices get 0 by
-    convention, as do zero-mass nonzero own types; the zero type at
-    zero mass against a mass-bearing slice is -inf.
-    """
-    return _virtual_values(instance, dual, DS)
-
-
-def virtual_values_bayes(
-    instance: Instance, dual: DualSolution
-) -> VirtualValueTable:
-    """Per-type virtual values of a regular Bayesian dual, broadcast
-    across opponent profiles so the table is constant in v_{-i}."""
-    return _virtual_values(instance, dual, BAYES)
-
-
-def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> VirtualValueTable:
-    """One entry per key, phi / mass, read out at every profile of it,
-    made from the numerators of phi and the masses: buyer i's phi over
-    Z * V and its keys' masses over M put a key of mass q at
-    phi * M * (L // q) over Z * V * L, where L is the lcm of the
-    buyer's nonzero masses.  Regularity is checked first."""
-    witness = _regularity_witness(instance, dual, form)
+    The entries are made from the numerators of phi and the masses:
+    buyer i's phi over Z * V and its keys' masses over M put a key of
+    mass q at phi * M * (L // q) over Z * V * L, where L is the lcm of
+    the buyer's nonzero masses."""
+    witness = regularity_witness(instance, dual)
     if witness is not None:
         raise NotRegular(f"dual is not regular: {witness}")
     zeros = _zero_indices(instance)
     scaled = []
     for i, t0 in enumerate(zeros):
-        keys = multiplier_keys(instance, form, i)
+        keys = multiplier_keys(instance, dual.form, i)
         masses, m_den = keys.masses
         weights = keys.weights.nums
         phi_i, phi_den = dual.scaled.phi[i]
@@ -323,7 +265,14 @@ def _virtual_values(instance: Instance, dual: DualSolution, form: str) -> Virtua
                 per_key.append((None if weights[s] and t == t0 else 0,) * instance.m)
         rows = [per_key[keys.families[s][t]] for t, s in instance.positions[i]]
         scaled.append(Scaled(tuple(zip(*rows)), phi_den * unit))
-    return VirtualValueTable(form, tuple(scaled))
+    return VirtualValueTable(dual.form, tuple(scaled))
+
+
+# The per-form names of the three steps above, which the benchmark's
+# tracer (perfbench/spans.py) binds; each is the one function itself.
+check_cs_ds = check_cs_bayes = check_cs
+regularize_ds = regularize_bayes = regularize
+virtual_values_ds = virtual_values_bayes = virtual_values
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,13 @@ MUTANTS = [
         "        raise CertificateError(",
         "if False:\n        raise CertificateError(",
     ),
+    # _accepted takes a dual of the other form than the mechanism's
+    Mutant(
+        "accepted-form-unchecked",
+        AUCTION,
+        "if dual.form != mechanism.form:\n        raise CertificateError(",
+        "if False:\n        raise CertificateError(",
+    ),
     # _accepted takes a mechanism whose revenue is not the dual's objective
     Mutant(
         "accepted-revenue-unchecked",
@@ -199,6 +206,14 @@ MUTANTS = [
         AUCTION,
         "row += ((p_i + lr, neg), pay)",
         "row += ((p_i + r, neg), pay)",
+    ),
+    # check_cs sums the ledger of a dual of the other form than the
+    # mechanism's
+    Mutant(
+        "ledger-form-unchecked",
+        VIRTUAL,
+        "    dual.check_form(mechanism.form)\n",
+        "",
     ),
     # check_ubvv flags an entry equal to its value
     Mutant(

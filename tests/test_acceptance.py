@@ -33,16 +33,12 @@ from auctionlp.lp import solve
 from auctionlp.model import dual_from_multipliers, mechanism_slacks
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import (
-    bayes_regularity_witness,
-    check_cs_bayes,
-    check_cs_ds,
+    check_cs,
     check_ubvv,
     check_vwm,
-    ds_regularity_witness,
-    regularize_bayes,
-    regularize_ds,
-    virtual_values_bayes,
-    virtual_values_ds,
+    regularity_witness,
+    regularize,
+    virtual_values,
 )
 from baselines import menu_grid_revenue, posted_price_revenue
 from helpers import (
@@ -101,23 +97,23 @@ def stage(instance, key):
         elif key == "dual_ds":
             entry[key] = extract_dual(instance, entry["ds_cert"], DS)
         elif key == "reg_ds":
-            entry[key] = regularize_ds(
+            entry[key] = regularize(
                 instance, stage(instance, "dual_ds"), revenue=entry["ds_cert"].objective
             )
         elif key == "table_ds":
-            entry[key] = virtual_values_ds(instance, stage(instance, "reg_ds"))
+            entry[key] = virtual_values(instance, stage(instance, "reg_ds"))
         elif key == "mech_bayes":
             entry[key] = extract_mechanism(instance, entry["bayes_cert"], BAYES)
         elif key == "dual_bayes":
             entry[key] = extract_dual(instance, entry["bayes_cert"], BAYES)
         elif key == "reg_bayes":
-            entry[key] = regularize_bayes(
+            entry[key] = regularize(
                 instance,
                 stage(instance, "dual_bayes"),
                 revenue=entry["bayes_cert"].objective,
             )
         elif key == "table_bayes":
-            entry[key] = virtual_values_bayes(instance, stage(instance, "reg_bayes"))
+            entry[key] = virtual_values(instance, stage(instance, "reg_bayes"))
         else:
             raise KeyError(key)
     return entry[key]
@@ -212,19 +208,19 @@ def test_c2_ledger_identity(corpus):
     for instance in corpus:
         mech = stage(instance, "mech_ds")
         dual = stage(instance, "dual_ds")
-        ledger = check_cs_ds(instance, mech, dual)
+        ledger = check_cs(instance, mech, dual)
         assert ledger.gap == 0
         assert (ledger.ic, ledger.ir, ledger.supply, ledger.alloc, ledger.pay) == (
             0, 0, 0, 0, 0,
         )
-        bledger = check_cs_bayes(
+        bledger = check_cs(
             instance, stage(instance, "mech_bayes"), stage(instance, "dual_bayes")
         )
         assert bledger.gap == 0
 
-        zledger = check_cs_ds(instance, zero_mechanism(instance, DS), dual)
+        zledger = check_cs(instance, zero_mechanism(instance, DS), dual)
         assert zledger.gap == dual.objective()
-        bz = check_cs_bayes(
+        bz = check_cs(
             instance, zero_mechanism(instance, BAYES), stage(instance, "dual_bayes")
         )
         assert bz.gap == stage(instance, "dual_bayes").objective()
@@ -236,12 +232,12 @@ def test_c2_ledger_identity(corpus):
         if k % 2 == 0:
             mech = stage(instance, "mech_ds")
             dual2 = perturb_ds(instance, stage(instance, "dual_ds"), rng, delta)
-            ledger = check_cs_ds(instance, mech, dual2)
+            ledger = check_cs(instance, mech, dual2)
             assert ledger.gap == dual2.objective() - mech.revenue(instance)
         else:
             mech = stage(instance, "mech_bayes")
             dual2 = perturb_bayes(instance, stage(instance, "dual_bayes"), rng, delta)
-            ledger = check_cs_bayes(instance, mech, dual2)
+            ledger = check_cs(instance, mech, dual2)
             assert ledger.gap == dual2.objective() - mech.revenue(instance)
 
 
@@ -277,7 +273,7 @@ def test_c4_regularization(corpus):
         reg = stage(instance, "reg_ds")
         assert reg.objective() == entry["ds_cert"].objective
         assert reg.is_feasible()
-        assert ds_regularity_witness(instance, reg) is None
+        assert regularity_witness(instance, reg) is None
         for i in range(instance.n):
             for profile in instance.profiles():
                 assert psi(reg, instance, i, profile) == instance.mu(profile)
@@ -285,7 +281,7 @@ def test_c4_regularization(corpus):
         breg = stage(instance, "reg_bayes")
         assert breg.objective() == entry["bayes_cert"].objective
         assert breg.is_feasible()
-        assert bayes_regularity_witness(instance, breg) is None
+        assert regularity_witness(instance, breg) is None
         for i in range(instance.n):
             assert breg.eta[i][instance.zero_index(i)] == 1
             for t in range(instance.sizes[i]):
@@ -395,8 +391,8 @@ def test_c8_discrete_myerson_agreement(corpus, u12, u123, pair12):
             instance, mechanism, mechanism_slacks(instance, mechanism)
         )
         assert excess == 0
-        reg = regularize_ds(instance, dual, revenue=revenue)
-        table = virtual_values_ds(instance, reg)
+        reg = regularize(instance, dual, revenue=revenue)
+        table = virtual_values(instance, reg)
         assert check_ubvv(table, instance).ok
         for i in range(instance.n):
             formula = myerson_formula(

@@ -31,6 +31,7 @@ from auctionlp.analysis import (
 )
 from auctionlp.auction import BAYES, DS, drev, extract_dual, solve_form
 from auctionlp.errors import (
+    CertificateError,
     DimensionMismatch,
     InfeasibleInput,
     NotAgentIndependent,
@@ -38,6 +39,7 @@ from auctionlp.errors import (
 )
 from auctionlp.model import (
     NEG_INF,
+    DualSolution,
     Mechanism,
     Scaled,
     _dual_from_scaled,
@@ -47,13 +49,7 @@ from auctionlp.model import (
     mechanism_slacks,
 )
 from auctionlp.oracles import gen_instance
-from auctionlp.virtual import (
-    check_cs_ds,
-    check_ubvv,
-    regularize_bayes,
-    regularize_ds,
-    virtual_values_ds,
-)
+from auctionlp.virtual import check_cs, check_ubvv, regularize, virtual_values
 from conftest import build, irregular, perfbench_corpus
 from helpers import ds_optimum, mechanism_of, revenue_face_dual, zero_mechanism
 
@@ -63,13 +59,13 @@ F = Fraction
 def bayes_regular(instance):
     cert = solve_form(instance, BAYES)
     dual = extract_dual(instance, cert, BAYES)
-    return regularize_bayes(instance, dual, revenue=cert.objective)
+    return regularize(instance, dual, revenue=cert.objective)
 
 
 def ds_regular(instance):
     cert = solve_form(instance, DS)
     dual = extract_dual(instance, cert, DS)
-    return regularize_ds(instance, dual, revenue=cert.objective)
+    return regularize(instance, dual, revenue=cert.objective)
 
 
 # -- separate selling -------------------------------------------------------
@@ -85,7 +81,7 @@ def test_srev_breakdown(items12):
     assert srev(items12) == 2
     # bundling earns DRev 9/4, and its virtual values are not per item:
     # types (1, 1) and (1, 2) agree on item 0 but get 0 and 1 for it
-    table = virtual_values_ds(items12, ds_regular(items12))
+    table = virtual_values(items12, ds_regular(items12))
     assert table.values[0][0] == (NEG_INF, F(0), F(1), F(2), F(2))
     assert table.values[0][1] == (NEG_INF, F(0), F(2), F(0), F(2))
 
@@ -138,7 +134,7 @@ def test_closed_forms_match_the_programs(monkeypatch):
             verdicts.add(accepted)
             if accepted:
                 assert face_excess(instance, dual) == 0
-                regularize_ds(instance, dual, revenue=revenue)
+                regularize(instance, dual, revenue=revenue)
     assert verdicts == {True, False}
     lp_path(monkeypatch)
     programs = [list(gen_records(*scan)) for scan in SCAN_CORPUS]
@@ -327,9 +323,9 @@ def test_closed_form_characterize_matches_the_programs(monkeypatch):
     proved = []
     original = analysis._myerson_auction
 
-    def spy(instance, form, auction, dual):
-        proof = original(instance, form, auction, dual)
-        proved.append((form, proof is not None))
+    def spy(instance, auction, dual):
+        proof = original(instance, auction, dual)
+        proved.append((dual.form, proof is not None))
         return proof
 
     monkeypatch.setattr(analysis, "_myerson_auction", spy)
@@ -357,8 +353,8 @@ def test_tight_dual_reaches_zero_excess(u12, u123, pair12, items12):
         dual, excess = tight_downward_dual(instance, *ds_optimum(instance))
         assert excess == 0
         assert dual.is_feasible()
-        reg = regularize_ds(instance, dual, revenue=drev(instance))
-        table = virtual_values_ds(instance, reg)
+        reg = regularize(instance, dual, revenue=drev(instance))
+        table = virtual_values(instance, reg)
         assert check_ubvv(table, instance).ok
 
 
@@ -451,9 +447,9 @@ def test_slackness_face_agrees_with_the_revenue_face():
                 tight_downward_dual(instance, mechanism, slacks),
                 revenue_face_dual(instance, revenue),
             ):
-                regular = regularize_ds(instance, dual, revenue=revenue)
+                regular = regularize(instance, dual, revenue=revenue)
                 verdicts.append(
-                    (excess, check_ubvv(virtual_values_ds(instance, regular), instance).ok)
+                    (excess, check_ubvv(virtual_values(instance, regular), instance).ok)
                 )
             assert verdicts[0] == verdicts[1], (family, seed)
 
@@ -612,33 +608,37 @@ def test_the_witness_is_the_flow_whenever_the_flow_qualifies():
 
 def _counted(monkeypatch, *names):
     """Count the calls characterize and the scan make to these analysis
-    functions."""
+    functions.  A name written "function:form" counts only the calls
+    whose dual is of that form."""
     calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(analysis, name)
+    for function in dict.fromkeys(name.split(":")[0] for name in names):
+        original = getattr(analysis, function)
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+        def spy(*args, _function=function, _original=original, **kwargs):
+            (dual,) = [arg for arg in (*args, *kwargs.values()) if isinstance(arg, DualSolution)]
+            for key in (_function, f"{_function}:{dual.form}"):
+                if key in calls:
+                    calls[key] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, name, spy)
+        monkeypatch.setattr(analysis, function, spy)
     return calls
 
 
 def test_closed_form_witness_is_the_flow(monkeypatch, pair12):
-    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
+    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values:ds")
     report = characterize(pair12)
-    assert calls == {"bic_to_dsic_dual": 0, "virtual_values_ds": 1}
+    assert calls == {"bic_to_dsic_dual": 0, "virtual_values:ds": 1}
     assert report.ai_witness == canonical_flow(pair12)
-    assert report.witness_table == virtual_values_ds(pair12, report.ai_witness)
+    assert report.witness_table == virtual_values(pair12, report.ai_witness)
 
 
 def test_two_item_witness_is_mapped_once(monkeypatch):
     instance = gen_instance(IID_TWO_ITEMS, EQUAL_SEED)
-    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds")
+    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values:ds")
     report = characterize(instance)
-    assert calls == {"bic_to_dsic_dual": 1, "virtual_values_ds": 1}
-    assert report.witness_table == virtual_values_ds(instance, report.ai_witness)
+    assert calls == {"bic_to_dsic_dual": 1, "virtual_values:ds": 1}
+    assert report.witness_table == virtual_values(instance, report.ai_witness)
 
 
 @pytest.mark.parametrize(
@@ -654,9 +654,9 @@ def test_two_item_witness_is_mapped_once(monkeypatch):
 )
 def test_scan_builds_one_table_per_witnessed_instance(monkeypatch, family, seed, witnessed):
     count = max(witnessed, 1)
-    calls = _counted(monkeypatch, "virtual_values_ds")
+    calls = _counted(monkeypatch, "virtual_values:ds")
     records = list(gen_records(family, seed, count))
-    assert calls == {"virtual_values_ds": count}
+    assert calls == {"virtual_values:ds": count}
     assert sum(record["brev_eq_drev"] for record in records) == witnessed
 
 
@@ -668,11 +668,11 @@ def test_iid_scan_corpus_maps_and_tabulates_once(monkeypatch, tmp_path):
     # witness are regularized: building the witness's table proved it
     # regular
     ops = perfbench_corpus(monkeypatch, "iid-scan", 1, tmp_path)
-    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values_ds", "regularize_ds")
+    calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values:ds", "regularize:ds")
     with contextlib.redirect_stdout(io.StringIO()):
         assert all(cli.main(op.argv) == 0 for op in ops)
     assert len(ops) == 41
-    assert calls == {"bic_to_dsic_dual": 6, "virtual_values_ds": 41, "regularize_ds": 2}
+    assert calls == {"bic_to_dsic_dual": 6, "virtual_values:ds": 41, "regularize:ds": 2}
 
 
 def _without_carried_duals(mp):
@@ -680,18 +680,27 @@ def _without_carried_duals(mp):
     the scan reads: the Bayesian regularization and the tight dual's
     selection return a value-equal copy, never the dual they were
     given, so no witness is the flow and no tight dual is the witness."""
-    regularize, tight = analysis.regularize_bayes, analysis._tight_dual
-
-    def regularized(instance, dual, revenue):
-        regular = regularize(instance, dual, revenue=revenue)
-        return replace(regular, scaled=regular.scaled)
+    mp.setattr(analysis, "regularize", _bayes_copied(analysis.regularize))
+    tight = analysis._tight_dual
 
     def tight_copy(instance, report):
         dual, excess = tight(instance, report)
         return replace(dual, scaled=dual.scaled), excess
 
-    mp.setattr(analysis, "regularize_bayes", regularized)
     mp.setattr(analysis, "_tight_dual", tight_copy)
+
+
+def _bayes_copied(regularize):
+    """regularize, save that a Bayesian dual's result is a value-equal
+    copy, never the dual it was given."""
+
+    def regularized(instance, dual, revenue):
+        regular = regularize(instance, dual, revenue=revenue)
+        if dual.form == BAYES:
+            regular = replace(regular, scaled=regular.scaled)
+        return regular
+
+    return regularized
 
 
 # (n, m, support), i.i.d. and not, seeds 0-5: 96 instances
@@ -722,7 +731,7 @@ def test_carried_duals_change_no_output():
         with pytest.MonkeyPatch.context() as mp:
             if not carried:
                 _without_carried_duals(mp)
-            counts = _counted(mp, "bic_to_dsic_dual", "virtual_values_ds")
+            counts = _counted(mp, "bic_to_dsic_dual", "virtual_values:ds")
             outputs = [
                 _carried_outputs({"n": n, "m": m, "support": support, "iid": iid}, seed)
                 for (n, m, support), iid, seed in itertools.product(
@@ -738,14 +747,14 @@ def test_carried_duals_change_no_output():
     assert sum(report.ai_witness is not None for report, _, _ in outputs) == 78
     # 53 witnesses are the flow, and 40 scanned tight duals are witnesses
     assert calls[False]["bic_to_dsic_dual"] - calls[True]["bic_to_dsic_dual"] == 53
-    assert calls[False]["virtual_values_ds"] - calls[True]["virtual_values_ds"] == 40
+    assert calls[False]["virtual_values:ds"] - calls[True]["virtual_values:ds"] == 40
 
 
 def test_flow_witness_ledger_is_zero_unchecked():
     # a flow witness is proved optimal with the mechanism, so characterize
     # sums no ledger for it; forcing the check (a value-equal copy of the
     # regularized dual sends the witness through bic_to_dsic_dual and
-    # check_cs_ds) changes no report, and the skipped ledger is zero
+    # check_cs) changes no report, and the skipped ledger is zero
     instances = [
         gen_instance({"n": n, "m": 1, "support": support, "iid": iid}, seed)
         for (n, support), iid, seed in itertools.product(
@@ -756,17 +765,11 @@ def test_flow_witness_ledger_is_zero_unchecked():
     for forced in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             if forced:
-                regularize = analysis.regularize_bayes
-
-                def copied(instance, dual, revenue):
-                    regular = regularize(instance, dual, revenue=revenue)
-                    return replace(regular, scaled=regular.scaled)
-
-                mp.setattr(analysis, "regularize_bayes", copied)
-            calls = _counted(mp, "check_cs_ds")
+                mp.setattr(analysis, "regularize", _bayes_copied(analysis.regularize))
+            calls = _counted(mp, "check_cs:ds")
             reports = [characterize(instance) for instance in instances]
         outputs[forced] = [(report, report.witness_table) for report in reports]
-        checked[forced] = calls["check_cs_ds"]
+        checked[forced] = calls["check_cs:ds"]
     # revenues, findings and the witness by value, and the witness's table
     assert outputs[True] == outputs[False]
     witnessed = [
@@ -778,7 +781,7 @@ def test_flow_witness_ledger_is_zero_unchecked():
     assert (len(witnessed), checked[True], checked[False]) == (40, 40, 6)
     for instance, report in witnessed:
         mechanism, slacks = report.ds_optimum
-        ledger = check_cs_ds(instance, mechanism, report.ai_witness, slacks=slacks)
+        ledger = check_cs(instance, mechanism, report.ai_witness, slacks=slacks)
         assert (ledger.ic, ledger.ir, ledger.supply, ledger.alloc, ledger.pay) == (0,) * 5
 
 
@@ -878,6 +881,37 @@ def test_round_trip_recovers_multipliers(pair12):
 def test_dsic_to_bic_rejects_slice_dependence(pair12):
     with pytest.raises(NotAgentIndependent):
         dsic_to_bic_dual(pair12, doctored_slice_dual(pair12))
+
+
+# -- a dual's form ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("two_items", [False, True])
+def test_a_dual_of_the_other_form_is_refused(pair12, two_items):
+    # BRev = DRev on both instances, so each form's mechanism and the
+    # other form's dual are both feasible, of equal objective: only their
+    # forms tell them apart.  No proof is made of such a pair, so no
+    # certificate document is written from one, and no ledger is summed.
+    # A reader of one form names the form it needs on the other, and
+    # regularization keeps each dual in its own form.
+    instance = gen_instance(IID_TWO_ITEMS, EQUAL_SEED) if two_items else pair12
+    ds, bayes = (auction._proof(instance, solve_form(instance, form), form) for form in (DS, BAYES))
+    assert ds.objective == bayes.objective
+    for proof, other in ((ds, bayes), (bayes, ds)):
+        mechanism, slacks, form = proof.mechanism, proof.slacks, proof.mechanism.form
+        with pytest.raises(CertificateError, match=f"dual does not prove a {form} mechanism"):
+            auction._accepted(instance, mechanism, slacks, other.dual)
+        needed = f"^a {form} dual is needed, not a {other.dual.form} one$"
+        with pytest.raises(DimensionMismatch, match=needed):
+            check_cs(instance, mechanism, other.dual, slacks=slacks)
+        regular = regularize(instance, proof.dual, revenue=proof.objective)
+        assert regular.form == form
+        assert check_cs(instance, mechanism, regular, slacks=slacks).optimal
+    for reader in (dsic_to_bic_dual, face_excess, check_agent_independence):
+        with pytest.raises(DimensionMismatch, match="^a ds dual is needed, not a bayes one$"):
+            reader(instance, bayes.dual)
+    with pytest.raises(DimensionMismatch, match="^a bayes dual is needed, not a ds one$"):
+        bic_to_dsic_dual(instance, ds.dual)
 
 
 # -- characterization -------------------------------------------------------

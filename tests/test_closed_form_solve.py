@@ -44,7 +44,7 @@ from auctionlp.model import (
     mechanism_slacks,
 )
 from auctionlp.oracles import gen_instance
-from auctionlp.virtual import check_cs_bayes, check_cs_ds
+from auctionlp.virtual import check_cs
 from conftest import build, irregular, perfbench_corpus
 from helpers import reference_sections
 
@@ -359,8 +359,7 @@ def test_written_ledgers_are_the_proved_pairs(monkeypatch, tmp_path):
     for instance, form, certificate, doc in written:
         closed += isinstance(certificate, auction._Proof)
         proof = auction._proof(instance, certificate, form)
-        check = check_cs_ds if form == DS else check_cs_bayes
-        ledger = check(instance, proof.mechanism, proof.dual, slacks=proof.slacks)
+        ledger = check_cs(instance, proof.mechanism, proof.dual, slacks=proof.slacks)
         families = [getattr(ledger, key) for key in ("ic", "ir", "supply", "alloc", "pay", "gap")]
         assert families == [0] * 6
         assert doc["ledger"] == dict.fromkeys(("ic", "ir", "supply", "alloc", "pay", "gap"), "0")

@@ -44,7 +44,7 @@ from auctionlp.model import (
     validate_instance,
 )
 from auctionlp.oracles import gen_instance
-from auctionlp.virtual import check_cs_bayes, check_cs_ds
+from auctionlp.virtual import check_cs
 from helpers import (
     mechanism_of,
     min_entry,
@@ -465,7 +465,6 @@ def test_adversarial_corpus_has_what_it_claims():
 @pytest.mark.parametrize("which", [0, 1])
 def test_integer_paths_hold_on_large_coprime_denominators(which, form):
     instance = _adversarial_instances()[which]
-    check = check_cs_ds if form == DS else check_cs_bayes
     certificate = solve_form(instance, form)
     assert _big(certificate.primal + certificate.dual)
     mechanism = extract_mechanism(instance, certificate, form)
@@ -477,7 +476,7 @@ def test_integer_paths_hold_on_large_coprime_denominators(which, form):
     assert (dual.phi, dual.psi) == _reference_coefficients(instance, dual, form)
     assert dual.objective() == certificate.objective
     assert mechanism.revenue(instance) == certificate.objective
-    ledger = check(instance, mechanism, dual)
+    ledger = check_cs(instance, mechanism, dual)
     assert ledger.gap == 0 and _reference_ledger(instance, mechanism, dual, form) == (
         (0, 0, 0, 0, 0),
         0,
@@ -487,7 +486,7 @@ def test_integer_paths_hold_on_large_coprime_denominators(which, form):
     bumped = tuple(tuple(x + F(1, P4) for x in col) for col in dual.xi)
     loose = dual_from_multipliers(instance, form, dual.zeta, dual.eta, bumped)
     assert loose.is_feasible()
-    ledger = check(instance, mechanism, loose)
+    ledger = check_cs(instance, mechanism, loose)
     families, gap = _reference_ledger(instance, mechanism, loose, form)
     assert (ledger.ic, ledger.ir, ledger.supply, ledger.alloc, ledger.pay) == families
     assert ledger.gap == gap == loose.objective() - mechanism.revenue(instance) != 0

@@ -28,7 +28,7 @@ from auctionlp.analysis import (
 from auctionlp.auction import extract_dual, solve_form
 from auctionlp.model import BAYES, DS, dual_from_multipliers, validate_instance
 from auctionlp.oracles import gen_instance
-from auctionlp.virtual import check_ubvv, regularize_bayes, regularize_ds, virtual_values_ds
+from auctionlp.virtual import check_ubvv, regularize, virtual_values
 from helpers import (
     reference_bic_to_dsic,
     reference_canonical_flow,
@@ -59,21 +59,20 @@ def _check_maps(instance, ds_dual):
     bayes = dsic_to_bic_dual(instance, ds_dual)
     zeta, eta = reference_dsic_to_bic(instance, ds_dual)
     assert bayes == dual_from_multipliers(instance, BAYES, zeta, eta, ds_dual.xi)
-    _check_regularize(instance, bayes, BAYES)
+    _check_regularize(instance, bayes)
     spread = bic_to_dsic_dual(instance, bayes)
     zeta, eta = reference_bic_to_dsic(instance, bayes)
     assert spread == dual_from_multipliers(instance, DS, zeta, eta, bayes.xi)
     # agent independence puts no weight on zero-mass slices, so the maps
     # invert each other
     assert spread == ds_dual
-    _check_regularize(instance, spread, DS)
+    _check_regularize(instance, spread)
 
 
-def _check_regularize(instance, dual, form):
-    regularize = regularize_ds if form == DS else regularize_bayes
+def _check_regularize(instance, dual):
     result = regularize(instance, dual, revenue=dual.objective())
-    zeta, eta = reference_regularize(instance, dual, form)
-    assert result == dual_from_multipliers(instance, form, zeta, eta, dual.xi)
+    zeta, eta = reference_regularize(instance, dual, dual.form)
+    assert result == dual_from_multipliers(instance, dual.form, zeta, eta, dual.xi)
 
 
 def _check_flow(instance):
@@ -106,9 +105,9 @@ def test_optimal_dual_producers_match_their_references(spec, seed):
     instance = gen_instance(spec, seed)
     ds_dual = extract_dual(instance, solve_form(instance, DS), DS)
     assert face_excess(instance, ds_dual) == reference_face_excess(instance, ds_dual)
-    _check_regularize(instance, ds_dual, DS)
+    _check_regularize(instance, ds_dual)
     bayes = extract_dual(instance, solve_form(instance, BAYES), BAYES)
-    _check_regularize(instance, bayes, BAYES)
+    _check_regularize(instance, bayes)
     spread = bic_to_dsic_dual(instance, bayes)
     zeta, eta = reference_bic_to_dsic(instance, bayes)
     assert spread == dual_from_multipliers(instance, DS, zeta, eta, bayes.xi)
@@ -181,7 +180,7 @@ def test_producers_split_no_fractions(monkeypatch, support, seed):
     report = characterize(instance)
     # the steps gen_records takes after characterize on an i.i.d. spec
     dual, excess = _tight_dual(instance, report)
-    regular = regularize_ds(instance, dual, revenue=report.drev)
-    assert check_ubvv(virtual_values_ds(instance, regular), instance).checked
+    regular = regularize(instance, dual, revenue=report.drev)
+    assert check_ubvv(virtual_values(instance, regular), instance).checked
     assert report.ai_witness is not None and excess == 0
     assert expected == []

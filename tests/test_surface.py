@@ -11,7 +11,7 @@ from pathlib import Path
 
 import auctionlp
 import auctionlp.oracles
-from auctionlp import auction
+from auctionlp import auction, virtual
 from auctionlp.auction import build_dslp, solve_form
 from auctionlp.model import DS, Instance
 
@@ -22,9 +22,8 @@ FAST_PATHS = {
     "_key_coefficients", "_key_rows", "mechanism_slacks", "_slack_numerators",
     "dual_from_multipliers", "_dual_from_scaled", "canonical_flow", "_ladder_flow",
     "_flow_dual", "myerson_mechanism", "proved_certificate",
-    "face_excess", "bic_to_dsic_dual", "dsic_to_bic_dual", "regularize_ds",
-    "regularize_bayes", "_regularize", "scaled", "supports_scaled", "probs_scaled",
-    "mu_scaled", "mu_minus_scaled",
+    "face_excess", "bic_to_dsic_dual", "dsic_to_bic_dual", "regularize", "scaled",
+    "supports_scaled", "probs_scaled", "mu_scaled", "mu_minus_scaled",
 }
 # What the primal builder reads; helpers.reference_primal uses none of it.
 BUILDER_PATHS = {
@@ -57,6 +56,11 @@ def test_exports_resolve_and_references_stay_independent():
         for export in getattr(module, "__all__", ()):
             assert hasattr(module, export), f"{info.name}.__all__ names missing {export}"
     assert auctionlp.oracles.__all__ == ["gen_instance", "gen_shape", "parse_spec"]
+    # one function per step, whichever form its dual is of
+    assert virtual.__all__ == [
+        "GapLedger", "check_cs", "regularity_witness", "regularize", "virtual_values",
+        "CheckReport", "check_vwm", "check_ubvv",
+    ]
 
     here = Path(__file__).parent
     trees = {name: ast.parse((here / name).read_text()) for name in ("helpers.py", "baselines.py")}
@@ -88,6 +92,10 @@ def test_benchmark_trace_targets_resolve(u12, monkeypatch):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for attr in ("mu", "mu_minus"):
         assert callable(getattr(Instance, attr, None)), attr
+    # the per-form names it binds are aliases of the one function of each step
+    for step in ("check_cs", "regularize", "virtual_values"):
+        for form in ("ds", "bayes"):
+            assert getattr(virtual, f"{step}_{form}") is getattr(virtual, step), (step, form)
     handed = []
     original = auction.solve
 
@@ -105,6 +113,20 @@ def test_benchmark_trace_targets_resolve(u12, monkeypatch):
     built = build_dslp(u12)
     assert (program.nrows, program.ncols) == (built.nrows, built.ncols)
     assert [len(row) for row in program.rows] == [len(row) for row in built.rows]
+
+
+def test_no_function_takes_a_form_beside_a_dual():
+    # a dual holds its form, so a function that takes a dual reads the
+    # form off it and is handed none beside it
+    found = []
+    for path in sorted(Path(auctionlp.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                if {"dual", "form"} <= params:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def test_readme_python_example_runs():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from auctionlp import virtual
 from auctionlp.auction import (
     BAYES,
     DS,
@@ -31,16 +32,12 @@ from auctionlp.model import (
     dual_from_multipliers,
 )
 from auctionlp.virtual import (
-    bayes_regularity_witness,
-    check_cs_bayes,
-    check_cs_ds,
+    check_cs,
     check_ubvv,
     check_vwm,
-    ds_regularity_witness,
-    regularize_bayes,
-    regularize_ds,
-    virtual_values_ds,
-    virtual_values_bayes,
+    regularity_witness,
+    regularize,
+    virtual_values,
 )
 from helpers import (
     drop,
@@ -73,20 +70,20 @@ def optimal_pair(instance, form=DS):
 def test_ledger_vanishes_on_optimal_pair(u123, pair12):
     for instance in (u123, pair12):
         cert, mech, dual = optimal_pair(instance)
-        ledger = check_cs_ds(instance, mech, dual)
+        ledger = check_cs(instance, mech, dual)
         assert ledger.gap == 0
         assert ledger.optimal
         assert (ledger.ic, ledger.ir, ledger.supply, ledger.alloc, ledger.pay) == (
             0, 0, 0, 0, 0,
         )
         bcert, bmech, bdual = optimal_pair(instance, BAYES)
-        bledger = check_cs_bayes(instance, bmech, bdual)
+        bledger = check_cs(instance, bmech, bdual)
         assert bledger.gap == 0
 
 
 def test_ledger_against_zero_mechanism(u123):
     cert, _, dual = optimal_pair(u123)
-    ledger = check_cs_ds(u123, zero_mechanism(u123, DS), dual)
+    ledger = check_cs(u123, zero_mechanism(u123, DS), dual)
     assert ledger.gap == dual.objective() == cert.objective
     assert not ledger.optimal
 
@@ -98,7 +95,7 @@ def test_ledger_tracks_supply_perturbation(u12):
     )
     dual2 = dual_from_multipliers(u12, DS, dual.zeta, dual.eta, bumped)
     assert dual2.is_feasible()
-    ledger = check_cs_ds(u12, mech, dual2)
+    ledger = check_cs(u12, mech, dual2)
     assert ledger.gap == dual2.objective() - mech.revenue(u12)
     expected_supply = sum(
         F(1, 7) * (1 - sold(mech, u12, 0, profile))
@@ -124,7 +121,7 @@ def test_ledger_rejects_tampered_alpha(pair12):
     tampered = replace(dual, scaled=dual.scaled._replace(alpha=alpha))
     assert tampered.is_feasible()
     with pytest.raises(NotOptimal, match="objective gap"):
-        check_cs_ds(pair12, mech, tampered)
+        check_cs(pair12, mech, tampered)
 
 
 def test_ledger_rejects_infeasible_sides(u12):
@@ -132,14 +129,29 @@ def test_ledger_rejects_infeasible_sides(u12):
     overcharged = tuple(tuple(p + 1 for p in row) for row in mech.pay)
     sell_at_loss = mechanism_of(DS, mech.alloc, overcharged)
     with pytest.raises(InfeasibleInput):
-        check_cs_ds(u12, sell_at_loss, dual)
+        check_cs(u12, sell_at_loss, dual)
     negative_eta = tuple(
         tuple(-x if x else x for x in row) for row in dual.eta
     )
     broken = dual_from_multipliers(u12, DS, dual.zeta, negative_eta, dual.xi)
     if not broken.is_feasible():
         with pytest.raises(InfeasibleInput):
-            check_cs_ds(u12, mech, broken)
+            check_cs(u12, mech, broken)
+
+
+def test_per_form_names_are_the_one_functions(pair12):
+    # the benchmark's tracer binds a per-form name of each step; each
+    # gives the one function's result on a dual of either form
+    for form in (DS, BAYES):
+        cert, mech, dual = optimal_pair(pair12, form)
+        ledger = check_cs(pair12, mech, dual)
+        regular = regularize(pair12, dual, revenue=cert.objective)
+        table = virtual_values(pair12, regular)
+        assert regular.form == table.form == form
+        for suffix in ("ds", "bayes"):
+            assert getattr(virtual, f"check_cs_{suffix}")(pair12, mech, dual) == ledger
+            assert getattr(virtual, f"regularize_{suffix}")(pair12, dual, cert.objective) == regular
+            assert getattr(virtual, f"virtual_values_{suffix}")(pair12, regular) == table
 
 
 # -- regularization ---------------------------------------------------------
@@ -147,10 +159,10 @@ def test_ledger_rejects_infeasible_sides(u12):
 
 def test_regularize_ds_frozen_small_uniform(u12):
     cert, _, dual = optimal_pair(u12)
-    reg = regularize_ds(u12, dual, revenue=cert.objective)
+    reg = regularize(u12, dual, revenue=cert.objective)
     assert reg.objective() == cert.objective == 1
     assert reg.is_feasible()
-    assert ds_regularity_witness(u12, reg) is None
+    assert regularity_witness(u12, reg) is None
     # one buyer: type t sits at the profile of rank t
     nonzero = {
         (t, t2): reg.zeta[0][t][t2]
@@ -164,19 +176,13 @@ def test_regularize_ds_frozen_small_uniform(u12):
 
 def test_regularize_is_idempotent(u123):
     cert, _, dual = optimal_pair(u123)
-    reg = regularize_ds(u123, dual, revenue=cert.objective)
-    assert regularize_ds(u123, reg, revenue=cert.objective) == reg
-
-
-REGULARIZATIONS = {
-    DS: (regularize_ds, ds_regularity_witness),
-    BAYES: (regularize_bayes, bayes_regularity_witness),
-}
+    reg = regularize(u123, dual, revenue=cert.objective)
+    assert regularize(u123, reg, revenue=cert.objective) == reg
 
 
 def idle_zeta(instance, dual):
     """Whether some zeta of a dominant-strategy dual is nonzero at a
-    profile whose opponents have mass 0, where regularize_ds drops it."""
+    profile whose opponents have mass 0, where regularize drops it."""
     return any(
         any(dual.zeta[i][r])
         for r, v in enumerate(instance.profiles())
@@ -193,7 +199,6 @@ def test_regularization_is_a_projection(form):
     # where it is optimal) the canonical flow are.  Neither a regular
     # dual nor a regularized one holds zeta where the opponents have no
     # mass.
-    regularize, witness = REGULARIZATIONS[form]
     kept = rewritten = 0
     for spec, seeds in (
         ({"n": 2, "m": 1, "support": 2}, range(8)),
@@ -213,7 +218,7 @@ def test_regularization_is_a_projection(form):
             for candidate in duals:
                 result = regularize(instance, candidate, revenue=revenue)
                 assert regularize(instance, result, revenue=revenue) is result
-                regular = witness(instance, candidate) is None
+                regular = regularity_witness(instance, candidate) is None
                 assert (result is candidate) == regular
                 kept += regular
                 rewritten += not regular
@@ -230,7 +235,7 @@ def test_regularize_drops_zeta_where_opponents_have_no_mass(pair12):
     # feasible, and optimal for the overpaid objective, but not regular,
     # and regularization drops the cycle.
     cert, _, dual = optimal_pair(pair12)
-    regular = regularize_ds(pair12, dual, revenue=cert.objective)
+    regular = regularize(pair12, dual, revenue=cert.objective)
     s0 = others_rank(pair12, 0, (0,))
     assert pair12.mu_minus(0, (0,)) == 0
     low, high = pair12.ranks[0][s0][0], pair12.ranks[0][s0][2]
@@ -243,7 +248,7 @@ def test_regularize_drops_zeta_where_opponents_have_no_mass(pair12):
     revenue = cert.objective + 2
     assert moved.is_feasible() and moved.objective() == revenue
     assert idle_zeta(pair12, moved)
-    result = regularize_ds(pair12, moved, revenue=revenue)
+    result = regularize(pair12, moved, revenue=revenue)
     assert result is not moved and not idle_zeta(pair12, result)
     assert result.zeta == regular.zeta and result.xi == moved.xi
 
@@ -251,7 +256,7 @@ def test_regularize_drops_zeta_where_opponents_have_no_mass(pair12):
 def test_regularize_rejects_suboptimal_objective(u12):
     _, _, dual = optimal_pair(u12)
     with pytest.raises(NotOptimal):
-        regularize_ds(u12, dual, revenue=drev(u12) + 1)
+        regularize(u12, dual, revenue=drev(u12) + 1)
 
 
 def test_regularize_rejects_infeasible_dual(u12):
@@ -264,14 +269,14 @@ def test_regularize_rejects_infeasible_dual(u12):
         dual.xi,
     )
     with pytest.raises(InfeasibleInput):
-        regularize_ds(u12, negated, revenue=drev(u12))
+        regularize(u12, negated, revenue=drev(u12))
 
 
 def test_regularize_bayes_round_trip(pair12):
     cert, _, dual = optimal_pair(pair12, BAYES)
-    reg = regularize_bayes(pair12, dual, revenue=cert.objective)
+    reg = regularize(pair12, dual, revenue=cert.objective)
     assert reg.objective() == cert.objective
-    assert bayes_regularity_witness(pair12, reg) is None
+    assert regularity_witness(pair12, reg) is None
     for i in (0, 1):
         assert reg.eta[i] == (F(1), F(0), F(0))
 
@@ -299,7 +304,7 @@ def test_witness_detects_virtual_on_zero_mass_slice(pair12):
     eta = tuple(tuple(F(0) for _ in pair12.profiles()) for _ in range(2))
     xi = ((F(0),) * pair12.profile_count,)
     dual = dual_from_multipliers(pair12, DS, frozen(zeta), eta, xi)
-    witness = ds_regularity_witness(pair12, dual)
+    witness = regularity_witness(pair12, dual)
     assert witness is not None
     assert witness[0] == "virtual"
     assert witness[1][0] == 0
@@ -313,7 +318,7 @@ def test_witness_detects_source(u12):
     eta = ((F(1), F(1), F(0)),)
     xi = ((F(0), F(0), F(0)),)
     dual = dual_from_multipliers(u12, DS, frozen(zeta), eta, xi)
-    assert ds_regularity_witness(u12, dual) == ("source", (0, (1,)))
+    assert regularity_witness(u12, dual) == ("source", (0, (1,)))
 
 
 def test_witness_detects_trans(u12):
@@ -321,13 +326,13 @@ def test_witness_detects_trans(u12):
     eta = ((F(1), F(0), F(0)),)
     xi = ((F(0), F(0), F(0)),)
     dual = dual_from_multipliers(u12, DS, frozen(zeta), eta, xi)
-    assert ds_regularity_witness(u12, dual) == ("trans", (0, (0,)))
+    assert regularity_witness(u12, dual) == ("trans", (0, (0,)))
 
 
 def test_witness_accepts_regular(u12):
     _, _, dual = optimal_pair(u12)
-    reg = regularize_ds(u12, dual, revenue=1)
-    assert ds_regularity_witness(u12, reg) is None
+    reg = regularize(u12, dual, revenue=1)
+    assert regularity_witness(u12, reg) is None
 
 
 def test_checks_refuse_an_instance_without_a_zero_type():
@@ -337,7 +342,7 @@ def test_checks_refuse_an_instance_without_a_zero_type():
     assert instance.zero_index(0) is None
     zeta = frozen(zeros_like_zeta(instance))
     eta, xi = ((F(0), F(0)),), ((F(0), F(0)),)
-    for form, check in ((DS, ds_regularity_witness), (BAYES, virtual_values_bayes)):
+    for form, check in ((DS, regularity_witness), (BAYES, virtual_values)):
         dual = dual_from_multipliers(instance, form, zeta, eta, xi)
         with pytest.raises(MissingZeroType, match="^buyer 0 has no zero vector in support$"):
             check(instance, dual)
@@ -358,13 +363,13 @@ def test_bayes_witness_detects_source(pair12):
     zeta1 = [[F(0)] * 3 for _ in range(3)]
     zeta1[1][0] = F(1)
     dual = bayes_dual_with_regular_buyer0(pair12, zeta1, (F(1), F(1), F(0)))
-    assert bayes_regularity_witness(pair12, dual) == ("source", (1, 1))
+    assert regularity_witness(pair12, dual) == ("source", (1, 1))
 
 
 def test_bayes_witness_detects_trans(pair12):
     zeta1 = [[F(0)] * 3 for _ in range(3)]
     dual = bayes_dual_with_regular_buyer0(pair12, zeta1, (F(1), F(0), F(0)))
-    assert bayes_regularity_witness(pair12, dual) == ("trans", (1, 0))
+    assert regularity_witness(pair12, dual) == ("trans", (1, 0))
 
 
 # -- virtual value tables ---------------------------------------------------
@@ -372,8 +377,8 @@ def test_bayes_witness_detects_trans(pair12):
 
 def test_virtual_values_match_formula_on_small_uniform(u12):
     cert, mech, dual = optimal_pair(u12)
-    reg = regularize_ds(u12, dual, revenue=cert.objective)
-    table = virtual_values_ds(u12, reg)
+    reg = regularize(u12, dual, revenue=cert.objective)
+    table = virtual_values(u12, reg)
     assert table.values[0][0] == (NEG_INF, F(0), F(2))
     formula = myerson_formula([v[0] for v in u12.supports[0]], u12.probs[0])
     assert formula == {1: F(0), 2: F(2)}
@@ -385,8 +390,8 @@ def test_virtual_values_match_formula_on_small_uniform(u12):
 
 def test_virtual_values_nonunique_point_stays_in_face_range(u123):
     cert, mech, dual = optimal_pair(u123)
-    reg = regularize_ds(u123, dual, revenue=cert.objective)
-    table = virtual_values_ds(u123, reg)
+    reg = regularize(u123, dual, revenue=cert.objective)
+    table = virtual_values(u123, reg)
     formula = myerson_formula([v[0] for v in u123.supports[0]], u123.probs[0])
     assert formula == {1: F(-1), 2: F(1), 3: F(3)}
     assert table.values[0][0][2] == formula[2]
@@ -401,7 +406,7 @@ def test_virtual_values_nonunique_point_stays_in_face_range(u123):
 
 def test_virtual_values_require_regular_dual(u12):
     _, _, dual = optimal_pair(u12)
-    if ds_regularity_witness(u12, dual) is None:
+    if regularity_witness(u12, dual) is None:
         dual = dual_from_multipliers(
             u12,
             DS,
@@ -410,13 +415,13 @@ def test_virtual_values_require_regular_dual(u12):
             dual.xi,
         )
     with pytest.raises(NotRegular):
-        virtual_values_ds(u12, dual)
+        virtual_values(u12, dual)
 
 
 def test_bayes_table_is_constant_across_opponents(pair12):
     cert, _, dual = optimal_pair(pair12, BAYES)
-    reg = regularize_bayes(pair12, dual, revenue=cert.objective)
-    table = virtual_values_bayes(pair12, reg)
+    reg = regularize(pair12, dual, revenue=cert.objective)
+    table = virtual_values(pair12, reg)
     per_type = {0: NEG_INF, 1: F(0), 2: F(2)}
     for i in (0, 1):
         for profile in pair12.profiles():
@@ -508,7 +513,7 @@ def test_vwm_flags_partial_sale(u12):
 
 def test_ubvv_accepts_and_counts(u123):
     cert, _, dual = optimal_pair(u123)
-    table = virtual_values_ds(u123, regularize_ds(u123, dual, revenue=cert.objective))
+    table = virtual_values(u123, regularize(u123, dual, revenue=cert.objective))
     report = check_ubvv(table, u123)
     assert report.ok
     assert report.checked == 3
@@ -585,12 +590,9 @@ def test_numerator_tables_and_checks_match_their_fraction_definitions():
         witness = None
         for form in (DS, BAYES):
             cert, mech, dual = optimal_pair(instance, form)
-            if form == DS:
-                regular = regularize_ds(instance, dual, revenue=cert.objective)
-                table = virtual_values_ds(instance, regular)
-            else:
-                regular = regularize_bayes(instance, dual, revenue=cert.objective)
-                table = virtual_values_bayes(instance, regular)
+            regular = regularize(instance, dual, revenue=cert.objective)
+            table = virtual_values(instance, regular)
+            if form == BAYES:
                 witness = bic_to_dsic_dual(instance, regular)
             expected = reference_virtual_values(instance, regular, form)
             assert table.values == expected, (spec, seed, form)
@@ -611,7 +613,7 @@ def test_numerator_tables_and_checks_match_their_fraction_definitions():
             if form == DS:
                 pairs = [(regular, table)]
             else:
-                ds_table = virtual_values_ds(instance, witness)
+                ds_table = virtual_values(instance, witness)
                 pairs = [(witness, ds_table), (witness, _phi_moved(instance, ds_table, rng))]
             for ds_dual, tab in pairs:
                 if tab is None:
