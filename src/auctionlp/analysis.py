@@ -209,11 +209,12 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     ]
     ladders = [_value_ladder(instance, i) for i in range(n)]
     den = lcm(*(value_den for _, _, value_den in ladders))
-    pay = [[0] * n for _ in range(count)]
+    pay = []
     for i, (order, values, value_den) in enumerate(ladders):
         unit = den // value_den
         # (type, value over den) up the ladder
         ladder = [(t, values[t] * unit) for t in order]
+        column = [0] * count
         for ranks in instance.ranks[i]:
             paid = held = 0
             for t, value in ladder:
@@ -221,13 +222,11 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
                 x = winner[r] == i
                 paid += value * (x - held)
                 held = x
-                pay[r][i] = paid
-    # the allocation at a profile of each winner, or of none
-    cells = {
-        won: tuple((den,) if i == won else (0,) for i in range(n)) for won in (None, *range(n))
-    }
-    alloc = tuple([cells[won] for won in winner])
-    return Mechanism(DS, Scaled((alloc, tuple(map(tuple, pay))), den))
+                column[r] = paid
+        pay.append(tuple(column))
+    # each buyer's one item: den at the profiles it wins
+    alloc = tuple((tuple([den if won == i else 0 for won in winner]),) for i in range(n))
+    return Mechanism(DS, Scaled((alloc, tuple(pay)), den))
 
 
 def _myerson_auction(instance: Instance, auction: Scaled, dual: DualSolution):

@@ -184,15 +184,17 @@ class ProgramLayout:
 
     @cached_property
     def _names(self) -> tuple[list[tuple[int, ...]], list[str]]:
-        """Each profile, and its key in the label grammar, by rank."""
+        """Each profile, and its key in the label grammar (profile_key),
+        by rank: the keys join the product of the types' digit strings."""
         profiles = list(itertools.product(*map(range, self.sizes)))
-        return profiles, [profile_key(v) for v in profiles]
+        digits = [list(map(str, range(k))) for k in self.sizes]
+        return profiles, list(map(".".join, itertools.product(*digits)))
 
     @cached_property
     def _ranks(self) -> dict[str, int]:
         """Each profile key to its rank: the only spellings a profile
         field of a label takes."""
-        return {name: r for r, name in enumerate(self._names[1])}
+        return dict(zip(self._names[1], range(self.count)))
 
     @cached_property
     def _numbers(self) -> tuple[dict[str, int], dict[str, int], list[dict[str, int]]]:
@@ -421,16 +423,17 @@ def extract_mechanism(
 
 
 def _mechanism_entries(instance: Instance, layout: ProgramLayout, vector):
-    """(alloc, pay) read off a primal vector.  The layout's x and p are
-    linear in the rank, so each (buyer, item) and each buyer's payments
-    are one slice of the vector."""
-    n, m, count = instance.n, instance.m, instance.profile_count
-    per_buyer = [
-        zip(*(vector[x : x + count] for x in (layout.x(i, j, 0) for j in range(m))))
-        for i in range(n)
-    ]
-    pay = zip(*(vector[p : p + count] for p in (layout.p(i, 0) for i in range(n))))
-    return tuple(zip(*per_buyer)), tuple(pay)
+    """(alloc, pay) read off a primal vector, in its own column order
+    (Mechanism.scaled).  The layout's x and p are linear in the rank, so
+    each (buyer, item) and each buyer's payments are one slice of the
+    vector."""
+    count = instance.profile_count
+    alloc = tuple(
+        tuple(vector[x : x + count] for x in (layout.x(i, j, 0) for j in range(instance.m)))
+        for i in range(instance.n)
+    )
+    pay = tuple(vector[p : p + count] for p in (layout.p(i, 0) for i in range(instance.n)))
+    return alloc, pay
 
 
 def extract_dual(
@@ -613,20 +616,20 @@ def _positive_columns(
 ) -> list[int]:
     """The DS primal columns where the mechanism is positive, in column
     order, read off its numerators: x (buyer, item, profile), then p
-    (buyer, profile)."""
+    (buyer, profile).  Each of the mechanism's columns is one of the
+    layout's, starting at rank 0."""
     (alloc, pay), _ = mechanism.scaled
-    count = instance.profile_count
-    positive = [
-        layout.x(i, j, r)
-        for i in range(instance.n)
-        for j in range(instance.m)
-        for r in range(count)
-        if alloc[r][i][j] > 0
+    starts = [
+        *(layout.x(i, j, 0) for i in range(instance.n) for j in range(instance.m)),
+        *(layout.p(i, 0) for i in range(instance.n)),
     ]
-    positive.extend(
-        layout.p(i, r) for i in range(instance.n) for r in range(count) if pay[r][i] > 0
-    )
-    return positive
+    columns = [*itertools.chain.from_iterable(alloc), *pay]
+    return [
+        start + r
+        for start, column in zip(starts, columns)
+        for r, q in enumerate(column)
+        if q > 0
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -769,13 +772,15 @@ def _sections(instance: Instance, proof: _Proof) -> tuple[dict, dict]:
     profiles, names = _layout(instance, form)._names
     (alloc, pay), den = proof.mechanism.scaled
     primal = {}
-    for name, cells, prices in zip(names, alloc, pay):
-        for i, (cell, price) in enumerate(zip(cells, prices)):
-            for j, q in enumerate(cell):
+    for i, items in enumerate(alloc):
+        for j, column in enumerate(items):
+            for name, q in zip(names, column):
                 if q:
                     primal[_X(i, j, name)] = _text(q, den)
-            if price:
-                primal[_P(i, name)] = _text(price, den)
+    for i, column in enumerate(pay):
+        for name, q in zip(names, column):
+            if q:
+                primal[_P(i, name)] = _text(q, den)
     nums = proof.dual.scaled
     dual = {}
     for i, ((zeta, den), (eta, _)) in enumerate(zip(nums.zeta, nums.eta)):
@@ -799,18 +804,24 @@ def _sections(instance: Instance, proof: _Proof) -> tuple[dict, dict]:
 
 def _section_values(document: dict, key: str):
     """A certificate section, entry by entry: its label, and its value
-    read once (ratio) to a numerator and a denominator in lowest terms.
-    A section that is not a map, or a value that is not a rational,
-    raises LabelMismatch."""
+    read (ratio) to a numerator and a denominator in lowest terms.  Each
+    distinct value string is read once, for this section only; other
+    values go to ratio each time.  A section that is not a map, or a
+    value that is not a rational, raises LabelMismatch."""
     section = document.get(key)
     if not isinstance(section, dict):
         raise LabelMismatch(f"certificate {key} is not a map of labels to rationals")
+    read = {}  # value string -> (numerator, denominator)
     for label, value in section.items():
-        try:
-            num, den = ratio(value)
-        except NotRational as exc:
-            raise LabelMismatch(f"certificate {key}: {exc}") from None
-        yield label, num, den
+        pair = read.get(value) if type(value) is str else None
+        if pair is None:
+            try:
+                pair = ratio(value)
+            except NotRational as exc:
+                raise LabelMismatch(f"certificate {key}: {exc}") from None
+            if type(value) is str:
+                read[value] = pair
+        yield label, *pair
 
 
 def _section_entries(

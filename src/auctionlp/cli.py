@@ -110,12 +110,14 @@ def cmd_characterize(args) -> int:
     count = 1 if args.count is None else args.count
     if count < 1:
         raise DimensionMismatch(f"--count must be at least 1, got {echo(count)}")
-    # An instance may need a dominant-strategy solve (on more than one
-    # item, or where the closed form is refused), so refuse its tableau
-    # before drawing; the builders' right-hand sides are nonnegative, so
-    # it has no artificial columns.
+    # An instance of more than one item needs a dominant-strategy solve,
+    # so refuse its tableau before drawing; the builders' right-hand
+    # sides are nonnegative, so it has no artificial columns.  A one-item
+    # instance is drawn and tried in closed form, and solve_form's own
+    # guard refuses it only where the closed form refuses.
     m, sizes = gen_shape(spec, args.caps)
-    check_tableau_size(*ProgramLayout(DS, m, sizes).shape)
+    if m > 1:
+        check_tableau_size(*ProgramLayout(DS, m, sizes).shape)
     if count == 1 and not spec.get("iid"):
         instance = gen_instance(spec, seed, cap=args.caps)
         _characterize_one(instance)

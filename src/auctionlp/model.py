@@ -31,6 +31,11 @@ Rank tables.  An Instance builds, on first use and then caches:
   `mu_minus_scaled[i]`, the masses of buyer i's opponent slices by
   slice, as integer numerators (see Integer numerators below).
 
+`ranks` and `positions` are built from ranges, not entry by entry: a
+slice's ranks step by the stride of buyer i's type (the product of the
+later buyers' sizes), and by rank the types and slices repeat in runs of
+that stride, which `itertools.repeat` and `zip` lay out.
+
 The mass tables are running products over the buyers: each buyer's
 mass numerators multiply the table of the buyers before it, row-major,
 so that a table costs about one integer product per entry and lists its
@@ -76,7 +81,10 @@ vector is per buyer (a `Scaled`):
 * `Instance.supports_scaled[i]` over V_i, `probs_scaled[i]` over P_i,
   `mu_scaled` over M, and `mu_minus_scaled[i]` over W_i;
 * `Mechanism.scaled`: alloc and pay over one denominator D (after
-  extraction, the primal vector's);
+  extraction, the primal vector's), held in the primal's column order:
+  alloc[i][j] and pay[i] are tuples over ranks, the columns x(i, j, .)
+  and p(i, .) as they lie in the primal vector, so that extraction
+  only slices the vector and the kernels read each column as it is;
 * `PrimalSlacks.scaled`: a[i] and b[i] over V_i * S_i * D, c over D,
   where S_i is the denominator of buyer i's scales (1 in the
   dominant-strategy form, W_i in the Bayesian form);
@@ -407,27 +415,40 @@ class Instance:
     # -- rank tables (see the module docstring) ------------------------------
 
     @cached_property
-    def ranks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def _strides(self) -> tuple[tuple[int, int], ...]:
+        """Per buyer of k types, (d, k * d): d is the rank distance
+        between profiles one apart in its type, and k * d the span of
+        ranks over which its type runs through all k once.  Each span
+        holds d slices, which start at its first d ranks."""
         sizes = self.sizes
-        # the rank distance between profiles one apart in buyer i's type
         strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+        return tuple((d, k * d) for k, d in zip(sizes, strides))
+
+    @cached_property
+    def ranks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        count = self.profile_count
         return tuple(
             tuple(
-                tuple(((s // d) * k + t) * d + s % d for t in range(k))
-                for s in range(self.profile_count // k)
+                tuple(range(first, first + span, d))
+                for start in range(0, count, span)
+                for first in range(start, start + d)
             )
-            for k, d in zip(sizes, strides)
+            for d, span in self._strides
         )
 
     @cached_property
     def positions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        count = self.profile_count
         out = []
-        for slices in self.ranks:
-            at = [None] * self.profile_count
-            for s, ranks in enumerate(slices):
-                for t, r in enumerate(ranks):
-                    at[r] = (t, s)
-            out.append(tuple(at))
+        for (d, span), k in zip(self._strides, self.sizes):
+            # by rank, one span at a time: each type for d ranks, which
+            # run over the span's d slices
+            run = itertools.chain.from_iterable(map(itertools.repeat, range(k), [d] * k))
+            types = list(run) * (count // span)
+            slices = itertools.chain.from_iterable(
+                list(range(s, s + d)) * k for s in range(0, count // k, d)
+            )
+            out.append(tuple(zip(types, slices)))
         return tuple(out)
 
     def _mass_products(self, buyers) -> Scaled:
@@ -624,11 +645,13 @@ class Mechanism(_Numerators):
     """Allocation and payments indexed by full profile.
 
     alloc[r][i][j]: probability buyer i gets item j at the profile of
-    rank r.  pay[r][i]: buyer i's payment there.  scaled holds them over
-    one denominator: its nums is the pair of their numerators, nested
-    alike (extraction keeps the ones it reads off its certificate's
-    primal vector).  One structure serves both forms; form records which
-    constraint family it targets.
+    rank r.  pay[r][i]: buyer i's payment there.  These are views, made
+    on first read, of scaled, which holds the numerators over one
+    denominator in the primal's column order: its nums is the pair
+    (alloc, pay) with alloc[i][j] and pay[i] each a tuple over ranks,
+    the columns x(i, j, .) and p(i, .) of the primal vector (extraction
+    keeps the slices it reads off its certificate's).  One structure
+    serves both forms; form records which constraint family it targets.
     """
 
     form: str
@@ -638,16 +661,19 @@ class Mechanism(_Numerators):
 
     @cached_property
     def alloc(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        return Scaled(self.scaled.nums[0], self.scaled.den).fractions()
+        (alloc, _), den = self.scaled
+        per_buyer = (zip(*items) for items in Scaled(alloc, den).fractions())
+        return tuple(zip(*per_buyer))
 
     @cached_property
     def pay(self) -> tuple[tuple[Fraction, ...], ...]:
-        return Scaled(self.scaled.nums[1], self.scaled.den).fractions()
+        (_, pay), den = self.scaled
+        return tuple(zip(*Scaled(pay, den).fractions()))
 
     def revenue(self, instance: Instance) -> Fraction:
         (_, pay), den = self.scaled
         mu = instance.mu_scaled
-        total = sum(w * sum(prow) for w, prow in zip(mu.nums, pay) if w)
+        total = sum(sum(map(mul, mu.nums, column)) for column in pay)
         return Fraction(total, mu.den * den)
 
 
@@ -695,16 +721,16 @@ class PrimalSlacks(_Numerators):
 
 
 def _check_dims(instance: Instance, mechanism: Mechanism) -> None:
-    count = instance.profile_count
+    """DimensionMismatch unless the mechanism has n * m allocation and n
+    payment columns, each with one entry per profile."""
     alloc, pay = mechanism.scaled.nums
-    if len(alloc) != count or len(pay) != count:
+    count = instance.profile_count
+    if any(len(column) != count for column in itertools.chain(*alloc, pay)):
         raise DimensionMismatch("mechanism profile count != instance profile count")
-    for row, prow in zip(alloc, pay):
-        if len(row) != instance.n or len(prow) != instance.n:
-            raise DimensionMismatch("mechanism buyer dimension mismatch")
-        for cell in row:
-            if len(cell) != instance.m:
-                raise DimensionMismatch("mechanism item dimension mismatch")
+    if len(alloc) != instance.n or len(pay) != instance.n:
+        raise DimensionMismatch("mechanism buyer dimension mismatch")
+    if any(len(items) != instance.m for items in alloc):
+        raise DimensionMismatch("mechanism item dimension mismatch")
 
 
 def _utility(vec, cell, price) -> Fraction:
@@ -740,20 +766,19 @@ def _slack_numerators(instance: Instance, mechanism: Mechanism) -> SlackNumerato
     form = mechanism.form
     (alloc, pay), den = mechanism.scaled
     # c[j][r]: den less item j's allocations at the profile of rank r
-    sold = (map(sum, zip(*row)) for row in alloc)
-    c = Scaled(tuple(zip(*([den - q for q in items] for items in sold))), den)
+    sold = (map(sum, zip(*columns)) for columns in zip(*alloc))
+    c = Scaled(tuple([tuple([den - q for q in column]) for column in sold]), den)
     a, b = [], []
     for i in range(instance.n):
         scales = multiplier_keys(instance, form, i).scales
         vecs, vden = instance.supports_scaled[i]
         if form == DS:
-            # buyer i's columns, read once; then per report t2, its
-            # allocation per item and vden times its payment on every
-            # slice s, gathered at the ranks ranks[i][s][t2]
-            items = list(zip(*[row[i] for row in alloc]))
-            prices = [vden * row[i] for row in pay]
+            # per report t2, buyer i's allocation per item and vden
+            # times its payment on every slice s, gathered from its
+            # columns at the ranks ranks[i][s][t2]
+            prices = [vden * q for q in pay[i]]
             reports = [
-                ([[column[r] for r in ranks] for column in items], [prices[r] for r in ranks])
+                ([[column[r] for r in ranks] for column in alloc[i]], [prices[r] for r in ranks])
                 for ranks in zip(*instance.ranks[i])
             ]
             gaps, truths = [], []
@@ -799,6 +824,7 @@ def _key_rows(instance: Instance, alloc, pay, i: int, scales):
     and pay as in Mechanism.scaled), summed over its opponent slices at
     their scale numerators; zero-scale slices add nothing."""
     k, m = instance.sizes[i], instance.m
+    items, paid = alloc[i], pay[i]
     cells = [[0] * m for _ in range(k)]
     prices = [0] * k
     for w, ranks in zip(scales, instance.ranks[i]):
@@ -806,9 +832,9 @@ def _key_rows(instance: Instance, alloc, pay, i: int, scales):
             continue
         for t2, lr in enumerate(ranks):
             acc = cells[t2]
-            for j, x in enumerate(alloc[lr][i]):
-                acc[j] += w * x
-            prices[t2] += w * pay[lr][i]
+            for j, column in enumerate(items):
+                acc[j] += w * column[lr]
+            prices[t2] += w * paid[lr]
     return cells, prices
 
 

@@ -81,18 +81,14 @@ def check_cs(
         raise InfeasibleInput("dual solution violates feasibility")
     multipliers = dual.scaled
     (alloc, pay), den = mechanism.scaled
-    items = range(instance.m)
     ledger = GapLedger(
         ic=_products(zip(slacks.a, multipliers.zeta)),
         ir=_products(zip(slacks.b, multipliers.eta)),
         supply=_products([(slacks.c, multipliers.xi)]),
         alloc=_products(
-            (alpha, Scaled(tuple(tuple(row[i][j] for row in alloc) for j in items), den))
-            for i, alpha in enumerate(multipliers.alpha)
+            (alpha, Scaled(items, den)) for alpha, items in zip(multipliers.alpha, alloc)
         ),
-        pay=_products(
-            (beta, Scaled(column, den)) for beta, column in zip(multipliers.beta, zip(*pay))
-        ),
+        pay=_products((beta, Scaled(column, den)) for beta, column in zip(multipliers.beta, pay)),
     )
     gap = dual.objective() - mechanism.revenue(instance)
     if ledger.gap != gap:
@@ -319,7 +315,7 @@ def check_vwm(
         ]
         for nums, buyer_den in table.scaled
     ]
-    alloc, alloc_den = mechanism.scaled.nums[0], mechanism.scaled.den
+    (alloc, _), alloc_den = mechanism.scaled
     for r, w in enumerate(instance.mu_scaled.nums):
         if w == 0:
             continue
@@ -327,8 +323,9 @@ def check_vwm(
         for j in range(instance.m):
             entries = [buyer[j][r] for buyer in columns]
             best = max(entries)
-            for i in range(instance.n):
-                if alloc[r][i][j] > 0:
+            cells = [items[j][r] for items in alloc]
+            for i, x in enumerate(cells):
+                if x > 0:
                     if entries[i] != best:
                         violations.append(
                             VwmViolation("alloc-not-argmax", j, r, i)
@@ -337,7 +334,7 @@ def check_vwm(
                         violations.append(
                             VwmViolation("alloc-negative", j, r, i)
                         )
-            sold = sum(cell[j] for cell in alloc[r])
+            sold = sum(cells)
             if sold < alloc_den and best > 0:
                 violations.append(VwmViolation("unsold-max-positive", j, r))
             if 0 < sold < alloc_den and best != 0:

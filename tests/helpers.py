@@ -68,6 +68,17 @@ from auctionlp.model import (
 )
 
 
+def seeded_sizes():
+    """The support sizes of forty shapes: one buyer of three types, a
+    one-type buyer among others, five buyers, then seeded draws of one
+    to five buyers of one to four types each."""
+    rng = random.Random(0)
+    drawn = [
+        tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5))) for _ in range(37)
+    ]
+    return [(3,), (2, 1, 3), (2, 2, 2, 2, 2), *drawn]
+
+
 def drop(i, profile):
     """The opponent profile: profile without buyer i's type."""
     return profile[:i] + profile[i + 1:]
@@ -624,9 +635,17 @@ def sold(mechanism, instance, j, profile):
     return sum((mechanism.alloc[r][i][j] for i in range(instance.n)), Fraction(0))
 
 
+def columns(alloc, pay):
+    """Profile-major allocations alloc[r][i][j] and payments pay[r][i]
+    as the primal's columns: per buyer, each item's allocation over the
+    ranks, and per buyer its payments over the ranks."""
+    return tuple(tuple(zip(*cells)) for cells in zip(*alloc)), tuple(zip(*pay))
+
+
 def mechanism_of(form, alloc, pay):
-    """The Mechanism with these Fraction allocations and payments."""
-    return Mechanism(form, _scale((alloc, pay)))
+    """The Mechanism with these Fraction allocations alloc[r][i][j] and
+    payments pay[r][i], held in its numerators' column order."""
+    return Mechanism(form, _scale(columns(alloc, pay)))
 
 
 def slacks_of(form, a, b, c):

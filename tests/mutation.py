@@ -109,8 +109,30 @@ MUTANTS = [
     Mutant(
         "bayes-key-rows-unscaled",
         MODEL,
-        "prices[t2] += w * pay[lr][i]",
-        "prices[t2] += pay[lr][i]",
+        "prices[t2] += w * paid[lr]",
+        "prices[t2] += paid[lr]",
+    ),
+    # the sup slack subtracts one buyer's allocation column, not the
+    # sum over buyers
+    Mutant(
+        "sup-slack-one-buyer",
+        MODEL,
+        "sold = (map(sum, zip(*columns)) for columns in zip(*alloc))",
+        "sold = (map(sum, zip(columns[0])) for columns in zip(*alloc))",
+    ),
+    # extraction slices each payment column one rank off
+    Mutant(
+        "entries-pay-column-shifted",
+        AUCTION,
+        "pay = tuple(vector[p : p + count] for p",
+        "pay = tuple(vector[p + 1 : p + count + 1] for p",
+    ),
+    # a slice's ranks step one past the stride of the buyer's type
+    Mutant(
+        "ranks-stride-off-by-one",
+        MODEL,
+        "tuple(range(first, first + span, d))",
+        "tuple(range(first, first + span, d + 1))",
     ),
     # the one acceptance of an optimum (_accepted) takes a dual it has
     # not checked feasible

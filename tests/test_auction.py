@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -23,6 +24,7 @@ from auctionlp.auction import (
     _build_primal,
     _dual_at,
     _layout,
+    _mechanism_entries,
     brev,
     build_blp,
     build_dslp,
@@ -44,7 +46,7 @@ from auctionlp.analysis import proved_certificate
 from auctionlp.cli import main
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch, NotRational
 from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, simplex, solve
-from auctionlp.model import _scale, mechanism_feasible, rat, rat_str, ratio
+from auctionlp.model import Instance, _scale, mechanism_feasible, rat, rat_str, ratio
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import REPROOF_PATHS, build, reprove_on
@@ -56,6 +58,7 @@ from helpers import (
     parse_profile_key,
     reference_index_of,
     reference_names,
+    seeded_sizes,
 )
 
 F = Fraction
@@ -117,6 +120,37 @@ NOT_LABELS = [
 # support sizes of two-item layouts; a buyer with one type has no ic
 # rows, so its empty block shares its first row with the next one
 LAYOUT_SIZES = ((3, 2), (1,), (1, 3), (3, 1), (2, 1, 2), (1, 1, 2))
+
+
+@pytest.mark.parametrize("sizes", seeded_sizes())
+def test_profile_names_match_their_definition(sizes):
+    layout = ProgramLayout(DS, 1, sizes)
+    profiles = list(itertools.product(*map(range, sizes)))
+    assert layout._names == (profiles, [profile_key(v) for v in profiles])
+    assert list(layout._ranks.items()) == [(profile_key(v), r) for r, v in enumerate(profiles)]
+
+
+@pytest.mark.parametrize("form", [DS, BAYES])
+def test_mechanism_entries_are_the_vectors_own_columns(form):
+    for sizes, m in zip(LAYOUT_SIZES, itertools.cycle((1, 2, 3))):
+        layout = ProgramLayout(form, m, sizes)
+        # the sizes are all _mechanism_entries reads of an instance
+        instance = Instance(len(sizes), m, tuple(((0,) * m,) * k for k in sizes), ())
+        vector = tuple(range(layout.shape[1]))
+        count = instance.profile_count
+        alloc, pay = _mechanism_entries(instance, layout, vector)
+        assert alloc == tuple(
+            tuple(vector[layout.x(i, j, 0) : layout.x(i, j, 0) + count] for j in range(m))
+            for i in range(instance.n)
+        )
+        assert pay == tuple(
+            vector[layout.p(i, 0) : layout.p(i, 0) + count] for i in range(instance.n)
+        )
+        # entry by entry, each column lists its layout index by rank
+        for i, (items, paid) in enumerate(zip(alloc, pay)):
+            for j, column in enumerate(items):
+                assert column == tuple(layout.x(i, j, r) for r in range(count))
+            assert paid == tuple(layout.p(i, r) for r in range(count))
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])
@@ -611,6 +645,41 @@ def test_certificate_rejects_unknown_label(u123):
     document = dict(document, primal=dict(document["primal"], **{"x:9:9:9": "1"}))
     with pytest.raises(LabelMismatch):
         verify_certificate_document(u123, document)
+
+
+def test_each_distinct_value_string_is_read_once(pair12, monkeypatch):
+    document = certificate_document(pair12, DS, solve_form(pair12, DS))
+    reads = []
+    monkeypatch.setattr(auction, "ratio", lambda value: reads.append(value) or ratio(value))
+    assert verify_certificate_document(pair12, document) == rat(document["objective"])
+    sections = [document[key] for key in ("primal", "dual", "ledger")]
+    assert sorted(reads) == sorted(v for section in sections for v in set(section.values()))
+    assert len(reads) < sum(map(len, sections))
+
+
+def test_a_malformed_value_under_many_labels_is_named(pair12):
+    document = certificate_document(pair12, DS, solve_form(pair12, DS))
+    primal = dict.fromkeys(document["primal"], "1/x")
+    with pytest.raises(LabelMismatch, match="certificate primal: not a rational: '1/x'"):
+        verify_certificate_document(pair12, dict(document, primal=primal))
+
+
+@pytest.mark.parametrize("value", [[1], True, 1], ids=["list", "true", "int"])
+def test_values_that_are_not_strings_are_each_read_by_ratio(pair12, value):
+    # every "1" of the primal as the int 1, and the last of them as
+    # value: ints read as ever, and neither a list nor true (equal to 1)
+    # is taken for a value read before it
+    document = certificate_document(pair12, DS, solve_form(pair12, DS))
+    ones = [label for label, text in document["primal"].items() if text == "1"]
+    assert len(ones) > 2
+    primal = {**document["primal"], **dict.fromkeys(ones, 1), ones[-1]: value}
+    document = dict(document, primal=primal)
+    if value == 1 and type(value) is int:
+        assert verify_certificate_document(pair12, document) == rat(document["objective"])
+    else:
+        refusal = f"certificate primal: not a rational: {value!r}"
+        with pytest.raises(LabelMismatch, match=re.escape(refusal)):
+            verify_certificate_document(pair12, document)
 
 
 # Stored certificates name their entries by label, so the document

@@ -914,6 +914,27 @@ def test_oversized_gen_program_is_refused_before_drawing(capsys):
     assert captured.out == ""
 
 
+def test_tableau_guard_waits_for_the_closed_form_on_one_item(capsys, monkeypatch):
+    # under a cap no program passes, a one-item spec whose closed form
+    # is accepted is still drawn and characterized: it solves no LP
+    monkeypatch.setattr(simplex, "_TABLEAU_CAP", 10)
+    assert main(["characterize", "--gen", "n=2,m=1,support=1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("brev 13/4\ndrev 13/4\nsrev 13/4\n")
+    assert captured.err == ""
+    # a two-item spec is refused before anything is drawn
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a two-item instance was drawn")
+
+    monkeypatch.setattr(cli, "gen_instance", drawn)
+    monkeypatch.setattr(analysis, "gen_instance", drawn)
+    assert main(["characterize", "--gen", "n=2,m=2,support=1"]) == 4
+    captured = capsys.readouterr()
+    assert "ScaleLimit: a 24x49 tableau exceeds the cap of 10 entries" in captured.err
+    assert captured.out == ""
+
+
 def test_exact_pivot_cap_exits_4(u12_path, capsys, monkeypatch, lp_only):
     from fractions import Fraction
 

@@ -46,6 +46,7 @@ from auctionlp.model import (
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import check_cs
 from helpers import (
+    columns,
     mechanism_of,
     min_entry,
     others_profiles,
@@ -316,7 +317,7 @@ def _kernel_case(seed, form):
         tuple(tuple(rng.randint(-3, 6) for _ in range(m)) for _ in range(n)) for _ in range(count)
     )
     pay = tuple(tuple(rng.randint(-4, 9) for _ in range(n)) for _ in range(count))
-    mechanism = Mechanism(form, Scaled((alloc, pay), rng.randint(1, 6)))
+    mechanism = Mechanism(form, Scaled(columns(alloc, pay), rng.randint(1, 6)))
     multipliers = []
     for k in instance.sizes:
         keys = range(count if form == DS else k)
@@ -528,7 +529,7 @@ def test_numerators_stand_for_the_fractions():
     dual = extract_dual(instance, certificate, BAYES)
     families = ("zeta", "eta", "xi", "alpha", "beta", "phi", "psi")
     for kept, views in (
-        (mechanism.scaled, (mechanism.alloc, mechanism.pay)),
+        (mechanism.scaled, columns(mechanism.alloc, mechanism.pay)),
         (slacks.scaled, (slacks.a, slacks.b, slacks.c)),
         (dual.scaled, tuple(getattr(dual, family) for family in families)),
     ):

@@ -26,7 +26,9 @@ from auctionlp.model import (
     DS,
     NEG_INF,
     Instance,
+    Mechanism,
     RevenueReport,
+    Scaled,
     load_instance,
     mechanism_feasible,
     mechanism_slacks,
@@ -41,9 +43,11 @@ from helpers import (
     mechanism_of,
     min_entry,
     others_count,
+    others_profiles,
     others_rank,
     profile_prob,
     reference_fraction,
+    seeded_sizes,
     utility,
     zero_mechanism,
 )
@@ -297,6 +301,21 @@ def test_rank_is_row_major(pair12):
     assert pair12.rank((1, 2)) == 1 * 3 + 2
 
 
+@pytest.mark.parametrize("sizes", seeded_sizes())
+def test_rank_tables_match_their_definition(sizes):
+    # the constructor checks nothing, and the tables read only the sizes
+    instance = Instance(len(sizes), 1, tuple(((Fraction(0),),) * k for k in sizes), ())
+    assert instance.sizes == sizes
+    for i, k in enumerate(sizes):
+        assert instance.ranks[i] == tuple(
+            tuple(instance.rank(insert(i, t, vm)) for t in range(k))
+            for vm in others_profiles(instance, i)
+        )
+        assert instance.positions[i] == tuple(
+            (v[i], others_rank(instance, i, drop(i, v))) for v in instance.profiles()
+        )
+
+
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 def test_drop_insert_inverse(a, b, c):
     inst = Instance(
@@ -377,6 +396,29 @@ def test_mechanism_dimension_checks(u12, pair12):
     ):
         with pytest.raises(DimensionMismatch, match=f"{mismatch} dimension"):
             mechanism_slacks(u12, mechanism_of("ds", alloc, pay))
+
+
+def test_mechanism_views_are_profile_major(pair12):
+    # the numerators are the primal's columns, alloc[i][j] and pay[i]
+    # over ranks; the views are alloc[r][i][j] and pay[r][i]
+    count = pair12.profile_count
+    alloc = tuple((tuple(2 * (i + r) for r in range(count)),) for i in range(2))
+    pay = tuple(tuple(2 * (10 * i + r) for r in range(count)) for i in range(2))
+    mechanism = Mechanism(DS, Scaled((alloc, pay), 8))
+    assert mechanism.alloc == tuple(
+        tuple((Fraction(i + r, 4),) for i in range(2)) for r in range(count)
+    )
+    assert mechanism.pay == tuple(
+        tuple(Fraction(10 * i + r, 4) for i in range(2)) for r in range(count)
+    )
+    # equal to the mechanism of its own views, over another denominator
+    # too, and to no mechanism of other entries or of the other form
+    same = mechanism_of(DS, mechanism.alloc, mechanism.pay)
+    assert same.scaled.den == 4
+    assert same == mechanism and hash(same) == hash(mechanism)
+    assert mechanism_of(BAYES, mechanism.alloc, mechanism.pay) != mechanism
+    swapped = Mechanism(DS, Scaled((alloc, pay[::-1]), 8))
+    assert swapped != mechanism
 
 
 def test_bounds_checked_separately(u12):
