@@ -229,18 +229,6 @@ def myerson_mechanism(instance: Instance, dual: DualSolution) -> Mechanism:
     return Mechanism(DS, Scaled((alloc, tuple(pay)), den))
 
 
-def _myerson_auction(instance: Instance, auction: Scaled, dual: DualSolution):
-    """The proof (auction._Proof) that Myerson's auction, held by its
-    numerators as a mechanism of the dual's form, and a single-item dual
-    are an optimum of that form, as auction._accepted accepts it, or
-    None where it refuses."""
-    mechanism = Mechanism(dual.form, auction)
-    try:
-        return _accepted(instance, mechanism, mechanism_slacks(instance, mechanism), dual)
-    except CertificateError:
-        return None
-
-
 def proved_certificate(instance: Instance, *forms: str):
     """The optimum of each given form in closed form, as their proofs
     (auction._Proof) in the order asked, or None: on one item, Myerson's
@@ -264,10 +252,12 @@ def proved_certificate(instance: Instance, *forms: str):
         dual = _flow_dual(instance, form, *flow)
         if auction is None:
             auction = myerson_mechanism(instance, dual).scaled
-        proof = _myerson_auction(instance, auction, dual)
-        if proof is None:
+        mechanism = Mechanism(form, auction)
+        slacks = mechanism_slacks(instance, mechanism)
+        try:
+            proofs.append(_accepted(instance, mechanism, slacks, dual))
+        except CertificateError:
             return None
-        proofs.append(proof)
     return tuple(proofs)
 
 

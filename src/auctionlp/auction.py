@@ -566,7 +566,7 @@ def tight_downward_dual(instance: Instance, mechanism: Mechanism, slacks: Primal
     kept = tuple(primal.rows[r] for r, _ in tight)
     face = dual_of(replace(primal, rows=kept, b=tuple(primal.b[r] for r, _ in tight)))
     # each positive entry's row again, negated, so that it holds with equality
-    positive = _positive_columns(instance, layout, mechanism)
+    positive = _positive_columns(mechanism)
     rows = face.rows + tuple(tuple((col, -coef) for col, coef in face.rows[j]) for j in positive)
     b = face.b + tuple(-face.b[j] for j in positive)
     weights = tuple(weight for _, weight in tight)
@@ -611,25 +611,14 @@ def _tight_rows(instance: Instance, layout: ProgramLayout, slacks: PrimalSlacks)
     return tight
 
 
-def _positive_columns(
-    instance: Instance, layout: ProgramLayout, mechanism: Mechanism
-) -> list[int]:
-    """The DS primal columns where the mechanism is positive, in column
-    order, read off its numerators: x (buyer, item, profile), then p
-    (buyer, profile).  Each of the mechanism's columns is one of the
-    layout's, starting at rank 0."""
+def _positive_columns(mechanism: Mechanism) -> list[int]:
+    """The primal columns where the mechanism is positive, in column
+    order, read off its numerators.  They hold alloc[i][j] and then
+    pay[i] as x(i, j, .) and p(i, .) lie in the primal vector, so an
+    entry's column is its place in that order."""
     (alloc, pay), _ = mechanism.scaled
-    starts = [
-        *(layout.x(i, j, 0) for i in range(instance.n) for j in range(instance.m)),
-        *(layout.p(i, 0) for i in range(instance.n)),
-    ]
-    columns = [*itertools.chain.from_iterable(alloc), *pay]
-    return [
-        start + r
-        for start, column in zip(starts, columns)
-        for r, q in enumerate(column)
-        if q > 0
-    ]
+    entries = itertools.chain(*itertools.chain(*alloc), *pay)
+    return [col for col, q in enumerate(entries) if q > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +881,7 @@ def verify_certificate_document(instance: Instance, document: dict) -> Fraction:
     sizes = layout.shape[::-1]  # columns, rows
     vectors = [_over_common_denominator(*pair) for pair in zip(sizes, entries)]
     if None in vectors:
-        lp = build_dslp(instance) if form == DS else build_blp(instance)
+        lp = _exact_primal(instance, form)
         x, y = ([Fraction(0)] * size for size in sizes)
         for vector, found in zip((x, y), entries):
             for index, num, den in found:

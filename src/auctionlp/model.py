@@ -31,10 +31,9 @@ Rank tables.  An Instance builds, on first use and then caches:
   `mu_minus_scaled[i]`, the masses of buyer i's opponent slices by
   slice, as integer numerators (see Integer numerators below).
 
-`ranks` and `positions` are built from ranges, not entry by entry: a
-slice's ranks step by the stride of buyer i's type (the product of the
-later buyers' sizes), and by rank the types and slices repeat in runs of
-that stride, which `itertools.repeat` and `zip` lay out.
+`ranks` is built from ranges, not entry by entry: a slice's ranks step
+by the stride of buyer i's type (the product of the later buyers'
+sizes).  `positions` is its inverse, written rank by rank from it.
 
 The mass tables are running products over the buyers: each buyer's
 mass numerators multiply the table of the buyers before it, row-major,
@@ -51,17 +50,18 @@ phi_star, psi, phibar_star, psibar) are in tests/helpers.py.
 Dual format.  Both forms hold their multipliers keyed like the primal's
 rows: zeta[i][key][t'] and eta[i][key], where key is the profile rank
 in the dominant-strategy form and the own type in the Bayesian form.
-`multiplier_keys` is the per-form table of those keys that lets each
-step (primal rows, slacks, dual assembly, slackness ledger, regularity,
-regularization, virtual values) be written once for both forms.  Its
-scales say that a Bayesian row is the opponent-mass-weighted sum of
-dominant-strategy rows; its weights and masses are what a regular dual
-meets at the keys.  `_dual_from_scaled` computes each key's
-phi_star and psi (Bayesian: phibar_star and psibar) once; the dual keeps
-them, and every later step (regularity, regularization, virtual values)
-reads them there.  A dual holds its form, as a mechanism, its slacks
-and a table do, so no function takes a form beside a dual: each reads
-the dual's own.
+`multiplier_keys` is the per-form table of those keys that lets the
+primal rows, the slackness ledger, regularity, regularization and
+virtual values be written once for both forms.  The slacks and the dual
+coefficients fork by form (see The DS gather below), because one body
+for both measured slower.  Its scales say that a Bayesian row is the
+opponent-mass-weighted sum of dominant-strategy rows; its weights and
+masses are what a regular dual meets at the keys.  `_dual_from_scaled`
+computes each key's phi_star and psi (Bayesian: phibar_star and psibar)
+once; the dual keeps them, and every later step (regularity,
+regularization, virtual values) reads them there.  A dual holds its
+form, as a mechanism, its slacks and a table do, so no function takes a
+form beside a dual: each reads the dual's own.
 
 The DS gather.  Every dominant-strategy key is one opponent slice at
 scale 1, so `_slack_numerators` and `_dual_from_scaled` handle all of a
@@ -415,40 +415,30 @@ class Instance:
     # -- rank tables (see the module docstring) ------------------------------
 
     @cached_property
-    def _strides(self) -> tuple[tuple[int, int], ...]:
-        """Per buyer of k types, (d, k * d): d is the rank distance
-        between profiles one apart in its type, and k * d the span of
-        ranks over which its type runs through all k once.  Each span
-        holds d slices, which start at its first d ranks."""
-        sizes = self.sizes
-        strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-        return tuple((d, k * d) for k, d in zip(sizes, strides))
-
-    @cached_property
     def ranks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        count = self.profile_count
-        return tuple(
-            tuple(
+        count, sizes = self.profile_count, self.sizes
+        out = []
+        for i, k in enumerate(sizes):
+            # one step in buyer i's type moves the rank by d, and each span
+            # of k * d ranks holds d slices, starting at its first d ranks
+            d = prod(sizes[i + 1:])
+            span = k * d
+            out.append(tuple(
                 tuple(range(first, first + span, d))
                 for start in range(0, count, span)
                 for first in range(start, start + d)
-            )
-            for d, span in self._strides
-        )
+            ))
+        return tuple(out)
 
     @cached_property
     def positions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        count = self.profile_count
         out = []
-        for (d, span), k in zip(self._strides, self.sizes):
-            # by rank, one span at a time: each type for d ranks, which
-            # run over the span's d slices
-            run = itertools.chain.from_iterable(map(itertools.repeat, range(k), [d] * k))
-            types = list(run) * (count // span)
-            slices = itertools.chain.from_iterable(
-                list(range(s, s + d)) * k for s in range(0, count // k, d)
-            )
-            out.append(tuple(zip(types, slices)))
+        for by_slice in self.ranks:
+            pos = [None] * self.profile_count
+            for s, column in enumerate(by_slice):
+                for t, r in enumerate(column):
+                    pos[r] = (t, s)
+            out.append(tuple(pos))
         return tuple(out)
 
     def _mass_products(self, buyers) -> Scaled:

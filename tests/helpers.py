@@ -8,7 +8,8 @@ profile key parser, and the opponent-profile helpers.
 The definitions are free functions over profile tuples: utility,
 deviation_utility, sold and their interim forms of a mechanism;
 phi_star and psi (phibar_star and psibar in the Bayesian form) of a
-dual; zero_mechanism, min_entry of slacks and row_dot of a program;
+dual; zero_mechanism, min_entry of slacks, reference_positive_columns
+of a mechanism and row_dot of a program;
 reference_names and reference_index_of (labels read by rendering
 back through row_label and col_label) of a program layout, and reference_sections, a certificate's
 document sections rendered through reference_names; drop, insert, others_sizes, others_rank,
@@ -674,6 +675,21 @@ def zero_mechanism(instance, form=DS):
     alloc = (((Fraction(0),) * instance.m,) * instance.n,) * instance.profile_count
     pay = ((Fraction(0),) * instance.n,) * instance.profile_count
     return mechanism_of(form, alloc, pay)
+
+
+def reference_positive_columns(instance, mechanism):
+    """The dominant-strategy primal columns where the mechanism is
+    positive, in column order, by definition: the layout's index
+    (ProgramLayout.x and p) of each positive x_i^j(v) and p_i(v), read
+    off the mechanism's profile-major views."""
+    layout = ProgramLayout(DS, instance.m, instance.sizes)
+    found = []
+    for r, (alloc, pay) in enumerate(zip(mechanism.alloc, mechanism.pay)):
+        for i, (items, paid) in enumerate(zip(alloc, pay)):
+            found += [layout.x(i, j, r) for j, q in enumerate(items) if q > 0]
+            if paid > 0:
+                found.append(layout.p(i, r))
+    return sorted(found)
 
 
 def min_entry(slacks):

@@ -134,6 +134,21 @@ MUTANTS = [
         "tuple(range(first, first + span, d))",
         "tuple(range(first, first + span, d + 1))",
     ),
+    # positions, the inverse of ranks, puts every rank on slice 0
+    Mutant(
+        "positions-slice-dropped",
+        MODEL,
+        "pos[r] = (t, s)",
+        "pos[r] = (t, 0)",
+    ),
+    # the face search holds the dual row of a zero entry with equality,
+    # as if the entry were positive
+    Mutant(
+        "positive-columns-nonnegative",
+        AUCTION,
+        "if q > 0]",
+        "if q >= 0]",
+    ),
     # the one acceptance of an optimum (_accepted) takes a dual it has
     # not checked feasible
     Mutant(

@@ -321,14 +321,18 @@ def test_closed_form_characterize_matches_the_programs(monkeypatch):
         for iid in (True, False)
     ]
     proved = []
-    original = analysis._myerson_auction
+    original = analysis._accepted
 
-    def spy(instance, auction, dual):
-        proof = original(instance, auction, dual)
-        proved.append((dual.form, proof is not None))
+    def spy(instance, mechanism, slacks, dual):
+        try:
+            proof = original(instance, mechanism, slacks, dual)
+        except CertificateError:
+            proved.append((dual.form, False))
+            raise
+        proved.append((dual.form, True))
         return proof
 
-    monkeypatch.setattr(analysis, "_myerson_auction", spy)
+    monkeypatch.setattr(analysis, "_accepted", spy)
     closed = [_characterize_outputs(instance, seed) for seed, instance in instances]
     # 8 of the 30 refused on the DS form, and the Bayesian form, proved
     # only for the other 22, accepted each

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -25,6 +26,7 @@ from auctionlp.auction import (
     _dual_at,
     _layout,
     _mechanism_entries,
+    _positive_columns,
     brev,
     build_blp,
     build_dslp,
@@ -46,7 +48,7 @@ from auctionlp.analysis import proved_certificate
 from auctionlp.cli import main
 from auctionlp.errors import DimensionMismatch, InfeasibleInput, LabelMismatch, NotRational
 from auctionlp.lp import CertificateError, MIN, LpCertificate, dual_of, simplex, solve
-from auctionlp.model import Instance, _scale, mechanism_feasible, rat, rat_str, ratio
+from auctionlp.model import Instance, Mechanism, _scale, mechanism_feasible, rat, rat_str, ratio
 from auctionlp.oracles import gen_instance
 from baselines import threshold_auction_revenue
 from conftest import REPROOF_PATHS, build, reprove_on
@@ -58,6 +60,7 @@ from helpers import (
     parse_profile_key,
     reference_index_of,
     reference_names,
+    reference_positive_columns,
     seeded_sizes,
 )
 
@@ -151,6 +154,25 @@ def test_mechanism_entries_are_the_vectors_own_columns(form):
             for j, column in enumerate(items):
                 assert column == tuple(layout.x(i, j, r) for r in range(count))
             assert paid == tuple(layout.p(i, r) for r in range(count))
+
+
+@pytest.mark.parametrize("sizes", seeded_sizes())
+def test_positive_columns_match_their_definition(sizes):
+    rng = random.Random(repr(sizes))
+    m = 3 if len(sizes) == 1 else rng.randint(1, 2)
+    # the sizes are all the layout reads of an instance
+    instance = Instance(len(sizes), m, tuple(((0,) * m,) * k for k in sizes), ())
+    count, entries = instance.profile_count, (0, 0, 1, 2, Fraction(1, 3), -1)
+
+    def column():
+        # a quarter of the columns are zero throughout
+        zero = rng.random() < 0.25
+        return tuple(Fraction(0 if zero else rng.choice(entries)) for _ in range(count))
+
+    alloc = tuple(tuple(column() for _ in range(m)) for _ in sizes)
+    pay = tuple(column() for _ in sizes)
+    mechanism = Mechanism(DS, _scale((alloc, pay)))
+    assert _positive_columns(mechanism) == reference_positive_columns(instance, mechanism)
 
 
 @pytest.mark.parametrize("form", [DS, BAYES])
