@@ -68,6 +68,7 @@ def _product_buyer(
             weights[0] = 0
         total = sum(weights)
         per_item.append((values, [Fraction(w, total) for w in weights]))
+    # each item's values are sorted, so the vectors come in ascending order
     vectors = []
     masses = []
     for combo in itertools.product(*(range(len(v)) for v, _ in per_item)):
@@ -77,8 +78,7 @@ def _product_buyer(
             q *= per_item[j][1][combo[j]]
         vectors.append(vec)
         masses.append(q)
-    ranked = sorted(range(len(vectors)), key=lambda idx: vectors[idx])
-    return [vectors[idx] for idx in ranked], [masses[idx] for idx in ranked]
+    return vectors, masses
 
 
 # The keys of a gen_instance spec: counts (support may be a list) and flags.

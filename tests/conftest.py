@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from auctionlp import auction
+from auctionlp.lp import simplex
 from auctionlp.model import validate_instance
 
 
@@ -27,6 +28,41 @@ def perfbench_corpus(monkeypatch, workload, seed, workdir):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     return workloads.build_corpus(workload, seed, str(workdir))
+
+
+def rebind(monkeypatch, original, replacement):
+    """Point every attribute of an auctionlp module that holds original
+    at replacement, as the benchmark's tracer does (perfbench/spans.py),
+    so calls through names imported from another module are seen too."""
+    for name, module in list(sys.modules.items()):
+        if name == "auctionlp" or name.startswith("auctionlp."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def lp_counts(monkeypatch):
+    """What the benchmark's traced run counts of the LP layer, as it
+    counts it: solves, pivots (simplex.eliminate calls), and the rows,
+    columns and nonzeros of each program solved, read after its solve."""
+    counts = dict.fromkeys(("solves", "pivots", "rows", "cols", "nnz"), 0)
+    solve, eliminate = simplex.solve, simplex.eliminate
+
+    def solved(lp, *args, **kwargs):
+        certificate = solve(lp, *args, **kwargs)
+        counts["solves"] += 1
+        counts["rows"] += lp.nrows
+        counts["cols"] += lp.ncols
+        counts["nnz"] += sum(len(row) for row in lp.rows)
+        return certificate
+
+    def pivoted(*args, **kwargs):
+        counts["pivots"] += 1
+        return eliminate(*args, **kwargs)
+
+    rebind(monkeypatch, solve, solved)
+    rebind(monkeypatch, eliminate, pivoted)
+    return counts
 
 
 def irregular(n):

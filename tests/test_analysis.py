@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ from auctionlp.model import (
 )
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import check_cs, check_ubvv, regularize, virtual_values
-from conftest import build, irregular, perfbench_corpus
+from conftest import build, irregular, lp_counts, perfbench_corpus
 from helpers import ds_optimum, mechanism_of, revenue_face_dual, zero_mechanism
 
 F = Fraction
@@ -670,13 +671,39 @@ def test_iid_scan_corpus_maps_and_tabulates_once(monkeypatch, tmp_path):
     # gets one DS table (39 mappings and 80 tables before the duals were
     # carried forward).  Only the 2 tight duals that are not their
     # witness are regularized: building the witness's table proved it
-    # regular
+    # regular.  The witness also replaces all but 2 of the 8 optimal-face
+    # programs, so 24 LP solves become 18, and the 2 left are read off
+    # the DS optimum by complementary slackness: exactly 1263 pivots.
+    # The programs handed to the solver, the primals' float builds
+    # included, keep the exact programs' shape and nonzeros (the counts
+    # CI's traced iid-scan step reads)
     ops = perfbench_corpus(monkeypatch, "iid-scan", 1, tmp_path)
     calls = _counted(monkeypatch, "bic_to_dsic_dual", "virtual_values:ds", "regularize:ds")
+    lp = lp_counts(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert all(cli.main(op.argv) == 0 for op in ops)
     assert len(ops) == 41
     assert calls == {"bic_to_dsic_dual": 6, "virtual_values:ds": 41, "regularize:ds": 2}
+    assert lp.pop("solves") <= 18
+    assert lp == {"pivots": 1263, "rows": 3570, "cols": 4349, "nnz": 15845}
+
+
+# sha256 of what characterize prints for the three instances of the
+# former optimal-face cliff (support 4, two items): they once took about
+# four minutes and now take about a second, and seed 3's tight dual
+# comes from its face program
+FACE_CLIFF_SHA256 = "f4b3aeb99779866b5de5d90fc5abe7de80262823ee87ef99027341edcacffbaf"
+
+
+def test_former_face_cliff_records_are_pinned(capsys):
+    argv = ["characterize", "--gen", "n=3,m=2,support=4,iid=1", "--seed", "1", "--count", "3"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [record["seed"] for record in records] == [1, 2, 3]
+    assert records[2]["tight_excess"] == "47740/191607"
+    assert records[2]["ubvv_ok"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == FACE_CLIFF_SHA256
 
 
 def _without_carried_duals(mp):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from auctionlp import analysis, auction, cli
+from auctionlp import analysis, auction, cli, virtual
 from auctionlp.analysis import (
     _flow_dual,
     bic_to_dsic_dual,
@@ -45,7 +45,7 @@ from auctionlp.model import (
 )
 from auctionlp.oracles import gen_instance
 from auctionlp.virtual import check_cs
-from conftest import build, irregular, perfbench_corpus
+from conftest import build, irregular, lp_counts, perfbench_corpus, rebind
 from helpers import reference_sections
 
 FORMS = {"ds": DS, "bic": BAYES}
@@ -329,8 +329,23 @@ SOLVE_CERT_FILES_SHA256 = "f4ea93e261363719d7c2a03e42722cbc9d5bd0de50d906e05fc15
 
 
 def test_solve_cert_certificate_files_are_pinned(monkeypatch, tmp_path):
+    # The 56 one-item operations are answered in closed form and solve
+    # no LP; the 24 two-item ones take exactly 1684 pivots, on float
+    # programs of the exact programs' shape and nonzeros (the counts
+    # CI's traced solve-cert step reads).  Each certificate is written
+    # from a proved pair, whose ledger is zero by weak duality, so no
+    # slackness ledger is summed and no structural check runs
     ops = perfbench_corpus(monkeypatch, "solve-cert", 1, tmp_path)
     assert len(ops) == 80
+    lp = lp_counts(monkeypatch)
+    checks = []
+    for check in (virtual.check_cs, virtual.check_vwm, virtual.check_ubvv):
+
+        def called(*args, _check=check, **kwargs):
+            checks.append(_check.__name__)
+            return _check(*args, **kwargs)
+
+        rebind(monkeypatch, check, called)
     with contextlib.redirect_stdout(io.StringIO()):
         assert all(main(op.argv) == 0 for op in ops)
     digest = hashlib.sha256()
@@ -338,6 +353,8 @@ def test_solve_cert_certificate_files_are_pinned(monkeypatch, tmp_path):
         with open(op.cert, "rb") as handle:
             digest.update(handle.read())
     assert digest.hexdigest() == SOLVE_CERT_FILES_SHA256
+    assert lp == {"solves": 24, "pivots": 1684, "rows": 4536, "cols": 5832, "nnz": 20933}
+    assert checks == []
 
 
 def test_written_ledgers_are_the_proved_pairs(monkeypatch, tmp_path):
